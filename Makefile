@@ -9,13 +9,24 @@ STATICCHECK_VERSION := v0.6.1
 GO ?= go
 BIN := bin
 
-.PHONY: build test race fmt fmt-check vet lint staticcheck sldfcheck seeded-selftest FORCE
+.PHONY: build test bench-test race fmt fmt-check vet lint staticcheck sldfcheck seeded-selftest FORCE
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (bench/go.mod). Test it with the
+# offline, checkout-local Go environment bench/run.sh builds it with, so
+# nothing is fetched and its caches stay under .bench_build.
+BENCH_BUILD := $(CURDIR)/.bench_build
+BENCH_GOENV := GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath \
+	GOMODCACHE=$(BENCH_BUILD)/gopath/pkg/mod XDG_CONFIG_HOME=$(BENCH_BUILD)/config \
+	GOPROXY=off GOFLAGS= GOWORK=off GOTOOLCHAIN=local
+
+bench-test:
+	$(BENCH_GOENV) $(GO) -C bench test ./...
 
 # Race-stress the concurrency-heavy surfaces: the netsim engine's
 # parallel flow solver and the campaign scheduler's churn/remote

@@ -95,7 +95,10 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: worker}
+	// A client that stalls mid-header must not pin a connection forever;
+	// there is deliberately no write timeout, since a long batch's reply
+	// is only written once every job has finished.
+	srv := &http.Server{Handler: worker, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -325,3 +325,39 @@ func TestNewValidatesAddresses(t *testing.T) {
 		t.Fatalf("normalization: %v", b.addrs)
 	}
 }
+
+// TestServerRejectsOversizedBody checks the /run body cap: a body past it
+// is refused with 413 and counted as a bad payload, and the daemon keeps
+// serving the next valid batch.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	srv := NewServer(ServerOptions{Jobs: 1})
+	srv.maxBody = 1 << 10
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	huge := `{"jobs":[` + strings.Repeat(" ", 4<<10) + `]}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if got := srv.badPayload.Load(); got != 1 {
+		t.Fatalf("bad payloads = %d after an oversized body, want 1", got)
+	}
+
+	b, err := New([]string{ts.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := clusterSpecs(t, 3)
+	got, err := b.Execute(specs, campaign.ExecOptions{})
+	if err != nil {
+		t.Fatalf("valid batch after an oversized one: %v", err)
+	}
+	if want := serialResults(t, specs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("valid batch after an oversized one diverged:\ngot:  %v\nwant: %v", got, want)
+	}
+}

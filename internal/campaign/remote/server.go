@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -31,6 +32,11 @@ type ServerOptions struct {
 // that paper-scale systems cannot pile up.
 const DefaultWorkerState = 4
 
+// MaxRunBody caps the size of a /run request body. A job spec is a few
+// hundred bytes, so the cap is far past any real batch; it only keeps a
+// runaway or hostile client from making the daemon buffer without bound.
+const MaxRunBody = 64 << 20
+
 // Server is the worker side of the coordinator/worker protocol: an
 // http.Handler executing batches of declarative job specs on a persistent
 // in-process worker pool.
@@ -40,6 +46,8 @@ type Server struct {
 	wg    sync.WaitGroup
 	mu    sync.RWMutex
 	done  bool
+	// maxBody is the /run body cap (MaxRunBody; lowered by tests).
+	maxBody int64
 
 	requests   atomic.Int64
 	jobs       atomic.Int64
@@ -64,7 +72,7 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.WorkerState <= 0 {
 		opts.WorkerState = DefaultWorkerState
 	}
-	s := &Server{opts: opts, tasks: make(chan task)}
+	s := &Server{opts: opts, tasks: make(chan task), maxBody: MaxRunBody}
 	for i := 0; i < opts.Jobs; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -144,13 +152,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun executes one batch and replies with per-job results in request
-// order.
+// order. A body past the size cap is refused with 413, like any other bad
+// payload, before it is buffered.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.badPayload.Add(1)
-		http.Error(w, fmt.Sprintf("decode run request: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("decode run request: %v", err), status)
 		return
 	}
 	results := make([]jobResult, len(req.Jobs))

@@ -311,3 +311,72 @@ func TestEngineEquivalenceAfterReset(t *testing.T) {
 		t.Fatalf("stats diverged:\nreference (fresh): %+v\nactive (reset):    %+v", ref.Stats, act.Stats)
 	}
 }
+
+// TestEngineEquivalenceAfterFlow checks the cycle state a flow-only network
+// allocates on first use: a system that first solved flow points — its
+// cycle state not yet built, churn segments applied and rewound — and then
+// measures with a cycle engine after Reset must be bitwise identical to a
+// fresh build measured with the same engine. Covers every system kind, both
+// cycle engines, a churn-armed system and the adaptive pre-allocate
+// snapshot, which reads credits the flow engine never allocates.
+func TestEngineEquivalenceAfterFlow(t *testing.T) {
+	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 5}
+	swb.DF.G = 1
+	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 5}
+	swl.SLDF.G = 1
+	churned := swl
+	churned.Seed = 11
+	churned.Churn = churnWindow(0.04, 0.02, netsim.RetrySource)
+	adaptive := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9, Mode: routing.Adaptive}
+	cases := []struct {
+		name string
+		cfg  Config
+		rate float64
+		sp   SimParams
+	}{
+		{"switch", Config{Kind: SingleSwitch, Terminals: 4, Seed: 5}, 0.8, tinySim()},
+		{"mesh", Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5}, 0.8, tinySim()},
+		{"sw-based", swb, 0.6, tinySim()},
+		{"sw-less", swl, 0.6, tinySim()},
+		{"sw-less-churn", churned, 0.6, tinySim()},
+		{"sw-less-adaptive", adaptive, 0.3, shortSim()},
+	}
+	for _, tc := range cases {
+		for _, kind := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference} {
+			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
+				fresh := measureEngineSim(t, tc.cfg, "uniform", tc.rate, kind, tc.sp)
+				if fresh.Stats.DeliveredPkts == 0 {
+					t.Fatal("no traffic delivered; the comparison is vacuous")
+				}
+				sys, err := Build(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				pat, err := sys.PatternFor("uniform")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp := tc.sp
+				sp.Engine = netsim.EngineFlow
+				for _, rate := range []float64{0.2, tc.rate} {
+					if _, err := sys.MeasureLoad(pat, rate, sp); err != nil {
+						t.Fatalf("flow point %.1f: %v", rate, err)
+					}
+					sys.Reset()
+				}
+				sp.Engine = kind
+				got, err := sys.MeasureLoad(pat, tc.rate, sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh.Stats, got.Stats) {
+					t.Fatalf("stats diverged:\nfresh:      %+v\nafter flow: %+v", fresh.Stats, got.Stats)
+				}
+				if fresh.Utilization != got.Utilization {
+					t.Fatalf("utilization diverged: %v vs %v", fresh.Utilization, got.Utilization)
+				}
+			})
+		}
+	}
+}

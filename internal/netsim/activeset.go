@@ -142,7 +142,12 @@ func (n *Network) Engine() EngineKind { return n.engineKind }
 // SetEngine switches the cycle engine. Safe at any phase boundary (between
 // Step calls): switching to the active-set engine rebuilds the active sets
 // from the network's current contents, so in-flight traffic keeps moving.
+// Selecting a cycle engine allocates the cycle state a flow-only network
+// lacks.
 func (n *Network) SetEngine(k EngineKind) {
+	if k != EngineFlow {
+		n.ensureCycleState()
+	}
 	if n.engineKind == k {
 		return
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"sldf/internal/engine"
 )
@@ -21,11 +20,11 @@ type LinkSpec struct {
 // AddRouter/Connect and then Finalize. Builders are single-use.
 //
 // Construction is allocation-lean by design: links accumulate as values and
-// ports exist only as per-router counts until Finalize, which carves every
-// retained slice — the router table, both port arrays, VC queues, ring
-// windows, credits — at exact size from shared slabs. Nothing the builder
-// allocates becomes garbage in the finished network, and append-doubling
-// overshoot never survives into it.
+// ports exist only as per-router counts until Finalize. A topology that
+// reserves its exact size with Grow has its router and link tables adopted
+// by the network as they are; Finalize carves both port arrays at exact size
+// from shared slabs. Append-growth overshoot never survives into the
+// network, and state only the cycle engines read is not built here at all.
 type Builder struct {
 	routers []Router
 	// nIn/nOut count ports per router; the InPort/OutPort structs themselves
@@ -141,7 +140,46 @@ func (b *Builder) fail(format string, args ...any) {
 // Err returns the first construction error, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Finalize validates the graph and produces a runnable Network.
+// Grow reserves room for routers more routers and links more links, so a
+// topology that knows its size up front builds without append-growth
+// garbage. When the reservation is exact, Finalize adopts the builder's
+// router and link tables as the network's own instead of copying them; a
+// wrong count costs a copy, never correctness.
+func (b *Builder) Grow(routers, links int) {
+	b.routers = grow(b.routers, routers)
+	b.nIn = grow(b.nIn, routers)
+	b.nOut = grow(b.nOut, routers)
+	b.links = grow(b.links, links)
+}
+
+// grow returns s with capacity for exactly n more elements. Unlike
+// slices.Grow it never rounds the capacity up to an allocator size class,
+// which would defeat Finalize's exact-size adoption.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	ns := make([]T, len(s), len(s)+n)
+	copy(ns, s)
+	return ns
+}
+
+// exact returns s itself when it has no spare capacity, else an exact-size
+// copy: append-growth overshoot in a builder slice must not survive into
+// the network.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	ns := make([]T, len(s))
+	copy(ns, s)
+	return ns
+}
+
+// Finalize validates the graph and produces a network ready for the flow
+// solver. The cycle engines' per-port and per-shard state is allocated on
+// first use (see Network.ensureCycleState), so a flow-only network never
+// pays for it.
 func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -150,76 +188,67 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		return nil, fmt.Errorf("netsim: empty network")
 	}
 
-	// Collect chips: group terminal routers by chip ID.
-	chipMap := map[int32][]NodeID{}
-	maxChip := int32(-1)
+	// Group terminal routers by chip with a counting pass straight into one
+	// backing array. Routers are visited in ascending ID order, so every
+	// chip's list comes out sorted.
+	nchips := int32(0)
 	for i := range b.routers {
-		r := &b.routers[i]
-		if r.Chip >= 0 && r.InjIn >= 0 {
-			chipMap[r.Chip] = append(chipMap[r.Chip], r.ID)
-			if r.Chip > maxChip {
-				maxChip = r.Chip
-			}
+		if r := &b.routers[i]; r.Chip >= 0 && r.InjIn >= 0 {
+			nchips = max(nchips, r.Chip+1)
 		}
 	}
-	chips := make([][]NodeID, maxChip+1)
-	for c := int32(0); c <= maxChip; c++ {
-		nodes := chipMap[c]
+	offset := make([]int32, nchips+1)
+	for i := range b.routers {
+		if r := &b.routers[i]; r.Chip >= 0 && r.InjIn >= 0 {
+			offset[r.Chip+1]++
+		}
+	}
+	for c := int32(1); c <= nchips; c++ {
+		offset[c] += offset[c-1]
+	}
+	termSlab := make([]NodeID, offset[nchips])
+	chips := make([][]NodeID, nchips)
+	for c := range chips {
+		chips[c] = termSlab[offset[c]:offset[c]:offset[c+1]]
+	}
+	for i := range b.routers {
+		if r := &b.routers[i]; r.Chip >= 0 && r.InjIn >= 0 {
+			chips[r.Chip] = append(chips[r.Chip], r.ID)
+		}
+	}
+	for c, nodes := range chips {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("netsim: chip %d has no terminal routers", c)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		chips[c] = nodes
 		// Local index must match position for DstSameIndex to be meaningful.
 		for idx, id := range nodes {
 			b.routers[id].Local = int32(idx)
 		}
 	}
 
-	workers := opts.Workers
 	pool := opts.Pool
 	owned := false
 	if pool == nil {
-		pool = engine.NewPool(workers)
+		pool = engine.NewPool(opts.Workers)
 		owned = true
-	}
-	shards := pool.Workers()
-	if shards < 1 {
-		shards = 1
 	}
 	wd := opts.WatchdogCycles
 	if wd <= 0 {
 		wd = DefaultWatchdogCycles
 	}
-
-	// Retain the router table at exact size: append-doubling overshoot in
-	// the builder's slice must not survive into the network.
-	routers := make([]Router, len(b.routers))
-	copy(routers, b.routers)
-	// Compact the per-chip terminal lists into one backing array.
-	terms := 0
-	for _, nodes := range chips {
-		terms += len(nodes)
-	}
-	termSlab := make([]NodeID, 0, terms)
-	for c := range chips {
-		start := len(termSlab)
-		termSlab = append(termSlab, chips[c]...)
-		chips[c] = termSlab[start:len(termSlab):len(termSlab)]
-	}
-
 	n := &Network{
-		Routers:       routers,
+		Routers:       exact(b.routers),
+		Links:         exact(b.links),
 		ChipNodes:     chips,
 		pool:          pool,
 		ownedPool:     owned,
-		shards:        shards,
-		shard:         make([]shardStats, shards),
+		shards:        max(pool.Workers(), 1),
 		seed:          opts.Seed,
 		packetSize:    4,
 		watchdogLimit: wd,
 		engineKind:    opts.Engine,
 	}
+	n.shard = make([]shardStats, n.shards)
 	// Materialize every router's ports from two network-wide slabs, carved
 	// at exact size from the builder's per-router counts.
 	totIn, totOut := 0, 0
@@ -237,138 +266,17 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		ii += ki
 		r.Out = allOut[oi : oi+ko : oi+ko]
 		oi += ko
-	}
-	for i := range n.Routers {
-		n.Routers[i].RNG = engine.NewRNGStream(opts.Seed, uint64(i))
+		r.RNG = engine.NewRNGStream(opts.Seed, uint64(i))
 		// Routers beyond 64 ports fall back to full port scans; none of the
 		// evaluated systems comes close.
-		n.Routers[i].wide = len(n.Routers[i].In) > 64 || len(n.Routers[i].Out) > 64
+		r.wide = ki > 64 || ko > 64
 	}
-	// Adopt the link table as the network's contiguous value slice. n.Links
-	// never resizes after Finalize, so &n.Links[i] is stable; ports are
-	// wired onto it here.
-	n.Links = make([]Link, len(b.links))
-	copy(n.Links, b.links)
+	// n.Links never resizes after Finalize, so &n.Links[i] is stable; ports
+	// are wired onto it here.
 	for i := range n.Links {
 		l := &n.Links[i]
 		n.Routers[l.Src].Out[l.SrcPort].Link = l
 		n.Routers[l.Dst].In[l.DstPort].Link = l
-	}
-	// Pack each router's hot port state contiguously: all VC queues in one
-	// slab, all credit counters in another, and every network VC's initial
-	// ring window carved from a shared ref array. A queue that outgrows its
-	// window migrates to a private ring (vcQueue.grow); the injection
-	// pseudo-queue starts with no window at all since its depth is
-	// load-dependent and unbounded.
-	for i := range n.Routers {
-		r := &n.Routers[i]
-		portVCs := func(link *Link) int {
-			if link == nil {
-				return 1 // injection pseudo-port: a single source queue
-			}
-			return int(link.VCs)
-		}
-		nvc, netVCs, ncred := 0, 0, 0
-		for in := range r.In {
-			nvc += portVCs(r.In[in].Link)
-			if r.In[in].Link != nil {
-				netVCs += int(r.In[in].Link.VCs)
-			}
-		}
-		for o := range r.Out {
-			if l := r.Out[o].Link; l != nil {
-				ncred += int(l.VCs)
-			}
-		}
-		vcs := make([]vcQueue, nvc)
-		rings := make([]PacketRef, netVCs*vcRingWindow)
-		creds := make([]int32, ncred)
-		vi, ri, ci := 0, 0, 0
-		for in := range r.In {
-			ip := &r.In[in]
-			k := portVCs(ip.Link)
-			ip.VCs = vcs[vi : vi+k : vi+k]
-			vi += k
-			if ip.Link == nil {
-				continue
-			}
-			for v := range ip.VCs {
-				ip.VCs[v].buf = rings[ri : ri+vcRingWindow : ri+vcRingWindow]
-				ri += vcRingWindow
-			}
-		}
-		for o := range r.Out {
-			op := &r.Out[o]
-			if op.Link == nil {
-				continue
-			}
-			k := int(op.Link.VCs)
-			nc := creds[ci : ci+k : ci+k]
-			ci += k
-			for v := range nc {
-				nc[v] = op.Link.BufFlits
-			}
-			op.Credits = nc
-		}
-	}
-	// Partition links by consumer shard for the phase-A drain.
-	shardOf := func(router NodeID) int {
-		for s := 0; s < shards; s++ {
-			lo, hi := engine.ShardBounds(len(n.Routers), shards, s)
-			if int(router) >= lo && int(router) < hi {
-				return s
-			}
-		}
-		return 0
-	}
-	n.dataLinks = make([][]*Link, shards)
-	n.creditLinks = make([][]*Link, shards)
-	for i := range n.Links {
-		l := &n.Links[i]
-		ds := shardOf(l.Dst)
-		n.dataLinks[ds] = append(n.dataLinks[ds], l)
-		l.dstShard = int32(ds)
-		cs := shardOf(l.Src)
-		n.creditLinks[cs] = append(n.creditLinks[cs], l)
-		l.srcShard = int32(cs)
-	}
-	// Static per-shard injector lists and active-set scaffolding (used by
-	// the active-set engine; both engines visit injectors in this order).
-	// The timing wheel must reach past the longest link delay (+1 cycle of
-	// flit time, +1 so a wake never lands on the slot being drained); the
-	// 64-slot floor gives sleeping routers room to park typical
-	// serialization waits.
-	maxDelay := int32(0)
-	for i := range n.Links {
-		if n.Links[i].Delay > maxDelay {
-			maxDelay = n.Links[i].Delay
-		}
-	}
-	wheelSize := 64
-	for wheelSize < int(maxDelay)+2 {
-		wheelSize *= 2
-	}
-	n.injectors = make([][]NodeID, shards)
-	n.active = make([]shardActive, shards)
-	for s := 0; s < shards; s++ {
-		lo, hi := engine.ShardBounds(len(n.Routers), shards, s)
-		for id := lo; id < hi; id++ {
-			r := &n.Routers[id]
-			if r.InjIn >= 0 && r.Chip >= 0 {
-				n.injectors[s] = append(n.injectors[s], r.ID)
-			}
-		}
-		n.active[s] = shardActive{
-			lo:          lo,
-			hi:          hi,
-			routers:     engine.NewBitset(hi - lo),
-			wheelMask:   int64(wheelSize - 1),
-			wheelData:   make([][]*Link, wheelSize),
-			wheelCredit: make([][]*Link, wheelSize),
-			wheelRouter: make([][]NodeID, wheelSize),
-			stageData:   make([][]*Link, shards),
-			stageCredit: make([][]*Link, shards),
-		}
 	}
 	n.initPhases()
 	b.routers = nil

@@ -642,10 +642,13 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 }
 
 // rebuildShardLists reconstructs the per-shard injector walk and the
-// reference engine's drain lists from the current Disabled flags, in
-// exactly the order Finalize (and build-time applyFaults) produce: routers
-// ascending within each shard, links in index order.
+// reference engine's drain lists from the current Disabled flags: routers
+// ascending within each shard, links in index order. A no-op until
+// ensureCycleState has allocated the lists (which it fills through here).
 func (n *Network) rebuildShardLists() {
+	if !n.cycleState {
+		return
+	}
 	for s := range n.injectors {
 		lo, hi := engine.ShardBounds(len(n.Routers), n.shards, s)
 		inj := n.injectors[s][:0]

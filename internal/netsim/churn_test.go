@@ -214,19 +214,7 @@ func churnRingStats(t *testing.T, kind EngineKind, workers int, withTimeline boo
 	defer net.Close()
 	net.SetEngine(kind)
 	if withTimeline {
-		fwd := linkBetween(t, net, 4, 5)
-		rev := linkBetween(t, net, 5, 4)
-		events := []TimedFault{
-			LinkFault(25, fwd.ID, false),
-			LinkFault(25, rev.ID, false),
-			RouterFault(40, net.ChipNodes[1][0], false),
-			LinkFault(90, fwd.ID, true),
-			LinkFault(90, rev.ID, true),
-			RouterFault(110, net.ChipNodes[1][0], true),
-		}
-		if err := net.ScheduleChurn(events, RetrySource, nil); err != nil {
-			t.Fatal(err)
-		}
+		armChurnRing(t, net)
 	}
 	gen := GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
 		if now >= 150 {
@@ -253,6 +241,24 @@ func churnRingStats(t *testing.T, kind EngineKind, workers int, withTimeline boo
 		t.Fatal(err)
 	}
 	return net.Snapshot()
+}
+
+// armChurnRing schedules the standard scenario's timeline on a fresh ring.
+func armChurnRing(t *testing.T, net *Network) {
+	t.Helper()
+	fwd := linkBetween(t, net, 4, 5)
+	rev := linkBetween(t, net, 5, 4)
+	events := []TimedFault{
+		LinkFault(25, fwd.ID, false),
+		LinkFault(25, rev.ID, false),
+		RouterFault(40, net.ChipNodes[1][0], false),
+		LinkFault(90, fwd.ID, true),
+		LinkFault(90, rev.ID, true),
+		RouterFault(110, net.ChipNodes[1][0], true),
+	}
+	if err := net.ScheduleChurn(events, RetrySource, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestChurnEngineEquivalence(t *testing.T) {

@@ -121,34 +121,8 @@ func (n *Network) applyFaults(routers []NodeID, links []int32) (deadChips []int3
 	}
 
 	// Rebuild the per-shard injector walk (shared by both engines) and the
-	// reference engine's drain lists.
-	for s := range n.injectors {
-		alive := n.injectors[s][:0]
-		for _, id := range n.injectors[s] {
-			if !n.Routers[id].Disabled {
-				alive = append(alive, id)
-			}
-		}
-		n.injectors[s] = alive
-	}
-	for s := range n.dataLinks {
-		alive := n.dataLinks[s][:0]
-		for _, l := range n.dataLinks[s] {
-			if !l.Disabled {
-				alive = append(alive, l)
-			}
-		}
-		n.dataLinks[s] = alive
-	}
-	for s := range n.creditLinks {
-		alive := n.creditLinks[s][:0]
-		for _, l := range n.creditLinks[s] {
-			if !l.Disabled {
-				alive = append(alive, l)
-			}
-		}
-		n.creditLinks[s] = alive
-	}
+	// reference engine's drain lists, when a cycle engine has built them.
+	n.rebuildShardLists()
 	return deadChips, nil
 }
 

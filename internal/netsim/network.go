@@ -30,7 +30,7 @@ const DefaultWatchdogCycles = 10000
 // every live packet resides in the network-owned arena and is referenced
 // by PacketRef from VC rings and link pipelines; each router's VC queue
 // records, ring windows and output credits are packed into per-router
-// backing arrays by Builder.Finalize.
+// backing arrays when a cycle engine first needs them (ensureCycleState).
 type Network struct {
 	Routers []Router
 	// Links holds the network's channels contiguously. Link pointers
@@ -60,6 +60,12 @@ type Network struct {
 	ownedPool bool
 	shards    int
 	shard     []shardStats
+
+	// cycleState reports that the cycle-engine-only state below (drain
+	// lists, injectors, active sets) and every port's VC queues and credits
+	// have been allocated; see ensureCycleState. Flow-only networks never
+	// set it.
+	cycleState bool
 	// dataLinks[s] lists links whose destination router is in shard s;
 	// creditLinks[s] lists links whose source router is in shard s. The
 	// reference engine's phase A iterates these flat lists instead of
@@ -376,6 +382,9 @@ func (n *Network) initPhases() {
 //
 //sldf:hotpath
 func (n *Network) Step() {
+	if !n.cycleState {
+		n.ensureCycleState()
+	}
 	if n.churn != nil {
 		n.applyDueChurn()
 	}

@@ -42,10 +42,11 @@ func (k RouterKind) String() string {
 // vcQueue is one virtual channel of an input port: a FIFO ring of packet
 // refs (virtual cut-through moves whole packets) with a cached routing
 // decision for the head packet. Network VCs start on a slice of the owning
-// router's shared ring backing (see Builder.Finalize), so a router's queue
-// state is contiguous in memory; a queue that outgrows its initial window —
-// or the unbounded injection pseudo-queue, which starts empty — falls back
-// to its own ring, doubling as needed and keeping the capacity forever.
+// router's shared ring backing (see Network.ensureCycleState), so a
+// router's queue state is contiguous in memory; a queue that outgrows its
+// initial window — or the unbounded injection pseudo-queue, which starts
+// empty — falls back to its own ring, doubling as needed and keeping the
+// capacity forever.
 type vcQueue struct {
 	buf  []PacketRef
 	head int32
@@ -181,10 +182,15 @@ type OutPort struct {
 	rr uint32
 }
 
-// FreeCredits returns the credits available on downstream VC vc.
+// FreeCredits returns the credits available on downstream VC vc. Before a
+// cycle engine has allocated the credit counters the network is idle, so
+// every downstream buffer is free.
 func (op *OutPort) FreeCredits(vc uint8) int32 {
 	if op.Link == nil {
 		return 1 << 30
+	}
+	if op.Credits == nil {
+		return op.Link.BufFlits
 	}
 	return op.Credits[vc]
 }

@@ -82,6 +82,20 @@ func (p DragonflyParams) ChipLocation(chip int32) (w, s, t int) {
 	return
 }
 
+// size returns the exact router and link counts BuildDragonfly creates:
+// per switch its P NICs with a cable pair each, a local cable pair per
+// switch pair of a group, and one global cable end per global port.
+func (p DragonflyParams) size() (routers, links int) {
+	g := p.Groups()
+	switches := g * p.A
+	routers = switches * (1 + p.P)
+	links = switches * (2*p.P + p.A - 1)
+	if g > 1 {
+		links += switches * p.H
+	}
+	return routers, links
+}
+
 // BuildDragonfly constructs the network. Terminal and local links use the
 // Local class; global links use the Global class.
 func BuildDragonfly(params DragonflyParams, classes LinkClasses, opts netsim.NetworkOptions) (*Dragonfly, error) {
@@ -92,6 +106,7 @@ func BuildDragonfly(params DragonflyParams, classes LinkClasses, opts netsim.Net
 	a, p, h := params.A, params.P, params.H
 
 	b := netsim.NewBuilder()
+	b.Grow(params.size())
 	df := &Dragonfly{Params: params}
 	df.Switches = make([][]netsim.NodeID, g)
 	df.termPort = make([][][]int, g)

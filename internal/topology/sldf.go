@@ -215,6 +215,25 @@ func (p SLDFParams) portAttachCoords(c int) [][2]int {
 	return coords
 }
 
+// size returns the exact router and link counts BuildSLDF creates: per
+// C-group a mesh of cores plus one two-link SR-LR module per external port,
+// a local cable pair per C-group pair of a W-group, and one global cable
+// end per global port.
+func (p SLDFParams) size() (routers, links int) {
+	g, ab := p.Groups(), p.AB
+	ports := ab - 1
+	if g > 1 {
+		ports += p.H
+	}
+	cgroups := g * ab
+	routers = cgroups * (p.MeshX()*p.MeshY() + ports)
+	links = cgroups*(meshLinks(p.MeshX(), p.MeshY())+2*ports) + g*ab*(ab-1)
+	if g > 1 {
+		links += cgroups * p.H
+	}
+	return routers, links
+}
+
 // BuildSLDF constructs the full switch-less Dragonfly network.
 func BuildSLDF(params SLDFParams, classes LinkClasses, opts netsim.NetworkOptions) (*SLDF, error) {
 	if err := params.Validate(); err != nil {
@@ -226,6 +245,7 @@ func BuildSLDF(params SLDFParams, classes LinkClasses, opts netsim.NetworkOption
 	chipsPer := params.ChipsPerCGroup()
 
 	b := netsim.NewBuilder()
+	b.Grow(params.size())
 	s := &SLDF{Params: params}
 	s.CGroups = make([][]CGroupInfo, g)
 

@@ -27,6 +27,7 @@ func BuildSingleSwitch(terminals int, classes LinkClasses, opts netsim.NetworkOp
 		return nil, err
 	}
 	b := netsim.NewBuilder()
+	b.Grow(1+terminals, 2*terminals) // the switch and its NICs, a cable pair each
 	sw := b.AddRouter(netsim.KindSwitch)
 	b.Router(sw).Ideal = true // the paper models switches as ideal routers
 	s := &SingleSwitch{
@@ -104,6 +105,7 @@ func BuildMeshCGroup(chipletDim, noCDim int, classes LinkClasses, opts netsim.Ne
 		return nil, fmt.Errorf("topology: mesh side %d too small", m)
 	}
 	b := netsim.NewBuilder()
+	b.Grow(m*m, meshLinks(m, m))
 	g := &MeshCGroup{M: m, NoCDim: noCDim}
 	g.Nodes = make([][]netsim.NodeID, m)
 	for y := 0; y < m; y++ {
@@ -127,6 +129,10 @@ func BuildMeshCGroup(chipletDim, noCDim int, classes LinkClasses, opts netsim.Ne
 	g.DirPort = buildDirPorts(net, g.Nodes)
 	return g, nil
 }
+
+// meshLinks returns the directed link count addMeshLinks creates on an
+// mx×my mesh: one pair per horizontal and per vertical neighbor.
+func meshLinks(mx, my int) int { return 2 * (my*(mx-1) + mx*(my-1)) }
 
 // addMeshLinks wires a (possibly rectangular) 2D mesh over nodes, choosing
 // OnChip vs SR class by whether the link crosses a chiplet boundary of size
