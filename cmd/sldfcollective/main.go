@@ -12,6 +12,9 @@
 //	sldfcollective -remote host1:8437,host2:8437
 //	sldfcollective -faults 0.05 -faultseed 3      # re-routed around faults
 //
+// -jobs, -cache and -remote apply per case; schedules re-route around the
+// chips a -faults spec kills.
+//
 // With -killchip the command switches to the churn panel: each case runs
 // the collective twice — undisturbed, and with the chip killed before step
 // -killstep (schedules recompute over the survivors) — and reports the
@@ -30,11 +33,8 @@ import (
 	"slices"
 	"strings"
 
-	"sldf/internal/campaign"
-	"sldf/internal/campaign/remote"
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
-	"sldf/internal/metrics"
-	"sldf/internal/topology"
 )
 
 func main() {
@@ -69,16 +69,12 @@ func run(args []string, w, errw io.Writer) error {
 	packet := fs.Int("packet", core.DefaultCollectivePacket, "packet size in flits (used for injection AND the efficiency column)")
 	maxStep := fs.Int64("maxstep", 0, "cycle bound per dependent step (0 = the collective.Run default, 1<<20)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	faults := fs.Float64("faults", 0, "fraction of eligible links to fail (schedules re-route around dead chips)")
-	faultRouters := fs.Float64("faultrouters", 0, "fraction of eligible routers to fail")
-	faultSeed := fs.Uint64("faultseed", 1, "fault-draw seed")
-	churn := fs.String("churn", "", "in-run fault timeline, e.g. links=0.02,seed=7,start=1000,end=5000,repair=2000,policy=retry (empty = no churn)")
-	engine := fs.String("engine", "", "simulation engine: active-set (default) | reference | flow")
+	faults := cliflags.AddFaults(fs)
+	churn := cliflags.AddChurn(fs)
+	engine := cliflags.AddEngine(fs, 0)
 	killChip := fs.Int("killchip", -1, "chip to kill mid-collective; switches to the churn panel (negative = off)")
 	killStep := fs.Int("killstep", 1, "dependent step before which -killchip dies")
-	jobs := fs.Int("jobs", 1, "cases measured concurrently (results identical for any value)")
-	cacheDir := fs.String("cache", "", "directory for the on-disk result cache (empty = off)")
-	remoteAddrs := fs.String("remote", "", "comma-separated sldfd worker addresses; shards cases across them (results identical to local)")
+	camp := cliflags.AddCampaign(fs)
 	csvPath := fs.String("csv", "", "also write the panel as CSV to this path (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -93,11 +89,15 @@ func run(args []string, w, errw io.Writer) error {
 		return fmt.Errorf("-packet must be >= 1 (got %d)", *packet)
 	}
 
-	timeline, err := topology.ParseChurn(*churn)
+	timeline, err := churn.Resolve()
 	if err != nil {
 		return err
 	}
-	engineKind, err := core.ParseEngine(*engine)
+	eng, err := engine.Resolve()
+	if err != nil {
+		return err
+	}
+	faultSpec, err := faults.Resolve()
 	if err != nil {
 		return err
 	}
@@ -116,15 +116,12 @@ func run(args []string, w, errw io.Writer) error {
 				sch, strings.Join(core.CollectiveSchedules(), ", "))
 		}
 	}
-	faultSpec := topology.FaultSpec{Seed: *faultSeed, LinkFraction: *faults, RouterFraction: *faultRouters}
 	for _, name := range strings.Split(*systems, ",") {
 		cfg, err := systemConfig(name, *dim, *seed)
 		if err != nil {
 			return err
 		}
-		if *faults > 0 || *faultRouters > 0 {
-			cfg.Faults = faultSpec
-		}
+		cfg.Faults = faultSpec
 		cfg.Churn = timeline
 		for _, sch := range scheduleList {
 			if *killChip >= 0 {
@@ -132,39 +129,21 @@ func run(args []string, w, errw io.Writer) error {
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
 					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
 					KillChip: int32(*killChip), KillStep: *killStep,
-					Engine: engineKind,
+					Engine: eng.Kind,
 				})
 			} else {
 				spec.Cases = append(spec.Cases, core.CollectiveCaseSpec{
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
 					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
-					Engine: engineKind,
+					Engine: eng.Kind,
 				})
 			}
 		}
 	}
 
-	opts := core.RunOptions{Jobs: *jobs}
-	var diskCache *campaign.Cache
-	if *cacheDir != "" {
-		c, err := campaign.OpenCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		diskCache = c
-		opts.Store = campaign.NewTiered[metrics.Point](
-			campaign.NewMemoryLRU[metrics.Point](1024), c)
-	}
-	if *remoteAddrs != "" {
-		backend, err := remote.New(strings.Split(*remoteAddrs, ","), remote.Options{})
-		if err != nil {
-			return err
-		}
-		if err := backend.Check(); err != nil {
-			return err
-		}
-		opts.Backend = backend
-		fmt.Fprintf(errw, "backend: %s\n", backend.Name())
+	opts, diskCache, err := camp.Resolve(errw)
+	if err != nil {
+		return err
 	}
 
 	if *killChip >= 0 {

@@ -11,6 +11,10 @@
 //	sldffigures -full -fig 12       # the 18560-chip scalability run
 //	sldffigures -jobs 8 -cache .pts # 8 concurrent points, resumable
 //	sldffigures -remote host1:8437,host2:8437  # shard across sldfd workers
+//
+// -engine overrides the engine of every measurement, and -churn arms its
+// timeline on the resilience-figure networks only; the other figures carry
+// their own configurations.
 package main
 
 import (
@@ -23,11 +27,8 @@ import (
 	"strings"
 	"time"
 
-	"sldf/internal/campaign"
-	"sldf/internal/campaign/remote"
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
-	"sldf/internal/metrics"
-	"sldf/internal/topology"
 )
 
 func main() {
@@ -54,11 +55,9 @@ func run(args []string, w, errw io.Writer) error {
 	full := fs.Bool("full", false, "force paper-scale runs (Table IV windows)")
 	fig := fs.String("fig", "all", "which experiment: "+strings.Join(core.ExperimentNames(), " | ")+" | all")
 	out := fs.String("out", "figures", "output directory for CSV files")
-	jobs := fs.Int("jobs", 1, "sweep points measured concurrently (results identical for any value)")
-	cacheDir := fs.String("cache", "", "directory for the on-disk point cache (empty = off); re-runs skip already-measured points")
-	remoteAddrs := fs.String("remote", "", "comma-separated sldfd worker addresses; shards sweep points across them (results identical to local)")
-	churn := fs.String("churn", "", "in-run fault timeline armed on resilience-figure networks, e.g. links=0.02,seed=7,start=1000,end=5000,repair=2000,policy=retry (empty = no churn)")
-	engine := fs.String("engine", "", "simulation engine for every measurement: active-set (default) | reference | flow")
+	camp := cliflags.AddCampaign(fs)
+	churn := cliflags.AddChurn(fs)
+	engine := cliflags.AddEngine(fs, 0)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h printed usage; that is success, not failure
@@ -77,38 +76,22 @@ func run(args []string, w, errw io.Writer) error {
 	if *quick {
 		scale = core.ScaleQuick
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	timeline, err := churn.Resolve()
+	if err != nil {
 		return err
 	}
-	opts := core.RunOptions{Jobs: *jobs}
-	timeline, err := topology.ParseChurn(*churn)
+	eng, err := engine.Resolve()
+	if err != nil {
+		return err
+	}
+	opts, diskCache, err := camp.Resolve(errw)
 	if err != nil {
 		return err
 	}
 	opts.Churn = timeline
-	if opts.Engine, err = core.ParseEngine(*engine); err != nil {
+	opts.Engine = eng.Kind
+	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
-	}
-	var diskCache *campaign.Cache
-	if *cacheDir != "" {
-		c, err := campaign.OpenCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		diskCache = c
-		opts.Store = campaign.NewTiered[metrics.Point](
-			campaign.NewMemoryLRU[metrics.Point](1024), c)
-	}
-	if *remoteAddrs != "" {
-		backend, err := remote.New(strings.Split(*remoteAddrs, ","), remote.Options{})
-		if err != nil {
-			return err
-		}
-		if err := backend.Check(); err != nil {
-			return err
-		}
-		opts.Backend = backend
-		fmt.Fprintf(errw, "backend: %s\n", backend.Name())
 	}
 
 	for _, spec := range core.Experiments() {

@@ -8,6 +8,10 @@
 //	sldfscale -dim chips -kind sw-less -max-rss-gb 8
 //	sldfscale -dim faults -kind sw-less
 //	sldfscale -dim jobs -kind 2d-mesh -min-ceiling 4
+//	sldfscale -dim chips -kind sw-less -engine flow -flowpar 4
+//
+// -engine and -flowpar set the validation run of -dim chips; under the flow
+// engine the ladder climbs far past the cycle engines' ceiling.
 //
 // With -json the full report is written as JSON (to a file, or stdout with
 // "-"); -min-ceiling turns the run into a CI gate that fails when the
@@ -21,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/netsim"
 	"sldf/internal/scale"
@@ -37,8 +42,7 @@ func main() {
 		minCeiling  = flag.Float64("min-ceiling", 0, "exit nonzero unless the ceiling value reaches this (0 = no gate)")
 		jsonOut     = flag.String("json", "", "write the report as JSON to this file (\"-\" = stdout)")
 		quiet       = flag.Bool("q", false, "suppress per-step progress lines")
-		engine      = flag.String("engine", "", "validation-run engine for -dim chips: active-set (default) | reference | flow (flow climbs far past the cycle ceiling)")
-		flowPar     = flag.Int("flowpar", 0, "flow engine: parallel trace/waterfill workers for the validation run (0 = serial; results identical)")
+		engine      = cliflags.AddEngine(flag.CommandLine, cliflags.FlowPar)
 	)
 	flag.Parse()
 
@@ -46,21 +50,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := core.ParseEngine(*engine)
+	eng, err := engine.Resolve()
 	if err != nil {
 		fatal(err)
 	}
 	var d scale.Dimension
 	switch *dim {
 	case "chips":
-		d = scale.ChipsDimensionEngine(k, *workers, eng, *flowPar)
+		d = scale.ChipsDimensionEngine(k, *workers, eng.Kind, eng.FlowWorkers)
 	case "faults":
-		if eng != netsim.EngineActiveSet {
+		if eng.Kind != netsim.EngineActiveSet {
 			fatal(fmt.Errorf("-engine applies to -dim chips only"))
 		}
 		d = scale.FaultFractionDimension(k, *workers)
 	case "jobs":
-		if eng != netsim.EngineActiveSet {
+		if eng.Kind != netsim.EngineActiveSet {
 			fatal(fmt.Errorf("-engine applies to -dim chips only"))
 		}
 		d = scale.JobsDimension(k, *workers)

@@ -26,6 +26,13 @@
 //	sldfd -listen :8437 &    # on each worker host
 //	sldfsweep -remote host1:8437,host2:8437 -systems sw-based,sw-less \
 //	          -from 0.1 -to 1.0 -step 0.1 > fig11a.csv
+//
+// Example — the flow engine on the 18560-chip radix-32 system, with two
+// solver workers per point (the CSV is identical for any -flowpar, and
+// with -flowcold, which re-traces every route at every point):
+//
+//	sldfsweep -systems sw-less -size radix32 -engine flow -flowpar 2 \
+//	          -from 0.1 -to 0.6 -step 0.05 > flow.csv
 package main
 
 import (
@@ -35,8 +42,7 @@ import (
 	"strings"
 	"time"
 
-	"sldf/internal/campaign"
-	"sldf/internal/campaign/remote"
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/metrics"
 	"sldf/internal/profiling"
@@ -46,30 +52,22 @@ import (
 
 func main() {
 	var (
-		systems  = flag.String("systems", "sw-based,sw-less", "comma-separated systems: sw-based | sw-less | sw-less-2B | sw-less-4B | switch | mesh, each with optional -mis suffix for Valiant routing")
-		size     = flag.String("size", "radix16", "scale: radix16 | radix24 | radix32 | radix56")
-		pattern  = flag.String("pattern", "uniform", "traffic pattern")
-		from     = flag.Float64("from", 0.1, "first injection rate")
-		to       = flag.Float64("to", 1.0, "last injection rate")
-		step     = flag.Float64("step", 0.1, "rate step")
-		groups   = flag.Int("groups", 0, "override W-group count")
-		warmup   = flag.Int64("warmup", 5000, "warmup cycles")
-		measure  = flag.Int64("measure", 10000, "measured cycles")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		workers  = flag.Int("workers", 0, "parallel workers per simulation")
-		jobs     = flag.Int("jobs", 1, "sweep points measured concurrently (results identical for any value)")
-		cacheDir = flag.String("cache", "", "directory for the on-disk point cache (empty = off)")
-		remotes  = flag.String("remote", "", "comma-separated sldfd worker addresses; shards points across them (results identical to local)")
+		systems = flag.String("systems", "sw-based,sw-less", "comma-separated systems: sw-based | sw-less | sw-less-2B | sw-less-4B | switch | mesh, each with optional -mis suffix for Valiant routing")
+		pattern = flag.String("pattern", "uniform", "traffic pattern")
+		from    = flag.Float64("from", 0.1, "first injection rate")
+		to      = flag.Float64("to", 1.0, "last injection rate")
+		step    = flag.Float64("step", 0.1, "rate step")
+		groups  = flag.Int("groups", 0, "override W-group count")
+		warmup  = flag.Int64("warmup", 5000, "warmup cycles")
+		measure = flag.Int64("measure", 10000, "measured cycles")
+		seed    = flag.Uint64("seed", 1, "simulation seed")
+		workers = flag.Int("workers", 0, "parallel workers per simulation")
 
-		faults       = flag.Float64("faults", 0, "fraction of channels to fail at build time (0 = pristine network)")
-		faultRouters = flag.Float64("faultrouters", 0, "fraction of redundant routers (port modules, spare cores) to fail")
-		faultSeed    = flag.Uint64("faultseed", 1, "fault-sampling seed (same spec + seed = same failures)")
-		churn        = flag.String("churn", "", "in-run fault timeline, e.g. links=0.02,routers=0.01,seed=7,start=1000,end=5000,repair=2000,policy=retry (empty = no churn)")
-		engine       = flag.String("engine", "", "simulation engine: active-set (default) | reference | flow")
-
-		flowPar  = flag.Int("flowpar", 0, "flow engine: parallel trace/waterfill workers per point (0 = serial; CSV identical for any value)")
-		flowCold = flag.Bool("flowcold", false, "flow engine: re-trace every route at every point (CSV identical, for timing baselines)")
-		flowSeed = flag.Bool("flowseed", false, "flow engine: warm-start waterfill throttles from the adjacent point (APPROXIMATE: partitions the point cache)")
+		size   = cliflags.AddSize(flag.CommandLine)
+		camp   = cliflags.AddCampaign(flag.CommandLine)
+		faults = cliflags.AddFaults(flag.CommandLine)
+		churn  = cliflags.AddChurn(flag.CommandLine)
+		engine = cliflags.AddEngine(flag.CommandLine, cliflags.FlowPar|cliflags.FlowCold)
 	)
 	prof := profiling.Flags()
 	flag.Parse()
@@ -82,7 +80,19 @@ func main() {
 		}
 	}()
 
-	timeline, err := topology.ParseChurn(*churn)
+	timeline, err := churn.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	faultSpec, err := faults.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	eng, err := engine.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	sldf, df, err := size.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -90,45 +100,22 @@ func main() {
 	rates := core.RateGrid(*from, *to, *step)
 	sp := core.SimParams{Warmup: *warmup, Measure: *measure,
 		ExtraDrain: *measure / 2, PacketSize: 4}
-	if sp.Engine, err = core.ParseEngine(*engine); err != nil {
-		fatalf("%v", err)
-	}
-	sp.FlowWorkers = *flowPar
-	sp.FlowCold = *flowCold
-	sp.FlowSeedThrottles = *flowSeed
+	eng.Apply(&sp)
 
-	opts := core.RunOptions{Jobs: *jobs}
-	var diskCache *campaign.Cache
-	if *cacheDir != "" {
-		c, err := campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		diskCache = c
-		opts.Store = campaign.NewTiered[metrics.Point](
-			campaign.NewMemoryLRU[metrics.Point](1024), c)
-	}
-	if *remotes != "" {
-		backend, err := remote.New(strings.Split(*remotes, ","), remote.Options{})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := backend.Check(); err != nil {
-			fatalf("%v", err)
-		}
-		opts.Backend = backend
-		fmt.Fprintf(os.Stderr, "backend: %s\n", backend.Name())
+	opts, diskCache, err := camp.Resolve(os.Stderr)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	fig := metrics.Figure{Name: "sweep", Title: *pattern}
 	for _, name := range strings.Split(*systems, ",") {
-		cfg, err := parseSystem(strings.TrimSpace(name), *size, *groups)
+		cfg, err := parseSystem(strings.TrimSpace(name), sldf, df, *groups)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		cfg.Seed = *seed
 		cfg.Workers = *workers
-		cfg.Faults = faultSpecFromFlags(*faults, *faultRouters, *faultSeed)
+		cfg.Faults = faultSpec
 		cfg.Churn = timeline
 		fmt.Fprintf(os.Stderr, "sweeping %s over %d rates...\n", name, len(rates))
 		t0 := time.Now()
@@ -151,8 +138,9 @@ func main() {
 	}
 }
 
-// parseSystem maps a CLI name like "sw-less-2B-mis" to a Config.
-func parseSystem(name, size string, groups int) (core.Config, error) {
+// parseSystem maps a CLI name like "sw-less-2B-mis" to a Config, taking
+// the Dragonfly parameters of the -size scale.
+func parseSystem(name string, sldf topology.SLDFParams, df topology.DragonflyParams, groups int) (core.Config, error) {
 	cfg := core.Config{}
 	base := name
 	switch {
@@ -177,36 +165,14 @@ func parseSystem(name, size string, groups int) (core.Config, error) {
 		return cfg, nil
 	case base == "sw-based":
 		cfg.Kind = core.SwitchDragonfly
-		switch size {
-		case "radix16":
-			cfg.DF = core.Radix16DF()
-		case "radix24":
-			cfg.DF = core.Radix24DF()
-		case "radix32":
-			cfg.DF = core.Radix32DF()
-		case "radix56":
-			cfg.DF = core.Radix56DF()
-		default:
-			return cfg, fmt.Errorf("unknown size %q", size)
-		}
+		cfg.DF = df
 		if groups > 0 {
 			cfg.DF.G = groups
 		}
 		return cfg, nil
 	case strings.HasPrefix(base, "sw-less"):
 		cfg.Kind = core.SwitchlessDragonfly
-		switch size {
-		case "radix16":
-			cfg.SLDF = core.Radix16SLDF()
-		case "radix24":
-			cfg.SLDF = core.Radix24SLDF()
-		case "radix32":
-			cfg.SLDF = core.Radix32SLDF()
-		case "radix56":
-			cfg.SLDF = core.Radix56SLDF()
-		default:
-			return cfg, fmt.Errorf("unknown size %q", size)
-		}
+		cfg.SLDF = sldf
 		switch strings.TrimPrefix(base, "sw-less") {
 		case "":
 			cfg.IntraWidth = 1
@@ -225,20 +191,6 @@ func parseSystem(name, size string, groups int) (core.Config, error) {
 		return cfg, nil
 	}
 	return cfg, fmt.Errorf("unknown system %q", name)
-}
-
-// faultSpecFromFlags maps the -faults/-faultrouters/-faultseed flags to a
-// build-time fault spec; both fractions at zero keep the build pristine
-// (bitwise identical to a run without the flags, whatever the seed).
-func faultSpecFromFlags(linkFrac, routerFrac float64, seed uint64) topology.FaultSpec {
-	if linkFrac <= 0 && routerFrac <= 0 {
-		return topology.FaultSpec{}
-	}
-	return topology.FaultSpec{
-		Seed:           seed,
-		LinkFraction:   linkFrac,
-		RouterFraction: routerFrac,
-	}
 }
 
 func fatalf(format string, args ...any) {

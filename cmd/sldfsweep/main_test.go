@@ -27,7 +27,7 @@ func TestParseSystem(t *testing.T) {
 		{"mesh", core.MeshCGroup, routing.Minimal, 0},
 	}
 	for _, c := range cases {
-		cfg, err := parseSystem(c.name, "radix16", 0)
+		cfg, err := parseSystem(c.name, core.Radix16SLDF(), core.Radix16DF(), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -42,39 +42,31 @@ func TestParseSystem(t *testing.T) {
 
 func TestParseSystemRejectsUnknown(t *testing.T) {
 	for _, bad := range []string{"nope", "sw-less-9B", "sw-based-x"} {
-		if _, err := parseSystem(bad, "radix16", 0); err == nil {
+		if _, err := parseSystem(bad, core.Radix16SLDF(), core.Radix16DF(), 0); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
-	}
-	if _, err := parseSystem("sw-less", "radix99", 0); err == nil {
-		t.Fatal("bad size accepted")
 	}
 }
 
 func TestParseSystemSizes(t *testing.T) {
-	for _, size := range []string{"radix16", "radix24", "radix32"} {
-		cfg, err := parseSystem("sw-less", size, 0)
+	for _, size := range []string{"radix16", "radix24", "radix32", "radix56"} {
+		sldf, df, err := core.ParseSize(size)
 		if err != nil {
 			t.Fatalf("%s: %v", size, err)
 		}
-		if cfg.SLDF.AB == 0 {
-			t.Fatalf("%s: SLDF params not set", size)
+		less, err := parseSystem("sw-less", sldf, df, 0)
+		if err != nil || less.SLDF != sldf {
+			t.Fatalf("sw-less %s: SLDF params not set: %+v, %v", size, less.SLDF, err)
 		}
-	}
-}
-
-func TestFaultSpecFromFlags(t *testing.T) {
-	if spec := faultSpecFromFlags(0, 0, 42); !spec.Empty() {
-		t.Fatalf("zero fractions must stay pristine, got %+v", spec)
-	}
-	spec := faultSpecFromFlags(0.05, 0.02, 7)
-	if spec.Empty() || spec.Seed != 7 || spec.LinkFraction != 0.05 || spec.RouterFraction != 0.02 {
-		t.Fatalf("flags not mapped: %+v", spec)
+		based, err := parseSystem("sw-based", sldf, df, 0)
+		if err != nil || based.DF != df {
+			t.Fatalf("sw-based %s: DF params not set: %+v, %v", size, based.DF, err)
+		}
 	}
 }
 
 func TestParseSystemGroupsOverride(t *testing.T) {
-	cfg, err := parseSystem("sw-less", "radix16", 1)
+	cfg, err := parseSystem("sw-less", core.Radix16SLDF(), core.Radix16DF(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 //	slsim -system sw-based -pattern worst-case -mode valiant -rate 0.2
 //	slsim -system sw-less -scheme reduced -width 2 -rate 0.8 -warmup 2000 -measure 4000
 //	slsim -system sw-less -rate 0.4 -churn "links=0.02,seed=7,start=2000,end=8000,repair=2000,policy=retry"
+//	slsim -system sw-less -size radix32 -engine flow -flowpar 4 -flowstats
 package main
 
 import (
@@ -14,17 +15,16 @@ import (
 	"os"
 	"time"
 
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/netsim"
 	"sldf/internal/profiling"
 	"sldf/internal/routing"
-	"sldf/internal/topology"
 )
 
 func main() {
 	var (
 		system   = flag.String("system", "sw-less", "system: sw-less | sw-based | switch | mesh")
-		size     = flag.String("size", "radix16", "scale: radix16 | radix24 | radix32 | radix56")
 		pattern  = flag.String("pattern", "uniform", "traffic: uniform | bit-reverse | bit-shuffle | bit-transpose | hotspot | worst-case | ring | ring-bidir")
 		rate     = flag.Float64("rate", 0.5, "offered load in flits/cycle/chip")
 		mode     = flag.String("mode", "minimal", "routing mode: minimal | valiant | valiant-lower | adaptive")
@@ -36,13 +36,11 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		printKey = flag.Bool("printkey", false, "also print the point's content-addressed campaign job key (correlates with -cache stores and sldfd workers)")
-		churn    = flag.String("churn", "", "in-run fault timeline, e.g. links=0.02,seed=7,start=2000,end=8000,repair=2000,policy=retry (empty = no churn)")
-		engine   = flag.String("engine", "", "simulation engine: active-set (default) | reference | flow")
 
-		flowPar   = flag.Int("flowpar", 0, "flow engine: parallel trace/waterfill workers (0 = serial; results identical for any value)")
-		flowCold  = flag.Bool("flowcold", false, "flow engine: discard the route-trace cache before the solve (results identical, for timing baselines)")
-		flowSeed  = flag.Bool("flowseed", false, "flow engine: seed waterfill throttles from the previous solve (APPROXIMATE: results may differ)")
 		flowStats = flag.Bool("flowstats", false, "flow engine: print cumulative solver statistics (traces, cache hits, phase walls) after the run")
+		size      = cliflags.AddSize(flag.CommandLine)
+		churn     = cliflags.AddChurn(flag.CommandLine)
+		engine    = cliflags.AddEngine(flag.CommandLine, cliflags.FlowPar|cliflags.FlowCold)
 	)
 	prof := profiling.Flags()
 	flag.Parse()
@@ -56,11 +54,19 @@ func main() {
 	}()
 
 	cfg := core.Config{Seed: *seed, Workers: *workers, IntraWidth: int32(*width)}
-	timeline, err := topology.ParseChurn(*churn)
+	timeline, err := churn.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
 	cfg.Churn = timeline
+	eng, err := engine.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	sldf, df, err := size.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	switch *mode {
 	case "minimal":
 		cfg.Mode = routing.Minimal
@@ -84,35 +90,13 @@ func main() {
 	switch *system {
 	case "sw-less":
 		cfg.Kind = core.SwitchlessDragonfly
-		switch *size {
-		case "radix16":
-			cfg.SLDF = core.Radix16SLDF()
-		case "radix24":
-			cfg.SLDF = core.Radix24SLDF()
-		case "radix32":
-			cfg.SLDF = core.Radix32SLDF()
-		case "radix56":
-			cfg.SLDF = core.Radix56SLDF()
-		default:
-			fatalf("unknown size %q", *size)
-		}
+		cfg.SLDF = sldf
 		if *groups > 0 {
 			cfg.SLDF.G = *groups
 		}
 	case "sw-based":
 		cfg.Kind = core.SwitchDragonfly
-		switch *size {
-		case "radix16":
-			cfg.DF = core.Radix16DF()
-		case "radix24":
-			cfg.DF = core.Radix24DF()
-		case "radix32":
-			cfg.DF = core.Radix32DF()
-		case "radix56":
-			cfg.DF = core.Radix56DF()
-		default:
-			fatalf("unknown size %q", *size)
-		}
+		cfg.DF = df
 		if *groups > 0 {
 			cfg.DF.G = *groups
 		}
@@ -140,12 +124,7 @@ func main() {
 	}
 	sp := core.SimParams{Warmup: *warmup, Measure: *measure,
 		ExtraDrain: *measure / 2, PacketSize: 4}
-	if sp.Engine, err = core.ParseEngine(*engine); err != nil {
-		fatalf("%v", err)
-	}
-	sp.FlowWorkers = *flowPar
-	sp.FlowCold = *flowCold
-	sp.FlowSeedThrottles = *flowSeed
+	eng.Apply(&sp)
 	if *printKey {
 		// The same (config, pattern, rate, window) measured by a sweep —
 		// locally or on a worker daemon — stores its point under this key.

@@ -16,9 +16,9 @@ import (
 // through same-package functions it calls — unless the field is marked
 // //sldf:keyignore <reason> at its declaration. A spec field that is
 // neither in the key nor explicitly declared result-neutral is exactly
-// how two different measurements come to share a cache slot (the
-// FlowSeedThrottles precedent: an approximate knob must partition the
-// key, while FlowWorkers/FlowCold legitimately stay out).
+// how two different measurements come to share a cache slot (SimParams
+// shows both sides: Engine partitions the key, while the result-neutral
+// FlowWorkers/FlowCold are keyignore).
 var CacheKeyAnalyzer = &analysis.Analyzer{
 	Name: "sldfcachekey",
 	Doc: "check that //sldf:cachekey <Type> functions reference every " +

@@ -1,0 +1,176 @@
+// Package cliflags declares the command-line flags the sldf commands share:
+// one registration per flag group on a *flag.FlagSet, each resolving to a
+// typed value or an error. Commands that parse the global flag set pass
+// flag.CommandLine. Command-specific wording belongs in each command's doc
+// comment; the help strings here are the one definition of each flag.
+package cliflags
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+
+	"sldf/internal/campaign"
+	"sldf/internal/campaign/remote"
+	"sldf/internal/core"
+	"sldf/internal/metrics"
+	"sldf/internal/netsim"
+	"sldf/internal/topology"
+)
+
+// FlowFlags selects which flow-solver flags AddEngine registers beside -engine.
+type FlowFlags uint8
+
+const (
+	FlowPar  FlowFlags = 1 << iota // -flowpar
+	FlowCold                       // -flowcold
+)
+
+// EngineFlags is the engine group: -engine plus the flow-solver flags the
+// command registered.
+type EngineFlags struct {
+	name *string
+	par  *int
+	cold *bool
+}
+
+// AddEngine registers -engine and the requested flow-solver flags.
+func AddEngine(fs *flag.FlagSet, flow FlowFlags) EngineFlags {
+	e := EngineFlags{par: new(int), cold: new(bool)}
+	e.name = fs.String("engine", "", "simulation engine: active-set (default) | reference | flow")
+	if flow&FlowPar != 0 {
+		fs.IntVar(e.par, "flowpar", 0, "flow engine: parallel trace/waterfill workers per solve (0 = serial; results identical for any value)")
+	}
+	if flow&FlowCold != 0 {
+		fs.BoolVar(e.cold, "flowcold", false, "flow engine: re-trace every route before every solve (results identical, for timing baselines)")
+	}
+	return e
+}
+
+// Engine is a resolved engine group.
+type Engine struct {
+	Kind        netsim.EngineKind
+	FlowWorkers int  // -flowpar
+	FlowCold    bool // -flowcold
+}
+
+// Resolve parses -engine and rejects flow-solver flags given without
+// -engine flow, which would otherwise be silently ignored.
+func (e EngineFlags) Resolve() (Engine, error) {
+	kind, err := core.ParseEngine(*e.name)
+	if err != nil {
+		return Engine{}, err
+	}
+	if kind != netsim.EngineFlow && (*e.par != 0 || *e.cold) {
+		return Engine{}, errors.New("-flowpar and -flowcold apply to -engine flow only")
+	}
+	return Engine{Kind: kind, FlowWorkers: *e.par, FlowCold: *e.cold}, nil
+}
+
+// Apply sets the engine and flow-solver knobs of a measurement window.
+func (e Engine) Apply(sp *core.SimParams) {
+	sp.Engine, sp.FlowWorkers, sp.FlowCold = e.Kind, e.FlowWorkers, e.FlowCold
+}
+
+// ChurnFlag is the -churn flag.
+type ChurnFlag struct{ spec *string }
+
+// AddChurn registers -churn.
+func AddChurn(fs *flag.FlagSet) ChurnFlag {
+	return ChurnFlag{fs.String("churn", "", "in-run fault timeline, e.g. links=0.02,routers=0.01,seed=7,start=1000,end=5000,repair=2000,policy=retry (empty = no churn)")}
+}
+
+// Resolve parses the timeline; the empty flag is the empty timeline.
+func (c ChurnFlag) Resolve() (topology.FaultTimeline, error) {
+	return topology.ParseChurn(*c.spec)
+}
+
+// FaultFlags is the build-time fault group.
+type FaultFlags struct {
+	links, routers *float64
+	seed           *uint64
+}
+
+// AddFaults registers -faults, -faultrouters and -faultseed.
+func AddFaults(fs *flag.FlagSet) FaultFlags {
+	return FaultFlags{
+		links:   fs.Float64("faults", 0, "fraction of channels to fail at build time (0 = pristine network)"),
+		routers: fs.Float64("faultrouters", 0, "fraction of redundant routers (port modules, spare cores) to fail"),
+		seed:    fs.Uint64("faultseed", 1, "fault-sampling seed (same spec + seed = same failures)"),
+	}
+}
+
+// Resolve returns the fault spec, rejecting fractions outside [0, 1]. Both
+// fractions at zero give the empty spec, so the build stays bitwise
+// identical to one without the flags, whatever -faultseed says.
+func (f FaultFlags) Resolve() (topology.FaultSpec, error) {
+	spec := topology.FaultSpec{Seed: *f.seed, LinkFraction: *f.links, RouterFraction: *f.routers}
+	if err := spec.Validate(); err != nil {
+		return topology.FaultSpec{}, err
+	}
+	if spec.LinkFraction == 0 && spec.RouterFraction == 0 {
+		return topology.FaultSpec{}, nil
+	}
+	return spec, nil
+}
+
+// SizeFlag is the -size flag.
+type SizeFlag struct{ name *string }
+
+// AddSize registers -size.
+func AddSize(fs *flag.FlagSet) SizeFlag {
+	return SizeFlag{fs.String("size", "radix16", "scale: radix16 | radix24 | radix32 | radix56")}
+}
+
+// Resolve returns the switch-less and switch-based parameters of the size.
+func (s SizeFlag) Resolve() (topology.SLDFParams, topology.DragonflyParams, error) {
+	return core.ParseSize(*s.name)
+}
+
+// CampaignFlags is the campaign group: concurrency, point cache and remote
+// workers.
+type CampaignFlags struct {
+	jobs          *int
+	cache, remote *string
+}
+
+// AddCampaign registers -jobs, -cache and -remote.
+func AddCampaign(fs *flag.FlagSet) CampaignFlags {
+	return CampaignFlags{
+		jobs:   fs.Int("jobs", 1, "points measured concurrently (results identical for any value)"),
+		cache:  fs.String("cache", "", "directory for the on-disk point cache (empty = off); re-runs skip already-measured points"),
+		remote: fs.String("remote", "", "comma-separated sldfd worker addresses; shards points across them (results identical to local)"),
+	}
+}
+
+// Resolve opens the point cache behind a memory tier and connects the
+// remote workers, naming the backend on errw. It returns the run options
+// and the disk cache (nil without -cache) whose stats line the command
+// prints at the end.
+func (c CampaignFlags) Resolve(errw io.Writer) (core.RunOptions, *campaign.Cache, error) {
+	opts := core.RunOptions{Jobs: *c.jobs}
+	var disk *campaign.Cache
+	if *c.cache != "" {
+		d, err := campaign.OpenCache(*c.cache)
+		if err != nil {
+			return opts, nil, err
+		}
+		disk = d
+		opts.Store = campaign.NewTiered[metrics.Point](
+			campaign.NewMemoryLRU[metrics.Point](1024), d)
+	}
+	if *c.remote != "" {
+		backend, err := remote.New(strings.Split(*c.remote, ","), remote.Options{})
+		if err != nil {
+			return opts, nil, err
+		}
+		if err := backend.Check(); err != nil {
+			return opts, nil, err
+		}
+		opts.Backend = backend
+		fmt.Fprintf(errw, "backend: %s\n", backend.Name())
+	}
+	return opts, disk, nil
+}

@@ -128,11 +128,6 @@ type SimParams struct {
 	// solve, forcing cold-start behavior. Results are identical either way;
 	// the knob exists for benchmarking and equivalence harnesses.
 	FlowCold bool //sldf:keyignore execution knob; cold and warm caches solve to identical bits
-	// FlowSeedThrottles warm-starts the flow waterfill from the adjacent
-	// point's solution. APPROXIMATE (see netsim.FlowOptions.SeedThrottles):
-	// unlike the other flow knobs it can shift results, so it is reflected
-	// in point cache keys and should only be enabled for exploratory sweeps.
-	FlowSeedThrottles bool
 }
 
 // ParseEngine maps a CLI -engine value to its kind. The empty string is
@@ -147,6 +142,23 @@ func ParseEngine(name string) (netsim.EngineKind, error) {
 		return netsim.EngineFlow, nil
 	}
 	return 0, fmt.Errorf("core: unknown engine %q (want active-set, reference or flow)", name)
+}
+
+// ParseSize maps a CLI -size value to the matching switch-less and
+// switch-based parameters of the balanced radix family.
+func ParseSize(name string) (topology.SLDFParams, topology.DragonflyParams, error) {
+	switch name {
+	case "radix16":
+		return Radix16SLDF(), Radix16DF(), nil
+	case "radix24":
+		return Radix24SLDF(), Radix24DF(), nil
+	case "radix32":
+		return Radix32SLDF(), Radix32DF(), nil
+	case "radix56":
+		return Radix56SLDF(), Radix56DF(), nil
+	}
+	return topology.SLDFParams{}, topology.DragonflyParams{},
+		fmt.Errorf("core: unknown size %q (want radix16, radix24, radix32 or radix56)", name)
 }
 
 // DefaultSim returns the Table IV defaults: 4-flit packets, 5000 warmup,

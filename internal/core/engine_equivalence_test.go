@@ -14,7 +14,8 @@ import (
 // TestPointKeyEnginePartition pins down the cache semantics of the engine
 // toggle: the default engine keeps the legacy key format (old caches stay
 // valid), while a reference-engine run gets its own slot — a cross-check
-// that replayed the cached active-set point would verify nothing.
+// that replayed the cached active-set point would verify nothing. The flow
+// solver's execution knobs are result-neutral and must not partition.
 func TestPointKeyEnginePartition(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 1}
 	sp := tinySim()
@@ -26,6 +27,13 @@ func TestPointKeyEnginePartition(t *testing.T) {
 	ref := pointKey(cfg, "uniform", 0.2, sp)
 	if ref == def {
 		t.Fatal("reference-engine run shares the default engine's cache slot")
+	}
+	sp.Engine = netsim.EngineFlow
+	flow := pointKey(cfg, "uniform", 0.2, sp)
+	par := sp
+	par.FlowWorkers, par.FlowCold = 8, true
+	if pointKey(cfg, "uniform", 0.2, par) != flow {
+		t.Fatal("execution-only flow knobs changed the point cache key")
 	}
 }
 

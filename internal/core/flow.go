@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"sldf/internal/energy"
 	"sldf/internal/engine"
-	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 	"sldf/internal/traffic"
 )
@@ -55,34 +53,15 @@ func (s *System) flowDemands(pat traffic.Pattern, rate float64) []netsim.FlowDem
 // armed churn timeline), then the same Snapshot/utilization/energy surface.
 func (s *System) measureLoadFlow(pat traffic.Pattern, rate float64, sp SimParams) (Result, error) {
 	err := s.Net.SolveFlow(netsim.FlowOptions{
-		Demands:       func() []netsim.FlowDemand { return s.flowDemands(pat, rate) },
-		PacketSize:    sp.PacketSize,
-		Warmup:        sp.Warmup,
-		Measure:       sp.Measure,
-		Workers:       sp.FlowWorkers,
-		Cold:          sp.FlowCold,
-		SeedThrottles: sp.FlowSeedThrottles,
+		Demands:    func() []netsim.FlowDemand { return s.flowDemands(pat, rate) },
+		PacketSize: sp.PacketSize,
+		Warmup:     sp.Warmup,
+		Measure:    sp.Measure,
+		Workers:    sp.FlowWorkers,
+		Cold:       sp.FlowCold,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("%s flow solve: %w", s.Label, err)
 	}
-	st := s.Net.Snapshot()
-	byClass, hottest := s.Net.LinkUtilization(8)
-	return Result{
-		Rate: rate,
-		Point: metrics.Point{
-			Rate:       rate,
-			Latency:    st.MeanLatency(),
-			P50:        float64(st.Latency.Quantile(0.5)),
-			P99:        float64(st.Latency.Quantile(0.99)),
-			Throughput: st.Throughput(),
-			Dropped:    st.DroppedPkts,
-			Retried:    st.RetriedPkts,
-			Refused:    st.RefusedPkts,
-		},
-		Stats:       st,
-		Energy:      energy.FromStats(st, energy.TableII()),
-		Utilization: byClass,
-		Hottest:     hottest,
-	}, nil
+	return s.result(rate), nil
 }

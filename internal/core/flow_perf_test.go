@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"sldf/internal/netsim"
@@ -132,36 +131,5 @@ func TestFlowWarmSweepCacheEffect(t *testing.T) {
 		} else if fs.CacheHits == 0 {
 			t.Fatalf("point %d served no flows from the cache", i+1)
 		}
-	}
-}
-
-// TestFlowSeedThrottles covers the opt-in approximate warm start: it must
-// run, deliver a sane point, and partition the on-disk point cache (seeded
-// results may differ from cold ones, so they must never share a key).
-func TestFlowSeedThrottles(t *testing.T) {
-	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7, Workers: 1}
-	cfg.SLDF.G = 1
-	sp := QuickSim()
-	sp.FlowSeedThrottles = true
-	res, _ := measureFlowSeries(t, cfg, "uniform", []float64{0.3, 0.4}, sp)
-	for _, r := range res {
-		if r.Stats.DeliveredPkts == 0 || r.Point.Latency <= 0 {
-			t.Fatalf("vacuous seeded point %+v", r.Point)
-		}
-	}
-	sp.Engine = netsim.EngineFlow
-	seeded := pointKey(cfg, "uniform", 0.4, sp)
-	sp.FlowSeedThrottles = false
-	if plain := pointKey(cfg, "uniform", 0.4, sp); seeded == plain {
-		t.Fatal("seeded and unseeded points share a cache key")
-	}
-	if !strings.Contains(seeded, "flowseed") {
-		t.Fatalf("seeded key %q lacks the flowseed marker", seeded)
-	}
-	// FlowWorkers and FlowCold are result-neutral and must NOT partition.
-	par := sp
-	par.FlowWorkers, par.FlowCold = 8, true
-	if pointKey(cfg, "uniform", 0.4, par) != pointKey(cfg, "uniform", 0.4, sp) {
-		t.Fatal("execution-only flow knobs changed the point cache key")
 	}
 }

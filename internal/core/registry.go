@@ -154,7 +154,6 @@ type ExperimentResult struct {
 func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (ExperimentResult, error) {
 	plan := spec.Plan(scale)
 	applyEngineOverride(&plan, opts.Engine)
-	applyFlowOverride(&plan, opts)
 	var res ExperimentResult
 	for _, fs := range plan.Figures {
 		fig, err := runFigureSpec(fs, opts)
@@ -234,41 +233,6 @@ func applyEngineOverride(plan *ExperimentPlan, engine netsim.EngineKind) {
 		for j := range plan.Churn[i].Cases {
 			plan.Churn[i].Cases[j].Engine = engine
 		}
-	}
-}
-
-// applyFlowOverride threads the RunOptions flow-solver knobs into every
-// SimParams-carrying measurement of a resolved plan (latency series, energy
-// bars, resilience grids). Collective and churn cases solve through
-// FlowMakespan, which shares the network's trace cache automatically and
-// has no per-case window parameters to override.
-func applyFlowOverride(plan *ExperimentPlan, opts RunOptions) {
-	if opts.FlowWorkers == 0 && !opts.FlowCold && !opts.FlowSeedThrottles {
-		return
-	}
-	set := func(sp *SimParams) {
-		if opts.FlowWorkers != 0 {
-			sp.FlowWorkers = opts.FlowWorkers
-		}
-		if opts.FlowCold {
-			sp.FlowCold = true
-		}
-		if opts.FlowSeedThrottles {
-			sp.FlowSeedThrottles = true
-		}
-	}
-	for i := range plan.Figures {
-		for j := range plan.Figures[i].Series {
-			set(&plan.Figures[i].Series[j].Sim)
-		}
-	}
-	for i := range plan.Energy {
-		for j := range plan.Energy[i].Bars {
-			set(&plan.Energy[i].Bars[j].Sim)
-		}
-	}
-	for i := range plan.Resilience {
-		set(&plan.Resilience[i].Opts.Sim)
 	}
 }
 

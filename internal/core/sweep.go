@@ -44,14 +44,6 @@ type RunOptions struct {
 	// Config.Churn. Resilience points are never cached, so the timeline
 	// cannot collide with cached churn-free points.
 	Churn topology.FaultTimeline
-	// FlowWorkers, FlowCold and FlowSeedThrottles override the flow solver's
-	// execution knobs on every measurement of a registry experiment plan
-	// (see the matching SimParams fields) — the -flowpar/-flowcold/-flowseed
-	// flags of the figure CLIs. FlowWorkers and FlowCold are result-neutral;
-	// FlowSeedThrottles is approximate and partitions the point cache.
-	FlowWorkers       int
-	FlowCold          bool
-	FlowSeedThrottles bool
 }
 
 // RateGrid returns the inclusive grid lo, lo+step, ..., hi using integer
@@ -143,7 +135,8 @@ func (c Config) cacheID() string {
 // A non-default engine gets its own cache slot even though both engines
 // measure bitwise-identical results: a serial-reference cross-check must
 // actually simulate, not replay the cached active-set point it is
-// supposed to check.
+// supposed to check. FlowWorkers and FlowCold are execution knobs
+// (bit-identical results) and stay out of the key.
 //
 //sldf:cachekey SimParams
 func pointKey(cfg Config, patternKey string, rate float64, sp SimParams) string {
@@ -151,12 +144,6 @@ func pointKey(cfg Config, patternKey string, rate float64, sp SimParams) string 
 		cfg.cacheID(), patternKey, rate, sp.Warmup, sp.Measure, sp.ExtraDrain, sp.PacketSize)
 	if sp.Engine != netsim.EngineActiveSet {
 		key += "|engine=" + sp.Engine.String()
-	}
-	// FlowWorkers and FlowCold are execution knobs (bit-identical results)
-	// and stay out of the key; throttle seeding changes the measurement, so
-	// seeded points get their own cache slot.
-	if sp.FlowSeedThrottles {
-		key += "|flowseed=1"
 	}
 	return key
 }

@@ -422,6 +422,13 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 	if err := s.Net.Run(sp.ExtraDrain); err != nil {
 		return Result{}, fmt.Errorf("%s drain: %w", s.Label, err)
 	}
+	return s.result(rate), nil
+}
+
+// result reads the finished measurement window off the network: the
+// statistics snapshot, the per-class and hottest link utilization, and the
+// Table II energy breakdown. Both engines' MeasureLoad paths end here.
+func (s *System) result(rate float64) Result {
 	st := s.Net.Snapshot()
 	byClass, hottest := s.Net.LinkUtilization(8)
 	return Result{
@@ -440,7 +447,7 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 		Energy:      energy.FromStats(st, energy.TableII()),
 		Utilization: byClass,
 		Hottest:     hottest,
-	}, nil
+	}
 }
 
 // PatternFor builds a standard pattern scoped to this system's chips.

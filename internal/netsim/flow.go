@@ -36,9 +36,7 @@ package netsim
 //     pass) across workers cannot change a single bit of the result.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
-// FlowOptions are pure execution controls — except SeedThrottles, which
-// warm-starts the waterfill from the previous solution and is documented
-// approximate.
+// FlowOptions are pure execution controls.
 
 import (
 	"errors"
@@ -87,12 +85,6 @@ type FlowOptions struct {
 	// re-trace. Results are identical with or without it; the knob exists
 	// for benchmarking and equivalence harnesses.
 	Cold bool
-	// SeedThrottles warm-starts the waterfill from the previous solve's
-	// throttles when the flow structure is unchanged (adjacent rate-grid
-	// points). APPROXIMATE: the monotone fixpoint can converge to a
-	// slightly different operating point than a cold start; keep it off
-	// when bit-reproducibility across invocation orders matters.
-	SeedThrottles bool
 }
 
 // FlowStats reports cumulative flow-solver diagnostics for a network:
@@ -189,10 +181,6 @@ type flowSolver struct {
 	elemCur  []int32
 	elemFlow []int32
 	shape    uint64
-
-	// Previous solution for opt-in throttle seeding.
-	prevX, prevRate []float64
-	prevShape       uint64
 
 	// Pending-trace worklist and per-worker scratch.
 	pending   []int32
@@ -828,14 +816,6 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 			fl.buildTranspose()
 			fl.shape = shape
 		}
-		if opts.SeedThrottles && shape == fl.prevShape && len(fl.prevX) == len(fl.flows) {
-			for j := range fl.flows {
-				f := &fl.flows[j]
-				if x0 := fl.prevX[j] * fl.prevRate[j] / f.rate; x0 < 1 {
-					f.x = x0
-				}
-			}
-		}
 		t := time.Now() //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
 		flowPhaseWaterfill.Enter()
 		fl.waterfill()
@@ -846,15 +826,6 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		acc.accumulate(fl, n, size, refused, cyc)
 		profiling.ExitPhase()
 		fl.stats.HistWall += time.Since(t) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-		if opts.SeedThrottles {
-			fl.prevX = fl.prevX[:0]
-			fl.prevRate = fl.prevRate[:0]
-			for j := range fl.flows {
-				fl.prevX = append(fl.prevX, fl.flows[j].x)
-				fl.prevRate = append(fl.prevRate, fl.flows[j].rate)
-			}
-			fl.prevShape = shape
-		}
 	}
 
 	// Publish the synthesized window: counters into shard 0, per-link

@@ -7,7 +7,14 @@ import (
 	"sldf/internal/topology"
 )
 
-// NewFaultMeshRoute builds fault-aware routing for a standalone C-group
+// FaultMeshRouter is fault-aware routing for a standalone C-group mesh,
+// exposing the mid-run sanitize predicate alongside the routing function.
+type FaultMeshRouter struct {
+	local []int32
+	rg    *region
+}
+
+// NewFaultMeshRouter builds fault-aware routing for a standalone C-group
 // mesh with disabled components: shortest up*/down* paths over the
 // surviving routers on a single virtual channel (XY dimension order does
 // not survive holes). Construction fails with PartitionError when some
@@ -15,23 +22,6 @@ import (
 //
 // Per-packet scratch: Aux2 is -1 until first touch, then bit 1 tracks the
 // up*/down* descending phase.
-func NewFaultMeshRoute(g *topology.MeshCGroup) (netsim.RouteFunc, error) {
-	fm, err := NewFaultMeshRouter(g)
-	if err != nil {
-		return nil, err
-	}
-	return fm.Func(), nil
-}
-
-// FaultMeshRouter is the handle form of NewFaultMeshRoute, exposing the
-// mid-run sanitize predicate alongside the routing function.
-type FaultMeshRouter struct {
-	local []int32
-	rg    *region
-}
-
-// NewFaultMeshRouter builds fault-aware up*/down* routing for a standalone
-// C-group mesh; see NewFaultMeshRoute.
 func NewFaultMeshRouter(g *topology.MeshCGroup) (*FaultMeshRouter, error) {
 	local := make([]int32, len(g.Net.Routers))
 	for i := range local {

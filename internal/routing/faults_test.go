@@ -197,7 +197,7 @@ func TestFaultedMeshProperties(t *testing.T) {
 			g.Net.Close()
 			continue
 		}
-		route, err := NewFaultMeshRoute(g)
+		fm, err := NewFaultMeshRouter(g)
 		if err != nil {
 			if !errors.Is(err, ErrPartitioned) {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -206,6 +206,7 @@ func TestFaultedMeshProperties(t *testing.T) {
 			continue
 		}
 		feasible++
+		route := fm.Func()
 		checkTraceAvoidsFaults(t, g.Net, route, MinimalAux)
 		cdg, err := BuildCDG(g.Net, route, 1, MinimalAux)
 		if err != nil {
@@ -239,7 +240,7 @@ func TestFaultedMeshPartitionRejected(t *testing.T) {
 	if err := g.Net.ApplyFaults(nil, cut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFaultMeshRoute(g); !errors.Is(err, ErrPartitioned) {
+	if _, err := NewFaultMeshRouter(g); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("want ErrPartitioned, got %v", err)
 	}
 }
