@@ -210,21 +210,22 @@ func writeCSV(w io.Writer, path, csv string) error {
 // 2d-mesh sized by -dim, the Dragonfly pair as one radix-16 W-group (the
 // intra-W-group scale the paper's Fig. 4 argues about).
 func systemConfig(name string, dim int, seed uint64) (core.Config, error) {
-	switch name {
-	case "switch":
-		return core.Config{Kind: core.SingleSwitch, Terminals: dim * dim, Seed: seed}, nil
-	case "2d-mesh":
-		return core.Config{Kind: core.MeshCGroup, ChipletDim: dim, NoCDim: 2, Seed: seed}, nil
-	case "sw-based":
-		cfg := core.Config{Kind: core.SwitchDragonfly, DF: core.Radix16DF(), Seed: seed}
-		cfg.DF.G = 1
-		return cfg, nil
-	case "sw-less":
-		cfg := core.Config{Kind: core.SwitchlessDragonfly, SLDF: core.Radix16SLDF(), Seed: seed}
-		cfg.SLDF.G = 1
-		return cfg, nil
-	default:
-		return core.Config{}, fmt.Errorf("unknown system %q (want %s)",
-			name, strings.Join(systemNames, ", "))
+	kind, err := core.ParseKind(name)
+	if err != nil {
+		return core.Config{}, err
 	}
+	cfg := core.Config{Kind: kind, Seed: seed}
+	switch kind {
+	case core.SingleSwitch:
+		cfg.Terminals = dim * dim
+	case core.MeshCGroup:
+		cfg.ChipletDim, cfg.NoCDim = dim, 2
+	case core.SwitchDragonfly:
+		cfg.DF = core.Radix16DF()
+		cfg.DF.G = 1
+	case core.SwitchlessDragonfly:
+		cfg.SLDF = core.Radix16SLDF()
+		cfg.SLDF.G = 1
+	}
+	return cfg, nil
 }

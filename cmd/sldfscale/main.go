@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		dim         = flag.String("dim", "chips", "growth dimension: chips | faults | jobs")
-		kind        = flag.String("kind", "sw-less", "system kind: sw-less | sw-based | switch | 2d-mesh")
+		kind        = flag.String("kind", "sw-less", "system kind: sw-less | sw-based | switch | 2d-mesh (alias mesh)")
 		workers     = flag.Int("workers", 1, "simulation worker goroutines per system")
 		maxSteps    = flag.Int("max-steps", 0, "stop after this many steps (0 = unlimited)")
 		maxStepWall = flag.Duration("max-step-wall", 2*time.Minute, "stop after a step exceeding this wall time (0 = unlimited)")
@@ -46,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	k, err := parseKind(*kind)
+	k, err := core.ParseKind(*kind)
 	if err != nil {
 		fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	var d scale.Dimension
 	switch *dim {
 	case "chips":
-		d = scale.ChipsDimensionEngine(k, *workers, eng.Kind, eng.FlowWorkers)
+		d = scale.ChipsDimension(k, *workers, eng.Kind, eng.FlowWorkers)
 	case "faults":
 		if eng.Kind != netsim.EngineActiveSet {
 			fatal(fmt.Errorf("-engine applies to -dim chips only"))
@@ -122,20 +122,6 @@ func main() {
 		}
 		fmt.Printf("ceiling gate passed: %g >= %g\n", rep.Ceiling.Value, *minCeiling)
 	}
-}
-
-func parseKind(s string) (core.SystemKind, error) {
-	switch s {
-	case "sw-less":
-		return core.SwitchlessDragonfly, nil
-	case "sw-based":
-		return core.SwitchDragonfly, nil
-	case "switch":
-		return core.SingleSwitch, nil
-	case "2d-mesh", "mesh":
-		return core.MeshCGroup, nil
-	}
-	return 0, fmt.Errorf("unknown -kind %q (want sw-less, sw-based, switch, or 2d-mesh)", s)
 }
 
 func fatal(err error) {

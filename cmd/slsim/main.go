@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		system   = flag.String("system", "sw-less", "system: sw-less | sw-based | switch | mesh")
+		system   = flag.String("system", "sw-less", "system: sw-less | sw-based | switch | 2d-mesh (alias mesh)")
 		pattern  = flag.String("pattern", "uniform", "traffic: uniform | bit-reverse | bit-shuffle | bit-transpose | hotspot | worst-case | ring | ring-bidir")
 		rate     = flag.Float64("rate", 0.5, "offered load in flits/cycle/chip")
 		mode     = flag.String("mode", "minimal", "routing mode: minimal | valiant | valiant-lower | adaptive")
@@ -87,27 +87,24 @@ func main() {
 	default:
 		fatalf("unknown scheme %q", *scheme)
 	}
-	switch *system {
-	case "sw-less":
-		cfg.Kind = core.SwitchlessDragonfly
+	if cfg.Kind, err = core.ParseKind(*system); err != nil {
+		fatalf("%v", err)
+	}
+	switch cfg.Kind {
+	case core.SwitchlessDragonfly:
 		cfg.SLDF = sldf
 		if *groups > 0 {
 			cfg.SLDF.G = *groups
 		}
-	case "sw-based":
-		cfg.Kind = core.SwitchDragonfly
+	case core.SwitchDragonfly:
 		cfg.DF = df
 		if *groups > 0 {
 			cfg.DF.G = *groups
 		}
-	case "switch":
-		cfg.Kind = core.SingleSwitch
+	case core.SingleSwitch:
 		cfg.Terminals = 4
-	case "mesh":
-		cfg.Kind = core.MeshCGroup
+	case core.MeshCGroup:
 		cfg.ChipletDim, cfg.NoCDim = 2, 2
-	default:
-		fatalf("unknown system %q", *system)
 	}
 
 	sys, err := core.Build(cfg)

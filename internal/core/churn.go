@@ -283,11 +283,7 @@ func RunChurnFigure(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, e
 		}
 		specs = append(specs, base, kill)
 	}
-	backend := opts.Backend
-	if backend == nil {
-		backend = campaign.LocalBackend{}
-	}
-	pts, err := backend.Execute(specs, campaign.ExecOptions{Jobs: opts.Jobs, Store: opts.Store})
+	pts, err := opts.execute(specs)
 	if err != nil {
 		return fig, fmt.Errorf("%s: %w", fs.Name, err)
 	}

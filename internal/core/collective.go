@@ -167,8 +167,8 @@ func (s *System) chipAlive() func(int32) bool {
 // on a mesh C-group (physically adjacent successors), ascending chip IDs
 // elsewhere (IDs already walk C-groups and W-groups consecutively).
 func (s *System) collectiveOrder() []int32 {
-	if s.Cfg.Kind == MeshCGroup {
-		return collective.SnakeOrder(s.Cfg.ChipletDim, s.Cfg.ChipletDim)
+	if order := kinds[s.Cfg.Kind].order; order != nil {
+		return order(s.Cfg)
 	}
 	order := make([]int32, s.Chips)
 	for i := range order {
@@ -183,18 +183,9 @@ func (s *System) collectiveOrder() []int32 {
 // grid row on a mesh, near-square blocks on a single switch). Empty groups
 // are dropped.
 func (s *System) collectiveGroups(alive func(int32) bool) [][]int32 {
-	size := 0
-	switch {
-	case s.Groups > 1:
-		size = s.ChipsPerGroup
-	case s.Cfg.Kind == SwitchlessDragonfly:
-		size = s.Cfg.SLDF.ChipCols * s.Cfg.SLDF.ChipRows
-	case s.Cfg.Kind == SwitchDragonfly:
-		size = s.Cfg.DF.P
-	case s.Cfg.Kind == MeshCGroup:
-		size = s.Cfg.ChipletDim
-	default:
-		_, size = gridShape(s.Chips)
+	size := s.ChipsPerGroup
+	if s.Groups <= 1 {
+		size = kinds[s.Cfg.Kind].subGroup(s.Cfg, s.Chips)
 	}
 	if size < 1 {
 		size = 1
@@ -339,11 +330,7 @@ func RunCollectiveFigure(fs CollectiveFigureSpec, opts RunOptions) (metrics.Coll
 		}
 		specs[i] = spec
 	}
-	backend := opts.Backend
-	if backend == nil {
-		backend = campaign.LocalBackend{}
-	}
-	pts, err := backend.Execute(specs, campaign.ExecOptions{Jobs: opts.Jobs, Store: opts.Store})
+	pts, err := opts.execute(specs)
 	if err != nil {
 		return fig, fmt.Errorf("%s: %w", fs.Name, err)
 	}

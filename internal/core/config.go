@@ -33,21 +33,6 @@ const (
 	MeshCGroup
 )
 
-// String names the system kind.
-func (k SystemKind) String() string {
-	switch k {
-	case SwitchDragonfly:
-		return "sw-based"
-	case SwitchlessDragonfly:
-		return "sw-less"
-	case SingleSwitch:
-		return "switch"
-	case MeshCGroup:
-		return "2d-mesh"
-	}
-	return "unknown"
-}
-
 // Config fully describes a system to simulate.
 type Config struct {
 	Kind SystemKind

@@ -198,33 +198,6 @@ func TestValiantHelpsWorstCase(t *testing.T) {
 	}
 }
 
-func TestSweepScoped(t *testing.T) {
-	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 10}
-	mk := func(sys *System) traffic.Pattern {
-		// Confine traffic to chips 0 and 1.
-		return traffic.Uniform{N: 2}
-	}
-	s, err := SweepScoped(cfg, mk, "scoped", []float64{0.4, 0.8}, tinySim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Label != "scoped" || len(s.Points) != 2 {
-		t.Fatalf("series %+v", s)
-	}
-	// Only half the chips transmit: all-chip throughput ≈ rate/2.
-	if p := s.Points[0]; p.Throughput < 0.15 || p.Throughput > 0.25 {
-		t.Fatalf("scoped throughput %v at offered 0.4", p.Throughput)
-	}
-	// Default label comes from the built system when empty.
-	s2, err := SweepScoped(cfg, mk, "", []float64{0.4}, tinySim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Label != "2d-mesh" {
-		t.Fatalf("default label %q", s2.Label)
-	}
-}
-
 func TestScaleSimParams(t *testing.T) {
 	if ScalePaper.Sim().Warmup != 5000 || ScalePaper.Sim().Measure != 10000 {
 		t.Fatal("paper scale must use Table IV windows")

@@ -220,21 +220,18 @@ func planFig12(scale Scale) ExperimentPlan {
 // routing on the radix-16 system.
 func planFig13(scale Scale) ExperimentPlan {
 	sp := scale.Sim()
-	mk := func(mode routing.Mode, kind SystemKind, width int32) Config {
-		c := Config{Kind: kind, Seed: seed, Mode: mode, IntraWidth: width}
-		if kind == SwitchDragonfly {
-			c.DF = Radix16DF()
-		} else {
-			c.SLDF = Radix16SLDF()
-		}
+	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: seed}
+	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: seed}
+	mk := func(mode routing.Mode, c Config, width int32) Config {
+		c.Mode, c.IntraWidth = mode, width
 		return c
 	}
 	cfgs := []Config{
-		mk(routing.Minimal, SwitchDragonfly, 0),
-		mk(routing.Minimal, SwitchlessDragonfly, 0),
-		mk(routing.Valiant, SwitchDragonfly, 0),
-		mk(routing.Valiant, SwitchlessDragonfly, 0),
-		mk(routing.Valiant, SwitchlessDragonfly, 2),
+		mk(routing.Minimal, swb, 0),
+		mk(routing.Minimal, swl, 0),
+		mk(routing.Valiant, swb, 0),
+		mk(routing.Valiant, swl, 0),
+		mk(routing.Valiant, swl, 2),
 	}
 	var plan ExperimentPlan
 	for _, f := range []struct {

@@ -7,9 +7,7 @@ import (
 	"sldf/internal/campaign"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
-	"sldf/internal/routing"
 	"sldf/internal/topology"
-	"sldf/internal/traffic"
 )
 
 // RunOptions configure how a sweep's load points are executed.
@@ -24,13 +22,11 @@ type RunOptions struct {
 	// the disk cache in a memory tier (campaign.NewTiered) so hot replays
 	// skip the filesystem.
 	Store campaign.PointStore
-	// Backend selects where named-pattern sweep points execute: nil or
+	// Backend selects where sweep points and figure jobs execute: nil or
 	// campaign.LocalBackend{} runs them on this process's worker pool, a
 	// remote backend shards them across worker daemons. Every backend is
 	// result-transparent (see campaign.Backend), so the sweep output is
-	// bitwise identical whichever executes it. Sweeps whose pattern is a
-	// caller-supplied closure (SweepScopedOpts) cannot be shipped as data
-	// and always run locally.
+	// bitwise identical whichever executes it.
 	Backend campaign.Backend
 	// Engine, when non-default, overrides the simulation engine of every
 	// measurement in a registry experiment plan (see RunExperiment) —
@@ -64,45 +60,6 @@ func RateGrid(lo, hi, step float64) []float64 {
 		out[i] = lo + float64(i)*step
 	}
 	return out
-}
-
-// Label returns the series label that Build assigns to a system built from
-// this configuration, without building it. Sweeps use it so that a fully
-// cached series never needs a network construction.
-func (c Config) Label() string {
-	switch c.Kind {
-	case SingleSwitch:
-		return "switch"
-	case MeshCGroup:
-		return "2d-mesh"
-	case SwitchDragonfly:
-		label := "sw-based"
-		if c.Mode == routing.Valiant {
-			label += "-mis"
-		}
-		return label
-	case SwitchlessDragonfly:
-		label := "sw-less"
-		if c.IntraWidth > 1 {
-			label += fmt.Sprintf("-%dB", c.IntraWidth)
-		}
-		scheme := c.Scheme
-		switch c.Mode {
-		case routing.Valiant:
-			label += "-mis"
-		case routing.ValiantLower:
-			label += "-mis-lower"
-			// Build forces the reduced scheme for the restricted-lower mode.
-			scheme = routing.ReducedVC
-		case routing.Adaptive:
-			label += "-ugal"
-		}
-		if scheme == routing.ReducedVC {
-			label += "-rvc"
-		}
-		return label
-	}
-	return "unknown"
 }
 
 // cacheID canonically serializes every configuration field that affects
@@ -163,53 +120,6 @@ func SweepOpts(cfg Config, patternName string, rates []float64, sp SimParams, op
 	return runNamedSeries(cfg, cfg.Label(), patternName, rates, sp, opts)
 }
 
-// SweepScoped is Sweep with a caller-supplied pattern factory, for traffic
-// confined to a subset of chips (e.g. one W-group of a large system). It
-// runs serially without a cache; see SweepScopedOpts.
-func SweepScoped(cfg Config, mkPattern func(*System) traffic.Pattern, label string, rates []float64, sp SimParams) (metrics.Series, error) {
-	return SweepScopedOpts(cfg, mkPattern, label, "", rates, sp, RunOptions{})
-}
-
-// SweepScopedOpts is SweepOpts with a caller-supplied pattern factory.
-// patternKey names the factory's pattern for the result cache; it must
-// uniquely identify the pattern given the configuration (the factory may
-// only depend on cfg-derived system properties). An empty patternKey
-// disables caching for the sweep. An empty label takes the config's label.
-func SweepScopedOpts(cfg Config, mkPattern func(*System) traffic.Pattern, label, patternKey string, rates []float64, sp SimParams, opts RunOptions) (metrics.Series, error) {
-	if label == "" {
-		label = cfg.Label()
-	}
-	series := metrics.Series{Label: label}
-	sysKey := cfg.cacheID()
-	jobs := make([]campaign.Job[metrics.Point], len(rates))
-	for i, rate := range rates {
-		var key string
-		if patternKey != "" {
-			key = pointKey(cfg, patternKey, rate, sp)
-		}
-		jobs[i] = campaign.Job[metrics.Point]{
-			Key: key,
-			Run: func(w *campaign.Worker) (metrics.Point, error) {
-				sys, err := workerSystem(w, sysKey, cfg)
-				if err != nil {
-					return metrics.Point{}, err
-				}
-				res, err := sys.MeasureLoad(mkPattern(sys), rate, sp)
-				if err != nil {
-					return metrics.Point{}, err
-				}
-				return res.Point, nil
-			},
-		}
-	}
-	pts, err := campaign.Run(jobs, campaign.Options[metrics.Point]{Jobs: opts.Jobs, Store: opts.Store})
-	if err != nil {
-		return series, err
-	}
-	series.Points = pts
-	return series, nil
-}
-
 // runNamedSeries executes a named-pattern sweep through the Backend seam:
 // the rate points become declarative job specs (data, not code) that the
 // backend — in-process pool or remote worker fleet — executes and merges
@@ -224,16 +134,22 @@ func runNamedSeries(cfg Config, label, pattern string, rates []float64, sp SimPa
 		}
 		specs[i] = spec
 	}
-	backend := opts.Backend
-	if backend == nil {
-		backend = campaign.LocalBackend{}
-	}
-	pts, err := backend.Execute(specs, campaign.ExecOptions{Jobs: opts.Jobs, Store: opts.Store})
+	pts, err := opts.execute(specs)
 	if err != nil {
 		return series, err
 	}
 	series.Points = pts
 	return series, nil
+}
+
+// execute runs job specs on the options' backend (the local pool when nil)
+// with the options' concurrency and store.
+func (opts RunOptions) execute(specs []campaign.JobSpec) ([]metrics.Point, error) {
+	backend := opts.Backend
+	if backend == nil {
+		backend = campaign.LocalBackend{}
+	}
+	return backend.Execute(specs, campaign.ExecOptions{Jobs: opts.Jobs, Store: opts.Store})
 }
 
 // workerSystem returns a worker-local system for cfg, building on first use

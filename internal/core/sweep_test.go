@@ -9,7 +9,6 @@ import (
 
 	"sldf/internal/campaign"
 	"sldf/internal/routing"
-	"sldf/internal/traffic"
 )
 
 func TestRateGridIntegerStepping(t *testing.T) {
@@ -165,20 +164,15 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 func TestSweepScopedParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9, Workers: 1}
 	cfg.SLDF.G = 1
-	mk := func(sys *System) traffic.Pattern {
-		return traffic.Uniform{N: int32(sys.ChipsPerGroup)}
-	}
 	rates := RateGrid(0.3, 0.9, 0.3)
-	serial, err := SweepScopedOpts(cfg, mk, "", "local-uniform", rates, tinySim(),
-		RunOptions{Jobs: 1})
+	serial, err := SweepOpts(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Label != "sw-less" {
-		t.Fatalf("empty label not derived from config: %q", serial.Label)
+		t.Fatalf("label not derived from config: %q", serial.Label)
 	}
-	par, err := SweepScopedOpts(cfg, mk, "", "local-uniform", rates, tinySim(),
-		RunOptions{Jobs: 3})
+	par, err := SweepOpts(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sldf/internal/energy"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
-	"sldf/internal/routing"
 	"sldf/internal/topology"
 	"sldf/internal/traffic"
 )
@@ -21,11 +20,6 @@ type System struct {
 	NodesPerChip  int
 	Groups        int // W-groups (1 for single-switch / mesh systems)
 	ChipsPerGroup int
-
-	// SLDF exposes the switch-less topology tables when Kind is
-	// SwitchlessDragonfly (nil otherwise); likewise DF for the baseline.
-	SLDF *topology.SLDF
-	DF   *topology.Dragonfly
 
 	// aliveChips marks chips with a surviving terminal; nil when every
 	// chip is alive. MeasureLoad uses it to silence traffic aimed at dead
@@ -63,196 +57,34 @@ type System struct {
 // DeadChips returns the chips the fault set removed from the workload.
 func (s *System) DeadChips() []int32 { return s.Net.DeadChips() }
 
-// Build constructs the system described by cfg.
+// Build constructs the system described by cfg: the kind's topology, then
+// either the fault set and fault-aware routing or the pristine routing.
 func Build(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	width := cfg.IntraWidth
-	if width == 0 {
-		width = 1
+	entry := cfg.Kind.entry()
+	if entry == nil {
+		return nil, fmt.Errorf("core: unknown system kind %d", cfg.Kind)
 	}
-	sys := &System{Cfg: cfg}
-
 	// A non-empty churn timeline also forces the fault-grade build: mid-run
 	// deaths need the deep VC ladder and a routing discipline that can
 	// recompute around holes from the very first event.
 	faulted := !cfg.Faults.Empty() || !cfg.Churn.Empty()
-
-	switch cfg.Kind {
-	case SingleSwitch:
-		classes := topology.DefaultLinkClasses(1, width)
-		s, err := topology.BuildSingleSwitch(cfg.Terminals, classes, cfg.netOptions())
-		if err != nil {
-			return nil, err
-		}
-		if faulted {
-			if err := applyFaultSpec(s.Net, cfg.Faults, s.FaultDomain(), nil); err != nil {
-				s.Net.Close()
-				return nil, err
-			}
-			route, err := routing.NewFaultSwitchRoute(s)
-			if err != nil {
-				s.Net.Close()
-				return nil, err
-			}
-			s.Net.SetRoute(route)
-			sys.churnDomain = s.FaultDomain()
-			sys.installBase = func() { s.Net.SetRoute(route) }
-			sys.reroute = func() error {
-				// The topology has no redundancy, so the recompute is pure
-				// validation: a dead switch (or a dead terminal of a chip
-				// that still has one) is a partition. Stranded packets were
-				// already swept by the churn batch.
-				r, err := routing.NewFaultSwitchRoute(s)
-				if err != nil {
-					return err
-				}
-				s.Net.SetRoute(r)
-				return nil
-			}
-		} else {
-			s.Net.SetRoute(s.Route())
-		}
-		sys.Net = s.Net
-		sys.Groups = 1
-
-	case MeshCGroup:
-		classes := topology.DefaultLinkClasses(1, width)
-		g, err := topology.BuildMeshCGroup(cfg.ChipletDim, cfg.NoCDim, classes, cfg.netOptions())
-		if err != nil {
-			return nil, err
-		}
-		if faulted {
-			if err := applyFaultSpec(g.Net, cfg.Faults, g.FaultDomain(), g.FaultClosure); err != nil {
-				g.Net.Close()
-				return nil, err
-			}
-			fm, err := routing.NewFaultMeshRouter(g)
-			if err != nil {
-				g.Net.Close()
-				return nil, err
-			}
-			g.Net.SetRoute(fm.Func())
-			sys.churnDomain = g.FaultDomain()
-			sys.installBase = func() { g.Net.SetRoute(fm.Func()) }
-			sys.reroute = func() error {
-				nfm, err := routing.NewFaultMeshRouter(g)
-				if err != nil {
-					return err
-				}
-				g.Net.SetRoute(nfm.Func())
-				g.Net.SanitizeInFlight(nfm.Sanitize())
-				return nil
-			}
-		} else {
-			g.Net.SetRoute(g.RouteXY())
-		}
-		sys.Net = g.Net
-		sys.Groups = 1
-
-	case SwitchDragonfly:
-		vcs := routing.DragonflyVCCount(cfg.Mode)
-		if faulted {
-			vcs = FaultVCs
-		}
-		classes := topology.DefaultLinkClasses(vcs, width)
-		df, err := topology.BuildDragonfly(cfg.DF, classes, cfg.netOptions())
-		if err != nil {
-			return nil, err
-		}
-		if faulted {
-			if err := applyFaultSpec(df.Net, cfg.Faults, df.FaultDomain(), nil); err != nil {
-				df.Net.Close()
-				return nil, err
-			}
-			fd, err := routing.NewFaultDragonflyRoute(df, cfg.Mode)
-			if err != nil {
-				df.Net.Close()
-				return nil, err
-			}
-			df.Net.SetRoute(fd.Func())
-			mode := cfg.Mode
-			sys.churnDomain = df.FaultDomain()
-			sys.installBase = func() { df.Net.SetRoute(fd.Func()) }
-			sys.reroute = func() error {
-				nfd, err := routing.NewFaultDragonflyRoute(df, mode)
-				if err != nil {
-					return err
-				}
-				df.Net.SetRoute(nfd.Func())
-				df.Net.SanitizeInFlight(nfd.Sanitize())
-				return nil
-			}
-		} else {
-			route, err := routing.DragonflyRoute(df, cfg.Mode)
-			if err != nil {
-				df.Net.Close()
-				return nil, err
-			}
-			df.Net.SetRoute(route)
-		}
-		sys.Net = df.Net
-		sys.DF = df
-		sys.Groups = cfg.DF.Groups()
-
-	case SwitchlessDragonfly:
-		params := cfg.SLDF
-		if cfg.Mode == routing.ValiantLower {
-			// The restricted-lower mode is defined on the reduced scheme.
-			cfg.Scheme = routing.ReducedVC
-		}
-		if cfg.Scheme == routing.ReducedVC {
-			params.Layout = topology.LayoutSouthNorth
-		}
-		vcs := routing.SLDFVCCount(cfg.Scheme, cfg.Mode)
-		if faulted {
-			vcs = FaultVCs
-		}
-		classes := topology.DefaultLinkClasses(vcs, width)
-		s, err := topology.BuildSLDF(params, classes, cfg.netOptions())
-		if err != nil {
-			return nil, err
-		}
-		if faulted {
-			if err := applyFaultSpec(s.Net, cfg.Faults, s.FaultDomain(), s.FaultClosure); err != nil {
-				s.Net.Close()
-				return nil, err
-			}
-			fr, err := routing.NewFaultSLDFRouter(s, cfg.Scheme, cfg.Mode)
-			if err != nil {
-				s.Net.Close()
-				return nil, err
-			}
-			fr.Install(s.Net)
-			// Capture the effective scheme/mode (ReducedVC may have been
-			// forced above) so mid-run recomputes rebuild the same discipline.
-			scheme, mode := cfg.Scheme, cfg.Mode
-			sys.churnDomain = s.FaultDomain()
-			sys.installBase = func() { fr.Install(s.Net) }
-			sys.reroute = func() error {
-				nfr, err := routing.NewFaultSLDFRouter(s, scheme, mode)
-				if err != nil {
-					return err
-				}
-				nfr.Install(s.Net)
-				s.Net.SanitizeInFlight(nfr.Sanitize())
-				return nil
-			}
-		} else {
-			sr, err := routing.NewSLDFRouter(s, cfg.Scheme, cfg.Mode)
-			if err != nil {
-				s.Net.Close()
-				return nil, err
-			}
-			sr.Install(s.Net)
-		}
-		sys.Net = s.Net
-		sys.SLDF = s
-		sys.Groups = params.Groups()
-
-	default:
-		return nil, fmt.Errorf("core: unknown system kind %d", cfg.Kind)
+	classes := topology.DefaultLinkClasses(entry.vcs(cfg, faulted), max(cfg.IntraWidth, 1))
+	t, err := entry.build(cfg, classes, cfg.netOptions())
+	if err != nil {
+		return nil, err
+	}
+	sys := &System{Cfg: cfg, Net: t.net}
+	if faulted {
+		err = sys.installFaultRouting(t)
+	} else {
+		err = t.install()
+	}
+	if err != nil {
+		t.net.Close()
+		return nil, err
 	}
 
 	sys.Label = cfg.Label()
@@ -262,14 +94,8 @@ func Build(cfg Config) (*System, error) {
 	// the injection rate is split across this count, so a chip that lost
 	// cores keeps the same per-node rate and simply offers proportionally
 	// less load.
-	switch cfg.Kind {
-	case MeshCGroup:
-		sys.NodesPerChip = cfg.NoCDim * cfg.NoCDim
-	case SwitchlessDragonfly:
-		sys.NodesPerChip = cfg.SLDF.NoCDim * cfg.SLDF.NoCDim
-	default: // one NIC per chip
-		sys.NodesPerChip = 1
-	}
+	sys.NodesPerChip = entry.nodesPerChip(cfg)
+	sys.Groups = entry.groups(cfg)
 	sys.ChipsPerGroup = sys.Chips / sys.Groups
 	if dead := sys.Net.DeadChips(); len(dead) > 0 {
 		sys.aliveChips = make([]bool, sys.Chips)
@@ -284,6 +110,36 @@ func Build(cfg Config) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// installFaultRouting applies the configured fault set to the built
+// topology, installs its fault-aware routing and sets the hooks churn
+// needs: the fault domain, the reinstall of the build-time tables, and the
+// mid-run recompute, which retires in-flight packets the new tables cannot
+// carry when the kind supplies a sanitize predicate.
+func (sys *System) installFaultRouting(t kindTopo) error {
+	if err := applyFaultSpec(t.net, sys.Cfg.Faults, t.domain(), t.closure); err != nil {
+		return err
+	}
+	route, _, err := t.faultRoute()
+	if err != nil {
+		return err
+	}
+	t.net.SetRoute(route)
+	sys.churnDomain = t.domain()
+	sys.installBase = func() { t.net.SetRoute(route) }
+	sys.reroute = func() error {
+		route, sanitize, err := t.faultRoute()
+		if err != nil {
+			return err
+		}
+		t.net.SetRoute(route)
+		if sanitize != nil {
+			t.net.SanitizeInFlight(sanitize)
+		}
+		return nil
+	}
+	return nil
 }
 
 // armChurn resolves the configured timeline against the topology's fault
@@ -479,24 +335,13 @@ func (s *System) PatternFor(name string) (traffic.Pattern, error) {
 	}
 }
 
-// ringPattern embeds a ring over the system's chips. On a mesh C-group the
-// ring follows a snake (boustrophedon) order so consecutive chips are
-// physically adjacent, as a real collective library would schedule it; on
-// other systems the chip ID order already walks C-groups consecutively.
+// ringPattern embeds a ring over the system's chips in their collective
+// order: on a mesh C-group the snake, so consecutive chips are physically
+// adjacent, as a real collective library would schedule it; on other
+// systems the chip ID order already walks C-groups consecutively.
 func (s *System) ringPattern(bidir bool) traffic.Pattern {
-	if s.Cfg.Kind == MeshCGroup {
-		dim := s.Cfg.ChipletDim
-		order := make([]int32, 0, s.Chips)
-		for row := 0; row < dim; row++ {
-			for col := 0; col < dim; col++ {
-				c := col
-				if row%2 == 1 {
-					c = dim - 1 - col
-				}
-				order = append(order, int32(row*dim+c))
-			}
-		}
-		return traffic.NewRingOrder(order, bidir)
+	if kinds[s.Cfg.Kind].order != nil {
+		return traffic.NewRingOrder(s.collectiveOrder(), bidir)
 	}
 	return traffic.Ring{N: int32(s.Chips), Bidirectional: bidir}
 }

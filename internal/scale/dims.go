@@ -28,19 +28,15 @@ const validationRate = 0.1
 // single-W-group instances of increasing radix (tens of chips), then the
 // full balanced systems (radix-16: 1312 chips, radix-24: 6120, radix-32:
 // 18560, and beyond).
-func ChipsDimension(kind core.SystemKind, workers int) Dimension {
-	return ChipsDimensionEngine(kind, workers, netsim.EngineActiveSet, 0)
-}
-
-// ChipsDimensionEngine is ChipsDimension with an explicit simulation engine
-// for the validation run. Under netsim.EngineFlow a step's cost is
-// dominated by the build rather than the cycle loop, so the ladder climbs
-// rungs far past the cycle engines' ceiling; a non-default engine is
+//
+// eng selects the validation run's engine. Under netsim.EngineFlow a step's
+// cost is dominated by the build rather than the cycle loop, so the ladder
+// climbs rungs far past the cycle engines' ceiling; a non-default engine is
 // recorded in the dimension name so its trajectory never mixes with
 // cycle-engine baselines. flowWorkers parallelizes the flow solve's
 // trace/waterfill phases (result-identical, so the trajectory is still
 // comparable across values); it is ignored by the cycle engines.
-func ChipsDimensionEngine(kind core.SystemKind, workers int, eng netsim.EngineKind, flowWorkers int) Dimension {
+func ChipsDimension(kind core.SystemKind, workers int, eng netsim.EngineKind, flowWorkers int) Dimension {
 	name := "chips/" + kind.String()
 	if eng != netsim.EngineActiveSet {
 		name += "/" + eng.String()
@@ -55,7 +51,7 @@ func ChipsDimensionEngine(kind core.SystemKind, workers int, eng netsim.EngineKi
 			cfg.Seed = 1
 			cfg.Workers = workers
 			return Step{Label: label, Run: func() (StepInfo, error) {
-				return measureSystemEngine(cfg, eng, flowWorkers)
+				return measureSystem(cfg, eng, flowWorkers)
 			}}, true
 		},
 	}
@@ -125,7 +121,7 @@ func FaultFractionDimension(kind core.SystemKind, workers int) Dimension {
 				Label: fmt.Sprintf("links%.1f%%", 100*f),
 				Value: f,
 				Run: func() (StepInfo, error) {
-					info, err := measureSystem(cfg)
+					info, err := measureSystem(cfg, netsim.EngineActiveSet, 0)
 					info.Value = f // the coordinate is the fraction, not chips
 					return info, err
 				},
@@ -217,14 +213,9 @@ func baseConfig(kind core.SystemKind) core.Config {
 }
 
 // measureSystem builds cfg, captures its footprint, runs the validation
-// load point, and checks the run's structural health.
-func measureSystem(cfg core.Config) (StepInfo, error) {
-	return measureSystemEngine(cfg, netsim.EngineActiveSet, 0)
-}
-
-// measureSystemEngine is measureSystem with an explicit simulation engine
-// (and flow-solver worker count) for the validation load point.
-func measureSystemEngine(cfg core.Config, eng netsim.EngineKind, flowWorkers int) (StepInfo, error) {
+// load point on the given engine (and flow-solver worker count), and checks
+// the run's structural health.
+func measureSystem(cfg core.Config, eng netsim.EngineKind, flowWorkers int) (StepInfo, error) {
 	var info StepInfo
 	t0 := time.Now()
 	sys, err := core.Build(cfg)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sldf/internal/core"
+	"sldf/internal/netsim"
 )
 
 // synthetic builds a dimension whose i-th step reports the given infos and
@@ -94,7 +95,7 @@ func TestChipsDimensionSmoke(t *testing.T) {
 	for _, kind := range []core.SystemKind{
 		core.SwitchlessDragonfly, core.SwitchDragonfly, core.SingleSwitch, core.MeshCGroup,
 	} {
-		rep := Run(ChipsDimension(kind, 1), Budget{MaxSteps: 1}, t.Logf)
+		rep := Run(ChipsDimension(kind, 1, netsim.EngineActiveSet, 0), Budget{MaxSteps: 1}, t.Logf)
 		if rep.Tripped != TripSteps {
 			t.Fatalf("%v: tripped %q (samples %+v)", kind, rep.Tripped, rep.Samples)
 		}
