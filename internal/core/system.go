@@ -29,15 +29,9 @@ type System struct {
 	// and repairs immediately.
 	aliveChips []bool
 
-	// churnDomain, installBase and reroute are set by faulted builds:
-	// the topology's fault domain (timeline victim sampling), a hook
-	// reinstalling the build-time routing (Reset after a mid-run routing
-	// swap), and the mid-run recompute — rebuild fault-aware routing from
-	// the network's current Disabled state, install it, and retire in-flight
-	// packets the new tables cannot carry.
+	// churnDomain is the topology's fault domain (timeline victim
+	// sampling), set by faulted builds.
 	churnDomain topology.FaultDomain
-	installBase func()
-	reroute     func() error
 
 	// rateGen is the reusable injection generator: MeasureLoad reinitializes
 	// it in place so a sweep's measurement loop allocates nothing per point.
@@ -46,12 +40,6 @@ type System struct {
 	// flowDemandBuf is the retained demand-matrix buffer for the flow
 	// engine's sampling pass (see flowDemands).
 	flowDemandBuf []netsim.FlowDemand
-
-	// routeDirty records that a churn batch swapped the network's routing
-	// mid-run. Reset reinstalls the build-time tables only in that case:
-	// SetRoute discards the flow solver's route-trace cache, so reinstalling
-	// unconditionally would cold-start every point of a churn-armed sweep.
-	routeDirty bool
 }
 
 // DeadChips returns the chips the fault set removed from the workload.
@@ -113,39 +101,22 @@ func Build(cfg Config) (*System, error) {
 }
 
 // installFaultRouting applies the configured fault set to the built
-// topology, installs its fault-aware routing and sets the hooks churn
-// needs: the fault domain, the reinstall of the build-time tables, and the
-// mid-run recompute, which retires in-flight packets the new tables cannot
-// carry when the kind supplies a sanitize predicate.
+// topology, hands the kind's fault-aware routing builder to the network —
+// which builds it for the build-time fault state now and, under churn, once
+// per new fault state it enters, sanitizing in-flight packets at every
+// batch — and records the fault domain churn samples from.
 func (sys *System) installFaultRouting(t kindTopo) error {
 	if err := applyFaultSpec(t.net, sys.Cfg.Faults, t.domain(), t.closure); err != nil {
 		return err
 	}
-	route, _, err := t.faultRoute()
-	if err != nil {
-		return err
-	}
-	t.net.SetRoute(route)
 	sys.churnDomain = t.domain()
-	sys.installBase = func() { t.net.SetRoute(route) }
-	sys.reroute = func() error {
-		route, sanitize, err := t.faultRoute()
-		if err != nil {
-			return err
-		}
-		t.net.SetRoute(route)
-		if sanitize != nil {
-			t.net.SanitizeInFlight(sanitize)
-		}
-		return nil
-	}
-	return nil
+	return t.net.SetFaultRouting(t.faultRoute)
 }
 
 // armChurn resolves the configured timeline against the topology's fault
-// domain and installs it on the network, with an apply hook that rebuilds
-// fault-aware routing, retires packets the new tables cannot carry, and
-// refreshes the chip-liveness table after every event batch.
+// domain and installs it on the network, with an apply hook that refreshes
+// the chip-liveness table after every event batch (the network itself
+// switches routing and retires packets the new tables cannot carry).
 func (sys *System) armChurn() error {
 	if sys.aliveChips == nil {
 		// Allocate up front even when every chip is alive: FilterDead draws
@@ -157,10 +128,6 @@ func (sys *System) armChurn() error {
 	}
 	events := sys.Cfg.Churn.Resolve(sys.churnDomain)
 	return sys.Net.ScheduleChurn(events, sys.Cfg.Churn.Policy, func(*netsim.Network) error {
-		sys.routeDirty = true
-		if err := sys.reroute(); err != nil {
-			return err
-		}
 		sys.refreshAliveChips()
 		return nil
 	})
@@ -225,16 +192,12 @@ func (s *System) Close() { s.Net.Close() }
 // construction can serve every load point of a series. A measurement on a
 // reset system is bitwise identical to one on a fresh Build of the same
 // configuration. On churn-armed systems the network restores its build-time
-// fault state and rewinds the event cursor; the build-time routing tables
-// are reinstalled and chip liveness refreshed here, so a reset mid-churn
-// system equals a fresh build with the same timeline.
+// fault state, its routing and the event cursor; chip liveness is refreshed
+// here, so a reset mid-churn system equals a fresh build with the same
+// timeline.
 func (s *System) Reset() {
 	s.Net.Reset()
 	if s.Net.ChurnArmed() {
-		if s.routeDirty && s.installBase != nil {
-			s.installBase()
-			s.routeDirty = false
-		}
 		s.refreshAliveChips()
 	}
 }

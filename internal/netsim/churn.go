@@ -87,9 +87,10 @@ type churnState struct {
 	next   int // first unapplied event
 	policy DropPolicy
 
-	// onApply runs serially after every applied event batch (routing
-	// recompute, in-flight sanitation). An error aborts the run: it is
-	// surfaced by the next Run/RunUntil/Drain call.
+	// onApply runs serially after every applied event batch, after the
+	// fault-state routing (if installed) has switched and sanitized. An
+	// error aborts the run: it is surfaced by the next Run/RunUntil/Drain
+	// call.
 	onApply func(*Network) error
 	err     error
 
@@ -110,11 +111,13 @@ type churnState struct {
 	scratch []strandedRef
 
 	// toggledRouters/toggledLinks record the components that actually
-	// flipped alive<->dead while the current batch applied; the flow
-	// solver's route-trace cache evicts exactly the entries whose paths
-	// cross them. appliedAny marks that some batch has been applied since
-	// the last Reset, so resetChurn knows cached traces reflect a mutated
-	// component set and must be discarded when the base state is restored.
+	// flipped alive<->dead while the current batch (or Reset) applied:
+	// fault-state routing folds them into the state key; under plain
+	// SetRoute routing the flow solver's route-trace cache evicts exactly
+	// the entries whose paths cross them. appliedAny marks that some batch
+	// has been applied since the last Reset, so resetChurn knows plain
+	// routing's cached traces reflect a mutated component set and must be
+	// discarded when the base state is restored.
 	toggledRouters []NodeID
 	toggledLinks   []int32
 	appliedAny     bool
@@ -149,8 +152,9 @@ func (n *Network) ChurnErr() error {
 // ScheduleChurn arms a fault timeline on a freshly built (or reset)
 // network. events are copied and canonically sorted; policy selects the
 // stranded-packet treatment; onApply (optional) runs after every applied
-// batch — the core layer uses it to rebuild fault-aware routing and
-// sanitize in-flight packets against the new component set.
+// batch — the core layer uses it to refresh chip liveness. Fault-aware
+// routing follows the timeline on its own when installed with
+// SetFaultRouting.
 //
 // Must be called at cycle zero, after build-time faults: the current
 // Disabled flags and chip tables are snapshotted as the base state that
@@ -247,8 +251,9 @@ func (n *Network) applyDueChurn() {
 
 // applyChurnBatch applies one batch of events, then rebuilds the derived
 // structures (chip tables, injector and drain lists, active sets), strands
-// packets per policy, and runs the apply hook. Serial: called only between
-// engine phases.
+// packets per policy, enters the new fault state's routing (fault-state
+// routing, see SetFaultRouting) and runs the apply hook. Serial: called
+// only between engine phases.
 func (n *Network) applyChurnBatch(batch []TimedFault) {
 	c := n.churn
 	c.toggledRouters = c.toggledRouters[:0]
@@ -261,7 +266,11 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 			n.killOne(e)
 		}
 	}
-	n.flowInvalidateChurn(c.toggledRouters, c.toggledLinks)
+	if fr := n.faultRoute; fr != nil {
+		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
+	} else {
+		n.flowInvalidateChurn(c.toggledRouters, c.toggledLinks)
+	}
 	n.rebuildChipNodes()
 	for _, s := range c.scratch {
 		n.strandPacket(s.ref, n.arena.at(s.ref), int(s.shard))
@@ -271,6 +280,9 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 	n.rebuildShardLists()
 	if n.engineKind == EngineActiveSet {
 		n.rebuildActive()
+	}
+	if n.faultRoute != nil && c.err == nil {
+		c.err = n.enterFaultState(true)
 	}
 	if c.onApply != nil && c.err == nil {
 		c.err = c.onApply(n)
@@ -592,9 +604,10 @@ func (n *Network) filterLinkPackets(l *Link, keep func(*Packet) bool) {
 // SanitizeInFlight strands (per the armed drop policy) every live packet
 // for which keep returns false, given the router the packet currently
 // occupies (for link traffic: the downstream router it is traveling
-// toward). The routing layer calls this after a mid-run route recompute to
-// retire packets whose cached scratch state is no longer realizable under
-// the new component set. Returns the number of packets stranded.
+// toward). Fault-state routing calls this with the entered state's
+// predicate after every churn batch, retiring packets whose cached scratch
+// state is no longer realizable under the new component set. Returns the
+// number of packets stranded.
 func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 	if n.churn == nil {
 		return 0
@@ -690,11 +703,19 @@ func (n *Network) shardOfRouter(id NodeID) int {
 // the generic queue/statistics reset.
 func (n *Network) resetChurn() {
 	c := n.churn
+	c.toggledRouters = c.toggledRouters[:0]
+	c.toggledLinks = c.toggledLinks[:0]
 	for i := range n.Routers {
-		n.Routers[i].Disabled = c.baseRouterDisabled[i]
+		if r := &n.Routers[i]; r.Disabled != c.baseRouterDisabled[i] {
+			r.Disabled = c.baseRouterDisabled[i]
+			c.toggledRouters = append(c.toggledRouters, r.ID)
+		}
 	}
 	for i := range n.Links {
-		n.Links[i].Disabled = c.baseLinkDisabled[i]
+		if l := &n.Links[i]; l.Disabled != c.baseLinkDisabled[i] {
+			l.Disabled = c.baseLinkDisabled[i]
+			c.toggledLinks = append(c.toggledLinks, l.ID)
+		}
 	}
 	for i := range c.routerRefs {
 		c.routerRefs[i] = 0
@@ -720,12 +741,17 @@ func (n *Network) resetChurn() {
 	n.rebuildShardLists()
 	c.next = 0
 	c.err = nil
-	// Cached route traces were computed against the mutated component set;
-	// restoring the base state invalidates them wholesale. A reset that
-	// never applied an event keeps the cache — that is the common
-	// build-once/measure-many sweep case.
-	if c.appliedAny {
+	if fr := n.faultRoute; fr != nil {
+		// Back to the base state: its routing is always kept and its traces
+		// were never evicted, so nothing is rebuilt or re-traced.
+		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
+		c.err = n.enterFaultState(false)
+	} else if c.appliedAny {
+		// Plain routing's cached traces were computed against the mutated
+		// component set; restoring the base state invalidates them
+		// wholesale. A reset that never applied an event keeps the cache —
+		// the common build-once/measure-many sweep case.
 		n.flowInvalidateAll()
-		c.appliedAny = false
 	}
+	c.appliedAny = false
 }

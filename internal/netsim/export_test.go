@@ -1,0 +1,80 @@
+package netsim
+
+import (
+	"fmt"
+	"slices"
+)
+
+// CheckServedPaths serves demands for the network's current fault state
+// exactly as a solve segment does, then checks every served route against
+// a fresh trace under fresh: the same success, base latency, hop mix and
+// path. differing counts the distinct pairs served from the state's own
+// entries rather than the reference layer.
+func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh RouteFunc) (differing int, err error) {
+	fl := n.flowSolver()
+	n.flowBuildFlows(fl, demands, size)
+	installed := n.route
+	n.route = fresh
+	defer func() { n.route = installed }()
+	c := fl.cache
+	seq := make([]int, len(n.ChipNodes))
+	own := map[uint64]bool{}
+	var buf []int32
+	for _, d := range demands {
+		srcNodes, dstNodes := n.ChipNodes[d.Src], n.ChipNodes[d.Dst]
+		if d.Rate <= 0 || len(srcNodes) == 0 || len(dstNodes) == 0 {
+			continue
+		}
+		idx := seq[d.Src] % len(srcNodes)
+		seq[d.Src]++
+		src, dst := srcNodes[idx], dstNodes[idx%len(dstNodes)]
+		key := pairKey(src, dst)
+		ei, need, hit := c.lookup(key)
+		if need || !hit {
+			return 0, fmt.Errorf("pair %d->%d not served from the cache after the build", src, dst)
+		}
+		if ei != c.idx[key] {
+			own[key] = true
+		}
+		e := c.entries[ei]
+		var res traceResult
+		buf, res = n.traceOne(buf[:0], src, dst, size)
+		if e.ok != res.ok {
+			return 0, fmt.Errorf("pair %d->%d: served ok=%v, fresh trace ok=%v", src, dst, e.ok, res.ok)
+		}
+		if !e.ok {
+			continue
+		}
+		if e.base != res.base || e.hops != res.hops ||
+			!slices.Equal(c.path[e.off:e.off+e.n], buf[res.off:res.off+res.n]) {
+			return 0, fmt.Errorf("pair %d->%d: served path %v (base %d), fresh trace %v (base %d)",
+				src, dst, c.path[e.off:e.off+e.n], e.base, buf[res.off:res.off+res.n], res.base)
+		}
+	}
+	c.endBuild()
+	return len(own), nil
+}
+
+// FlowTraceEntries returns the route-trace cache's entry count, split into
+// reference-layer entries and state-owned overlay entries.
+func (n *Network) FlowTraceEntries() (reference, overlays int) {
+	if n.flow == nil {
+		return 0, 0
+	}
+	c := n.flow.cache
+	return len(c.entries) - c.overlays, c.overlays
+}
+
+// FaultStates returns the number of distinct fault states the installed
+// fault-state routing has entered, and how many hold a built routing.
+func (n *Network) FaultStates() (states, built int) {
+	if n.faultRoute == nil {
+		return 0, 0
+	}
+	for _, s := range n.faultRoute.states {
+		if s.route != nil {
+			built++
+		}
+	}
+	return len(n.faultRoute.states), built
+}

@@ -39,9 +39,10 @@ func (e *DeadChipError) Unwrap() error { return ErrDeadChip }
 // least one alive terminal stays addressable, with its remaining nodes
 // re-indexed. Reset preserves fault state.
 //
-// ApplyFaults only severs connectivity — it does not reroute. Install a
-// fault-aware RouteFunc (see the routing package) or packets will be
-// forwarded onto dead components.
+// ApplyFaults only severs connectivity — it does not reroute a function
+// installed with SetRoute. Install a fault-aware RouteFunc (see the routing
+// package) or packets will be forwarded onto dead components; routing
+// installed with SetFaultRouting is rebuilt for the new fault set.
 func (n *Network) ApplyFaults(routers []NodeID, links []int32) error {
 	dead, err := n.applyFaults(routers, links)
 	if err != nil {
@@ -123,6 +124,13 @@ func (n *Network) applyFaults(routers []NodeID, links []int32) (deadChips []int3
 	// Rebuild the per-shard injector walk (shared by both engines) and the
 	// reference engine's drain lists, when a cycle engine has built them.
 	n.rebuildShardLists()
+	// Installed fault-state routing is rebuilt for the new fault set, which
+	// becomes its base state.
+	if fr := n.faultRoute; fr != nil {
+		if err := n.SetFaultRouting(fr.build); err != nil {
+			return deadChips, err
+		}
+	}
 	return deadChips, nil
 }
 

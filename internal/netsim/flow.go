@@ -23,9 +23,15 @@ package netsim
 //
 //   - Traced routes live in a network-owned, epoch-versioned cache
 //     (tracecache.go) that survives Reset, so a build-once/measure-many
-//     sweep traces each (source node, destination node) pair once. SetRoute
-//     and build-time faults discard everything; churn batches evict only
-//     the entries whose paths crossed a toggled component.
+//     sweep traces each (source node, destination node) pair once. Under
+//     fault-state routing (SetFaultRouting) the cache is keyed by fault
+//     state too: each state the churn timeline enters traces its pairs
+//     once and keeps only the paths that differ from the base state's, so
+//     a revisited state — a repair back to the base, or any state replayed
+//     after Reset — re-traces nothing. Under plain SetRoute routing churn
+//     batches evict only the entries whose paths crossed a toggled
+//     component. SetRoute, SetFaultRouting, build-time faults, a packet-size
+//     change and FlowCold discard every state's traces.
 //   - Route tracing fans out across a solver-owned worker pool: phantom
 //     traces draw their randomized decisions from per-pair streams
 //     (Packet.TraceRNG), making each trace a pure function of network
@@ -89,14 +95,16 @@ type FlowOptions struct {
 
 // FlowStats reports cumulative flow-solver diagnostics for a network:
 // phase wall times and cache effectiveness counters. Read with
-// Network.FlowSolverStats; surfaced by slsim -flowstats.
+// Network.FlowSolverStats; surfaced by slsim -flowstats. Under fault-state
+// routing (SetFaultRouting) churn batches and Reset neither evict nor
+// discard traces: a revisited fault state adds nothing to Traces.
 type FlowStats struct {
 	Solves            int64 // SolveFlow calls
 	Segments          int64 // churn segments solved (>= Solves)
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache
-	Evicted           int64 // entries selectively evicted by churn batches
-	FullInvalidations int64 // cache-wide discards (SetRoute, faults, Cold)
+	Evicted           int64 // entries evicted by churn batches under plain SetRoute routing
+	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
 
@@ -234,6 +242,9 @@ func (n *Network) flowSolver() *flowSolver {
 		traceBufs:  make([][]int32, 1),
 		workers:    1,
 	}
+	if n.faultRoute != nil {
+		fl.cache.setState(n.faultRoute.cur)
+	}
 	//sldf:hotpath
 	fl.traceFn = func(w int) {
 		buf := fl.traceBufs[w][:0]
@@ -345,7 +356,7 @@ func (n *Network) flowInvalidateAll() {
 }
 
 // flowInvalidateChurn evicts the cached traces a churn batch can have
-// affected (see traceCache.invalidateFor).
+// affected under plain SetRoute routing (see traceCache.invalidateFor).
 func (n *Network) flowInvalidateChurn(routers []NodeID, links []int32) {
 	if n.flow == nil {
 		return
@@ -417,8 +428,10 @@ func (n *Network) traceOne(buf []int32, srcNode, dstNode NodeID, size int32) ([]
 
 // tracePending traces every reserved cache entry, fanning the independent
 // phantom traces across the solver pool, then merges the results into the
-// cache arena serially in worklist order — cache contents are identical
-// for any worker count.
+// cache serially in worklist order — cache contents are identical for any
+// worker count. fl.flows must hold the build's flows: under a non-base
+// fault state, flows reserved on a pair the state routes differently are
+// repointed at the state's own entry.
 func (n *Network) tracePending(fl *flowSolver, size int32) {
 	if len(fl.pending) == 0 {
 		return
@@ -433,17 +446,17 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	fl.traceNext.Store(0)
 	fl.run(fl.traceFn)
 	c := fl.cache
+	redirect := false
 	for i, ei := range fl.pending {
 		res := &fl.results[i]
-		e := &c.entries[ei]
-		e.off = int32(len(c.path))
-		e.n = res.n
-		e.base = res.base
-		e.hops = res.hops
-		e.ok = res.ok
-		e.traced = true
-		c.path = append(c.path, fl.traceBufs[res.wrk][res.off:res.off+res.n]...)
+		if c.merge(ei, res, fl.traceBufs[res.wrk][res.off:res.off+res.n]) {
+			redirect = true
+		}
 	}
+	if redirect {
+		c.redirect(fl.flows)
+	}
+	c.endBuild()
 	c.gen++
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
@@ -474,10 +487,10 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 			if len(srcNodes) > 0 && len(dstNodes) > 0 {
 				idx := fl.perChipSeq[d.Src] % len(srcNodes)
 				fl.perChipSeq[d.Src]++
-				ei, need := fl.cache.lookupOrReserve(pairKey(srcNodes[idx], dstNodes[idx%len(dstNodes)]))
+				ei, need, hit := fl.cache.lookup(pairKey(srcNodes[idx], dstNodes[idx%len(dstNodes)]))
 				if need {
 					fl.pending = append(fl.pending, ei)
-				} else if fl.cache.entries[ei].traced {
+				} else if hit {
 					fl.stats.CacheHits++
 				}
 				entry = ei
@@ -503,14 +516,17 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 
 // flowShape hashes the solve's flow structure: the element space, the
 // cache generation (any re-trace or eviction changes it, so an unchanged
-// hash guarantees unchanged paths) and the per-flow cache entries. Equal
-// shapes mean the incidence transpose — and, for throttle seeding, the
-// flow indexing — carry over from the previous solve.
+// hash guarantees unchanged paths), the fault state the paths were served
+// for, and the per-flow cache entries. Equal shapes mean the incidence
+// transpose carries over from the previous solve. The state is hashed as
+// well, so a transpose is never carried across a fault-state switch even
+// when the generation and the entry indices match.
 func (fl *flowSolver) flowShape() uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	h = (h ^ uint64(len(fl.load))) * prime64
 	h = (h ^ fl.cache.gen) * prime64
+	h = (h ^ uint64(uint32(fl.cache.state))) * prime64
 	h = (h ^ uint64(len(fl.flows))) * prime64
 	for i := range fl.flows {
 		h = (h ^ uint64(uint32(fl.flows[i].entry))) * prime64
@@ -743,10 +759,10 @@ func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRa
 // network must be freshly built or Reset; afterwards Snapshot,
 // LinkUtilization and the energy pricing read exactly as they would after
 // a cycle-engine run of the same window. Armed churn timelines are applied
-// at their event cycles: the window is segmented, each segment re-traces
-// the routes the event batch invalidated (the apply hook has rebuilt
-// routing) and re-solves, and the reported statistics are the
-// segment-length-weighted aggregate.
+// at their event cycles: the window is segmented, each segment serves its
+// routes for the fault state the event batch entered — tracing only what
+// that state has not traced before — and re-solves, and the reported
+// statistics are the segment-length-weighted aggregate.
 func (n *Network) SolveFlow(opts FlowOptions) error {
 	if n.engineKind != EngineFlow {
 		return fmt.Errorf("%w: SolveFlow on engine %v", ErrFlowEngine, n.engineKind)
@@ -889,10 +905,10 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		}
 		perNode := float64(v.Flits) / float64(len(srcNodes))
 		for idx, srcNode := range srcNodes {
-			ei, need := fl.cache.lookupOrReserve(pairKey(srcNode, dstNodes[idx%len(dstNodes)]))
+			ei, need, hit := fl.cache.lookup(pairKey(srcNode, dstNodes[idx%len(dstNodes)]))
 			if need {
 				fl.pending = append(fl.pending, ei)
-			} else if fl.cache.entries[ei].traced {
+			} else if hit {
 				fl.stats.CacheHits++
 			}
 			fl.flows = append(fl.flows, flowFlow{rate: perNode, x: 1, entry: ei})

@@ -102,6 +102,10 @@ type Network struct {
 	// pre-churn builds).
 	churn *churnState
 
+	// faultRoute is the fault-state routing installed by SetFaultRouting
+	// (nil under plain SetRoute routing).
+	faultRoute *faultRouting
+
 	// flow is the lazily created flow-solver state (route-trace cache and
 	// retained solve buffers); nil until the first flow solve. It survives
 	// Reset so build-once/measure-many sweeps re-trace nothing.
@@ -140,12 +144,17 @@ func (n *Network) SetTraffic(gen Generator, packetSize int32, policy DstNodePoli
 	n.dstPolicy = policy
 }
 
-// SetRoute installs the routing function. Any cached route traces are
-// discarded: a new (or rebuilt fault-aware) RouteFunc can route every pair
-// differently, and a stale path must never survive a reroute.
+// SetRoute installs a fixed routing function, replacing any fault-state
+// routing (SetFaultRouting). Every cached route trace is discarded: a new
+// RouteFunc can route every pair differently, and a stale path must never
+// survive a reroute.
 func (n *Network) SetRoute(f RouteFunc) {
 	n.route = f
+	n.faultRoute = nil
 	n.flowInvalidateAll()
+	if n.flow != nil {
+		n.flow.cache.resetStates()
+	}
 }
 
 // NumChips returns the number of terminal chips.

@@ -1,5 +1,7 @@
 package netsim
 
+import "math/bits"
+
 // LatencyHist is a compact HDR-style histogram of packet latencies in
 // cycles: 64 power-of-two major buckets × 8 linear sub-buckets, giving
 // ≤12.5% relative error on quantiles at any magnitude.
@@ -19,10 +21,7 @@ func bucketIndex(v int64) int {
 		return int(v)
 	}
 	// Major bucket = position of highest set bit; sub-bucket = next 3 bits.
-	hi := 63
-	for v>>uint(hi)&1 == 0 {
-		hi--
-	}
+	hi := bits.Len64(uint64(v)) - 1
 	major := hi - 2 // v>=8 means hi>=3, major>=1
 	sub := (v >> uint(hi-3)) & 7
 	idx := major*8 + int(sub)

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStatsZeroValues(t *testing.T) {
 	var st Stats
@@ -104,5 +107,56 @@ func TestArenaSlotReuse(t *testing.T) {
 	alloc, free := n.ArenaSlots()
 	if alloc != arenaChunkSize || free != arenaChunkSize-1 {
 		t.Fatalf("slots: alloc %d free %d", alloc, free)
+	}
+}
+
+// bucketIndexLoop is the histogram bucket rule written as a top-bit scan,
+// the reference bucketIndex's bits.Len64 form must match.
+func bucketIndexLoop(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	if v < 8 {
+		return int(v)
+	}
+	hi := 63
+	for v>>uint(hi)&1 == 0 {
+		hi--
+	}
+	idx := (hi-2)*8 + int((v>>uint(hi-3))&7)
+	if idx >= len(LatencyHist{}.Buckets) {
+		idx = len(LatencyHist{}.Buckets) - 1
+	}
+	return idx
+}
+
+// TestBucketIndexMatchesLoop pins bucketIndex to the top-bit scan on every
+// value below 2^16, on both sides of every power of two up to 2^62, and at
+// the extremes (negative clamp, MaxInt64 in the top bucket it can reach).
+func TestBucketIndexMatchesLoop(t *testing.T) {
+	check := func(v int64) {
+		t.Helper()
+		if got, want := bucketIndex(v), bucketIndexLoop(v); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for v := int64(0); v < 1<<16; v++ {
+		check(v)
+	}
+	for k := 1; k <= 62; k++ {
+		p := int64(1) << k
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	for _, v := range []int64{-1, math.MinInt64, math.MaxInt64, math.MaxInt64 - 1} {
+		check(v)
+	}
+	top := bucketIndex(math.MaxInt64)
+	if top >= len(LatencyHist{}.Buckets) {
+		t.Fatalf("bucketIndex(MaxInt64) = %d, past the last bucket", top)
+	}
+	if bucketIndex(bucketLow(top)) != top {
+		t.Fatalf("top bucket %d does not round-trip through bucketLow", top)
 	}
 }

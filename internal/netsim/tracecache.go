@@ -1,40 +1,75 @@
 package netsim
 
+import "slices"
+
 // The route-trace cache: traced flow paths keyed by (source node,
 // destination node), owned by the network and kept across Reset so
 // build-once/measure-many campaigns pay for each route exactly once.
 //
-// Validity is epoch-versioned. Full invalidation (SetRoute, build-time
-// faults, packet-size change, churn rewind) is O(1): the epoch advances and
-// every entry goes stale in place — the key index is kept, so a re-trace
-// reuses the entry slot. Churn batches invalidate selectively: only entries
-// whose path crosses a component that actually flipped alive<->dead are
-// evicted (plus every negative entry, since a repair can make a previously
-// unroutable pair routable).
+// Entries share one slice and one path arena. The reference layer — the
+// entries idx points at — holds the traces of the routing installed with
+// SetRoute or, under fault-state routing (SetFaultRouting), those of the
+// state the routing was installed in: the churn base. Every other fault
+// state the network enters gets a layer that stores deltas only: overlay
+// entries for the pairs it routes differently from the reference entry, and
+// a bitset of the reference entries it verified as identical. A state
+// traces each pair once; a revisited state re-traces nothing.
 //
-// Selective retention is sound only when the installed RouteFunc's decisions
-// depend on component liveness solely through the components a path actually
+// Validity is epoch-versioned. Full invalidation (SetRoute,
+// SetFaultRouting, build-time faults, packet-size change, FlowCold) is O(1)
+// for the reference layer: the epoch advances and every entry goes stale in
+// place — the key index is kept, so a re-trace reuses the entry slot — and
+// every state layer is emptied, its overlay entries compacted away.
+//
+// Under plain SetRoute routing, churn batches invalidate selectively: only
+// entries whose path crosses a component that flipped alive<->dead are
+// evicted (plus every negative entry, since a repair can make a previously
+// unroutable pair routable). That is sound only when the route function
+// depends on component liveness solely through the components a path
 // traverses — true for table-free route functions. Fault-aware routing that
-// consults rebuilt tables must be reinstalled with SetRoute after the tables
-// change (the core layer's churn hook does exactly that), which bumps the
-// epoch and discards everything.
+// rebuilds tables per fault state goes through SetFaultRouting instead:
+// each state's traces are its own layer, and nothing is evicted.
 
 // traceEntry is one cached route: the traced path as an offset/length into
 // traceCache.path, the uncontended base latency, and the per-class hop
 // counts. ok=false entries cache route *failures* (refused pairs), so a
 // persistently unroutable pair is not re-traced every solve.
 type traceEntry struct {
-	key    uint64
-	epoch  uint64 // valid iff == traceCache.epoch
-	off    int32
-	n      int32
+	key   uint64
+	epoch uint64 // reference entries: valid iff == traceCache.epoch
+	off   int32
+	n     int32
+	// resv marks a reference entry whose trace is pending under a
+	// non-reference state in the current flow build (== traceCache.resvGen).
+	resv   uint32
 	traced bool // reserved entries await tracing within the current build
 	ok     bool
 	base   int64
 	hops   [NumHopClasses]uint16
 }
 
-// traceCache owns the entries, their key index, and the shared path arena.
+// traceLayer is one non-reference fault state's delta over the reference
+// layer.
+type traceLayer struct {
+	over     map[uint64]int32 // pairs routed differently: key -> overlay entry
+	verified []uint64         // bitset over entry indices: reference entries routed identically
+}
+
+func (l *traceLayer) has(i int32) bool {
+	w := int(i >> 6)
+	return w < len(l.verified) && l.verified[w]&(1<<uint(i&63)) != 0
+}
+
+func (l *traceLayer) verify(i int32) {
+	w := int(i >> 6)
+	if w >= len(l.verified) {
+		l.verified = slices.Grow(l.verified, w+1-len(l.verified))[:w+1]
+	}
+	l.verified[w] |= 1 << uint(i&63)
+}
+
+// traceCache owns the entries, their key index, the shared path arena and
+// the per-state layers.
 type traceCache struct {
 	idx     map[uint64]int32
 	entries []traceEntry
@@ -48,6 +83,15 @@ type traceCache struct {
 	// latencies embed the ejection serialization, so a size change discards
 	// everything.
 	size int32
+
+	// state is the fault state flows are served for: 0 is the reference
+	// layer, s > 0 reads layers[s] over it. overlays counts the overlay
+	// entries in entries. resvGen stamps the pending traces of the current
+	// flow build under a non-reference state.
+	state    int32
+	layers   []traceLayer
+	overlays int
+	resvGen  uint32
 
 	// mark scratch for selective invalidation: component id -> markGen,
 	// stamped per churn batch so no clearing pass is needed.
@@ -67,36 +111,159 @@ func pairFromKey(key uint64) (src, dst NodeID) {
 }
 
 func newTraceCache() *traceCache {
-	return &traceCache{idx: make(map[uint64]int32), epoch: 1}
+	return &traceCache{idx: make(map[uint64]int32), epoch: 1, resvGen: 1}
 }
 
-// lookupOrReserve returns the entry index for key and whether the caller
-// must schedule a fresh trace for it. A valid entry (traced this epoch)
-// needs nothing; a stale or absent entry is reserved in place and reported
-// exactly once — later lookups of the same key within the build see the
-// reservation and do not re-schedule.
-func (c *traceCache) lookupOrReserve(key uint64) (int32, bool) {
-	if i, ok := c.idx[key]; ok {
-		e := &c.entries[i]
+// lookup returns the entry serving key under the current state. need
+// reports that the caller must schedule a trace of it — exactly once per
+// build: later lookups of the same key see the reservation. hit reports
+// that the entry was already traced for this state.
+//
+// Under a non-reference state a pending pair is reserved on its reference
+// index; the merge in tracePending then either verifies the reference entry
+// or redirects the flows to a fresh overlay entry.
+func (c *traceCache) lookup(key uint64) (ei int32, need, hit bool) {
+	i, ok := c.idx[key]
+	if !ok {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, traceEntry{key: key})
+		c.idx[key] = i
+	}
+	e := &c.entries[i]
+	if c.state == 0 {
 		if e.epoch == c.epoch {
-			return i, false
+			return i, false, e.traced
 		}
 		e.epoch = c.epoch
 		e.traced = false
-		return i, true
+		return i, true, false
 	}
-	i := int32(len(c.entries))
-	c.entries = append(c.entries, traceEntry{key: key, epoch: c.epoch})
-	c.idx[key] = i
-	return i, true
+	l := &c.layers[c.state]
+	if l.has(i) {
+		return i, false, true
+	}
+	if oi, ok := l.over[key]; ok {
+		return oi, false, true
+	}
+	if e.resv == c.resvGen {
+		return i, false, false
+	}
+	e.resv = c.resvGen
+	return i, true, false
 }
 
-// invalidateAll discards every cached trace in O(1) and resets the path
-// arena (stale entries never read their dangling offsets).
+// store fills e with a finished trace, copying a successful path into the
+// arena (a failed trace's path is never read).
+func (c *traceCache) store(e *traceEntry, res *traceResult, path []int32) {
+	e.off = int32(len(c.path))
+	e.n = 0
+	if res.ok {
+		e.n = res.n
+		c.path = append(c.path, path...)
+	}
+	e.base = res.base
+	e.hops = res.hops
+	e.ok = res.ok
+	e.traced = true
+}
+
+// merge records trace res of reference entry ei for the current state.
+// Under the reference state it fills the entry; under another state it
+// marks the reference entry verified when the traces agree, or stores an
+// overlay entry and reports that flows reserved on ei must be redirected.
+func (c *traceCache) merge(ei int32, res *traceResult, path []int32) (redirect bool) {
+	if c.state == 0 {
+		c.store(&c.entries[ei], res, path)
+		return false
+	}
+	l := &c.layers[c.state]
+	ref := &c.entries[ei]
+	if ref.epoch == c.epoch && ref.traced && ref.ok == res.ok &&
+		(!res.ok || ref.base == res.base && ref.hops == res.hops &&
+			slices.Equal(c.path[ref.off:ref.off+ref.n], path)) {
+		l.verify(ei)
+		return false
+	}
+	oi := int32(len(c.entries))
+	c.entries = append(c.entries, traceEntry{key: ref.key, epoch: c.epoch})
+	c.store(&c.entries[oi], res, path)
+	if l.over == nil {
+		l.over = make(map[uint64]int32)
+	}
+	l.over[c.entries[oi].key] = oi
+	c.overlays++
+	return true
+}
+
+// redirect repoints the flows reserved on a reference entry that the
+// current state routes differently at that state's overlay entry.
+func (c *traceCache) redirect(flows []flowFlow) {
+	l := &c.layers[c.state]
+	for i := range flows {
+		f := &flows[i]
+		if f.entry < 0 {
+			continue
+		}
+		if e := &c.entries[f.entry]; e.resv == c.resvGen && !l.has(f.entry) {
+			f.entry = l.over[e.key]
+		}
+	}
+}
+
+// endBuild releases the current build's reservations.
+func (c *traceCache) endBuild() {
+	c.resvGen++
+	if c.resvGen == 0 {
+		for i := range c.entries {
+			c.entries[i].resv = 0
+		}
+		c.resvGen = 1
+	}
+}
+
+// setState points lookups at fault state s's layer.
+func (c *traceCache) setState(s int32) {
+	for int(s) >= len(c.layers) {
+		c.layers = append(c.layers, traceLayer{})
+	}
+	c.state = s
+}
+
+// resetStates forgets every fault state (their numbering restarts with a
+// new routing install); the caller invalidates the traces.
+func (c *traceCache) resetStates() {
+	c.layers = c.layers[:0]
+	c.state = 0
+}
+
+// invalidateAll discards every cached trace: the reference layer in O(1)
+// (stale entries never read their dangling offsets), every state layer
+// emptied, and the overlay entries compacted out of the entry slice.
 func (c *traceCache) invalidateAll() {
 	c.epoch++
 	c.gen++
 	c.path = c.path[:0]
+	for i := range c.layers {
+		clear(c.layers[i].over)
+		clear(c.layers[i].verified)
+	}
+	if c.overlays == 0 {
+		return
+	}
+	// A reference entry precedes every overlay entry of its key, so
+	// compaction keeps idx pointing at the right (moved) slot.
+	w := int32(0)
+	for i := range c.entries {
+		e := c.entries[i]
+		if c.idx[e.key] != int32(i) {
+			continue
+		}
+		c.entries[w] = e
+		c.idx[e.key] = w
+		w++
+	}
+	c.entries = c.entries[:w]
+	c.overlays = 0
 }
 
 // ensureMarks sizes the component mark arrays for selective invalidation.
@@ -113,7 +280,8 @@ func (c *traceCache) ensureMarks(routers, links int) {
 // every negative entry, and every positive entry whose path traverses a
 // router or link that flipped alive<->dead. numRouters/numLinks size the
 // mark arrays; cached path elements >= numLinks are router (ejection)
-// elements. Returns the number of entries evicted.
+// elements. Returns the number of entries evicted. Used only under plain
+// SetRoute routing, which has no state layers.
 //
 // Evicted entries go stale in place (epoch rollback on the entry); their
 // arena regions are reclaimed only by the next full invalidation — churn

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"sldf/internal/netsim"
 )
@@ -45,7 +47,8 @@ func (g *CDG) HasCycle() (bool, []int64) {
 	)
 	color := map[int64]int8{}
 	parent := map[int64]int64{}
-	for start := range g.edges {
+	// Keys in sorted order, so the reported witness cycle is reproducible.
+	for _, start := range slices.Sorted(maps.Keys(g.edges)) {
 		if color[start] != white {
 			continue
 		}
@@ -85,13 +88,9 @@ func (g *CDG) HasCycle() (bool, []int64) {
 	return false, nil
 }
 
+// succs returns n's successors in ascending key order.
 func succs(g *CDG, n int64) []int64 {
-	m := g.edges[n]
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	return slices.Sorted(maps.Keys(g.edges[n]))
 }
 
 // TracePath walks packet p's route through the network without simulating

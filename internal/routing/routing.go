@@ -12,6 +12,13 @@
 // merged-VC W-group, packets route row-column-row between dedicated attach
 // rows, which makes the channel dependency graph acyclic by geometry. The
 // cdg.go checker verifies acyclicity computationally for any configuration.
+//
+// Fault-aware routing must be a pure function of the component state: the
+// network builds it once per fault state and reuses it whenever the state
+// recurs (netsim.SetFaultRouting). sldfcheck therefore flags map iteration,
+// global RNG and wall-clock reads in non-test code.
+//
+//sldf:deterministic
 package routing
 
 import "fmt"
