@@ -71,9 +71,10 @@ func TestFlowCacheEquivalence(t *testing.T) {
 			want, _ := measureFlowSeries(t, k.cfg, "uniform", rates, cold)
 
 			warm, ws := measureFlowSeries(t, k.cfg, "uniform", rates, sp)
-			// Churn-armed systems rebuild routing (SetRoute) at every event
-			// batch and on Reset, discarding the cache each time by design —
-			// only churn-free sweeps are required to amortize.
+			// Churn-armed systems key routing and traces by fault state and
+			// keep them across batches and Reset; netsim's
+			// TestFaultStateRoutingOracle pins that reuse, so only churn-free
+			// sweeps are required to hit the cache here.
 			if ws.CacheHits == 0 && k.cfg.Churn.Empty() {
 				t.Fatal("warm sweep never hit the route-trace cache")
 			}

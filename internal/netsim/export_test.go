@@ -78,3 +78,90 @@ func (n *Network) FaultStates() (states, built int) {
 	}
 	return len(n.faultRoute.states), built
 }
+
+// FlowProbe drives one flow-solve segment's waterfill round by round and
+// exposes the solver state between rounds, for oracle tests.
+type FlowProbe struct{ fl *flowSolver }
+
+// PrepareFlowSegment serves demands and builds the flow-incidence transpose
+// exactly as a solve segment does before its waterfill, with every flow at
+// its offered rate.
+func (n *Network) PrepareFlowSegment(demands []FlowDemand, size int32) FlowProbe {
+	fl := n.flowSolver()
+	if fl.cache.size != size {
+		n.flowInvalidateAll()
+		fl.cache.size = size
+	}
+	if fl.capSize != size {
+		fl.setCapacities(n, size)
+	}
+	if n.preAllocate != nil {
+		n.preAllocate(n)
+	}
+	n.flowBuildFlows(fl, demands, size)
+	fl.buildTranspose()
+	fl.shape = fl.flowShape()
+	return FlowProbe{fl}
+}
+
+// Paths returns every flow's path elements, in flow and path order.
+func (p FlowProbe) Paths() [][]int32 {
+	c := p.fl.cache
+	out := make([][]int32, len(p.fl.flows))
+	for i := range p.fl.flows {
+		e := &c.entries[p.fl.flows[i].entry]
+		out[i] = slices.Clone(c.path[e.off : e.off+e.n])
+	}
+	return out
+}
+
+// Rates returns every flow's offered rate.
+func (p FlowProbe) Rates() []float64 {
+	out := make([]float64, len(p.fl.flows))
+	for i := range p.fl.flows {
+		out[i] = p.fl.flows[i].rate
+	}
+	return out
+}
+
+// Bases returns every flow's uncontended latency.
+func (p FlowProbe) Bases() []int64 {
+	out := make([]int64, len(p.fl.flows))
+	for i := range p.fl.flows {
+		out[i] = p.fl.cache.entries[p.fl.flows[i].entry].base
+	}
+	return out
+}
+
+// Throttles returns every flow's current throttle.
+func (p FlowProbe) Throttles() []float64 {
+	out := make([]float64, len(p.fl.flows))
+	for i := range p.fl.flows {
+		out[i] = p.fl.flows[i].x
+	}
+	return out
+}
+
+// Capacities and ServiceTimes return the per-element capacities and
+// serialization cycles; Loads the current per-element loads.
+func (p FlowProbe) Capacities() []float64   { return slices.Clone(p.fl.cap) }
+func (p FlowProbe) ServiceTimes() []float64 { return slices.Clone(p.fl.ser) }
+func (p FlowProbe) Loads() []float64        { return slices.Clone(p.fl.load) }
+
+// OverElems returns the solver's over-capacity element set.
+func (p FlowProbe) OverElems() []int32 { return slices.Clone(p.fl.overElems) }
+
+// Start runs the waterfill's initial load pass; Round runs one throttle
+// round and reports whether it refreshed loads with the whole-network pass.
+// The solver's waterfill runs Round while OverElems is non-empty, at most
+// WaterfillRounds times.
+func (p FlowProbe) Start()               { p.fl.waterfillStart() }
+func (p FlowProbe) Round() (full bool)   { return p.fl.waterfillRound() }
+func (p FlowProbe) Latencies() []float64 { p.fl.latencies(); return slices.Clone(p.fl.lat) }
+
+// WaterfillRounds is the waterfill's round bound; FlowRhoCap caps the
+// utilization in the queueing term.
+const (
+	WaterfillRounds = flowWaterfillIters
+	FlowRhoCap      = flowRhoCap
+)

@@ -39,7 +39,14 @@ package netsim
 //   - The waterfill load pass runs element-major over a flow-incidence
 //     transpose: each element's load is a fixed-order reduction over its
 //     incident flows, so partitioning elements (or flows, for the throttle
-//     pass) across workers cannot change a single bit of the result.
+//     pass) across workers cannot change a single bit of the result. A
+//     round reads each candidate flow's path at most once: worst ratios
+//     come from the over-capacity elements through the transpose, and when
+//     most flows throttle the round refreshes every load instead of walking
+//     paths for a dirty list.
+//   - Latency synthesis computes each element's queueing term once per
+//     segment, sums each flow's terms along its path on the pool, and folds
+//     the window statistics serially in flow order.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
 // FlowOptions are pure execution controls.
@@ -204,21 +211,47 @@ type flowSolver struct {
 	// throttles, so loads only ever drop and the over-capacity element set
 	// only shrinks — each round touches the congested neighborhood, not
 	// the whole network. Stamps dedupe the per-round worklists; stamp
-	// values are never reused (see waterfill's wrap guard).
-	overElems []int32 // elements still loaded past capacity
-	cand      []int32 // flows crossing an over-capacity element this round
-	dirty     []int32 // elements whose incident flows were rescaled
+	// values are never reused (see waterfillStart's wrap guard).
+	overElems []int32   // elements still loaded past capacity
+	cand      []int32   // flows crossing an over-capacity element this round
+	ratio     []float64 // per flow: worst capacity/load ratio this round
+	delivered []float64 // per flow: rate*x, the term every load reduction sums
+	dirty     []int32   // elements whose incident flows were rescaled
 	flowStamp []int32
 	elemStamp []int32
 	stamp     int32
 
+	// Latency synthesis: per-element M/D/1 waiting terms and per-flow
+	// latencies of the solved segment.
+	wait []float64
+	lat  []float64
+
 	// Persistent phase closures, built once so solves allocate nothing.
-	traceFn, loadFn, scaleFn, loadListFn func(int)
+	traceFn, loadFn, scaleFn, loadListFn, waitFn, latFn func(int)
 
 	starts []int64
 	accum  flowAccum
 
 	stats FlowStats
+}
+
+// phaseStart enters a timed solver phase: it sets the phase's pprof label
+// and returns the phase's start time for phaseEnd.
+func phaseStart(p profiling.Phase) time.Time {
+	p.Enter()
+	return wallClock()
+}
+
+// phaseEnd leaves the current solver phase and adds its wall time to *wall.
+func phaseEnd(start time.Time, wall *time.Duration) {
+	profiling.ExitPhase()
+	*wall += wallClock().Sub(start)
+}
+
+// wallClock is the flow solver's one wall-clock read. The phase walls it
+// feeds are FlowSolverStats diagnostics, never part of measured results.
+func wallClock() time.Time {
+	return time.Now() //sldf:nondeterministic-ok FlowSolverStats phase walls are diagnostics, never part of measured results
 }
 
 // flowSolver returns the network's solver, creating it on first use. The
@@ -236,6 +269,7 @@ func (n *Network) flowSolver() *flowSolver {
 		load:       make([]float64, elems),
 		cap:        make([]float64, elems),
 		ser:        make([]float64, elems),
+		wait:       make([]float64, elems),
 		elemOff:    make([]int32, elems+1),
 		elemCur:    make([]int32, elems),
 		elemStamp:  make([]int32, elems),
@@ -267,9 +301,8 @@ func (n *Network) flowSolver() *flowSolver {
 		lo, hi := engine.ShardBounds(len(fl.load), fl.workers, w)
 		for el := lo; el < hi; el++ {
 			s := 0.0
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				f := &fl.flows[fl.elemFlow[k]]
-				s += f.rate * f.x
+			for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
+				s += fl.delivered[fi]
 			}
 			fl.load[el] = s
 		}
@@ -277,19 +310,11 @@ func (n *Network) flowSolver() *flowSolver {
 	//sldf:hotpath
 	fl.scaleFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.cand), fl.workers, w)
-		for i := lo; i < hi; i++ {
-			f := &fl.flows[fl.cand[i]]
-			e := &fl.cache.entries[f.entry]
-			scale := 1.0
-			for _, el := range fl.cache.path[e.off : e.off+e.n] {
-				if fl.load[el] > fl.cap[el] {
-					if s := fl.cap[el] / fl.load[el]; s < scale {
-						scale = s
-					}
-				}
-			}
-			if scale < 1 {
-				f.x *= scale
+		for _, fi := range fl.cand[lo:hi] {
+			if s := fl.ratio[fi]; s < 1 {
+				f := &fl.flows[fi]
+				f.x *= s
+				fl.delivered[fi] = f.rate * f.x
 			}
 		}
 	}
@@ -299,11 +324,37 @@ func (n *Network) flowSolver() *flowSolver {
 		for i := lo; i < hi; i++ {
 			el := fl.dirty[i]
 			s := 0.0
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				f := &fl.flows[fl.elemFlow[k]]
-				s += f.rate * f.x
+			for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
+				s += fl.delivered[fi]
 			}
 			fl.load[el] = s
+		}
+	}
+	//sldf:hotpath
+	fl.waitFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.wait), fl.workers, w)
+		for el := lo; el < hi; el++ {
+			rho := fl.load[el] / fl.cap[el]
+			if rho > flowRhoCap {
+				rho = flowRhoCap
+			}
+			wait := 0.0
+			if rho > 0 {
+				wait = rho / (2 * (1 - rho)) * fl.ser[el]
+			}
+			fl.wait[el] = wait
+		}
+	}
+	//sldf:hotpath
+	fl.latFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for i := lo; i < hi; i++ {
+			e := &fl.cache.entries[fl.flows[i].entry]
+			lat := float64(e.base)
+			for _, el := range fl.cache.path[e.off : e.off+e.n] {
+				lat += fl.wait[el]
+			}
+			fl.lat[i] = lat
 		}
 	}
 	n.flow = fl
@@ -436,8 +487,7 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	if len(fl.pending) == 0 {
 		return
 	}
-	t0 := time.Now() //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-	flowPhaseTrace.Enter()
+	t0 := phaseStart(flowPhaseTrace)
 	if cap(fl.results) < len(fl.pending) {
 		fl.results = make([]traceResult, len(fl.pending))
 	}
@@ -460,8 +510,7 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	c.gen++
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
-	profiling.ExitPhase()
-	fl.stats.TraceWall += time.Since(t0) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
+	phaseEnd(t0, &fl.stats.TraceWall)
 }
 
 // flowBuildFlows expands chip-level demands into node-level flows, serving
@@ -600,16 +649,39 @@ func (fl *flowSolver) setCapacities(n *Network, size int32) {
 // bit-identical results: a flow touching no over-capacity element would
 // scale by exactly 1, and an element none of whose incident flows changed
 // would recompute its fixed-order load reduction to exactly the stored
-// value. All passes partition work across the solver pool; neither
-// partitioning affects the result bits.
+// value. A round reads each candidate flow's path at most once: worst
+// ratios come from the over-capacity elements through the transpose, and
+// loads are refreshed either for the elements on throttled paths or, when
+// most flows throttle, for every element (fullLoadPass). All passes
+// partition work across the solver pool; neither partitioning affects the
+// result bits.
 //
 //sldf:hotpath
 func (fl *flowSolver) waterfill() {
-	fl.run(fl.loadFn)
+	fl.waterfillStart()
+	for iter := 0; len(fl.overElems) > 0 && iter < flowWaterfillIters; iter++ {
+		fl.stats.WaterfillIters++
+		fl.waterfillRound()
+	}
+}
+
+// waterfillStart runs the full load pass at the flows' current throttles
+// and collects the over-capacity elements.
+//
+//sldf:hotpath
+func (fl *flowSolver) waterfillStart() {
 	if cap(fl.flowStamp) < len(fl.flows) {
-		fl.flowStamp = make([]int32, len(fl.flows)) //sldf:alloc-ok one-time stamp-array growth; steady state reuses capacity
+		fl.flowStamp = make([]int32, len(fl.flows))   //sldf:alloc-ok one-time stamp-array growth; steady state reuses capacity
+		fl.ratio = make([]float64, len(fl.flows))     //sldf:alloc-ok grown with flowStamp; steady state reuses capacity
+		fl.delivered = make([]float64, len(fl.flows)) //sldf:alloc-ok grown with flowStamp; steady state reuses capacity
 	}
 	fl.flowStamp = fl.flowStamp[:len(fl.flows)]
+	fl.ratio = fl.ratio[:len(fl.flows)]
+	fl.delivered = fl.delivered[:len(fl.flows)]
+	for i := range fl.flows {
+		fl.delivered[i] = fl.flows[i].rate * fl.flows[i].x
+	}
+	fl.run(fl.loadFn)
 	if fl.stamp > 1<<30 {
 		// Stamp values are never reused, so a (practically unreachable)
 		// wraparound clears the dedupe arrays instead of risking collision.
@@ -627,22 +699,44 @@ func (fl *flowSolver) waterfill() {
 			fl.overElems = append(fl.overElems, int32(el))
 		}
 	}
-	for iter := 0; len(fl.overElems) > 0 && iter < flowWaterfillIters; iter++ {
-		fl.stats.WaterfillIters++
-		// Candidate flows: exactly those crossing an over-capacity element
-		// (every one of them has a worst ratio < 1 and will throttle).
-		fl.stamp++
-		fl.cand = fl.cand[:0]
-		for _, el := range fl.overElems {
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				fi := fl.elemFlow[k]
-				if fl.flowStamp[fi] != fl.stamp {
-					fl.flowStamp[fi] = fl.stamp
-					fl.cand = append(fl.cand, fi)
-				}
+}
+
+// waterfillRound throttles every flow crossing an over-capacity element and
+// refreshes the loads it changed. It relies on overElems being exactly the
+// elements loaded past capacity, which monotonicity keeps true from round to
+// round: a flow's worst ratio is then the minimum over the over-capacity
+// elements it crosses, found through the transpose without reading its path.
+// full reports whether the loads were refreshed by the whole-network pass
+// rather than the dirty-element list (see fullLoadPass).
+//
+//sldf:hotpath
+func (fl *flowSolver) waterfillRound() (full bool) {
+	// Candidate flows: exactly those crossing an over-capacity element
+	// (every one of them has a worst ratio < 1 and will throttle). Each
+	// element's ratio is computed once and min-folded into its flows.
+	fl.stamp++
+	fl.cand = fl.cand[:0]
+	walk := 0 // path elements of the candidate flows
+	for _, el := range fl.overElems {
+		r := fl.cap[el] / fl.load[el]
+		for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
+			fi := fl.elemFlow[k]
+			if fl.flowStamp[fi] != fl.stamp {
+				fl.flowStamp[fi] = fl.stamp
+				fl.cand = append(fl.cand, fi)
+				fl.ratio[fi] = 1
+				walk += int(fl.cache.entries[fl.flows[fi].entry].n)
+			}
+			if r < fl.ratio[fi] {
+				fl.ratio[fi] = r
 			}
 		}
-		fl.run(fl.scaleFn)
+	}
+	fl.run(fl.scaleFn)
+	full = fullLoadPass(walk, len(fl.elemFlow))
+	if full {
+		fl.run(fl.loadFn)
+	} else {
 		// Dirty elements: those sharing a flow with the throttled set; each
 		// recomputes its full fixed-order reduction, so the refreshed loads
 		// are bit-identical to a whole-network load pass.
@@ -658,37 +752,45 @@ func (fl *flowSolver) waterfill() {
 			}
 		}
 		fl.run(fl.loadListFn)
-		// Monotonicity: no element outside the set can have crossed
-		// capacity, so filtering the old set is the full rescan.
-		w := 0
-		for _, el := range fl.overElems {
-			if fl.load[el] > fl.cap[el] {
-				fl.overElems[w] = el
-				w++
-			}
-		}
-		fl.overElems = fl.overElems[:w]
 	}
+	// Monotonicity: no element outside the set can have crossed capacity,
+	// so filtering the old set is the full rescan.
+	w := 0
+	for _, el := range fl.overElems {
+		if fl.load[el] > fl.cap[el] {
+			fl.overElems[w] = el
+			w++
+		}
+	}
+	fl.overElems = fl.overElems[:w]
+	return full
 }
 
-// latency returns flow f's modeled end-to-end latency: the uncontended
-// base plus an M/D/1 waiting term per traversed element at its solved
-// utilization, capped near saturation so the estimate stays finite.
+// fullLoadPass reports whether a waterfill round refreshes loads with the
+// whole-network pass rather than the dirty-element list, given the path
+// elements of its candidate flows (walk) and the transpose's flow–element
+// incidences. The dirty list costs a serial, stamped walk of every
+// candidate path before its loads are summed; once that walk reaches a
+// quarter of all incidences, summing every element on the pool is cheaper.
+// Either way the loads come out bit-identical.
+func fullLoadPass(walk, incidences int) bool {
+	return 4*walk >= incidences
+}
+
+// latencies fills fl.lat with every flow's modeled end-to-end latency: the
+// uncontended base plus an M/D/1 waiting term per traversed element at its
+// solved utilization, capped near saturation so the estimate stays finite.
+// Each element's term is computed once (0 when idle, and adding 0 leaves a
+// latency unchanged); each flow then sums its path's terms in path order.
 //
 //sldf:hotpath
-func (fl *flowSolver) latency(f *flowFlow) float64 {
-	e := &fl.cache.entries[f.entry]
-	lat := float64(e.base)
-	for _, el := range fl.cache.path[e.off : e.off+e.n] {
-		rho := fl.load[el] / fl.cap[el]
-		if rho > flowRhoCap {
-			rho = flowRhoCap
-		}
-		if rho > 0 {
-			lat += rho / (2 * (1 - rho)) * fl.ser[el]
-		}
+func (fl *flowSolver) latencies() {
+	if cap(fl.lat) < len(fl.flows) {
+		fl.lat = make([]float64, len(fl.flows)) //sldf:alloc-ok one-time growth; steady state reuses capacity
 	}
-	return lat
+	fl.lat = fl.lat[:len(fl.flows)]
+	fl.run(fl.waitFn)
+	fl.run(fl.latFn)
 }
 
 // flowAccum accumulates window statistics across churn segments in float
@@ -717,13 +819,15 @@ func (a *flowAccum) reset(links int) {
 	a.hist = LatencyHist{}
 }
 
-// accumulate folds one solved segment of cyc cycles into the totals.
+// accumulate folds one solved segment of cyc cycles into the totals,
+// serially in flow order so every floating-point sum keeps its order.
 func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRate float64, cyc int64) {
 	c := float64(cyc)
 	a.refusedPkts += refusedRate * c / float64(size)
 	for i := range a.linkFlits {
 		a.linkFlits[i] += fl.load[i] * c
 	}
+	fl.latencies()
 	for i := range fl.flows {
 		f := &fl.flows[i]
 		delivered := f.rate * f.x * c
@@ -733,7 +837,7 @@ func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRa
 		e := &fl.cache.entries[f.entry]
 		a.deliveredFlits += delivered
 		pkts := delivered / float64(size)
-		lat := fl.latency(f)
+		lat := fl.lat[i]
 		a.netLatSum += pkts * lat
 		for h := 0; h < int(NumHopClasses); h++ {
 			a.hops[h] += pkts * float64(e.hops[h])
@@ -832,16 +936,12 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 			fl.buildTranspose()
 			fl.shape = shape
 		}
-		t := time.Now() //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-		flowPhaseWaterfill.Enter()
+		t := phaseStart(flowPhaseWaterfill)
 		fl.waterfill()
-		profiling.ExitPhase()
-		fl.stats.WaterfillWall += time.Since(t) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-		t = time.Now()                          //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-		flowPhaseHist.Enter()
+		phaseEnd(t, &fl.stats.WaterfillWall)
+		t = phaseStart(flowPhaseHist)
 		acc.accumulate(fl, n, size, refused, cyc)
-		profiling.ExitPhase()
-		fl.stats.HistWall += time.Since(t) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
+		phaseEnd(t, &fl.stats.HistWall)
 	}
 
 	// Publish the synthesized window: counters into shard 0, per-link

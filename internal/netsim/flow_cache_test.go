@@ -166,27 +166,39 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 
 // TestFlowSolveSteadyStateAllocs pins the solver's zero-allocation contract:
 // once a build-once/solve-many loop has warmed the trace cache and the
-// retained buffers, a full SolveFlow + Reset cycle allocates nothing.
+// retained buffers, a full SolveFlow + Reset cycle allocates nothing —
+// below the knee, and above it where every solve runs waterfill rounds.
 func TestFlowSolveSteadyStateAllocs(t *testing.T) {
-	const n = 8
-	net := buildRing(t, n)
-	defer net.Close()
-	net.SetEngine(EngineFlow)
-	demands := ringDemands(n, 0.05)
-	opts := FlowOptions{
-		Demands:    func() []FlowDemand { return demands },
-		PacketSize: 4, Warmup: 100, Measure: 200,
-	}
-	cycle := func() {
-		if err := net.SolveFlow(opts); err != nil {
-			t.Fatal(err)
-		}
-		net.Reset()
-	}
-	for i := 0; i < 3; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		rate   float64
+		rounds bool
+	}{{"idle", 0.05, false}, {"throttled", 0.5, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 8
+			net := buildRing(t, n)
+			defer net.Close()
+			net.SetEngine(EngineFlow)
+			demands := ringDemands(n, tc.rate)
+			opts := FlowOptions{
+				Demands:    func() []FlowDemand { return demands },
+				PacketSize: 4, Warmup: 100, Measure: 200,
+			}
+			cycle := func() {
+				if err := net.SolveFlow(opts); err != nil {
+					t.Fatal(err)
+				}
+				net.Reset()
+			}
+			for i := 0; i < 3; i++ {
+				cycle()
+			}
+			if got := net.FlowSolverStats().WaterfillIters > 0; got != tc.rounds {
+				t.Fatalf("waterfill ran rounds: %v, want %v", got, tc.rounds)
+			}
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
+			}
+		})
 	}
 }

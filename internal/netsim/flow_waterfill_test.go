@@ -1,0 +1,244 @@
+package netsim_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"sldf/internal/engine"
+	"sldf/internal/netsim"
+	"sldf/internal/routing"
+	"sldf/internal/topology"
+)
+
+// waterfillOracle is the flow solver's waterfill and latency synthesis as
+// they were before rounds read worst ratios through the transpose: each
+// candidate flow walks its path for its worst capacity/load ratio, the
+// dirty elements come from a stamped walk of every candidate path, and
+// each flow's latency divides load by capacity at every hop. It shares no
+// code with the solver; only the fixed-order reductions are the same.
+type waterfillOracle struct {
+	paths      [][]int32
+	rate, x    []float64
+	base       []int64
+	capa, ser  []float64
+	load       []float64
+	elemFlows  [][]int32 // per element: incident flows in flow order
+	over, cand []int32
+	flowStamp  []int
+	elemStamp  []int
+	stamp      int
+}
+
+func newWaterfillOracle(p netsim.FlowProbe) *waterfillOracle {
+	o := &waterfillOracle{
+		paths: p.Paths(), rate: p.Rates(), base: p.Bases(),
+		capa: p.Capacities(), ser: p.ServiceTimes(),
+	}
+	o.x = make([]float64, len(o.paths))
+	for i := range o.x {
+		o.x[i] = 1
+	}
+	o.load = make([]float64, len(o.capa))
+	o.elemFlows = make([][]int32, len(o.capa))
+	for fi, path := range o.paths {
+		for _, el := range path {
+			o.elemFlows[el] = append(o.elemFlows[el], int32(fi))
+		}
+	}
+	o.flowStamp = make([]int, len(o.paths))
+	o.elemStamp = make([]int, len(o.capa))
+	return o
+}
+
+func (o *waterfillOracle) refresh(el int32) {
+	s := 0.0
+	for _, fi := range o.elemFlows[el] {
+		s += o.rate[fi] * o.x[fi]
+	}
+	o.load[el] = s
+}
+
+func (o *waterfillOracle) start() {
+	for el := range o.load {
+		o.refresh(int32(el))
+		if o.load[el] > o.capa[el] {
+			o.over = append(o.over, int32(el))
+		}
+	}
+}
+
+func (o *waterfillOracle) round() {
+	o.stamp++
+	o.cand = o.cand[:0]
+	for _, el := range o.over {
+		for _, fi := range o.elemFlows[el] {
+			if o.flowStamp[fi] != o.stamp {
+				o.flowStamp[fi] = o.stamp
+				o.cand = append(o.cand, fi)
+			}
+		}
+	}
+	for _, fi := range o.cand {
+		scale := 1.0
+		for _, el := range o.paths[fi] {
+			if o.load[el] > o.capa[el] {
+				if s := o.capa[el] / o.load[el]; s < scale {
+					scale = s
+				}
+			}
+		}
+		if scale < 1 {
+			o.x[fi] *= scale
+		}
+	}
+	o.stamp++
+	for _, fi := range o.cand {
+		for _, el := range o.paths[fi] {
+			if o.elemStamp[el] != o.stamp {
+				o.elemStamp[el] = o.stamp
+				o.refresh(el)
+			}
+		}
+	}
+	w := 0
+	for _, el := range o.over {
+		if o.load[el] > o.capa[el] {
+			o.over[w] = el
+			w++
+		}
+	}
+	o.over = o.over[:w]
+}
+
+func (o *waterfillOracle) latency(fi int) float64 {
+	lat := float64(o.base[fi])
+	for _, el := range o.paths[fi] {
+		rho := o.load[el] / o.capa[el]
+		if rho > netsim.FlowRhoCap {
+			rho = netsim.FlowRhoCap
+		}
+		if rho > 0 {
+			lat += rho / (2 * (1 - rho)) * o.ser[el]
+		}
+	}
+	return lat
+}
+
+// checkBits fails the test at the first index where got and want differ
+// bitwise.
+func checkBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, oracle %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s %d: %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// sampledDemands draws a uniform traffic matrix: every chip offers rate
+// flits/cycle split over samples random destinations.
+func sampledDemands(chips, samples int, rate float64) []netsim.FlowDemand {
+	var d []netsim.FlowDemand
+	for c := 0; c < chips; c++ {
+		rng := engine.NewRNGStream(17, uint64(c))
+		for s := 0; s < samples; s++ {
+			dst := rng.Intn(chips - 1)
+			if dst >= c {
+				dst++
+			}
+			d = append(d, netsim.FlowDemand{Src: int32(c), Dst: int32(dst), Rate: rate / float64(samples)})
+		}
+	}
+	return d
+}
+
+// TestWaterfillMatchesOracle checks the flow solver's waterfill and latency
+// synthesis against waterfillOracle on a small switch-less Dragonfly (nine
+// W-groups of 16 chips), round by round and bit for bit, at 1, 2 and 3
+// workers: every flow's throttle, every element's load and every flow's
+// latency. At the start of every round the solver's over-capacity set must
+// be exactly the elements loaded past capacity, which is what lets it take
+// worst ratios from that set. The rates cover a point with no rounds and
+// points whose first round refreshes every load while later rounds refresh
+// a dirty list; the test fails if either branch goes unexercised.
+func TestWaterfillMatchesOracle(t *testing.T) {
+	s, err := topology.BuildSLDF(topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2, G: 0},
+		topology.DefaultLinkClasses(routing.SLDFVCCount(routing.BaselineVC, routing.Minimal), 1),
+		netsim.NetworkOptions{Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := s.Net
+	defer net.Close()
+	r, err := routing.NewSLDFRouter(s, routing.BaselineVC, routing.Minimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Install(net)
+	net.SetEngine(netsim.EngineFlow)
+	const size = 5 // not a power of two, so regrouping a waiting term shows in its bits
+
+	var fullRounds, listRounds int
+	for _, rate := range []float64{0.05, 0.5, 1.0, 2.0} {
+		demands := sampledDemands(len(net.ChipNodes), 16, rate)
+		for workers := 1; workers <= 3; workers++ {
+			net.SetFlowWorkers(workers)
+			p := net.PrepareFlowSegment(demands, size)
+			o := newWaterfillOracle(p)
+			p.Start()
+			o.start()
+			var branches []bool
+			for round := 0; ; round++ {
+				loads, capa, over := p.Loads(), p.Capacities(), p.OverElems()
+				var above []int32
+				for el := range loads {
+					if loads[el] > capa[el] {
+						above = append(above, int32(el))
+					}
+				}
+				if !slices.Equal(over, above) {
+					t.Fatalf("rate %.2f, %d workers, round %d: over-capacity set %v, elements past capacity %v",
+						rate, workers, round, over, above)
+				}
+				if !slices.Equal(over, o.over) {
+					t.Fatalf("rate %.2f, %d workers, round %d: over-capacity set %v, oracle %v",
+						rate, workers, round, over, o.over)
+				}
+				at := fmt.Sprintf("rate %.2f, %d workers, round %d:", rate, workers, round)
+				checkBits(t, at+" load of element", loads, o.load)
+				checkBits(t, at+" throttle of flow", p.Throttles(), o.x)
+				if len(over) == 0 || round == netsim.WaterfillRounds {
+					break
+				}
+				branches = append(branches, p.Round())
+				o.round()
+			}
+			lat := p.Latencies()
+			want := make([]float64, len(o.paths))
+			for fi := range want {
+				want[fi] = o.latency(fi)
+			}
+			checkBits(t, fmt.Sprintf("rate %.2f, %d workers: latency of flow", rate, workers), lat, want)
+			if workers == 1 {
+				t.Logf("rate %.2f: %d flows, rounds %v (true = whole-network load pass)", rate, len(lat), branches)
+				for i, full := range branches {
+					switch {
+					case full && i == 0:
+						fullRounds++
+					case !full && i > 0:
+						listRounds++
+					}
+				}
+			}
+		}
+	}
+	if fullRounds == 0 || listRounds == 0 {
+		t.Fatalf("%d first rounds took the whole-network pass and %d later rounds the dirty list; want both",
+			fullRounds, listRounds)
+	}
+}
