@@ -4,7 +4,7 @@
 // executed by the generic runner — so this command enumerates the registry
 // instead of dispatching to hand-written runners. Each figure's series are
 // written as CSV files into -out and summarized on stdout (saturation
-// points, peak throughputs, energy bars).
+// points, peak throughputs, energy bars, collective and churn makespans).
 //
 //	sldffigures -quick              # CI-scale everything (minutes)
 //	sldffigures -fig 11             # only Fig. 11 at paper scale
@@ -104,9 +104,9 @@ func run(args []string, w, errw io.Writer) error {
 			return fmt.Errorf("fig %s: %w", spec.Name, err)
 		}
 		for _, f := range res.Figures {
-			path := filepath.Join(*out, f.Name+".csv")
-			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", path, err)
+			path, err := writeCSV(*out, f.Name, f.CSV())
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(w, "== %s — %s (%s)\n", f.Name, f.Title, path)
 			for _, s := range f.Series {
@@ -120,20 +120,33 @@ func run(args []string, w, errw io.Writer) error {
 				fmt.Fprintf(w, "   %-16s %6.1f pJ/bit (intra %5.1f + inter %5.1f)\n",
 					bar.Label, bar.Total(), bar.Intra, bar.Inter)
 			}
-			path := filepath.Join(*out, f.Name+".csv")
-			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", path, err)
+			if _, err := writeCSV(*out, f.Name, f.CSV()); err != nil {
+				return err
 			}
 		}
 		for _, f := range res.Collectives {
-			path := filepath.Join(*out, f.Name+".csv")
-			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", path, err)
+			path, err := writeCSV(*out, f.Name, f.CSV())
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(w, "== %s — %s (%s)\n", f.Name, f.Title, path)
 			for _, r := range f.Rows {
 				fmt.Fprintf(w, "   %-14s %-16s %4d steps %10d cycles  %.2f flits/cyc/chip\n",
 					r.System, r.Schedule, r.Steps, r.Cycles, r.Efficiency)
+			}
+		}
+		for _, f := range res.Churn {
+			path, err := writeCSV(*out, f.Name, f.CSV())
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "== %s — %s (%s)\n", f.Name, f.Title, path)
+			fmt.Fprintf(w, "   %-14s %-16s %8s %12s %12s %12s %8s %8s\n",
+				"system", "schedule", "steps", "baseline", "cycles", "cost", "dropped", "retried")
+			for _, r := range f.Rows {
+				fmt.Fprintf(w, "   %-14s %-16s %8d %12d %12d %12d %8d %8d\n",
+					r.System, r.Schedule, r.Steps, r.BaselineCycles, r.Cycles,
+					r.CostCycles, r.Dropped, r.Retried)
 			}
 		}
 		fmt.Fprintf(w, "-- fig %s done in %s\n", spec.Name, time.Since(start).Round(time.Second))
@@ -148,4 +161,13 @@ func run(args []string, w, errw io.Writer) error {
 		fmt.Fprintln(errw, diskCache.StatsLine())
 	}
 	return nil
+}
+
+// writeCSV writes one panel's CSV into dir and returns the file's path.
+func writeCSV(dir, name, csv string) (string, error) {
+	path := filepath.Join(dir, name+".csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		return "", fmt.Errorf("write %s: %w", path, err)
+	}
+	return path, nil
 }

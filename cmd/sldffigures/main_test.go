@@ -134,3 +134,45 @@ func TestRunQuickFig14(t *testing.T) {
 		}
 	}
 }
+
+// TestRunQuickChurnPanel checks that the churn registry panel reaches disk:
+// -quick -fig churn writes figchurn.csv byte-identical to the quick plan
+// run through core.RunChurnFigure, and summarizes one line per case.
+func TestRunQuickChurnPanel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	var buf strings.Builder
+	if err := run([]string{"-quick", "-fig", "churn", "-out", dir}, &buf, io.Discard); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "figchurn.csv"))
+	if err != nil {
+		t.Fatalf("CSV not written: %v", err)
+	}
+	spec, ok := core.LookupExperiment("churn")
+	if !ok {
+		t.Fatal("churn experiment not registered")
+	}
+	plan := spec.Plan(core.ScaleQuick)
+	if len(plan.Churn) != 1 {
+		t.Fatalf("quick churn plan has %d panels, want 1", len(plan.Churn))
+	}
+	want, err := core.RunChurnFigure(plan.Churn[0], core.RunOptions{})
+	if err != nil {
+		t.Fatalf("RunChurnFigure: %v", err)
+	}
+	if string(got) != want.CSV() {
+		t.Fatalf("figchurn.csv differs from RunChurnFigure:\ngot:\n%s\nwant:\n%s", got, want.CSV())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "== figchurn") {
+		t.Errorf("summary missing the panel:\n%s", out)
+	}
+	for _, r := range want.Rows {
+		if !strings.Contains(out, r.System) {
+			t.Errorf("summary missing case %s:\n%s", r.System, out)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"sldf/internal/analysis"
@@ -183,21 +184,43 @@ func experimentRegistry(w io.Writer) {
 				f.Name, f.Title, len(f.Series), len(f.Opts.Fractions), strings.Join(labels, ", "))
 		}
 		for _, f := range plan.Collectives {
-			systems := map[string]bool{}
-			schedules := map[string]bool{}
+			var systems, schedules []string
 			for _, c := range f.Cases {
-				label := c.Label
-				if label == "" {
-					label = c.Cfg.Label()
-				}
-				systems[label] = true
-				schedules[c.Schedule] = true
+				systems = append(systems, caseLabel(c.Label, c.Cfg))
+				schedules = append(schedules, c.Schedule)
 			}
-			fmt.Fprintf(w, "  %-10s %-34s %d cases: %d systems × %d schedules\n",
-				f.Name, f.Title, len(f.Cases), len(systems), len(schedules))
+			casePanel(w, f.Name, f.Title, systems, schedules)
+		}
+		for _, f := range plan.Churn {
+			var systems, schedules []string
+			for _, c := range f.Cases {
+				systems = append(systems, caseLabel(c.Label, c.Cfg))
+				schedules = append(schedules, c.Schedule)
+			}
+			casePanel(w, f.Name, f.Title, systems, schedules)
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// caseLabel resolves a collective or churn case's display label the way
+// the runners do.
+func caseLabel(label string, cfg core.Config) string {
+	if label != "" {
+		return label
+	}
+	return cfg.Label()
+}
+
+// casePanel prints one case-list panel (collective or churn): its case
+// count and the distinct systems × schedules the cases span, given each
+// case's system label and schedule.
+func casePanel(w io.Writer, name, title string, systems, schedules []string) {
+	n := len(systems)
+	slices.Sort(systems)
+	slices.Sort(schedules)
+	fmt.Fprintf(w, "  %-10s %-34s %d cases: %d systems × %d schedules\n",
+		name, title, n, len(slices.Compact(systems)), len(slices.Compact(schedules)))
 }
 
 // seriesLabel resolves a series spec's display label the way the runner

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -131,11 +132,15 @@ func TestRunExperimentRegistry(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"EXPERIMENT REGISTRY",
-		"fig10a", "fig11b", "fig12a", "fig13b", "fig14b", "fig15a", "figres",
+		"fig10a", "fig11b", "fig12a", "fig13b", "fig14b", "fig15a", "figres", "figchurn",
 		"sw-less-2B", "sw-less-bi-2B", "sw-less-mis",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("registry listing missing %q in:\n%s", want, out)
 		}
+	}
+	// The churn panel lists its cases like a collective panel.
+	if !regexp.MustCompile(`(?m)^  figchurn .* [1-9]\d* cases: [1-9]\d* systems × [1-9]\d* schedules$`).MatchString(out) {
+		t.Errorf("registry listing has no figchurn case line in:\n%s", out)
 	}
 }

@@ -153,8 +153,8 @@ func main() {
 		res.Energy.Total(), res.Energy.IntraCGroup, res.Energy.InterCGroup)
 	if *flowStats {
 		fs := sys.Net.FlowSolverStats()
-		fmt.Printf("flow     : %d solves, %d segments, %d traces, %d cache hits, %d evicted, %d full invalidations\n",
-			fs.Solves, fs.Segments, fs.Traces, fs.CacheHits, fs.Evicted, fs.FullInvalidations)
+		fmt.Printf("flow     : %d solves, %d segments, %d traces, %d cache hits, %d full invalidations\n",
+			fs.Solves, fs.Segments, fs.Traces, fs.CacheHits, fs.FullInvalidations)
 		fmt.Printf("flow     : %d waterfill rounds, %d transpose builds\n",
 			fs.WaterfillIters, fs.TransposeBuilds)
 		fmt.Printf("flowwall : trace %v, waterfill %v, histogram %v\n",

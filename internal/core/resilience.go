@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"sldf/internal/campaign"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 	"sldf/internal/routing"
@@ -106,94 +105,32 @@ func ResilienceSweep(cfg Config, opts ResilienceOpts) (ResilienceSeries, error) 
 	if opts.RouterScale < 0 {
 		return ResilienceSeries{}, fmt.Errorf("core: negative RouterScale %g", opts.RouterScale)
 	}
-	type cell struct {
-		point      metrics.Point
-		infeasible bool
-		deadlocked bool
-		err        error
-	}
 	nf, ns := len(opts.Fractions), len(opts.Seeds)
-	cells := make([]cell, nf*ns)
-	jobs := opts.Run.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-	// A fatal (non-typed) error stops the remaining cells from building
-	// and measuring; typed infeasible/deadlock outcomes never set it.
-	var aborted atomic.Bool
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
+	jobs := make([]campaign.Job[resilienceCell], nf*ns)
 	for fi, fraction := range opts.Fractions {
 		for si, seed := range opts.Seeds {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if aborted.Load() {
-					return
-				}
+			jobs[fi*ns+si].Run = func(*campaign.Worker) (resilienceCell, error) {
 				if fraction == 0 && si > 0 {
 					// Fraction 0 builds the identical pristine network for
 					// every seed; measure it once and fan the result out
-					// after the wait.
-					return
+					// below.
+					return resilienceCell{}, nil
 				}
-				c := &cells[fi*ns+si]
-				pcfg := cfg
-				pcfg.Faults = topology.FaultSpec{
-					Seed:           seed,
-					LinkFraction:   fraction,
-					RouterFraction: opts.RouterScale * fraction,
-				}
-				if !opts.Run.Churn.Empty() {
-					// Live churn rides on top of the static fault draw: the
-					// degraded network additionally loses (and regains)
-					// components mid-measurement.
-					pcfg.Churn = opts.Run.Churn
-				}
-				sys, err := Build(pcfg)
+				c, err := measureResilienceCell(cfg, opts, fraction, seed)
 				if err != nil {
-					if errors.Is(err, routing.ErrPartitioned) ||
-						errors.Is(err, routing.ErrDegradedVCs) ||
-						errors.Is(err, netsim.ErrDeadChip) {
-						c.infeasible = true
-					} else {
-						c.err = err
-						aborted.Store(true)
-					}
-					return
+					err = fmt.Errorf("core: resilience point (fraction %g, seed %d): %w", fraction, seed, err)
 				}
-				defer sys.Close()
-				pat, err := sys.PatternFor(opts.Pattern)
-				if err != nil {
-					c.err = err
-					aborted.Store(true)
-					return
-				}
-				res, err := sys.MeasureLoad(pat, opts.Rate, opts.Sim)
-				if err != nil {
-					switch {
-					case errors.Is(err, netsim.ErrDeadlock):
-						c.deadlocked = true
-					case errors.Is(err, routing.ErrPartitioned),
-						errors.Is(err, routing.ErrDegradedVCs),
-						errors.Is(err, netsim.ErrDeadChip):
-						// A churn timeline can disconnect survivors that the
-						// static draw left connected; that is an infeasible
-						// draw mid-measurement, not a sweep failure.
-						c.infeasible = true
-					default:
-						c.err = err
-						aborted.Store(true)
-					}
-					return
-				}
-				c.point = res.Point
-			}()
+				return c, err
+			}
 		}
 	}
-	wg.Wait()
+	// campaign.Run stops handing out cells after a fatal error and reports
+	// the failing cell with the lowest index; typed infeasible/deadlock
+	// outcomes are cell values, never errors.
+	cells, err := campaign.Run(jobs, campaign.Options[resilienceCell]{Jobs: opts.Run.Jobs})
+	if err != nil {
+		return ResilienceSeries{}, err
+	}
 	for fi, fraction := range opts.Fractions {
 		if fraction != 0 {
 			continue
@@ -208,10 +145,6 @@ func ResilienceSweep(cfg Config, opts ResilienceOpts) (ResilienceSeries, error) 
 		pt := ResiliencePoint{Fraction: fraction, Seeds: ns}
 		for si := range opts.Seeds {
 			c := &cells[fi*ns+si]
-			if c.err != nil {
-				return series, fmt.Errorf("core: resilience point (fraction %g, seed %d): %w",
-					fraction, opts.Seeds[si], c.err)
-			}
 			switch {
 			case c.infeasible:
 				pt.Infeasible++
@@ -233,4 +166,63 @@ func ResilienceSweep(cfg Config, opts ResilienceOpts) (ResilienceSeries, error) 
 		series.Points = append(series.Points, pt)
 	}
 	return series, nil
+}
+
+// resilienceCell is one (fraction, seed) draw's outcome: a measured point,
+// or the typed reason it has none.
+type resilienceCell struct {
+	point      metrics.Point
+	infeasible bool
+	deadlocked bool
+}
+
+// measureResilienceCell builds cfg with the fault draw for (fraction, seed)
+// and measures the sweep's traffic point on it. Typed rejections and
+// watchdog trips are outcomes; any other error is returned.
+func measureResilienceCell(cfg Config, opts ResilienceOpts, fraction float64, seed uint64) (resilienceCell, error) {
+	cfg.Faults = topology.FaultSpec{
+		Seed:           seed,
+		LinkFraction:   fraction,
+		RouterFraction: opts.RouterScale * fraction,
+	}
+	if !opts.Run.Churn.Empty() {
+		// Live churn rides on top of the static fault draw: the degraded
+		// network additionally loses (and regains) components
+		// mid-measurement.
+		cfg.Churn = opts.Run.Churn
+	}
+	sys, err := Build(cfg)
+	if err != nil {
+		if infeasible(err) {
+			return resilienceCell{infeasible: true}, nil
+		}
+		return resilienceCell{}, err
+	}
+	defer sys.Close()
+	pat, err := sys.PatternFor(opts.Pattern)
+	if err != nil {
+		return resilienceCell{}, err
+	}
+	res, err := sys.MeasureLoad(pat, opts.Rate, opts.Sim)
+	switch {
+	case err == nil:
+		return resilienceCell{point: res.Point}, nil
+	case errors.Is(err, netsim.ErrDeadlock):
+		return resilienceCell{deadlocked: true}, nil
+	case infeasible(err):
+		// A churn timeline can disconnect survivors that the static draw
+		// left connected; that is an infeasible draw mid-measurement, not
+		// a sweep failure.
+		return resilienceCell{infeasible: true}, nil
+	}
+	return resilienceCell{}, err
+}
+
+// infeasible reports whether err is a typed rejection of a fault draw: the
+// surviving network is partitioned, a chip lost every terminal, or
+// degraded detours exceed the VC provisioning.
+func infeasible(err error) bool {
+	return errors.Is(err, routing.ErrPartitioned) ||
+		errors.Is(err, routing.ErrDegradedVCs) ||
+		errors.Is(err, netsim.ErrDeadChip)
 }

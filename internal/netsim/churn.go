@@ -111,13 +111,10 @@ type churnState struct {
 	scratch []strandedRef
 
 	// toggledRouters/toggledLinks record the components that actually
-	// flipped alive<->dead while the current batch (or Reset) applied:
-	// fault-state routing folds them into the state key; under plain
-	// SetRoute routing the flow solver's route-trace cache evicts exactly
-	// the entries whose paths cross them. appliedAny marks that some batch
-	// has been applied since the last Reset, so resetChurn knows plain
-	// routing's cached traces reflect a mutated component set and must be
-	// discarded when the base state is restored.
+	// flipped alive<->dead while the current batch (or Reset) applied;
+	// fault-state routing folds them into the state key. appliedAny marks
+	// that some batch has been applied since the last Reset (SetFaultRouting
+	// refuses to install then).
 	toggledRouters []NodeID
 	toggledLinks   []int32
 	appliedAny     bool
@@ -268,15 +265,24 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 	}
 	if fr := n.faultRoute; fr != nil {
 		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
-	} else {
-		n.flowInvalidateChurn(c.toggledRouters, c.toggledLinks)
 	}
 	n.rebuildChipNodes()
 	for _, s := range c.scratch {
 		n.strandPacket(s.ref, n.arena.at(s.ref), int(s.shard))
 	}
 	c.scratch = c.scratch[:0]
-	n.sweepStranded()
+	// Strand packets whose destination chip died; a packet whose exact
+	// destination terminal died on a surviving chip is retargeted to a
+	// deterministic sibling terminal.
+	n.strandInFlight(func(_ *Router, p *Packet) bool {
+		if !n.ChipAlive(p.DstChip) {
+			return false
+		}
+		if n.Routers[p.DstNode].Disabled {
+			p.DstNode = n.ChipNodes[p.DstChip][int(p.SrcNode)%len(n.ChipNodes[p.DstChip])]
+		}
+		return true
+	})
 	n.rebuildShardLists()
 	if n.engineKind == EngineActiveSet {
 		n.rebuildActive()
@@ -510,56 +516,6 @@ func (n *Network) rebuildChipNodes() {
 	}
 }
 
-// sweepStranded walks every live packet after a churn batch and strands
-// (per policy) the ones whose destination chip died; packets whose exact
-// destination terminal died on a surviving chip are retargeted to a
-// deterministic sibling terminal. Route caches are invalidated throughout:
-// the component set changed under them.
-func (n *Network) sweepStranded() {
-	for i := range n.Routers {
-		r := &n.Routers[i]
-		if r.Disabled {
-			continue
-		}
-		shard := n.shardOfRouter(r.ID)
-		for in := range r.In {
-			ip := &r.In[in]
-			for vc := range ip.VCs {
-				q := &ip.VCs[vc]
-				q.routed = false
-				for k := 0; k < q.size(); {
-					ref := q.at(k)
-					p := n.arena.at(ref)
-					if n.ChipAlive(p.DstChip) {
-						if n.Routers[p.DstNode].Disabled {
-							p.DstNode = n.ChipNodes[p.DstChip][int(p.SrcNode)%len(n.ChipNodes[p.DstChip])]
-						}
-						k++
-						continue
-					}
-					n.unqueuePacket(r, ip, in, vc, k, p)
-					n.strandPacket(ref, p, shard)
-				}
-			}
-		}
-	}
-	for i := range n.Links {
-		l := &n.Links[i]
-		if l.Disabled || l.data.n == 0 {
-			continue
-		}
-		n.filterLinkPackets(l, func(p *Packet) bool {
-			if !n.ChipAlive(p.DstChip) {
-				return false
-			}
-			if n.Routers[p.DstNode].Disabled {
-				p.DstNode = n.ChipNodes[p.DstChip][int(p.SrcNode)%len(n.ChipNodes[p.DstChip])]
-			}
-			return true
-		})
-	}
-}
-
 // unqueuePacket removes the k-th packet of queue (in, vc) on r, maintaining
 // the occupancy bookkeeping and returning the freed buffer space upstream
 // when the feeding link is alive.
@@ -612,6 +568,19 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 	if n.churn == nil {
 		return 0
 	}
+	stranded := n.strandInFlight(keep)
+	if n.engineKind == EngineActiveSet {
+		n.rebuildActive()
+	}
+	return stranded
+}
+
+// strandInFlight walks every live packet — alive routers' VC queues in
+// router/port/VC order, then alive links' data FIFOs in link order — and
+// strands those for which keep returns false (see SanitizeInFlight).
+// keep may retarget the packet it keeps. Every VC's route cache is
+// invalidated: the component set changed under it.
+func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	stranded := 0
 	for i := range n.Routers {
 		r := &n.Routers[i]
@@ -647,9 +616,6 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 		before := l.data.n
 		n.filterLinkPackets(l, func(p *Packet) bool { return keep(dst, p) })
 		stranded += before - l.data.n
-	}
-	if n.engineKind == EngineActiveSet {
-		n.rebuildActive()
 	}
 	return stranded
 }
@@ -746,12 +712,6 @@ func (n *Network) resetChurn() {
 		// were never evicted, so nothing is rebuilt or re-traced.
 		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
 		c.err = n.enterFaultState(false)
-	} else if c.appliedAny {
-		// Plain routing's cached traces were computed against the mutated
-		// component set; restoring the base state invalidates them
-		// wholesale. A reset that never applied an event keeps the cache —
-		// the common build-once/measure-many sweep case.
-		n.flowInvalidateAll()
 	}
 	c.appliedAny = false
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // Fault-state routing. Fault-aware routing is a pure function of which
-// components are alive, so a network that installs it with SetFaultRouting
-// keys both the routing and the flow solver's route traces by that fault
-// state: the set of components whose Disabled flag differs from the flags
+// components are alive, so every routed network keys both the routing and
+// the flow solver's route traces by that fault state — SetFaultRouting
+// installs a builder, SetRoute one that ignores the state. The fault state
+// is the set of components whose Disabled flag differs from the flags
 // at install time (core.Build installs at the churn base). The key is kept
 // incrementally from the components each churn batch actually toggles. A
 // churn batch or Reset that enters a state seen before reinstalls its
@@ -67,9 +68,20 @@ func (n *Network) SetFaultRouting(build FaultRouteBuilder) error {
 	if err != nil {
 		return err
 	}
-	n.SetRoute(route)
-	n.faultRoute = &faultRouting{build: build, states: []faultState{{route: route, keep: keep}}}
+	n.installRouting(build, route, keep)
 	return nil
+}
+
+// installRouting makes build's result for the current state (route, keep)
+// the base state of a fresh fault-state routing, forgetting every state
+// and cached route trace of the previous install.
+func (n *Network) installRouting(build FaultRouteBuilder, route RouteFunc, keep func(*Router, *Packet) bool) {
+	n.route = route
+	n.faultRoute = &faultRouting{build: build, states: []faultState{{route: route, keep: keep}}}
+	n.flowInvalidateAll()
+	if n.flow != nil {
+		n.flow.cache.resetStates()
+	}
 }
 
 // toggle folds components that flipped alive<->dead into the current

@@ -23,15 +23,14 @@ package netsim
 //
 //   - Traced routes live in a network-owned, epoch-versioned cache
 //     (tracecache.go) that survives Reset, so a build-once/measure-many
-//     sweep traces each (source node, destination node) pair once. Under
-//     fault-state routing (SetFaultRouting) the cache is keyed by fault
-//     state too: each state the churn timeline enters traces its pairs
-//     once and keeps only the paths that differ from the base state's, so
-//     a revisited state — a repair back to the base, or any state replayed
-//     after Reset — re-traces nothing. Under plain SetRoute routing churn
-//     batches evict only the entries whose paths crossed a toggled
-//     component. SetRoute, SetFaultRouting, build-time faults, a packet-size
-//     change and FlowCold discard every state's traces.
+//     sweep traces each (source node, destination node) pair once. Every
+//     installed routing follows the fault state (faultroute.go), and the
+//     cache is keyed by fault state too: each state the churn timeline
+//     enters traces its pairs once and keeps only the paths that differ
+//     from the base state's, so a revisited state — a repair back to the
+//     base, or any state replayed after Reset — re-traces nothing.
+//     SetRoute, SetFaultRouting, build-time faults, a packet-size change
+//     and FlowCold discard every state's traces.
 //   - Route tracing fans out across a solver-owned worker pool: phantom
 //     traces draw their randomized decisions from per-pair streams
 //     (Packet.TraceRNG), making each trace a pure function of network
@@ -102,15 +101,15 @@ type FlowOptions struct {
 
 // FlowStats reports cumulative flow-solver diagnostics for a network:
 // phase wall times and cache effectiveness counters. Read with
-// Network.FlowSolverStats; surfaced by slsim -flowstats. Under fault-state
-// routing (SetFaultRouting) churn batches and Reset neither evict nor
-// discard traces: a revisited fault state adds nothing to Traces.
+// Network.FlowSolverStats; surfaced by slsim -flowstats. Churn batches and
+// Reset neither evict nor discard traces, whichever call installed the
+// routing: a revisited fault state adds nothing to Traces.
 type FlowStats struct {
 	Solves            int64 // SolveFlow calls
 	Segments          int64 // churn segments solved (>= Solves)
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache
-	Evicted           int64 // entries evicted by churn batches under plain SetRoute routing
+	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
 	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
@@ -404,15 +403,6 @@ func (n *Network) flowInvalidateAll() {
 	}
 	n.flow.cache.invalidateAll()
 	n.flow.stats.FullInvalidations++
-}
-
-// flowInvalidateChurn evicts the cached traces a churn batch can have
-// affected under plain SetRoute routing (see traceCache.invalidateFor).
-func (n *Network) flowInvalidateChurn(routers []NodeID, links []int32) {
-	if n.flow == nil {
-		return
-	}
-	n.flow.stats.Evicted += int64(n.flow.cache.invalidateFor(routers, links, len(n.Routers), len(n.Links)))
 }
 
 // run executes fn(part) for every partition, on the solver pool when

@@ -90,13 +90,13 @@ func TestFlowTraceCacheReuse(t *testing.T) {
 	}
 }
 
-// TestFlowChurnSelectiveInvalidation pins the churn eviction's exactness on
-// the adaptive bidirectional ring: killing the 1↔2 channel mid-window must
-// evict exactly the one cached pair whose traced path crossed it, re-trace
-// only that pair for the post-event segment (the stale clockwise path must
-// not survive the reroute), and keep serving the unaffected pair from the
-// cache. The post-kill detour is visible in the hop mix, and a parallel
-// rerun of the same timeline is bitwise identical.
+// TestFlowChurnSelectiveInvalidation pins per-state tracing under plain
+// SetRoute routing on the adaptive bidirectional ring: killing the 1↔2
+// channel mid-window enters a new fault state, which traces each of its
+// pairs once — the stale clockwise 0→2 path must not survive the reroute —
+// and evicts nothing. A replay of the timeline after Reset revisits both
+// states and traces nothing. The post-kill detour is visible in the hop
+// mix, and a parallel rerun of the same timeline is bitwise identical.
 func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 	const n = 6
 	build := func() *Network {
@@ -134,14 +134,31 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 	if fs.Segments != 2 {
 		t.Fatalf("%d segments solved, want 2 (event at cycle 100 splits the window)", fs.Segments)
 	}
-	if fs.Evicted != 1 {
-		t.Fatalf("churn batch evicted %d entries, want exactly the one crossing the dead channel", fs.Evicted)
+	if fs.Evicted != 0 {
+		t.Fatalf("churn batch evicted %d entries, want 0: a new fault state gets its own traces", fs.Evicted)
 	}
-	if fs.Traces != 3 {
-		t.Fatalf("%d traces, want 3: two cold plus the one invalidated re-trace", fs.Traces)
+	if fs.Traces != 4 {
+		t.Fatalf("%d traces, want 4: each of the two pairs once per fault state", fs.Traces)
 	}
-	if fs.CacheHits != 1 {
-		t.Fatalf("%d cache hits, want 1: the unaffected pair served warm post-event", fs.CacheHits)
+	if fs.CacheHits != 0 {
+		t.Fatalf("%d cache hits, want 0: neither state was visited before", fs.CacheHits)
+	}
+
+	// Reset returns to the base state; the replay revisits both states and
+	// serves every flow from their traces.
+	net.Reset()
+	if replay := solve(net, 0); !reflect.DeepEqual(churned, replay) {
+		t.Fatalf("replay after Reset diverged:\nfirst:  %+v\nreplay: %+v", churned, replay)
+	}
+	rs := net.FlowSolverStats()
+	if d := rs.Traces - fs.Traces; d != 0 {
+		t.Fatalf("replay after Reset traced %d pairs, want 0", d)
+	}
+	if d := rs.CacheHits - fs.CacheHits; d != 4 {
+		t.Fatalf("replay after Reset hit the cache %d times, want 4", d)
+	}
+	if rs.FullInvalidations != fs.FullInvalidations {
+		t.Fatal("Reset discarded the cached traces")
 	}
 
 	// The reroute is observable: a churn-free window delivers every packet

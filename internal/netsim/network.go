@@ -102,8 +102,8 @@ type Network struct {
 	// pre-churn builds).
 	churn *churnState
 
-	// faultRoute is the fault-state routing installed by SetFaultRouting
-	// (nil under plain SetRoute routing).
+	// faultRoute is the installed fault-state routing (SetRoute or
+	// SetFaultRouting); nil until routing is installed.
 	faultRoute *faultRouting
 
 	// flow is the lazily created flow-solver state (route-trace cache and
@@ -144,17 +144,15 @@ func (n *Network) SetTraffic(gen Generator, packetSize int32, policy DstNodePoli
 	n.dstPolicy = policy
 }
 
-// SetRoute installs a fixed routing function, replacing any fault-state
-// routing (SetFaultRouting). Every cached route trace is discarded: a new
-// RouteFunc can route every pair differently, and a stale path must never
-// survive a reroute.
+// SetRoute installs a fixed routing function as fault-state routing (see
+// SetFaultRouting) whose builder ignores the state: every fault state
+// routes with f and no churn batch sanitizes in-flight packets, while the
+// flow solver still keys its route traces by fault state. Unlike
+// SetFaultRouting it may be called at any time. Every cached route trace
+// is discarded: a new RouteFunc can route every pair differently, and a
+// stale path must never survive a reroute.
 func (n *Network) SetRoute(f RouteFunc) {
-	n.route = f
-	n.faultRoute = nil
-	n.flowInvalidateAll()
-	if n.flow != nil {
-		n.flow.cache.resetStates()
-	}
+	n.installRouting(func() (RouteFunc, func(*Router, *Packet) bool, error) { return f, nil, nil }, f, nil)
 }
 
 // NumChips returns the number of terminal chips.

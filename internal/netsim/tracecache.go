@@ -6,29 +6,22 @@ import "slices"
 // destination node), owned by the network and kept across Reset so
 // build-once/measure-many campaigns pay for each route exactly once.
 //
-// Entries share one slice and one path arena. The reference layer — the
-// entries idx points at — holds the traces of the routing installed with
-// SetRoute or, under fault-state routing (SetFaultRouting), those of the
-// state the routing was installed in: the churn base. Every other fault
-// state the network enters gets a layer that stores deltas only: overlay
-// entries for the pairs it routes differently from the reference entry, and
-// a bitset of the reference entries it verified as identical. A state
-// traces each pair once; a revisited state re-traces nothing.
+// Entries share one slice and one path arena. Every installed routing is
+// fault-state routing (SetRoute installs one that ignores the state; see
+// faultroute.go), so there is one model. The reference layer — the entries
+// idx points at — holds the traces of the state the routing was installed
+// in: the churn base. Every other fault state the network enters gets a
+// layer that stores deltas only: overlay entries for the pairs it routes
+// differently from the reference entry, and a bitset of the reference
+// entries it verified as identical. A state traces each pair once; a
+// revisited state re-traces nothing.
 //
 // Validity is epoch-versioned. Full invalidation (SetRoute,
 // SetFaultRouting, build-time faults, packet-size change, FlowCold) is O(1)
 // for the reference layer: the epoch advances and every entry goes stale in
 // place — the key index is kept, so a re-trace reuses the entry slot — and
-// every state layer is emptied, its overlay entries compacted away.
-//
-// Under plain SetRoute routing, churn batches invalidate selectively: only
-// entries whose path crosses a component that flipped alive<->dead are
-// evicted (plus every negative entry, since a repair can make a previously
-// unroutable pair routable). That is sound only when the route function
-// depends on component liveness solely through the components a path
-// traverses — true for table-free route functions. Fault-aware routing that
-// rebuilds tables per fault state goes through SetFaultRouting instead:
-// each state's traces are its own layer, and nothing is evicted.
+// every state layer is emptied, its overlay entries compacted away. Churn
+// batches and Reset invalidate nothing: they only switch layers.
 
 // traceEntry is one cached route: the traced path as an offset/length into
 // traceCache.path, the uncontended base latency, and the per-class hop
@@ -76,7 +69,7 @@ type traceCache struct {
 	path    []int32
 	epoch   uint64
 	// gen increments whenever cached structure changes (fresh traces merged
-	// or entries evicted); the solver folds it into its flow-shape hash so a
+	// or every trace discarded); the solver folds it into its flow-shape hash so a
 	// stale path can never hide behind an unchanged flow list.
 	gen uint64
 	// size is the packet size the cached traces were computed with; base
@@ -92,12 +85,6 @@ type traceCache struct {
 	layers   []traceLayer
 	overlays int
 	resvGen  uint32
-
-	// mark scratch for selective invalidation: component id -> markGen,
-	// stamped per churn batch so no clearing pass is needed.
-	routerMark []uint64
-	linkMark   []uint64
-	markGen    uint64
 }
 
 // pairKey packs a (source node, destination node) pair into the cache key.
@@ -264,65 +251,4 @@ func (c *traceCache) invalidateAll() {
 	}
 	c.entries = c.entries[:w]
 	c.overlays = 0
-}
-
-// ensureMarks sizes the component mark arrays for selective invalidation.
-func (c *traceCache) ensureMarks(routers, links int) {
-	if len(c.routerMark) < routers {
-		c.routerMark = make([]uint64, routers)
-	}
-	if len(c.linkMark) < links {
-		c.linkMark = make([]uint64, links)
-	}
-}
-
-// invalidateFor evicts exactly the entries a churn batch can have affected:
-// every negative entry, and every positive entry whose path traverses a
-// router or link that flipped alive<->dead. numRouters/numLinks size the
-// mark arrays; cached path elements >= numLinks are router (ejection)
-// elements. Returns the number of entries evicted. Used only under plain
-// SetRoute routing, which has no state layers.
-//
-// Evicted entries go stale in place (epoch rollback on the entry); their
-// arena regions are reclaimed only by the next full invalidation — churn
-// timelines toggle a bounded component set, so the leak is bounded too.
-func (c *traceCache) invalidateFor(routers []NodeID, links []int32, numRouters, numLinks int) int {
-	c.ensureMarks(numRouters, numLinks)
-	ejBase := int32(numLinks)
-	c.markGen++
-	for _, r := range routers {
-		c.routerMark[r] = c.markGen
-	}
-	for _, l := range links {
-		c.linkMark[l] = c.markGen
-	}
-	evicted := 0
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.epoch != c.epoch || !e.traced {
-			continue
-		}
-		if !e.ok {
-			e.epoch--
-			evicted++
-			continue
-		}
-		for _, el := range c.path[e.off : e.off+e.n] {
-			hit := false
-			if el >= ejBase {
-				hit = c.routerMark[el-ejBase] == c.markGen
-			} else {
-				hit = c.linkMark[el] == c.markGen
-			}
-			if hit {
-				e.epoch--
-				evicted++
-				break
-			}
-		}
-	}
-	if evicted > 0 {
-		c.gen++
-	}
-	return evicted
 }

@@ -17,11 +17,12 @@ import (
 // Fraction-based sampling draws from the topology's FaultDomain — the set
 // of components whose loss the topology can in principle route around
 // (mesh channels, local/global cables, SR-LR port modules, cores of
-// multi-core chips). Explicit Links/Routers may name any component; specs
-// that kill every terminal of a chip are rejected at apply time
-// (netsim.ErrDeadChip), and specs that disconnect the surviving network
-// are rejected by the fault-aware routing constructors
-// (routing.ErrPartitioned).
+// multi-core chips). Explicit Links/Routers may name any component. A
+// spec that kills every terminal of a chip is not rejected: core.Build
+// applies faults with netsim.ApplyFaultsTolerant, which drops the dead
+// chip from the workload (plain netsim.ApplyFaults reports it as
+// netsim.ErrDeadChip). Specs that disconnect the surviving network are
+// rejected by the fault-aware routing constructors (routing.ErrPartitioned).
 type FaultSpec struct {
 	// Seed drives the sampling of fraction-based faults. Two specs with the
 	// same fractions but different seeds fail different components.
@@ -294,8 +295,9 @@ func toSets(net *netsim.Network, routers []netsim.NodeID, links []int32) (map[ne
 // port modules outside the C-group's largest connected component. A core
 // cut off from its C-group's port-connected mesh is unreachable no matter
 // how the rest of the system routes, so the build treats it as failed —
-// its chip stays addressable through the chip's surviving cores (or the
-// spec is rejected with netsim.ErrDeadChip when none survive).
+// its chip stays addressable through the chip's surviving cores, or, when
+// none survive, is dropped from the workload (core.Build applies faults
+// with netsim.ApplyFaultsTolerant).
 func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.NodeID {
 	deadR, deadL := toSets(s.Net, routers, links)
 	alive := func(id netsim.NodeID) bool {
