@@ -88,27 +88,91 @@ func TestGoldenStats(t *testing.T) {
 				if res.Stats.DeliveredPkts == 0 {
 					t.Fatal("no traffic delivered; the fixture would be vacuous")
 				}
-				got, err := json.MarshalIndent(res.Stats, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-				path := filepath.Join("testdata", "golden_"+name+".json")
-				if *updateGolden {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (run with -update to generate)", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("stats diverged from %s.\nIf the change is intentional, regenerate with:\n"+
-						"  go test ./internal/core -run TestGoldenStats -update\ngot:\n%s", path, got)
-				}
+				checkGolden(t, "golden_"+name+".json", res.Stats, *updateGolden)
 			})
+		}
+	}
+}
+
+// checkGolden diffs stats against the committed fixture testdata/file, or
+// rewrites the fixture when update is set.
+func checkGolden(t *testing.T, file string, stats netsim.Stats, update bool) {
+	t.Helper()
+	got, err := json.MarshalIndent(stats, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", file)
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stats diverged from %s.\nIf the change is intentional, regenerate with:\n"+
+			"  go test ./internal/core -run TestGoldenStats -update\ngot:\n%s", path, got)
+	}
+}
+
+// saturatedGoldenCases pins the regime the rate-0.4 fixtures never reach:
+// offered load past the knee, where most queues hold waiting packets,
+// outputs serialize back to back, credits run out and — under churn —
+// dead links and in-flight sanitization block routers mid-run. Every
+// allocation shortcut (cached lookahead routes, sleeping routers) is
+// exercised here rather than at light load.
+func saturatedGoldenCases() []struct {
+	name string
+	cfg  Config
+} {
+	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 7}
+	swb.DF.G = 1
+	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7}
+	swl.SLDF.G = 1
+	adaptive := Config{Kind: SwitchlessDragonfly, Seed: 7, Mode: routing.Adaptive,
+		SLDF: topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2}}
+	retry := swl
+	retry.Churn = churnWindow(0.04, 0.02, netsim.RetrySource)
+	drop := swl
+	drop.Churn = churnWindow(0.02, 0, netsim.DropInFlight)
+	meshChurned := Config{Kind: MeshCGroup, ChipletDim: 4, NoCDim: 2, Seed: 7}
+	meshChurned.Churn = churnWindow(0.05, 0.02, netsim.DropInFlight)
+	return []struct {
+		name string
+		cfg  Config
+	}{
+		{"sw-based", swb},
+		{"sw-less", swl},
+		{"sw-less-adaptive", adaptive},
+		{"sw-less-churn-retry", retry},
+		{"sw-less-churn-drop", drop},
+		{"mesh-churn", meshChurned},
+	}
+}
+
+// TestGoldenStatsSaturated locks uniform traffic at two rates past the
+// knee on both cycle engines. Each (case, rate) has one fixture that both
+// engines must reproduce exactly; -update rewrites it from the active-set
+// run, and the reference run is still compared against it.
+func TestGoldenStatsSaturated(t *testing.T) {
+	engines := []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference}
+	for _, c := range saturatedGoldenCases() {
+		for _, rate := range []float64{0.9, 1.3} {
+			file := fmt.Sprintf("golden_sat_%s-uniform-%.1f.json", c.name, rate)
+			for _, kind := range engines {
+				t.Run(fmt.Sprintf("%s-%.1f/%s", c.name, rate, kind), func(t *testing.T) {
+					res := measureEngine(t, c.cfg, "uniform", rate, kind)
+					if res.Stats.DeliveredPkts == 0 {
+						t.Fatal("no traffic delivered; the fixture would be vacuous")
+					}
+					checkGolden(t, file, res.Stats, *updateGolden && kind == netsim.EngineActiveSet)
+				})
+			}
 		}
 	}
 }
