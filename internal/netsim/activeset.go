@@ -50,9 +50,10 @@ func (k EngineKind) String() string {
 type shardActive struct {
 	lo, hi int // router ID range [lo, hi) of this shard
 
-	// routers holds bit i when router lo+i has at least one occupied VC.
-	// Routers are enqueued on activation (flit arrival, credit return,
-	// injection) and lazily retired by the allocate walk once drained.
+	// routers holds bit i when router lo+i has at least one occupied VC
+	// and is not asleep. Routers are enqueued when an event wakes them
+	// (see Router.nextAlloc) and lazily retired by the allocate walk once
+	// drained or asleep.
 	// Bitmap iteration is always ascending, matching the reference
 	// engine's router order, so results are bit-identical.
 	routers engine.Bitset
@@ -247,7 +248,10 @@ func (n *Network) drainShardActive(s int, now int64) {
 // whose sleep expired this cycle, inject into the shard's terminal
 // routers, then run routing/switch allocation for only the routers on the
 // active set. Routers that drained are retired; routers sleeping on a
-// known serialization wake-up are parked in the wheel instead of polling.
+// known serialization wake-up are parked in the wheel instead of polling,
+// and routers waiting only on events (a credit to a blocked output, a link
+// revival, a new request) leave the set until the event's path re-adds
+// them.
 func (n *Network) allocShardActive(s int, now int64) {
 	a := &n.active[s]
 	slot := now & a.wheelMask
@@ -267,7 +271,12 @@ func (n *Network) allocShardActive(s int, now int64) {
 		if r.active == 0 {
 			a.routers.Remove(i)
 		} else if w := r.nextAlloc; w > now {
-			if w-now <= horizon {
+			switch {
+			case w == allocNever:
+				// Asleep until an event: the waking drain, injection or
+				// churn path puts it back on the bitmap.
+				a.routers.Remove(i)
+			case w-now <= horizon:
 				a.routers.Remove(i)
 				ws := w & a.wheelMask
 				a.wheelRouter[ws] = append(a.wheelRouter[ws], NodeID(a.lo+i))

@@ -28,7 +28,7 @@ func TestVCQueueCapacityReuse(t *testing.T) {
 			if got := q.front(); got != expect {
 				t.Fatalf("front = %d, want %d", got, expect)
 			}
-			if got := q.pop(3); got != expect {
+			if got := q.pop(3, nil); got != expect {
 				t.Fatalf("pop = %d, want %d", got, expect)
 			}
 			expect++
@@ -63,8 +63,8 @@ func TestVCQueueGrowPreservesOrder(t *testing.T) {
 	for i := PacketRef(0); i < 2; i++ {
 		q.push(i, 1)
 	}
-	q.pop(1)
-	q.pop(1) // head now mid-window
+	q.pop(1, nil)
+	q.pop(1, nil) // head now mid-window
 	for i := PacketRef(2); i < 13; i++ {
 		q.push(i, 1) // wraps, then grows twice
 	}
@@ -72,7 +72,7 @@ func TestVCQueueGrowPreservesOrder(t *testing.T) {
 		t.Fatalf("size %d occ %d", q.size(), q.occ)
 	}
 	for i := PacketRef(2); i < 13; i++ {
-		if got := q.pop(1); got != i {
+		if got := q.pop(1, nil); got != i {
 			t.Fatalf("pop = %d, want %d", got, i)
 		}
 	}

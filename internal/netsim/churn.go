@@ -353,10 +353,8 @@ func (n *Network) clearRouter(r *Router) {
 		ip := &r.In[in]
 		for vc := range ip.VCs {
 			q := &ip.VCs[vc]
-			for !q.empty() {
-				ref := q.front()
-				q.pop(n.arena.at(ref).Size)
-				n.churn.scratch = append(n.churn.scratch, strandedRef{ref, shard})
+			for k := 0; k < q.size(); k++ {
+				n.churn.scratch = append(n.churn.scratch, strandedRef{q.at(k), shard})
 			}
 			q.clear()
 		}
@@ -368,12 +366,7 @@ func (n *Network) clearRouter(r *Router) {
 		op.busyUntil = 0
 		op.rr = 0
 	}
-	for g := range r.granted {
-		r.granted[g] = 0
-	}
-	r.active = 0
-	r.occPorts = 0
-	r.nextAlloc = 0
+	r.resetAllocState()
 }
 
 // repairOne applies one repair event: decrement reference counts and, on a
@@ -477,15 +470,11 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 	}
 	p.VC, p.Phase = 0, 0
 	p.Aux, p.Aux2 = -1, -1
-	ip := &src.In[src.InjIn]
-	if ip.VCs[0].empty() {
-		if ip.occMask == 0 {
-			src.occPorts |= 1 << uint(src.InjIn)
-		}
-		ip.occMask |= 1
-		src.active++
-	}
-	ip.VCs[0].push(ref, p.Size)
+	// A retry always wakes its source, even behind other queued packets:
+	// the batch invalidates the source's cached routes, and its next pass
+	// re-routes them (strandInFlight). Called mid-batch, so the batch's
+	// rebuildActive puts the router back on its shard's active set.
+	src.enqueue(int(src.InjIn), 0, ref, p.Size)
 	src.nextAlloc = 0
 	return true
 }
@@ -521,7 +510,7 @@ func (n *Network) rebuildChipNodes() {
 // when the feeding link is alive.
 func (n *Network) unqueuePacket(r *Router, ip *InPort, in, vc, k int, p *Packet) {
 	q := &ip.VCs[vc]
-	q.removeAt(k, p.Size)
+	q.removeAt(k, p.Size, nil) // the caller invalidated q's cached decisions
 	if q.empty() {
 		ip.occMask &^= 1 << vc
 		if ip.occMask == 0 {
@@ -578,8 +567,12 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 // strandInFlight walks every live packet — alive routers' VC queues in
 // router/port/VC order, then alive links' data FIFOs in link order — and
 // strands those for which keep returns false (see SanitizeInFlight).
-// keep may retarget the packet it keeps. Every VC's route cache is
-// invalidated: the component set changed under it.
+// keep may retarget the packet it keeps. Every VC's cached routing
+// decisions are invalidated: the component set changed under them. A
+// router still holding packets turns stale, and one that moved a packet
+// last cycle or sleeps on credits or a dead link wakes, so each re-routes
+// its packets at the cycle it would have had it run a pass every cycle it
+// moved or was blocked on an event.
 func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	stranded := 0
 	for i := range n.Routers {
@@ -587,11 +580,15 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 		if r.Disabled {
 			continue
 		}
+		if r.eventWait || r.movedBy == n.Cycle {
+			r.nextAlloc = 0
+		}
 		shard := n.shardOfRouter(r.ID)
 		for in := range r.In {
 			ip := &r.In[in]
 			for vc := range ip.VCs {
 				q := &ip.VCs[vc]
+				q.invalidate()
 				for k := 0; k < q.size(); {
 					ref := q.at(k)
 					p := n.arena.at(ref)
@@ -603,9 +600,9 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 					n.strandPacket(ref, p, shard)
 					stranded++
 				}
-				q.routed = false
 			}
 		}
+		r.stale = r.active > 0
 	}
 	for i := range n.Links {
 		l := &n.Links[i]

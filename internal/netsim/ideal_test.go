@@ -142,7 +142,7 @@ func TestVCQueueRemoveAt(t *testing.T) {
 	if q.size() != 5 || q.occ != 20 {
 		t.Fatalf("size %d occ %d", q.size(), q.occ)
 	}
-	ref := q.removeAt(2, 4) // removes ref 3
+	ref := q.removeAt(2, 4, nil) // removes ref 3
 	if ref != 3 {
 		t.Fatalf("removed %d, want 3", ref)
 	}
@@ -157,7 +157,7 @@ func TestVCQueueRemoveAt(t *testing.T) {
 		}
 	}
 	// removeAt(0) behaves like pop.
-	if q.removeAt(0, 4) != 1 {
+	if q.removeAt(0, 4, nil) != 1 {
 		t.Fatal("removeAt(0) did not pop head")
 	}
 }

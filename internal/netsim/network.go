@@ -8,9 +8,13 @@ import (
 )
 
 // RouteFunc computes the output port and next virtual channel for packet p
-// at router r. It is called when p is at the head of an input VC; the
-// decision is cached until the packet departs, so a RouteFunc may consult
-// dynamic state (credits, queue depths) to make adaptive choices.
+// at router r. The cycle engines call it once per (packet, router): when p
+// reaches the head of an input VC or, on an ideal switch, when p enters the
+// lookahead window behind the head. The decision is cached until p departs,
+// so a RouteFunc may consult dynamic state (credits, queue depths, a
+// pre-allocate congestion snapshot) to make adaptive choices, but only that
+// first call reads it. A churn batch discards every cached decision and
+// re-routes queued packets with the new fault state's function.
 type RouteFunc func(net *Network, r *Router, p *Packet) (out int, vc uint8)
 
 // ErrDeadlock is returned by Run when the network stops making progress
@@ -258,17 +262,7 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 	p.Size = n.packetSize
 	p.CreatedAt = now
 	ss.injectedPkts++
-	ip := &r.In[r.InjIn]
-	if ip.VCs[0].empty() {
-		if ip.occMask == 0 {
-			r.occPorts |= 1 << uint(r.InjIn)
-		}
-		ip.occMask |= 1
-		r.active++
-	}
-	ip.VCs[0].push(ref, p.Size)
-	r.nextAlloc = 0
-	if act != nil {
+	if r.enqueue(int(r.InjIn), 0, ref, p.Size) && act != nil {
 		act.routers.Add(int(r.ID) - act.lo)
 	}
 }
@@ -291,32 +285,21 @@ func (n *Network) destNode(dstChip int32, srcNodeIdx int, rng *engine.RNG) NodeI
 // reference engine).
 func (n *Network) drainDataLink(l *Link, now int64, act *shardActive) {
 	r := &n.Routers[l.Dst]
-	ip := &r.In[l.DstPort]
 	for {
 		ref, ok := l.data.popReady(now)
 		if !ok {
 			break
 		}
 		p := n.arena.at(ref)
-		q := &ip.VCs[p.VC]
-		if q.empty() {
-			if ip.occMask == 0 {
-				r.occPorts |= 1 << uint(l.DstPort)
-			}
-			ip.occMask |= 1 << p.VC
-			r.active++
-		}
-		q.push(ref, p.Size)
-		r.nextAlloc = 0
-		if act != nil {
+		if r.enqueue(int(l.DstPort), int(p.VC), ref, p.Size) && act != nil {
 			act.routers.Add(int(l.Dst) - act.lo)
 		}
 	}
 }
 
 // drainCreditLink returns every arrived credit of l to its source router's
-// output port, reporting whether any credit was returned. Shared by both
-// cycle engines.
+// output port, reporting whether the credits woke the router (see
+// Router.creditReturned). Shared by both cycle engines.
 func (n *Network) drainCreditLink(l *Link, now int64) bool {
 	src := &n.Routers[l.Src]
 	op := &src.Out[l.SrcPort]
@@ -329,10 +312,7 @@ func (n *Network) drainCreditLink(l *Link, now int64) bool {
 		op.Credits[c.vc] += c.flits
 		drained = true
 	}
-	if drained {
-		src.nextAlloc = 0
-	}
-	return drained
+	return drained && src.creditReturned(int(l.SrcPort))
 }
 
 // drainShard delivers arrived packets and returned credits for shard s:

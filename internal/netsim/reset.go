@@ -32,14 +32,7 @@ func (n *Network) Reset() {
 				}
 			}
 		}
-		r.active = 0
-		r.occPorts = 0
-		r.nextAlloc = 0
-		// Grant epochs restart with the cycle counter: zero every slot so a
-		// stale pre-reset epoch can never collide with a fresh now+1.
-		for g := range r.granted {
-			r.granted[g] = 0
-		}
+		r.resetAllocState()
 		r.RNG = engine.NewRNGStream(n.seed, uint64(i))
 	}
 	for i := range n.Links {
@@ -81,12 +74,29 @@ func (n *Network) Reset() {
 	}
 }
 
-// clear empties the VC queue and invalidates its cached routing decision,
+// clear empties the VC queue and invalidates its cached routing decisions,
 // dropping any packet refs it still holds. The ring keeps its backing slice
 // (refs are integers; nothing is retained for the GC).
 func (v *vcQueue) clear() {
 	v.head = 0
 	v.n = 0
 	v.occ = 0
-	v.routed = false
+	v.invalidate()
+}
+
+// resetAllocState returns r's occupancy, sleep and grant bookkeeping to
+// that of an idle router; its queues must already be empty.
+func (r *Router) resetAllocState() {
+	r.active = 0
+	r.occPorts = 0
+	r.nextAlloc = 0
+	r.creditWait = 0
+	r.eventWait = false
+	r.stale = false
+	r.movedBy = 0
+	if r.ideal != nil {
+		// Grant epochs restart with the cycle counter: zero every slot so
+		// a stale pre-reset epoch can never collide with a fresh now+1.
+		clear(r.ideal.granted)
+	}
 }

@@ -53,10 +53,21 @@ type vcQueue struct {
 	n    int32
 	// occ is the flits currently occupied in this VC's buffer.
 	occ int32
-	// cached head routing decision; routed=false after any head change.
-	routed  bool
-	outPort int16
-	outVC   uint8
+	// routed reports that route holds the head packet's routing decision.
+	routed bool
+	// ahead counts the cached routing decisions of the packets behind the
+	// head (queue positions 1..ahead), kept in the owning ideal router's
+	// lookahead table; always zero on ordinary routers.
+	ahead uint8
+	route routeDecision
+}
+
+// routeDecision is a cached routing decision for one queued packet, with
+// the packet's size so allocation can check credits without loading it.
+type routeDecision struct {
+	size int32
+	out  int16
+	vc   uint8
 }
 
 //sldf:hotpath
@@ -110,10 +121,12 @@ func (v *vcQueue) grow() {
 }
 
 // pop removes and returns the head ref; size must be the head packet's
-// flit count (the caller holds the packet already).
+// flit count. la is the queue's lookahead decisions (nil when ahead is
+// zero): the first one becomes the new head's decision and the rest move
+// up one position, so every cached decision stays with its packet.
 //
 //sldf:hotpath
-func (v *vcQueue) pop(size int32) PacketRef {
+func (v *vcQueue) pop(size int32, la []routeDecision) PacketRef {
 	ref := v.buf[v.head]
 	v.head++
 	if int(v.head) == len(v.buf) {
@@ -121,18 +134,24 @@ func (v *vcQueue) pop(size int32) PacketRef {
 	}
 	v.n--
 	v.occ -= size
-	v.routed = false
+	v.routed = v.ahead > 0
+	if v.routed {
+		v.route = la[0]
+		v.ahead--
+		copy(la, la[1:v.ahead+1])
+	}
 	return ref
 }
 
 // removeAt removes and returns the i-th queued ref, preserving the order
-// of the others. Used by ideal (non-blocking) switches to bypass a blocked
-// head-of-line packet.
+// of the others and keeping the cached decisions (la, as for pop) aligned
+// with their packets. Used by ideal (non-blocking) switches to bypass a
+// blocked head-of-line packet.
 //
 //sldf:hotpath
-func (v *vcQueue) removeAt(i int, size int32) PacketRef {
+func (v *vcQueue) removeAt(i int, size int32, la []routeDecision) PacketRef {
 	if i == 0 {
-		return v.pop(size)
+		return v.pop(size, la)
 	}
 	ref := v.at(i)
 	for k := i; k < int(v.n)-1; k++ {
@@ -148,7 +167,17 @@ func (v *vcQueue) removeAt(i int, size int32) PacketRef {
 	}
 	v.n--
 	v.occ -= size
+	if i <= int(v.ahead) {
+		copy(la[i-1:], la[i:v.ahead])
+		v.ahead--
+	}
 	return ref
+}
+
+// invalidate drops every cached routing decision of the queue.
+func (v *vcQueue) invalidate() {
+	v.routed = false
+	v.ahead = 0
 }
 
 // InPort is a router input port: one VC-partitioned buffer fed by a link.
@@ -202,6 +231,12 @@ type Router struct {
 	ID   NodeID
 	Kind RouterKind
 
+	// Disabled marks a failed router (defective die). Set through
+	// Network.ApplyFaults before simulation starts; a disabled router never
+	// injects, never receives traffic (fault-aware routing avoids it), and
+	// therefore never enters an engine's active set.
+	Disabled bool
+
 	// Topology coordinates. X/Y are mesh coordinates when the router is part
 	// of a mesh; CGroup/WGroup locate it in the Dragonfly hierarchy (-1 when
 	// not applicable); Chip is the terminal chip this router belongs to (-1
@@ -227,11 +262,17 @@ type Router struct {
 	// speedup, modelling the paper's "single ideal high-radix router".
 	Ideal bool
 
-	// Disabled marks a failed router (defective die). Set through
-	// Network.ApplyFaults before simulation starts; a disabled router never
-	// injects, never receives traffic (fault-aware routing avoids it), and
-	// therefore never enters an engine's active set.
-	Disabled bool
+	// wide marks a router with more than 64 input or output ports, which
+	// falls back to full port scans instead of the bitmask fast paths.
+	wide bool
+	// eventWait reports that the last allocation pass left requests
+	// blocked on credits or a dead link at an output that granted nothing:
+	// blockers with no known unblock cycle.
+	eventWait bool
+	// stale reports that a churn batch invalidated the cached routing
+	// decisions of a router still holding packets. Until its next pass has
+	// re-routed them, any arrival, credit or injection wakes it.
+	stale bool
 
 	// active counts non-empty (input port, VC) queues; allocation is
 	// skipped entirely while it is zero.
@@ -240,25 +281,47 @@ type Router struct {
 	// only occupied ports. Maintained alongside occMask; meaningless (and
 	// unused) when wide is set.
 	occPorts uint64
-	// wide marks a router with more than 64 input or output ports, which
-	// falls back to full port scans instead of the bitmask fast paths.
-	wide bool
-	// nextAlloc is the earliest cycle at which allocation could succeed
-	// again when every requested output was serializing; any new arrival,
-	// credit return or injection resets it to zero.
+	// creditWait has bit o set when the last pass left a request blocked
+	// on output o's credits (or its dead link): a credit returned there
+	// wakes the router. Unused when wide is set (every credit wakes).
+	creditWait uint64
+	// nextAlloc is the earliest cycle at which an allocation pass could
+	// change anything. A pass whose grants left no queue with a new head
+	// sleeps until its earliest serialization wake-up (allocNever when
+	// every blocker waits on an event); the events that can unblock it —
+	// an arrival or injection creating a request, a credit to a blocked
+	// output, a link revival, a churn batch — reset it to zero.
 	nextAlloc int64
+	// movedBy is now+1 of the last pass that moved a packet (0: none).
+	// A churn batch wakes a router that moved in the cycle before it.
+	movedBy int64
 
 	RNG engine.RNG
 
 	// requests is scratch space for the per-cycle allocation pass:
 	// requests[out] lists candidate (inPort, vc, queueIndex) keys.
 	requests [][]int32
-	// granted[in*8+vc] holds now+1 when that VC queue was granted this
-	// cycle, so an ideal switch grants at most one packet per queue per
-	// cycle (queue indices in the request lists stay valid). A reusable
-	// slice rather than a map so steady-state cycles allocate nothing.
-	granted []int64
+	// ideal is an ideal switch's allocation scratch, allocated on its
+	// first pass; nil on ordinary routers.
+	ideal *idealState
 }
+
+// idealState is an ideal switch's per-queue allocation scratch, indexed by
+// grantIdx. Reusable slices rather than maps, so steady-state cycles
+// allocate nothing.
+type idealState struct {
+	// granted[q] holds now+1 when queue q was granted this cycle, so the
+	// switch grants at most one packet per queue per cycle (queue indices
+	// in the request lists stay valid).
+	granted []int64
+	// lookahead[q*idealLookahead+i-1] caches the routing decision for
+	// position i of queue q (1 <= i <= vcQueue.ahead), so waiting packets
+	// are routed once, not every pass.
+	lookahead []routeDecision
+}
+
+// allocNever is nextAlloc for a router that sleeps until an event wakes it.
+const allocNever = int64(1) << 62
 
 // idealLookahead bounds how many packets per VC queue an ideal switch may
 // consider beyond the head.
@@ -282,8 +345,71 @@ func reqIn(k int32) int  { return int(k >> 16) }
 func reqVC(k int32) int  { return int(k>>8) & 0xff }
 func reqIdx(k int32) int { return int(k & 0xff) }
 
-// grantIdx indexes Router.granted: the occupancy bitmask caps VCs at 8.
+// grantIdx indexes an ideal switch's per-queue scratch: the occupancy
+// bitmask caps VCs at 8.
 func grantIdx(in, vc int) int { return in<<3 | vc }
+
+// lookaheadOf returns the lookahead decisions of queue (in, vc) on an ideal
+// router.
+//
+//sldf:hotpath
+func (r *Router) lookaheadOf(in, vc int) []routeDecision {
+	i := grantIdx(in, vc) * idealLookahead
+	return r.ideal.lookahead[i : i+idealLookahead : i+idealLookahead]
+}
+
+// enqueue appends a packet of the given size to VC vc of input in,
+// maintaining the occupancy bookkeeping, and wakes the router when the
+// packet creates a request — it is the VC's head, or within an ideal
+// switch's lookahead window — or when the router is stale. It reports
+// whether the router was woken; a packet queued behind others changes no
+// allocation outcome.
+//
+//sldf:hotpath
+func (r *Router) enqueue(in, vc int, ref PacketRef, size int32) bool {
+	ip := &r.In[in]
+	q := &ip.VCs[vc]
+	if q.empty() {
+		if ip.occMask == 0 {
+			r.occPorts |= 1 << uint(in)
+		}
+		ip.occMask |= 1 << vc
+		r.active++
+	}
+	q.push(ref, size)
+	if q.n == 1 || (r.Ideal && q.n <= idealLookahead+1) || r.stale {
+		r.nextAlloc = 0
+		return true
+	}
+	return false
+}
+
+// creditReturned wakes the router when a credit returned to output o can
+// change an allocation outcome: a request was blocked on o, the router is
+// stale, or it is wide (no per-output mask). It reports whether the router
+// was woken.
+//
+//sldf:hotpath
+func (r *Router) creditReturned(o int) bool {
+	if r.stale || r.wide || r.creditWait&(1<<uint(o)) != 0 {
+		r.nextAlloc = 0
+		return true
+	}
+	return false
+}
+
+// request files key on output o's request list and marks o in outMask or,
+// while o is still serializing, folds its free-up cycle into minWake
+// instead: no request to a busy output can be granted this pass.
+//
+//sldf:hotpath
+func (r *Router) request(o int, key int32, now, minWake int64, outMask uint64) (int64, uint64) {
+	if b := r.Out[o].busyUntil; b > now {
+		return min(minWake, b), outMask
+	}
+	r.requests[o] = append(r.requests[o], key)
+	return minWake, outMask | 1<<uint(o)
+}
 
 // allocate (phase B) performs routing + switch allocation and launches
 // packets onto links. It returns the number of packets that moved (for the
@@ -292,19 +418,31 @@ func grantIdx(in, vc int) int { return in<<3 | vc }
 // their consumer shards; it is nil under the reference engine.
 func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) int {
 	// Build per-output request lists from occupied ports only. Ordinary
-	// routers request only from VC heads (with the routing decision
-	// cached); ideal switches additionally request from up to
-	// idealLookahead packets behind a blocked head, which removes
-	// head-of-line blocking. Request lists are empty on entry (each pass
-	// clears what it filled), so no clearing sweep is needed here.
+	// routers request only from VC heads; ideal switches additionally
+	// request from up to idealLookahead packets behind a blocked head,
+	// which removes head-of-line blocking. Every packet is routed once per
+	// router: the decision is cached on the queue until it departs.
+	// Requests for a still-serializing output are dropped here (its
+	// free-up time bounds the sleep instead), so request lists are empty on
+	// entry and each pass clears what it filled.
 	if r.active == 0 || r.nextAlloc > now {
 		return 0
 	}
 	if r.requests == nil {
 		r.requests = make([][]int32, len(r.Out))
 	}
+	if r.Ideal && r.ideal == nil {
+		r.ideal = &idealState{
+			granted:   make([]int64, len(r.In)<<3),
+			lookahead: make([]routeDecision, len(r.In)<<3*idealLookahead),
+		}
+	}
 	arena := &net.arena
 	wide := r.wide
+	// minWake tracks when the earliest serializing output or input frees
+	// up; blockers with no known unblock time (credits, dead links) are
+	// recorded in creditWait/eventWait for the wake-up events instead.
+	minWake := allocNever
 	var outMask uint64
 	inIter := r.occPorts
 	in := -1
@@ -335,35 +473,31 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			if !q.routed {
 				p := arena.at(q.front())
 				out, outVC := net.route(net, r, p)
-				q.outPort = int16(out)
-				q.outVC = outVC
+				q.route = routeDecision{size: p.Size, out: int16(out), vc: outVC}
 				q.routed = true
 			}
-			r.requests[q.outPort] = append(r.requests[q.outPort], reqKey(in, vc, 0))
-			outMask |= 1 << uint(q.outPort)
-			if r.Ideal {
-				depth := q.size()
-				if depth > idealLookahead+1 {
-					depth = idealLookahead + 1
-				}
-				for i := 1; i < depth; i++ {
-					out, _ := net.route(net, r, arena.at(q.at(i)))
-					r.requests[out] = append(r.requests[out], reqKey(in, vc, i))
-					outMask |= 1 << uint(out)
-				}
+			minWake, outMask = r.request(int(q.route.out), reqKey(in, vc, 0), now, minWake, outMask)
+			if !r.Ideal {
+				continue
+			}
+			depth := min(q.size(), idealLookahead+1)
+			la := r.lookaheadOf(in, vc)
+			for i := int(q.ahead) + 1; i < depth; i++ {
+				p := arena.at(q.at(i))
+				out, outVC := net.route(net, r, p)
+				la[i-1] = routeDecision{size: p.Size, out: int16(out), vc: outVC}
+				q.ahead = uint8(i)
+			}
+			for i := 1; i < depth; i++ {
+				minWake, outMask = r.request(int(la[i-1].out), reqKey(in, vc, i), now, minWake, outMask)
 			}
 		}
 	}
-	if r.Ideal && r.granted == nil {
-		r.granted = make([]int64, len(r.In)<<3)
-	}
 
 	moved := 0
-	// minWake tracks when the earliest serializing output frees up;
-	// otherwiseBlocked records blockers without a known unblock time
-	// (credits, input bandwidth), which are handled by event resets.
-	minWake := int64(1) << 62
-	otherwiseBlocked := false
+	rerun := false
+	eventWait := false
+	r.creditWait = 0
 	outIter := outMask
 	o := -1
 	for {
@@ -389,48 +523,36 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 		op := &r.Out[o]
 		reqs := r.requests[o]
 		r.requests[o] = reqs[:0]
-		if op.busyUntil > now {
-			if op.busyUntil < minWake {
-				minWake = op.busyUntil
-			}
-			continue
-		}
 		// Round-robin pick: first eligible requester at or after rr pointer.
 		n := len(reqs)
+		idx := int(op.rr)
+		if idx >= n {
+			idx %= n
+		}
 		granted := -1
-		var gOutVC uint8
-		var gp *Packet
-		for k := 0; k < n; k++ {
-			idx := (int(op.rr) + k) % n
+		var gd routeDecision
+		onEvent := false
+		for k := 0; k < n; k, idx = k+1, idx+1 {
+			if idx == n {
+				idx = 0
+			}
 			key := reqs[idx]
 			in, vc, qi := reqIn(key), reqVC(key), reqIdx(key)
 			ip := &r.In[in]
-			q := &ip.VCs[vc]
-			var p *Packet
-			var outVC uint8
-			if qi == 0 {
-				p = arena.at(q.front())
-				outVC = q.outVC
-			} else {
+			d := ip.VCs[vc].route
+			if qi > 0 {
 				// Ideal-switch lookahead request: at most one grant per VC
 				// queue per cycle keeps the queue indices valid.
-				if r.granted[grantIdx(in, vc)] == now+1 || qi >= q.size() {
+				if r.ideal.granted[grantIdx(in, vc)] == now+1 {
 					continue
 				}
-				p = arena.at(q.at(qi))
-				var out int
-				out, outVC = net.route(net, r, p)
-				if out != o {
-					continue
-				}
+				d = r.lookaheadOf(in, vc)[qi-1]
 			}
 			if !r.Ideal && ip.busyUntil > now {
-				if ip.busyUntil < minWake {
-					minWake = ip.busyUntil
-				}
+				minWake = min(minWake, ip.busyUntil)
 				continue
 			}
-			if op.Link != nil && (op.Credits[outVC] < p.Size ||
+			if op.Link != nil && (op.Credits[d.vc] < d.size ||
 				(net.churn != nil && op.Link.Disabled)) {
 				// No credits — or, under an armed fault timeline, a dead
 				// output link: a disabled link offers no bandwidth, so the
@@ -440,15 +562,21 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 				// skip disabled links (blackholing the packet) while the
 				// active-set engine would stage the dead link and deliver
 				// through the corpse.
-				otherwiseBlocked = true
+				onEvent = true
 				continue
 			}
 			granted = idx
-			gOutVC = outVC
-			gp = p
+			gd = d
 			break
 		}
 		if granted < 0 {
+			// Only an output that granted nothing waits on its credits:
+			// a granting one is busy, and wakes its requesters when it
+			// frees up.
+			if onEvent {
+				eventWait = true
+				r.creditWait |= 1 << uint(o)
+			}
 			continue
 		}
 		op.rr = uint32(granted + 1)
@@ -456,17 +584,23 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 		in, vc, qi := reqIn(key), reqVC(key), reqIdx(key)
 		ip := &r.In[in]
 		q := &ip.VCs[vc]
-		p := gp
-		ref := q.removeAt(qi, p.Size)
+		var la []routeDecision
+		if r.Ideal {
+			la = r.lookaheadOf(in, vc)
+			r.ideal.granted[grantIdx(in, vc)] = now + 1
+		}
+		ref := q.removeAt(qi, gd.size, la)
+		p := arena.at(ref)
 		if q.empty() {
 			ip.occMask &^= 1 << vc
 			if ip.occMask == 0 {
 				r.occPorts &^= 1 << uint(in)
 			}
 			r.active--
-		}
-		if r.Ideal {
-			r.granted[grantIdx(in, vc)] = now + 1
+		} else {
+			// The queue has a new head (or lookahead packet) to route and
+			// request next cycle.
+			rerun = true
 		}
 		moved++
 		if ip.Link == nil {
@@ -489,14 +623,21 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			}
 		}
 
+		// Ejection: the terminal interface accepts one packet per Size
+		// cycles.
+		ser := int64(p.Size)
+		if op.Link != nil {
+			ser = op.Link.serCycles(p.Size)
+		}
+		op.busyUntil = now + ser
+		if !r.Ideal {
+			ip.busyUntil = now + ser
+		}
+		if n > 1 {
+			// The requesters the grant passed over wait for this output.
+			minWake = min(minWake, op.busyUntil)
+		}
 		if op.Link == nil {
-			// Ejection: the terminal interface accepts one packet per Size
-			// cycles.
-			ser := int64(p.Size)
-			op.busyUntil = now + ser
-			if !r.Ideal {
-				ip.busyUntil = now + ser
-			}
 			p.DeliveredAt = now + ser
 			p.Hops[HopEject]++
 			net.deliver(shard, ref, p)
@@ -504,13 +645,8 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 		}
 
 		l := op.Link
-		ser := l.serCycles(p.Size)
-		op.busyUntil = now + ser
-		if !r.Ideal {
-			ip.busyUntil = now + ser
-		}
-		op.Credits[gOutVC] -= p.Size
-		p.VC = gOutVC
+		op.Credits[gd.vc] -= p.Size
+		p.VC = gd.vc
 		p.Hops[l.Class]++
 		if net.inWindow(now) {
 			l.winFlits += int64(p.Size)
@@ -522,14 +658,20 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			act.stageDataLink(l)
 		}
 	}
-	// Sleep until the earliest known unblock time when nothing moved and no
-	// blocker depends on asynchronous events (credits); arrivals, credit
-	// returns and injections reset nextAlloc through the drain/generate
-	// paths.
-	if moved == 0 && !otherwiseBlocked && minWake < int64(1)<<62 {
-		r.nextAlloc = minWake
-	} else {
+	// Every request left waits on a busy output or input (minWake) or on
+	// an event, so the next pass repeats this one's outcome until one of
+	// them clears: sleep until the earliest serialization wake-up, or
+	// until an event (see nextAlloc) when every blocker waits on one. Only
+	// a grant that left its queue non-empty exposes new work next cycle.
+	r.stale = false
+	r.eventWait = eventWait
+	if moved > 0 {
+		r.movedBy = now + 1
+	}
+	if rerun {
 		r.nextAlloc = 0
+	} else {
+		r.nextAlloc = minWake
 	}
 	return moved
 }
