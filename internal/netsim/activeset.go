@@ -51,9 +51,9 @@ type shardActive struct {
 	lo, hi int // router ID range [lo, hi) of this shard
 
 	// routers holds bit i when router lo+i has at least one occupied VC
-	// and is not asleep. Routers are enqueued when an event wakes them
-	// (see Router.nextAlloc) and lazily retired by the allocate walk once
-	// drained or asleep.
+	// and is neither parked in the wheel nor asleep until an event.
+	// Routers are enqueued when an event wakes them (see Router.nextAlloc)
+	// and lazily retired by the allocate walk once drained or asleep.
 	// Bitmap iteration is always ascending, matching the reference
 	// engine's router order, so results are bit-identical.
 	routers engine.Bitset

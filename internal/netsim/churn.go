@@ -569,10 +569,11 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 // strands those for which keep returns false (see SanitizeInFlight).
 // keep may retarget the packet it keeps. Every VC's cached routing
 // decisions are invalidated: the component set changed under them. A
-// router still holding packets turns stale, and one that moved a packet
-// last cycle or sleeps on credits or a dead link wakes, so each re-routes
-// its packets at the cycle it would have had it run a pass every cycle it
-// moved or was blocked on an event.
+// router still holding packets turns stale and re-routes them at its next
+// pass; one that moved a packet in the previous cycle, or waits on credits
+// or a dead link, has that pass this cycle. Route functions may read
+// dynamic state on their first call, so when the re-route happens is part
+// of the result.
 func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	stranded := 0
 	for i := range n.Routers {

@@ -422,9 +422,9 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 	// request from up to idealLookahead packets behind a blocked head,
 	// which removes head-of-line blocking. Every packet is routed once per
 	// router: the decision is cached on the queue until it departs.
-	// Requests for a still-serializing output are dropped here (its
-	// free-up time bounds the sleep instead), so request lists are empty on
-	// entry and each pass clears what it filled.
+	// Requests for a still-serializing output are not filed (see request).
+	// Request lists are empty on entry (each pass clears what it filled),
+	// so no clearing sweep is needed here.
 	if r.active == 0 || r.nextAlloc > now {
 		return 0
 	}
@@ -465,10 +465,8 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			inIter &= inIter - 1
 		}
 		ip := &r.In[in]
-		for vc := range ip.VCs {
-			if ip.occMask&(1<<vc) == 0 {
-				continue
-			}
+		for m := ip.occMask; m != 0; m &= m - 1 {
+			vc := bits.TrailingZeros8(m)
 			q := &ip.VCs[vc]
 			if !q.routed {
 				p := arena.at(q.front())
