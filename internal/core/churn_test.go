@@ -319,3 +319,52 @@ func TestRunChurnFigure(t *testing.T) {
 		t.Fatal("empty CSV")
 	}
 }
+
+// TestGoldenChurn locks the churn panel's rows bit for bit — baseline and
+// disturbed makespans, the pre/post split, per-step cycles and the drop and
+// retry accounting — for a drop-policy and a retry-policy mesh and a
+// one-W-group switch-less system, on every engine. Both cycle engines must
+// reproduce the same section. Regenerate deliberately with
+//
+//	go test ./internal/core -run TestGoldenChurn -update
+func TestGoldenChurn(t *testing.T) {
+	mesh := Config{Kind: MeshCGroup, ChipletDim: 4, NoCDim: 2, Seed: 5, Workers: 1}
+	drop := mesh
+	drop.Churn = topology.FaultTimeline{Armed: true, Policy: netsim.DropInFlight}
+	retry := mesh
+	retry.Churn = topology.FaultTimeline{Armed: true, Policy: netsim.RetrySource}
+	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7, Workers: 1}
+	swl.SLDF.G = 1
+	swl.Churn = topology.FaultTimeline{Armed: true, Policy: netsim.DropInFlight}
+	cases := []ChurnCaseSpec{
+		{Cfg: drop, Label: "mesh-drop", Schedule: "ring", Volume: 128, KillChip: 1, KillStep: 2},
+		{Cfg: retry, Label: "mesh-retry", Schedule: "ring", Volume: 128, KillChip: 1, KillStep: 2},
+		{Cfg: swl, Label: "sw-less-drop", Schedule: "2d", Volume: 128, KillChip: 3, KillStep: 1},
+	}
+	type entry struct {
+		Engine string             `json:"engine"`
+		Rows   []metrics.ChurnRow `json:"rows"`
+	}
+	var got []entry
+	for _, kind := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference, netsim.EngineFlow} {
+		spec := ChurnFigureSpec{Name: "golden", Cases: append([]ChurnCaseSpec(nil), cases...)}
+		for i := range spec.Cases {
+			spec.Cases[i].Engine = kind
+		}
+		fig, err := RunChurnFigure(spec, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for _, row := range fig.Rows {
+			if row.Packets == 0 || row.PreCycles == 0 || row.PostCycles == 0 {
+				t.Fatalf("%s: vacuous row %+v", kind, row)
+			}
+		}
+		got = append(got, entry{Engine: kind.String(), Rows: fig.Rows})
+	}
+	if !reflect.DeepEqual(got[0].Rows, got[1].Rows) {
+		t.Fatalf("cycle engines diverged on the churn panel:\nactive:    %+v\nreference: %+v",
+			got[0].Rows, got[1].Rows)
+	}
+	checkGolden(t, "golden_churn.json", got, *updateGolden)
+}

@@ -94,11 +94,11 @@ func TestGoldenStats(t *testing.T) {
 	}
 }
 
-// checkGolden diffs stats against the committed fixture testdata/file, or
-// rewrites the fixture when update is set.
-func checkGolden(t *testing.T, file string, stats netsim.Stats, update bool) {
+// checkGolden diffs v's indented JSON against the committed fixture
+// testdata/file, or rewrites the fixture when update is set.
+func checkGolden(t *testing.T, file string, v any, update bool) {
 	t.Helper()
-	got, err := json.MarshalIndent(stats, "", "  ")
+	got, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func checkGolden(t *testing.T, file string, stats netsim.Stats, update bool) {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("stats diverged from %s.\nIf the change is intentional, regenerate with:\n"+
-			"  go test ./internal/core -run TestGoldenStats -update\ngot:\n%s", path, got)
+		t.Fatalf("results diverged from %s.\nIf the change is intentional, regenerate with:\n"+
+			"  go test ./internal/core -run %s -update\ngot:\n%s", path, t.Name(), got)
 	}
 }
 
