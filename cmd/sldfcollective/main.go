@@ -67,7 +67,7 @@ func run(args []string, w, errw io.Writer) error {
 	dim := fs.Int("dim", 4, "chip grid dimension for switch/2d-mesh (dim×dim chips)")
 	volume := fs.Int64("volume", 4096, "AllReduce payload per chip in flits")
 	packet := fs.Int("packet", core.DefaultCollectivePacket, "packet size in flits (used for injection AND the efficiency column)")
-	maxStep := fs.Int64("maxstep", 0, "cycle bound per dependent step (0 = the collective.Run default, 1<<20)")
+	maxStep := fs.Int64("maxstep", 0, "cycle bound per dependent step (0 = the collective.RunSteps default, 1<<20)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	faults := cliflags.AddFaults(fs)
 	churn := cliflags.AddChurn(fs)

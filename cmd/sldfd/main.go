@@ -2,7 +2,8 @@
 // shipped by a coordinator (sldfsweep -remote / sldffigures -remote /
 // sldfcollective -remote) over the HTTP/JSON protocol in
 // internal/campaign/remote. Registered job kinds: core/point@v1 (sweep
-// load points) and collective/makespan@v1 (collective executions).
+// load points) and collective/makespan@v2 (collective executions, with or
+// without a mid-collective chip kill).
 //
 //	sldfd -listen :8437 -jobs 8                 # 8 concurrent measurements
 //	sldfd -listen :8437 -cache /var/sldf/points # with a durable point store

@@ -80,22 +80,20 @@ func main() {
 		log.Fatal(err)
 	}
 	defer csys.Close()
-	cs := core.ChurnCollectiveSpec{
-		Cfg: ccfg, Schedule: "ring", Volume: volume, KillChip: -1,
-	}
-	base, err := csys.MeasureChurnCollective(cs)
+	cs := core.CollectiveSpec{Cfg: ccfg, Schedule: "ring", Volume: volume}
+	base, err := csys.MeasureCollective(cs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	csys.Reset()
-	cs.KillChip, cs.KillStep = 1, 2
-	kill, err := csys.MeasureChurnCollective(cs)
+	cs.Kill = &core.ChipKill{Chip: 1, Step: 2}
+	kill, err := csys.MeasureCollective(cs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	pre, post := int64(kill.Aux[1]), int64(kill.Aux[2])
 	fmt.Printf("\n== ring AllReduce (%d flits/chip) on %s, chip %d dies before step %d\n",
-		volume, csys.Label, cs.KillChip, cs.KillStep)
+		volume, csys.Label, cs.Kill.Chip, cs.Kill.Step)
 	fmt.Printf("  undisturbed makespan %6.0f cycles\n", base.Latency)
 	fmt.Printf("  disturbed   makespan %6.0f cycles (%d pre-kill + %d post-kill)\n",
 		kill.Latency, pre, post)

@@ -27,7 +27,7 @@
 //     spec struct (directly or through same-package callees), unless the
 //     field is marked //sldf:keyignore <reason> at its declaration. This
 //     machine-checks the "every result-affecting input is in the content
-//     address" contract of pointKey/cacheID/collectiveKey/churnKey.
+//     address" contract of pointKey/cacheID/collectiveKey.
 //
 //   - sentinel: package-level error values named Err*/err* must be
 //     matched with errors.Is, never == / != or string comparison of

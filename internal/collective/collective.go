@@ -320,27 +320,21 @@ type Result struct {
 	Packets    int64   // packets delivered
 }
 
-// Run executes the schedule on the network: each step's volume is injected
-// (as packetSize-flit packets) and fully drained before the next step
-// starts, modelling the data dependency between collective steps. Each step
-// runs to its exact completion cycle via netsim.RunUntil — the barrier sits
-// where the last packet lands, not at the next multiple of some polling
-// batch — so StepCycles and Cycles are precise makespans.
-// maxCyclesPerStep bounds each step (0 = 1<<20).
+// RunSteps executes the half-open step range [lo, hi) of the schedule on
+// the network: each step's volume is injected (as packetSize-flit packets)
+// and fully drained before the next step starts, modelling the data
+// dependency between collective steps. Each step runs to its exact
+// completion cycle via netsim.RunUntil — the barrier sits where the last
+// packet lands, not at the next multiple of some polling batch — so
+// StepCycles and Cycles are precise makespans. maxCyclesPerStep bounds each
+// step (0 = 1<<20). A whole schedule is the range [0, len(s.Steps)).
 //
 // Per-chip volumes follow the network's surviving injector counts (a chip
 // that lost cores splits its volume across fewer nodes), and only the
 // step's Participants are charged, so schedules re-routed around dead
-// chips drain exactly.
-func Run(net *netsim.Network, s Schedule, packetSize int32, maxCyclesPerStep int64) (Result, error) {
-	return RunSteps(net, s, packetSize, maxCyclesPerStep, 0, len(s.Steps))
-}
-
-// RunSteps executes the half-open step range [lo, hi) of the schedule with
-// Run's exact-barrier semantics. It is the churn primitive: run steps
-// [0, k), kill a component, recompute a survivor schedule, and run that —
-// per-chip volumes and injector counts are re-read from the network on
-// every call, so the post-death range sees the degraded chip tables.
+// chips drain exactly. Counts are re-read from the network on every call,
+// which makes RunSteps the churn primitive too: run steps [0, k), kill a
+// component, recompute a survivor schedule, and run the rest of that.
 func RunSteps(net *netsim.Network, s Schedule, packetSize int32, maxCyclesPerStep int64, lo, hi int) (Result, error) {
 	if maxCyclesPerStep <= 0 {
 		maxCyclesPerStep = 1 << 20

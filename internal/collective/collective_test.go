@@ -84,7 +84,7 @@ func TestRunRingCompletes(t *testing.T) {
 	g := buildMesh(t, 2) // 4 chips
 	defer g.Net.Close()
 	s := RingAllReduce(SnakeOrder(2, 2), 256)
-	res, err := Run(g.Net, s, 4, 1<<16)
+	res, err := RunSteps(g.Net, s, 4, 1<<16, 0, len(s.Steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,8 @@ func TestTwoDBeatsRingOnMesh(t *testing.T) {
 	ring := func() int64 {
 		g := buildMesh(t, 4)
 		defer g.Net.Close()
-		res, err := Run(g.Net, RingAllReduce(SnakeOrder(4, 4), volume), 4, 1<<18)
+		s := RingAllReduce(SnakeOrder(4, 4), volume)
+		res, err := RunSteps(g.Net, s, 4, 1<<18, 0, len(s.Steps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,8 @@ func TestTwoDBeatsRingOnMesh(t *testing.T) {
 	twoD := func() int64 {
 		g := buildMesh(t, 4)
 		defer g.Net.Close()
-		res, err := Run(g.Net, TwoDAllReduce(4, 4, volume), 4, 1<<18)
+		s := TwoDAllReduce(4, 4, volume)
+		res, err := RunSteps(g.Net, s, 4, 1<<18, 0, len(s.Steps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,14 +270,14 @@ func TestFilterOrder(t *testing.T) {
 // TestExactStepBarriers is the regression test for the 64-cycle
 // quantization bug: each step must drain at its precise completion cycle.
 // On the XY-routed mesh the step makespan is shift-invariant, so the old
-// batched loop's observation is exactly the new one rounded up to the next
-// multiple of its 64-cycle batch — which is what Run used to report.
+// batched loop's observation — what it used to report — is exactly the new
+// one rounded up to the next multiple of its 64-cycle batch.
 func TestExactStepBarriers(t *testing.T) {
 	s := RingAllReduce(SnakeOrder(2, 2), 256)
 
 	g := buildMesh(t, 2)
 	defer g.Net.Close()
-	exact, err := Run(g.Net, s, 4, 1<<16)
+	exact, err := RunSteps(g.Net, s, 4, 1<<16, 0, len(s.Steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestRunPartialParticipants(t *testing.T) {
 	defer g.Net.Close()
 	sub := []int32{0, 3} // one snake-diagonal pair
 	s := RingAllReduce(sub, 64)
-	res, err := Run(g.Net, s, 4, 1<<14)
+	res, err := RunSteps(g.Net, s, 4, 1<<14, 0, len(s.Steps))
 	if err != nil {
 		t.Fatal(err)
 	}

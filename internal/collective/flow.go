@@ -13,12 +13,6 @@ import (
 // exactly the cycle path's rules (see RunSteps), so schedules re-routed
 // around dead chips solve over the same degraded chip tables.
 
-// RunFlow executes the whole schedule analytically; the flow-engine
-// counterpart of Run.
-func RunFlow(net *netsim.Network, s Schedule, packetSize int32) (Result, error) {
-	return RunStepsFlow(net, s, packetSize, 0, len(s.Steps))
-}
-
 // RunStepsFlow executes the half-open step range [lo, hi) analytically;
 // the flow-engine counterpart of RunSteps. Each step's transfers are
 // derived from its pattern (one destination draw per participant, from a

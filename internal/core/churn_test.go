@@ -218,10 +218,11 @@ func TestMeasureChurnCollective(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		pt, err := sys.MeasureChurnCollective(ChurnCollectiveSpec{
-			Cfg: cfg, Schedule: "ring", Volume: 128, Engine: kind,
-			KillChip: killChip, KillStep: killStep,
-		})
+		cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 128, Engine: kind}
+		if killChip >= 0 {
+			cs.Kill = &ChipKill{Chip: killChip, Step: killStep}
+		}
+		pt, err := sys.MeasureCollective(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,6 +247,18 @@ func TestMeasureChurnCollective(t *testing.T) {
 	if ref := run(netsim.EngineReference, 1, 2); !reflect.DeepEqual(kill, ref) {
 		t.Fatalf("engines diverged on churn collective:\nactive:    %+v\nreference: %+v", kill, ref)
 	}
+	// A kill needs the churn machinery: on an unarmed build it is an error.
+	unarmed := cfg
+	unarmed.Churn = topology.FaultTimeline{}
+	sys, err := Build(unarmed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.MeasureCollective(CollectiveSpec{Cfg: unarmed, Schedule: "ring", Volume: 128,
+		Kill: &ChipKill{Chip: 1, Step: 2}}); err == nil {
+		t.Fatal("chip kill on an unarmed system accepted")
+	}
 }
 
 // TestMeasureChurnCollectiveReuse checks the worker-cache path: measuring on
@@ -260,13 +273,13 @@ func TestMeasureChurnCollectiveReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cs := ChurnCollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 128, KillChip: 2, KillStep: 1}
-	first, err := sys.MeasureChurnCollective(cs)
+	cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 128, Kill: &ChipKill{Chip: 2, Step: 1}}
+	first, err := sys.MeasureCollective(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Reset()
-	second, err := sys.MeasureChurnCollective(cs)
+	second, err := sys.MeasureCollective(cs)
 	if err != nil {
 		t.Fatal(err)
 	}

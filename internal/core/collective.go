@@ -16,12 +16,15 @@ import (
 // pipeline: a declarative CollectiveSpec executed by a registered job kind,
 // so collective makespans get the same content-addressed caching, local
 // fan-out and remote sharding as sweep load points — instead of the
-// CLI-only corner they used to live in.
+// CLI-only corner they used to live in. An optional ChipKill turns the same
+// job into the churn experiment: "what does a chip death at step k cost an
+// in-flight AllReduce?"
 
 // CollectiveJobKind is the registered executor for declarative collective
 // makespan jobs. Versioned like core/point@v1: an incompatible spec change
-// registers a new kind rather than reinterpreting shipped payloads.
-const CollectiveJobKind = "collective/makespan@v1"
+// registers a new kind rather than reinterpreting shipped payloads (v2 added
+// Kill, which a v1 worker would silently ignore).
+const CollectiveJobKind = "collective/makespan@v2"
 
 // DefaultCollectivePacket is the packet size collective jobs use when the
 // spec leaves PacketSize zero (paper Table IV default).
@@ -39,12 +42,25 @@ type CollectiveSpec struct {
 	Volume int64 `json:"volume"`
 	// PacketSize is the packet length in flits (0 = DefaultCollectivePacket).
 	PacketSize int32 `json:"packet,omitempty"`
-	// MaxStepCycles bounds each dependent step (0 = collective.Run default).
+	// MaxStepCycles bounds each dependent step (0 = the collective.RunSteps
+	// default, 1<<20).
 	MaxStepCycles int64 `json:"max_step_cycles,omitempty"`
-	// Engine selects the cycle engine; both measure identical makespans and
-	// the non-default engine gets its own cache slot (a reference cross-check
-	// must simulate, not replay the active-set result).
+	// Engine selects the engine; the cycle engines measure identical
+	// makespans and the non-default engine gets its own cache slot (a
+	// reference cross-check must simulate, not replay the active-set result).
 	Engine netsim.EngineKind `json:"engine,omitempty"`
+	// Kill, when set, kills a chip mid-collective. The kill is injected
+	// through the network's churn machinery, so Cfg.Churn must be armed.
+	Kill *ChipKill `json:"kill,omitempty"`
+}
+
+// ChipKill is a chip death between two dependent steps: steps [0, Step)
+// run on the full schedule, then Chip dies (routing recomputes, stranded
+// packets drop or retry per the timeline's policy), then the schedule
+// re-resolved over the survivors runs its remaining steps.
+type ChipKill struct {
+	Chip int32 `json:"chip"`
+	Step int   `json:"step"`
 }
 
 func init() {
@@ -67,14 +83,19 @@ func runCollectiveJob(w *campaign.Worker, payload json.RawMessage) (metrics.Poin
 
 // collectiveKey is the content address of one collective job; like
 // pointKey it covers every result-affecting input, and a non-default
-// engine gets a distinct slot.
+// engine gets a distinct slot. The kill is appended only when set, so a
+// spec without one keeps the address it had before kills existed.
 //
 //sldf:cachekey CollectiveSpec
+//sldf:cachekey ChipKill
 func collectiveKey(cs CollectiveSpec) string {
 	key := fmt.Sprintf("%s|collective=%s|vol=%d|pkt=%d|maxstep=%d",
 		cs.Cfg.cacheID(), cs.Schedule, cs.Volume, cs.packet(), cs.MaxStepCycles)
 	if cs.Engine != netsim.EngineActiveSet {
 		key += "|engine=" + cs.Engine.String()
+	}
+	if cs.Kill != nil {
+		key += fmt.Sprintf("|kill=%d@%d", cs.Kill.Chip, cs.Kill.Step)
 	}
 	return key
 }
@@ -233,25 +254,74 @@ func gridShape(n int) (rows, cols int) {
 //	Throughput = delivered flits/cycle/chip over the makespan
 //	Aux        = [delivered packets, step 0 cycles, step 1 cycles, ...]
 //
-// Cycle counts are integers carried exactly in float64, so the encoding
-// round-trips bit-identically through JSON stores and the wire protocol.
+// With a Kill the makespan includes the disturbance, the step list is the
+// pre-kill steps followed by the survivor schedule's steps, and Aux gains
+// four fields after the packet count:
+//
+//	Aux        = [packets, pre-kill cycles, post-kill cycles,
+//	              dropped, retried, step 0 cycles, step 1 cycles, ...]
+//
+// A kill on a system without an armed churn timeline is an error. Cycle
+// and packet counts are integers carried exactly in float64, so the
+// encoding round-trips bit-identically through JSON stores and the wire
+// protocol.
 func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
+	if cs.Kill != nil && !s.Net.ChurnArmed() {
+		return metrics.Point{}, fmt.Errorf("core: chip kill on %s without an armed churn timeline (set Cfg.Churn.Armed)", s.Label)
+	}
 	s.Net.SetEngine(cs.Engine)
 	sch, err := ScheduleFor(s, cs.Schedule, cs.Volume)
 	if err != nil {
 		return metrics.Point{}, err
 	}
-	var res collective.Result
-	if cs.Engine == netsim.EngineFlow {
-		res, err = collective.RunFlow(s.Net, sch, cs.packet())
-	} else {
-		res, err = collective.Run(s.Net, sch, cs.packet(), cs.MaxStepCycles)
+	// Step ranges run through the spec's engine: the cycle engines drain to
+	// exact barriers, the flow engine solves each step analytically.
+	run := func(sch collective.Schedule, lo, hi int) (collective.Result, error) {
+		if cs.Engine == netsim.EngineFlow {
+			return collective.RunStepsFlow(s.Net, sch, cs.packet(), lo, hi)
+		}
+		return collective.RunSteps(s.Net, sch, cs.packet(), cs.MaxStepCycles, lo, hi)
 	}
+	if cs.Kill == nil {
+		res, err := run(sch, 0, len(sch.Steps))
+		if err != nil {
+			return metrics.Point{}, fmt.Errorf("%s/%s: %w", s.Label, cs.Schedule, err)
+		}
+		return s.collectivePoint(cs, res), nil
+	}
+
+	k := min(max(cs.Kill.Step, 0), len(sch.Steps))
+	pre, err := run(sch, 0, k)
 	if err != nil {
-		return metrics.Point{}, fmt.Errorf("%s/%s: %w", s.Label, cs.Schedule, err)
+		return metrics.Point{}, fmt.Errorf("%s/%s pre-kill: %w", s.Label, cs.Schedule, err)
 	}
-	pt := metrics.Point{Rate: float64(cs.Volume)}
-	pt.Latency = float64(res.Cycles)
+	if err := s.ApplyChipKill(cs.Kill.Chip); err != nil {
+		return metrics.Point{}, fmt.Errorf("%s/%s kill chip %d: %w", s.Label, cs.Schedule, cs.Kill.Chip, err)
+	}
+	// The survivors re-close the collective: resolve the schedule again over
+	// the degraded chip tables and run its remaining steps. Steps already
+	// executed count as done — the survivor schedule is entered at the same
+	// step index (clamped; it may be shorter).
+	surv, err := ScheduleFor(s, cs.Schedule, cs.Volume)
+	if err != nil {
+		return metrics.Point{}, fmt.Errorf("%s/%s survivors: %w", s.Label, cs.Schedule, err)
+	}
+	post, err := run(surv, min(k, len(surv.Steps)), len(surv.Steps))
+	if err != nil {
+		return metrics.Point{}, fmt.Errorf("%s/%s post-kill: %w", s.Label, cs.Schedule, err)
+	}
+	st := s.Net.Snapshot()
+	return s.collectivePoint(cs, collective.Result{
+		Cycles:     pre.Cycles + post.Cycles,
+		StepCycles: append(pre.StepCycles, post.StepCycles...),
+		Packets:    pre.Packets + post.Packets,
+	}, float64(pre.Cycles), float64(post.Cycles), float64(st.DroppedPkts), float64(st.RetriedPkts)), nil
+}
+
+// collectivePoint encodes a measured run as MeasureCollective documents,
+// with extra inserted into Aux between the packet count and the steps.
+func (s *System) collectivePoint(cs CollectiveSpec, res collective.Result, extra ...float64) metrics.Point {
+	pt := metrics.Point{Rate: float64(cs.Volume), Latency: float64(res.Cycles)}
 	if res.Cycles > 0 {
 		pt.Throughput = float64(res.Packets) * float64(cs.packet()) /
 			float64(res.Cycles) / float64(s.Chips)
@@ -262,12 +332,13 @@ func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 		pt.P50 = float64(sorted[n/2])
 		pt.P99 = float64(sorted[n-1])
 	}
-	pt.Aux = make([]float64, 0, 1+len(res.StepCycles))
+	pt.Aux = make([]float64, 0, 1+len(extra)+len(res.StepCycles))
 	pt.Aux = append(pt.Aux, float64(res.Packets))
+	pt.Aux = append(pt.Aux, extra...)
 	for _, c := range res.StepCycles {
 		pt.Aux = append(pt.Aux, float64(c))
 	}
-	return pt, nil
+	return pt
 }
 
 // CollectiveRowFromPoint decodes a collective job's point back into the

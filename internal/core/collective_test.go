@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -129,20 +126,47 @@ func TestCollectiveSerialCachedRemoteByteIdentical(t *testing.T) {
 }
 
 // TestCollectiveSpecJSONRoundTrip guards the wire format: a spec survives
-// JSON exactly and its job key covers schedule, volume, packet and engine.
+// JSON exactly, a spec without a kill keeps the key and payload it had
+// before kills existed (so existing stores keep serving it), and the job
+// key covers schedule, volume, packet, engine and both kill coordinates.
 func TestCollectiveSpecJSONRoundTrip(t *testing.T) {
-	cs := CollectiveSpec{Cfg: collectiveKinds()[1].cfg, Schedule: "hierarchical",
+	plain := CollectiveSpec{Cfg: collectiveKinds()[1].cfg, Schedule: "hierarchical",
 		Volume: 12345, PacketSize: 8, MaxStepCycles: 999, Engine: netsim.EngineReference}
-	data, err := json.Marshal(cs)
+	job, err := CollectiveJob(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back CollectiveSpec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
+	const wantKey = "kind=3 df={P:0 A:0 H:0 G:0} sldf={NoCDim:0 ChipCols:0 ChipRows:0 AB:0 H:0 G:0 Layout:0} " +
+		"term=0 chiplet=2 noc=2 scheme=0 mode=0 width=0 seed=0x7" +
+		"|collective=hierarchical|vol=12345|pkt=8|maxstep=999|engine=reference"
+	const wantPayload = `{"cfg":{"Kind":3,"DF":{"P":0,"A":0,"H":0,"G":0},` +
+		`"SLDF":{"NoCDim":0,"ChipCols":0,"ChipRows":0,"AB":0,"H":0,"G":0,"Layout":0},` +
+		`"Terminals":0,"ChipletDim":2,"NoCDim":2,"Scheme":0,"Mode":0,"IntraWidth":0,` +
+		`"Faults":{"Seed":0,"LinkFraction":0,"RouterFraction":0,"Links":null,"Routers":null},` +
+		`"Churn":{"Armed":false,"Seed":0,"LinkChurn":0,"RouterChurn":0,"Start":0,"End":0,"Repair":0,"Policy":0,"Events":null},` +
+		`"Seed":7,"Workers":1,"WatchdogCycles":0},` +
+		`"schedule":"hierarchical","volume":12345,"packet":8,"max_step_cycles":999,"engine":1}`
+	if job.Key != wantKey {
+		t.Fatalf("kill-free key changed:\ngot:  %s\nwant: %s", job.Key, wantKey)
 	}
-	if !reflect.DeepEqual(cs, back) {
-		t.Fatalf("round trip changed the spec: %+v vs %+v", cs, back)
+	if string(job.Payload) != wantPayload {
+		t.Fatalf("kill-free payload changed:\ngot:  %s\nwant: %s", job.Payload, wantPayload)
+	}
+
+	cs := plain
+	cs.Kill = &ChipKill{Chip: 1, Step: 2}
+	for _, spec := range []CollectiveSpec{plain, cs} {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back CollectiveSpec
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip changed the spec: %+v vs %+v", spec, back)
+		}
 	}
 	base, _ := CollectiveJob(cs)
 	for _, mut := range []func(*CollectiveSpec){
@@ -151,6 +175,9 @@ func TestCollectiveSpecJSONRoundTrip(t *testing.T) {
 		func(s *CollectiveSpec) { s.PacketSize = 4 },
 		func(s *CollectiveSpec) { s.MaxStepCycles = 0 },
 		func(s *CollectiveSpec) { s.Engine = netsim.EngineActiveSet },
+		func(s *CollectiveSpec) { s.Kill = nil },
+		func(s *CollectiveSpec) { s.Kill = &ChipKill{Chip: 2, Step: s.Kill.Step} },
+		func(s *CollectiveSpec) { s.Kill = &ChipKill{Chip: s.Kill.Chip, Step: 3} },
 	} {
 		m := cs
 		mut(&m)
@@ -259,24 +286,5 @@ func TestGoldenCollective(t *testing.T) {
 		}
 		got = append(got, e)
 	}
-	data, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	path := filepath.Join("testdata", "golden_collective.json")
-	if *updateGolden {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read fixture (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("collective makespans diverged from the committed fixture\ngot:\n%s\nwant:\n%s",
-			data, want)
-	}
+	checkGolden(t, "golden_collective.json", got, *updateGolden)
 }

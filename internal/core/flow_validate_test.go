@@ -162,10 +162,11 @@ func TestFlowChurnCollective(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		pt, err := sys.MeasureChurnCollective(ChurnCollectiveSpec{
-			Cfg: cfg, Schedule: "ring", Volume: 128, Engine: netsim.EngineFlow,
-			KillChip: killChip, KillStep: 2,
-		})
+		cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 128, Engine: netsim.EngineFlow}
+		if killChip >= 0 {
+			cs.Kill = &ChipKill{Chip: killChip, Step: 2}
+		}
+		pt, err := sys.MeasureCollective(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +174,23 @@ func TestFlowChurnCollective(t *testing.T) {
 	}
 	baseline := run(-1)
 	kill := run(1)
-	// Encoding (see MeasureChurnCollective): Latency = makespan, Aux =
-	// [packets, pre-kill cycles, post-kill cycles, dropped, retried, ...].
-	for name, pt := range map[string]metrics.Point{"baseline": baseline, "kill": kill} {
-		if pt.Latency <= 0 || len(pt.Aux) < 5 || pt.Aux[0] <= 0 {
-			t.Fatalf("vacuous %s churn measurement %+v", name, pt)
+	// Encoding (see MeasureCollective): Latency = makespan, Aux =
+	// [packets, step cycles...] for the baseline and [packets, pre-kill
+	// cycles, post-kill cycles, dropped, retried, step cycles...] with a kill.
+	for _, c := range []struct {
+		name  string
+		pt    metrics.Point
+		steps int // index of the first step in Aux
+	}{{"baseline", baseline, 1}, {"kill", kill, 5}} {
+		if c.pt.Latency <= 0 || len(c.pt.Aux) <= c.steps || c.pt.Aux[0] <= 0 {
+			t.Fatalf("vacuous %s churn measurement %+v", c.name, c.pt)
+		}
+		var sum float64
+		for _, v := range c.pt.Aux[c.steps:] {
+			sum += v
+		}
+		if sum != c.pt.Latency {
+			t.Fatalf("%s step cycles sum to %v, makespan %v", c.name, sum, c.pt.Latency)
 		}
 	}
 	if kill.Aux[1] <= 0 || kill.Aux[2] <= 0 {

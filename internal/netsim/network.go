@@ -400,16 +400,26 @@ func (n *Network) Step() {
 // the progress watchdog trips.
 func (n *Network) Run(cycles int64) error {
 	for i := int64(0); i < cycles; i++ {
-		n.Step()
-		if err := n.ChurnErr(); err != nil {
+		if err := n.checkedStep(); err != nil {
 			return err
 		}
-		if n.idleCycles >= n.watchdogLimit {
-			n.watchdogTrips++
-			n.idleCycles = 0
-			return fmt.Errorf("%w: cycle %d, %d packets in flight",
-				ErrDeadlock, n.Cycle, n.InFlight())
-		}
+	}
+	return nil
+}
+
+// checkedStep advances one cycle and reports what must stop a run loop: a
+// failed churn event, or a progress-watchdog trip (wrapping ErrDeadlock;
+// the trip is counted and the watchdog re-armed).
+func (n *Network) checkedStep() error {
+	n.Step()
+	if err := n.ChurnErr(); err != nil {
+		return err
+	}
+	if n.idleCycles >= n.watchdogLimit {
+		n.watchdogTrips++
+		n.idleCycles = 0
+		return fmt.Errorf("%w: cycle %d, %d packets in flight",
+			ErrDeadlock, n.Cycle, n.InFlight())
 	}
 	return nil
 }
@@ -442,15 +452,8 @@ func (n *Network) RunUntil(done func(*Network) bool, maxCycles int64) (int64, er
 			return ran, fmt.Errorf("%w: predicate still false after %d cycles (%d packets in flight)",
 				ErrCycleLimit, maxCycles, n.InFlight())
 		}
-		n.Step()
-		if err := n.ChurnErr(); err != nil {
+		if err := n.checkedStep(); err != nil {
 			return ran + 1, err
-		}
-		if n.idleCycles >= n.watchdogLimit {
-			n.watchdogTrips++
-			n.idleCycles = 0
-			return ran + 1, fmt.Errorf("%w: cycle %d, %d packets in flight",
-				ErrDeadlock, n.Cycle, n.InFlight())
 		}
 	}
 }
@@ -465,15 +468,8 @@ func (n *Network) Drain(maxCycles int64) (int64, error) {
 		if n.InFlight() == 0 {
 			return i, nil
 		}
-		n.Step()
-		if err := n.ChurnErr(); err != nil {
+		if err := n.checkedStep(); err != nil {
 			return i, err
-		}
-		if n.idleCycles >= n.watchdogLimit {
-			n.watchdogTrips++
-			n.idleCycles = 0
-			return i, fmt.Errorf("%w: during drain at cycle %d, %d in flight",
-				ErrDeadlock, n.Cycle, n.InFlight())
 		}
 	}
 	if n.InFlight() > 0 {

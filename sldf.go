@@ -110,7 +110,7 @@ type (
 // Live fault churn: a Config.Churn timeline kills and repairs components
 // at seeded cycles mid-run, with routing recomputed and in-flight packets
 // accounted per policy. See also System.ApplyChipKill and
-// System.MeasureChurnCollective.
+// System.MeasureCollective with a CollectiveSpec.Kill.
 type (
 	// FaultTimeline is a deterministic in-run death/repair schedule
 	// (Config.Churn); parse one from its CLI spec with ParseChurn.
