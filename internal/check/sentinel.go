@@ -13,9 +13,9 @@ import (
 
 // SentinelAnalyzer enforces the sentinel-error contract: package-level
 // error values named Err*/err* (ErrPartitioned, ErrCycleLimit,
-// ErrDeadChip, ...) are matched with errors.Is, never == / != and never
+// ErrDeadlock, ...) are matched with errors.Is, never == / != and never
 // by comparing err.Error() text. The sentinels here are routinely
-// wrapped (%w, DeadChipError, the routing fault wrappers), so a direct
+// wrapped (%w, the routing fault wrappers), so a direct
 // comparison compiles, passes the happy-path test, and silently stops
 // matching the wrapped form — the exact bug class errors.Is exists for.
 var SentinelAnalyzer = &analysis.Analyzer{

@@ -5,7 +5,7 @@ package sentinel
 
 import "errors"
 
-// ErrDead mimics the repo's wrapped sentinels (ErrDeadChip & co).
+// ErrDead mimics the repo's wrapped sentinels (ErrPartitioned & co).
 var ErrDead = errors.New("dead chip")
 
 // Classify walks the blessed and the broken comparison forms.

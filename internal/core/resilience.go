@@ -219,10 +219,9 @@ func measureResilienceCell(cfg Config, opts ResilienceOpts, fraction float64, se
 }
 
 // infeasible reports whether err is a typed rejection of a fault draw: the
-// surviving network is partitioned, a chip lost every terminal, or
-// degraded detours exceed the VC provisioning.
+// surviving network is partitioned, or degraded detours exceed the VC
+// provisioning.
 func infeasible(err error) bool {
 	return errors.Is(err, routing.ErrPartitioned) ||
-		errors.Is(err, routing.ErrDegradedVCs) ||
-		errors.Is(err, netsim.ErrDeadChip)
+		errors.Is(err, routing.ErrDegradedVCs)
 }

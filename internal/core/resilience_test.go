@@ -45,8 +45,8 @@ func TestBuildEmptyFaultSpecIsPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.Net.Faulted() {
-		t.Fatal("empty fault spec disabled components")
+	if r, l := sys.Net.DisabledCounts(); r != 0 || l != 0 {
+		t.Fatalf("empty fault spec disabled %d routers and %d links", r, l)
 	}
 	for _, l := range sys.Net.Links {
 		if l.VCs != routing.SLDFVCCount(routing.BaselineVC, routing.Minimal) {

@@ -180,7 +180,7 @@ func applyFaultSpec(net *netsim.Network, spec topology.FaultSpec, domain topolog
 	if closure != nil {
 		routers = append(routers, closure(routers, links)...)
 	}
-	_, err := net.ApplyFaultsTolerant(routers, links)
+	_, err := net.ApplyFaults(routers, links)
 	return err
 }
 

@@ -79,9 +79,8 @@ func SortTimedFaults(events []TimedFault) {
 }
 
 // churnState is the armed fault timeline of a network: the pending event
-// list, reference counts tracking how many unrepaired deaths currently hold
-// each component down, and snapshots of the build-time (post-static-fault)
-// state that Reset restores.
+// list and its cursor, the stranded-packet policy and the apply hook. The
+// component bookkeeping the events act on lives in the network's faultBook.
 type churnState struct {
 	events []TimedFault
 	next   int // first unapplied event
@@ -94,30 +93,9 @@ type churnState struct {
 	onApply func(*Network) error
 	err     error
 
-	// routerRefs[id] counts unrepaired death events on router id; a link's
-	// count sums explicit link deaths plus one per dead endpoint router.
-	// Component disabled = base flag || refs > 0.
-	routerRefs []int16
-	linkRefs   []int16
-
-	baseRouterDisabled []bool
-	baseLinkDisabled   []bool
-	baseChipNodes      [][]NodeID
-
-	// scratch collects packets stranded while a batch's events are being
-	// applied; they are disposed of (drop or retry) only after the chip
-	// tables reflect the whole batch, so a retry can never target a router
-	// that a later event of the same batch kills.
-	scratch []strandedRef
-
-	// toggledRouters/toggledLinks record the components that actually
-	// flipped alive<->dead while the current batch (or Reset) applied;
-	// fault-state routing folds them into the state key. appliedAny marks
-	// that some batch has been applied since the last Reset (SetFaultRouting
-	// refuses to install then).
-	toggledRouters []NodeID
-	toggledLinks   []int32
-	appliedAny     bool
+	// appliedAny marks that some batch has been applied since the last
+	// Reset (ApplyFaults and SetFaultRouting refuse to run then).
+	appliedAny bool
 }
 
 // strandedRef is one packet awaiting post-batch disposal, tagged with the
@@ -153,10 +131,11 @@ func (n *Network) ChurnErr() error {
 // routing follows the timeline on its own when installed with
 // SetFaultRouting.
 //
-// Must be called at cycle zero, after build-time faults: the current
-// Disabled flags and chip tables are snapshotted as the base state that
-// reference counting (and Reset) restores. An empty event list is valid
-// and leaves simulation bitwise identical to an unarmed network.
+// Must be called at cycle zero. Events act on the base state — the
+// pristine network plus every ApplyFaults set, whether applied before or
+// after arming — which repairs never undo and Reset restores. An empty
+// event list is valid and leaves simulation bitwise identical to an
+// unarmed network.
 func (n *Network) ScheduleChurn(events []TimedFault, policy DropPolicy, onApply func(*Network) error) error {
 	if n.Cycle != 0 {
 		return fmt.Errorf("netsim: ScheduleChurn at cycle %d; arm timelines before the first Step", n.Cycle)
@@ -167,44 +146,32 @@ func (n *Network) ScheduleChurn(events []TimedFault, policy DropPolicy, onApply 
 		}
 	}
 	c := &churnState{
-		events:     append([]TimedFault(nil), events...),
-		policy:     policy,
-		onApply:    onApply,
-		routerRefs: make([]int16, len(n.Routers)),
-		linkRefs:   make([]int16, len(n.Links)),
+		events:  append([]TimedFault(nil), events...),
+		policy:  policy,
+		onApply: onApply,
 	}
 	SortTimedFaults(c.events)
-	c.baseRouterDisabled = make([]bool, len(n.Routers))
-	for i := range n.Routers {
-		c.baseRouterDisabled[i] = n.Routers[i].Disabled
-	}
-	c.baseLinkDisabled = make([]bool, len(n.Links))
-	for i := range n.Links {
-		c.baseLinkDisabled[i] = n.Links[i].Disabled
-	}
-	c.baseChipNodes = make([][]NodeID, len(n.ChipNodes))
-	for i, nodes := range n.ChipNodes {
-		c.baseChipNodes[i] = append([]NodeID(nil), nodes...)
-	}
+	n.book()
 	n.churn = c
 	return nil
 }
 
+// checkFault validates one build-time fault or churn event.
 func (n *Network) checkFault(e TimedFault) error {
 	if e.Cycle < 0 {
-		return fmt.Errorf("netsim: churn event at negative cycle %d", e.Cycle)
+		return fmt.Errorf("netsim: fault event at negative cycle %d", e.Cycle)
 	}
 	switch {
 	case e.Router >= 0:
 		if int(e.Router) >= len(n.Routers) {
-			return fmt.Errorf("netsim: churn router %d out of range [0,%d)", e.Router, len(n.Routers))
+			return fmt.Errorf("netsim: fault router %d out of range [0,%d)", e.Router, len(n.Routers))
 		}
 	case e.Link >= 0:
 		if int(e.Link) >= len(n.Links) {
-			return fmt.Errorf("netsim: churn link %d out of range [0,%d)", e.Link, len(n.Links))
+			return fmt.Errorf("netsim: fault link %d out of range [0,%d)", e.Link, len(n.Links))
 		}
 	default:
-		return errors.New("netsim: churn event names neither a router nor a link")
+		return errors.New("netsim: fault event names neither a router nor a link")
 	}
 	return nil
 }
@@ -252,9 +219,9 @@ func (n *Network) applyDueChurn() {
 // routing, see SetFaultRouting) and runs the apply hook. Serial: called
 // only between engine phases.
 func (n *Network) applyChurnBatch(batch []TimedFault) {
-	c := n.churn
-	c.toggledRouters = c.toggledRouters[:0]
-	c.toggledLinks = c.toggledLinks[:0]
+	c, b := n.churn, n.faults
+	b.toggledRouters = b.toggledRouters[:0]
+	b.toggledLinks = b.toggledLinks[:0]
 	c.appliedAny = true
 	for _, e := range batch {
 		if e.Repair {
@@ -264,13 +231,13 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 		}
 	}
 	if fr := n.faultRoute; fr != nil {
-		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
+		fr.toggle(b.toggledRouters, b.toggledLinks, len(n.Links))
 	}
 	n.rebuildChipNodes()
-	for _, s := range c.scratch {
+	for _, s := range b.scratch {
 		n.strandPacket(s.ref, n.arena.at(s.ref), int(s.shard))
 	}
-	c.scratch = c.scratch[:0]
+	b.scratch = b.scratch[:0]
 	// Strand packets whose destination chip died; a packet whose exact
 	// destination terminal died on a surviving chip is retargeted to a
 	// deterministic sibling terminal.
@@ -296,9 +263,10 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 }
 
 // killOne applies one death event: bump reference counts and, on an
-// alive→dead transition, clear the component's queued traffic.
+// alive→dead transition, clear the component's queued traffic. Shared by
+// build-time faults and churn batches.
 func (n *Network) killOne(e TimedFault) {
-	c := n.churn
+	c := n.faults
 	if e.Router >= 0 {
 		c.routerRefs[e.Router]++
 		r := &n.Routers[e.Router]
@@ -332,13 +300,13 @@ func (n *Network) killLink(l *Link) {
 		return
 	}
 	l.Disabled = true
-	n.churn.toggledLinks = append(n.churn.toggledLinks, l.ID)
+	n.faults.toggledLinks = append(n.faults.toggledLinks, l.ID)
 	for {
 		ref, ok := l.data.popReady(1 << 62)
 		if !ok {
 			break
 		}
-		n.churn.scratch = append(n.churn.scratch, strandedRef{ref, l.dstShard})
+		n.faults.scratch = append(n.faults.scratch, strandedRef{ref, l.dstShard})
 	}
 	l.credit.clear()
 }
@@ -354,7 +322,7 @@ func (n *Network) clearRouter(r *Router) {
 		for vc := range ip.VCs {
 			q := &ip.VCs[vc]
 			for k := 0; k < q.size(); k++ {
-				n.churn.scratch = append(n.churn.scratch, strandedRef{q.at(k), shard})
+				n.faults.scratch = append(n.faults.scratch, strandedRef{q.at(k), shard})
 			}
 			q.clear()
 		}
@@ -373,7 +341,7 @@ func (n *Network) clearRouter(r *Router) {
 // dead→alive transition, restore the component to service with a coherent
 // credit state.
 func (n *Network) repairOne(e TimedFault) {
-	c := n.churn
+	c := n.faults
 	if e.Router >= 0 {
 		if c.routerRefs[e.Router] == 0 {
 			return // unmatched repair: no-op
@@ -416,7 +384,7 @@ func (n *Network) repairOne(e TimedFault) {
 // free space (packets parked in the downstream VCs across the outage keep
 // their claim).
 func (n *Network) maybeReviveLink(l *Link) {
-	c := n.churn
+	c := n.faults
 	if !l.Disabled || c.linkRefs[l.ID] > 0 || c.baseLinkDisabled[l.ID] {
 		return
 	}
@@ -483,8 +451,7 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 // snapshot against the current Disabled flags, keeping Local indices in
 // sync with slice positions (DstSameIndex addressing).
 func (n *Network) rebuildChipNodes() {
-	c := n.churn
-	for chip, base := range c.baseChipNodes {
+	for chip, base := range n.faults.baseChipNodes {
 		nodes := n.ChipNodes[chip][:0]
 		if nodes == nil && len(base) > 0 {
 			nodes = make([]NodeID, 0, len(base))
@@ -662,53 +629,35 @@ func (n *Network) shardOfRouter(id NodeID) int {
 	return 0
 }
 
-// resetChurn restores the base (build-time) fault state and re-arms the
-// timeline from its first event. Called by Reset on armed networks, after
-// the generic queue/statistics reset.
+// resetChurn restores the base fault state and re-arms the timeline from
+// its first event. Called by Reset on armed networks, after the generic
+// queue/statistics reset.
 func (n *Network) resetChurn() {
-	c := n.churn
-	c.toggledRouters = c.toggledRouters[:0]
-	c.toggledLinks = c.toggledLinks[:0]
+	c, b := n.churn, n.faults
+	b.toggledRouters = b.toggledRouters[:0]
+	b.toggledLinks = b.toggledLinks[:0]
 	for i := range n.Routers {
-		if r := &n.Routers[i]; r.Disabled != c.baseRouterDisabled[i] {
-			r.Disabled = c.baseRouterDisabled[i]
-			c.toggledRouters = append(c.toggledRouters, r.ID)
+		if r := &n.Routers[i]; r.Disabled != b.baseRouterDisabled[i] {
+			r.Disabled = b.baseRouterDisabled[i]
+			b.toggledRouters = append(b.toggledRouters, r.ID)
 		}
 	}
 	for i := range n.Links {
-		if l := &n.Links[i]; l.Disabled != c.baseLinkDisabled[i] {
-			l.Disabled = c.baseLinkDisabled[i]
-			c.toggledLinks = append(c.toggledLinks, l.ID)
+		if l := &n.Links[i]; l.Disabled != b.baseLinkDisabled[i] {
+			l.Disabled = b.baseLinkDisabled[i]
+			b.toggledLinks = append(b.toggledLinks, l.ID)
 		}
 	}
-	for i := range c.routerRefs {
-		c.routerRefs[i] = 0
-	}
-	for i := range c.linkRefs {
-		c.linkRefs[i] = 0
-	}
-	for chip, base := range c.baseChipNodes {
-		if len(base) == 0 {
-			n.ChipNodes[chip] = nil
-			continue
-		}
-		nodes := n.ChipNodes[chip][:0]
-		if nodes == nil {
-			nodes = make([]NodeID, 0, len(base))
-		}
-		nodes = append(nodes, base...)
-		n.ChipNodes[chip] = nodes
-		for idx, id := range nodes {
-			n.Routers[id].Local = int32(idx)
-		}
-	}
+	clear(b.routerRefs)
+	clear(b.linkRefs)
+	n.rebuildChipNodes()
 	n.rebuildShardLists()
 	c.next = 0
 	c.err = nil
 	if fr := n.faultRoute; fr != nil {
 		// Back to the base state: its routing is always kept and its traces
 		// were never evicted, so nothing is rebuilt or re-traced.
-		fr.toggle(c.toggledRouters, c.toggledLinks, len(n.Links))
+		fr.toggle(b.toggledRouters, b.toggledLinks, len(n.Links))
 		c.err = n.enterFaultState(false)
 	}
 	c.appliedAny = false

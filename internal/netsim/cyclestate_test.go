@@ -49,7 +49,7 @@ func TestFlowOnlyNetworkHasNoCycleState(t *testing.T) {
 	defer net.Close()
 	net.SetEngine(EngineFlow)
 	checkNoCycleState(t, net)
-	if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
+	if _, err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
 		t.Fatal(err)
 	}
 	armChurnRing(t, net)
@@ -105,7 +105,7 @@ func TestCycleStateFollowsBuildFaults(t *testing.T) {
 		if early {
 			net.SetEngine(EngineReference)
 		}
-		if _, err := net.ApplyFaultsTolerant([]NodeID{net.ChipNodes[5][0]}, nil); err != nil {
+		if _, err := net.ApplyFaults([]NodeID{net.ChipNodes[5][0]}, nil); err != nil {
 			t.Fatal(err)
 		}
 		net.SetEngine(EngineReference)

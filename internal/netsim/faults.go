@@ -3,135 +3,131 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
-// ErrDeadChip is the sentinel matched (via errors.Is) by DeadChipError:
-// a fault set would leave a terminal chip with no alive injection router,
-// which the open-loop traffic model cannot represent.
-var ErrDeadChip = errors.New("netsim: fault set kills every terminal of a chip")
+// faultBook is the network's component-fault bookkeeping, shared by
+// build-time faults (ApplyFaults) and the churn timeline (ScheduleChurn,
+// InjectChurn): both kill components through killOne, so there is one
+// disable path and one rebuild of the derived tables. Created by the first
+// of those calls; nil on a network that was never faulted or armed.
+type faultBook struct {
+	// routerRefs[id] counts unrepaired death events on router id; a link's
+	// count sums explicit link deaths plus one per dead endpoint router.
+	// Component disabled = base flag || refs > 0.
+	routerRefs []int16
+	linkRefs   []int16
 
-// DeadChipError reports which chip a fault set fully disconnects from the
-// terminal interface. Wraps ErrDeadChip.
-type DeadChipError struct {
-	Chip int32
+	// The base state: build-time faults included, never repaired, and
+	// restored by Reset.
+	baseRouterDisabled []bool
+	baseLinkDisabled   []bool
+	baseChipNodes      [][]NodeID
+
+	// scratch collects packets stranded while a batch's events are being
+	// applied; they are disposed of (drop or retry) only after the chip
+	// tables reflect the whole batch, so a retry can never target a router
+	// that a later event of the same batch kills.
+	scratch []strandedRef
+
+	// toggledRouters/toggledLinks record the components that actually
+	// flipped alive<->dead while the current batch (or Reset) applied;
+	// fault-state routing folds them into the state key.
+	toggledRouters []NodeID
+	toggledLinks   []int32
 }
 
-// Error implements error.
-func (e *DeadChipError) Error() string {
-	return fmt.Sprintf("netsim: fault set disables every terminal router of chip %d", e.Chip)
+// book returns the network's fault book, creating it with the current
+// state as base on first use.
+func (n *Network) book() *faultBook {
+	if n.faults == nil {
+		n.faults = &faultBook{
+			routerRefs: make([]int16, len(n.Routers)),
+			linkRefs:   make([]int16, len(n.Links)),
+		}
+		n.commitBase()
+	}
+	return n.faults
 }
 
-// Unwrap makes errors.Is(err, ErrDeadChip) work.
-func (e *DeadChipError) Unwrap() error { return ErrDeadChip }
+// commitBase makes the current component state the base: the Disabled
+// flags and chip tables are snapshotted and the reference counts zeroed,
+// so no repair revives what is down now and Reset returns here.
+func (n *Network) commitBase() {
+	b := n.faults
+	b.baseRouterDisabled = make([]bool, len(n.Routers))
+	for i := range n.Routers {
+		b.baseRouterDisabled[i] = n.Routers[i].Disabled
+	}
+	b.baseLinkDisabled = make([]bool, len(n.Links))
+	for i := range n.Links {
+		b.baseLinkDisabled[i] = n.Links[i].Disabled
+	}
+	b.baseChipNodes = make([][]NodeID, len(n.ChipNodes))
+	for i, nodes := range n.ChipNodes {
+		b.baseChipNodes[i] = append([]NodeID(nil), nodes...)
+	}
+	clear(b.routerRefs)
+	clear(b.linkRefs)
+}
 
 // ApplyFaults permanently disables the given routers and links, modelling
-// defective dies and broken cables on a freshly built network. It must be
-// called before the first Step (the topology layer applies faults at build
-// time). Disabling a router also disables every link incident to it.
+// defective dies and broken cables. It must be called at cycle zero, before
+// any churn event has applied; the whole set is validated first, so a
+// rejected call changes nothing. The faults apply as one kill batch through
+// the churn path — a dead router takes every incident link with it — and
+// the resulting state becomes the base state that repairs never undo and
+// Reset restores.
 //
 // Disabled components are invisible to both cycle engines: a disabled
-// router is removed from the injector walk and (never receiving traffic)
-// never enters a shard's active bitmap; a disabled link is removed from the
-// reference engine's drain lists and, carrying no flits or credits, is
-// never parked on the active-set timing wheel. A chip whose terminal
-// routers are all disabled yields a DeadChipError; a chip that keeps at
-// least one alive terminal stays addressable, with its remaining nodes
-// re-indexed. Reset preserves fault state.
+// router is removed from the injector walk and never receives traffic; a
+// disabled link offers no bandwidth and is dropped from the drain lists. A
+// chip that keeps at least one alive terminal stays addressable, with its
+// remaining nodes re-indexed; a chip that loses every terminal is dropped
+// from the workload (its ChipNodes entry empties) and returned in
+// deadChips. Traffic generators must not target a dead chip — wrap
+// patterns with traffic.FilterDead (the core layer does this
+// automatically).
 //
 // ApplyFaults only severs connectivity — it does not reroute a function
 // installed with SetRoute. Install a fault-aware RouteFunc (see the routing
-// package) or packets will be forwarded onto dead components; routing
-// installed with SetFaultRouting is rebuilt for the new fault set.
-func (n *Network) ApplyFaults(routers []NodeID, links []int32) error {
-	dead, err := n.applyFaults(routers, links)
-	if err != nil {
-		return err
-	}
-	if len(dead) > 0 {
-		return &DeadChipError{Chip: dead[0]}
-	}
-	return nil
-}
-
-// ApplyFaultsTolerant is ApplyFaults for degraded-operation studies: chips
-// whose terminal routers are all disabled are dropped from the workload
-// (their ChipNodes entry empties) instead of failing, and their IDs are
-// returned. Traffic generators must not target a dead chip — wrap patterns
-// with traffic.FilterDead (the core layer does this automatically).
-func (n *Network) ApplyFaultsTolerant(routers []NodeID, links []int32) (deadChips []int32, err error) {
-	return n.applyFaults(routers, links)
-}
-
-func (n *Network) applyFaults(routers []NodeID, links []int32) (deadChips []int32, err error) {
+// package) or packets will wait forever at dead links; routing installed
+// with SetFaultRouting is rebuilt for the new fault set.
+func (n *Network) ApplyFaults(routers []NodeID, links []int32) (deadChips []int32, err error) {
 	if n.Cycle != 0 {
 		return nil, fmt.Errorf("netsim: ApplyFaults after %d simulated cycles; faults are build-time only", n.Cycle)
 	}
-	// Build-time faults change connectivity wholesale; discard any cached
-	// route traces up front (the mutation below is not transactional).
-	n.flowInvalidateAll()
+	if n.churn != nil && n.churn.appliedAny {
+		return nil, errors.New("netsim: ApplyFaults on a network whose churn timeline has applied events; Reset first")
+	}
+	batch := make([]TimedFault, 0, len(routers)+len(links))
 	for _, id := range routers {
-		if id < 0 || int(id) >= len(n.Routers) {
-			return nil, fmt.Errorf("netsim: fault router %d out of range [0,%d)", id, len(n.Routers))
-		}
-		n.Routers[id].Disabled = true
+		batch = append(batch, RouterFault(0, id, false))
 	}
 	for _, id := range links {
-		if id < 0 || int(id) >= len(n.Links) {
-			return nil, fmt.Errorf("netsim: fault link %d out of range [0,%d)", id, len(n.Links))
-		}
-		n.Links[id].Disabled = true
+		batch = append(batch, LinkFault(0, id, false))
 	}
-	// A dead router takes all its channels with it.
-	for i := range n.Routers {
-		r := &n.Routers[i]
-		if !r.Disabled {
-			continue
-		}
-		for p := range r.In {
-			if l := r.In[p].Link; l != nil {
-				l.Disabled = true
-			}
-		}
-		for p := range r.Out {
-			if l := r.Out[p].Link; l != nil {
-				l.Disabled = true
-			}
+	for _, e := range batch {
+		if err := n.checkFault(e); err != nil {
+			return nil, err
 		}
 	}
-
-	// Rebuild the chip→node tables without disabled terminals. Local
-	// indices must keep matching slice positions for DstSameIndex.
-	for c := range n.ChipNodes {
-		nodes := n.ChipNodes[c][:0]
-		for _, id := range n.ChipNodes[c] {
-			if !n.Routers[id].Disabled {
-				nodes = append(nodes, id)
-			}
-		}
-		if len(nodes) == 0 {
-			deadChips = append(deadChips, int32(c))
-			n.ChipNodes[c] = nil
-			continue
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		n.ChipNodes[c] = nodes
-		for idx, id := range nodes {
-			n.Routers[id].Local = int32(idx)
-		}
+	n.flowInvalidateAll()
+	n.book()
+	// At cycle zero the network holds no packets, so the batch strands
+	// nothing and no active set needs rebuilding.
+	for _, e := range batch {
+		n.killOne(e)
 	}
-
-	// Rebuild the per-shard injector walk (shared by both engines) and the
-	// reference engine's drain lists, when a cycle engine has built them.
+	n.rebuildChipNodes()
 	n.rebuildShardLists()
+	n.commitBase()
+	deadChips = n.DeadChips()
 	// Installed fault-state routing is rebuilt for the new fault set, which
 	// becomes its base state.
 	if fr := n.faultRoute; fr != nil {
-		if err := n.SetFaultRouting(fr.build); err != nil {
-			return deadChips, err
-		}
+		err = n.SetFaultRouting(fr.build)
 	}
-	return deadChips, nil
+	return deadChips, err
 }
 
 // ChipAlive reports whether chip c still has a terminal router.
@@ -148,21 +144,6 @@ func (n *Network) DeadChips() []int32 {
 		}
 	}
 	return dead
-}
-
-// Faulted reports whether any router or link of the network is disabled.
-func (n *Network) Faulted() bool {
-	for i := range n.Routers {
-		if n.Routers[i].Disabled {
-			return true
-		}
-	}
-	for _, l := range n.Links {
-		if l.Disabled {
-			return true
-		}
-	}
-	return false
 }
 
 // DisabledCounts returns the number of disabled routers and links.

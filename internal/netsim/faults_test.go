@@ -1,7 +1,8 @@
 package netsim
 
 import (
-	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sldf/internal/engine"
@@ -39,13 +40,13 @@ func buildFaultRing(t testing.TB, n int, opts NetworkOptions) *Network {
 func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 	net := buildTwoNodeChip(t, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	if net.Faulted() {
-		t.Fatal("fresh network reports faults")
+	if r, l := net.DisabledCounts(); r != 0 || l != 0 {
+		t.Fatalf("fresh network reports faults: DisabledCounts = (%d, %d)", r, l)
 	}
 	// Router 1 is one of chip 0's two terminals: disabling it must take its
 	// two links (1→hub, hub→1) with it while chip 0 stays alive.
-	if err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
-		t.Fatal(err)
+	if dead, err := net.ApplyFaults([]NodeID{1}, nil); err != nil || len(dead) != 0 {
+		t.Fatalf("ApplyFaults = %v, %v; want no dead chips", dead, err)
 	}
 	if !net.Routers[1].Disabled {
 		t.Fatal("router 1 not disabled")
@@ -62,34 +63,92 @@ func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 	}
 }
 
+// TestApplyFaultsDeadChip checks that disabling a chip's only terminal
+// drops the chip from the workload and reports it, leaving the caller to
+// decide what a dead chip means.
 func TestApplyFaultsDeadChip(t *testing.T) {
 	net := buildFaultRing(t, 4, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	err := net.ApplyFaults([]NodeID{1}, nil)
-	if err == nil {
-		t.Fatal("disabling chip 1's only terminal must fail")
+	dead, err := net.ApplyFaults([]NodeID{1}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrDeadChip) {
-		t.Fatalf("error %v does not wrap ErrDeadChip", err)
+	if !reflect.DeepEqual(dead, []int32{1}) {
+		t.Fatalf("dead chips = %v, want [1]", dead)
 	}
-	var dce *DeadChipError
-	if !errors.As(err, &dce) || dce.Chip != 1 {
-		t.Fatalf("error %v is not DeadChipError{Chip: 1}", err)
+	if net.ChipAlive(1) || len(net.ChipNodes[1]) != 0 {
+		t.Fatalf("chip 1 still addressable: ChipNodes[1] = %v", net.ChipNodes[1])
 	}
 }
 
+// TestApplyFaultsValidation checks that a rejected fault set changes
+// nothing: the whole set is validated before any component is disabled.
 func TestApplyFaultsValidation(t *testing.T) {
 	net := buildFaultRing(t, 4, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	if err := net.ApplyFaults([]NodeID{99}, nil); err == nil {
+	if _, err := net.ApplyFaults([]NodeID{99}, nil); err == nil {
 		t.Fatal("out-of-range router accepted")
 	}
-	if err := net.ApplyFaults(nil, []int32{-1}); err == nil {
+	if _, err := net.ApplyFaults(nil, []int32{-1}); err == nil {
 		t.Fatal("out-of-range link accepted")
 	}
+	if _, err := net.ApplyFaults([]NodeID{2}, []int32{-1}); err == nil {
+		t.Fatal("valid router with out-of-range link accepted")
+	}
+	if r, l := net.DisabledCounts(); r != 0 || l != 0 {
+		t.Fatalf("rejected fault sets left DisabledCounts = (%d, %d), want (0, 0)", r, l)
+	}
+	if !reflect.DeepEqual(net.ChipNodes[2], []NodeID{2}) {
+		t.Fatalf("rejected fault set changed ChipNodes[2] to %v", net.ChipNodes[2])
+	}
+	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.InjectChurn([]TimedFault{RouterFault(0, 1, false)}); err != nil {
+		t.Fatal(err)
+	}
+	r0, l0 := net.DisabledCounts()
+	if _, err := net.ApplyFaults(nil, []int32{2}); err == nil {
+		t.Fatal("ApplyFaults after an applied churn batch accepted")
+	}
+	if r, l := net.DisabledCounts(); r != r0 || l != l0 {
+		t.Fatalf("rejected ApplyFaults changed DisabledCounts from (%d, %d) to (%d, %d)", r0, l0, r, l)
+	}
 	net.Step()
-	if err := net.ApplyFaults(nil, nil); err == nil {
+	if _, err := net.ApplyFaults(nil, nil); err == nil {
 		t.Fatal("ApplyFaults after Step accepted")
+	}
+}
+
+// TestApplyFaultsAfterScheduleChurnSurvivesReset checks that build-time
+// faults applied after arming a timeline join the base state: Reset must
+// not revive them.
+func TestApplyFaultsAfterScheduleChurnSurvivesReset(t *testing.T) {
+	net := buildChurnRing(t, 6, NetworkOptions{Seed: 1, Workers: 1})
+	defer net.Close()
+	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := net.ApplyFaults([]NodeID{net.ChipNodes[2][0]}, []int32{linkBetween(t, net, 4, 5).ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dead, []int32{2}) {
+		t.Fatalf("dead chips = %v, want [2]", dead)
+	}
+	routers, links := net.DisabledCounts()
+	chipNodes := make([][]NodeID, len(net.ChipNodes))
+	for c, nodes := range net.ChipNodes {
+		chipNodes[c] = append([]NodeID(nil), nodes...)
+	}
+	net.Reset()
+	if r, l := net.DisabledCounts(); r != routers || l != links {
+		t.Fatalf("Reset changed DisabledCounts from (%d, %d) to (%d, %d)", routers, links, r, l)
+	}
+	for c, nodes := range net.ChipNodes {
+		if !slices.Equal(nodes, chipNodes[c]) {
+			t.Fatalf("Reset changed ChipNodes[%d] from %v to %v", c, chipNodes[c], nodes)
+		}
 	}
 }
 
@@ -133,7 +192,7 @@ func buildTwoNodeChip(t testing.TB, opts NetworkOptions) *Network {
 func TestDisabledTerminalLeavesChipAddressable(t *testing.T) {
 	for _, kind := range []EngineKind{EngineReference, EngineActiveSet} {
 		net := buildTwoNodeChip(t, NetworkOptions{Seed: 7, Workers: 1, Engine: kind})
-		if err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
+		if _, err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if got := len(net.ChipNodes[0]); got != 1 || net.ChipNodes[0][0] != 0 {
@@ -167,56 +226,76 @@ func TestDisabledTerminalLeavesChipAddressable(t *testing.T) {
 	}
 }
 
-// TestFaultedRunBothEngines runs a ring with a disabled transit router and
-// traffic confined to alive arcs, checking bitwise-equal stats between the
-// reference and active-set engines and that faults survive Reset.
+// TestFaultedRunBothEngines runs a ring with a disabled link, no churn
+// armed, checking bitwise-equal stats between the reference and active-set
+// engines and that faults survive Reset. Traffic either keeps to alive arcs
+// or crosses the dead link, where it must wait under both engines: a
+// disabled link offers no bandwidth.
 func TestFaultedRunBothEngines(t *testing.T) {
-	measure := func(kind EngineKind, reset bool) Stats {
-		net := buildFaultRing(t, 8, NetworkOptions{Seed: 3, Workers: 1, Engine: kind})
-		defer net.Close()
-		// Fail only link 5→6; the one-step clockwise traffic below (src 0..3)
-		// keeps to arcs 0→1 ... 3→4 and never touches it.
-		if err := net.ApplyFaults(nil, []int32{5}); err != nil {
-			t.Fatal(err)
-		}
-		gen := GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
-			if now < 5 && src < 4 {
-				return src + 1 // clockwise one step, never crossing link 5→6
+	cases := []struct {
+		name     string
+		src, dst int32
+		stuck    bool // the clockwise path crosses the dead link 5→6
+	}{
+		{name: "alive-arcs", src: -1},
+		{name: "dead-link", src: 4, dst: 7, stuck: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
+				switch {
+				case now >= 5:
+					return -1
+				case tc.src < 0 && src < 4:
+					return src + 1 // clockwise one step, never crossing link 5→6
+				case src == tc.src:
+					return tc.dst
+				}
+				return -1
+			})
+			measure := func(kind EngineKind, reset bool) Stats {
+				net := buildFaultRing(t, 8, NetworkOptions{Seed: 3, Workers: 1, Engine: kind})
+				defer net.Close()
+				if _, err := net.ApplyFaults(nil, []int32{5}); err != nil {
+					t.Fatal(err)
+				}
+				run := func() Stats {
+					net.SetTraffic(gen, 4, DstSameIndex)
+					net.StartMeasurement()
+					if err := net.Run(5); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := net.Drain(300); (err != nil) != tc.stuck {
+						t.Fatalf("Drain error %v, want stuck=%v", err, tc.stuck)
+					}
+					net.StopMeasurement()
+					return net.Snapshot()
+				}
+				st := run()
+				if reset {
+					net.Reset()
+					if !net.Links[5].Disabled {
+						t.Fatal("Reset cleared the fault")
+					}
+					st = run()
+				}
+				return st
 			}
-			return -1
+			ref := measure(EngineReference, false)
+			act := measure(EngineActiveSet, false)
+			actReset := measure(EngineActiveSet, true)
+			if ref != act {
+				t.Fatalf("stats diverged:\nreference: %+v\nactive:    %+v", ref, act)
+			}
+			if ref != actReset {
+				t.Fatalf("stats diverged after reset:\nreference: %+v\nreset:     %+v", ref, actReset)
+			}
+			if ref.InjectedPkts == 0 {
+				t.Fatal("no traffic injected; comparison vacuous")
+			}
+			if delivered := ref.DeliveredPkts != 0; delivered == tc.stuck {
+				t.Fatalf("delivered %d of %d packets, want stuck=%v", ref.DeliveredPkts, ref.InjectedPkts, tc.stuck)
+			}
 		})
-		run := func() Stats {
-			net.SetTraffic(gen, 4, DstSameIndex)
-			net.StartMeasurement()
-			if err := net.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := net.Drain(300); err != nil {
-				t.Fatal(err)
-			}
-			net.StopMeasurement()
-			return net.Snapshot()
-		}
-		st := run()
-		if reset {
-			net.Reset()
-			if !net.Links[5].Disabled {
-				t.Fatal("Reset cleared the fault")
-			}
-			st = run()
-		}
-		return st
-	}
-	ref := measure(EngineReference, false)
-	act := measure(EngineActiveSet, false)
-	actReset := measure(EngineActiveSet, true)
-	if ref != act {
-		t.Fatalf("stats diverged:\nreference: %+v\nactive:    %+v", ref, act)
-	}
-	if ref != actReset {
-		t.Fatalf("stats diverged after reset:\nreference: %+v\nreset:     %+v", ref, actReset)
-	}
-	if ref.DeliveredPkts == 0 {
-		t.Fatal("no traffic delivered; comparison vacuous")
 	}
 }

@@ -135,9 +135,9 @@ type Link struct {
 	SrcPort int16
 	DstPort int16
 
-	// Disabled marks a failed channel (cut cable, dead SR-LR module). Set
-	// through Network.ApplyFaults before simulation starts; a disabled link
-	// carries no traffic and is skipped by both cycle engines.
+	// Disabled marks a failed channel (cut cable, dead SR-LR module). Set by
+	// build-time faults (Network.ApplyFaults) and churn events; a disabled
+	// link offers no bandwidth and is skipped by both cycle engines.
 	Disabled bool
 
 	data   packetFIFO

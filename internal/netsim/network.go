@@ -105,6 +105,10 @@ type Network struct {
 	// check is Step's only churn cost, preserving bitwise identity with
 	// pre-churn builds).
 	churn *churnState
+	// faults is the component-fault bookkeeping shared by build-time
+	// faults and the churn timeline; nil until the first ApplyFaults or
+	// ScheduleChurn.
+	faults *faultBook
 
 	// faultRoute is the installed fault-state routing (SetRoute or
 	// SetFaultRouting); nil until routing is installed.

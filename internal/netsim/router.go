@@ -231,8 +231,8 @@ type Router struct {
 	ID   NodeID
 	Kind RouterKind
 
-	// Disabled marks a failed router (defective die). Set through
-	// Network.ApplyFaults before simulation starts; a disabled router never
+	// Disabled marks a failed router (defective die). Set by build-time
+	// faults (Network.ApplyFaults) and churn events; a disabled router never
 	// injects, never receives traffic (fault-aware routing avoids it), and
 	// therefore never enters an engine's active set.
 	Disabled bool
@@ -550,16 +550,14 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 				minWake = min(minWake, ip.busyUntil)
 				continue
 			}
-			if op.Link != nil && (op.Credits[d.vc] < d.size ||
-				(net.churn != nil && op.Link.Disabled)) {
-				// No credits — or, under an armed fault timeline, a dead
-				// output link: a disabled link offers no bandwidth, so the
-				// packet waits in place until a repair (or a route recompute
-				// after the next churn batch) unblocks it. Without this check
-				// the two engines diverge: the reference engine's drain lists
-				// skip disabled links (blackholing the packet) while the
-				// active-set engine would stage the dead link and deliver
-				// through the corpse.
+			if op.Link != nil && (op.Credits[d.vc] < d.size || op.Link.Disabled) {
+				// No credits — or a dead output link: a disabled link offers
+				// no bandwidth, so the packet waits in place until a repair
+				// (or a route recompute after the next churn batch) unblocks
+				// it. Without this check the two engines diverge: the
+				// reference engine's drain lists skip disabled links
+				// (blackholing the packet) while the active-set engine would
+				// stage the dead link and deliver through the corpse.
 				onEvent = true
 				continue
 			}

@@ -9,11 +9,20 @@ import (
 	"sldf/internal/topology"
 )
 
-// applySpec resolves a fault spec against a domain and applies it.
+// errDeadChip rejects fault specs that kill a whole chip: the property
+// tests below only exercise draws that keep every chip addressable.
+var errDeadChip = errors.New("fault spec kills every terminal of a chip")
+
+// applySpec resolves a fault spec against a domain and applies it,
+// returning errDeadChip when a chip lost every terminal.
 func applySpec(t *testing.T, net *netsim.Network, spec topology.FaultSpec, d topology.FaultDomain) error {
 	t.Helper()
 	routers, links := spec.Resolve(d)
-	return net.ApplyFaults(routers, links)
+	dead, err := net.ApplyFaults(routers, links)
+	if err == nil && len(dead) > 0 {
+		err = errDeadChip
+	}
+	return err
 }
 
 // checkTraceAvoidsFaults walks every (source node, destination chip) pair
@@ -88,7 +97,7 @@ func TestFaultedSLDFProperties(t *testing.T) {
 				name := fmt.Sprintf("seed%d/links%.2f/routers%.2f/%s", seed, fractions[0], fractions[1], mode)
 				s, err := faultSLDF(t, spec)
 				if err != nil {
-					if !errors.Is(err, netsim.ErrDeadChip) {
+					if !errors.Is(err, errDeadChip) {
 						t.Fatalf("%s: unexpected apply error: %v", name, err)
 					}
 					continue // spec kills a whole chiplet: correctly rejected
@@ -146,7 +155,7 @@ func TestFaultedSLDFPartitionRejected(t *testing.T) {
 	for j := range cg.GlobalPorts {
 		ports = append(ports, cg.GlobalPorts[j].Node)
 	}
-	if err := s.Net.ApplyFaults(ports, nil); err != nil {
+	if _, err := s.Net.ApplyFaults(ports, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err = NewFaultSLDFRouter(s, BaselineVC, Minimal)
@@ -191,7 +200,7 @@ func TestFaultedMeshProperties(t *testing.T) {
 		}
 		spec := topology.FaultSpec{Seed: seed, LinkFraction: 0.1, RouterFraction: 0.05}
 		if err := applySpec(t, g.Net, spec, g.FaultDomain()); err != nil {
-			if !errors.Is(err, netsim.ErrDeadChip) {
+			if !errors.Is(err, errDeadChip) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			g.Net.Close()
@@ -237,7 +246,7 @@ func TestFaultedMeshPartitionRejected(t *testing.T) {
 			cut = append(cut, l.ID)
 		}
 	}
-	if err := g.Net.ApplyFaults(nil, cut); err != nil {
+	if _, err := g.Net.ApplyFaults(nil, cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultMeshRouter(g); !errors.Is(err, ErrPartitioned) {
@@ -307,7 +316,7 @@ func TestFaultedDragonflyRestrictions(t *testing.T) {
 			cut = append(cut, l.ID)
 		}
 	}
-	if err := df.Net.ApplyFaults(nil, cut); err != nil {
+	if _, err := df.Net.ApplyFaults(nil, cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultDragonflyRoute(df, Minimal); !errors.Is(err, ErrPartitioned) {
@@ -326,7 +335,7 @@ func TestFaultedSingleSwitch(t *testing.T) {
 	if _, err := NewFaultSwitchRoute(s); err != nil {
 		t.Fatalf("pristine switch rejected: %v", err)
 	}
-	if err := s.Net.ApplyFaults(nil, []int32{0}); err != nil {
+	if _, err := s.Net.ApplyFaults(nil, []int32{0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultSwitchRoute(s); !errors.Is(err, ErrPartitioned) {

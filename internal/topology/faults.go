@@ -18,11 +18,11 @@ import (
 // of components whose loss the topology can in principle route around
 // (mesh channels, local/global cables, SR-LR port modules, cores of
 // multi-core chips). Explicit Links/Routers may name any component. A
-// spec that kills every terminal of a chip is not rejected: core.Build
-// applies faults with netsim.ApplyFaultsTolerant, which drops the dead
-// chip from the workload (plain netsim.ApplyFaults reports it as
-// netsim.ErrDeadChip). Specs that disconnect the surviving network are
-// rejected by the fault-aware routing constructors (routing.ErrPartitioned).
+// spec that kills every terminal of a chip is not rejected:
+// netsim.Network.ApplyFaults drops the dead chip from the workload and
+// returns it, and core.Build keeps degraded operation going without it.
+// Specs that disconnect the surviving network are rejected by the
+// fault-aware routing constructors (routing.ErrPartitioned).
 type FaultSpec struct {
 	// Seed drives the sampling of fraction-based faults. Two specs with the
 	// same fractions but different seeds fail different components.
@@ -276,8 +276,7 @@ func componentClosure(net *netsim.Network, candidates []netsim.NodeID, deadR map
 	return out
 }
 
-// toSets expands fault slices into lookups, folding router faults onto
-// their incident links the way ApplyFaults will.
+// toSets expands fault slices into router and link lookups.
 func toSets(net *netsim.Network, routers []netsim.NodeID, links []int32) (map[netsim.NodeID]bool, map[int32]bool) {
 	deadR := make(map[netsim.NodeID]bool, len(routers))
 	for _, id := range routers {
@@ -296,8 +295,8 @@ func toSets(net *netsim.Network, routers []netsim.NodeID, links []int32) (map[ne
 // cut off from its C-group's port-connected mesh is unreachable no matter
 // how the rest of the system routes, so the build treats it as failed —
 // its chip stays addressable through the chip's surviving cores, or, when
-// none survive, is dropped from the workload (core.Build applies faults
-// with netsim.ApplyFaultsTolerant).
+// none survive, is dropped from the workload (netsim.Network.ApplyFaults
+// returns it as a dead chip).
 func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.NodeID {
 	deadR, deadL := toSets(s.Net, routers, links)
 	alive := func(id netsim.NodeID) bool {
