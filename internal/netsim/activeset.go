@@ -52,8 +52,9 @@ type shardActive struct {
 
 	// routers holds bit i when router lo+i has at least one occupied VC
 	// and is neither parked in the wheel nor asleep until an event.
-	// Routers are enqueued when an event wakes them (see Router.nextAlloc)
-	// and lazily retired by the allocate walk once drained or asleep.
+	// Routers are enqueued when an event wakes them (see
+	// routerCycle.nextAlloc) and lazily retired by the allocate walk once
+	// drained or asleep.
 	// Bitmap iteration is always ascending, matching the reference
 	// engine's router order, so results are bit-identical.
 	routers engine.Bitset
@@ -67,21 +68,21 @@ type shardActive struct {
 	// beyond the horizon (rare: serialization of a giant packet) simply
 	// stay on the bitmap and poll.
 	wheelMask   int64
-	wheelData   [][]*Link
-	wheelCredit [][]*Link
+	wheelData   [][]*linkCycle
+	wheelCredit [][]*linkCycle
 	wheelRouter [][]NodeID
 
 	// stageData/stageCredit[t] collect links this shard activated as a
 	// producer during allocate, destined for consumer shard t. Shard t
 	// merges (and empties) them into its wheel at the start of the next
 	// drain phase.
-	stageData   [][]*Link
-	stageCredit [][]*Link
+	stageData   [][]*linkCycle
+	stageCredit [][]*linkCycle
 }
 
 // stageDataLink marks l's data queue active and stages it for its consumer
 // shard. Called from the allocate phase of l's producer (source) shard.
-func (a *shardActive) stageDataLink(l *Link) {
+func (a *shardActive) stageDataLink(l *linkCycle) {
 	if !l.dataActive {
 		l.dataActive = true
 		a.stageData[l.dstShard] = append(a.stageData[l.dstShard], l)
@@ -90,7 +91,7 @@ func (a *shardActive) stageDataLink(l *Link) {
 
 // stageCreditLink is stageDataLink for the credit queue (produced by the
 // destination router's shard, consumed by the source router's shard).
-func (a *shardActive) stageCreditLink(l *Link) {
+func (a *shardActive) stageCreditLink(l *linkCycle) {
 	if !l.creditActive {
 		l.creditActive = true
 		a.stageCredit[l.srcShard] = append(a.stageCredit[l.srcShard], l)
@@ -99,13 +100,13 @@ func (a *shardActive) stageCreditLink(l *Link) {
 
 // scheduleData parks l in the data wheel for cycle at (at must be at most
 // wheelMask cycles ahead, which link delays guarantee).
-func (a *shardActive) scheduleData(l *Link, at int64) {
+func (a *shardActive) scheduleData(l *linkCycle, at int64) {
 	slot := at & a.wheelMask
 	a.wheelData[slot] = append(a.wheelData[slot], l)
 }
 
 // scheduleCredit parks l in the credit wheel for cycle at.
-func (a *shardActive) scheduleCredit(l *Link, at int64) {
+func (a *shardActive) scheduleCredit(l *linkCycle, at int64) {
 	slot := at & a.wheelMask
 	a.wheelCredit[slot] = append(a.wheelCredit[slot], l)
 }
@@ -161,26 +162,31 @@ func (n *Network) SetEngine(k EngineKind) {
 // rebuildActive reconstructs every shard's active sets from a full scan of
 // the network: routers with occupied VCs and links with queued data or
 // credits (parked at their earliest delivery cycle, clamped to the next
-// step). Used when switching engines and after Reset.
+// step). Used when switching engines and after churn batches; a no-op
+// until the cycle state exists.
 func (n *Network) rebuildActive() {
-	for s := range n.active {
-		a := &n.active[s]
+	cs := n.cyc
+	if cs == nil {
+		return
+	}
+	for s := range cs.active {
+		a := &cs.active[s]
 		a.clear()
 		for id := a.lo; id < a.hi; id++ {
-			if n.Routers[id].active > 0 {
+			if cs.routers[id].active > 0 {
 				a.routers.Add(id - a.lo)
 			}
 		}
 	}
-	for i := range n.Links {
-		l := &n.Links[i]
+	for i := range cs.links {
+		l := &cs.links[i]
 		if l.data.n > 0 {
 			l.dataActive = true
-			n.active[l.dstShard].scheduleData(l, max(l.data.frontAt(), n.Cycle))
+			cs.active[l.dstShard].scheduleData(l, max(l.data.frontAt(), n.Cycle))
 		}
 		if l.credit.n > 0 {
 			l.creditActive = true
-			n.active[l.srcShard].scheduleCredit(l, max(l.credit.frontAt(), n.Cycle))
+			cs.active[l.srcShard].scheduleCredit(l, max(l.credit.frontAt(), n.Cycle))
 		}
 	}
 }
@@ -192,9 +198,10 @@ func (n *Network) rebuildActive() {
 // link's earliest delivery is never in the past (data arrives after at
 // least Delay+1 >= 2 cycles, credits after Delay >= 1).
 func (n *Network) mergeActivations(s int) {
-	a := &n.active[s]
-	for p := range n.active {
-		ps := &n.active[p]
+	active := n.cyc.active
+	a := &active[s]
+	for p := range active {
+		ps := &active[p]
 		for _, l := range ps.stageData[s] {
 			a.scheduleData(l, l.data.frontAt())
 		}
@@ -213,7 +220,7 @@ func (n *Network) mergeActivations(s int) {
 // active set. A link with more queued traffic is re-parked at its next
 // delivery cycle; an emptied link is released to its producer to re-stage.
 func (n *Network) drainShardActive(s int, now int64) {
-	a := &n.active[s]
+	a := &n.cyc.active[s]
 	slot := now & a.wheelMask
 	data := a.wheelData[slot]
 	a.wheelData[slot] = data[:0]
@@ -232,7 +239,7 @@ func (n *Network) drainShardActive(s int, now int64) {
 		if n.drainCreditLink(l, now) {
 			// A credit alone cannot create work for an empty router; only
 			// wake it when it still holds packets to send.
-			if src := &n.Routers[l.Src]; src.active > 0 {
+			if n.cyc.routers[l.Src].active > 0 {
 				a.routers.Add(int(l.Src) - a.lo)
 			}
 		}
@@ -253,7 +260,8 @@ func (n *Network) drainShardActive(s int, now int64) {
 // revival, a new request) leave the set until the event's path re-adds
 // them.
 func (n *Network) allocShardActive(s int, now int64) {
-	a := &n.active[s]
+	routers := n.cyc.routers
+	a := &n.cyc.active[s]
 	slot := now & a.wheelMask
 	for _, id := range a.wheelRouter[slot] {
 		// An earlier event may have woken (and re-parked) the router
@@ -266,11 +274,12 @@ func (n *Network) allocShardActive(s int, now int64) {
 	moved := 0
 	horizon := a.wheelMask // safe park distance: strictly less than wheel size
 	a.routers.ForEach(func(i int) {
-		r := &n.Routers[a.lo+i]
-		moved += r.allocate(n, now, s, a)
-		if r.active == 0 {
+		id := a.lo + i
+		rc := &routers[id]
+		moved += rc.allocate(n, &n.Routers[id], now, s, a)
+		if rc.active == 0 {
 			a.routers.Remove(i)
-		} else if w := r.nextAlloc; w > now {
+		} else if w := rc.nextAlloc; w > now {
 			switch {
 			case w == allocNever:
 				// Asleep until an event: the waking drain, injection or
@@ -279,7 +288,7 @@ func (n *Network) allocShardActive(s int, now int64) {
 			case w-now <= horizon:
 				a.routers.Remove(i)
 				ws := w & a.wheelMask
-				a.wheelRouter[ws] = append(a.wheelRouter[ws], NodeID(a.lo+i))
+				a.wheelRouter[ws] = append(a.wheelRouter[ws], NodeID(id))
 			}
 			// Beyond the horizon: stay on the bitmap and poll (allocate
 			// early-outs until the wake-up).

@@ -267,9 +267,6 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		r.Out = allOut[oi : oi+ko : oi+ko]
 		oi += ko
 		r.RNG = engine.NewRNGStream(opts.Seed, uint64(i))
-		// Routers beyond 64 ports fall back to full port scans; none of the
-		// evaluated systems comes close.
-		r.wide = ki > 64 || ko > 64
 	}
 	// n.Links never resizes after Finalize, so &n.Links[i] is stable; ports
 	// are wired onto it here.

@@ -301,14 +301,18 @@ func (n *Network) killLink(l *Link) {
 	}
 	l.Disabled = true
 	n.faults.toggledLinks = append(n.faults.toggledLinks, l.ID)
+	if n.cyc == nil {
+		return
+	}
+	lc := &n.cyc.links[l.ID]
 	for {
-		ref, ok := l.data.popReady(1 << 62)
+		ref, ok := lc.data.popReady(1 << 62)
 		if !ok {
 			break
 		}
-		n.faults.scratch = append(n.faults.scratch, strandedRef{ref, l.dstShard})
+		n.faults.scratch = append(n.faults.scratch, strandedRef{ref, lc.dstShard})
 	}
-	l.credit.clear()
+	lc.credit.clear()
 }
 
 // clearRouter drops every packet queued in r (deferred to post-batch
@@ -316,25 +320,20 @@ func (n *Network) killLink(l *Link) {
 // credits are returned: every link into a dying router dies with it, and
 // repair rebuilds the credit books.
 func (n *Network) clearRouter(r *Router) {
+	if n.cyc == nil {
+		return
+	}
+	rc := &n.cyc.routers[r.ID]
 	shard := int32(n.shardOfRouter(r.ID))
-	for in := range r.In {
-		ip := &r.In[in]
-		for vc := range ip.VCs {
-			q := &ip.VCs[vc]
+	for in := range rc.in {
+		for vc := range rc.in[in].vcs {
+			q := &rc.in[in].vcs[vc]
 			for k := 0; k < q.size(); k++ {
 				n.faults.scratch = append(n.faults.scratch, strandedRef{q.at(k), shard})
 			}
-			q.clear()
 		}
-		ip.busyUntil = 0
-		ip.occMask = 0
 	}
-	for o := range r.Out {
-		op := &r.Out[o]
-		op.busyUntil = 0
-		op.rr = 0
-	}
-	r.resetAllocState()
+	rc.idle()
 }
 
 // repairOne applies one repair event: decrement reference counts and, on a
@@ -393,18 +392,22 @@ func (n *Network) maybeReviveLink(l *Link) {
 	}
 	l.Disabled = false
 	c.toggledLinks = append(c.toggledLinks, l.ID)
-	l.data.clear()
-	l.credit.clear()
-	src := &n.Routers[l.Src]
-	dst := &n.Routers[l.Dst]
-	op := &src.Out[l.SrcPort]
-	ip := &dst.In[l.DstPort]
-	for vc := range op.Credits {
+	cs := n.cyc
+	if cs == nil {
+		return
+	}
+	lc := &cs.links[l.ID]
+	lc.data.clear()
+	lc.credit.clear()
+	src := &cs.routers[l.Src]
+	op := &src.out[l.SrcPort]
+	ip := &cs.routers[l.Dst].in[l.DstPort]
+	for vc := range op.credits {
 		occ := int32(0)
-		if vc < len(ip.VCs) {
-			occ = ip.VCs[vc].occ
+		if vc < len(ip.vcs) {
+			occ = ip.vcs[vc].occ
 		}
-		op.Credits[vc] = l.BufFlits - occ
+		op.credits[vc] = l.BufFlits - occ
 	}
 	src.nextAlloc = 0
 }
@@ -442,8 +445,9 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 	// the batch invalidates the source's cached routes, and its next pass
 	// re-routes them (strandInFlight). Called mid-batch, so the batch's
 	// rebuildActive puts the router back on its shard's active set.
-	src.enqueue(int(src.InjIn), 0, ref, p.Size)
-	src.nextAlloc = 0
+	rc := &n.cyc.routers[src.ID]
+	rc.enqueue(int(src.InjIn), 0, ref, p.Size)
+	rc.nextAlloc = 0
 	return true
 }
 
@@ -472,20 +476,21 @@ func (n *Network) rebuildChipNodes() {
 	}
 }
 
-// unqueuePacket removes the k-th packet of queue (in, vc) on r, maintaining
-// the occupancy bookkeeping and returning the freed buffer space upstream
-// when the feeding link is alive.
-func (n *Network) unqueuePacket(r *Router, ip *InPort, in, vc, k int, p *Packet) {
-	q := &ip.VCs[vc]
+// unqueuePacket removes the k-th packet of queue (in, vc) on the router
+// whose cycle record rc is, maintaining the occupancy bookkeeping and
+// returning the freed buffer space upstream when the feeding link is alive.
+func (n *Network) unqueuePacket(rc *routerCycle, in, vc, k int, p *Packet) {
+	ip := &rc.in[in]
+	q := &ip.vcs[vc]
 	q.removeAt(k, p.Size, nil) // the caller invalidated q's cached decisions
 	if q.empty() {
 		ip.occMask &^= 1 << vc
 		if ip.occMask == 0 {
-			r.occPorts &^= 1 << uint(in)
+			rc.occPorts &^= 1 << uint(in)
 		}
-		r.active--
+		rc.active--
 	}
-	if l := ip.Link; l != nil && !l.Disabled {
+	if l := ip.link; l != nil && !l.Disabled {
 		l.credit.push(timedCredit{at: n.Cycle + int64(l.Delay), flits: p.Size, vc: uint8(vc)})
 	}
 }
@@ -495,7 +500,7 @@ func (n *Network) unqueuePacket(r *Router, ip *InPort, in, vc, k int, p *Packet)
 // stranded per policy with their buffer claim returned upstream (the
 // downstream buffer was never charged for packets still on the wire, but
 // the upstream output port's credit was).
-func (n *Network) filterLinkPackets(l *Link, keep func(*Packet) bool) {
+func (n *Network) filterLinkPackets(l *linkCycle, keep func(*Packet) bool) {
 	f := &l.data
 	w := 0
 	for i := 0; i < f.n; i++ {
@@ -542,20 +547,25 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 // dynamic state on their first call, so when the re-route happens is part
 // of the result.
 func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
+	cs := n.cyc
+	if cs == nil {
+		return 0 // no cycle state, no packets
+	}
 	stranded := 0
 	for i := range n.Routers {
 		r := &n.Routers[i]
 		if r.Disabled {
 			continue
 		}
-		if r.eventWait || r.movedBy == n.Cycle {
-			r.nextAlloc = 0
+		rc := &cs.routers[i]
+		if rc.eventWait || rc.movedBy == n.Cycle {
+			rc.nextAlloc = 0
 		}
 		shard := n.shardOfRouter(r.ID)
-		for in := range r.In {
-			ip := &r.In[in]
-			for vc := range ip.VCs {
-				q := &ip.VCs[vc]
+		for in := range rc.in {
+			ip := &rc.in[in]
+			for vc := range ip.vcs {
+				q := &ip.vcs[vc]
 				q.invalidate()
 				for k := 0; k < q.size(); {
 					ref := q.at(k)
@@ -564,16 +574,16 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 						k++
 						continue
 					}
-					n.unqueuePacket(r, ip, in, vc, k, p)
+					n.unqueuePacket(rc, in, vc, k, p)
 					n.strandPacket(ref, p, shard)
 					stranded++
 				}
 			}
 		}
-		r.stale = r.active > 0
+		rc.stale = rc.active > 0
 	}
-	for i := range n.Links {
-		l := &n.Links[i]
+	for i := range cs.links {
+		l := &cs.links[i]
 		if l.Disabled || l.data.n == 0 {
 			continue
 		}
@@ -588,33 +598,34 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 // rebuildShardLists reconstructs the per-shard injector walk and the
 // reference engine's drain lists from the current Disabled flags: routers
 // ascending within each shard, links in index order. A no-op until
-// ensureCycleState has allocated the lists (which it fills through here).
+// ensureCycleState has built the lists (which it fills through here).
 func (n *Network) rebuildShardLists() {
-	if !n.cycleState {
+	cs := n.cyc
+	if cs == nil {
 		return
 	}
-	for s := range n.injectors {
+	for s := range cs.injectors {
 		lo, hi := engine.ShardBounds(len(n.Routers), n.shards, s)
-		inj := n.injectors[s][:0]
+		inj := cs.injectors[s][:0]
 		for id := lo; id < hi; id++ {
 			r := &n.Routers[id]
 			if r.InjIn >= 0 && r.Chip >= 0 && !r.Disabled {
 				inj = append(inj, r.ID)
 			}
 		}
-		n.injectors[s] = inj
+		cs.injectors[s] = inj
 	}
-	for s := range n.dataLinks {
-		n.dataLinks[s] = n.dataLinks[s][:0]
-		n.creditLinks[s] = n.creditLinks[s][:0]
+	for s := range cs.dataLinks {
+		cs.dataLinks[s] = cs.dataLinks[s][:0]
+		cs.creditLinks[s] = cs.creditLinks[s][:0]
 	}
-	for i := range n.Links {
-		l := &n.Links[i]
+	for i := range cs.links {
+		l := &cs.links[i]
 		if l.Disabled {
 			continue
 		}
-		n.dataLinks[l.dstShard] = append(n.dataLinks[l.dstShard], l)
-		n.creditLinks[l.srcShard] = append(n.creditLinks[l.srcShard], l)
+		cs.dataLinks[l.dstShard] = append(cs.dataLinks[l.dstShard], l)
+		cs.creditLinks[l.srcShard] = append(cs.creditLinks[l.srcShard], l)
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // solveChurnRing runs one flow window of the churn ring's two streams over
@@ -19,25 +20,14 @@ func solveChurnRing(t *testing.T, net *Network) {
 	net.Reset()
 }
 
-// checkNoCycleState fails if any cycle-engine-only state was allocated.
+// checkNoCycleState fails if any cycle-engine record exists: every queue,
+// credit counter, pipeline, drain list and active set hangs off net.cyc,
+// and the topology structs have no field left to hold one (see
+// TestLeanTopologyLayout).
 func checkNoCycleState(t *testing.T, net *Network) {
 	t.Helper()
-	if net.cycleState || net.dataLinks != nil || net.creditLinks != nil ||
-		net.injectors != nil || net.active != nil {
-		t.Fatal("flow-only network allocated the cycle engines' shard state")
-	}
-	for i := range net.Routers {
-		r := &net.Routers[i]
-		for in := range r.In {
-			if r.In[in].VCs != nil {
-				t.Fatalf("router %d in-port %d has VC queues", i, in)
-			}
-		}
-		for o := range r.Out {
-			if r.Out[o].Credits != nil {
-				t.Fatalf("router %d out-port %d has credit counters", i, o)
-			}
-		}
+	if net.cyc != nil {
+		t.Fatal("flow-only network built the cycle engines' state")
 	}
 }
 
@@ -79,7 +69,7 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 					continue
 				}
 				for vc := uint8(0); vc < op.Link.VCs; vc++ {
-					if got := op.FreeCredits(vc); got != op.Link.BufFlits {
+					if got := net.FreeCredits(r.ID, o, vc); got != op.Link.BufFlits {
 						t.Fatalf("%s: router %d port %d vc %d has %d free credits, want %d",
 							when, i, o, vc, got, op.Link.BufFlits)
 					}
@@ -89,39 +79,111 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 	}
 	check("before first use")
 	net.SetEngine(EngineReference)
-	if !net.cycleState {
+	if net.cyc == nil {
 		t.Fatal("SetEngine to a cycle engine did not allocate the cycle state")
 	}
 	check("after allocation")
 }
 
-// TestCycleStateFollowsBuildFaults checks that cycle state allocated after
-// build-time faults leaves dead components out of the injector walk and
-// the drain lists, exactly as if it had existed when the faults applied.
+// TestCycleStateFollowsBuildFaults checks that cycle state built late —
+// after build-time faults, or after flow solves across an armed churn
+// timeline and a Reset — gives the same run as a network that had it all
+// along: dead components out of the injector walk and drain lists, full
+// credits and the routers' RNG streams from the seed.
 func TestCycleStateFollowsBuildFaults(t *testing.T) {
-	run := func(early bool) Stats {
-		net := buildFaultRing(t, 8, NetworkOptions{Seed: 3, Workers: 2})
-		defer net.Close()
-		if early {
-			net.SetEngine(EngineReference)
-		}
-		if _, err := net.ApplyFaults([]NodeID{net.ChipNodes[5][0]}, nil); err != nil {
+	// faultAndArm applies the build-time fault and arms the churn timeline.
+	faultAndArm := func(net *Network) {
+		if _, err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
 			t.Fatal(err)
 		}
-		net.SetEngine(EngineReference)
-		net.SetTraffic(uniformGen(8, 0.05), 4, DstSameIndex)
+		armChurnRing(t, net)
+	}
+	run := func(net *Network, kind EngineKind) Stats {
+		t.Helper()
+		defer net.Close()
+		net.SetEngine(kind)
+		net.SetTraffic(uniformGen(6, 0.05), 4, DstSameIndex)
 		net.StartMeasurement()
 		if err := net.Run(250); err != nil {
 			t.Fatal(err)
 		}
 		return net.Snapshot()
 	}
-	early, late := run(true), run(false)
-	if early.DeliveredPkts == 0 {
-		t.Fatal("no traffic delivered; the comparison is vacuous")
+	build := func() *Network { return buildChurnRing(t, 6, NetworkOptions{Seed: 3, Workers: 2}) }
+	for _, kind := range cycleEngines {
+		t.Run(kind.String(), func(t *testing.T) {
+			direct := build()
+			faultAndArm(direct)
+			want := run(direct, kind)
+			if want.DeliveredPkts == 0 || want.RetriedPkts+want.DroppedPkts+want.RefusedPkts == 0 {
+				t.Fatalf("scenario too quiet to compare: %+v", want)
+			}
+
+			early := build()
+			early.SetEngine(kind)
+			faultAndArm(early)
+
+			flowFirst := build()
+			flowFirst.SetEngine(EngineFlow)
+			faultAndArm(flowFirst)
+			solveChurnRing(t, flowFirst) // solves the whole timeline, then Resets
+			checkNoCycleState(t, flowFirst)
+
+			for name, got := range map[string]Stats{
+				"built before the faults": run(early, kind),
+				"built after flow solves": run(flowFirst, kind),
+			} {
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("cycle state %s diverged:\nwant: %+v\ngot:  %+v", name, want, got)
+				}
+			}
+		})
 	}
-	if !reflect.DeepEqual(early, late) {
-		t.Fatalf("cycle state built after faults diverged:\nbefore: %+v\nafter:  %+v", early, late)
+}
+
+// pointerFree reports whether values of type t hold no pointers the GC
+// would have to scan.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return false
+	}
+	return true
+}
+
+// TestLeanTopologyLayout pins the flow-mode footprint of the topology
+// structs: every cycle-engine field lives in the cycle records, so these
+// sizes only grow if one creeps back. Link must stay pointer-free, which
+// keeps the GC from scanning the link table.
+func TestLeanTopologyLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"Link", unsafe.Sizeof(Link{}), 48},
+		{"InPort", unsafe.Sizeof(InPort{}), 8},
+		{"OutPort", unsafe.Sizeof(OutPort{}), 8},
+		{"Router", unsafe.Sizeof(Router{}), 120},
+	} {
+		if tc.size > tc.max {
+			t.Errorf("%s is %d bytes, want at most %d", tc.name, tc.size, tc.max)
+		}
+	}
+	if !pointerFree(reflect.TypeOf(Link{})) {
+		t.Error("Link holds a pointer")
+	}
+	if pointerFree(reflect.TypeOf(InPort{})) {
+		t.Error("pointerFree misses InPort's link pointer")
 	}
 }
 

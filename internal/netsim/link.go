@@ -117,9 +117,11 @@ func (f *creditFIFO) popReady(now int64) (c timedCredit, ok bool) {
 	return c, true
 }
 
-// Link is a unidirectional physical channel between two router ports.
-// The data queue carries packets src→dst; the credit queue carries buffer
-// credits dst→src (both with the link's delay).
+// Link is a unidirectional physical channel between two router ports. It
+// holds only what routing and the flow solver read; the packet and credit
+// pipelines the cycle engines run over it live in its linkCycle record
+// (see Network.ensureCycleState). Link holds no pointers, so the GC never
+// scans the link table.
 type Link struct {
 	ID    int32
 	Src   NodeID // source router
@@ -140,32 +142,14 @@ type Link struct {
 	// link offers no bandwidth and is skipped by both cycle engines.
 	Disabled bool
 
-	data   packetFIFO
-	credit creditFIFO
-
-	// srcShard/dstShard are the shards owning the endpoint routers.
-	// The data queue is produced by srcShard (allocate) and consumed by
-	// dstShard (drain); the credit queue is produced by dstShard and
-	// consumed by srcShard.
-	srcShard int32
-	dstShard int32
-	// dataActive/creditActive report membership in the consumer shard's
-	// active-link worklist. Each flag is set by the producer shard during
-	// the allocate phase and cleared by the consumer shard during the drain
-	// phase; the inter-phase barrier makes that safe without atomics.
-	dataActive   bool
-	creditActive bool
-
 	// winFlits counts flits launched onto the link during the measurement
-	// window (written only by the source router's shard).
+	// window (written only by the source router's shard, or by the flow
+	// solver).
 	winFlits int64
 }
 
 // WindowFlits returns the flits carried during the measurement window.
 func (l *Link) WindowFlits() int64 { return l.winFlits }
-
-// InFlight returns the number of packets currently traversing the link.
-func (l *Link) InFlight() int { return l.data.len() }
 
 // serCycles returns the serialization time of size flits on this link.
 func (l *Link) serCycles(size int32) int64 {

@@ -198,8 +198,8 @@ func TestVCBufferNeverOverflows(t *testing.T) {
 	}), 4, DstSameIndex)
 	for i := 0; i < 300; i++ {
 		net.Step()
-		for vc := range net.Routers[c].In[1].VCs {
-			if occ := net.Routers[c].In[1].VCs[vc].occ; occ > 8 {
+		for vc := range net.cyc.routers[c].in[1].vcs {
+			if occ := net.cyc.routers[c].in[1].vcs[vc].occ; occ > 8 {
 				t.Fatalf("cycle %d: VC %d occupancy %d exceeds buffer 8", i, vc, occ)
 			}
 		}

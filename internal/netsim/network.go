@@ -30,16 +30,17 @@ const DefaultWatchdogCycles = 10000
 // Network is a complete simulated interconnection network.
 //
 // Hot state lives in flat, index-addressed storage: Routers and Links are
-// value slices (one allocation each, walked contiguously by the engines);
-// every live packet resides in the network-owned arena and is referenced
-// by PacketRef from VC rings and link pipelines; each router's VC queue
-// records, ring windows and output credits are packed into per-router
-// backing arrays when a cycle engine first needs them (ensureCycleState).
+// value slices (one allocation each, walked contiguously by the engines)
+// holding only what routing and the flow solver read; every live packet
+// resides in the network-owned arena and is referenced by PacketRef from VC
+// rings and link pipelines; the queues, credits and pipelines themselves
+// live in per-router and per-link cycle records built when a cycle engine
+// first needs them (cycleState).
 type Network struct {
 	Routers []Router
 	// Links holds the network's channels contiguously. Link pointers
-	// (InPort.Link, worklist entries) point into this slice and stay valid
-	// because it is never resized after Finalize.
+	// (InPort.Link, OutPort.Link, linkCycle) point into this slice and stay
+	// valid because it is never resized after Finalize.
 	Links []Link
 
 	// ChipNodes[c] lists the injection-capable router IDs of chip c, in
@@ -65,24 +66,13 @@ type Network struct {
 	shards    int
 	shard     []shardStats
 
-	// cycleState reports that the cycle-engine-only state below (drain
-	// lists, injectors, active sets) and every port's VC queues and credits
-	// have been allocated; see ensureCycleState. Flow-only networks never
-	// set it.
-	cycleState bool
-	// dataLinks[s] lists links whose destination router is in shard s;
-	// creditLinks[s] lists links whose source router is in shard s. The
-	// reference engine's phase A iterates these flat lists instead of
-	// walking every router's ports.
-	dataLinks   [][]*Link
-	creditLinks [][]*Link
+	// cyc is the state only the cycle engines read; nil on a flow-only
+	// network (see cycleState).
+	cyc *cycleState
 
-	// engineKind selects between the active-set engine and the full-scan
-	// reference engine; active is the per-shard worklist state it uses.
-	// injectors[s] statically lists the shard's injection-capable routers.
+	// engineKind selects the engine: active-set, full-scan reference or
+	// flow.
 	engineKind EngineKind
-	active     []shardActive
-	injectors  [][]NodeID
 
 	// Persistent phase closures (reading n.Cycle for the current time), so
 	// Step allocates nothing; built once by initPhases.
@@ -224,7 +214,7 @@ func (n *Network) generate(shard int, now int64, act *shardActive) {
 			return
 		}
 		always := prob >= 1
-		for _, id := range n.injectors[shard] {
+		for _, id := range n.cyc.injectors[shard] {
 			r := &n.Routers[id]
 			if !always && !r.RNG.Hit(thresh) {
 				continue
@@ -235,7 +225,7 @@ func (n *Network) generate(shard int, now int64, act *shardActive) {
 		}
 		return
 	}
-	for _, id := range n.injectors[shard] {
+	for _, id := range n.cyc.injectors[shard] {
 		r := &n.Routers[id]
 		if dst := n.gen.NextDest(now, r.Chip, int(r.Local), &r.RNG); dst >= 0 {
 			n.admit(shard, r, dst, now, act)
@@ -266,7 +256,7 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 	p.Size = n.packetSize
 	p.CreatedAt = now
 	ss.injectedPkts++
-	if r.enqueue(int(r.InjIn), 0, ref, p.Size) && act != nil {
+	if n.cyc.routers[r.ID].enqueue(int(r.InjIn), 0, ref, p.Size) && act != nil {
 		act.routers.Add(int(r.ID) - act.lo)
 	}
 }
@@ -287,15 +277,15 @@ func (n *Network) destNode(dstChip int32, srcNodeIdx int, rng *engine.RNG) NodeI
 // Shared by both cycle engines so their per-event semantics cannot
 // diverge; act is the destination shard's active set (nil under the
 // reference engine).
-func (n *Network) drainDataLink(l *Link, now int64, act *shardActive) {
-	r := &n.Routers[l.Dst]
+func (n *Network) drainDataLink(l *linkCycle, now int64, act *shardActive) {
+	rc := &n.cyc.routers[l.Dst]
 	for {
 		ref, ok := l.data.popReady(now)
 		if !ok {
 			break
 		}
 		p := n.arena.at(ref)
-		if r.enqueue(int(l.DstPort), int(p.VC), ref, p.Size) && act != nil {
+		if rc.enqueue(int(l.DstPort), int(p.VC), ref, p.Size) && act != nil {
 			act.routers.Add(int(l.Dst) - act.lo)
 		}
 	}
@@ -303,17 +293,17 @@ func (n *Network) drainDataLink(l *Link, now int64, act *shardActive) {
 
 // drainCreditLink returns every arrived credit of l to its source router's
 // output port, reporting whether the credits woke the router (see
-// Router.creditReturned). Shared by both cycle engines.
-func (n *Network) drainCreditLink(l *Link, now int64) bool {
-	src := &n.Routers[l.Src]
-	op := &src.Out[l.SrcPort]
+// routerCycle.creditReturned). Shared by both cycle engines.
+func (n *Network) drainCreditLink(l *linkCycle, now int64) bool {
+	src := &n.cyc.routers[l.Src]
+	op := &src.out[l.SrcPort]
 	drained := false
 	for {
 		c, ok := l.credit.popReady(now)
 		if !ok {
 			break
 		}
-		op.Credits[c.vc] += c.flits
+		op.credits[c.vc] += c.flits
 		drained = true
 	}
 	return drained && src.creditReturned(int(l.SrcPort))
@@ -323,12 +313,12 @@ func (n *Network) drainCreditLink(l *Link, now int64) bool {
 // data to the destination routers' VC buffers, credits to the source
 // routers' output ports. Each link queue has exactly one consumer shard.
 func (n *Network) drainShard(s int, now int64) {
-	for _, l := range n.dataLinks[s] {
+	for _, l := range n.cyc.dataLinks[s] {
 		if l.data.n != 0 {
 			n.drainDataLink(l, now, nil)
 		}
 	}
-	for _, l := range n.creditLinks[s] {
+	for _, l := range n.cyc.creditLinks[s] {
 		if l.credit.n != 0 {
 			n.drainCreditLink(l, now)
 		}
@@ -359,8 +349,9 @@ func (n *Network) initPhases() {
 		lo, hi := engine.ShardBounds(len(n.Routers), n.shards, s)
 		n.generate(s, now, nil)
 		moved := 0
+		routers := n.cyc.routers
 		for id := lo; id < hi; id++ {
-			moved += n.Routers[id].allocate(n, now, s, nil)
+			moved += routers[id].allocate(n, &n.Routers[id], now, s, nil)
 		}
 		n.shard[s].moved = int64(moved)
 	}
@@ -373,7 +364,7 @@ func (n *Network) initPhases() {
 //
 //sldf:hotpath
 func (n *Network) Step() {
-	if !n.cycleState {
+	if n.cyc == nil {
 		n.ensureCycleState()
 	}
 	if n.churn != nil {

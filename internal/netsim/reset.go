@@ -13,37 +13,13 @@ import "sldf/internal/engine"
 // buffers are recycled.
 func (n *Network) Reset() {
 	for i := range n.Routers {
-		r := &n.Routers[i]
-		for in := range r.In {
-			ip := &r.In[in]
-			ip.busyUntil = 0
-			ip.occMask = 0
-			for vc := range ip.VCs {
-				ip.VCs[vc].clear()
-			}
-		}
-		for o := range r.Out {
-			op := &r.Out[o]
-			op.busyUntil = 0
-			op.rr = 0
-			if op.Link != nil {
-				for vc := range op.Credits {
-					op.Credits[vc] = op.Link.BufFlits
-				}
-			}
-		}
-		r.resetAllocState()
-		r.RNG = engine.NewRNGStream(n.seed, uint64(i))
+		n.Routers[i].RNG = engine.NewRNGStream(n.seed, uint64(i))
 	}
 	for i := range n.Links {
-		// Keep the ring buffers' capacity so a reset network reaches its
-		// steady state without re-growing them.
-		l := &n.Links[i]
-		l.data.clear()
-		l.credit.clear()
-		l.winFlits = 0
-		l.dataActive = false
-		l.creditActive = false
+		n.Links[i].winFlits = 0
+	}
+	if n.cyc != nil {
+		n.cyc.reset()
 	}
 	for s := range n.shard {
 		free := n.shard[s].free
@@ -54,9 +30,6 @@ func (n *Network) Reset() {
 	// reclaim puts every slot back in circulation (reusing list capacity, so
 	// steady-state resets allocate nothing).
 	n.arena.reclaim(n.shard)
-	for s := range n.active {
-		n.active[s].clear()
-	}
 	n.Cycle = 0
 	n.gen = nil
 	n.genBern = nil
@@ -84,19 +57,32 @@ func (v *vcQueue) clear() {
 	v.invalidate()
 }
 
-// resetAllocState returns r's occupancy, sleep and grant bookkeeping to
-// that of an idle router; its queues must already be empty.
-func (r *Router) resetAllocState() {
-	r.active = 0
-	r.occPorts = 0
-	r.nextAlloc = 0
-	r.creditWait = 0
-	r.eventWait = false
-	r.stale = false
-	r.movedBy = 0
-	if r.ideal != nil {
+// idle empties the router's queues (dropping any refs they hold) and
+// returns its port, occupancy, sleep and grant bookkeeping to that of an
+// idle router. Credits are left to the caller.
+func (rc *routerCycle) idle() {
+	for in := range rc.in {
+		ip := &rc.in[in]
+		ip.busyUntil = 0
+		ip.occMask = 0
+		for vc := range ip.vcs {
+			ip.vcs[vc].clear()
+		}
+	}
+	for o := range rc.out {
+		rc.out[o].busyUntil = 0
+		rc.out[o].rr = 0
+	}
+	rc.active = 0
+	rc.occPorts = 0
+	rc.nextAlloc = 0
+	rc.creditWait = 0
+	rc.eventWait = false
+	rc.stale = false
+	rc.movedBy = 0
+	if rc.ideal != nil {
 		// Grant epochs restart with the cycle counter: zero every slot so
 		// a stale pre-reset epoch can never collide with a fresh now+1.
-		clear(r.ideal.granted)
+		clear(rc.ideal.granted)
 	}
 }

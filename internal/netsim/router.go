@@ -180,53 +180,23 @@ func (v *vcQueue) invalidate() {
 	v.ahead = 0
 }
 
-// InPort is a router input port: one VC-partitioned buffer fed by a link.
-// The injection pseudo-port has a nil link and a single unbounded queue.
+// InPort is a router input port fed by Link. The injection pseudo-port has
+// a nil link. Its VC buffers live in the router's cycle record.
 type InPort struct {
-	Link      *Link
-	VCs       []vcQueue
-	busyUntil int64 // input crossbar bandwidth constraint
-	// occMask has bit v set iff VCs[v] is non-empty; kept by the router's
-	// own shard so allocation can skip empty ports without scanning.
-	occMask uint8
+	Link *Link
 }
 
-// Queued returns the total flits buffered across the port's VCs, used by
-// adaptive routing decisions and tests.
-func (ip *InPort) Queued() int32 {
-	var n int32
-	for i := range ip.VCs {
-		n += ip.VCs[i].occ
-	}
-	return n
-}
-
-// OutPort is a router output port: a link plus per-downstream-VC credits.
-// The ejection pseudo-port has a nil link and no credit limit.
+// OutPort is a router output port feeding Link. The ejection pseudo-port
+// has a nil link. Its credit counters live in the router's cycle record.
 type OutPort struct {
-	Link      *Link
-	Credits   []int32
-	busyUntil int64
-	// rr is the round-robin pointer for switch allocation on this output.
-	rr uint32
-}
-
-// FreeCredits returns the credits available on downstream VC vc. Before a
-// cycle engine has allocated the credit counters the network is idle, so
-// every downstream buffer is free.
-func (op *OutPort) FreeCredits(vc uint8) int32 {
-	if op.Link == nil {
-		return 1 << 30
-	}
-	if op.Credits == nil {
-		return op.Link.BufFlits
-	}
-	return op.Credits[vc]
+	Link *Link
 }
 
 // Router is a VC router: input-queued, credit flow control, output-first
 // round-robin separable allocation, one packet per output per serialization
-// window.
+// window. The struct holds what routing and the flow solver read; queues,
+// credits and allocation state are the cycle engines' and live in its
+// routerCycle record.
 type Router struct {
 	ID   NodeID
 	Kind RouterKind
@@ -236,6 +206,11 @@ type Router struct {
 	// injects, never receives traffic (fault-aware routing avoids it), and
 	// therefore never enters an engine's active set.
 	Disabled bool
+
+	// Ideal marks a non-blocking switch: allocation looks past blocked
+	// head-of-line packets (bounded lookahead) and the crossbar has input
+	// speedup, modelling the paper's "single ideal high-radix router".
+	Ideal bool
 
 	// Topology coordinates. X/Y are mesh coordinates when the router is part
 	// of a mesh; CGroup/WGroup locate it in the Dragonfly hierarchy (-1 when
@@ -249,61 +224,19 @@ type Router struct {
 	Label  int32
 	Local  int32
 
-	In  []InPort
-	Out []OutPort
-
 	// InjIn / EjectOut index the injection input and ejection output pseudo
 	// ports (-1 when the router has none).
 	InjIn    int16
 	EjectOut int16
 
-	// Ideal marks a non-blocking switch: allocation looks past blocked
-	// head-of-line packets (bounded lookahead) and the crossbar has input
-	// speedup, modelling the paper's "single ideal high-radix router".
-	Ideal bool
+	In  []InPort
+	Out []OutPort
 
-	// wide marks a router with more than 64 input or output ports, which
-	// falls back to full port scans instead of the bitmask fast paths.
-	wide bool
-	// eventWait reports that the last allocation pass left requests
-	// blocked on credits or a dead link at an output that granted nothing:
-	// blockers with no known unblock cycle.
-	eventWait bool
-	// stale reports that a churn batch invalidated the cached routing
-	// decisions of a router still holding packets. Until its next pass has
-	// re-routed them, any arrival, credit or injection wakes it.
-	stale bool
-
-	// active counts non-empty (input port, VC) queues; allocation is
-	// skipped entirely while it is zero.
-	active int32
-	// occPorts has bit i set iff In[i].occMask != 0, so allocation visits
-	// only occupied ports. Maintained alongside occMask; meaningless (and
-	// unused) when wide is set.
-	occPorts uint64
-	// creditWait has bit o set when the last pass left a request blocked
-	// on output o's credits (or its dead link): a credit returned there
-	// wakes the router. Unused when wide is set (every credit wakes).
-	creditWait uint64
-	// nextAlloc is the earliest cycle at which an allocation pass could
-	// change anything. A pass whose grants left no queue with a new head
-	// sleeps until its earliest serialization wake-up (allocNever when
-	// every blocker waits on an event); the events that can unblock it —
-	// an arrival or injection creating a request, a credit to a blocked
-	// output, a link revival, a churn batch — reset it to zero.
-	nextAlloc int64
-	// movedBy is now+1 of the last pass that moved a packet (0: none).
-	// A churn batch wakes a router that moved in the cycle before it.
-	movedBy int64
-
+	// RNG is the router's random stream for injection and routing choices,
+	// re-derived from the seed by Reset. It stays here rather than in the
+	// cycle record because route functions reach it from the Router alone
+	// (Packet.RouteRNG).
 	RNG engine.RNG
-
-	// requests is scratch space for the per-cycle allocation pass:
-	// requests[out] lists candidate (inPort, vc, queueIndex) keys.
-	requests [][]int32
-	// ideal is an ideal switch's allocation scratch, allocated on its
-	// first pass; nil on ordinary routers.
-	ideal *idealState
 }
 
 // idealState is an ideal switch's per-queue allocation scratch, indexed by
@@ -353,9 +286,9 @@ func grantIdx(in, vc int) int { return in<<3 | vc }
 // router.
 //
 //sldf:hotpath
-func (r *Router) lookaheadOf(in, vc int) []routeDecision {
+func (rc *routerCycle) lookaheadOf(in, vc int) []routeDecision {
 	i := grantIdx(in, vc) * idealLookahead
-	return r.ideal.lookahead[i : i+idealLookahead : i+idealLookahead]
+	return rc.ideal.lookahead[i : i+idealLookahead : i+idealLookahead]
 }
 
 // enqueue appends a packet of the given size to VC vc of input in,
@@ -366,19 +299,19 @@ func (r *Router) lookaheadOf(in, vc int) []routeDecision {
 // allocation outcome.
 //
 //sldf:hotpath
-func (r *Router) enqueue(in, vc int, ref PacketRef, size int32) bool {
-	ip := &r.In[in]
-	q := &ip.VCs[vc]
+func (rc *routerCycle) enqueue(in, vc int, ref PacketRef, size int32) bool {
+	ip := &rc.in[in]
+	q := &ip.vcs[vc]
 	if q.empty() {
 		if ip.occMask == 0 {
-			r.occPorts |= 1 << uint(in)
+			rc.occPorts |= 1 << uint(in)
 		}
 		ip.occMask |= 1 << vc
-		r.active++
+		rc.active++
 	}
 	q.push(ref, size)
-	if q.n == 1 || (r.Ideal && q.n <= idealLookahead+1) || r.stale {
-		r.nextAlloc = 0
+	if q.n == 1 || (rc.ideal != nil && q.n <= idealLookahead+1) || rc.stale {
+		rc.nextAlloc = 0
 		return true
 	}
 	return false
@@ -390,9 +323,9 @@ func (r *Router) enqueue(in, vc int, ref PacketRef, size int32) bool {
 // was woken.
 //
 //sldf:hotpath
-func (r *Router) creditReturned(o int) bool {
-	if r.stale || r.wide || r.creditWait&(1<<uint(o)) != 0 {
-		r.nextAlloc = 0
+func (rc *routerCycle) creditReturned(o int) bool {
+	if rc.stale || rc.wide || rc.creditWait&(1<<uint(o)) != 0 {
+		rc.nextAlloc = 0
 		return true
 	}
 	return false
@@ -403,20 +336,21 @@ func (r *Router) creditReturned(o int) bool {
 // instead: no request to a busy output can be granted this pass.
 //
 //sldf:hotpath
-func (r *Router) request(o int, key int32, now, minWake int64, outMask uint64) (int64, uint64) {
-	if b := r.Out[o].busyUntil; b > now {
+func (rc *routerCycle) request(o int, key int32, now, minWake int64, outMask uint64) (int64, uint64) {
+	if b := rc.out[o].busyUntil; b > now {
 		return min(minWake, b), outMask
 	}
-	r.requests[o] = append(r.requests[o], key)
+	rc.requests[o] = append(rc.requests[o], key)
 	return minWake, outMask | 1<<uint(o)
 }
 
-// allocate (phase B) performs routing + switch allocation and launches
-// packets onto links. It returns the number of packets that moved (for the
-// progress watchdog) and records deliveries through the network's sink.
-// act is the owning shard's active set, used to stage link activations for
-// their consumer shards; it is nil under the reference engine.
-func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) int {
+// allocate (phase B) performs routing + switch allocation for router r,
+// whose cycle record rc is, and launches packets onto links. It returns the
+// number of packets that moved (for the progress watchdog) and records
+// deliveries through the network's sink. act is the owning shard's active
+// set, used to stage link activations for their consumer shards; it is nil
+// under the reference engine.
+func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, act *shardActive) int {
 	// Build per-output request lists from occupied ports only. Ordinary
 	// routers request only from VC heads; ideal switches additionally
 	// request from up to idealLookahead packets behind a blocked head,
@@ -425,36 +359,31 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 	// Requests for a still-serializing output are not filed (see request).
 	// Request lists are empty on entry (each pass clears what it filled),
 	// so no clearing sweep is needed here.
-	if r.active == 0 || r.nextAlloc > now {
+	if rc.active == 0 || rc.nextAlloc > now {
 		return 0
 	}
-	if r.requests == nil {
-		r.requests = make([][]int32, len(r.Out))
-	}
-	if r.Ideal && r.ideal == nil {
-		r.ideal = &idealState{
-			granted:   make([]int64, len(r.In)<<3),
-			lookahead: make([]routeDecision, len(r.In)<<3*idealLookahead),
-		}
+	if rc.requests == nil {
+		rc.requests = make([][]int32, len(rc.out))
 	}
 	arena := &net.arena
-	wide := r.wide
+	wide := rc.wide
+	ideal := rc.ideal
 	// minWake tracks when the earliest serializing output or input frees
 	// up; blockers with no known unblock time (credits, dead links) are
 	// recorded in creditWait/eventWait for the wake-up events instead.
 	minWake := allocNever
 	var outMask uint64
-	inIter := r.occPorts
+	inIter := rc.occPorts
 	in := -1
 	for {
 		// Next occupied input port: bitmask pop on ordinary routers, full
 		// scan on wide ones. Both visit ports in ascending order.
 		if wide {
 			in++
-			if in >= len(r.In) {
+			if in >= len(rc.in) {
 				break
 			}
-			if r.In[in].occMask == 0 {
+			if rc.in[in].occMask == 0 {
 				continue
 			}
 		} else {
@@ -464,22 +393,22 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			in = bits.TrailingZeros64(inIter)
 			inIter &= inIter - 1
 		}
-		ip := &r.In[in]
+		ip := &rc.in[in]
 		for m := ip.occMask; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros8(m)
-			q := &ip.VCs[vc]
+			q := &ip.vcs[vc]
 			if !q.routed {
 				p := arena.at(q.front())
 				out, outVC := net.route(net, r, p)
 				q.route = routeDecision{size: p.Size, out: int16(out), vc: outVC}
 				q.routed = true
 			}
-			minWake, outMask = r.request(int(q.route.out), reqKey(in, vc, 0), now, minWake, outMask)
-			if !r.Ideal {
+			minWake, outMask = rc.request(int(q.route.out), reqKey(in, vc, 0), now, minWake, outMask)
+			if ideal == nil {
 				continue
 			}
 			depth := min(q.size(), idealLookahead+1)
-			la := r.lookaheadOf(in, vc)
+			la := rc.lookaheadOf(in, vc)
 			for i := int(q.ahead) + 1; i < depth; i++ {
 				p := arena.at(q.at(i))
 				out, outVC := net.route(net, r, p)
@@ -487,7 +416,7 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 				q.ahead = uint8(i)
 			}
 			for i := 1; i < depth; i++ {
-				minWake, outMask = r.request(int(la[i-1].out), reqKey(in, vc, i), now, minWake, outMask)
+				minWake, outMask = rc.request(int(la[i-1].out), reqKey(in, vc, i), now, minWake, outMask)
 			}
 		}
 	}
@@ -495,7 +424,7 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 	moved := 0
 	rerun := false
 	eventWait := false
-	r.creditWait = 0
+	rc.creditWait = 0
 	outIter := outMask
 	o := -1
 	for {
@@ -505,10 +434,10 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 		// request lists are empty again when the pass completes.
 		if wide {
 			o++
-			if o >= len(r.Out) {
+			if o >= len(rc.out) {
 				break
 			}
-			if len(r.requests[o]) == 0 {
+			if len(rc.requests[o]) == 0 {
 				continue
 			}
 		} else {
@@ -518,9 +447,10 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			o = bits.TrailingZeros64(outIter)
 			outIter &= outIter - 1
 		}
-		op := &r.Out[o]
-		reqs := r.requests[o]
-		r.requests[o] = reqs[:0]
+		op := &rc.out[o]
+		ol := op.link
+		reqs := rc.requests[o]
+		rc.requests[o] = reqs[:0]
 		// Round-robin pick: first eligible requester at or after rr pointer.
 		n := len(reqs)
 		idx := int(op.rr)
@@ -536,21 +466,21 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			}
 			key := reqs[idx]
 			in, vc, qi := reqIn(key), reqVC(key), reqIdx(key)
-			ip := &r.In[in]
-			d := ip.VCs[vc].route
+			ip := &rc.in[in]
+			d := ip.vcs[vc].route
 			if qi > 0 {
 				// Ideal-switch lookahead request: at most one grant per VC
 				// queue per cycle keeps the queue indices valid.
-				if r.ideal.granted[grantIdx(in, vc)] == now+1 {
+				if ideal.granted[grantIdx(in, vc)] == now+1 {
 					continue
 				}
-				d = r.lookaheadOf(in, vc)[qi-1]
+				d = rc.lookaheadOf(in, vc)[qi-1]
 			}
-			if !r.Ideal && ip.busyUntil > now {
+			if ideal == nil && ip.busyUntil > now {
 				minWake = min(minWake, ip.busyUntil)
 				continue
 			}
-			if op.Link != nil && (op.Credits[d.vc] < d.size || op.Link.Disabled) {
+			if ol != nil && (op.credits[d.vc] < d.size || ol.Disabled) {
 				// No credits — or a dead output link: a disabled link offers
 				// no bandwidth, so the packet waits in place until a repair
 				// (or a route recompute after the next churn batch) unblocks
@@ -571,87 +501,85 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 			// frees up.
 			if onEvent {
 				eventWait = true
-				r.creditWait |= 1 << uint(o)
+				rc.creditWait |= 1 << uint(o)
 			}
 			continue
 		}
 		op.rr = uint32(granted + 1)
 		key := reqs[granted]
 		in, vc, qi := reqIn(key), reqVC(key), reqIdx(key)
-		ip := &r.In[in]
-		q := &ip.VCs[vc]
+		ip := &rc.in[in]
+		q := &ip.vcs[vc]
 		var la []routeDecision
-		if r.Ideal {
-			la = r.lookaheadOf(in, vc)
-			r.ideal.granted[grantIdx(in, vc)] = now + 1
+		if ideal != nil {
+			la = rc.lookaheadOf(in, vc)
+			ideal.granted[grantIdx(in, vc)] = now + 1
 		}
 		ref := q.removeAt(qi, gd.size, la)
 		p := arena.at(ref)
 		if q.empty() {
 			ip.occMask &^= 1 << vc
 			if ip.occMask == 0 {
-				r.occPorts &^= 1 << uint(in)
+				rc.occPorts &^= 1 << uint(in)
 			}
-			r.active--
+			rc.active--
 		} else {
 			// The queue has a new head (or lookahead packet) to route and
 			// request next cycle.
 			rerun = true
 		}
 		moved++
-		if ip.Link == nil {
+		il := ip.link
+		if il == nil {
 			// Leaving the source queue: network latency starts here.
 			p.InjectedAt = now
-		}
-
-		// Return credits upstream for the buffer space just freed. A dead
-		// feeding link gets no credit (its books are rebuilt on repair);
-		// on static networks a disabled link never delivers a packet, so
-		// the guard never fires.
-		if ip.Link != nil && !ip.Link.Disabled {
-			ip.Link.credit.push(timedCredit{
-				at:    now + int64(ip.Link.Delay),
+		} else if !il.Disabled {
+			// Return credits upstream for the buffer space just freed. A
+			// dead feeding link gets no credit (its books are rebuilt on
+			// repair); on static networks a disabled link never delivers a
+			// packet, so the guard never fires.
+			il.credit.push(timedCredit{
+				at:    now + int64(il.Delay),
 				flits: p.Size,
 				vc:    uint8(vc),
 			})
 			if act != nil {
-				act.stageCreditLink(ip.Link)
+				act.stageCreditLink(il)
 			}
 		}
 
 		// Ejection: the terminal interface accepts one packet per Size
 		// cycles.
 		ser := int64(p.Size)
-		if op.Link != nil {
-			ser = op.Link.serCycles(p.Size)
+		if ol != nil {
+			ser = ol.serCycles(p.Size)
 		}
 		op.busyUntil = now + ser
-		if !r.Ideal {
+		if ideal == nil {
 			ip.busyUntil = now + ser
 		}
 		if n > 1 {
 			// The requesters the grant passed over wait for this output.
 			minWake = min(minWake, op.busyUntil)
 		}
-		if op.Link == nil {
+		if ol == nil {
 			p.DeliveredAt = now + ser
 			p.Hops[HopEject]++
 			net.deliver(shard, ref, p)
 			continue
 		}
 
-		l := op.Link
-		op.Credits[gd.vc] -= p.Size
+		op.credits[gd.vc] -= p.Size
 		p.VC = gd.vc
-		p.Hops[l.Class]++
+		p.Hops[ol.Class]++
 		if net.inWindow(now) {
-			l.winFlits += int64(p.Size)
+			ol.winFlits += int64(p.Size)
 		}
 		// Virtual cut-through: head available downstream after wire delay
 		// plus one cycle of flit time.
-		l.data.push(ref, now+int64(l.Delay)+1)
+		ol.data.push(ref, now+int64(ol.Delay)+1)
 		if act != nil {
-			act.stageDataLink(l)
+			act.stageDataLink(ol)
 		}
 	}
 	// Every request left waits on a busy output or input (minWake) or on
@@ -659,15 +587,15 @@ func (r *Router) allocate(net *Network, now int64, shard int, act *shardActive) 
 	// them clears: sleep until the earliest serialization wake-up, or
 	// until an event (see nextAlloc) when every blocker waits on one. Only
 	// a grant that left its queue non-empty exposes new work next cycle.
-	r.stale = false
-	r.eventWait = eventWait
+	rc.stale = false
+	rc.eventWait = eventWait
 	if moved > 0 {
-		r.movedBy = now + 1
+		rc.movedBy = now + 1
 	}
 	if rerun {
-		r.nextAlloc = 0
+		rc.nextAlloc = 0
 	} else {
-		r.nextAlloc = minWake
+		rc.nextAlloc = minWake
 	}
 	return moved
 }

@@ -104,9 +104,10 @@ func TestIdealDecisionsMatchFreshRoutes(t *testing.T) {
 	deep := 0
 	for cycle := 0; cycle < 400; cycle++ {
 		net.Step()
-		for in := range r.In {
-			for vc := range r.In[in].VCs {
-				q := &r.In[in].VCs[vc]
+		rc := &net.cyc.routers[hub]
+		for in := range rc.in {
+			for vc := range rc.in[in].vcs {
+				q := &rc.in[in].vcs[vc]
 				if q.empty() {
 					continue
 				}
@@ -122,7 +123,7 @@ func TestIdealDecisionsMatchFreshRoutes(t *testing.T) {
 					check(0, q.route)
 				}
 				for i := 1; i <= int(q.ahead); i++ {
-					check(i, r.lookaheadOf(in, vc)[i-1])
+					check(i, rc.lookaheadOf(in, vc)[i-1])
 				}
 				deep = max(deep, int(q.ahead))
 			}
@@ -136,8 +137,9 @@ func TestIdealDecisionsMatchFreshRoutes(t *testing.T) {
 // blockedHub builds a three-leaf star with an input-queued hub whose
 // output to leaf 1 has no credits, sends one packet from leaf 0 to leaf 1
 // and steps until the hub holds it, asleep. churn arms an empty fault
-// timeline so links can be killed and revived.
-func blockedHub(t *testing.T, kind EngineKind, churn bool) (*Network, *Router) {
+// timeline so links can be killed and revived. It returns the hub's
+// router and cycle record.
+func blockedHub(t *testing.T, kind EngineKind, churn bool) (*Network, *Router, *routerCycle) {
 	t.Helper()
 	net, hub := buildStar(t, 3, false, 1)
 	t.Cleanup(net.Close)
@@ -148,7 +150,8 @@ func blockedHub(t *testing.T, kind EngineKind, churn bool) (*Network, *Router) {
 	}
 	net.SetEngine(kind)
 	r := net.Router(hub)
-	r.Out[1].Credits[0] = 0
+	rc := &net.cyc.routers[hub]
+	rc.out[1].credits[0] = 0
 	net.SetTraffic(GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
 		if now == 0 && src == 0 {
 			return 1
@@ -158,35 +161,37 @@ func blockedHub(t *testing.T, kind EngineKind, churn bool) (*Network, *Router) {
 	for i := 0; i < 10; i++ {
 		net.Step()
 	}
-	if r.active != 1 {
-		t.Fatalf("hub holds %d queues, want the blocked packet's", r.active)
+	if rc.active != 1 {
+		t.Fatalf("hub holds %d queues, want the blocked packet's", rc.active)
 	}
 	assertAsleep(t, net, r)
-	if r.creditWait != 1<<1 {
-		t.Fatalf("creditWait = %b, want only output 1", r.creditWait)
+	if rc.creditWait != 1<<1 {
+		t.Fatalf("creditWait = %b, want only output 1", rc.creditWait)
 	}
-	return net, r
+	return net, r, rc
 }
 
 // assertAsleep fails unless r sleeps until an event and, under the
 // active-set engine, is off its shard's active set.
 func assertAsleep(t *testing.T, net *Network, r *Router) {
 	t.Helper()
-	if r.nextAlloc != allocNever || !r.eventWait {
-		t.Fatalf("hub not asleep on events: nextAlloc=%d eventWait=%v", r.nextAlloc, r.eventWait)
+	rc := &net.cyc.routers[r.ID]
+	if rc.nextAlloc != allocNever || !rc.eventWait {
+		t.Fatalf("hub not asleep on events: nextAlloc=%d eventWait=%v", rc.nextAlloc, rc.eventWait)
 	}
-	if net.engineKind == EngineActiveSet && net.active[0].routers.Has(int(r.ID)) {
+	if net.engineKind == EngineActiveSet && net.cyc.active[0].routers.Has(int(r.ID)) {
 		t.Fatal("event-sleeping hub still on the active set")
 	}
 }
 
-// returnCredit queues one packet's worth of credit for output o of r,
-// deliverable this cycle, through the engine's normal credit path.
-func returnCredit(net *Network, r *Router, o int) {
-	op := &r.Out[o]
-	op.Link.credit.push(timedCredit{at: net.Cycle, flits: 4, vc: 0})
+// returnCredit queues one packet's worth of credit for output o of the
+// router with cycle record rc, deliverable this cycle, through the engine's
+// normal credit path.
+func returnCredit(net *Network, rc *routerCycle, o int) {
+	l := rc.out[o].link
+	l.credit.push(timedCredit{at: net.Cycle, flits: 4, vc: 0})
 	if net.engineKind == EngineActiveSet {
-		net.active[0].stageCreditLink(op.Link)
+		net.cyc.active[0].stageCreditLink(l)
 	}
 }
 
@@ -207,12 +212,12 @@ var cycleEngines = []EngineKind{EngineActiveSet, EngineReference}
 func TestCreditBlockedRouterSleepsUntilItsCredit(t *testing.T) {
 	for _, kind := range cycleEngines {
 		t.Run(kind.String(), func(t *testing.T) {
-			net, r := blockedHub(t, kind, false)
+			net, r, rc := blockedHub(t, kind, false)
 			// A credit to output 2 (as if a packet had left on it) cannot
 			// unblock output 1's request.
-			r.Out[2].Credits[0] -= 4
-			returnCredit(net, r, 2)
-			if net.drainCreditLink(r.Out[2].Link, net.Cycle) {
+			rc.out[2].credits[0] -= 4
+			returnCredit(net, rc, 2)
+			if net.drainCreditLink(rc.out[2].link, net.Cycle) {
 				t.Fatal("credit to an unblocked output woke the hub")
 			}
 			for i := 0; i < 5; i++ {
@@ -223,7 +228,7 @@ func TestCreditBlockedRouterSleepsUntilItsCredit(t *testing.T) {
 				t.Fatal("packet delivered without credits")
 			}
 			// A credit to the blocked output wakes it and the packet leaves.
-			returnCredit(net, r, 1)
+			returnCredit(net, rc, 1)
 			runDelivered(t, net, 10)
 		})
 	}
@@ -232,8 +237,8 @@ func TestCreditBlockedRouterSleepsUntilItsCredit(t *testing.T) {
 func TestDeadLinkBlockedRouterWakesOnRevival(t *testing.T) {
 	for _, kind := range cycleEngines {
 		t.Run(kind.String(), func(t *testing.T) {
-			net, r := blockedHub(t, kind, true)
-			r.Out[1].Credits[0] = r.Out[1].Link.BufFlits
+			net, r, rc := blockedHub(t, kind, true)
+			rc.out[1].credits[0] = r.Out[1].Link.BufFlits
 			link := r.Out[1].Link.ID
 			if err := net.InjectChurn([]TimedFault{LinkFault(net.Cycle, link, false)}); err != nil {
 				t.Fatal(err)
@@ -245,8 +250,8 @@ func TestDeadLinkBlockedRouterWakesOnRevival(t *testing.T) {
 			if err := net.InjectChurn([]TimedFault{LinkFault(net.Cycle, link, true)}); err != nil {
 				t.Fatal(err)
 			}
-			if r.nextAlloc != 0 {
-				t.Fatalf("revival left the hub asleep (nextAlloc=%d)", r.nextAlloc)
+			if rc.nextAlloc != 0 {
+				t.Fatalf("revival left the hub asleep (nextAlloc=%d)", rc.nextAlloc)
 			}
 			runDelivered(t, net, 10)
 		})
@@ -256,8 +261,8 @@ func TestDeadLinkBlockedRouterWakesOnRevival(t *testing.T) {
 func TestSanitizeInFlightWakesAndStalesBlockedRouter(t *testing.T) {
 	for _, kind := range cycleEngines {
 		t.Run(kind.String(), func(t *testing.T) {
-			net, r := blockedHub(t, kind, true)
-			q := &r.In[0].VCs[0] // the hub's input from leaf 0
+			net, r, rc := blockedHub(t, kind, true)
+			q := &rc.in[0].vcs[0] // the hub's input from leaf 0
 			if !q.routed {
 				t.Fatal("blocked packet has no cached decision")
 			}
@@ -267,23 +272,23 @@ func TestSanitizeInFlightWakesAndStalesBlockedRouter(t *testing.T) {
 			if q.routed || q.ahead != 0 {
 				t.Fatal("sanitize kept a cached decision")
 			}
-			if !r.stale || r.nextAlloc != 0 {
-				t.Fatalf("sanitize left the hub asleep: stale=%v nextAlloc=%d", r.stale, r.nextAlloc)
+			if !rc.stale || rc.nextAlloc != 0 {
+				t.Fatalf("sanitize left the hub asleep: stale=%v nextAlloc=%d", rc.stale, rc.nextAlloc)
 			}
-			if kind == EngineActiveSet && !net.active[0].routers.Has(int(r.ID)) {
+			if kind == EngineActiveSet && !net.cyc.active[0].routers.Has(int(r.ID)) {
 				t.Fatal("woken hub missing from the active set")
 			}
 			// Until a pass re-routes it, a stale router wakes on any credit:
 			// put it back to sleep and return a credit to output 2.
-			r.nextAlloc = allocNever
-			r.Out[2].Credits[0] -= 4
-			returnCredit(net, r, 2)
-			if !net.drainCreditLink(r.Out[2].Link, net.Cycle) {
+			rc.nextAlloc = allocNever
+			rc.out[2].credits[0] -= 4
+			returnCredit(net, rc, 2)
+			if !net.drainCreditLink(rc.out[2].link, net.Cycle) {
 				t.Fatal("credit to an unblocked output did not wake the stale hub")
 			}
 			net.Step()
-			if r.stale || !q.routed {
-				t.Fatalf("pass left the hub stale=%v routed=%v", r.stale, q.routed)
+			if rc.stale || !q.routed {
+				t.Fatalf("pass left the hub stale=%v routed=%v", rc.stale, q.routed)
 			}
 			assertAsleep(t, net, r)
 		})

@@ -41,16 +41,14 @@ func (sr *SLDFRouter) Install(net *netsim.Network) {
 			for c := 0; c < sr.s.Params.AB; c++ {
 				for j := 0; j < h; j++ {
 					pi := &sr.s.CGroups[w][c].GlobalPorts[j]
-					port := n.Router(pi.Node)
-					out := &port.Out[pi.PortExt]
-					var used int32
-					link := out.Link
+					link := n.Router(pi.Node).Out[pi.PortExt].Link
 					if link == nil {
 						continue
 					}
 					// Occupancy = credits consumed across all VCs.
+					var used int32
 					for vc := uint8(0); vc < link.VCs; vc++ {
-						used += 32 - out.FreeCredits(vc) // BufFlits per Table IV
+						used += link.BufFlits - n.FreeCredits(pi.Node, pi.PortExt, vc)
 					}
 					sr.occ.occ[w][c*h+j] = used
 				}
