@@ -157,9 +157,9 @@ func main() {
 			fs.Solves, fs.Segments, fs.Traces, fs.CacheHits, fs.FullInvalidations)
 		fmt.Printf("flow     : %d waterfill rounds, %d transpose builds\n",
 			fs.WaterfillIters, fs.TransposeBuilds)
-		fmt.Printf("flowwall : trace %v, waterfill %v, histogram %v\n",
-			fs.TraceWall.Round(time.Microsecond), fs.WaterfillWall.Round(time.Microsecond),
-			fs.HistWall.Round(time.Microsecond))
+		fmt.Printf("flowwall : trace %v, transpose %v, waterfill %v, histogram %v\n",
+			fs.TraceWall.Round(time.Microsecond), fs.TransposeWall.Round(time.Microsecond),
+			fs.WaterfillWall.Round(time.Microsecond), fs.HistWall.Round(time.Microsecond))
 	}
 }
 

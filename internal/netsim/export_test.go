@@ -19,7 +19,7 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 	c := fl.cache
 	seq := make([]int, len(n.ChipNodes))
 	own := map[uint64]bool{}
-	var buf []int32
+	var ts traceScratch
 	for _, d := range demands {
 		srcNodes, dstNodes := n.ChipNodes[d.Src], n.ChipNodes[d.Dst]
 		if d.Rate <= 0 || len(srcNodes) == 0 || len(dstNodes) == 0 {
@@ -37,8 +37,9 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 			own[key] = true
 		}
 		e := c.entries[ei]
-		var res traceResult
-		buf, res = n.traceOne(buf[:0], src, dst, size)
+		ts.buf = ts.buf[:0]
+		res := n.traceOne(&ts, src, dst, size)
+		buf := ts.buf
 		if e.ok != res.ok {
 			return 0, fmt.Errorf("pair %d->%d: served ok=%v, fresh trace ok=%v", src, dst, e.ok, res.ok)
 		}
@@ -147,6 +148,12 @@ func (p FlowProbe) Throttles() []float64 {
 func (p FlowProbe) Capacities() []float64   { return slices.Clone(p.fl.cap) }
 func (p FlowProbe) ServiceTimes() []float64 { return slices.Clone(p.fl.ser) }
 func (p FlowProbe) Loads() []float64        { return slices.Clone(p.fl.load) }
+
+// Transpose returns the flow-incidence transpose: element el's incident
+// flows are flows[off[el]:off[el+1]].
+func (p FlowProbe) Transpose() (off, flows []int32) {
+	return slices.Clone(p.fl.elemOff), slices.Clone(p.fl.elemFlow)
+}
 
 // OverElems returns the solver's over-capacity element set.
 func (p FlowProbe) OverElems() []int32 { return slices.Clone(p.fl.overElems) }

@@ -35,14 +35,22 @@ package netsim
 //     traces draw their randomized decisions from per-pair streams
 //     (Packet.TraceRNG), making each trace a pure function of network
 //     state, safe to run concurrently and identical for any worker count.
+//     Workers claim runs of pending pairs in a coarse Z-order of (source
+//     node, destination node) — node IDs are group-major, so neighbouring
+//     traces walk the same routers and links — while results stay in
+//     worklist order. Under the reference fault state the merge into the
+//     path arena is a prefix sum in worklist order, one arena growth and a
+//     parallel copy, so the arena is byte-identical for any worker count.
+//     A cold build presizes the cache's index and entries.
 //   - The waterfill load pass runs element-major over a flow-incidence
 //     transpose: each element's load is a fixed-order reduction over its
 //     incident flows, so partitioning elements (or flows, for the throttle
-//     pass) across workers cannot change a single bit of the result. A
-//     round reads each candidate flow's path at most once: worst ratios
-//     come from the over-capacity elements through the transpose, and when
-//     most flows throttle the round refreshes every load instead of walking
-//     paths for a dirty list.
+//     pass) across workers cannot change a single bit of the result. The
+//     transpose itself is built on the pool, each element's incident flows
+//     in ascending flow order. A round reads each candidate flow's path at
+//     most once: worst ratios come from the over-capacity elements through
+//     the transpose, and when most flows throttle the round refreshes every
+//     load instead of walking paths for a dirty list.
 //   - Latency synthesis computes each element's queueing term once per
 //     segment, sums each flow's terms along its path on the pool, and folds
 //     the window statistics serially in flow order.
@@ -54,6 +62,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -110,11 +120,12 @@ type FlowStats struct {
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
-	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
+	FullInvalidations int64 // discards of a non-empty cache's traces, every state's (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
 
-	TraceWall     time.Duration // wall time tracing routes
+	TraceWall     time.Duration // wall time ordering, tracing and merging route traces
+	TransposeWall time.Duration // wall time building the flow-incidence transpose
 	WaterfillWall time.Duration // wall time in the throttle fixpoint
 	HistWall      time.Duration // wall time synthesizing stats/histograms
 }
@@ -146,6 +157,7 @@ const flowTraceSeed = 0x7C0FFEE5EEDF10A7
 // is being captured.
 var (
 	flowPhaseTrace     = profiling.NewPhase("flow-trace")
+	flowPhaseTranspose = profiling.NewPhase("flow-transpose")
 	flowPhaseWaterfill = profiling.NewPhase("flow-waterfill")
 	flowPhaseHist      = profiling.NewPhase("flow-histogram")
 )
@@ -160,6 +172,20 @@ type flowFlow struct {
 	entry int32
 }
 
+// traceRun is the number of pending pairs a trace worker claims at once,
+// consecutive in the locality order.
+const traceRun = 64
+
+// traceTileBits is the per-coordinate resolution of the trace locality
+// order: pairs are bucketed by the top traceTileBits bits of their source
+// and destination node IDs, and the buckets are visited in Z-order.
+const traceTileBits = 8
+
+// flowPathHint is the expected path length (elements per trace) a trace
+// worker's buffer is reserved for before a batch, so a cold batch grows it
+// at most once in the common case.
+const flowPathHint = 16
+
 // traceResult is one finished route trace, with its path in the tracing
 // worker's scratch buffer until the deterministic merge copies it into the
 // cache arena.
@@ -169,6 +195,17 @@ type traceResult struct {
 	wrk    int32
 	ok     bool
 	hops   [NumHopClasses]uint16
+}
+
+// traceScratch is one trace worker's scratch: the phantom packet and its
+// RNG stream (kept here so a trace allocates nothing), the buffer its paths
+// collect in until the merge, and the arena offset its worklist shard
+// starts at in the reference merge.
+type traceScratch struct {
+	p   Packet
+	rng engine.RNG
+	buf []int32
+	at  int32
 }
 
 // flowSolver is the network-owned solver state: the route-trace cache plus
@@ -192,14 +229,21 @@ type flowSolver struct {
 	// hashes the flow structure (and cache generation) the transpose was
 	// built for, so warm sweep points skip the rebuild.
 	elemOff  []int32
-	elemCur  []int32
 	elemFlow []int32
 	shape    uint64
+	// Per-worker transpose cursors for every worker but the last, which
+	// uses elemOff itself: (workers-1) x elements int32s, built on the
+	// first parallel transpose.
+	elemCurs [][]int32
 
-	// Pending-trace worklist and per-worker scratch.
+	// Pending-trace worklist, its locality order (positions in pending)
+	// with the counting-sort buckets that build it, and per-worker scratch.
 	pending   []int32
+	order     []int32
+	tiles     []int32
+	tileShift uint
 	results   []traceResult
-	traceBufs [][]int32
+	scratch   []traceScratch
 	traceNext atomic.Int64
 	traceSize int32
 
@@ -226,7 +270,8 @@ type flowSolver struct {
 	lat  []float64
 
 	// Persistent phase closures, built once so solves allocate nothing.
-	traceFn, loadFn, scaleFn, loadListFn, waitFn, latFn func(int)
+	traceFn, mergeFn, countFn, fillFn          func(int)
+	loadFn, scaleFn, loadListFn, waitFn, latFn func(int)
 
 	starts []int64
 	accum  flowAccum
@@ -262,6 +307,8 @@ func (n *Network) flowSolver() *flowSolver {
 		return n.flow
 	}
 	elems := len(n.Links) + len(n.Routers)
+	nodeBits := bits.Len(uint(max(len(n.Routers)-1, 0)))
+	tileBits := min(nodeBits, traceTileBits)
 	fl := &flowSolver{
 		cache:      newTraceCache(),
 		perChipSeq: make([]int, len(n.ChipNodes)),
@@ -270,9 +317,10 @@ func (n *Network) flowSolver() *flowSolver {
 		ser:        make([]float64, elems),
 		wait:       make([]float64, elems),
 		elemOff:    make([]int32, elems+1),
-		elemCur:    make([]int32, elems),
 		elemStamp:  make([]int32, elems),
-		traceBufs:  make([][]int32, 1),
+		tiles:      make([]int32, 1<<(2*tileBits)+1),
+		tileShift:  uint(nodeBits - tileBits),
+		scratch:    make([]traceScratch, 1),
 		workers:    1,
 	}
 	if n.faultRoute != nil {
@@ -280,20 +328,58 @@ func (n *Network) flowSolver() *flowSolver {
 	}
 	//sldf:hotpath
 	fl.traceFn = func(w int) {
-		buf := fl.traceBufs[w][:0]
+		ts := &fl.scratch[w]
 		for {
-			i := int(fl.traceNext.Add(1)) - 1
-			if i >= len(fl.pending) {
+			lo := int(fl.traceNext.Add(traceRun)) - traceRun
+			if lo >= len(fl.order) {
 				break
 			}
-			e := &fl.cache.entries[fl.pending[i]]
-			src, dst := pairFromKey(e.key)
-			nb, res := n.traceOne(buf, src, dst, fl.traceSize)
-			res.wrk = int32(w)
-			fl.results[i] = res
-			buf = nb
+			for _, i := range fl.order[lo:min(lo+traceRun, len(fl.order))] {
+				src, dst := pairFromKey(fl.cache.entries[fl.pending[i]].key)
+				res := n.traceOne(ts, src, dst, fl.traceSize)
+				res.wrk = int32(w)
+				fl.results[i] = res
+			}
 		}
-		fl.traceBufs[w] = buf
+	}
+	//sldf:hotpath
+	fl.mergeFn = func(w int) {
+		c := fl.cache
+		lo, hi := engine.ShardBounds(len(fl.pending), fl.workers, w)
+		off := fl.scratch[w].at
+		for i := lo; i < hi; i++ {
+			res := &fl.results[i]
+			c.entries[fl.pending[i]].set(off, res)
+			if res.ok {
+				off += int32(copy(c.path[off:], fl.scratch[res.wrk].buf[res.off:res.off+res.n]))
+			}
+		}
+	}
+	//sldf:hotpath
+	fl.countFn = func(w int) {
+		c := fl.cache
+		cur := fl.elemCursor(w)
+		clear(cur)
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for _, f := range fl.flows[lo:hi] {
+			e := &c.entries[f.entry]
+			for _, el := range c.path[e.off : e.off+e.n] {
+				cur[el]++
+			}
+		}
+	}
+	//sldf:hotpath
+	fl.fillFn = func(w int) {
+		c := fl.cache
+		cur := fl.elemCursor(w)
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for fi := lo; fi < hi; fi++ {
+			e := &c.entries[fl.flows[fi].entry]
+			for _, el := range c.path[e.off : e.off+e.n] {
+				fl.elemFlow[cur[el]] = int32(fi)
+				cur[el]++
+			}
+		}
 	}
 	//sldf:hotpath
 	fl.loadFn = func(w int) {
@@ -381,8 +467,8 @@ func (n *Network) SetFlowWorkers(w int) {
 	if w > 1 {
 		fl.pool = engine.NewPool(w)
 	}
-	for len(fl.traceBufs) < w {
-		fl.traceBufs = append(fl.traceBufs, nil)
+	for len(fl.scratch) < w {
+		fl.scratch = append(fl.scratch, traceScratch{})
 	}
 }
 
@@ -395,10 +481,11 @@ func (n *Network) FlowSolverStats() FlowStats {
 	return n.flow.stats
 }
 
-// flowInvalidateAll discards every cached route trace (no-op when the flow
-// solver was never used).
+// flowInvalidateAll discards every cached route trace. It is a no-op — not
+// counted, epoch unchanged — when the cache holds no entries: a fresh
+// solver's first packet-size adoption discards nothing.
 func (n *Network) flowInvalidateAll() {
-	if n.flow == nil {
+	if n.flow == nil || len(n.flow.cache.entries) == 0 {
 		return
 	}
 	n.flow.cache.invalidateAll()
@@ -418,61 +505,101 @@ func (fl *flowSolver) run(fn func(int)) {
 
 // traceOne runs the installed RouteFunc over a phantom packet from srcNode
 // to dstNode, appending the links crossed (and the terminal ejection
-// element) to buf. Randomized routing decisions draw from a stream derived
-// from the (srcNode, dstNode) pair, so the trace is a pure function of the
-// network state — independent of trace order and safe to run concurrently.
-// res.ok is false when the route dead-ends, crosses a disabled component,
-// or exceeds flowMaxHops; the caller accounts such flows as refused.
-func (n *Network) traceOne(buf []int32, srcNode, dstNode NodeID, size int32) ([]int32, traceResult) {
-	rng := engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
-	p := Packet{
+// element) to ts.buf. Randomized routing decisions draw from a stream
+// derived from the (srcNode, dstNode) pair, so the trace is a pure function
+// of the network state — independent of trace order and safe to run
+// concurrently. res.ok is false when the route dead-ends, crosses a
+// disabled component, or exceeds flowMaxHops; the caller accounts such
+// flows as refused.
+func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32) traceResult {
+	ts.rng = engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
+	ts.p = Packet{
 		SrcChip: n.Routers[srcNode].Chip, DstChip: n.Routers[dstNode].Chip,
 		SrcNode: srcNode, DstNode: dstNode,
 		Size: size, Aux: -1, Aux2: -1,
-		TraceRNG: &rng,
+		TraceRNG: &ts.rng,
 	}
+	p := &ts.p
 	var res traceResult
-	res.off = int32(len(buf))
+	res.off = int32(len(ts.buf))
 	ejBase := int32(len(n.Links))
 	r := &n.Routers[srcNode]
 	for hop := 0; hop < flowMaxHops; hop++ {
-		out, vc := n.route(n, r, &p)
+		out, vc := n.route(n, r, p)
 		if out < 0 || out >= len(r.Out) {
-			return buf[:res.off], res
+			break
 		}
 		l := r.Out[out].Link
 		if l == nil {
 			// Ejection: the terminal serializes the whole packet at one
 			// flit per cycle, exactly like Router.allocate.
-			buf = append(buf, ejBase+int32(r.ID))
+			ts.buf = append(ts.buf, ejBase+int32(r.ID))
 			res.n++
 			res.base += int64(size)
 			res.hops[HopEject]++
 			res.ok = true
-			return buf, res
+			return res
 		}
 		if l.Disabled || n.Routers[l.Dst].Disabled {
-			return buf[:res.off], res
+			break
 		}
 		p.VC = vc
 		p.Hops[l.Class]++
 		res.hops[l.Class]++
-		buf = append(buf, l.ID)
+		ts.buf = append(ts.buf, l.ID)
 		res.n++
 		// Wire + the one-cycle handoff into the next router's input buffer
 		// (the cycle engines deliver at now + Delay + 1).
 		res.base += int64(l.Delay) + 1
 		r = &n.Routers[l.Dst]
 	}
-	return buf[:res.off], res
+	ts.buf = ts.buf[:res.off]
+	return res
+}
+
+// orderPending fills fl.order with the positions of fl.pending in a coarse
+// Z-order of their (source node, destination node) pairs: one stable
+// counting-sort pass over tiles of the top traceTileBits bits of each node
+// ID, visited in Morton order. Node IDs are assigned group-major, so a run
+// of consecutive traces starts and ends in the same few groups.
+func (fl *flowSolver) orderPending() {
+	tiles := fl.tiles
+	clear(tiles)
+	for _, ei := range fl.pending {
+		tiles[fl.tileOf(ei)+1]++
+	}
+	for t := 1; t < len(tiles); t++ {
+		tiles[t] += tiles[t-1]
+	}
+	fl.order = slices.Grow(fl.order[:0], len(fl.pending))[:len(fl.pending)]
+	for i, ei := range fl.pending {
+		t := fl.tileOf(ei)
+		fl.order[tiles[t]] = int32(i)
+		tiles[t]++
+	}
+}
+
+// tileOf returns the Z-order tile of cache entry ei's pair.
+func (fl *flowSolver) tileOf(ei int32) int32 {
+	src, dst := pairFromKey(fl.cache.entries[ei].key)
+	return int32(spreadBits(uint32(src)>>fl.tileShift)<<1 | spreadBits(uint32(dst)>>fl.tileShift))
+}
+
+// spreadBits interleaves zeros between the bits of x < 1<<8 (traceTileBits).
+func spreadBits(x uint32) uint32 {
+	x = (x | x<<4) & 0x0F0F
+	x = (x | x<<2) & 0x3333
+	x = (x | x<<1) & 0x5555
+	return x
 }
 
 // tracePending traces every reserved cache entry, fanning the independent
-// phantom traces across the solver pool, then merges the results into the
-// cache serially in worklist order — cache contents are identical for any
-// worker count. fl.flows must hold the build's flows: under a non-base
-// fault state, flows reserved on a pair the state routes differently are
-// repointed at the state's own entry.
+// phantom traces across the solver pool in locality order, then merges the
+// results into the cache in worklist order — cache contents are identical
+// for any worker count. Under the reference state the merge runs on the
+// pool (mergeReference); under another fault state it is serial, and
+// fl.flows must hold the build's flows: flows reserved on a pair the state
+// routes differently are repointed at the state's own entry.
 func (n *Network) tracePending(fl *flowSolver, size int32) {
 	if len(fl.pending) == 0 {
 		return
@@ -482,25 +609,55 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		fl.results = make([]traceResult, len(fl.pending))
 	}
 	fl.results = fl.results[:len(fl.pending)]
+	fl.orderPending()
+	reserve := (len(fl.pending)/fl.workers + 1) * flowPathHint
+	for w := range fl.workers {
+		fl.scratch[w].buf = slices.Grow(fl.scratch[w].buf[:0], reserve)
+	}
 	fl.traceSize = size
 	fl.traceNext.Store(0)
 	fl.run(fl.traceFn)
 	c := fl.cache
-	redirect := false
-	for i, ei := range fl.pending {
-		res := &fl.results[i]
-		if c.merge(ei, res, fl.traceBufs[res.wrk][res.off:res.off+res.n]) {
-			redirect = true
+	if c.state == 0 {
+		fl.mergeReference()
+	} else {
+		redirect := false
+		for i, ei := range fl.pending {
+			res := &fl.results[i]
+			if c.merge(ei, res, fl.scratch[res.wrk].buf[res.off:res.off+res.n]) {
+				redirect = true
+			}
 		}
-	}
-	if redirect {
-		c.redirect(fl.flows)
+		if redirect {
+			c.redirect(fl.flows)
+		}
 	}
 	c.endBuild()
 	c.gen++
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
 	phaseEnd(t0, &fl.stats.TraceWall)
+}
+
+// mergeReference stores the traced reference entries with the serial
+// merge's arena layout — each successful path at the prefix sum, in
+// worklist order, of the paths before it — but grows the arena once and
+// copies the paths and fills the entries on the pool. Each worker's shard
+// of the worklist starts at the arena offset the prefix sum gives it.
+func (fl *flowSolver) mergeReference() {
+	c := fl.cache
+	at := len(c.path)
+	for w := range fl.workers {
+		fl.scratch[w].at = int32(at)
+		lo, hi := engine.ShardBounds(len(fl.pending), fl.workers, w)
+		for i := lo; i < hi; i++ {
+			if fl.results[i].ok {
+				at += int(fl.results[i].n)
+			}
+		}
+	}
+	c.path = slices.Grow(c.path, at-len(c.path))[:at]
+	fl.run(fl.mergeFn)
 }
 
 // flowBuildFlows expands chip-level demands into node-level flows, serving
@@ -510,11 +667,14 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 // or whose route fails are returned as refused flits/cycle, accumulated in
 // demand order.
 func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int32) (refusedRate float64) {
-	fl.flows = fl.flows[:0]
+	if len(fl.cache.entries) == 0 {
+		fl.cache.reserve(len(demands))
+	}
+	fl.flows = slices.Grow(fl.flows[:0], len(demands))
+	fl.pending = slices.Grow(fl.pending[:0], len(demands))
 	for i := range fl.perChipSeq {
 		fl.perChipSeq[i] = 0
 	}
-	fl.pending = fl.pending[:0]
 	for _, d := range demands {
 		if d.Rate <= 0 {
 			continue
@@ -577,37 +737,45 @@ func (fl *flowSolver) flowShape() uint64 {
 // pass. Element-major accumulation makes every element's load a fixed-order
 // reduction over its incident flows — which is what keeps serial and
 // parallel waterfills bit-identical.
+//
+// Each worker owns a contiguous flow range and an element cursor array: it
+// counts its range's incidences, one serial pass over the elements turns
+// the counts into each worker's first slot (worker by worker within an
+// element, so every element's flows land in ascending flow order), and
+// each worker fills its slots. The last worker's cursors are elemOff
+// itself, so they end at each element's end offset; one shift turns them
+// into the starts.
 func (fl *flowSolver) buildTranspose() {
 	elems := len(fl.load)
-	off := fl.elemOff
-	for i := range off {
-		off[i] = 0
+	for len(fl.elemCurs) < fl.workers-1 {
+		fl.elemCurs = append(fl.elemCurs, make([]int32, elems))
 	}
-	c := fl.cache
-	total := 0
-	for i := range fl.flows {
-		e := &c.entries[fl.flows[i].entry]
-		total += int(e.n)
-		for _, el := range c.path[e.off : e.off+e.n] {
-			off[el+1]++
+	fl.run(fl.countFn)
+	at := int32(0)
+	for el := range elems {
+		for w := range fl.workers {
+			cur := fl.elemCursor(w)
+			n := cur[el]
+			cur[el] = at
+			at += n
 		}
 	}
-	for i := 1; i <= elems; i++ {
-		off[i] += off[i-1]
+	if cap(fl.elemFlow) < int(at) {
+		fl.elemFlow = make([]int32, at)
 	}
-	if cap(fl.elemFlow) < total {
-		fl.elemFlow = make([]int32, total)
-	}
-	fl.elemFlow = fl.elemFlow[:total]
-	copy(fl.elemCur, off[:elems])
-	for i := range fl.flows {
-		e := &c.entries[fl.flows[i].entry]
-		for _, el := range c.path[e.off : e.off+e.n] {
-			fl.elemFlow[fl.elemCur[el]] = int32(i)
-			fl.elemCur[el]++
-		}
-	}
+	fl.elemFlow = fl.elemFlow[:at]
+	fl.run(fl.fillFn)
+	copy(fl.elemOff[1:], fl.elemOff[:elems])
+	fl.elemOff[0] = 0
 	fl.stats.TransposeBuilds++
+}
+
+// elemCursor returns worker w's transpose cursor array.
+func (fl *flowSolver) elemCursor(w int) []int32 {
+	if w == fl.workers-1 {
+		return fl.elemOff[:len(fl.load)]
+	}
+	return fl.elemCurs[w]
 }
 
 // setCapacities fills per-element capacities and service times: links carry
@@ -923,7 +1091,9 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		refused := n.flowBuildFlows(fl, opts.Demands(), size)
 		shape := fl.flowShape()
 		if shape != fl.shape || len(fl.elemFlow) == 0 {
+			t := phaseStart(flowPhaseTranspose)
 			fl.buildTranspose()
+			phaseEnd(t, &fl.stats.TransposeWall)
 			fl.shape = shape
 		}
 		t := phaseStart(flowPhaseWaterfill)

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -218,4 +220,145 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlowFirstSizeAdoptionInvalidatesNothing pins that a fresh solver's
+// first packet-size adoption discards nothing — there is nothing cached —
+// and so counts no full invalidation, while a later size change discards
+// the traces and counts one.
+func TestFlowFirstSizeAdoptionInvalidatesNothing(t *testing.T) {
+	net := buildRing(t, 8)
+	defer net.Close()
+	net.SetEngine(EngineFlow)
+	demands := ringDemands(8, 0.05)
+	solve := func(size int32) FlowStats {
+		t.Helper()
+		if err := net.SolveFlow(FlowOptions{
+			Demands:    func() []FlowDemand { return demands },
+			PacketSize: size, Warmup: 100, Measure: 200,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		net.Reset()
+		return net.FlowSolverStats()
+	}
+	if got := solve(4).FullInvalidations; got != 0 {
+		t.Fatalf("fresh network's first solve counted %d full invalidations, want 0", got)
+	}
+	if got := solve(4).FullInvalidations; got != 0 {
+		t.Fatalf("warm solve counted %d full invalidations, want 0", got)
+	}
+	st := solve(8)
+	if st.FullInvalidations != 1 {
+		t.Fatalf("packet-size change counted %d full invalidations, want 1", st.FullInvalidations)
+	}
+	if st.Traces != 16 {
+		t.Fatalf("%d traces after the size change, want 16: the change re-traces every pair", st.Traces)
+	}
+}
+
+// traceLayout is what a solve leaves in the route-trace cache and the
+// flow-incidence transpose.
+type traceLayout struct {
+	entries                 []traceEntry
+	path, elemOff, elemFlow []int32
+}
+
+func layoutOf(net *Network) traceLayout {
+	fl := net.flow
+	return traceLayout{
+		entries: slices.Clone(fl.cache.entries), path: slices.Clone(fl.cache.path),
+		elemOff: slices.Clone(fl.elemOff), elemFlow: slices.Clone(fl.elemFlow),
+	}
+}
+
+// TestTraceLayoutIndependentOfWorkers pins that the worker count never
+// shows in the cache or the transpose: cold solves with 1, 2 and 5 workers
+// leave identical entries, path arenas and transposes, both under the
+// reference fault state (parallel merge) and after a churn batch enters a
+// new state (serial verify/overlay merge). The pair count spans many trace
+// runs per worker.
+func TestTraceLayoutIndependentOfWorkers(t *testing.T) {
+	const n = 48
+	var demands []FlowDemand
+	for i := 0; i < n; i++ {
+		for k := 1; k < n; k += 3 {
+			demands = append(demands, FlowDemand{Src: int32(i), Dst: int32((i + k) % n), Rate: 0.002})
+		}
+	}
+	var ref, churned []traceLayout
+	for _, workers := range []int{1, 2, 5} {
+		net := buildChurnRing(t, n, NetworkOptions{Seed: 1, Workers: 1})
+		net.SetEngine(EngineFlow)
+		opts := FlowOptions{
+			Demands:    func() []FlowDemand { return demands },
+			PacketSize: 4, Warmup: 0, Measure: 200, Workers: workers,
+		}
+		if err := net.SolveFlow(opts); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, layoutOf(net))
+		net.Reset()
+		fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
+		if err := net.ScheduleChurn([]TimedFault{LinkFault(100, fwd.ID, false), LinkFault(100, rev.ID, false)},
+			DropInFlight, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SolveFlow(opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, overlays := net.FlowTraceEntries(); overlays == 0 {
+			t.Fatal("churn state traced no overlay entries; the test does not reach the serial merge")
+		}
+		churned = append(churned, layoutOf(net))
+		net.Close()
+	}
+	if len(ref[0].entries) != len(demands) {
+		t.Fatalf("%d reference entries, want %d", len(ref[0].entries), len(demands))
+	}
+	for i, workers := range []int{2, 5} {
+		if !reflect.DeepEqual(ref[0], ref[i+1]) {
+			t.Fatalf("reference-state layout with %d workers differs from the serial one", workers)
+		}
+		if !reflect.DeepEqual(churned[0], churned[i+1]) {
+			t.Fatalf("churn-state layout with %d workers differs from the serial one", workers)
+		}
+	}
+}
+
+// TestFlowColdSolveAllocsIndependentOfSize pins that a cold build grows
+// nothing by doubling: a fresh network's first solve allocates equally
+// often on an 8-node and a 64-node ring, because the cache index, entries
+// and path arena, the worklists and the trace buffers are each sized once.
+// Every chip sends to three destinations, so both rings' demand counts
+// exceed one 8-slot map group and both indexes take Go's full-size map
+// layout.
+func TestFlowColdSolveAllocsIndependentOfSize(t *testing.T) {
+	coldAllocs := func(n int) uint64 {
+		net := buildRing(t, n)
+		defer net.Close()
+		net.SetEngine(EngineFlow)
+		var demands []FlowDemand
+		for i := 0; i < n; i++ {
+			for k := 1; k <= 3; k++ {
+				demands = append(demands, FlowDemand{Src: int32(i), Dst: int32((i + k) % n), Rate: 0.05})
+			}
+		}
+		opts := FlowOptions{
+			Demands:    func() []FlowDemand { return demands },
+			PacketSize: 4, Warmup: 100, Measure: 200,
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := net.SolveFlow(opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	small, large := coldAllocs(8), coldAllocs(64)
+	if small != large {
+		t.Fatalf("cold solve allocates %d times on an 8-node ring, %d on a 64-node ring; want equal", small, large)
+	}
+	t.Logf("cold solve: %d allocations on either ring", small)
 }

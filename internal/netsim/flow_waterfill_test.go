@@ -157,6 +157,76 @@ func sampledDemands(chips, samples int, rate float64) []netsim.FlowDemand {
 	return d
 }
 
+// buildFlowSLDF builds the oracle tests' small switch-less Dragonfly (nine
+// W-groups of 16 chips) with minimal routing, on the flow engine.
+func buildFlowSLDF(t *testing.T) *netsim.Network {
+	t.Helper()
+	s, err := topology.BuildSLDF(topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2, G: 0},
+		topology.DefaultLinkClasses(routing.SLDFVCCount(routing.BaselineVC, routing.Minimal), 1),
+		netsim.NetworkOptions{Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := routing.NewSLDFRouter(s, routing.BaselineVC, routing.Minimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Install(s.Net)
+	s.Net.SetEngine(netsim.EngineFlow)
+	return s.Net
+}
+
+// transposeOracle is the flow solver's flow-incidence transpose as it was
+// built before it ran on the pool: count every element's incidences,
+// prefix-sum the counts, then place the flows in flow order through a
+// per-element cursor.
+func transposeOracle(paths [][]int32, elems int) (off, flows []int32) {
+	off = make([]int32, elems+1)
+	total := 0
+	for _, path := range paths {
+		total += len(path)
+		for _, el := range path {
+			off[el+1]++
+		}
+	}
+	for i := 1; i <= elems; i++ {
+		off[i] += off[i-1]
+	}
+	flows = make([]int32, total)
+	cur := slices.Clone(off[:elems])
+	for fi, path := range paths {
+		for _, el := range path {
+			flows[cur[el]] = int32(fi)
+			cur[el]++
+		}
+	}
+	return off, flows
+}
+
+// TestTransposeMatchesOracle checks the flow solver's transpose against
+// transposeOracle on the small switch-less Dragonfly at 1, 2, 3 and 5
+// workers: the same offsets, and every element's incident flows in
+// ascending flow order.
+func TestTransposeMatchesOracle(t *testing.T) {
+	net := buildFlowSLDF(t)
+	defer net.Close()
+	for _, samples := range []int{1, 16} {
+		demands := sampledDemands(len(net.ChipNodes), samples, 0.5)
+		for _, workers := range []int{1, 2, 3, 5} {
+			net.SetFlowWorkers(workers)
+			p := net.PrepareFlowSegment(demands, 4)
+			off, flows := p.Transpose()
+			wantOff, wantFlows := transposeOracle(p.Paths(), len(p.Capacities()))
+			if !slices.Equal(off, wantOff) {
+				t.Fatalf("%d samples, %d workers: element offsets differ from the oracle", samples, workers)
+			}
+			if !slices.Equal(flows, wantFlows) {
+				t.Fatalf("%d samples, %d workers: incident flows differ from the oracle", samples, workers)
+			}
+		}
+	}
+}
+
 // TestWaterfillMatchesOracle checks the flow solver's waterfill and latency
 // synthesis against waterfillOracle on a small switch-less Dragonfly (nine
 // W-groups of 16 chips), round by round and bit for bit, at 1, 2 and 3
@@ -167,20 +237,8 @@ func sampledDemands(chips, samples int, rate float64) []netsim.FlowDemand {
 // points whose first round refreshes every load while later rounds refresh
 // a dirty list; the test fails if either branch goes unexercised.
 func TestWaterfillMatchesOracle(t *testing.T) {
-	s, err := topology.BuildSLDF(topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2, G: 0},
-		topology.DefaultLinkClasses(routing.SLDFVCCount(routing.BaselineVC, routing.Minimal), 1),
-		netsim.NetworkOptions{Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := s.Net
+	net := buildFlowSLDF(t)
 	defer net.Close()
-	r, err := routing.NewSLDFRouter(s, routing.BaselineVC, routing.Minimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Install(net)
-	net.SetEngine(netsim.EngineFlow)
 	const size = 5 // not a power of two, so regrouping a waiting term shows in its bits
 
 	var fullRounds, listRounds int

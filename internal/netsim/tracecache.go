@@ -101,6 +101,13 @@ func newTraceCache() *traceCache {
 	return &traceCache{idx: make(map[uint64]int32), epoch: 1, resvGen: 1}
 }
 
+// reserve presizes an empty cache's index and entries for n pairs, so a
+// cold build inserts without growing them.
+func (c *traceCache) reserve(n int) {
+	c.idx = make(map[uint64]int32, n)
+	c.entries = make([]traceEntry, 0, n)
+}
+
 // lookup returns the entry serving key under the current state. need
 // reports that the caller must schedule a trace of it — exactly once per
 // build: later lookups of the same key see the reservation. hit reports
@@ -139,19 +146,27 @@ func (c *traceCache) lookup(key uint64) (ei int32, need, hit bool) {
 	return i, true, false
 }
 
-// store fills e with a finished trace, copying a successful path into the
-// arena (a failed trace's path is never read).
-func (c *traceCache) store(e *traceEntry, res *traceResult, path []int32) {
-	e.off = int32(len(c.path))
+// set fills e with finished trace res, its path at arena offset off (a
+// failed trace's path is never read).
+func (e *traceEntry) set(off int32, res *traceResult) {
+	e.off = off
 	e.n = 0
 	if res.ok {
 		e.n = res.n
-		c.path = append(c.path, path...)
 	}
 	e.base = res.base
 	e.hops = res.hops
 	e.ok = res.ok
 	e.traced = true
+}
+
+// store fills e with a finished trace, appending a successful path to the
+// arena.
+func (c *traceCache) store(e *traceEntry, res *traceResult, path []int32) {
+	e.set(int32(len(c.path)), res)
+	if res.ok {
+		c.path = append(c.path, path...)
+	}
 }
 
 // merge records trace res of reference entry ei for the current state.
