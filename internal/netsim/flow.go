@@ -120,7 +120,7 @@ type FlowStats struct {
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
-	FullInvalidations int64 // discards of a non-empty cache's traces, every state's (SetRoute, SetFaultRouting, faults, size change, Cold)
+	FullInvalidations int64 // discards of every state's traces while the cache holds entries (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
 
