@@ -120,7 +120,7 @@ type FlowStats struct {
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
-	FullInvalidations int64 // discards of every state's traces while the cache holds entries (SetRoute, SetFaultRouting, faults, size change, Cold)
+	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
 
@@ -481,11 +481,10 @@ func (n *Network) FlowSolverStats() FlowStats {
 	return n.flow.stats
 }
 
-// flowInvalidateAll discards every cached route trace. It is a no-op — not
-// counted, epoch unchanged — when the cache holds no entries: a fresh
-// solver's first packet-size adoption discards nothing.
+// flowInvalidateAll discards every cached route trace (no-op when the flow
+// solver was never used).
 func (n *Network) flowInvalidateAll() {
-	if n.flow == nil || len(n.flow.cache.entries) == 0 {
+	if n.flow == nil {
 		return
 	}
 	n.flow.cache.invalidateAll()
@@ -639,10 +638,10 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	phaseEnd(t0, &fl.stats.TraceWall)
 }
 
-// mergeReference stores the traced reference entries with the serial
-// merge's arena layout — each successful path at the prefix sum, in
-// worklist order, of the paths before it — but grows the arena once and
-// copies the paths and fills the entries on the pool. Each worker's shard
+// mergeReference stores the traced reference entries in worklist order:
+// each successful path lands at the end of the arena plus the prefix sum
+// of the successful paths before it. The arena grows once, and the paths
+// are copied and the entries filled on the pool. Each worker's shard
 // of the worklist starts at the arena offset the prefix sum gives it.
 func (fl *flowSolver) mergeReference() {
 	c := fl.cache

@@ -222,41 +222,6 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFlowFirstSizeAdoptionInvalidatesNothing pins that a fresh solver's
-// first packet-size adoption discards nothing — there is nothing cached —
-// and so counts no full invalidation, while a later size change discards
-// the traces and counts one.
-func TestFlowFirstSizeAdoptionInvalidatesNothing(t *testing.T) {
-	net := buildRing(t, 8)
-	defer net.Close()
-	net.SetEngine(EngineFlow)
-	demands := ringDemands(8, 0.05)
-	solve := func(size int32) FlowStats {
-		t.Helper()
-		if err := net.SolveFlow(FlowOptions{
-			Demands:    func() []FlowDemand { return demands },
-			PacketSize: size, Warmup: 100, Measure: 200,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		net.Reset()
-		return net.FlowSolverStats()
-	}
-	if got := solve(4).FullInvalidations; got != 0 {
-		t.Fatalf("fresh network's first solve counted %d full invalidations, want 0", got)
-	}
-	if got := solve(4).FullInvalidations; got != 0 {
-		t.Fatalf("warm solve counted %d full invalidations, want 0", got)
-	}
-	st := solve(8)
-	if st.FullInvalidations != 1 {
-		t.Fatalf("packet-size change counted %d full invalidations, want 1", st.FullInvalidations)
-	}
-	if st.Traces != 16 {
-		t.Fatalf("%d traces after the size change, want 16: the change re-traces every pair", st.Traces)
-	}
-}
-
 // traceLayout is what a solve leaves in the route-trace cache and the
 // flow-incidence transpose.
 type traceLayout struct {

@@ -160,24 +160,12 @@ func (e *traceEntry) set(off int32, res *traceResult) {
 	e.traced = true
 }
 
-// store fills e with a finished trace, appending a successful path to the
-// arena.
-func (c *traceCache) store(e *traceEntry, res *traceResult, path []int32) {
-	e.set(int32(len(c.path)), res)
-	if res.ok {
-		c.path = append(c.path, path...)
-	}
-}
-
-// merge records trace res of reference entry ei for the current state.
-// Under the reference state it fills the entry; under another state it
-// marks the reference entry verified when the traces agree, or stores an
-// overlay entry and reports that flows reserved on ei must be redirected.
+// merge records trace res of reference entry ei for the current state,
+// which must not be the reference state (tracePending merges reference
+// traces on the pool). It marks the reference entry verified when the
+// traces agree, or appends an overlay entry, its path at the end of the
+// arena, and reports that flows reserved on ei must be redirected.
 func (c *traceCache) merge(ei int32, res *traceResult, path []int32) (redirect bool) {
-	if c.state == 0 {
-		c.store(&c.entries[ei], res, path)
-		return false
-	}
 	l := &c.layers[c.state]
 	ref := &c.entries[ei]
 	if ref.epoch == c.epoch && ref.traced && ref.ok == res.ok &&
@@ -188,7 +176,10 @@ func (c *traceCache) merge(ei int32, res *traceResult, path []int32) (redirect b
 	}
 	oi := int32(len(c.entries))
 	c.entries = append(c.entries, traceEntry{key: ref.key, epoch: c.epoch})
-	c.store(&c.entries[oi], res, path)
+	c.entries[oi].set(int32(len(c.path)), res)
+	if res.ok {
+		c.path = append(c.path, path...)
+	}
 	if l.over == nil {
 		l.over = make(map[uint64]int32)
 	}
