@@ -9,12 +9,15 @@
 //	sldfd -listen :8437 -cache /var/sldf/points # with a durable point store
 //
 // Endpoints: POST /run (job batches), GET /healthz (liveness), GET /stats
-// (execution counters). A worker keeps built networks warm between
-// batches (reset between points — bitwise identical to fresh builds) and,
-// with -cache, fronts the disk tier with an in-memory LRU so replayed
-// points never re-simulate. Failure semantics live on the coordinator:
-// if this process dies mid-run, its outstanding batches are re-sharded
-// onto the surviving workers and the merged sweep is unchanged.
+// (execution counters). Each of the -jobs workers keeps the one system it
+// built last (reset between points — bitwise identical to a fresh build)
+// and builds anew when a spec needs another configuration; coordinators
+// ship an experiment's jobs grouped by configuration, so that happens about
+// once per configuration. With -cache the disk tier is fronted by an
+// in-memory LRU so replayed points never re-simulate. Failure semantics
+// live on the coordinator: if this process dies mid-run, its outstanding
+// batches are re-sharded onto the surviving workers and the merged sweep
+// is unchanged.
 package main
 
 import (
@@ -63,7 +66,6 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent measurements (persistent worker goroutines)")
 	cacheDir := fs.String("cache", "", "directory for the durable point store (empty = memory only)")
 	mem := fs.Int("mem", 1024, "in-memory point store capacity (0 = unbounded)")
-	sysCache := fs.Int("syscache", remote.DefaultWorkerState, "built systems each worker keeps warm (LRU-evicted; large systems are memory-heavy)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h printed usage; that is success, not failure
@@ -89,7 +91,7 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 		store = hot
 	}
 
-	worker := remote.NewServer(remote.ServerOptions{Jobs: *jobs, Store: store, WorkerState: *sysCache})
+	worker := remote.NewServer(remote.ServerOptions{Jobs: *jobs, Store: store})
 	defer worker.Close()
 
 	ln, err := net.Listen("tcp", *listen)

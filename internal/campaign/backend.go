@@ -93,7 +93,9 @@ type Backend interface {
 	Name() string
 	// Execute runs the specs. On error the slice still has len(specs) with
 	// incomplete slots zero, and the reported error is the failing spec
-	// with the lowest index among those that ran.
+	// with the lowest index among those that ran, as a *JobError carrying
+	// that index. Specs sharing a configuration should be contiguous: a
+	// worker holds one built system at a time (see Worker).
 	Execute(specs []JobSpec, opts ExecOptions) ([]metrics.Point, error)
 }
 

@@ -36,76 +36,43 @@ type Job[T any] struct {
 	Run func(w *Worker) (T, error)
 }
 
-// Worker is the per-goroutine context passed to jobs: a keyed store for
-// state that is expensive to construct and can be reused across the jobs
-// that happen to land on the same worker. A state limit (SetStateLimit)
-// bounds how many values a long-lived worker retains; Run's short-lived
-// workers default to unbounded.
+// Worker is the per-goroutine context passed to jobs: a one-slot keyed
+// store for state that is expensive to construct (a built system) and is
+// reused across consecutive jobs that land on the same worker and share its
+// key. Callers order their jobs so that each key arrives in one contiguous
+// run, which makes a single slot enough: storing a new key closes the held
+// value, so a worker never keeps more than one built system.
 type Worker struct {
-	state map[string]any
-	order []string // access order, least recently used first
-	limit int
+	key   string
+	value any
 }
 
-// SetStateLimit bounds the worker's retained values to n (0 = unbounded).
-// When a Store would exceed the bound, the least recently used value is
-// closed (if it implements Close()) and dropped. Long-lived workers — a
-// daemon's persistent pool serving many configurations over its lifetime —
-// must set a limit or grow without bound.
-func (w *Worker) SetStateLimit(n int) { w.limit = n }
-
-// Cached returns the value stored under key, if any.
+// Cached returns the value held under key, if any.
 func (w *Worker) Cached(key string) (any, bool) {
-	v, ok := w.state[key]
-	if ok {
-		w.touch(key)
+	if w.value == nil || w.key != key {
+		return nil, false
 	}
-	return v, ok
+	return w.value, true
 }
 
-// Store saves a value under key. Values implementing Close() are closed
-// when evicted or when the campaign run finishes.
+// Store holds v under key. A value held under another key is closed (if it
+// implements Close()) and dropped; the held value is also closed when the
+// campaign run finishes.
 func (w *Worker) Store(key string, v any) {
-	if w.state == nil {
-		w.state = map[string]any{}
+	if w.value != nil && w.key != key {
+		w.Close()
 	}
-	if _, exists := w.state[key]; !exists {
-		w.order = append(w.order, key)
-	}
-	w.state[key] = v
-	w.touch(key)
-	if w.limit > 0 && len(w.state) > w.limit {
-		evict := w.order[0]
-		w.order = w.order[1:]
-		if c, ok := w.state[evict].(interface{ Close() }); ok {
-			c.Close()
-		}
-		delete(w.state, evict)
-	}
+	w.key, w.value = key, v
 }
 
-// touch moves key to the most-recently-used end of the access order.
-func (w *Worker) touch(key string) {
-	for i, k := range w.order {
-		if k == key {
-			w.order = append(append(w.order[:i:i], w.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// Close releases every stored value that knows how to release itself.
+// Close releases the held value if it knows how to release itself.
 // Long-lived owners (worker pools) call it when retiring a worker; Run
 // closes its workers itself.
 func (w *Worker) Close() {
-	for _, v := range w.state { //sldf:nondeterministic-ok release-only teardown; no result depends on close order
-
-		if c, ok := v.(interface{ Close() }); ok {
-			c.Close()
-		}
+	if c, ok := w.value.(interface{ Close() }); ok {
+		c.Close()
 	}
-	w.state = nil
-	w.order = nil
+	w.key, w.value = "", nil
 }
 
 // Options configure a campaign run over results of type T.
@@ -118,10 +85,25 @@ type Options[T any] struct {
 	Store Store[T]
 }
 
+// JobError is a job's own failure as Run and every Backend report it: the
+// failing job's index with its error. A caller that merges several figures
+// into one run maps the index back to the figure that failed.
+type JobError struct {
+	Index int
+	Err   error
+}
+
+func (e *JobError) Error() string { return e.Err.Error() }
+
+func (e *JobError) Unwrap() error { return e.Err }
+
 // Run executes the jobs and returns their results indexed like the input.
+// Jobs are handed out in input order to Jobs workers, each holding one
+// Worker for the run, so a caller that groups jobs by the state they reuse
+// (see Worker) has each worker build that state about once per group.
 // On error the returned slice still has len(jobs) but slots whose jobs did
-// not complete are zero; the error reported is the failing job with the
-// lowest index among those that ran.
+// not complete are zero; the error reported is a *JobError for the failing
+// job with the lowest index among those that ran.
 func Run[T any](jobs []Job[T], opts Options[T]) ([]T, error) {
 	results := make([]T, len(jobs))
 	if len(jobs) == 0 {
@@ -137,7 +119,7 @@ func Run[T any](jobs []Job[T], opts Options[T]) ([]T, error) {
 		defer w.Close()
 		for i := range jobs {
 			if err := runOne(&jobs[i], w, opts.Store, &results[i]); err != nil {
-				return results, err
+				return results, &JobError{Index: i, Err: err}
 			}
 		}
 		return results, nil
@@ -179,7 +161,10 @@ func Run[T any](jobs []Job[T], opts Options[T]) ([]T, error) {
 	}
 	close(idx)
 	wg.Wait()
-	return results, firstErr
+	if failed {
+		return results, &JobError{Index: errIdx, Err: firstErr}
+	}
+	return results, nil
 }
 
 // runOne executes a single job through the store.

@@ -50,8 +50,13 @@ func TestRunPropagatesError(t *testing.T) {
 	jobs := indexJobs(8)
 	jobs[3].Run = func(w *Worker) (metrics.Point, error) { return metrics.Point{}, boom }
 	for _, n := range []int{1, 4} {
-		if _, err := Run(jobs, Options[metrics.Point]{Jobs: n}); !errors.Is(err, boom) {
+		_, err := Run(jobs, Options[metrics.Point]{Jobs: n})
+		if !errors.Is(err, boom) {
 			t.Fatalf("jobs=%d: error %v, want %v", n, err, boom)
+		}
+		var je *JobError
+		if !errors.As(err, &je) || je.Index != 3 {
+			t.Fatalf("jobs=%d: error %#v, want a *JobError for job 3", n, err)
 		}
 	}
 }
@@ -206,46 +211,33 @@ func TestCacheRejectsForeignEntry(t *testing.T) {
 	}
 }
 
-func TestWorkerStateLimitEvictsLRU(t *testing.T) {
+func TestWorkerHoldsOneValue(t *testing.T) {
 	w := &Worker{}
-	w.SetStateLimit(2)
-	closed := map[string]*bool{}
-	store := func(key string) {
-		f := new(bool)
-		closed[key] = f
-		w.Store(key, closeable{closed: f})
+	var aClosed, bClosed bool
+	a, b := closeable{closed: &aClosed}, closeable{closed: &bClosed}
+	w.Store("a", a)
+	w.Store("a", a)
+	if v, ok := w.Cached("a"); !ok || v != a {
+		t.Fatalf("Cached(a) = %v, %v; want the held value", v, ok)
 	}
-	store("a")
-	store("b")
-	// Touch "a" so "b" is the eviction victim.
-	if _, ok := w.Cached("a"); !ok {
-		t.Fatal("a missing")
+	if aClosed {
+		t.Fatal("re-storing or fetching the held key closed it")
 	}
-	store("c")
+	w.Store("b", b)
+	if !aClosed {
+		t.Fatal("storing a second key did not close the first")
+	}
+	if _, ok := w.Cached("a"); ok {
+		t.Fatal("first key still held after a second was stored")
+	}
+	if v, ok := w.Cached("b"); !ok || v != b {
+		t.Fatalf("Cached(b) = %v, %v; want the held value", v, ok)
+	}
+	w.Close()
+	if !bClosed {
+		t.Fatal("Close did not release the held value")
+	}
 	if _, ok := w.Cached("b"); ok {
-		t.Fatal("b survived past the state limit")
+		t.Fatal("value still held after Close")
 	}
-	if !*closed["b"] {
-		t.Fatal("evicted value not closed (resource leak)")
-	}
-	if *closed["a"] || *closed["c"] {
-		t.Fatal("resident value closed prematurely")
-	}
-	w.Close()
-	if !*closed["a"] || !*closed["c"] {
-		t.Fatal("Close did not release remaining values")
-	}
-}
-
-func TestWorkerStateUnboundedByDefault(t *testing.T) {
-	w := &Worker{}
-	for i := 0; i < 100; i++ {
-		w.Store(fmt.Sprintf("k%d", i), i)
-	}
-	for i := 0; i < 100; i++ {
-		if _, ok := w.Cached(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d evicted without a limit", i)
-		}
-	}
-	w.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -102,8 +103,10 @@ func (b *Backend) Check() error {
 }
 
 // batch is a contiguous chunk of spec indices dispatched as one request.
+// home is the worker that takes it first.
 type batch struct {
 	idxs     []int
+	home     int
 	attempts int
 }
 
@@ -153,7 +156,7 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 		if hi > len(pending) {
 			hi = len(pending)
 		}
-		queue = append(queue, batch{idxs: pending[lo:hi]})
+		queue = append(queue, batch{idxs: pending[lo:hi], home: len(queue) % len(b.addrs)})
 	}
 
 	var (
@@ -171,7 +174,11 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 	// whole fleet repeatedly, the run gives up.
 	maxAttempts := b.opts.MaxStrikes * len(b.addrs) * 2
 
-	worker := func(addr string) {
+	// A worker takes its own batches first, then the lowest-index one left.
+	// Batch k is homed on worker k mod n, so rerunning the same specs sends
+	// every batch that was not taken over to the daemon that ran it before,
+	// where that daemon's store answers it.
+	worker := func(w int, addr string) {
 		defer wg.Done()
 		strikes := 0
 		for {
@@ -183,8 +190,15 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 				mu.Unlock()
 				return // drained (or aborted): nothing left to take
 			}
-			bt := queue[0]
-			queue = queue[1:]
+			k := 0
+			for j := range queue {
+				if queue[j].home == w {
+					k = j
+					break
+				}
+			}
+			bt := queue[k]
+			queue = slices.Delete(queue, k, k+1)
 			inflight++
 			mu.Unlock()
 
@@ -197,6 +211,7 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 				// worker failing MaxStrikes times in a row is retired for
 				// the run; a batch exceeding its attempt budget aborts it.
 				bt.attempts++
+				bt.home = (w + 1) % len(b.addrs)
 				lastFail = fmt.Errorf("remote: worker %s: %w", addr, err)
 				if bt.attempts >= maxAttempts {
 					gaveUp = true
@@ -217,7 +232,8 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 				r := resp.Results[k]
 				if r.Err != "" {
 					if idx < jobErrAt {
-						jobErr = fmt.Errorf("remote: job %d (%s): %s", idx, specs[idx].Key, r.Err)
+						jobErr = &campaign.JobError{Index: idx,
+							Err: fmt.Errorf("remote: job %d (%s): %s", idx, specs[idx].Key, r.Err)}
 						jobErrAt = idx
 					}
 					continue
@@ -242,8 +258,8 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 	}
 
 	wg.Add(len(b.addrs))
-	for _, addr := range b.addrs {
-		go worker(addr)
+	for w, addr := range b.addrs {
+		go worker(w, addr)
 	}
 	wg.Wait()
 

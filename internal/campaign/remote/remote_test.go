@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -229,7 +230,8 @@ func TestClusterPropagatesLowestJobError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = b.Execute(specs, campaign.ExecOptions{})
-	if err == nil || !strings.Contains(err.Error(), "job 4") {
+	var je *campaign.JobError
+	if !errors.As(err, &je) || je.Index != 4 || !strings.Contains(err.Error(), "job 4") {
 		t.Fatalf("err = %v, want lowest-index job error", err)
 	}
 }
@@ -262,6 +264,36 @@ func TestClusterCoordinatorStoreShortCircuits(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm, want) {
 		t.Fatal("store replay diverged")
+	}
+}
+
+// TestClusterRerunFindsDaemonStores checks batch affinity: batch k goes
+// first to worker k mod n, so rerunning the same specs without a
+// coordinator store sends each batch back to the daemon whose store holds
+// its points.
+func TestClusterRerunFindsDaemonStores(t *testing.T) {
+	var addrs []string
+	var srvs []*Server
+	for range 3 {
+		srv := NewServer(ServerOptions{Jobs: 1, Store: campaign.NewMemoryLRU[metrics.Point](0)})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		addrs, srvs = append(addrs, ts.URL), append(srvs, srv)
+	}
+	b, err := New(addrs, Options{BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := clusterSpecs(t, 6)
+	for range 2 {
+		if _, err := b.Execute(specs, campaign.ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, srv := range srvs {
+		if hits := srv.storeHits.Load(); hits != 2 {
+			t.Errorf("daemon %d: %d store hits on the rerun, want its 2 points", i, hits)
+		}
 	}
 }
 

@@ -14,23 +14,14 @@ import (
 // ServerOptions configure a worker daemon's job execution.
 type ServerOptions struct {
 	// Jobs is the number of persistent worker goroutines executing specs
-	// (<= 0 means 1). Each keeps its own reusable state (built systems are
-	// reset between points), so a daemon warms up once per configuration.
+	// (<= 0 means 1). Each keeps the last system it built (reset between
+	// points) and replaces it when a spec needs another configuration, so
+	// a daemon holds at most Jobs built systems.
 	Jobs int
 	// Store, when non-nil, satisfies specs by key before execution and
 	// records fresh results — the daemon's local tier of the result store.
 	Store campaign.PointStore
-	// WorkerState bounds the reusable values (built systems) each pool
-	// worker retains, evicting least-recently-used with their resources
-	// released (<= 0 uses DefaultWorkerState). Without a bound a daemon
-	// serving many configurations over its lifetime grows monotonically.
-	WorkerState int
 }
-
-// DefaultWorkerState is the per-worker built-system retention of a daemon
-// pool: enough to keep a typical sweep's configurations warm, small enough
-// that paper-scale systems cannot pile up.
-const DefaultWorkerState = 4
 
 // MaxRunBody caps the size of a /run request body. A job spec is a few
 // hundred bytes, so the cap is far past any real batch; it only keeps a
@@ -69,9 +60,6 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.Jobs <= 0 {
 		opts.Jobs = 1
 	}
-	if opts.WorkerState <= 0 {
-		opts.WorkerState = DefaultWorkerState
-	}
 	s := &Server{opts: opts, tasks: make(chan task), maxBody: MaxRunBody}
 	for i := 0; i < opts.Jobs; i++ {
 		s.wg.Add(1)
@@ -80,12 +68,12 @@ func NewServer(opts ServerOptions) *Server {
 	return s
 }
 
-// worker owns one campaign.Worker for the server's lifetime, so state
-// cached by jobs (built networks) is reused across requests.
+// worker owns one campaign.Worker for the server's lifetime, so the system
+// a job built is reused by the following jobs of its configuration, across
+// requests too.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	w := &campaign.Worker{}
-	w.SetStateLimit(s.opts.WorkerState)
 	defer w.Close()
 	for t := range s.tasks {
 		s.runTask(w, t)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"sldf/internal/campaign"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 )
@@ -104,23 +101,35 @@ func ChurnRowFromPoints(c ChurnCaseSpec, label string, base, kill metrics.Point)
 // executed by the local pool or a worker fleet, satisfied from the store
 // when present, and merged by case index — byte-identical however they run.
 func RunChurnFigure(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, error) {
-	fig := metrics.ChurnFigure{Name: fs.Name, Title: fs.Title}
-	specs := make([]campaign.JobSpec, 0, 2*len(fs.Cases))
-	for _, c := range fs.Cases {
-		base, err := CollectiveJob(c.baseline())
-		if err != nil {
-			return fig, fmt.Errorf("%s: %w", fs.Name, err)
-		}
-		kill, err := CollectiveJob(c.Spec())
-		if err != nil {
-			return fig, fmt.Errorf("%s: %w", fs.Name, err)
-		}
-		specs = append(specs, base, kill)
-	}
-	pts, err := opts.execute(specs)
+	res, err := runPlanJobs(ExperimentPlan{Churn: []ChurnFigureSpec{fs}}, opts)
 	if err != nil {
-		return fig, fmt.Errorf("%s: %w", fs.Name, err)
+		return metrics.ChurnFigure{Name: fs.Name, Title: fs.Title}, err
 	}
+	return res.Churn[0], nil
+}
+
+// churnJobs lowers a churn panel to two jobs per case: the baseline, then
+// the disturbed run.
+func churnJobs(fs ChurnFigureSpec) ([]planJob, error) {
+	jobs := make([]planJob, 0, 2*len(fs.Cases))
+	for _, c := range fs.Cases {
+		base, err := collectivePlanJob(c.baseline())
+		if err != nil {
+			return nil, named(fs.Name, err)
+		}
+		kill, err := collectivePlanJob(c.Spec())
+		if err != nil {
+			return nil, named(fs.Name, err)
+		}
+		jobs = append(jobs, base, kill)
+	}
+	return jobs, nil
+}
+
+// churnFigure assembles a panel from its cases' baseline and disturbed
+// points.
+func churnFigure(fs ChurnFigureSpec, pts []metrics.Point) metrics.ChurnFigure {
+	fig := metrics.ChurnFigure{Name: fs.Name, Title: fs.Title}
 	fig.Rows = make([]metrics.ChurnRow, len(fs.Cases))
 	for i, c := range fs.Cases {
 		label := c.Label
@@ -129,5 +138,5 @@ func RunChurnFigure(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, e
 		}
 		fig.Rows[i] = ChurnRowFromPoints(c, label, pts[2*i], pts[2*i+1])
 	}
-	return fig, nil
+	return fig
 }

@@ -392,19 +392,35 @@ type CollectiveFigureSpec struct {
 // the local pool or a worker fleet, satisfied from the store when present,
 // and merged by case index — byte-identical however they run.
 func RunCollectiveFigure(fs CollectiveFigureSpec, opts RunOptions) (metrics.CollectiveFigure, error) {
-	fig := metrics.CollectiveFigure{Name: fs.Name, Title: fs.Title}
-	specs := make([]campaign.JobSpec, len(fs.Cases))
-	for i, c := range fs.Cases {
-		spec, err := CollectiveJob(c.Spec())
-		if err != nil {
-			return fig, fmt.Errorf("%s: %w", fs.Name, err)
-		}
-		specs[i] = spec
-	}
-	pts, err := opts.execute(specs)
+	res, err := runPlanJobs(ExperimentPlan{Collectives: []CollectiveFigureSpec{fs}}, opts)
 	if err != nil {
-		return fig, fmt.Errorf("%s: %w", fs.Name, err)
+		return metrics.CollectiveFigure{Name: fs.Name, Title: fs.Title}, err
 	}
+	return res.Collectives[0], nil
+}
+
+// collectivePlanJob lowers one collective execution to a fan-out job.
+func collectivePlanJob(cs CollectiveSpec) (planJob, error) {
+	spec, err := CollectiveJob(cs)
+	return planJob{spec: spec, sys: cs.Cfg.cacheID()}, err
+}
+
+// collectiveJobs lowers a collective panel to one job per case.
+func collectiveJobs(fs CollectiveFigureSpec) ([]planJob, error) {
+	jobs := make([]planJob, len(fs.Cases))
+	for i, c := range fs.Cases {
+		job, err := collectivePlanJob(c.Spec())
+		if err != nil {
+			return nil, named(fs.Name, err)
+		}
+		jobs[i] = job
+	}
+	return jobs, nil
+}
+
+// collectiveFigure assembles a panel from its cases' points.
+func collectiveFigure(fs CollectiveFigureSpec, pts []metrics.Point) metrics.CollectiveFigure {
+	fig := metrics.CollectiveFigure{Name: fs.Name, Title: fs.Title}
 	fig.Rows = make([]metrics.CollectiveRow, len(fs.Cases))
 	for i, c := range fs.Cases {
 		label := c.Label
@@ -413,5 +429,5 @@ func RunCollectiveFigure(fs CollectiveFigureSpec, opts RunOptions) (metrics.Coll
 		}
 		fig.Rows[i] = CollectiveRowFromPoint(label, c.Schedule, pts[i])
 	}
-	return fig, nil
+	return fig
 }

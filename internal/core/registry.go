@@ -146,21 +146,19 @@ type ExperimentResult struct {
 }
 
 // RunExperiment executes a registered experiment at the given scale: the
-// one generic runner behind every figure. Latency series run through the
-// Backend seam (shardable across workers); energy bars fan out over the
-// generic campaign scheduler; resilience curves run the fault grid. The
-// produced figures are bitwise identical to the historical hand-written
-// runners.
+// one generic runner behind every figure. Every latency-series point,
+// collective case and churn case of the plan runs in one fan-out through
+// the Backend seam (shardable across workers), ordered configuration-major
+// so each worker builds a configuration's system about once; energy bars
+// fan out over the generic campaign scheduler; resilience curves run the
+// fault grid. The produced figures are bitwise identical to the historical
+// hand-written runners.
 func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (ExperimentResult, error) {
 	plan := spec.Plan(scale)
 	applyEngineOverride(&plan, opts.Engine)
-	var res ExperimentResult
-	for _, fs := range plan.Figures {
-		fig, err := runFigureSpec(fs, opts)
-		if err != nil {
-			return res, err
-		}
-		res.Figures = append(res.Figures, fig)
+	res, err := runPlanJobs(plan, opts)
+	if err != nil {
+		return res, err
 	}
 	for _, es := range plan.Energy {
 		fig, err := runEnergySpec(es, opts)
@@ -175,20 +173,6 @@ func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (Experimen
 			return res, err
 		}
 		res.Figures = append(res.Figures, fig)
-	}
-	for _, cs := range plan.Collectives {
-		fig, err := RunCollectiveFigure(cs, opts)
-		if err != nil {
-			return res, err
-		}
-		res.Collectives = append(res.Collectives, fig)
-	}
-	for _, cs := range plan.Churn {
-		fig, err := RunChurnFigure(cs, opts)
-		if err != nil {
-			return res, err
-		}
-		res.Churn = append(res.Churn, fig)
 	}
 	return res, nil
 }
@@ -234,23 +218,6 @@ func applyEngineOverride(plan *ExperimentPlan, engine netsim.EngineKind) {
 			plan.Churn[i].Cases[j].Engine = engine
 		}
 	}
-}
-
-// runFigureSpec sweeps every series of a latency figure.
-func runFigureSpec(fs FigureSpec, opts RunOptions) (metrics.Figure, error) {
-	fig := metrics.Figure{Name: fs.Name, Title: fs.Title, XLabel: fs.XLabel, YLabel: fs.YLabel}
-	for _, ss := range fs.Series {
-		label := ss.Label
-		if label == "" {
-			label = ss.Cfg.Label()
-		}
-		s, err := runNamedSeries(ss.Cfg, label, ss.Pattern, ss.Rates, ss.Sim, opts)
-		if err != nil {
-			return fig, fmt.Errorf("%s: %w", fs.Name, err)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
 }
 
 // runEnergySpec measures every bar of an energy panel as a typed campaign

@@ -117,29 +117,12 @@ func Sweep(cfg Config, patternName string, rates []float64, sp SimParams) (metri
 // between its points, so the series equals the historical build-per-point
 // output for any worker count.
 func SweepOpts(cfg Config, patternName string, rates []float64, sp SimParams, opts RunOptions) (metrics.Series, error) {
-	return runNamedSeries(cfg, cfg.Label(), patternName, rates, sp, opts)
-}
-
-// runNamedSeries executes a named-pattern sweep through the Backend seam:
-// the rate points become declarative job specs (data, not code) that the
-// backend — in-process pool or remote worker fleet — executes and merges
-// deterministically.
-func runNamedSeries(cfg Config, label, pattern string, rates []float64, sp SimParams, opts RunOptions) (metrics.Series, error) {
-	series := metrics.Series{Label: label}
-	specs := make([]campaign.JobSpec, len(rates))
-	for i, rate := range rates {
-		spec, err := PointJob(cfg, pattern, rate, sp)
-		if err != nil {
-			return series, err
-		}
-		specs[i] = spec
-	}
-	pts, err := opts.execute(specs)
+	res, err := runPlanJobs(ExperimentPlan{Figures: []FigureSpec{{Series: []SeriesSpec{
+		{Cfg: cfg, Pattern: patternName, Rates: rates, Sim: sp}}}}}, opts)
 	if err != nil {
-		return series, err
+		return metrics.Series{Label: cfg.Label()}, err
 	}
-	series.Points = pts
-	return series, nil
+	return res.Figures[0].Series[0], nil
 }
 
 // execute runs job specs on the options' backend (the local pool when nil)
@@ -154,8 +137,9 @@ func (opts RunOptions) execute(specs []campaign.JobSpec) ([]metrics.Point, error
 
 // workerSystem returns a worker-local system for cfg, building on first use
 // and resetting to the just-built state on reuse. The campaign worker owns
-// the system and closes it (releasing its goroutine pool) when the run
-// finishes, on success and error paths alike.
+// the system and closes it (releasing its goroutine pool) when a job needs
+// another configuration or the run finishes, on success and error paths
+// alike.
 func workerSystem(w *campaign.Worker, key string, cfg Config) (*System, error) {
 	if v, ok := w.Cached(key); ok {
 		sys := v.(*System)

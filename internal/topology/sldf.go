@@ -360,43 +360,6 @@ func BuildSLDF(params SLDFParams, classes LinkClasses, opts netsim.NetworkOption
 	s.Net = net
 
 	// Direction tables for mesh routing.
-	s.DirPort = make([][]int, len(net.Routers))
-	for w := 0; w < g; w++ {
-		for c := 0; c < ab; c++ {
-			fillDirPorts(net, s.CGroups[w][c].Cores, s.DirPort)
-		}
-	}
+	s.DirPort = buildDirPorts(net)
 	return s, nil
-}
-
-// fillDirPorts is buildDirPorts writing into a shared table.
-func fillDirPorts(net *netsim.Network, nodes [][]netsim.NodeID, dp [][]int) {
-	for y := range nodes {
-		for x := range nodes[y] {
-			id := nodes[y][x]
-			r := net.Router(id)
-			ports := []int{-1, -1, -1, -1}
-			for o := range r.Out {
-				l := r.Out[o].Link
-				if l == nil {
-					continue
-				}
-				d := net.Router(l.Dst)
-				if d.Kind != netsim.KindCore || d.CGroup != r.CGroup || d.WGroup != r.WGroup {
-					continue
-				}
-				switch {
-				case d.X == r.X+1 && d.Y == r.Y:
-					ports[DirEast] = o
-				case d.X == r.X-1 && d.Y == r.Y:
-					ports[DirWest] = o
-				case d.Y == r.Y+1 && d.X == r.X:
-					ports[DirNorth] = o
-				case d.Y == r.Y-1 && d.X == r.X:
-					ports[DirSouth] = o
-				}
-			}
-			dp[id] = ports
-		}
-	}
 }

@@ -126,7 +126,7 @@ func BuildMeshCGroup(chipletDim, noCDim int, classes LinkClasses, opts netsim.Ne
 		return nil, err
 	}
 	g.Net = net
-	g.DirPort = buildDirPorts(net, g.Nodes)
+	g.DirPort = buildDirPorts(net)
 	return g, nil
 }
 
@@ -160,34 +160,51 @@ func addMeshLinks(b *netsim.Builder, nodes [][]netsim.NodeID, noCDim int, classe
 	}
 }
 
-// buildDirPorts scans each router's output links and maps them to mesh
-// directions using coordinates. Index: DirPort[routerID][dir] = out port.
-func buildDirPorts(net *netsim.Network, nodes [][]netsim.NodeID) [][]int {
-	dp := make([][]int, len(net.Routers))
-	for y := range nodes {
-		for x := range nodes[y] {
-			id := nodes[y][x]
-			r := net.Router(id)
-			ports := []int{-1, -1, -1, -1}
-			for o := range r.Out {
-				l := r.Out[o].Link
-				if l == nil {
-					continue
-				}
-				d := net.Router(l.Dst)
-				switch {
-				case d.X == r.X+1 && d.Y == r.Y:
-					ports[DirEast] = o
-				case d.X == r.X-1 && d.Y == r.Y:
-					ports[DirWest] = o
-				case d.Y == r.Y+1 && d.X == r.X:
-					ports[DirNorth] = o
-				case d.Y == r.Y-1 && d.X == r.X:
-					ports[DirSouth] = o
-				}
-			}
-			dp[id] = ports
+// buildDirPorts maps every core's out-ports to mesh directions by
+// coordinates: DirPort[routerID][dir] is the out-port towards the
+// neighbour core of the same C-group in direction dir, or -1. The entries
+// are carved from one slab of four ints per core; other routers keep a nil
+// entry.
+func buildDirPorts(net *netsim.Network) [][]int {
+	cores := 0
+	for i := range net.Routers {
+		if net.Routers[i].Kind == netsim.KindCore {
+			cores++
 		}
+	}
+	dp := make([][]int, len(net.Routers))
+	slab := make([]int, 4*cores)
+	for i := range slab {
+		slab[i] = -1
+	}
+	for id := range net.Routers {
+		r := &net.Routers[id]
+		if r.Kind != netsim.KindCore {
+			continue
+		}
+		ports := slab[:4:4]
+		slab = slab[4:]
+		for o := range r.Out {
+			l := r.Out[o].Link
+			if l == nil {
+				continue
+			}
+			d := net.Router(l.Dst)
+			if d.Kind != netsim.KindCore || d.CGroup != r.CGroup || d.WGroup != r.WGroup {
+				continue
+			}
+			switch {
+			case d.X == r.X+1 && d.Y == r.Y:
+				ports[DirEast] = o
+			case d.X == r.X-1 && d.Y == r.Y:
+				ports[DirWest] = o
+			case d.Y == r.Y+1 && d.X == r.X:
+				ports[DirNorth] = o
+			case d.Y == r.Y-1 && d.X == r.X:
+				ports[DirSouth] = o
+			}
+		}
+		dp[id] = ports
 	}
 	return dp
 }
