@@ -140,8 +140,8 @@ func main() {
 	fmt.Printf("latency  : mean %.1f  p50 %.0f  p99 %.0f cycles (network-only mean %.1f)\n",
 		res.Point.Latency, res.Point.P50, res.Point.P99, st.MeanNetLatency())
 	fmt.Printf("accepted : %.4f flits/cycle/chip\n", res.Point.Throughput)
-	fmt.Printf("packets  : injected %d, delivered %d, in-flight %d\n",
-		st.InjectedPkts, st.DeliveredPkts, st.InFlightPkts)
+	fmt.Printf("packets  : injected %d, delivered %d, in-flight %d (drain tail %d of %d cycles)\n",
+		st.InjectedPkts, st.DeliveredPkts, st.InFlightPkts, res.DrainCycles, sp.ExtraDrain)
 	if !timeline.Empty() {
 		fmt.Printf("churn    : dropped %d, retried %d, refused %d\n",
 			st.DroppedPkts, st.RetriedPkts, st.RefusedPkts)

@@ -12,7 +12,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"sldf/internal/netsim"
 	"sldf/internal/routing"
@@ -90,7 +92,7 @@ const FaultVCs = 8
 type SimParams struct {
 	Warmup     int64 // cycles before the window opens
 	Measure    int64 // window length
-	ExtraDrain int64 // post-window cycles (traffic stays on) to flush packets
+	ExtraDrain int64 // upper bound on the post-window tail (traffic stays on); see MeasureLoad
 	PacketSize int32 // flits
 
 	// Engine selects the simulation engine for the measurement. The
@@ -113,6 +115,27 @@ type SimParams struct {
 	// solve, forcing cold-start behavior. Results are identical either way;
 	// the knob exists for benchmarking and equivalence harnesses.
 	FlowCold bool //sldf:keyignore execution knob; cold and warm caches solve to identical bits
+}
+
+// ErrSimParams reports a load point no engine can measure: a negative
+// warmup or drain cap, an empty window, an empty packet, or an offered
+// rate that is negative or not finite.
+var ErrSimParams = errors.New("core: invalid simulation parameters")
+
+// checkPoint rejects the load point (rate, sp) with ErrSimParams unless
+// every window length and the rate are meaningful. Rate 0 is valid: an
+// idle network is a point like any other.
+func checkPoint(rate float64, sp SimParams) error {
+	switch {
+	case sp.Warmup < 0 || sp.Measure <= 0 || sp.ExtraDrain < 0:
+		return fmt.Errorf("%w: warmup %d, measure %d, drain %d (want warmup >= 0, measure > 0, drain >= 0)",
+			ErrSimParams, sp.Warmup, sp.Measure, sp.ExtraDrain)
+	case sp.PacketSize <= 0:
+		return fmt.Errorf("%w: packet size %d (want > 0)", ErrSimParams, sp.PacketSize)
+	case rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0):
+		return fmt.Errorf("%w: rate %g (want a finite rate >= 0)", ErrSimParams, rate)
+	}
+	return nil
 }
 
 // ParseEngine maps a CLI -engine value to its kind. The empty string is

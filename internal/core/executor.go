@@ -36,6 +36,9 @@ func runPointSpec(w *campaign.Worker, payload json.RawMessage) (metrics.Point, e
 	if err := json.Unmarshal(payload, &ps); err != nil {
 		return metrics.Point{}, fmt.Errorf("core: decode point spec: %w", err)
 	}
+	if err := checkPoint(ps.Rate, ps.Sim); err != nil {
+		return metrics.Point{}, err
+	}
 	sys, err := workerSystem(w, ps.Cfg.cacheID(), ps.Cfg)
 	if err != nil {
 		return metrics.Point{}, err
@@ -53,8 +56,12 @@ func runPointSpec(w *campaign.Worker, payload json.RawMessage) (metrics.Point, e
 
 // PointJob builds the declarative job spec for one load point. The spec's
 // key is the point's content address (identical to the closure path's cache
-// key), so caches and stores are shared between execution styles.
+// key), so caches and stores are shared between execution styles. A point
+// MeasureLoad would reject fails here with ErrSimParams.
 func PointJob(cfg Config, pattern string, rate float64, sp SimParams) (campaign.JobSpec, error) {
+	if err := checkPoint(rate, sp); err != nil {
+		return campaign.JobSpec{}, err
+	}
 	payload, err := json.Marshal(PointSpec{Cfg: cfg, Pattern: pattern, Rate: rate, Sim: sp})
 	if err != nil {
 		return campaign.JobSpec{}, fmt.Errorf("core: encode point spec: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"sldf/internal/energy"
@@ -214,13 +215,23 @@ type Result struct {
 	Utilization [netsim.NumHopClasses]float64
 	// Hottest lists the most loaded links, for bottleneck analysis.
 	Hottest []netsim.LinkUtil
+	// DrainCycles is the post-window tail the cycle engines actually ran,
+	// at most SimParams.ExtraDrain (0 under the flow engine).
+	DrainCycles int64
 }
 
 // MeasureLoad runs one open-loop load point on a freshly built system:
 // warmup, measurement window, and a drain tail with traffic still offered.
-// The system's network is consumed (statistics accumulate); build a new
-// System for the next point.
+// The tail ends on the first cycle after which no reported statistic can
+// change (netsim.Network.WindowSettled), or after sp.ExtraDrain cycles:
+// every result field is then bitwise identical to a run of the full tail
+// except the all-time injected, delivered and in-flight packet counts.
+// Invalid parameters fail with ErrSimParams. The system's network is
+// consumed (statistics accumulate); Reset or build anew for the next point.
 func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (Result, error) {
+	if err := checkPoint(rate, sp); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", s.Label, err)
+	}
 	s.Net.SetEngine(sp.Engine)
 	if sp.Engine == netsim.EngineFlow {
 		// The analytical path samples (and dead-filters) the pattern itself,
@@ -238,10 +249,13 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 		return Result{}, fmt.Errorf("%s measure: %w", s.Label, err)
 	}
 	s.Net.StopMeasurement()
-	if err := s.Net.Run(sp.ExtraDrain); err != nil {
+	drained, err := s.Net.RunUntil((*netsim.Network).WindowSettled, sp.ExtraDrain)
+	if err != nil && !errors.Is(err, netsim.ErrCycleLimit) {
 		return Result{}, fmt.Errorf("%s drain: %w", s.Label, err)
 	}
-	return s.result(rate), nil
+	res := s.result(rate)
+	res.DrainCycles = drained
+	return res, nil
 }
 
 // result reads the finished measurement window off the network: the

@@ -256,6 +256,9 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 	p.Size = n.packetSize
 	p.CreatedAt = now
 	ss.injectedPkts++
+	if n.measuring {
+		ss.winCreated++
+	}
 	if n.cyc.routers[r.ID].enqueue(int(r.InjIn), 0, ref, p.Size) && act != nil {
 		act.routers.Add(int(r.ID) - act.lo)
 	}
@@ -483,6 +486,26 @@ func (n *Network) InFlight() int64 {
 		done += n.shard[s].deliveredPkts + n.shard[s].droppedPkts
 	}
 	return inj - done
+}
+
+// WindowSettled reports whether running on can no longer change any
+// statistic of the closed measurement window: every packet a cycle engine
+// created inside it has been delivered, and no churn timeline is armed
+// (its dropped, retried and refused counts keep growing with post-window
+// traffic, and a dropped window packet is never delivered). From then on
+// only the all-time InjectedPkts, DeliveredPkts and InFlightPkts counters
+// move. The counts are merged across shards, so both cycle engines and
+// every worker count settle on the same cycle.
+func (n *Network) WindowSettled() bool {
+	if n.measuring || n.churn != nil {
+		return false
+	}
+	var created, delivered int64
+	for s := range n.shard {
+		created += n.shard[s].winCreated
+		delivered += n.shard[s].winPkts
+	}
+	return created == delivered
 }
 
 // Snapshot merges per-shard counters into a Stats value. Cycles is the

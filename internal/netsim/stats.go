@@ -109,6 +109,7 @@ type shardStats struct {
 	refusedPkts   int64 // injection attempts refused (destination chip dead)
 	winFlits      int64 // flits ejected during the measurement window
 	winPkts       int64 // packets created in window and delivered
+	winCreated    int64 // packets created in window; like winPkts, cleared only by Reset
 	winHops       [NumHopClasses]int64
 	winNetLatSum  int64 // latency excluding source queueing
 	lat           LatencyHist
