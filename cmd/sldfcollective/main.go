@@ -25,7 +25,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,18 +37,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2) // the flag package's historical usage-error status
-		}
-		fmt.Fprintf(os.Stderr, "sldfcollective: %v\n", err)
-		os.Exit(1)
-	}
+	cliflags.Exit("sldfcollective", run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// errUsage signals main that the flag package already reported the problem
-// (usage text included) on the error writer.
-var errUsage = errors.New("usage error")
 
 // systemNames are the -systems values, in presentation order.
 var systemNames = []string{"switch", "2d-mesh", "sw-based", "sw-less"}
@@ -76,11 +65,8 @@ func run(args []string, w, errw io.Writer) error {
 	killStep := fs.Int("killstep", 1, "dependent step before which -killchip dies")
 	camp := cliflags.AddCampaign(fs)
 	csvPath := fs.String("csv", "", "also write the panel as CSV to this path (\"-\" = stdout)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h printed usage; that is success, not failure
-		}
-		return errUsage // the flag package already printed error + usage
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
 	}
 	if *dim < 2 {
 		return fmt.Errorf("-dim must be >= 2 (got %d)", *dim)

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +35,7 @@ import (
 
 	"sldf/internal/campaign"
 	"sldf/internal/campaign/remote"
+	"sldf/internal/cliflags"
 	"sldf/internal/metrics"
 
 	// Register the core point executor so shipped specs can run here.
@@ -43,18 +43,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr, nil); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2) // the flag package's historical usage-error status
-		}
-		fmt.Fprintf(os.Stderr, "sldfd: %v\n", err)
-		os.Exit(1)
-	}
+	cliflags.Exit("sldfd", run(os.Args[1:], os.Stderr, nil))
 }
-
-// errUsage signals main that the flag package already reported the problem
-// (usage text included) on the error writer.
-var errUsage = errors.New("usage error")
 
 // run parses flags and serves until the context (or a termination signal)
 // stops it. ready, when non-nil, receives the bound address once the
@@ -66,15 +56,12 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent measurements (persistent worker goroutines)")
 	cacheDir := fs.String("cache", "", "directory for the durable point store (empty = memory only)")
 	mem := fs.Int("mem", 1024, "in-memory point store capacity (0 = unbounded)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h printed usage; that is success, not failure
-		}
-		return errUsage // the flag package already printed error + usage
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(errw, "unexpected arguments: %v\n", fs.Args())
-		return errUsage
+		return cliflags.ErrUsage
 	}
 
 	// The store is tiered: memory LRU in front, disk behind when -cache is

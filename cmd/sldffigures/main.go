@@ -18,7 +18,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,18 +31,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2) // the flag package's historical usage-error status
-		}
-		fmt.Fprintf(os.Stderr, "sldffigures: %v\n", err)
-		os.Exit(1)
-	}
+	cliflags.Exit("sldffigures", run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// errUsage signals main that the flag package already reported the problem
-// (usage text included) on the error writer.
-var errUsage = errors.New("usage error")
 
 // run executes the command with the given arguments, writing summaries to
 // w and diagnostics to errw. Split from main so tests can drive flag
@@ -58,11 +47,8 @@ func run(args []string, w, errw io.Writer) error {
 	camp := cliflags.AddCampaign(fs)
 	churn := cliflags.AddChurn(fs)
 	engine := cliflags.AddEngine(fs, 0)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h printed usage; that is success, not failure
-		}
-		return errUsage // the flag package already printed error + usage
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
 	}
 	if _, ok := core.LookupExperiment(*fig); !ok && *fig != "all" {
 		return fmt.Errorf("unknown -fig %q (want %s, or all)",

@@ -1,6 +1,10 @@
 // Command sldfsweep runs a latency-vs-injection-rate sweep over one or more
 // systems and emits CSV (one latency and throughput column per system).
 //
+// Each -systems name is a kind with optional width, routing and VC-scheme
+// suffixes (see core.ParseSystem and the README's grammar table), e.g.
+// sw-less-2B-mis-rvc; a suffix the kind does not implement is an error.
+//
 // Example — reproduce a Fig. 11(a)-style comparison:
 //
 //	sldfsweep -systems sw-based,sw-less,sw-less-2B -pattern uniform \
@@ -38,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -46,154 +51,74 @@ import (
 	"sldf/internal/core"
 	"sldf/internal/metrics"
 	"sldf/internal/profiling"
-	"sldf/internal/routing"
-	"sldf/internal/topology"
 )
 
 func main() {
-	var (
-		systems = flag.String("systems", "sw-based,sw-less", "comma-separated systems: sw-based | sw-less | sw-less-2B | sw-less-4B | switch | mesh, each with optional -mis suffix for Valiant routing")
-		pattern = flag.String("pattern", "uniform", "traffic pattern")
-		from    = flag.Float64("from", 0.1, "first injection rate")
-		to      = flag.Float64("to", 1.0, "last injection rate")
-		step    = flag.Float64("step", 0.1, "rate step")
-		groups  = flag.Int("groups", 0, "override W-group count")
-		warmup  = flag.Int64("warmup", 5000, "warmup cycles")
-		measure = flag.Int64("measure", 10000, "measured cycles")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		workers = flag.Int("workers", 0, "parallel workers per simulation")
+	cliflags.Exit("sldfsweep", run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		size   = cliflags.AddSize(flag.CommandLine)
-		camp   = cliflags.AddCampaign(flag.CommandLine)
-		faults = cliflags.AddFaults(flag.CommandLine)
-		churn  = cliflags.AddChurn(flag.CommandLine)
-		engine = cliflags.AddEngine(flag.CommandLine, cliflags.FlowPar|cliflags.FlowCold)
-	)
-	prof := profiling.Flags()
-	flag.Parse()
+// run executes the command with the given arguments, writing the CSV to w
+// and progress and diagnostics to errw.
+func run(args []string, w, errw io.Writer) error {
+	fs := flag.NewFlagSet("sldfsweep", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	systems := fs.String("systems", "sw-based,sw-less", "comma-separated systems: "+core.SystemGrammar())
+	from := fs.Float64("from", 0.1, "first injection rate")
+	to := fs.Float64("to", 1.0, "last injection rate")
+	step := fs.Float64("step", 0.1, "rate step")
+	point := cliflags.AddPoint(fs)
+	camp := cliflags.AddCampaign(fs)
+	prof := profiling.Flags(fs)
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
+	}
 	if err := prof.Start(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer func() {
 		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "sldfsweep:", err)
+			fmt.Fprintln(errw, "sldfsweep:", err)
 		}
 	}()
 
-	timeline, err := churn.Resolve()
+	pt, err := point.Resolve()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	faultSpec, err := faults.Resolve()
-	if err != nil {
-		fatalf("%v", err)
+	names := strings.Split(*systems, ",")
+	cfgs := make([]core.Config, len(names))
+	for i, name := range names {
+		if cfgs[i], err = pt.Config(strings.TrimSpace(name)); err != nil {
+			return err
+		}
 	}
-	eng, err := engine.Resolve()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sldf, df, err := size.Resolve()
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	rates := core.RateGrid(*from, *to, *step)
-	sp := core.SimParams{Warmup: *warmup, Measure: *measure,
-		ExtraDrain: *measure / 2, PacketSize: 4}
-	eng.Apply(&sp)
-
-	opts, diskCache, err := camp.Resolve(os.Stderr)
+	opts, diskCache, err := camp.Resolve(errw)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	fig := metrics.Figure{Name: "sweep", Title: *pattern}
-	for _, name := range strings.Split(*systems, ",") {
-		cfg, err := parseSystem(strings.TrimSpace(name), sldf, df, *groups)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		cfg.Faults = faultSpec
-		cfg.Churn = timeline
-		fmt.Fprintf(os.Stderr, "sweeping %s over %d rates...\n", name, len(rates))
+	fig := metrics.Figure{Name: "sweep", Title: pt.Pattern}
+	for i, cfg := range cfgs {
+		name := names[i]
+		fmt.Fprintf(errw, "sweeping %s over %d rates...\n", name, len(rates))
 		t0 := time.Now()
-		s, err := core.SweepOpts(cfg, *pattern, rates, sp, opts)
+		s, err := core.SweepOpts(cfg, pt.Pattern, rates, pt.Sim, opts)
 		if err != nil {
-			fatalf("sweep %s: %v", name, err)
+			return fmt.Errorf("sweep %s: %w", name, err)
 		}
-		fmt.Fprintf(os.Stderr, "sweep %s: %d rates in %v (incl. build)\n",
+		fmt.Fprintf(errw, "sweep %s: %d rates in %v (incl. build)\n",
 			name, len(rates), time.Since(t0).Round(time.Millisecond))
 		s.Label = name
 		fig.Series = append(fig.Series, s)
 	}
-	fmt.Print(fig.CSV())
+	fmt.Fprint(w, fig.CSV())
 	for _, s := range fig.Series {
-		fmt.Fprintf(os.Stderr, "saturation(%s) ≈ %.2f flits/cycle/chip\n",
+		fmt.Fprintf(errw, "saturation(%s) ≈ %.2f flits/cycle/chip\n",
 			s.Label, s.Saturation(3))
 	}
 	if diskCache != nil {
-		fmt.Fprintln(os.Stderr, diskCache.StatsLine())
+		fmt.Fprintln(errw, diskCache.StatsLine())
 	}
-}
-
-// parseSystem maps a CLI name like "sw-less-2B-mis" to a Config, taking
-// the Dragonfly parameters of the -size scale.
-func parseSystem(name string, sldf topology.SLDFParams, df topology.DragonflyParams, groups int) (core.Config, error) {
-	cfg := core.Config{}
-	base := name
-	switch {
-	case strings.HasSuffix(base, "-mis-lower"):
-		cfg.Mode = routing.ValiantLower
-		base = strings.TrimSuffix(base, "-mis-lower")
-	case strings.HasSuffix(base, "-mis"):
-		cfg.Mode = routing.Valiant
-		base = strings.TrimSuffix(base, "-mis")
-	case strings.HasSuffix(base, "-ugal"):
-		cfg.Mode = routing.Adaptive
-		base = strings.TrimSuffix(base, "-ugal")
-	}
-	switch {
-	case base == "switch":
-		cfg.Kind = core.SingleSwitch
-		cfg.Terminals = 4
-		return cfg, nil
-	case base == "mesh":
-		cfg.Kind = core.MeshCGroup
-		cfg.ChipletDim, cfg.NoCDim = 2, 2
-		return cfg, nil
-	case base == "sw-based":
-		cfg.Kind = core.SwitchDragonfly
-		cfg.DF = df
-		if groups > 0 {
-			cfg.DF.G = groups
-		}
-		return cfg, nil
-	case strings.HasPrefix(base, "sw-less"):
-		cfg.Kind = core.SwitchlessDragonfly
-		cfg.SLDF = sldf
-		switch strings.TrimPrefix(base, "sw-less") {
-		case "":
-			cfg.IntraWidth = 1
-		case "-2B":
-			cfg.IntraWidth = 2
-		case "-4B":
-			cfg.IntraWidth = 4
-		case "-rvc":
-			cfg.Scheme = routing.ReducedVC
-		default:
-			return cfg, fmt.Errorf("unknown system %q", base)
-		}
-		if groups > 0 {
-			cfg.SLDF.G = groups
-		}
-		return cfg, nil
-	}
-	return cfg, fmt.Errorf("unknown system %q", name)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sldfsweep: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

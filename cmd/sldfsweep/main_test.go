@@ -1,12 +1,34 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"strings"
 	"testing"
 
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/routing"
 )
 
+// defaultPoint resolves the point group at its flag defaults.
+func defaultPoint(t *testing.T) cliflags.Point {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	point := cliflags.AddPoint(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := point.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+// TestParseSystem checks that each -systems name resolves, through the
+// point group the command uses, to the kind, routing mode and intra-C-group
+// width it spells. Width 0 is the 1B default, the same network as width 1.
 func TestParseSystem(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -16,61 +38,81 @@ func TestParseSystem(t *testing.T) {
 	}{
 		{"sw-based", core.SwitchDragonfly, routing.Minimal, 0},
 		{"sw-based-mis", core.SwitchDragonfly, routing.Valiant, 0},
-		{"sw-less", core.SwitchlessDragonfly, routing.Minimal, 1},
+		{"sw-less", core.SwitchlessDragonfly, routing.Minimal, 0},
 		{"sw-less-2B", core.SwitchlessDragonfly, routing.Minimal, 2},
 		{"sw-less-4B", core.SwitchlessDragonfly, routing.Minimal, 4},
-		{"sw-less-mis", core.SwitchlessDragonfly, routing.Valiant, 1},
+		{"sw-less-mis", core.SwitchlessDragonfly, routing.Valiant, 0},
 		{"sw-less-2B-mis", core.SwitchlessDragonfly, routing.Valiant, 2},
-		{"sw-less-mis-lower", core.SwitchlessDragonfly, routing.ValiantLower, 1},
-		{"sw-less-ugal", core.SwitchlessDragonfly, routing.Adaptive, 1},
+		{"sw-less-mis-lower", core.SwitchlessDragonfly, routing.ValiantLower, 0},
+		{"sw-less-ugal", core.SwitchlessDragonfly, routing.Adaptive, 0},
 		{"switch", core.SingleSwitch, routing.Minimal, 0},
 		{"mesh", core.MeshCGroup, routing.Minimal, 0},
 	}
+	pt := defaultPoint(t)
 	for _, c := range cases {
-		cfg, err := parseSystem(c.name, core.Radix16SLDF(), core.Radix16DF(), 0)
+		cfg, err := pt.Config(c.name)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if cfg.Kind != c.kind || cfg.Mode != c.mode {
-			t.Fatalf("%s: kind=%v mode=%v", c.name, cfg.Kind, cfg.Mode)
-		}
-		if c.width != 0 && cfg.IntraWidth != c.width {
-			t.Fatalf("%s: width=%d want %d", c.name, cfg.IntraWidth, c.width)
+		if cfg.Kind != c.kind || cfg.Mode != c.mode || cfg.IntraWidth != c.width {
+			t.Errorf("%s: kind=%v mode=%v width=%d, want %v %v %d",
+				c.name, cfg.Kind, cfg.Mode, cfg.IntraWidth, c.kind, c.mode, c.width)
 		}
 	}
 }
 
 func TestParseSystemRejectsUnknown(t *testing.T) {
+	pt := defaultPoint(t)
 	for _, bad := range []string{"nope", "sw-less-9B", "sw-based-x"} {
-		if _, err := parseSystem(bad, core.Radix16SLDF(), core.Radix16DF(), 0); err == nil {
-			t.Fatalf("%q accepted", bad)
+		if _, err := pt.Config(bad); err == nil {
+			t.Errorf("%q accepted", bad)
 		}
 	}
 }
 
-func TestParseSystemSizes(t *testing.T) {
-	for _, size := range []string{"radix16", "radix24", "radix32", "radix56"} {
-		sldf, df, err := core.ParseSize(size)
-		if err != nil {
-			t.Fatalf("%s: %v", size, err)
+func TestRunHelp(t *testing.T) {
+	var out, errOut strings.Builder
+	if err := run([]string{"-h"}, &out, &errOut); err != nil {
+		t.Fatalf("-h must succeed, got %v", err)
+	}
+	if !strings.Contains(errOut.String(), "sw-less[-2B|-4B][-mis|-mis-lower|-ugal][-rvc]") {
+		t.Errorf("-systems help does not print the system grammar:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("-h wrote to the data stream: %q", out.String())
+	}
+}
+
+// TestRunRejectsUnimplementedVariants checks that a name whose kind lacks
+// the variant fails before any sweep runs, naming the kind and the suffix.
+func TestRunRejectsUnimplementedVariants(t *testing.T) {
+	for _, tc := range []struct{ systems, err string }{
+		{"sw-based-ugal", "sw-based does not implement -ugal"},
+		{"sw-less,sw-based-mis-lower", "sw-based does not implement -mis-lower"},
+		{"mesh-mis", "2d-mesh does not implement -mis"},
+		{"switch-ugal", "switch does not implement -ugal"},
+		{"warp", "unknown system"},
+	} {
+		var out, errOut strings.Builder
+		err := run([]string{"-systems", tc.systems, "-warmup", "10", "-measure", "20"}, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("-systems %s: err = %v, want one containing %q", tc.systems, err, tc.err)
 		}
-		less, err := parseSystem("sw-less", sldf, df, 0)
-		if err != nil || less.SLDF != sldf {
-			t.Fatalf("sw-less %s: SLDF params not set: %+v, %v", size, less.SLDF, err)
-		}
-		based, err := parseSystem("sw-based", sldf, df, 0)
-		if err != nil || based.DF != df {
-			t.Fatalf("sw-based %s: DF params not set: %+v, %v", size, based.DF, err)
+		if out.Len() != 0 || strings.Contains(errOut.String(), "sweeping") {
+			t.Errorf("-systems %s: a sweep ran before the error:\n%s%s", tc.systems, out.String(), errOut.String())
 		}
 	}
 }
 
-func TestParseSystemGroupsOverride(t *testing.T) {
-	cfg, err := parseSystem("sw-less", core.Radix16SLDF(), core.Radix16DF(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.SLDF.G != 1 {
-		t.Fatalf("groups override ignored: %d", cfg.SLDF.G)
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-mode", "valiant"},
+		{"-size", "radix99"},
+		{"-engine", "warp-drive"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("run(%v) succeeded, want error", args)
+		}
 	}
 }

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,6 +20,7 @@ import (
 
 	"sldf/internal/analysis"
 	"sldf/internal/campaign"
+	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/cost"
 	"sldf/internal/layout"
@@ -28,18 +28,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2) // the flag package's historical usage-error status
-		}
-		fmt.Fprintf(os.Stderr, "sldftables: %v\n", err)
-		os.Exit(1)
-	}
+	cliflags.Exit("sldftables", run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// errUsage signals main that the flag package already reported the problem
-// (usage text included) on the error writer.
-var errUsage = errors.New("usage error")
 
 // run executes the command with the given arguments, writing report output
 // to w and diagnostics to errw. Split from main so tests can drive flag
@@ -53,11 +43,8 @@ func run(args []string, w, errw io.Writer) error {
 	experiments := fs.Bool("experiments", false, "also print the experiment registry (every registered spec with its figure mapping)")
 	jobs := fs.Int("jobs", 0, "sweep points measured concurrently for -sat (0 = all points at once)")
 	cacheDir := fs.String("cache", "", "directory for the -sat on-disk point cache (empty = off)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h printed usage; that is success, not failure
-		}
-		return errUsage // the flag package already printed error + usage
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
 	}
 	switch *table {
 	case "1", "2", "3", "4", "all":

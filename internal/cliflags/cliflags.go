@@ -1,7 +1,7 @@
 // Package cliflags declares the command-line flags the sldf commands share:
 // one registration per flag group on a *flag.FlagSet, each resolving to a
-// typed value or an error. Commands that parse the global flag set pass
-// flag.CommandLine. Command-specific wording belongs in each command's doc
+// typed value or an error, plus the parse-and-exit plumbing of a command's
+// run function. Command-specific wording belongs in each command's doc
 // comment; the help strings here are the one definition of each flag.
 package cliflags
 
@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"sldf/internal/campaign"
@@ -19,6 +20,132 @@ import (
 	"sldf/internal/netsim"
 	"sldf/internal/topology"
 )
+
+// ErrUsage reports a bad command line whose problem and usage the flag
+// package already printed on the flag set's output.
+var ErrUsage = errors.New("usage error")
+
+// Parse parses args into fs, a flag.ContinueOnError set. It returns false
+// when the command should stop: after -h with a nil error, or after a bad
+// flag with ErrUsage.
+func Parse(fs *flag.FlagSet, args []string) (bool, error) {
+	err := fs.Parse(args)
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, flag.ErrHelp):
+		return false, nil
+	}
+	return false, ErrUsage
+}
+
+// Exit ends command name with the status of its run error: 0 for nil, 2
+// (the flag package's usage-error status) for ErrUsage, otherwise 1 after
+// printing the error on stderr.
+func Exit(name string, err error) {
+	if errors.Is(err, ErrUsage) {
+		os.Exit(2)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
+}
+
+// PointFlags is the load-point group of the simulating commands: the
+// scale, the traffic pattern, the measurement window, the seed and worker
+// count, build-time faults, live churn and the engine.
+type PointFlags struct {
+	size, pattern   *string
+	groups, workers *int
+	warmup, measure *int64
+	seed            *uint64
+	faults          FaultFlags
+	churn           ChurnFlag
+	engine          EngineFlags
+}
+
+// AddPoint registers the point group: -size, -groups, -pattern, -warmup,
+// -measure, -seed, -workers, the fault flags, -churn and the engine flags.
+func AddPoint(fs *flag.FlagSet) PointFlags {
+	return PointFlags{
+		size:    fs.String("size", "radix16", "scale: radix16 | radix24 | radix32 | radix56"),
+		groups:  fs.Int("groups", 0, "override W-group count (0 = the size's count, 1 = a single W-group)"),
+		pattern: fs.String("pattern", "uniform", "traffic: uniform | bit-reverse | bit-shuffle | bit-transpose | hotspot | worst-case | ring | ring-bidir"),
+		warmup:  fs.Int64("warmup", 5000, "warmup cycles"),
+		measure: fs.Int64("measure", 10000, "measured cycles"),
+		seed:    fs.Uint64("seed", 1, "simulation seed"),
+		workers: fs.Int("workers", 0, "parallel workers per simulation (0 = GOMAXPROCS)"),
+		faults:  AddFaults(fs),
+		churn:   AddChurn(fs),
+		engine:  AddEngine(fs, FlowPar|FlowCold),
+	}
+}
+
+// Point is a resolved point group.
+type Point struct {
+	Pattern string
+	// Sim is the measurement window: the flags' warmup and measure, a drain
+	// cap of half the window, 4-flit packets, and the engine.
+	Sim core.SimParams
+
+	// sldf and df are the -size parameters with -groups applied; base
+	// carries the seed, workers, faults and churn of every config.
+	sldf topology.SLDFParams
+	df   topology.DragonflyParams
+	base core.Config
+}
+
+// Resolve resolves every flag of the group.
+func (p PointFlags) Resolve() (Point, error) {
+	sldf, df, err := core.ParseSize(*p.size)
+	if err != nil {
+		return Point{}, err
+	}
+	faults, err := p.faults.Resolve()
+	if err != nil {
+		return Point{}, err
+	}
+	churn, err := p.churn.Resolve()
+	if err != nil {
+		return Point{}, err
+	}
+	eng, err := p.engine.Resolve()
+	if err != nil {
+		return Point{}, err
+	}
+	if *p.groups > 0 {
+		sldf.G, df.G = *p.groups, *p.groups
+	}
+	sp := core.SimParams{Warmup: *p.warmup, Measure: *p.measure,
+		ExtraDrain: *p.measure / 2, PacketSize: 4}
+	eng.Apply(&sp)
+	return Point{Pattern: *p.pattern, Sim: sp, sldf: sldf, df: df,
+		base: core.Config{Seed: *p.seed, Workers: *p.workers, Faults: faults, Churn: churn}}, nil
+}
+
+// Config resolves a system name of the core grammar (core.ParseSystem) to
+// its configuration at the point's scale: the Dragonfly pair at -size with
+// -groups applied, the single switch with 4 chips, one 2×2-chiplet C-group
+// of 2×2 NoC routers for the mesh.
+func (p Point) Config(name string) (core.Config, error) {
+	v, err := core.ParseSystem(name)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := p.base
+	cfg.Kind, cfg.IntraWidth, cfg.Mode, cfg.Scheme = v.Kind, v.IntraWidth, v.Mode, v.Scheme
+	switch cfg.Kind {
+	case core.SwitchlessDragonfly:
+		cfg.SLDF = p.sldf
+	case core.SwitchDragonfly:
+		cfg.DF = p.df
+	case core.SingleSwitch:
+		cfg.Terminals = 4
+	case core.MeshCGroup:
+		cfg.ChipletDim, cfg.NoCDim = 2, 2
+	}
+	return cfg, nil
+}
 
 // FlowFlags selects which flow-solver flags AddEngine registers beside -engine.
 type FlowFlags uint8
@@ -114,19 +241,6 @@ func (f FaultFlags) Resolve() (topology.FaultSpec, error) {
 		return topology.FaultSpec{}, nil
 	}
 	return spec, nil
-}
-
-// SizeFlag is the -size flag.
-type SizeFlag struct{ name *string }
-
-// AddSize registers -size.
-func AddSize(fs *flag.FlagSet) SizeFlag {
-	return SizeFlag{fs.String("size", "radix16", "scale: radix16 | radix24 | radix32 | radix56")}
-}
-
-// Resolve returns the switch-less and switch-based parameters of the size.
-func (s SizeFlag) Resolve() (topology.SLDFParams, topology.DragonflyParams, error) {
-	return core.ParseSize(*s.name)
 }
 
 // CampaignFlags is the campaign group: concurrency, point cache and remote

@@ -8,30 +8,23 @@ import (
 
 	"sldf/internal/core"
 	"sldf/internal/netsim"
+	"sldf/internal/routing"
 	"sldf/internal/topology"
 )
 
 // groups registers every flag group on one fresh flag set, as a command
-// with all of them would.
+// with all of them would; the point group holds the fault, churn and
+// engine groups.
 type groups struct {
-	engine EngineFlags
-	churn  ChurnFlag
-	faults FaultFlags
-	size   SizeFlag
-	camp   CampaignFlags
+	point PointFlags
+	camp  CampaignFlags
 }
 
 func parse(t *testing.T, args ...string) groups {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	g := groups{
-		engine: AddEngine(fs, FlowPar|FlowCold),
-		churn:  AddChurn(fs),
-		faults: AddFaults(fs),
-		size:   AddSize(fs),
-		camp:   AddCampaign(fs),
-	}
+	g := groups{point: AddPoint(fs), camp: AddCampaign(fs)}
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -40,16 +33,7 @@ func parse(t *testing.T, args ...string) groups {
 
 // resolve resolves every group, returning the first error.
 func (g groups) resolve() error {
-	if _, err := g.engine.Resolve(); err != nil {
-		return err
-	}
-	if _, err := g.churn.Resolve(); err != nil {
-		return err
-	}
-	if _, err := g.faults.Resolve(); err != nil {
-		return err
-	}
-	if _, _, err := g.size.Resolve(); err != nil {
+	if _, err := g.point.Resolve(); err != nil {
 		return err
 	}
 	_, _, err := g.camp.Resolve(io.Discard)
@@ -79,17 +63,17 @@ func TestZeroFlagsResolveEmpty(t *testing.T) {
 	if err := g.resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if spec, _ := g.faults.Resolve(); !reflect.DeepEqual(spec, topology.FaultSpec{}) {
+	if spec, _ := g.point.faults.Resolve(); !reflect.DeepEqual(spec, topology.FaultSpec{}) {
 		t.Errorf("zero fault flags resolved to %+v", spec)
 	}
-	if tl, _ := g.churn.Resolve(); !reflect.DeepEqual(tl, topology.FaultTimeline{}) {
+	if tl, _ := g.point.churn.Resolve(); !reflect.DeepEqual(tl, topology.FaultTimeline{}) {
 		t.Errorf("empty -churn resolved to %+v", tl)
 	}
-	if eng, _ := g.engine.Resolve(); eng != (Engine{Kind: netsim.EngineActiveSet}) {
+	if eng, _ := g.point.engine.Resolve(); eng != (Engine{Kind: netsim.EngineActiveSet}) {
 		t.Errorf("default engine resolved to %+v", eng)
 	}
-	if sldf, df, _ := g.size.Resolve(); sldf != core.Radix16SLDF() || df != core.Radix16DF() {
-		t.Errorf("default size resolved to %+v / %+v", sldf, df)
+	if pt, _ := g.point.Resolve(); pt.sldf != core.Radix16SLDF() || pt.df != core.Radix16DF() {
+		t.Errorf("default size resolved to %+v / %+v", pt.sldf, pt.df)
 	}
 	opts, disk, _ := g.camp.Resolve(io.Discard)
 	if !reflect.DeepEqual(opts, core.RunOptions{Jobs: 1}) || disk != nil {
@@ -98,10 +82,10 @@ func TestZeroFlagsResolveEmpty(t *testing.T) {
 }
 
 func TestFaultSpecFromFlags(t *testing.T) {
-	if spec, err := parse(t, "-faultseed", "42").faults.Resolve(); err != nil || !spec.Empty() {
+	if spec, err := parse(t, "-faultseed", "42").point.faults.Resolve(); err != nil || !spec.Empty() {
 		t.Fatalf("zero fractions must stay pristine, got %+v, %v", spec, err)
 	}
-	spec, err := parse(t, "-faults", "0.05", "-faultrouters", "0.02", "-faultseed", "7").faults.Resolve()
+	spec, err := parse(t, "-faults", "0.05", "-faultrouters", "0.02", "-faultseed", "7").point.faults.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +95,7 @@ func TestFaultSpecFromFlags(t *testing.T) {
 }
 
 func TestEngineFlowKnobs(t *testing.T) {
-	eng, err := parse(t, "-engine", "flow", "-flowpar", "2", "-flowcold").engine.Resolve()
+	eng, err := parse(t, "-engine", "flow", "-flowpar", "2", "-flowcold").point.engine.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +111,85 @@ func TestEngineFlowKnobs(t *testing.T) {
 	AddEngine(fs, 0)
 	if err := fs.Parse([]string{"-flowpar", "2"}); err == nil {
 		t.Fatal("-flowpar parsed on a set that never registered it")
+	}
+}
+
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+		err  error
+	}{
+		{nil, true, nil},
+		{[]string{"-h"}, false, nil},
+		{[]string{"-no-such-flag"}, false, ErrUsage},
+		{[]string{"-seed", "x"}, false, ErrUsage},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		AddPoint(fs)
+		if ok, err := Parse(fs, tc.args); ok != tc.ok || err != tc.err {
+			t.Errorf("Parse(%v) = %v, %v; want %v, %v", tc.args, ok, err, tc.ok, tc.err)
+		}
+	}
+}
+
+func TestPointConfig(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	point := AddPoint(fs)
+	if err := fs.Parse([]string{"-size", "radix24", "-groups", "1", "-measure", "300", "-seed", "9",
+		"-workers", "2", "-faults", "0.05", "-engine", "flow", "-flowpar", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := point.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.SimParams{Warmup: 5000, Measure: 300, ExtraDrain: 150, PacketSize: 4,
+		Engine: netsim.EngineFlow, FlowWorkers: 2}
+	if pt.Sim != want || pt.Pattern != "uniform" {
+		t.Errorf("window %+v pattern %q, want %+v uniform", pt.Sim, pt.Pattern, want)
+	}
+	less, err := pt.Config("sw-less-2B-mis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSLDF := core.Radix24SLDF()
+	wantSLDF.G = 1
+	if less.SLDF != wantSLDF || less.IntraWidth != 2 || less.Mode != routing.Valiant ||
+		less.Seed != 9 || less.Workers != 2 || less.Faults.LinkFraction != 0.05 {
+		t.Errorf("sw-less-2B-mis resolved to %+v", less)
+	}
+	based, err := pt.Config("sw-based")
+	if err != nil || based.DF.P != core.Radix24DF().P || based.DF.G != 1 {
+		t.Errorf("sw-based resolved to %+v, %v", based.DF, err)
+	}
+	if mesh, err := pt.Config("mesh"); err != nil || mesh.ChipletDim != 2 || mesh.NoCDim != 2 {
+		t.Errorf("mesh resolved to %+v, %v", mesh, err)
+	}
+	if sw, err := pt.Config("switch"); err != nil || sw.Terminals != 4 {
+		t.Errorf("switch resolved to %+v, %v", sw, err)
+	}
+	if _, err := pt.Config("sw-based-ugal"); err == nil {
+		t.Error("sw-based-ugal resolved")
+	}
+}
+
+func TestPointConfigSizes(t *testing.T) {
+	for _, size := range []string{"radix16", "radix24", "radix32", "radix56"} {
+		sldf, df, err := core.ParseSize(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := parse(t, "-size", size).point.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if less, err := pt.Config("sw-less"); err != nil || less.SLDF != sldf {
+			t.Errorf("sw-less %s: SLDF params %+v, %v", size, less.SLDF, err)
+		}
+		if based, err := pt.Config("sw-based"); err != nil || based.DF != df {
+			t.Errorf("sw-based %s: DF params %+v, %v", size, based.DF, err)
+		}
 	}
 }

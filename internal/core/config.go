@@ -49,12 +49,13 @@ type Config struct {
 	ChipletDim int
 	NoCDim     int
 
-	// Scheme selects the SLDF VC discipline (ignored by other kinds).
-	Scheme routing.Scheme
-	// Mode selects minimal or Valiant routing (SLDF and Dragonfly).
-	Mode routing.Mode
-	// IntraWidth multiplies intra-C-group link bandwidth: 1 = paper
-	// uniform, 2 = "2B", 4 = "4B".
+	// Scheme, Mode and IntraWidth select the variant: the SLDF VC
+	// discipline, the routing mode, and the intra-C-group link bandwidth
+	// multiplier (0 or 1 = paper uniform, 2 = "2B", 4 = "4B"). Each kind
+	// implements only some variants (see ParseSystem); Build rejects the
+	// rest.
+	Scheme     routing.Scheme
+	Mode       routing.Mode
 	IntraWidth int32
 
 	// Faults injects deterministic component failures at build time
@@ -227,19 +228,6 @@ func Radix56SLDF() topology.SLDFParams {
 // Radix56DF is the matching 165 032-terminal switch-based system (14:27:15).
 func Radix56DF() topology.DragonflyParams {
 	return topology.DragonflyParams{P: 14, A: 28, H: 15}
-}
-
-func (c Config) validate() error {
-	if c.IntraWidth != 0 && c.IntraWidth != 1 && c.IntraWidth != 2 && c.IntraWidth != 4 {
-		return fmt.Errorf("core: IntraWidth must be 1, 2 or 4 (got %d)", c.IntraWidth)
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	if err := c.Churn.Validate(); err != nil {
-		return err
-	}
-	return nil
 }
 
 func (c Config) netOptions() netsim.NetworkOptions {

@@ -292,17 +292,9 @@ func planFig15(scale Scale) ExperimentPlan {
 	const rate = 0.3
 	panel := func(name, title string, df, sl Config) EnergyFigureSpec {
 		spec := EnergyFigureSpec{Name: name, Title: title}
-		for _, c := range []struct {
-			cfg   Config
-			label string
-		}{
-			{df, "sw-based"},
-			{sl, "sw-less"},
-			{withMode(df, routing.Valiant), "sw-based-mis"},
-			{withMode(sl, routing.Valiant), "sw-less-mis"},
-		} {
+		for _, cfg := range []Config{df, sl, withMode(df, routing.Valiant), withMode(sl, routing.Valiant)} {
 			spec.Bars = append(spec.Bars, EnergyBarSpec{
-				Cfg: c.cfg, Pattern: "uniform", Rate: rate, Label: c.label, Sim: sp})
+				Cfg: cfg, Pattern: "uniform", Rate: rate, Label: cfg.Label(), Sim: sp})
 		}
 		return spec
 	}
@@ -366,13 +358,10 @@ func planCollective(scale Scale) ExperimentPlan {
 			DF: topology.DragonflyParams{P: 2, A: 2, H: 1}, Seed: seed}
 		swlTiny := Config{Kind: SwitchlessDragonfly,
 			SLDF: topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 1, AB: 2, H: 1}, Seed: seed}
-		for _, c := range []struct {
-			cfg   Config
-			label string
-		}{{swbTiny, "sw-based-3wg"}, {swlTiny, "sw-less-3wg"}} {
+		for _, cfg := range []Config{swbTiny, swlTiny} {
 			for _, sch := range []string{"ring", "hierarchical", "2d"} {
 				wg.Cases = append(wg.Cases, CollectiveCaseSpec{
-					Cfg: c.cfg, Schedule: sch, Label: c.label, Volume: volume})
+					Cfg: cfg, Schedule: sch, Label: cfg.Label() + "-3wg", Volume: volume})
 			}
 		}
 	}
@@ -400,17 +389,9 @@ func planChurn(scale Scale) ExperimentPlan {
 		Title: "Churn resilience: chip death mid-AllReduce"}
 	swb, swl, _ := radix16Trio(true)
 	for _, policy := range []netsim.DropPolicy{netsim.DropInFlight, netsim.RetrySource} {
-		suffix := "-" + policy.String()
-		for _, c := range []struct {
-			cfg   Config
-			label string
-		}{
-			{Config{Kind: MeshCGroup, ChipletDim: 4, NoCDim: 2, Seed: seed}, "2d-mesh" + suffix},
-			{swb, "sw-based" + suffix},
-			{swl, "sw-less" + suffix},
-		} {
+		for _, cfg := range []Config{{Kind: MeshCGroup, ChipletDim: 4, NoCDim: 2, Seed: seed}, swb, swl} {
 			fig.Cases = append(fig.Cases, ChurnCaseSpec{
-				Cfg: armed(c.cfg, policy), Schedule: "ring", Label: c.label,
+				Cfg: armed(cfg, policy), Schedule: "ring", Label: cfg.Label() + "-" + policy.String(),
 				Volume: volume, KillChip: 1, KillStep: 2})
 		}
 	}

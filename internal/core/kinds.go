@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -12,21 +13,22 @@ import (
 )
 
 // kindEntry is everything the package knows about one system kind. Build,
-// Config.Label, SystemKind.String, ParseKind and the collective and ring
-// embeddings all read it, so adding a topology means adding one entry to
-// kinds.
+// Config.Label, SystemKind.String, ParseKind, ParseSystem and the collective
+// and ring embeddings all read it, so adding a topology means adding one
+// entry to kinds.
 type kindEntry struct {
 	// name is the kind's canonical name (String, Label, CLIs); aliases are
-	// further names ParseKind accepts.
+	// further names ParseKind and ParseSystem accept.
 	name    string
 	aliases []string
+	// variants are the grammar suffixes the kind implements (see
+	// ParseSystem); validate rejects any other variant, so it is never
+	// built as the kind's default under the variant's name.
+	variants []string
 	// vcs is the per-link virtual-channel count of a build.
 	vcs func(c Config, faulted bool) uint8
 	// build constructs the topology over the given link classes.
 	build func(c Config, classes topology.LinkClasses, opts netsim.NetworkOptions) (kindTopo, error)
-	// labelSuffix, when non-nil, appends the routing and bandwidth variant
-	// to name in Config.Label.
-	labelSuffix func(Config) string
 	// nodesPerChip is the pristine per-chip injector count; groups is the
 	// W-group count.
 	nodesPerChip func(Config) int
@@ -61,7 +63,8 @@ type kindTopo struct {
 // kinds is the system-kind table, indexed by SystemKind.
 var kinds = [...]kindEntry{
 	SwitchDragonfly: {
-		name: "sw-based",
+		name:     "sw-based",
+		variants: []string{"-mis"},
 		vcs: func(c Config, faulted bool) uint8 {
 			if faulted {
 				return FaultVCs
@@ -93,18 +96,13 @@ var kinds = [...]kindEntry{
 				},
 			}, nil
 		},
-		labelSuffix: func(c Config) string {
-			if c.Mode == routing.Valiant {
-				return "-mis"
-			}
-			return ""
-		},
 		nodesPerChip: oneNIC,
 		groups:       func(c Config) int { return c.DF.Groups() },
 		subGroup:     func(c Config, _ int) int { return c.DF.P }, // one switch
 	},
 	SwitchlessDragonfly: {
-		name: "sw-less",
+		name:     "sw-less",
+		variants: []string{"-2B", "-4B", "-mis", "-mis-lower", "-ugal", "-rvc"},
 		vcs: func(c Config, faulted bool) uint8 {
 			if faulted {
 				return FaultVCs
@@ -140,24 +138,6 @@ var kinds = [...]kindEntry{
 					return fr.Func(), fr.Sanitize(), nil
 				},
 			}, nil
-		},
-		labelSuffix: func(c Config) string {
-			label := ""
-			if c.IntraWidth > 1 {
-				label += fmt.Sprintf("-%dB", c.IntraWidth)
-			}
-			switch c.Mode {
-			case routing.Valiant:
-				label += "-mis"
-			case routing.ValiantLower:
-				label += "-mis-lower"
-			case routing.Adaptive:
-				label += "-ugal"
-			}
-			if sldfScheme(c) == routing.ReducedVC {
-				label += "-rvc"
-			}
-			return label
 		},
 		nodesPerChip: func(c Config) int { return c.SLDF.NoCDim * c.SLDF.NoCDim },
 		groups:       func(c Config) int { return c.SLDF.Groups() },
@@ -276,16 +256,124 @@ func ParseKind(name string) (SystemKind, error) {
 	return 0, fmt.Errorf("core: unknown system kind %q (want %s)", name, strings.Join(names, ", "))
 }
 
+// The system-name grammar: a name is a kind's name (or alias) followed by
+// at most one suffix from each table, in this order. Each table is indexed
+// by the Config field value its suffix sets; a default (1B, minimal routing,
+// the baseline VC scheme) has no suffix.
+var (
+	widthSuffixes  = []string{2: "-2B", 4: "-4B"}
+	modeSuffixes   = []string{routing.Valiant: "-mis", routing.ValiantLower: "-mis-lower", routing.Adaptive: "-ugal"}
+	schemeSuffixes = []string{routing.ReducedVC: "-rvc"}
+)
+
+// suffix returns the table's suffix for v: "" for a default or a value
+// outside the grammar.
+func suffix[T ~int32 | ~uint8](table []string, v T) string {
+	if int(v) < 0 || int(v) >= len(table) {
+		return ""
+	}
+	return table[v]
+}
+
+// cut cuts the longest suffix of the table that starts name, returning its
+// value (0, the default, when none does) and the rest of name.
+func cut(table []string, name string) (int, string) {
+	v := 0
+	for i, s := range table {
+		if s != "" && strings.HasPrefix(name, s) && len(s) > len(table[v]) {
+			v = i
+		}
+	}
+	return v, name[len(table[v]):]
+}
+
+// SystemGrammar describes the names ParseSystem accepts, one pattern per
+// kind, e.g. "sw-based[-mis]"; command help text prints it.
+func SystemGrammar() string {
+	patterns := make([]string, len(kinds))
+	for k, e := range kinds {
+		patterns[k] = e.name
+		for _, table := range [][]string{widthSuffixes, modeSuffixes, schemeSuffixes} {
+			group := slices.DeleteFunc(slices.Clone(table), func(s string) bool {
+				return !slices.Contains(e.variants, s)
+			})
+			if len(group) > 0 {
+				patterns[k] += "[" + strings.Join(group, "|") + "]"
+			}
+		}
+		if len(e.aliases) > 0 {
+			patterns[k] += " (alias " + strings.Join(e.aliases, ", ") + ")"
+		}
+	}
+	return strings.Join(patterns, " | ")
+}
+
+// ParseSystem maps a system name such as "sw-less-2B-mis" to the kind and
+// variant fields of its Config (Kind, IntraWidth, Mode, Scheme); sizes and
+// seeds are the caller's. It accepts every name Config.Label returns, and
+// rejects a variant the kind does not implement.
+func ParseSystem(name string) (Config, error) {
+	for k, e := range kinds {
+		for _, base := range append([]string{e.name}, e.aliases...) {
+			rest, ok := strings.CutPrefix(name, base)
+			if !ok {
+				continue
+			}
+			width, rest := cut(widthSuffixes, rest)
+			mode, rest := cut(modeSuffixes, rest)
+			scheme, rest := cut(schemeSuffixes, rest)
+			if rest == "" {
+				c := Config{Kind: SystemKind(k), IntraWidth: int32(width),
+					Mode: routing.Mode(mode), Scheme: routing.Scheme(scheme)}
+				return c, c.validate()
+			}
+		}
+	}
+	return Config{}, fmt.Errorf("core: unknown system %q (want %s)", name, SystemGrammar())
+}
+
+// validate rejects an unknown kind, a width, routing mode or VC scheme the
+// kind does not implement (named by its suffix if it has one), and invalid
+// fault or churn specs.
+func (c Config) validate() error {
+	e := c.Kind.entry()
+	if e == nil {
+		return fmt.Errorf("core: unknown system kind %d", c.Kind)
+	}
+	switch w, m, sc := suffix(widthSuffixes, c.IntraWidth), suffix(modeSuffixes, c.Mode), suffix(schemeSuffixes, c.Scheme); {
+	case c.IntraWidth != 0 && c.IntraWidth != 1 && !e.implements(w):
+		return e.lacks(w, fmt.Sprintf("IntraWidth %d", c.IntraWidth))
+	case c.Mode != routing.Minimal && !e.implements(m):
+		return e.lacks(m, c.Mode.String()+" routing")
+	case c.Scheme != routing.BaselineVC && !e.implements(sc):
+		return e.lacks(sc, "the "+c.Scheme.String()+" VC scheme")
+	}
+	return errors.Join(c.Faults.Validate(), c.Churn.Validate())
+}
+
+// implements reports whether the kind implements the variant of a suffix.
+func (e *kindEntry) implements(suffix string) bool {
+	return suffix != "" && slices.Contains(e.variants, suffix)
+}
+
+// lacks reports a variant the kind does not implement, by its suffix when
+// it has one.
+func (e *kindEntry) lacks(suffix, variant string) error {
+	if suffix != "" {
+		variant = suffix + " (" + variant + ")"
+	}
+	return fmt.Errorf("core: %s does not implement %s", e.name, variant)
+}
+
 // Label returns the series label that Build assigns to a system built from
-// this configuration, without building it. Sweeps use it so that a fully
-// cached series never needs a network construction.
+// this configuration, without building it: the grammar name of the network
+// built, so restricted-lower routing carries the -rvc it forces. Sweeps use
+// it so that a fully cached series never needs a network construction.
 func (c Config) Label() string {
 	e := c.Kind.entry()
 	if e == nil {
 		return "unknown"
 	}
-	if e.labelSuffix == nil {
-		return e.name
-	}
-	return e.name + e.labelSuffix(c)
+	return e.name + suffix(widthSuffixes, c.IntraWidth) +
+		suffix(modeSuffixes, c.Mode) + suffix(schemeSuffixes, sldfScheme(c))
 }

@@ -63,17 +63,26 @@ func RateGrid(lo, hi, step float64) []float64 {
 }
 
 // cacheID canonically serializes every configuration field that affects
-// measured results. Workers and WatchdogCycles are deliberately excluded:
-// they change how a simulation executes, never what it measures. The fault
+// measured results, once per built network: IntraWidth 0 and 1 both key as
+// width=0, and a switch-less build keys under the scheme it builds
+// (sldfScheme). Workers and WatchdogCycles are deliberately excluded: they
+// change how a simulation executes, never what it measures. The fault
 // component is appended only when faults are injected, keeping fault-free
 // keys byte-compatible with existing caches.
 //
 //sldf:cachekey Config
 //sldf:cachekey topology.FaultSpec
 func (c Config) cacheID() string {
+	scheme, width := c.Scheme, c.IntraWidth
+	if c.Kind == SwitchlessDragonfly {
+		scheme = sldfScheme(c)
+	}
+	if width == 1 {
+		width = 0
+	}
 	id := fmt.Sprintf("kind=%d df=%+v sldf=%+v term=%d chiplet=%d noc=%d scheme=%d mode=%d width=%d seed=%#x",
 		c.Kind, c.DF, c.SLDF, c.Terminals, c.ChipletDim, c.NoCDim,
-		c.Scheme, c.Mode, c.IntraWidth, c.Seed)
+		scheme, c.Mode, width, c.Seed)
 	if !c.Faults.Empty() {
 		id += fmt.Sprintf(" faults={seed:%#x lf:%.17g rf:%.17g links:%v routers:%v}",
 			c.Faults.Seed, c.Faults.LinkFraction, c.Faults.RouterFraction,

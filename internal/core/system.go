@@ -52,10 +52,7 @@ func Build(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	entry := cfg.Kind.entry()
-	if entry == nil {
-		return nil, fmt.Errorf("core: unknown system kind %d", cfg.Kind)
-	}
+	entry := cfg.Kind.entry() // non-nil: validate checked the kind
 	// A non-empty churn timeline also forces the fault-grade build: mid-run
 	// deaths need the deep VC ladder and a routing discipline that can
 	// recompute around holes from the very first event.

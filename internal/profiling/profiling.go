@@ -1,9 +1,9 @@
 // Package profiling wires pprof capture into commands. A command registers
-// the standard -cpuprofile/-memprofile flags before flag.Parse and brackets
-// its work between Start and Stop:
+// the standard -cpuprofile/-memprofile flags on its flag set before parsing
+// and brackets its work between Start and Stop:
 //
-//	prof := profiling.Flags()
-//	flag.Parse()
+//	prof := profiling.Flags(fs)
+//	fs.Parse(args)
 //	if err := prof.Start(); err != nil { ... }
 //	defer prof.Stop()
 //
@@ -60,16 +60,16 @@ type Profiles struct {
 	f   *os.File
 }
 
-// Flags registers -cpuprofile and -memprofile on the default flag set.
-func Flags() *Profiles {
+// Flags registers -cpuprofile and -memprofile on fs.
+func Flags(fs *flag.FlagSet) *Profiles {
 	return &Profiles{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 
-// Start begins CPU profiling when -cpuprofile was given. Call after
-// flag.Parse.
+// Start begins CPU profiling when -cpuprofile was given. Call after the
+// flags are parsed.
 func (p *Profiles) Start() error {
 	if *p.cpu == "" {
 		return nil

@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// The package registers flags on the global flag set, so tests drive the
-// struct directly instead of going through Flags.
+// Tests drive the struct directly, so each can set its own paths.
 func testProfiles(cpu, mem string) *Profiles {
 	return &Profiles{cpu: &cpu, mem: &mem}
 }
@@ -52,9 +51,9 @@ func TestWritesProfiles(t *testing.T) {
 }
 
 func TestFlagsRegistersOnDefaultSet(t *testing.T) {
-	// Flags must only be called once per process against the global set;
-	// verify registration happened by looking the flags up.
-	p := Flags()
+	// A flag set takes each flag once, so this is the only registration on
+	// the global set; verify it happened by looking the flags up.
+	p := Flags(flag.CommandLine)
 	if p == nil {
 		t.Fatal("Flags returned nil")
 	}
