@@ -12,6 +12,9 @@
 //	sldffigures -jobs 8 -cache .pts # 8 concurrent points, resumable
 //	sldffigures -remote host1:8437,host2:8437  # shard across sldfd workers
 //
+// Every measurement of an experiment — latency points, Fig. 15 energy
+// bars, resilience fault draws, collective and churn cases — is one job of
+// a single fan-out, so -jobs, -cache and -remote apply to every figure.
 // -engine overrides the engine of every measurement, and -churn arms its
 // timeline on the resilience-figure networks only; the other figures carry
 // their own configurations.

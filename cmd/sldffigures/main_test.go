@@ -100,6 +100,38 @@ func TestRunChurnFlag(t *testing.T) {
 	}
 }
 
+// TestRunResilienceCacheReplay: a resilience figure's fault draws go
+// through the point cache, so a warm rerun replays every draw (the
+// infeasible and deadlocked outcomes included) and writes the same CSV.
+func TestRunResilienceCacheReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cache := t.TempDir()
+	runOne := func() (csv, stderr string) {
+		t.Helper()
+		dir := t.TempDir()
+		var errw strings.Builder
+		if err := run([]string{"-quick", "-fig", "figtest-res", "-out", dir, "-jobs", "2", "-cache", cache},
+			io.Discard, &errw); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "figtest-res.csv"))
+		if err != nil {
+			t.Fatalf("CSV not written: %v", err)
+		}
+		return string(data), errw.String()
+	}
+	cold, coldErr := runOne()
+	warm, warmErr := runOne()
+	if warm != cold {
+		t.Fatalf("warm replay CSV differs:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	if !strings.Contains(coldErr, "cache: 0 hits, 2 misses") || !strings.Contains(warmErr, "cache: 2 hits, 0 misses") {
+		t.Fatalf("cache lines: cold %q, warm %q; want both draws measured, then replayed", coldErr, warmErr)
+	}
+}
+
 func TestRunQuickFig14(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")

@@ -107,14 +107,14 @@ type LocalBackend struct{}
 // Name implements Backend.
 func (LocalBackend) Name() string { return "local" }
 
-// Execute implements Backend via the generic scheduler.
+// Execute implements Backend via the in-process scheduler (Run).
 func (LocalBackend) Execute(specs []JobSpec, opts ExecOptions) ([]metrics.Point, error) {
-	jobs := make([]Job[metrics.Point], len(specs))
+	jobs := make([]Job, len(specs))
 	for i, spec := range specs {
-		jobs[i] = Job[metrics.Point]{
+		jobs[i] = Job{
 			Key: spec.Key,
 			Run: func(w *Worker) (metrics.Point, error) { return ExecuteSpec(w, spec) },
 		}
 	}
-	return Run(jobs, Options[metrics.Point]{Jobs: opts.Jobs, Store: opts.Store})
+	return Run(jobs, Options{Jobs: opts.Jobs, Store: opts.Store})
 }

@@ -2,9 +2,9 @@
 // declarative measurement jobs into results, through pluggable seams at
 // every stage.
 //
-//   - Run is the generic in-process scheduler: typed jobs fan out over
-//     worker goroutines, and the assembled output is bitwise identical no
-//     matter how many workers run the jobs or in what order they finish.
+//   - Run is the in-process scheduler: jobs fan out over worker
+//     goroutines, and the assembled points are bitwise identical no matter
+//     how many workers run the jobs or in what order they finish.
 //   - JobSpec + the executor registry make jobs data instead of code: a
 //     spec names a registered executor and carries a JSON payload, so the
 //     same job can run in this process, in a worker daemon on another
@@ -23,17 +23,19 @@ package campaign
 
 import (
 	"sync"
+
+	"sldf/internal/metrics"
 )
 
-// Job is one schedulable unit of work producing a typed result.
-type Job[T any] struct {
+// Job is one schedulable unit of work producing a measured point.
+type Job struct {
 	// Key identifies the job's result for the store; an empty key disables
 	// caching for this job. Two jobs with equal keys must produce equal
 	// results (the key must cover every input that affects the result).
 	Key string
 	// Run performs the work. The worker is owned by a single goroutine for
 	// the worker's lifetime, so Run may freely mutate state cached on it.
-	Run func(w *Worker) (T, error)
+	Run func(w *Worker) (metrics.Point, error)
 }
 
 // Worker is the per-goroutine context passed to jobs: a one-slot keyed
@@ -41,7 +43,9 @@ type Job[T any] struct {
 // reused across consecutive jobs that land on the same worker and share its
 // key. Callers order their jobs so that each key arrives in one contiguous
 // run, which makes a single slot enough: storing a new key closes the held
-// value, so a worker never keeps more than one built system.
+// value, so a worker never keeps more than one built system. A job that
+// builds expensive state calls Close before building, so the old value is
+// not still reachable while the new one is built.
 type Worker struct {
 	key   string
 	value any
@@ -75,14 +79,14 @@ func (w *Worker) Close() {
 	w.key, w.value = "", nil
 }
 
-// Options configure a campaign run over results of type T.
-type Options[T any] struct {
+// Options configure a campaign run.
+type Options struct {
 	// Jobs is the number of concurrent jobs; values <= 1 run serially on
 	// the calling goroutine.
 	Jobs int
 	// Store, when non-nil, is consulted before and updated after every job
 	// with a non-empty Key.
-	Store Store[T]
+	Store PointStore
 }
 
 // JobError is a job's own failure as Run and every Backend report it: the
@@ -104,8 +108,8 @@ func (e *JobError) Unwrap() error { return e.Err }
 // On error the returned slice still has len(jobs) but slots whose jobs did
 // not complete are zero; the error reported is a *JobError for the failing
 // job with the lowest index among those that ran.
-func Run[T any](jobs []Job[T], opts Options[T]) ([]T, error) {
-	results := make([]T, len(jobs))
+func Run(jobs []Job, opts Options) ([]metrics.Point, error) {
+	results := make([]metrics.Point, len(jobs))
 	if len(jobs) == 0 {
 		return results, nil
 	}
@@ -168,7 +172,7 @@ func Run[T any](jobs []Job[T], opts Options[T]) ([]T, error) {
 }
 
 // runOne executes a single job through the store.
-func runOne[T any](j *Job[T], w *Worker, store Store[T], out *T) error {
+func runOne(j *Job, w *Worker, store PointStore, out *metrics.Point) error {
 	if j.Key != "" && store != nil {
 		if v, ok := store.Get(j.Key); ok {
 			*out = v

@@ -12,10 +12,10 @@ import (
 
 // indexJobs builds n jobs whose points encode their own index, so result
 // placement can be checked regardless of scheduling order.
-func indexJobs(n int) []Job[metrics.Point] {
-	jobs := make([]Job[metrics.Point], n)
+func indexJobs(n int) []Job {
+	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job[metrics.Point]{Run: func(w *Worker) (metrics.Point, error) {
+		jobs[i] = Job{Run: func(w *Worker) (metrics.Point, error) {
 			return metrics.Point{Rate: float64(i), Latency: float64(i * 10)}, nil
 		}}
 	}
@@ -23,12 +23,12 @@ func indexJobs(n int) []Job[metrics.Point] {
 }
 
 func TestRunOrdersResultsForAnyWorkerCount(t *testing.T) {
-	want, err := Run(indexJobs(23), Options[metrics.Point]{Jobs: 1})
+	want, err := Run(indexJobs(23), Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{2, 4, 16, 100} {
-		got, err := Run(indexJobs(23), Options[metrics.Point]{Jobs: jobs})
+		got, err := Run(indexJobs(23), Options{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestRunOrdersResultsForAnyWorkerCount(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	pts, err := Run(nil, Options[metrics.Point]{Jobs: 4})
+	pts, err := Run(nil, Options{Jobs: 4})
 	if err != nil || len(pts) != 0 {
 		t.Fatalf("empty run: %v, %v", pts, err)
 	}
@@ -50,7 +50,7 @@ func TestRunPropagatesError(t *testing.T) {
 	jobs := indexJobs(8)
 	jobs[3].Run = func(w *Worker) (metrics.Point, error) { return metrics.Point{}, boom }
 	for _, n := range []int{1, 4} {
-		_, err := Run(jobs, Options[metrics.Point]{Jobs: n})
+		_, err := Run(jobs, Options{Jobs: n})
 		if !errors.Is(err, boom) {
 			t.Fatalf("jobs=%d: error %v, want %v", n, err, boom)
 		}
@@ -69,9 +69,9 @@ func (c closeable) Close() { *c.closed = true }
 func TestWorkerStateReusedAndClosed(t *testing.T) {
 	var builds int
 	var closed bool
-	jobs := make([]Job[metrics.Point], 10)
+	jobs := make([]Job, 10)
 	for i := range jobs {
-		jobs[i] = Job[metrics.Point]{Run: func(w *Worker) (metrics.Point, error) {
+		jobs[i] = Job{Run: func(w *Worker) (metrics.Point, error) {
 			if _, ok := w.Cached("sys"); !ok {
 				builds++
 				w.Store("sys", closeable{closed: &closed})
@@ -79,7 +79,7 @@ func TestWorkerStateReusedAndClosed(t *testing.T) {
 			return metrics.Point{}, nil
 		}}
 	}
-	if _, err := Run(jobs, Options[metrics.Point]{Jobs: 1}); err != nil {
+	if _, err := Run(jobs, Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if builds != 1 {
@@ -92,11 +92,11 @@ func TestWorkerStateReusedAndClosed(t *testing.T) {
 
 func TestWorkerStateClosedOnError(t *testing.T) {
 	var closed bool
-	jobs := []Job[metrics.Point]{{Run: func(w *Worker) (metrics.Point, error) {
+	jobs := []Job{{Run: func(w *Worker) (metrics.Point, error) {
 		w.Store("sys", closeable{closed: &closed})
 		return metrics.Point{}, errors.New("boom")
 	}}}
-	if _, err := Run(jobs, Options[metrics.Point]{Jobs: 1}); err == nil {
+	if _, err := Run(jobs, Options{Jobs: 1}); err == nil {
 		t.Fatal("error not propagated")
 	}
 	if !closed {
@@ -139,10 +139,10 @@ func TestRunUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs int
-	mkJobs := func() []Job[metrics.Point] {
-		jobs := make([]Job[metrics.Point], 6)
+	mkJobs := func() []Job {
+		jobs := make([]Job, 6)
 		for i := range jobs {
-			jobs[i] = Job[metrics.Point]{
+			jobs[i] = Job{
 				Key: fmt.Sprintf("point-%d", i),
 				Run: func(w *Worker) (metrics.Point, error) {
 					runs++
@@ -152,14 +152,14 @@ func TestRunUsesCache(t *testing.T) {
 		}
 		return jobs
 	}
-	cold, err := Run(mkJobs(), Options[metrics.Point]{Jobs: 1, Store: cache})
+	cold, err := Run(mkJobs(), Options{Jobs: 1, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs != 6 {
 		t.Fatalf("cold run executed %d jobs, want 6", runs)
 	}
-	warm, err := Run(mkJobs(), Options[metrics.Point]{Jobs: 1, Store: cache})
+	warm, err := Run(mkJobs(), Options{Jobs: 1, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestRunSurvivesCacheWriteFailure(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	jobs := []Job[metrics.Point]{{Key: "k", Run: func(w *Worker) (metrics.Point, error) {
+	jobs := []Job{{Key: "k", Run: func(w *Worker) (metrics.Point, error) {
 		return metrics.Point{Rate: 0.5}, nil
 	}}}
-	pts, err := Run(jobs, Options[metrics.Point]{Jobs: 1, Store: cache})
+	pts, err := Run(jobs, Options{Jobs: 1, Store: cache})
 	if err != nil {
 		t.Fatalf("cache write failure aborted the run: %v", err)
 	}

@@ -108,22 +108,24 @@ func RunChurnFigure(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, e
 	return res.Churn[0], nil
 }
 
-// churnJobs lowers a churn panel to two jobs per case: the baseline, then
+// churnPart lowers a churn panel to two jobs per case: the baseline, then
 // the disturbed run.
-func churnJobs(fs ChurnFigureSpec) ([]planJob, error) {
+func churnPart(fs ChurnFigureSpec) (planPart, error) {
 	jobs := make([]planJob, 0, 2*len(fs.Cases))
 	for _, c := range fs.Cases {
 		base, err := collectivePlanJob(c.baseline())
 		if err != nil {
-			return nil, named(fs.Name, err)
+			return planPart{}, named(fs.Name, err)
 		}
 		kill, err := collectivePlanJob(c.Spec())
 		if err != nil {
-			return nil, named(fs.Name, err)
+			return planPart{}, named(fs.Name, err)
 		}
 		jobs = append(jobs, base, kill)
 	}
-	return jobs, nil
+	return planPart{[]jobGroup{{fs.Name, jobs}}, func(res *ExperimentResult, pts [][]metrics.Point) {
+		res.Churn = append(res.Churn, churnFigure(fs, pts[0]))
+	}}, nil
 }
 
 // churnFigure assembles a panel from its cases' baseline and disturbed

@@ -10,9 +10,9 @@ import (
 )
 
 // TestResilienceSweepChurn pins the RunOptions.Churn seam (sldffigures
-// -churn): a non-empty timeline must reach every network the resilience
-// sweep builds, measurably degrading the fault grid relative to the same
-// sweep without it. Both sweeps are deterministic, so inequality is a
+// -churn): a non-empty timeline must reach every network a resilience
+// figure builds, measurably degrading the fault grid relative to the same
+// figure without it. Both runs are deterministic, so inequality is a
 // stable assertion, not a statistical one.
 func TestResilienceSweepChurn(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 5}
@@ -24,12 +24,11 @@ func TestResilienceSweepChurn(t *testing.T) {
 		Rate:      0.4,
 		Sim:       tinySim(),
 	}
-	base, err := ResilienceSweep(cfg, opts)
+	base, err := resilienceCurve(cfg, opts, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Run.Churn = churnWindow(0.03, 0, netsim.DropInFlight)
-	churned, err := ResilienceSweep(cfg, opts)
+	churned, err := resilienceCurve(cfg, opts, RunOptions{Churn: churnWindow(0.03, 0, netsim.DropInFlight)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestResilienceSweepChurn(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatalf("Run.Churn changed nothing: the timeline never reached the built networks\n%+v", churned.Points)
+		t.Fatalf("RunOptions.Churn changed nothing: the timeline never reached the built networks\n%+v", churned.Points)
 	}
 }
 

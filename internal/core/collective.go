@@ -405,17 +405,19 @@ func collectivePlanJob(cs CollectiveSpec) (planJob, error) {
 	return planJob{spec: spec, sys: cs.Cfg.cacheID()}, err
 }
 
-// collectiveJobs lowers a collective panel to one job per case.
-func collectiveJobs(fs CollectiveFigureSpec) ([]planJob, error) {
+// collectivePart lowers a collective panel to one job per case.
+func collectivePart(fs CollectiveFigureSpec) (planPart, error) {
 	jobs := make([]planJob, len(fs.Cases))
 	for i, c := range fs.Cases {
 		job, err := collectivePlanJob(c.Spec())
 		if err != nil {
-			return nil, named(fs.Name, err)
+			return planPart{}, named(fs.Name, err)
 		}
 		jobs[i] = job
 	}
-	return jobs, nil
+	return planPart{[]jobGroup{{fs.Name, jobs}}, func(res *ExperimentResult, pts [][]metrics.Point) {
+		res.Collectives = append(res.Collectives, collectiveFigure(fs, pts[0]))
+	}}, nil
 }
 
 // collectiveFigure assembles a panel from its cases' points.

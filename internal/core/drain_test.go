@@ -240,12 +240,14 @@ func TestPointSpecRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w campaign.Worker
-	if _, err := runPointSpec(&w, payload); !errors.Is(err, ErrSimParams) {
-		t.Fatalf("executor err = %v, want ErrSimParams", err)
-	}
-	if _, built := w.Cached(cfg.cacheID()); built {
-		t.Fatal("the executor built a system for a spec it rejects")
+	for fam := range pointFamilies {
+		var w campaign.Worker
+		if _, err := runPointSpec(&w, payload, pointFamily(fam)); !errors.Is(err, ErrSimParams) {
+			t.Fatalf("family %d: executor err = %v, want ErrSimParams", fam, err)
+		}
+		if _, built := w.Cached(cfg.cacheID()); built {
+			t.Fatalf("family %d: the executor built a system for a spec it rejects", fam)
+		}
 	}
 
 	srv := remote.NewServer(remote.ServerOptions{Jobs: 1})

@@ -9,69 +9,92 @@ import (
 	"sldf/internal/metrics"
 )
 
-// This file lowers an experiment plan's campaign jobs — latency-series
-// points, collective cases and churn cases — into one job list and runs it
-// in one backend call, ordered by configuration, then scatters the points
-// back into the plan's figures. SweepOpts, RunCollectiveFigure and
-// RunChurnFigure are the same fan-out over a one-figure plan.
+// This file lowers every measurement of an experiment plan — latency-series
+// points, energy bars, resilience fault draws, collective cases and churn
+// cases — into one job list, runs it in one backend call ordered by
+// configuration, and reduces the points back into the plan's figures.
+// RunExperiment, SweepOpts, RunCollectiveFigure and RunChurnFigure are all
+// this one fan-out.
 
-// runPlanJobs runs the plan's latency figures, collective panels and churn
-// panels as one fan-out (see executeGroups) and assembles their results in
-// plan order. Each series and each panel is one job group, named by its
-// figure for error reports.
+// planPart is one figure of a plan lowered to job groups, with the reducer
+// that assembles the groups' points into that figure of the result.
+type planPart struct {
+	groups []jobGroup
+	reduce func(res *ExperimentResult, pts [][]metrics.Point)
+}
+
+// runPlanJobs runs every figure of the plan as one fan-out (see
+// executeGroups) and assembles the results in plan order, latency figures
+// before resilience figures in Figures. Each series, panel or resilience
+// curve is one job group, named by its figure for error reports.
 func runPlanJobs(plan ExperimentPlan, opts RunOptions) (ExperimentResult, error) {
 	var (
 		res    ExperimentResult
+		parts  []planPart
 		groups []jobGroup
+		err    error
 	)
-	for _, fs := range plan.Figures {
-		for _, ss := range fs.Series {
-			jobs, err := seriesJobs(fs.Name, ss)
-			if err != nil {
-				return res, err
-			}
-			groups = append(groups, jobGroup{fs.Name, jobs})
+	add := func(p planPart, perr error) {
+		parts, groups = append(parts, p), append(groups, p.groups...)
+		if err == nil {
+			err = perr
 		}
+	}
+	for _, fs := range plan.Figures {
+		add(latencyPart(fs))
+	}
+	for _, es := range plan.Energy {
+		add(energyPart(es))
+	}
+	for _, rs := range plan.Resilience {
+		add(resiliencePart(rs, opts.Churn))
 	}
 	for _, cs := range plan.Collectives {
-		jobs, err := collectiveJobs(cs)
-		if err != nil {
-			return res, err
-		}
-		groups = append(groups, jobGroup{cs.Name, jobs})
+		add(collectivePart(cs))
 	}
 	for _, cs := range plan.Churn {
-		jobs, err := churnJobs(cs)
-		if err != nil {
-			return res, err
-		}
-		groups = append(groups, jobGroup{cs.Name, jobs})
+		add(churnPart(cs))
+	}
+	if err != nil {
+		return res, err
 	}
 	pts, err := opts.executeGroups(groups)
 	if err != nil {
 		return res, err
 	}
-	for _, fs := range plan.Figures {
+	for _, p := range parts {
+		p.reduce(&res, pts[:len(p.groups)])
+		pts = pts[len(p.groups):]
+	}
+	return res, nil
+}
+
+// latencyPart lowers a latency figure to one group per series, a
+// load-point job per rate.
+func latencyPart(fs FigureSpec) (planPart, error) {
+	p := planPart{reduce: func(res *ExperimentResult, pts [][]metrics.Point) {
 		fig := metrics.Figure{Name: fs.Name, Title: fs.Title, XLabel: fs.XLabel, YLabel: fs.YLabel}
-		for _, ss := range fs.Series {
+		for i, ss := range fs.Series {
 			label := ss.Label
 			if label == "" {
 				label = ss.Cfg.Label()
 			}
-			fig.Series = append(fig.Series, metrics.Series{Label: label, Points: pts[0]})
-			pts = pts[1:]
+			fig.Series = append(fig.Series, metrics.Series{Label: label, Points: pts[i]})
 		}
 		res.Figures = append(res.Figures, fig)
+	}}
+	for _, ss := range fs.Series {
+		jobs := make([]planJob, len(ss.Rates))
+		for i, rate := range ss.Rates {
+			job, err := pointPlanJob(sweepFamily, ss.Cfg, ss.Pattern, rate, ss.Sim)
+			if err != nil {
+				return p, named(fs.Name, err)
+			}
+			jobs[i] = job
+		}
+		p.groups = append(p.groups, jobGroup{fs.Name, jobs})
 	}
-	for _, cs := range plan.Collectives {
-		res.Collectives = append(res.Collectives, collectiveFigure(cs, pts[0]))
-		pts = pts[1:]
-	}
-	for _, cs := range plan.Churn {
-		res.Churn = append(res.Churn, churnFigure(cs, pts[0]))
-		pts = pts[1:]
-	}
-	return res, nil
+	return p, nil
 }
 
 // planJob is one declarative job of a fan-out (data, not code) with the
@@ -95,20 +118,6 @@ func named(name string, err error) error {
 		return err
 	}
 	return fmt.Errorf("%s: %w", name, err)
-}
-
-// seriesJobs lowers one series of figure fig to a load-point job per rate.
-func seriesJobs(fig string, ss SeriesSpec) ([]planJob, error) {
-	sys := ss.Cfg.cacheID()
-	jobs := make([]planJob, len(ss.Rates))
-	for i, rate := range ss.Rates {
-		spec, err := PointJob(ss.Cfg, ss.Pattern, rate, ss.Sim)
-		if err != nil {
-			return nil, named(fig, err)
-		}
-		jobs[i] = planJob{spec: spec, sys: sys}
-	}
-	return jobs, nil
 }
 
 // executeGroups runs every group's jobs in one backend call and returns

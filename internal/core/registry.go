@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sldf/internal/campaign"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 )
@@ -65,7 +64,7 @@ type ResilienceFigureSpec struct {
 	Name, Title    string
 	XLabel, YLabel string
 	// Opts carries the failure grid, seeds and traffic point shared by all
-	// series (Run is overridden by the runner's options).
+	// series.
 	Opts   ResilienceOpts
 	Series []ResilienceSeriesSpec
 }
@@ -146,35 +145,17 @@ type ExperimentResult struct {
 }
 
 // RunExperiment executes a registered experiment at the given scale: the
-// one generic runner behind every figure. Every latency-series point,
-// collective case and churn case of the plan runs in one fan-out through
-// the Backend seam (shardable across workers), ordered configuration-major
-// so each worker builds a configuration's system about once; energy bars
-// fan out over the generic campaign scheduler; resilience curves run the
-// fault grid. The produced figures are bitwise identical to the historical
+// one generic runner behind every figure. Every measurement of the plan —
+// latency-series points, energy bars, resilience fault draws, collective
+// and churn cases — runs in one fan-out through the Backend seam
+// (shardable across workers, replayable from the store), ordered
+// configuration-major so each worker builds a configuration's system about
+// once. The produced figures are bitwise identical to the historical
 // hand-written runners.
 func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (ExperimentResult, error) {
 	plan := spec.Plan(scale)
 	applyEngineOverride(&plan, opts.Engine)
-	res, err := runPlanJobs(plan, opts)
-	if err != nil {
-		return res, err
-	}
-	for _, es := range plan.Energy {
-		fig, err := runEnergySpec(es, opts)
-		if err != nil {
-			return res, err
-		}
-		res.Energy = append(res.Energy, fig)
-	}
-	for _, rs := range plan.Resilience {
-		fig, err := runResilienceSpec(rs, opts)
-		if err != nil {
-			return res, err
-		}
-		res.Figures = append(res.Figures, fig)
-	}
-	return res, nil
+	return runPlanJobs(plan, opts)
 }
 
 // RunExperimentByName is RunExperiment after a registry lookup.
@@ -220,64 +201,27 @@ func applyEngineOverride(plan *ExperimentPlan, engine netsim.EngineKind) {
 	}
 }
 
-// runEnergySpec measures every bar of an energy panel as a typed campaign
-// job: the generic scheduler's result type is EnergyBar here, which is what
-// lets energy figures share the fan-out machinery instead of copying it.
-func runEnergySpec(es EnergyFigureSpec, opts RunOptions) (EnergyFigure, error) {
-	fig := EnergyFigure{Name: es.Name, Title: es.Title}
-	jobs := make([]campaign.Job[EnergyBar], len(es.Bars))
+// energyPart lowers an energy panel to one energy-family point job per bar.
+func energyPart(es EnergyFigureSpec) (planPart, error) {
+	jobs := make([]planJob, len(es.Bars))
 	for i, bar := range es.Bars {
-		jobs[i] = campaign.Job[EnergyBar]{
-			Run: func(w *campaign.Worker) (EnergyBar, error) {
-				// Every bar has a distinct configuration (worker caching
-				// could never hit) and the full-scale panels hold 18560-chip
-				// systems, so build and release per bar to keep peak
-				// residency at one system per worker.
-				sys, err := Build(bar.Cfg)
-				if err != nil {
-					return EnergyBar{}, err
-				}
-				defer sys.Close()
-				pat, err := sys.PatternFor(bar.Pattern)
-				if err != nil {
-					return EnergyBar{}, err
-				}
-				res, err := sys.MeasureLoad(pat, bar.Rate, bar.Sim)
-				if err != nil {
-					return EnergyBar{}, err
-				}
-				st := res.Stats
-				// Simplified pricing: every intra-C-group hop ≈ 1 pJ/bit.
-				intra := st.MeanHops(0)*1 + st.MeanHops(1)*1
-				inter := st.MeanHops(2)*20 + st.MeanHops(3)*20
-				return EnergyBar{Label: bar.Label, Intra: intra, Inter: inter}, nil
-			},
+		job, err := pointPlanJob(energyFamily, bar.Cfg, bar.Pattern, bar.Rate, bar.Sim)
+		if err != nil {
+			return planPart{}, named(es.Name, err)
 		}
+		jobs[i] = job
 	}
-	bars, err := campaign.Run(jobs, campaign.Options[EnergyBar]{Jobs: opts.Jobs})
-	if err != nil {
-		return fig, fmt.Errorf("%s: %w", es.Name, err)
-	}
-	fig.Bars = bars
-	return fig, nil
+	return planPart{[]jobGroup{{es.Name, jobs}}, func(res *ExperimentResult, pts [][]metrics.Point) {
+		res.Energy = append(res.Energy, energyFigure(es, pts[0]))
+	}}, nil
 }
 
-// runResilienceSpec sweeps every curve of a resilience figure across the
-// shared failure grid.
-func runResilienceSpec(rs ResilienceFigureSpec, opts RunOptions) (metrics.Figure, error) {
-	fig := metrics.Figure{Name: rs.Name, Title: rs.Title, XLabel: rs.XLabel, YLabel: rs.YLabel}
-	for _, ss := range rs.Series {
-		ropts := rs.Opts
-		ropts.Run = opts
-		sweep, err := ResilienceSweep(ss.Cfg, ropts)
-		if err != nil {
-			return fig, fmt.Errorf("%s (%s): %w", rs.Name, ss.Label, err)
-		}
-		s := sweep.Series()
-		if ss.Label != "" {
-			s.Label = ss.Label
-		}
-		fig.Series = append(fig.Series, s)
+// energyFigure assembles a panel from its bars' points, whose Aux carries
+// the priced intra/inter pJ/bit.
+func energyFigure(es EnergyFigureSpec, pts []metrics.Point) EnergyFigure {
+	fig := EnergyFigure{Name: es.Name, Title: es.Title, Bars: make([]EnergyBar, len(es.Bars))}
+	for i, bar := range es.Bars {
+		fig.Bars[i] = EnergyBar{Label: bar.Label, Intra: pts[i].Aux[0], Inter: pts[i].Aux[1]}
 	}
-	return fig, nil
+	return fig
 }

@@ -11,6 +11,7 @@ import (
 	"sldf/internal/campaign"
 	"sldf/internal/campaign/remote"
 	"sldf/internal/metrics"
+	"sldf/internal/routing"
 )
 
 // These tests prove the acceptance criterion end to end on the real
@@ -140,5 +141,108 @@ func TestRemoteWorkerStoreServesReplays(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("worker-store replay diverged")
+	}
+}
+
+// tinyEnergyResiliencePlan is a Fig. 15 panel and a resilience figure on
+// single radix-16 W-groups: fractions 0 and 0.05 plus an absurd fraction
+// that partitions every draw, two fault seeds.
+func tinyEnergyResiliencePlan() ExperimentPlan {
+	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 3, Workers: 1}
+	swb.DF.G = 1
+	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 3, Workers: 1}
+	swl.SLDF.G = 1
+	sim := tinySim()
+	en := EnergyFigureSpec{Name: "en", Title: "tiny energy"}
+	for _, cfg := range []Config{swb, swl, withMode(swb, routing.Valiant), withMode(swl, routing.Valiant)} {
+		en.Bars = append(en.Bars, EnergyBarSpec{Cfg: cfg, Pattern: "uniform", Rate: 0.3, Label: cfg.Label(), Sim: sim})
+	}
+	return ExperimentPlan{
+		Energy: []EnergyFigureSpec{en},
+		Resilience: []ResilienceFigureSpec{{Name: "res", Title: "tiny resilience",
+			Opts: ResilienceOpts{Fractions: []float64{0, 0.05, 0.9}, RouterScale: 0.5, Seeds: []uint64{1, 2},
+				Pattern: "uniform", Rate: 0.2, Sim: sim},
+			Series: []ResilienceSeriesSpec{{Cfg: swb, Label: "sw-based"}, {Cfg: swl}},
+		}},
+	}
+}
+
+// TestEnergyResilienceIdenticalAcrossBackends: the energy panel and the
+// resilience figure are the same figures run serially, on four local
+// workers, into a cold disk cache, replayed from that cache by a fresh
+// store, and sharded over two loopback worker daemons; the replay simulates
+// nothing and keeps the infeasible draws' counts.
+func TestEnergyResilienceIdenticalAcrossBackends(t *testing.T) {
+	plan := tinyEnergyResiliencePlan()
+	spec := ExperimentSpec{Name: "tiny", Plan: func(Scale) ExperimentPlan { return plan }}
+	run := func(opts RunOptions) ExperimentResult {
+		t.Helper()
+		res, err := RunExperiment(spec, ScaleQuick, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(RunOptions{})
+	if n := len(serial.Figures[0].Series[0].Points); n != 2 {
+		t.Fatalf("sw-based resilience curve has %d points, want 2 (the absurd fraction omitted)", n)
+	}
+	for _, bar := range serial.Energy[0].Bars {
+		if bar.Inter <= 0 || (bar.Label != "sw-based" && bar.Label != "sw-based-mis" && bar.Intra <= 0) {
+			t.Fatalf("bar not priced: %+v", bar)
+		}
+	}
+
+	dir := t.TempDir()
+	cold, err := campaign.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := campaign.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteBackend, err := remote.New(remoteCluster(t, 2), remote.Options{BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]RunOptions{
+		"jobs4":  {Jobs: 4},
+		"remote": {Jobs: 4, Backend: remoteBackend},
+	} {
+		if got := run(opts); !reflect.DeepEqual(got, serial) {
+			t.Fatalf("%s diverged from serial:\n got %+v\nwant %+v", name, got, serial)
+		}
+	}
+	if got := run(RunOptions{Jobs: 2, Store: cold}); !reflect.DeepEqual(got, serial) {
+		t.Fatalf("cold-store run diverged from serial:\n got %+v\nwant %+v", got, serial)
+	}
+	if got := run(RunOptions{Jobs: 2, Store: warm}); !reflect.DeepEqual(got, serial) {
+		t.Fatalf("warm replay diverged from serial:\n got %+v\nwant %+v", got, serial)
+	}
+	if warm.Misses() != 0 || warm.Hits() != cold.Misses() {
+		t.Fatalf("warm replay: %d hits, %d misses; want all %d jobs replayed", warm.Hits(), warm.Misses(), cold.Misses())
+	}
+
+	// The per-fraction aggregates behind the figure replay too.
+	rs := plan.Resilience[0]
+	for _, ss := range rs.Series {
+		want, err := resilienceCurve(ss.Cfg, rs.Opts, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := resilienceCurve(ss.Cfg, rs.Opts, RunOptions{Store: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replayed curve diverged:\n got %+v\nwant %+v", got, want)
+		}
+		if p := got.Points[2]; p.Infeasible != 2 || p.Clean() != 0 {
+			t.Fatalf("%s: absurd fraction replayed as %+v, want both draws infeasible", ss.Cfg.Label(), p)
+		}
+	}
+	if warm.Misses() != 0 {
+		t.Fatalf("curve replay missed the cache %d times", warm.Misses())
 	}
 }

@@ -4,15 +4,17 @@ import (
 	"errors"
 	"fmt"
 
-	"sldf/internal/campaign"
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 	"sldf/internal/routing"
 	"sldf/internal/topology"
 )
 
-// ResilienceOpts configures a resilience sweep: one traffic point measured
-// across increasing failure fractions, averaged over fault seeds.
+// ResilienceOpts configures a resilience curve: one traffic point measured
+// across increasing failure fractions, averaged over fault seeds. Every
+// (fraction, seed) draw is one job of the experiment's fan-out, so its
+// point is cached and sharded like any other; RunOptions.Churn layers a
+// live fault timeline over every draw.
 type ResilienceOpts struct {
 	// Fractions is the x-axis: the fraction of the topology's samplable
 	// channels to fail. A fraction of exactly 0 measures the pristine
@@ -30,13 +32,6 @@ type ResilienceOpts struct {
 	Rate    float64
 	// Sim is the measurement window.
 	Sim SimParams
-	// Run controls parallelism: Run.Jobs (fraction, seed) points are
-	// measured concurrently. Results are identical for any value. The
-	// point cache is not consulted: resilience points are keyed by their
-	// fault spec and cheap relative to full sweeps. A non-empty Run.Churn
-	// timeline is armed on every built network, layering in-run component
-	// death and repair over the static fault grid.
-	Run RunOptions
 }
 
 // ResiliencePoint aggregates one failure fraction across fault seeds.
@@ -91,70 +86,109 @@ func (rs ResilienceSeries) Series() metrics.Series {
 	return s
 }
 
-// ResilienceSweep measures cfg's traffic point across the failure grid.
-// For every (fraction, seed) pair the network is rebuilt with the drawn
-// fault set and measured once; infeasible draws (typed rejections) and
-// watchdog-tripped runs are counted per point instead of failing the
-// sweep. Any other error aborts. Results are deterministic for a fixed
-// (FaultSpec, seed) grid regardless of Run.Jobs, the worker count, or the
-// cycle engine (both engines are bitwise identical).
-func ResilienceSweep(cfg Config, opts ResilienceOpts) (ResilienceSeries, error) {
-	if len(opts.Fractions) == 0 || len(opts.Seeds) == 0 {
-		return ResilienceSeries{}, fmt.Errorf("core: resilience sweep needs fractions and seeds")
-	}
-	if opts.RouterScale < 0 {
-		return ResilienceSeries{}, fmt.Errorf("core: negative RouterScale %g", opts.RouterScale)
-	}
-	nf, ns := len(opts.Fractions), len(opts.Seeds)
-	jobs := make([]campaign.Job[resilienceCell], nf*ns)
-	for fi, fraction := range opts.Fractions {
-		for si, seed := range opts.Seeds {
-			jobs[fi*ns+si].Run = func(*campaign.Worker) (resilienceCell, error) {
-				if fraction == 0 && si > 0 {
-					// Fraction 0 builds the identical pristine network for
-					// every seed; measure it once and fan the result out
-					// below.
-					return resilienceCell{}, nil
+// Outcomes a resilience job records as its point's Aux when the fault draw
+// produced no measurement; a clean draw's Aux is empty.
+const (
+	drawInfeasible = 1
+	drawDeadlocked = 2
+)
+
+// resiliencePart lowers a resilience figure to one job group per curve:
+// for every fraction, one resilience-family point job per fault seed on the
+// curve's config rebuilt with that draw (and churn armed when non-empty).
+// Fraction 0 builds the identical pristine network for every seed, so it
+// is one job whose point the reducer shares across seeds.
+func resiliencePart(rs ResilienceFigureSpec, churn topology.FaultTimeline) (planPart, error) {
+	o := rs.Opts
+	p := planPart{reduce: func(res *ExperimentResult, pts [][]metrics.Point) {
+		res.Figures = append(res.Figures, resilienceFigure(rs, pts))
+	}}
+	for _, ss := range rs.Series {
+		g := jobGroup{name: fmt.Sprintf("%s (%s)", rs.Name, ss.Label)}
+		switch {
+		case len(o.Fractions) == 0 || len(o.Seeds) == 0:
+			return p, named(g.name, errors.New("core: resilience sweep needs fractions and seeds"))
+		case o.RouterScale < 0:
+			return p, named(g.name, fmt.Errorf("core: negative RouterScale %g", o.RouterScale))
+		}
+		for _, fraction := range o.Fractions {
+			for _, seed := range drawSeeds(o, fraction) {
+				cfg := ss.Cfg
+				cfg.Faults = topology.FaultSpec{Seed: seed, LinkFraction: fraction, RouterFraction: o.RouterScale * fraction}
+				if !churn.Empty() {
+					cfg.Churn = churn
 				}
-				c, err := measureResilienceCell(cfg, opts, fraction, seed)
+				job, err := pointPlanJob(resilienceFamily, cfg, o.Pattern, o.Rate, o.Sim)
 				if err != nil {
-					err = fmt.Errorf("core: resilience point (fraction %g, seed %d): %w", fraction, seed, err)
+					return p, named(g.name, err)
 				}
-				return c, err
+				g.jobs = append(g.jobs, job)
 			}
 		}
+		p.groups = append(p.groups, g)
 	}
-	// campaign.Run stops handing out cells after a fatal error and reports
-	// the failing cell with the lowest index; typed infeasible/deadlock
-	// outcomes are cell values, never errors.
-	cells, err := campaign.Run(jobs, campaign.Options[resilienceCell]{Jobs: opts.Run.Jobs})
-	if err != nil {
-		return ResilienceSeries{}, err
-	}
-	for fi, fraction := range opts.Fractions {
-		if fraction != 0 {
-			continue
-		}
-		for si := 1; si < ns; si++ {
-			cells[fi*ns+si] = cells[fi*ns]
-		}
-	}
+	return p, nil
+}
 
-	series := ResilienceSeries{Label: cfg.Label()}
-	for fi, fraction := range opts.Fractions {
-		pt := ResiliencePoint{Fraction: fraction, Seeds: ns}
-		for si := range opts.Seeds {
-			c := &cells[fi*ns+si]
+// drawSeeds returns the seeds measured at a fraction: all of them, or the
+// first alone for the pristine fraction 0.
+func drawSeeds(o ResilienceOpts, fraction float64) []uint64 {
+	if fraction == 0 {
+		return o.Seeds[:1]
+	}
+	return o.Seeds
+}
+
+// resilienceOutcome turns a fault draw's measurement into the job's point:
+// typed rejections — a partitioned survivor network at build time, or one a
+// churn timeline disconnects mid-measurement — and watchdog trips become
+// outcomes; any other error fails the job.
+func resilienceOutcome(pt metrics.Point, err error, f topology.FaultSpec) (metrics.Point, error) {
+	switch {
+	case err == nil:
+		return pt, nil
+	case errors.Is(err, netsim.ErrDeadlock):
+		return metrics.Point{Aux: []float64{drawDeadlocked}}, nil
+	case infeasible(err):
+		return metrics.Point{Aux: []float64{drawInfeasible}}, nil
+	}
+	return metrics.Point{}, fmt.Errorf("core: resilience point (fraction %g, seed %d): %w", f.LinkFraction, f.Seed, err)
+}
+
+// resilienceFigure reduces each curve's fault draws to its flattened
+// series.
+func resilienceFigure(rs ResilienceFigureSpec, pts [][]metrics.Point) metrics.Figure {
+	fig := metrics.Figure{Name: rs.Name, Title: rs.Title, XLabel: rs.XLabel, YLabel: rs.YLabel}
+	for i, ss := range rs.Series {
+		label := ss.Label
+		if label == "" {
+			label = ss.Cfg.Label()
+		}
+		fig.Series = append(fig.Series, resilienceSeries(rs.Opts, label, pts[i]).Series())
+	}
+	return fig
+}
+
+// resilienceSeries aggregates one curve's draws (in resiliencePart order)
+// per fraction: infeasible and deadlocked draws are counted, and the
+// latency/throughput means are taken over the clean draws.
+func resilienceSeries(o ResilienceOpts, label string, pts []metrics.Point) ResilienceSeries {
+	series := ResilienceSeries{Label: label}
+	for _, fraction := range o.Fractions {
+		draws := len(drawSeeds(o, fraction))
+		pt := ResiliencePoint{Fraction: fraction, Seeds: len(o.Seeds)}
+		for si := range o.Seeds {
+			c := pts[min(si, draws-1)]
 			switch {
-			case c.infeasible:
+			case len(c.Aux) == 0:
+				pt.Latency += c.Latency
+				pt.P50 += c.P50
+				pt.P99 += c.P99
+				pt.Throughput += c.Throughput
+			case c.Aux[0] == drawInfeasible:
 				pt.Infeasible++
-			case c.deadlocked:
-				pt.Deadlocked++
 			default:
-				pt.Latency += c.point.Latency
-				pt.P50 += c.point.P50
-				pt.P99 += c.point.P99
-				pt.Throughput += c.point.Throughput
+				pt.Deadlocked++
 			}
 		}
 		if n := float64(pt.Clean()); n > 0 {
@@ -164,58 +198,9 @@ func ResilienceSweep(cfg Config, opts ResilienceOpts) (ResilienceSeries, error) 
 			pt.Throughput /= n
 		}
 		series.Points = append(series.Points, pt)
+		pts = pts[draws:]
 	}
-	return series, nil
-}
-
-// resilienceCell is one (fraction, seed) draw's outcome: a measured point,
-// or the typed reason it has none.
-type resilienceCell struct {
-	point      metrics.Point
-	infeasible bool
-	deadlocked bool
-}
-
-// measureResilienceCell builds cfg with the fault draw for (fraction, seed)
-// and measures the sweep's traffic point on it. Typed rejections and
-// watchdog trips are outcomes; any other error is returned.
-func measureResilienceCell(cfg Config, opts ResilienceOpts, fraction float64, seed uint64) (resilienceCell, error) {
-	cfg.Faults = topology.FaultSpec{
-		Seed:           seed,
-		LinkFraction:   fraction,
-		RouterFraction: opts.RouterScale * fraction,
-	}
-	if !opts.Run.Churn.Empty() {
-		// Live churn rides on top of the static fault draw: the degraded
-		// network additionally loses (and regains) components
-		// mid-measurement.
-		cfg.Churn = opts.Run.Churn
-	}
-	sys, err := Build(cfg)
-	if err != nil {
-		if infeasible(err) {
-			return resilienceCell{infeasible: true}, nil
-		}
-		return resilienceCell{}, err
-	}
-	defer sys.Close()
-	pat, err := sys.PatternFor(opts.Pattern)
-	if err != nil {
-		return resilienceCell{}, err
-	}
-	res, err := sys.MeasureLoad(pat, opts.Rate, opts.Sim)
-	switch {
-	case err == nil:
-		return resilienceCell{point: res.Point}, nil
-	case errors.Is(err, netsim.ErrDeadlock):
-		return resilienceCell{deadlocked: true}, nil
-	case infeasible(err):
-		// A churn timeline can disconnect survivors that the static draw
-		// left connected; that is an infeasible draw mid-measurement, not
-		// a sweep failure.
-		return resilienceCell{infeasible: true}, nil
-	}
-	return resilienceCell{}, err
+	return series
 }
 
 // infeasible reports whether err is a typed rejection of a fault draw: the

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 	"sldf/internal/routing"
 	"sldf/internal/topology"
@@ -120,6 +121,22 @@ func TestFaultedMeasurementDeterministic(t *testing.T) {
 	}
 }
 
+// resilienceCurve measures one resilience curve on the plan path — the
+// jobs RunExperiment sends to the backend, reduced as resilienceFigure
+// reduces them — and returns its per-fraction aggregates.
+func resilienceCurve(cfg Config, o ResilienceOpts, opts RunOptions) (ResilienceSeries, error) {
+	rs := ResilienceFigureSpec{Name: "res", Opts: o, Series: []ResilienceSeriesSpec{{Cfg: cfg}}}
+	part, err := resiliencePart(rs, opts.Churn)
+	if err != nil {
+		return ResilienceSeries{}, err
+	}
+	pts, err := opts.executeGroups(part.groups)
+	if err != nil {
+		return ResilienceSeries{}, err
+	}
+	return resilienceSeries(o, cfg.Label(), pts[0]), nil
+}
+
 func TestResilienceSweepSmall(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 11}
 	cfg.SLDF.G = 1
@@ -131,7 +148,7 @@ func TestResilienceSweepSmall(t *testing.T) {
 		Rate:        0.3,
 		Sim:         tinySim(),
 	}
-	serial, err := ResilienceSweep(cfg, opts)
+	serial, err := resilienceCurve(cfg, opts, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,35 +164,58 @@ func TestResilienceSweepSmall(t *testing.T) {
 		t.Fatalf("pristine point unhealthy: %+v", p0)
 	}
 	// Parallel execution must be bitwise identical.
-	opts.Run.Jobs = 4
-	parallel, err := ResilienceSweep(cfg, opts)
+	parallel, err := resilienceCurve(cfg, opts, RunOptions{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel resilience sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	// The flattened series keeps the fraction axis.
-	ms := serial.Series()
-	if ms.Points[1].Rate != 0.1 {
-		t.Fatalf("flattened series rate axis = %v", ms.Points)
+	// The experiment's figure is the flattened curve, on the fraction axis.
+	fig := runResilienceFigure(t, ResilienceFigureSpec{Name: "res", Opts: opts,
+		Series: []ResilienceSeriesSpec{{Cfg: cfg}}}, RunOptions{Jobs: 2})
+	if ms := fig.Series[0]; !reflect.DeepEqual(ms, serial.Series()) || ms.Points[1].Rate != 0.1 {
+		t.Fatalf("figure series %+v, want the flattened curve %+v", ms, serial.Series())
 	}
-	if _, err := ResilienceSweep(cfg, ResilienceOpts{}); err == nil {
+	empty := ExperimentSpec{Name: "res", Plan: func(Scale) ExperimentPlan {
+		return ExperimentPlan{Resilience: []ResilienceFigureSpec{{Name: "res",
+			Series: []ResilienceSeriesSpec{{Cfg: cfg}}}}}
+	}}
+	if _, err := RunExperiment(empty, ScaleQuick, RunOptions{}); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }
 
+// runResilienceFigure runs one resilience figure through RunExperiment.
+func runResilienceFigure(t *testing.T, rs ResilienceFigureSpec, opts RunOptions) metrics.Figure {
+	t.Helper()
+	res, err := RunExperiment(ExperimentSpec{Name: rs.Name, Plan: func(Scale) ExperimentPlan {
+		return ExperimentPlan{Resilience: []ResilienceFigureSpec{rs}}
+	}}, ScaleQuick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Figures[0]
+}
+
 // TestResilienceSeriesOmitsEmptyPoints: a fraction where every draw was
-// infeasible must vanish from the flattened curve instead of rendering as
-// an all-zero (perfect-looking) point.
+// infeasible or deadlocked must vanish from the figure's curve instead of
+// rendering as an all-zero (perfect-looking) point.
 func TestResilienceSeriesOmitsEmptyPoints(t *testing.T) {
-	rs := ResilienceSeries{Label: "x", Points: []ResiliencePoint{
-		{Fraction: 0, Seeds: 2, Latency: 10},
-		{Fraction: 0.5, Seeds: 2, Infeasible: 1, Deadlocked: 1},
-	}}
-	s := rs.Series()
-	if len(s.Points) != 1 || s.Points[0].Rate != 0 {
+	rs := ResilienceFigureSpec{Name: "res",
+		Opts:   ResilienceOpts{Fractions: []float64{0, 0.5}, Seeds: []uint64{1, 2}},
+		Series: []ResilienceSeriesSpec{{Label: "x"}}}
+	// Draws in resiliencePart order: fraction 0 once, then both seeds of
+	// fraction 0.5.
+	draws := []metrics.Point{{Latency: 10},
+		{Aux: []float64{drawInfeasible}}, {Aux: []float64{drawDeadlocked}}}
+	fig := resilienceFigure(rs, [][]metrics.Point{draws})
+	if s := fig.Series[0]; len(s.Points) != 1 || s.Points[0].Rate != 0 || s.Points[0].Latency != 10 {
 		t.Fatalf("empty point not omitted: %+v", s.Points)
+	}
+	curve := resilienceSeries(rs.Opts, "x", draws)
+	if p := curve.Points[1]; p.Infeasible != 1 || p.Deadlocked != 1 || p.Clean() != 0 {
+		t.Fatalf("draw outcomes miscounted: %+v", p)
 	}
 }
 
@@ -192,7 +232,7 @@ func TestResilienceSweepCountsInfeasible(t *testing.T) {
 		Rate:      0.2,
 		Sim:       tinySim(),
 	}
-	rs, err := ResilienceSweep(cfg, opts)
+	rs, err := resilienceCurve(cfg, opts, RunOptions{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

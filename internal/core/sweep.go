@@ -34,11 +34,12 @@ type RunOptions struct {
 	// engine, so overridden runs never replay another engine's points.
 	Engine netsim.EngineKind
 	// Churn, when non-empty, arms this in-run fault timeline on every
-	// system a resilience sweep builds, degrading the fault grid with live
-	// component death and repair (the -churn flag of sldffigures). Other
-	// experiment families ignore it; their configs carry their own
-	// Config.Churn. Resilience points are never cached, so the timeline
-	// cannot collide with cached churn-free points.
+	// network a resilience figure builds, degrading the fault grid with
+	// live component death and repair (the -churn flag of sldffigures).
+	// Other experiment families ignore it; their configs carry their own
+	// Config.Churn. The timeline lands in each resilience draw's Config,
+	// so its job key carries it and churned draws never replay churn-free
+	// points, nor the other way round.
 	Churn topology.FaultTimeline
 }
 
@@ -146,15 +147,17 @@ func (opts RunOptions) execute(specs []campaign.JobSpec) ([]metrics.Point, error
 
 // workerSystem returns a worker-local system for cfg, building on first use
 // and resetting to the just-built state on reuse. The campaign worker owns
-// the system and closes it (releasing its goroutine pool) when a job needs
-// another configuration or the run finishes, on success and error paths
-// alike.
+// the system and closes it (releasing its goroutine pool) when the run
+// finishes, on success and error paths alike; a job that needs another
+// configuration closes the held system before building its own, so a
+// worker never keeps two systems reachable.
 func workerSystem(w *campaign.Worker, key string, cfg Config) (*System, error) {
 	if v, ok := w.Cached(key); ok {
 		sys := v.(*System)
 		sys.Reset()
 		return sys, nil
 	}
+	w.Close()
 	sys, err := Build(cfg)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 
 	"sldf/internal/campaign"
 	"sldf/internal/routing"
+	"sldf/internal/topology"
 )
 
 func TestRateGridIntegerStepping(t *testing.T) {
@@ -241,4 +242,29 @@ func TestSweepClosesPoolsOnErrorPaths(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// closeFunc is a worker-held value that records its release.
+type closeFunc func()
+
+func (f closeFunc) Close() { f() }
+
+// TestWorkerSystemClosesBeforeBuilding: a worker asked for another
+// configuration releases the value it holds before building, so a failing
+// (or memory-heavy) build never has two systems reachable at once.
+func TestWorkerSystemClosesBeforeBuilding(t *testing.T) {
+	var w campaign.Worker
+	closed := false
+	w.Store("held", closeFunc(func() { closed = true }))
+	// Failing the only link of a one-switch system partitions it.
+	bad := Config{Kind: SingleSwitch, Terminals: 4, Seed: 1, Faults: topology.FaultSpec{Links: []int32{0}}}
+	if _, err := workerSystem(&w, bad.cacheID(), bad); err == nil {
+		t.Fatal("partitioned build succeeded")
+	}
+	if !closed {
+		t.Fatal("held value not closed before building another configuration")
+	}
+	if _, ok := w.Cached("held"); ok {
+		t.Fatal("worker still holds the closed value")
+	}
 }

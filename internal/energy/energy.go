@@ -27,21 +27,6 @@ func Simplified() Model {
 	return Model{OnChip: 1, SR: 1, Local: 20, Global: 20}
 }
 
-// PerClass returns the price of one hop of the given class.
-func (m Model) PerClass(c netsim.HopClass) float64 {
-	switch c {
-	case netsim.HopOnChip:
-		return m.OnChip
-	case netsim.HopShortReach:
-		return m.SR
-	case netsim.HopLongLocal:
-		return m.Local
-	case netsim.HopGlobal:
-		return m.Global
-	}
-	return 0
-}
-
 // Breakdown is the Fig. 15 bar decomposition: the average pJ/bit spent
 // inside C-groups (NoC + short-reach + conversion hops) and between
 // C-groups (long-reach local + global cables), per delivered packet.

@@ -7,22 +7,6 @@ import (
 	"sldf/internal/netsim"
 )
 
-func TestPerClassPricing(t *testing.T) {
-	m := TableII()
-	if m.PerClass(netsim.HopOnChip) != 0.1 {
-		t.Fatal("on-chip price")
-	}
-	if m.PerClass(netsim.HopShortReach) != 2 {
-		t.Fatal("SR price")
-	}
-	if m.PerClass(netsim.HopLongLocal) != 20 || m.PerClass(netsim.HopGlobal) != 20 {
-		t.Fatal("long-reach price")
-	}
-	if m.PerClass(netsim.HopEject) != 0 {
-		t.Fatal("ejection must be free")
-	}
-}
-
 func TestBreakdownFromStats(t *testing.T) {
 	var st netsim.Stats
 	st.WindowPkts = 10

@@ -148,12 +148,12 @@ func JobsDimension(kind core.SystemKind, workers int) Dimension {
 				Run: func() (StepInfo, error) {
 					var info StepInfo
 					info.Value = float64(j)
-					jobs := make([]campaign.Job[metrics.Point], j)
+					jobs := make([]campaign.Job, j)
 					for idx := range jobs {
 						cfg := baseConfig(kind)
 						cfg.Seed = uint64(idx + 1)
 						cfg.Workers = workers
-						jobs[idx] = campaign.Job[metrics.Point]{Run: func(w *campaign.Worker) (metrics.Point, error) {
+						jobs[idx] = campaign.Job{Run: func(w *campaign.Worker) (metrics.Point, error) {
 							sys, err := core.Build(cfg)
 							if err != nil {
 								return metrics.Point{}, err
@@ -174,7 +174,7 @@ func JobsDimension(kind core.SystemKind, workers int) Dimension {
 						}}
 					}
 					t0 := time.Now()
-					pts, err := campaign.Run(jobs, campaign.Options[metrics.Point]{Jobs: j})
+					pts, err := campaign.Run(jobs, campaign.Options{Jobs: j})
 					info.SimWall = time.Since(t0)
 					info.HeapBytes = HeapLive()
 					if err != nil {
