@@ -29,10 +29,11 @@ bench-test:
 	$(BENCH_GOENV) $(GO) -C bench test ./...
 
 # Race-stress the concurrency-heavy surfaces: the netsim engine's
-# parallel flow solver and the campaign scheduler's churn/remote
-# machinery. -count=2 reruns every test to widen the interleaving net.
+# parallel flow solver, the campaign pool with its remote machinery, and
+# sldfscale's jobs dimension, which drives that pool concurrently.
+# -count=2 reruns every test to widen the interleaving net.
 race:
-	$(GO) test -race -count=2 ./internal/netsim/ ./internal/campaign/...
+	$(GO) test -race -count=2 ./internal/netsim/ ./internal/campaign/... ./internal/scale/
 
 fmt:
 	gofmt -l -w .

@@ -36,7 +36,6 @@ import (
 	"sldf/internal/campaign"
 	"sldf/internal/campaign/remote"
 	"sldf/internal/cliflags"
-	"sldf/internal/metrics"
 
 	// Register the core point executor so shipped specs can run here.
 	_ "sldf/internal/core"
@@ -66,16 +65,9 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 
 	// The store is tiered: memory LRU in front, disk behind when -cache is
 	// set. A memory-only daemon still serves replays within its lifetime.
-	var store campaign.PointStore
-	hot := campaign.NewMemoryLRU[metrics.Point](*mem)
-	if *cacheDir != "" {
-		disk, err := campaign.OpenCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		store = campaign.NewTiered[metrics.Point](hot, disk)
-	} else {
-		store = hot
+	store, _, err := campaign.OpenTiered(*cacheDir, *mem)
+	if err != nil {
+		return err
 	}
 
 	worker := remote.NewServer(remote.ServerOptions{Jobs: *jobs, Store: store})

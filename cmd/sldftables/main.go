@@ -24,7 +24,6 @@ import (
 	"sldf/internal/core"
 	"sldf/internal/cost"
 	"sldf/internal/layout"
-	"sldf/internal/metrics"
 )
 
 func main() {
@@ -41,7 +40,7 @@ func run(args []string, w, errw io.Writer) error {
 	figN := fs.Int("fig", 0, "also print a figure study (9 = layout)")
 	sat := fs.Bool("sat", false, "also print a simulated saturation-rate summary (single W-group, quick windows)")
 	experiments := fs.Bool("experiments", false, "also print the experiment registry (every registered spec with its figure mapping)")
-	jobs := fs.Int("jobs", 0, "sweep points measured concurrently for -sat (0 = all points at once)")
+	jobs := fs.Int("jobs", 0, "sweep points measured concurrently for -sat (<= 0 means 16)")
 	cacheDir := fs.String("cache", "", "directory for the -sat on-disk point cache (empty = off)")
 	if ok, err := cliflags.Parse(fs, args); !ok {
 		return err
@@ -221,7 +220,7 @@ func seriesLabel(s core.SeriesSpec) string {
 
 // saturationSummary measures saturation rates of the radix-16 systems
 // confined to one W-group under uniform and bit-reverse traffic, fanning
-// the sweep points out over the campaign runner.
+// the sweep points out over the campaign pool.
 func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
 	opts := core.RunOptions{Jobs: jobs}
 	if jobs <= 0 {
@@ -229,13 +228,10 @@ func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
 	}
 	var diskCache *campaign.Cache
 	if cacheDir != "" {
-		c, err := campaign.OpenCache(cacheDir)
-		if err != nil {
+		var err error
+		if opts.Store, diskCache, err = campaign.OpenTiered(cacheDir, 1024); err != nil {
 			return err
 		}
-		diskCache = c
-		opts.Store = campaign.NewTiered[metrics.Point](
-			campaign.NewMemoryLRU[metrics.Point](1024), c)
 	}
 	swb := core.Config{Kind: core.SwitchDragonfly, DF: core.Radix16DF(), Seed: 1, Workers: 1}
 	swb.DF.G = 1

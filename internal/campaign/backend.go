@@ -24,8 +24,9 @@ type JobSpec struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Executor interprets one kind of JobSpec payload. The worker carries
-// reusable per-goroutine state exactly as for closure jobs.
+// Executor interprets one kind of JobSpec payload. The worker is owned by
+// one pool goroutine for the pool's lifetime, so an executor may keep
+// state on it that the goroutine's next jobs reuse (see Worker).
 type Executor func(w *Worker, payload json.RawMessage) (metrics.Point, error)
 
 var (
@@ -60,17 +61,6 @@ func ExecutorKinds() []string {
 	return kinds
 }
 
-// ExecuteSpec runs one spec on the worker via the executor registry.
-func ExecuteSpec(w *Worker, spec JobSpec) (metrics.Point, error) {
-	executorsMu.RLock()
-	fn, ok := executors[spec.Kind]
-	executorsMu.RUnlock()
-	if !ok {
-		return metrics.Point{}, fmt.Errorf("campaign: no executor registered for job kind %q", spec.Kind)
-	}
-	return fn(w, spec.Payload)
-}
-
 // ExecOptions configure a Backend execution.
 type ExecOptions struct {
 	// Jobs is the in-process concurrency for backends that execute here
@@ -92,29 +82,24 @@ type Backend interface {
 	// Name identifies the backend for logs and stats lines.
 	Name() string
 	// Execute runs the specs. On error the slice still has len(specs) with
-	// incomplete slots zero, and the reported error is the failing spec
-	// with the lowest index among those that ran, as a *JobError carrying
-	// that index. Specs sharing a configuration should be contiguous: a
-	// worker holds one built system at a time (see Worker).
+	// incomplete slots zero, and the reported error is a *JobError for the
+	// failing spec with the lowest index: a backend may skip specs after a
+	// failure, but never one below it. Specs sharing a configuration
+	// should be contiguous: a worker holds one built system at a time (see
+	// Worker).
 	Execute(specs []JobSpec, opts ExecOptions) ([]metrics.Point, error)
 }
 
-// LocalBackend executes specs on this process's worker goroutines — the
-// historical in-process pool behind every sweep, now one implementation of
-// the Backend seam.
+// LocalBackend executes specs on this process: each Execute call runs
+// them on a Pool of ExecOptions.Jobs goroutines built for the call.
 type LocalBackend struct{}
 
 // Name implements Backend.
 func (LocalBackend) Name() string { return "local" }
 
-// Execute implements Backend via the in-process scheduler (Run).
+// Execute implements Backend.
 func (LocalBackend) Execute(specs []JobSpec, opts ExecOptions) ([]metrics.Point, error) {
-	jobs := make([]Job, len(specs))
-	for i, spec := range specs {
-		jobs[i] = Job{
-			Key: spec.Key,
-			Run: func(w *Worker) (metrics.Point, error) { return ExecuteSpec(w, spec) },
-		}
-	}
-	return Run(jobs, Options{Jobs: opts.Jobs, Store: opts.Store})
+	p := NewPool(min(opts.Jobs, len(specs)), opts.Store)
+	defer p.Close()
+	return p.Run(specs)
 }

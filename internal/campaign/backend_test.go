@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -94,8 +95,8 @@ func TestLocalBackendUsesStore(t *testing.T) {
 }
 
 func TestExecuteSpecUnknownKind(t *testing.T) {
-	_, err := ExecuteSpec(&Worker{}, JobSpec{Kind: "nope/unregistered@v0"})
-	if err == nil || !strings.Contains(err.Error(), "no executor registered") {
+	_, err := LocalBackend{}.Execute([]JobSpec{{Kind: "nope/unregistered@v0"}}, ExecOptions{})
+	if err == nil || !strings.Contains(err.Error(), `no executor registered for job kind "nope/unregistered@v0"`) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -122,12 +123,19 @@ func TestRegisterExecutorDuplicatePanics(t *testing.T) {
 	RegisterExecutor(testExecKind, nil)
 }
 
+// TestLocalBackendPropagatesJobError fails jobs 2 and 5 of 8: whatever the
+// pool size, no job below a failure is skipped, so the error is job 2's.
 func TestLocalBackendPropagatesJobError(t *testing.T) {
-	payload, _ := json.Marshal(testPayload{Rate: -1})
-	specs := testSpecs(t, 3)
-	specs[1] = JobSpec{Kind: testExecKind, Payload: payload}
-	_, err := LocalBackend{}.Execute(specs, ExecOptions{Jobs: 2})
-	if err == nil || !strings.Contains(err.Error(), "negative rate") {
-		t.Fatalf("err = %v", err)
+	specs := testSpecs(t, 8)
+	for _, i := range []int{2, 5} {
+		payload, _ := json.Marshal(testPayload{Rate: -float64(i)})
+		specs[i] = JobSpec{Kind: testExecKind, Payload: payload}
+	}
+	for _, jobs := range []int{1, 2, 8} {
+		_, err := LocalBackend{}.Execute(specs, ExecOptions{Jobs: jobs})
+		var je *JobError
+		if !errors.As(err, &je) || je.Index != 2 || !strings.Contains(err.Error(), "negative rate -2") {
+			t.Fatalf("jobs=%d: err = %v, want a *JobError for job 2", jobs, err)
+		}
 	}
 }

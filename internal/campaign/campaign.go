@@ -2,13 +2,15 @@
 // declarative measurement jobs into results, through pluggable seams at
 // every stage.
 //
-//   - Run is the in-process scheduler: jobs fan out over worker
-//     goroutines, and the assembled points are bitwise identical no matter
-//     how many workers run the jobs or in what order they finish.
 //   - JobSpec + the executor registry make jobs data instead of code: a
 //     spec names a registered executor and carries a JSON payload, so the
 //     same job can run in this process, in a worker daemon on another
 //     machine, or be replayed from a store.
+//   - Pool is the one scheduler: worker goroutines, each holding one
+//     Worker, run batches of specs through the store, and the points are
+//     bitwise identical no matter how many workers run the jobs or in what
+//     order they finish. LocalBackend builds one per call; a worker daemon
+//     (the remote subpackage's Server) keeps one for its lifetime.
 //   - Backend abstracts where specs execute (LocalBackend here; the remote
 //     subpackage shards them across worker daemons).
 //   - Store abstracts where results persist (disk cache, memory LRU, or a
@@ -22,23 +24,15 @@
 package campaign
 
 import (
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sldf/internal/metrics"
 )
 
-// Job is one schedulable unit of work producing a measured point.
-type Job struct {
-	// Key identifies the job's result for the store; an empty key disables
-	// caching for this job. Two jobs with equal keys must produce equal
-	// results (the key must cover every input that affects the result).
-	Key string
-	// Run performs the work. The worker is owned by a single goroutine for
-	// the worker's lifetime, so Run may freely mutate state cached on it.
-	Run func(w *Worker) (metrics.Point, error)
-}
-
-// Worker is the per-goroutine context passed to jobs: a one-slot keyed
+// Worker is the per-goroutine context passed to executors: a one-slot keyed
 // store for state that is expensive to construct (a built system) and is
 // reused across consecutive jobs that land on the same worker and share its
 // key. Callers order their jobs so that each key arrives in one contiguous
@@ -61,7 +55,7 @@ func (w *Worker) Cached(key string) (any, bool) {
 
 // Store holds v under key. A value held under another key is closed (if it
 // implements Close()) and dropped; the held value is also closed when the
-// campaign run finishes.
+// worker's pool closes.
 func (w *Worker) Store(key string, v any) {
 	if w.value != nil && w.key != key {
 		w.Close()
@@ -69,9 +63,8 @@ func (w *Worker) Store(key string, v any) {
 	w.key, w.value = key, v
 }
 
-// Close releases the held value if it knows how to release itself.
-// Long-lived owners (worker pools) call it when retiring a worker; Run
-// closes its workers itself.
+// Close releases the held value if it knows how to release itself. A Pool
+// closes each of its workers when it closes.
 func (w *Worker) Close() {
 	if c, ok := w.value.(interface{ Close() }); ok {
 		c.Close()
@@ -79,19 +72,9 @@ func (w *Worker) Close() {
 	w.key, w.value = "", nil
 }
 
-// Options configure a campaign run.
-type Options struct {
-	// Jobs is the number of concurrent jobs; values <= 1 run serially on
-	// the calling goroutine.
-	Jobs int
-	// Store, when non-nil, is consulted before and updated after every job
-	// with a non-empty Key.
-	Store PointStore
-}
-
-// JobError is a job's own failure as Run and every Backend report it: the
-// failing job's index with its error. A caller that merges several figures
-// into one run maps the index back to the figure that failed.
+// JobError is a job's own failure as Pool.Run and every Backend report it:
+// the failing job's index with its error. A caller that merges several
+// figures into one run maps the index back to the figure that failed.
 type JobError struct {
 	Index int
 	Err   error
@@ -101,93 +84,150 @@ func (e *JobError) Error() string { return e.Err.Error() }
 
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Run executes the jobs and returns their results indexed like the input.
-// Jobs are handed out in input order to Jobs workers, each holding one
-// Worker for the run, so a caller that groups jobs by the state they reuse
-// (see Worker) has each worker build that state about once per group.
-// On error the returned slice still has len(jobs) but slots whose jobs did
-// not complete are zero; the error reported is a *JobError for the failing
-// job with the lowest index among those that ran.
-func Run(jobs []Job, opts Options) ([]metrics.Point, error) {
-	results := make([]metrics.Point, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
+// ErrPoolClosed is Pool.Run's error once the pool has been closed.
+var ErrPoolClosed = errors.New("campaign: pool closed")
 
-	workers := opts.Jobs
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		w := &Worker{}
-		defer w.Close()
-		for i := range jobs {
-			if err := runOne(&jobs[i], w, opts.Store, &results[i]); err != nil {
-				return results, &JobError{Index: i, Err: err}
-			}
-		}
-		return results, nil
-	}
+// Pool is the one scheduler of job specs. Each of its goroutines holds one
+// Worker for the pool's lifetime and takes specs in submission order, so a
+// caller that groups specs by the state they reuse (see Worker) has each
+// goroutine build that state about once per group. Concurrent Run calls
+// share the goroutines.
+type Pool struct {
+	store  PointStore
+	tasks  chan *poolRun // one send per spec; the receiver claims the next index
+	wg     sync.WaitGroup
+	mu     sync.RWMutex // orders Run's sends before Close's close(tasks)
+	closed bool
 
-	var (
-		idx      = make(chan int)
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = len(jobs)
-		failed   bool
-	)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &Worker{}
-			defer w.Close()
-			for i := range idx {
-				mu.Lock()
-				stop := failed
-				mu.Unlock()
-				if stop {
-					continue
-				}
-				if err := runOne(&jobs[i], w, opts.Store, &results[i]); err != nil {
-					mu.Lock()
-					if !failed || i < errIdx {
-						firstErr, errIdx, failed = err, i, true
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if failed {
-		return results, &JobError{Index: errIdx, Err: firstErr}
-	}
-	return results, nil
+	jobs, jobErrors, storeHits atomic.Int64
 }
 
-// runOne executes a single job through the store.
-func runOne(j *Job, w *Worker, store PointStore, out *metrics.Point) error {
-	if j.Key != "" && store != nil {
-		if v, ok := store.Get(j.Key); ok {
-			*out = v
-			return nil
+// PoolStats counts the specs a pool has taken since it started (store hits
+// included), those whose execution failed and those the store answered.
+// Specs skipped after a failure are not counted.
+type PoolStats struct {
+	Jobs, JobErrors, StoreHits int64
+}
+
+// poolRun is one Run call: its specs, their result slots, the next index
+// to claim and the failure with the lowest index so far.
+type poolRun struct {
+	specs   []JobSpec
+	results []metrics.Point
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	err     *JobError
+}
+
+// NewPool starts jobs worker goroutines (at least one) running specs
+// through store, which may be nil. Close releases them.
+func NewPool(jobs int, store PointStore) *Pool {
+	p := &Pool{store: store, tasks: make(chan *poolRun)}
+	for range max(jobs, 1) {
+		p.wg.Add(1)
+		go p.work()
+	}
+	return p
+}
+
+// work is one pool goroutine. A spec whose index lies above a failure
+// already recorded for its run is skipped, not started.
+func (p *Pool) work() {
+	defer p.wg.Done()
+	w := &Worker{}
+	defer w.Close()
+	for r := range p.tasks {
+		i := int(r.next.Add(1) - 1)
+		r.mu.Lock()
+		skip := r.err != nil && i > r.err.Index
+		r.mu.Unlock()
+		if !skip {
+			pt, err := p.runSpec(w, r.specs[i])
+			r.mu.Lock()
+			if err != nil && (r.err == nil || i < r.err.Index) {
+				r.err = &JobError{Index: i, Err: err}
+			}
+			r.mu.Unlock()
+			r.results[i] = pt
+		}
+		r.wg.Done()
+	}
+}
+
+// runSpec is the one store-through step behind every backend: a stored
+// result is replayed; otherwise the spec's registered executor runs on w
+// and the fresh result is recorded.
+func (p *Pool) runSpec(w *Worker, spec JobSpec) (metrics.Point, error) {
+	p.jobs.Add(1)
+	cached := spec.Key != "" && p.store != nil
+	if cached {
+		if pt, ok := p.store.Get(spec.Key); ok {
+			p.storeHits.Add(1)
+			return pt, nil
 		}
 	}
-	v, err := j.Run(w)
-	if err != nil {
-		return err
+	executorsMu.RLock()
+	fn, ok := executors[spec.Kind]
+	executorsMu.RUnlock()
+	if !ok {
+		p.jobErrors.Add(1)
+		return metrics.Point{}, fmt.Errorf("campaign: no executor registered for job kind %q", spec.Kind)
 	}
-	*out = v
-	if j.Key != "" && store != nil {
+	pt, err := fn(w, spec.Payload)
+	if err != nil {
+		p.jobErrors.Add(1)
+		return metrics.Point{}, err
+	}
+	if cached {
 		// A failed store write must not discard a successfully computed
 		// result; stores count the failure for end-of-run reporting.
-		_ = store.Put(j.Key, v)
+		_ = p.store.Put(spec.Key, pt)
 	}
-	return nil
+	return pt, nil
+}
+
+// Run executes the specs and returns their points indexed like the input.
+// Specs are handed out in input order. Once a spec fails, no later spec
+// starts, but every earlier one still runs, so the error is a *JobError
+// for the lowest failing index whatever the pool's size. On error the
+// slice still has len(specs); slots of specs that failed or did not run
+// are zero.
+func (p *Pool) Run(specs []JobSpec) ([]metrics.Point, error) {
+	r := &poolRun{specs: specs, results: make([]metrics.Point, len(specs))}
+	p.mu.RLock()
+	if p.closed {
+		p.mu.RUnlock()
+		return r.results, ErrPoolClosed
+	}
+	r.wg.Add(len(specs))
+	for range specs {
+		p.tasks <- r
+	}
+	p.mu.RUnlock()
+	r.wg.Wait()
+	if r.err != nil {
+		return r.results, r.err
+	}
+	return r.results, nil
+}
+
+// Stats returns the pool's counters.
+func (p *Pool) Stats() PoolStats {
+	return PoolStats{Jobs: p.jobs.Load(), JobErrors: p.jobErrors.Load(), StoreHits: p.storeHits.Load()}
+}
+
+// Close stops the pool once the specs already handed out finish, and
+// closes every worker's held state. Run calls in flight complete; later
+// ones return ErrPoolClosed.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true
+	close(p.tasks)
+	p.mu.Unlock()
+	p.wg.Wait()
 }

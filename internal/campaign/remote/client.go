@@ -174,28 +174,39 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 	// whole fleet repeatedly, the run gives up.
 	maxAttempts := b.opts.MaxStrikes * len(b.addrs) * 2
 
-	// A worker takes its own batches first, then the lowest-index one left.
-	// Batch k is homed on worker k mod n, so rerunning the same specs sends
-	// every batch that was not taken over to the daemon that ran it before,
-	// where that daemon's store answers it.
+	// A worker takes its own batches first, then the lowest-index one left
+	// whose home is retired or has another batch queued: a live worker's
+	// last queued batch is left to it, and it takes that batch as soon as it
+	// is free. Batch k is homed on worker k mod n, so rerunning the same
+	// specs sends every batch that was not taken over to the daemon that
+	// ran it before, where that daemon's store answers it.
+	retired := make([]bool, len(b.addrs))
+	pick := func(w int) int {
+		k := -1
+		for j, bt := range queue {
+			if bt.home == w {
+				return j
+			}
+			if k < 0 && (retired[bt.home] || slices.ContainsFunc(queue[j+1:],
+				func(o batch) bool { return o.home == bt.home })) {
+				k = j
+			}
+		}
+		return k
+	}
 	worker := func(w int, addr string) {
 		defer wg.Done()
 		strikes := 0
 		for {
 			mu.Lock()
-			for len(queue) == 0 && inflight > 0 && !gaveUp {
+			k := pick(w)
+			for k < 0 && (len(queue) > 0 || inflight > 0) && !gaveUp {
 				cond.Wait()
+				k = pick(w)
 			}
-			if len(queue) == 0 || gaveUp {
+			if k < 0 || gaveUp {
 				mu.Unlock()
 				return // drained (or aborted): nothing left to take
-			}
-			k := 0
-			for j := range queue {
-				if queue[j].home == w {
-					k = j
-					break
-				}
 			}
 			bt := queue[k]
 			queue = slices.Delete(queue, k, k+1)
@@ -219,10 +230,10 @@ func (b *Backend) Execute(specs []campaign.JobSpec, opts campaign.ExecOptions) (
 					queue = append(queue, bt)
 				}
 				strikes++
-				retired := strikes >= b.opts.MaxStrikes
+				retired[w] = strikes >= b.opts.MaxStrikes
 				cond.Broadcast()
 				mu.Unlock()
-				if retired {
+				if retired[w] { // only this goroutine writes retired[w]
 					return
 				}
 				continue

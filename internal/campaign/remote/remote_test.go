@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sldf/internal/campaign"
 	"sldf/internal/metrics"
@@ -291,7 +292,7 @@ func TestClusterRerunFindsDaemonStores(t *testing.T) {
 		}
 	}
 	for i, srv := range srvs {
-		if hits := srv.storeHits.Load(); hits != 2 {
+		if hits := srv.pool.Stats().StoreHits; hits != 2 {
 			t.Errorf("daemon %d: %d store hits on the rerun, want its 2 points", i, hits)
 		}
 	}
@@ -391,5 +392,75 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 	if want := serialResults(t, specs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("valid batch after an oversized one diverged:\ngot:  %v\nwant: %v", got, want)
+	}
+}
+
+// TestServerSkipsAfterFailure checks a daemon batch with a failing job:
+// the pool starts no later job, the skipped slots report a failure rather
+// than a zero point, and /stats counts only the jobs that ran.
+func TestServerSkipsAfterFailure(t *testing.T) {
+	srv := NewServer(ServerOptions{Jobs: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	specs := clusterSpecs(t, 4)
+	bad, _ := json.Marshal(clusterPayload{A: -1})
+	specs[1].Payload = bad
+	body, err := json.Marshal(runRequest{Jobs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var run runResponse
+	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
+		t.Fatal(err)
+	}
+	want := serialResults(t, specs[:1])
+	if r := run.Results; len(r) != 4 || r[0].Err != "" || !reflect.DeepEqual(r[0].Point, want[0]) ||
+		!strings.Contains(r[1].Err, "negative A") || !strings.Contains(r[2].Err, "not run") || !strings.Contains(r[3].Err, "not run") {
+		t.Fatalf("results = %+v", run.Results)
+	}
+	if st := srv.pool.Stats(); st.Jobs != 2 || st.JobErrors != 1 {
+		t.Fatalf("stats = %+v, want 2 jobs with 1 error", st)
+	}
+}
+
+// TestClusterLeavesLastBatchHome checks that an idle worker never takes a
+// live worker's last queued batch: with worker 1's daemon slow, worker 0
+// runs its own batches (0, 2) and may take batch 1, but batch 3 waits for
+// worker 1, so a rerun finds its points in daemon 1's store.
+func TestClusterLeavesLastBatchHome(t *testing.T) {
+	var addrs []string
+	var stores []*campaign.MemoryLRU[metrics.Point]
+	for i := range 2 {
+		store := campaign.NewMemoryLRU[metrics.Point](0)
+		srv := NewServer(ServerOptions{Jobs: 1, Store: store})
+		var h http.Handler = srv
+		if i == 1 {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				time.Sleep(30 * time.Millisecond)
+				srv.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		addrs, stores = append(addrs, ts.URL), append(stores, store)
+	}
+	b, err := New(addrs, Options{BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := clusterSpecs(t, 8)
+	if _, err := b.Execute(specs, campaign.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs[6:] {
+		if _, ok := stores[1].Get(spec.Key); !ok {
+			t.Fatalf("batch 3 (%s) did not run on its home daemon", spec.Key)
+		}
 	}
 }

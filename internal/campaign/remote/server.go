@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"sldf/internal/campaign"
+	"sldf/internal/metrics"
 )
 
 // ServerOptions configure a worker daemon's job execution.
@@ -29,29 +29,17 @@ type ServerOptions struct {
 const MaxRunBody = 64 << 20
 
 // Server is the worker side of the coordinator/worker protocol: an
-// http.Handler executing batches of declarative job specs on a persistent
-// in-process worker pool.
+// http.Handler executing batches of declarative job specs on a
+// campaign.Pool it keeps for its lifetime, so each pool goroutine keeps the
+// system it built last across requests.
 type Server struct {
-	opts  ServerOptions
-	tasks chan task
-	wg    sync.WaitGroup
-	mu    sync.RWMutex
-	done  bool
+	opts ServerOptions
+	pool *campaign.Pool
 	// maxBody is the /run body cap (MaxRunBody; lowered by tests).
 	maxBody int64
 
 	requests   atomic.Int64
-	jobs       atomic.Int64
-	jobErrors  atomic.Int64
-	storeHits  atomic.Int64
 	badPayload atomic.Int64
-}
-
-// task is one spec queued to the pool with its pre-assigned result slot.
-type task struct {
-	spec campaign.JobSpec
-	out  *jobResult
-	wg   *sync.WaitGroup
 }
 
 // NewServer starts the worker pool and returns the ready-to-serve server.
@@ -60,64 +48,12 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.Jobs <= 0 {
 		opts.Jobs = 1
 	}
-	s := &Server{opts: opts, tasks: make(chan task), maxBody: MaxRunBody}
-	for i := 0; i < opts.Jobs; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
-}
-
-// worker owns one campaign.Worker for the server's lifetime, so the system
-// a job built is reused by the following jobs of its configuration, across
-// requests too.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	w := &campaign.Worker{}
-	defer w.Close()
-	for t := range s.tasks {
-		s.runTask(w, t)
-	}
-}
-
-// runTask executes one spec through the store, mirroring the local
-// scheduler's semantics.
-func (s *Server) runTask(w *campaign.Worker, t task) {
-	defer t.wg.Done()
-	s.jobs.Add(1)
-	key := t.spec.Key
-	if key != "" && s.opts.Store != nil {
-		if pt, ok := s.opts.Store.Get(key); ok {
-			s.storeHits.Add(1)
-			t.out.Point = pt
-			return
-		}
-	}
-	pt, err := campaign.ExecuteSpec(w, t.spec)
-	if err != nil {
-		s.jobErrors.Add(1)
-		t.out.Err = err.Error()
-		return
-	}
-	t.out.Point = pt
-	if key != "" && s.opts.Store != nil {
-		_ = s.opts.Store.Put(key, pt)
-	}
+	return &Server{opts: opts, pool: campaign.NewPool(opts.Jobs, opts.Store), maxBody: MaxRunBody}
 }
 
 // Close stops accepting jobs, drains the queue and releases the pool's
 // worker state. In-flight requests complete.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		return
-	}
-	s.done = true
-	close(s.tasks)
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.pool.Close() }
 
 // ServeHTTP implements the protocol's three endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -127,11 +63,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/healthz" && r.Method == http.MethodGet:
 		writeJSON(w, healthResponse{OK: true, Workers: s.opts.Jobs, Kinds: campaign.ExecutorKinds()})
 	case r.URL.Path == "/stats" && r.Method == http.MethodGet:
+		st := s.pool.Stats()
 		writeJSON(w, statsResponse{
 			Requests:   s.requests.Load(),
-			Jobs:       s.jobs.Load(),
-			JobErrors:  s.jobErrors.Load(),
-			StoreHits:  s.storeHits.Load(),
+			Jobs:       st.Jobs,
+			JobErrors:  st.JobErrors,
+			StoreHits:  st.StoreHits,
 			BadPayload: s.badPayload.Load(),
 		})
 	default:
@@ -156,22 +93,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode run request: %v", err), status)
 		return
 	}
-	results := make([]jobResult, len(req.Jobs))
-	var wg sync.WaitGroup
-
-	s.mu.RLock()
-	if s.done {
-		s.mu.RUnlock()
+	pts, err := s.pool.Run(req.Jobs)
+	if errors.Is(err, campaign.ErrPoolClosed) {
 		http.Error(w, "server closed", http.StatusServiceUnavailable)
 		return
 	}
-	wg.Add(len(req.Jobs))
-	for i := range req.Jobs {
-		s.tasks <- task{spec: req.Jobs[i], out: &results[i], wg: &wg}
+	writeJSON(w, runResponse{Results: batchResults(pts, err)})
+}
+
+// batchResults pairs a batch's points with its failure. The pool starts no
+// spec after a failing one, so every later slot reports a failure too: an
+// empty Err would read as a measured zero point.
+func batchResults(pts []metrics.Point, err error) []jobResult {
+	results := make([]jobResult, len(pts))
+	for i, pt := range pts {
+		results[i].Point = pt
 	}
-	s.mu.RUnlock()
-	wg.Wait()
-	writeJSON(w, runResponse{Results: results})
+	var je *campaign.JobError
+	if errors.As(err, &je) {
+		results[je.Index].Err = je.Err.Error()
+		for i := je.Index + 1; i < len(results); i++ {
+			results[i] = jobResult{Err: fmt.Sprintf("not run: job %d of its batch failed", je.Index)}
+		}
+	}
+	return results
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -156,6 +156,22 @@ func NewTiered[T any](hot, cold Store[T]) *Tiered[T] {
 	return &Tiered[T]{hot: hot, cold: cold}
 }
 
+// OpenTiered opens the point store the commands use: an in-memory LRU of
+// capacity mem (<= 0 means unbounded) in front of the disk cache at dir.
+// With an empty dir the store is the memory tier alone and the returned
+// cache is nil; otherwise the cache is returned for its stats line.
+func OpenTiered(dir string, mem int) (PointStore, *Cache, error) {
+	hot := NewMemoryLRU[metrics.Point](mem)
+	if dir == "" {
+		return hot, nil, nil
+	}
+	disk, err := OpenCache(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewTiered[metrics.Point](hot, disk), disk, nil
+}
+
 // Get tries the hot tier, then the cold tier (promoting a cold hit).
 func (t *Tiered[T]) Get(key string) (T, bool) {
 	if t.hot != nil {

@@ -16,7 +16,6 @@ import (
 	"sldf/internal/campaign"
 	"sldf/internal/campaign/remote"
 	"sldf/internal/core"
-	"sldf/internal/metrics"
 	"sldf/internal/netsim"
 	"sldf/internal/topology"
 )
@@ -267,13 +266,10 @@ func (c CampaignFlags) Resolve(errw io.Writer) (core.RunOptions, *campaign.Cache
 	opts := core.RunOptions{Jobs: *c.jobs}
 	var disk *campaign.Cache
 	if *c.cache != "" {
-		d, err := campaign.OpenCache(*c.cache)
-		if err != nil {
+		var err error
+		if opts.Store, disk, err = campaign.OpenTiered(*c.cache, 1024); err != nil {
 			return opts, nil, err
 		}
-		disk = d
-		opts.Store = campaign.NewTiered[metrics.Point](
-			campaign.NewMemoryLRU[metrics.Point](1024), d)
 	}
 	if *c.remote != "" {
 		backend, err := remote.New(strings.Split(*c.remote, ","), remote.Options{})

@@ -99,9 +99,10 @@ func measurePointSpec(w *campaign.Worker, ps PointSpec) (Result, error) {
 }
 
 // PointJob builds the declarative job spec for one load point. The spec's
-// key is the point's content address (identical to the closure path's cache
-// key), so caches and stores are shared between execution styles. A point
-// MeasureLoad would reject fails here with ErrSimParams.
+// key is the point's content address, so every store tier (the
+// coordinator's, a daemon's, the disk cache) answers it whichever backend
+// executes it. A point MeasureLoad would reject fails here with
+// ErrSimParams.
 func PointJob(cfg Config, pattern string, rate float64, sp SimParams) (campaign.JobSpec, error) {
 	job, err := pointPlanJob(sweepFamily, cfg, pattern, rate, sp)
 	return job.spec, err

@@ -19,7 +19,7 @@ type RunOptions struct {
 	Jobs int
 	// Store, when non-nil, skips points already measured with an identical
 	// (config, pattern, rate, sim-params) key and records new ones. Wrap
-	// the disk cache in a memory tier (campaign.NewTiered) so hot replays
+	// the disk cache in a memory tier (campaign.OpenTiered) so hot replays
 	// skip the filesystem.
 	Store campaign.PointStore
 	// Backend selects where sweep points and figure jobs execute: nil or

@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -134,6 +135,8 @@ func FaultFractionDimension(kind core.SystemKind, workers int) Dimension {
 // builds its own small system of the given kind and measures one load point
 // — until a job fails or the budget trips. Its ceiling is the concurrency
 // the memory budget sustains, since every in-flight job holds a full system.
+// The jobs are validateJobKind specs on the local campaign pool, one
+// goroutine per job.
 func JobsDimension(kind core.SystemKind, workers int) Dimension {
 	return Dimension{
 		Name: "jobs/" + kind.String(),
@@ -146,35 +149,20 @@ func JobsDimension(kind core.SystemKind, workers int) Dimension {
 				Label: fmt.Sprintf("jobs%d", j),
 				Value: float64(j),
 				Run: func() (StepInfo, error) {
-					var info StepInfo
-					info.Value = float64(j)
-					jobs := make([]campaign.Job, j)
-					for idx := range jobs {
+					info := StepInfo{Value: float64(j)}
+					specs := make([]campaign.JobSpec, j)
+					for idx := range specs {
 						cfg := baseConfig(kind)
 						cfg.Seed = uint64(idx + 1)
 						cfg.Workers = workers
-						jobs[idx] = campaign.Job{Run: func(w *campaign.Worker) (metrics.Point, error) {
-							sys, err := core.Build(cfg)
-							if err != nil {
-								return metrics.Point{}, err
-							}
-							defer sys.Close()
-							pat, err := sys.PatternFor("uniform")
-							if err != nil {
-								return metrics.Point{}, err
-							}
-							res, err := sys.MeasureLoad(pat, validationRate, simParams())
-							if err != nil {
-								return metrics.Point{}, err
-							}
-							if err := validateStats(res); err != nil {
-								return metrics.Point{}, err
-							}
-							return res.Point, nil
-						}}
+						payload, err := json.Marshal(cfg)
+						if err != nil {
+							return info, err
+						}
+						specs[idx] = campaign.JobSpec{Kind: validateJobKind, Payload: payload}
 					}
 					t0 := time.Now()
-					pts, err := campaign.Run(jobs, campaign.Options{Jobs: j})
+					pts, err := campaign.LocalBackend{}.Execute(specs, campaign.ExecOptions{Jobs: j})
 					info.SimWall = time.Since(t0)
 					info.HeapBytes = HeapLive()
 					if err != nil {
@@ -190,6 +178,28 @@ func JobsDimension(kind core.SystemKind, workers int) Dimension {
 			}, true
 		},
 	}
+}
+
+// validateJobKind is the jobs dimension's executor. Its payload is a
+// core.Config; the job builds that system afresh (one system per job,
+// nothing held on the worker) and runs validationRun, whose health check
+// core's point executor lacks.
+const validateJobKind = "scale/validate@v1"
+
+func init() {
+	campaign.RegisterExecutor(validateJobKind, func(_ *campaign.Worker, payload json.RawMessage) (metrics.Point, error) {
+		var cfg core.Config
+		if err := json.Unmarshal(payload, &cfg); err != nil {
+			return metrics.Point{}, fmt.Errorf("scale: decode validate job: %w", err)
+		}
+		sys, err := core.Build(cfg)
+		if err != nil {
+			return metrics.Point{}, err
+		}
+		defer sys.Close()
+		res, err := validationRun(sys, simParams())
+		return res.Point, err
+	})
 }
 
 // baseConfig is the fixed small system the fault and jobs dimensions grow
@@ -227,20 +237,27 @@ func measureSystem(cfg core.Config, eng netsim.EngineKind, flowWorkers int) (Ste
 	info.Chips = sys.Chips
 	info.Value = float64(sys.Chips)
 	info.HeapBytes = HeapLive()
-	pat, err := sys.PatternFor("uniform")
-	if err != nil {
-		return info, err
-	}
 	sp := simParams()
 	sp.Engine = eng
 	sp.FlowWorkers = flowWorkers
 	t1 := time.Now()
-	res, err := sys.MeasureLoad(pat, validationRate, sp)
+	_, err = validationRun(sys, sp)
 	info.SimWall = time.Since(t1)
+	return info, err
+}
+
+// validationRun measures the validation load point (uniform traffic) on a
+// built system and checks the run's structural health.
+func validationRun(sys *core.System, sp core.SimParams) (core.Result, error) {
+	pat, err := sys.PatternFor("uniform")
 	if err != nil {
-		return info, err
+		return core.Result{}, err
 	}
-	return info, validateStats(res)
+	res, err := sys.MeasureLoad(pat, validationRate, sp)
+	if err == nil {
+		err = validateStats(res)
+	}
+	return res, err
 }
 
 // validateStats checks the structural health of a validation run: traffic

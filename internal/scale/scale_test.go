@@ -1,11 +1,14 @@
 package scale
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"sldf/internal/campaign"
 	"sldf/internal/core"
 	"sldf/internal/netsim"
 )
@@ -126,5 +129,66 @@ func TestJobsDimensionSmoke(t *testing.T) {
 	}
 	if rep.Ceiling == nil || rep.Ceiling.Value != 2 {
 		t.Fatalf("ceiling %+v, want 2 jobs", rep.Ceiling)
+	}
+}
+
+// TestValidateJob checks the jobs dimension's executor: a healthy job
+// returns the point a direct measurement of its configuration gives, and a
+// job whose run deadlocks (a one-cycle watchdog trips on ordinary
+// queueing) fails with its index.
+func TestValidateJob(t *testing.T) {
+	cfg := baseConfig(core.MeshCGroup)
+	cfg.Seed = 1
+	healthy, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pat, err := sys.PatternFor("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.MeasureLoad(pat, validationRate, simParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WatchdogCycles = 1
+	tripped, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := campaign.LocalBackend{}.Execute([]campaign.JobSpec{
+		{Kind: validateJobKind, Payload: healthy},
+		{Kind: validateJobKind, Payload: tripped},
+	}, campaign.ExecOptions{Jobs: 2})
+	var je *campaign.JobError
+	if !errors.As(err, &je) || je.Index != 1 || !errors.Is(err, netsim.ErrDeadlock) {
+		t.Fatalf("err = %v, want job 1's deadlock", err)
+	}
+	if !reflect.DeepEqual(pts[0], want.Point) {
+		t.Fatalf("healthy job point %+v, want %+v", pts[0], want.Point)
+	}
+}
+
+// TestValidateStats checks each health rule the jobs dimension's executor
+// applies to every job.
+func TestValidateStats(t *testing.T) {
+	for _, c := range []struct {
+		st   netsim.Stats
+		want string
+	}{
+		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 5}, ""},
+		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 5, WatchdogTrips: 1}, "watchdog"},
+		{netsim.Stats{InjectedPkts: 5}, "no packets delivered"},
+		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 6}, "conservation"},
+	} {
+		err := validateStats(core.Result{Stats: c.st})
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("stats %+v: err = %v, want %q", c.st, err, c.want)
+		}
 	}
 }
