@@ -102,6 +102,11 @@ func run(args []string, w, errw io.Writer) error {
 				fmt.Fprintf(w, "   %-16s saturation ≈ %.2f  peak throughput %.2f flits/cycle/chip\n",
 					s.Label, s.Saturation(3), s.MaxThroughput())
 			}
+			for _, d := range res.Resilience {
+				if d.Name == f.Name {
+					printDraws(w, d)
+				}
+			}
 		}
 		for _, f := range res.Energy {
 			fmt.Fprintf(w, "== %s — %s\n", f.Name, f.Title)
@@ -150,6 +155,20 @@ func run(args []string, w, errw io.Writer) error {
 		fmt.Fprintln(errw, diskCache.StatsLine())
 	}
 	return nil
+}
+
+// printDraws prints, per curve and failure fraction, how many fault draws
+// were clean, infeasible and deadlocked out of the seeds drawn: the curve
+// averages the clean draws only, and drops a fraction with none.
+func printDraws(w io.Writer, d core.ResilienceDraws) {
+	fmt.Fprintf(w, "   fault draws per fraction (clean/infeasible/deadlocked of seeds):\n")
+	for _, s := range d.Series {
+		fmt.Fprintf(w, "   %-16s", s.Label)
+		for _, p := range s.Points {
+			fmt.Fprintf(w, "  %g: %d/%d/%d of %d", p.Fraction, p.Clean(), p.Infeasible, p.Deadlocked, p.Seeds)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // writeCSV writes one panel's CSV into dir and returns the file's path.

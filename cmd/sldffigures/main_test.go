@@ -102,33 +102,45 @@ func TestRunChurnFlag(t *testing.T) {
 
 // TestRunResilienceCacheReplay: a resilience figure's fault draws go
 // through the point cache, so a warm rerun replays every draw (the
-// infeasible and deadlocked outcomes included) and writes the same CSV.
+// infeasible and deadlocked outcomes included), writes the same CSV and
+// reports the same draw counts per fraction.
 func TestRunResilienceCacheReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	cache := t.TempDir()
-	runOne := func() (csv, stderr string) {
+	runOne := func() (csv, stdout, stderr string) {
 		t.Helper()
 		dir := t.TempDir()
-		var errw strings.Builder
+		var out, errw strings.Builder
 		if err := run([]string{"-quick", "-fig", "figtest-res", "-out", dir, "-jobs", "2", "-cache", cache},
-			io.Discard, &errw); err != nil {
+			&out, &errw); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "figtest-res.csv"))
 		if err != nil {
 			t.Fatalf("CSV not written: %v", err)
 		}
-		return string(data), errw.String()
+		return string(data), out.String(), errw.String()
 	}
-	cold, coldErr := runOne()
-	warm, warmErr := runOne()
+	cold, coldOut, coldErr := runOne()
+	warm, warmOut, warmErr := runOne()
 	if warm != cold {
 		t.Fatalf("warm replay CSV differs:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 	if !strings.Contains(coldErr, "cache: 0 hits, 2 misses") || !strings.Contains(warmErr, "cache: 2 hits, 0 misses") {
 		t.Fatalf("cache lines: cold %q, warm %q; want both draws measured, then replayed", coldErr, warmErr)
+	}
+	draws := func(out string) string {
+		_, after, ok := strings.Cut(out, "fault draws per fraction (clean/infeasible/deadlocked of seeds):\n")
+		line, _, _ := strings.Cut(after, "\n")
+		if !ok || !strings.Contains(line, " 0: 1/0/0 of 1  0.05: ") {
+			t.Fatalf("summary does not report the draws per fraction:\n%s", out)
+		}
+		return line
+	}
+	if c, w := draws(coldOut), draws(warmOut); c != w {
+		t.Fatalf("draw counts differ on replay: cold %q, warm %q", c, w)
 	}
 }
 

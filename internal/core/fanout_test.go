@@ -169,7 +169,9 @@ func TestRunExperimentFansOutOnceConfigMajor(t *testing.T) {
 		}
 		sep.Figures = append(sep.Figures, fig)
 	}
-	sep.Figures = append(sep.Figures, runResilienceFigure(t, plan.Resilience[0], RunOptions{}))
+	resFig, resDraws := runResilienceFigure(t, plan.Resilience[0], RunOptions{})
+	sep.Figures = append(sep.Figures, resFig)
+	sep.Resilience = append(sep.Resilience, resDraws)
 	en := EnergyFigure{Name: "en", Bars: make([]EnergyBar, len(plan.Energy[0].Bars))}
 	for i, bar := range plan.Energy[0].Bars {
 		// Priced straight from a fresh system's stats, off the job path.

@@ -142,6 +142,9 @@ type ExperimentResult struct {
 	Energy      []EnergyFigure
 	Collectives []metrics.CollectiveFigure
 	Churn       []metrics.ChurnFigure
+	// Resilience holds each resilience figure's fault-draw accounting; the
+	// figure's curves are in Figures under the same name.
+	Resilience []ResilienceDraws
 }
 
 // RunExperiment executes a registered experiment at the given scale: the

@@ -63,12 +63,20 @@ type ResilienceSeries struct {
 	Points []ResiliencePoint
 }
 
+// ResilienceDraws is a resilience figure's fault-draw accounting: every
+// curve's per-fraction points, with the clean, infeasible and deadlocked
+// draw counts the figure's CSV leaves out.
+type ResilienceDraws struct {
+	Name   string
+	Series []ResilienceSeries
+}
+
 // Series flattens the curve into a metrics.Series with the failure
 // fraction on the rate axis, for CSV rendering alongside ordinary sweeps.
 // Fractions where no fault draw produced a measurement are omitted — an
 // all-zero point would masquerade as a perfect network — so their CSV
 // cells render empty; the Infeasible/Deadlocked counts remain on the
-// ResiliencePoint.
+// ResiliencePoint, which ExperimentResult.Resilience reports.
 func (rs ResilienceSeries) Series() metrics.Series {
 	s := metrics.Series{Label: rs.Label}
 	for _, p := range rs.Points {
@@ -101,7 +109,9 @@ const (
 func resiliencePart(rs ResilienceFigureSpec, churn topology.FaultTimeline) (planPart, error) {
 	o := rs.Opts
 	p := planPart{reduce: func(res *ExperimentResult, pts [][]metrics.Point) {
-		res.Figures = append(res.Figures, resilienceFigure(rs, pts))
+		fig, draws := resilienceFigure(rs, pts)
+		res.Figures = append(res.Figures, fig)
+		res.Resilience = append(res.Resilience, draws)
 	}}
 	for _, ss := range rs.Series {
 		g := jobGroup{name: fmt.Sprintf("%s (%s)", rs.Name, ss.Label)}
@@ -156,17 +166,20 @@ func resilienceOutcome(pt metrics.Point, err error, f topology.FaultSpec) (metri
 }
 
 // resilienceFigure reduces each curve's fault draws to its flattened
-// series.
-func resilienceFigure(rs ResilienceFigureSpec, pts [][]metrics.Point) metrics.Figure {
+// series, and returns the per-fraction draw accounting alongside.
+func resilienceFigure(rs ResilienceFigureSpec, pts [][]metrics.Point) (metrics.Figure, ResilienceDraws) {
 	fig := metrics.Figure{Name: rs.Name, Title: rs.Title, XLabel: rs.XLabel, YLabel: rs.YLabel}
+	draws := ResilienceDraws{Name: rs.Name}
 	for i, ss := range rs.Series {
 		label := ss.Label
 		if label == "" {
 			label = ss.Cfg.Label()
 		}
-		fig.Series = append(fig.Series, resilienceSeries(rs.Opts, label, pts[i]).Series())
+		curve := resilienceSeries(rs.Opts, label, pts[i])
+		fig.Series = append(fig.Series, curve.Series())
+		draws.Series = append(draws.Series, curve)
 	}
-	return fig
+	return fig, draws
 }
 
 // resilienceSeries aggregates one curve's draws (in resiliencePart order)

@@ -172,7 +172,7 @@ func TestResilienceSweepSmall(t *testing.T) {
 		t.Fatalf("parallel resilience sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 	// The experiment's figure is the flattened curve, on the fraction axis.
-	fig := runResilienceFigure(t, ResilienceFigureSpec{Name: "res", Opts: opts,
+	fig, _ := runResilienceFigure(t, ResilienceFigureSpec{Name: "res", Opts: opts,
 		Series: []ResilienceSeriesSpec{{Cfg: cfg}}}, RunOptions{Jobs: 2})
 	if ms := fig.Series[0]; !reflect.DeepEqual(ms, serial.Series()) || ms.Points[1].Rate != 0.1 {
 		t.Fatalf("figure series %+v, want the flattened curve %+v", ms, serial.Series())
@@ -186,8 +186,9 @@ func TestResilienceSweepSmall(t *testing.T) {
 	}
 }
 
-// runResilienceFigure runs one resilience figure through RunExperiment.
-func runResilienceFigure(t *testing.T, rs ResilienceFigureSpec, opts RunOptions) metrics.Figure {
+// runResilienceFigure runs one resilience figure through RunExperiment and
+// returns the figure with its draw accounting.
+func runResilienceFigure(t *testing.T, rs ResilienceFigureSpec, opts RunOptions) (metrics.Figure, ResilienceDraws) {
 	t.Helper()
 	res, err := RunExperiment(ExperimentSpec{Name: rs.Name, Plan: func(Scale) ExperimentPlan {
 		return ExperimentPlan{Resilience: []ResilienceFigureSpec{rs}}
@@ -195,7 +196,7 @@ func runResilienceFigure(t *testing.T, rs ResilienceFigureSpec, opts RunOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Figures[0]
+	return res.Figures[0], res.Resilience[0]
 }
 
 // TestResilienceSeriesOmitsEmptyPoints: a fraction where every draw was
@@ -209,12 +210,14 @@ func TestResilienceSeriesOmitsEmptyPoints(t *testing.T) {
 	// fraction 0.5.
 	draws := []metrics.Point{{Latency: 10},
 		{Aux: []float64{drawInfeasible}}, {Aux: []float64{drawDeadlocked}}}
-	fig := resilienceFigure(rs, [][]metrics.Point{draws})
+	fig, counts := resilienceFigure(rs, [][]metrics.Point{draws})
 	if s := fig.Series[0]; len(s.Points) != 1 || s.Points[0].Rate != 0 || s.Points[0].Latency != 10 {
 		t.Fatalf("empty point not omitted: %+v", s.Points)
 	}
-	curve := resilienceSeries(rs.Opts, "x", draws)
-	if p := curve.Points[1]; p.Infeasible != 1 || p.Deadlocked != 1 || p.Clean() != 0 {
+	if counts.Name != "res" || len(counts.Series) != 1 || len(counts.Series[0].Points) != 2 {
+		t.Fatalf("draw accounting %+v, want both fractions of the one curve", counts)
+	}
+	if p := counts.Series[0].Points[1]; p.Infeasible != 1 || p.Deadlocked != 1 || p.Clean() != 0 {
 		t.Fatalf("draw outcomes miscounted: %+v", p)
 	}
 }

@@ -47,9 +47,9 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 			continue
 		}
 		if e.base != res.base || e.hops != res.hops ||
-			!slices.Equal(c.path[e.off:e.off+e.n], buf[res.off:res.off+res.n]) {
+			!slices.Equal(c.pathOf(&e), buf[res.off:res.off+res.n]) {
 			return 0, fmt.Errorf("pair %d->%d: served path %v (base %d), fresh trace %v (base %d)",
-				src, dst, c.path[e.off:e.off+e.n], e.base, buf[res.off:res.off+res.n], res.base)
+				src, dst, c.pathOf(&e), e.base, buf[res.off:res.off+res.n], res.base)
 		}
 	}
 	c.endBuild()
@@ -94,7 +94,9 @@ func (n *Network) PrepareFlowSegment(demands []FlowDemand, size int32) FlowProbe
 		fl.cache.size = size
 	}
 	if fl.capSize != size {
-		fl.setCapacities(n, size)
+		if err := fl.setCapacities(n, size); err != nil {
+			panic(err)
+		}
 	}
 	if n.preAllocate != nil {
 		n.preAllocate(n)
@@ -110,8 +112,7 @@ func (p FlowProbe) Paths() [][]int32 {
 	c := p.fl.cache
 	out := make([][]int32, len(p.fl.flows))
 	for i := range p.fl.flows {
-		e := &c.entries[p.fl.flows[i].entry]
-		out[i] = slices.Clone(c.path[e.off : e.off+e.n])
+		out[i] = slices.Clone(c.pathOf(&c.entries[p.fl.flows[i].entry]))
 	}
 	return out
 }
@@ -145,9 +146,21 @@ func (p FlowProbe) Throttles() []float64 {
 
 // Capacities and ServiceTimes return the per-element capacities and
 // serialization cycles; Loads the current per-element loads.
-func (p FlowProbe) Capacities() []float64   { return slices.Clone(p.fl.cap) }
-func (p FlowProbe) ServiceTimes() []float64 { return slices.Clone(p.fl.ser) }
-func (p FlowProbe) Loads() []float64        { return slices.Clone(p.fl.load) }
+func (p FlowProbe) Capacities() []float64 {
+	out := make([]float64, len(p.fl.elemClass))
+	for el := range out {
+		out[el] = p.fl.capOf(int32(el))
+	}
+	return out
+}
+func (p FlowProbe) ServiceTimes() []float64 {
+	out := make([]float64, len(p.fl.elemClass))
+	for el, c := range p.fl.elemClass {
+		out[el] = p.fl.classSer[c]
+	}
+	return out
+}
+func (p FlowProbe) Loads() []float64 { return slices.Clone(p.fl.load) }
 
 // Transpose returns the flow-incidence transpose: element el's incident
 // flows are flows[off[el]:off[el+1]].

@@ -35,13 +35,15 @@ package netsim
 //     traces draw their randomized decisions from per-pair streams
 //     (Packet.TraceRNG), making each trace a pure function of network
 //     state, safe to run concurrently and identical for any worker count.
-//     Workers claim runs of pending pairs in a coarse Z-order of (source
-//     node, destination node) — node IDs are group-major, so neighbouring
-//     traces walk the same routers and links — while results stay in
-//     worklist order. Under the reference fault state the merge into the
-//     path arena is a prefix sum in worklist order, one arena growth and a
-//     parallel copy, so the arena is byte-identical for any worker count.
-//     A cold build presizes the cache's index and entries.
+//     The pending pairs are put in a coarse Z-order of (source node,
+//     destination node) — node IDs are group-major, so neighbouring traces
+//     walk the same routers and links — and traced in fixed-size batches
+//     of that order, workers claiming runs within a batch. Each batch is
+//     merged into the path arena in batch order before the next starts, so
+//     the arena is byte-identical for any worker count and the trace
+//     scratch holds one batch, whatever the pair count. Paths are written
+//     once, into slabs that never move. A cold build presizes the cache's
+//     index and entries.
 //   - The waterfill load pass runs element-major over a flow-incidence
 //     transpose: each element's load is a fixed-order reduction over its
 //     incident flows, so partitioning elements (or flows, for the throttle
@@ -181,31 +183,34 @@ const traceRun = 64
 // and destination node IDs, and the buckets are visited in Z-order.
 const traceTileBits = 8
 
-// flowPathHint is the expected path length (elements per trace) a trace
-// worker's buffer is reserved for before a batch, so a cold batch grows it
-// at most once in the common case.
-const flowPathHint = 16
+// traceBatch is the number of pending pairs traced and merged at a time,
+// consecutive in the locality order. The trace results and the workers'
+// path buffers hold one batch, so they stay bounded at any pair count.
+const traceBatch = 4096
 
-// traceResult is one finished route trace, with its path in the tracing
-// worker's scratch buffer until the deterministic merge copies it into the
-// cache arena.
+// flowPathHint is the expected path length (elements per trace) a trace
+// worker's buffer is reserved for before a batch, so a cold batch rarely
+// grows it.
+const flowPathHint = 32
+
+// traceResult is one finished route trace, with its path at off in the
+// tracing worker's scratch buffer until the deterministic merge copies it
+// to arena offset at.
 type traceResult struct {
-	base   int64
-	off, n int32
-	wrk    int32
-	ok     bool
-	hops   [NumHopClasses]uint16
+	base       int64
+	off, n, at int32
+	wrk        int32
+	ok         bool
+	hops       [NumHopClasses]uint16
 }
 
 // traceScratch is one trace worker's scratch: the phantom packet and its
-// RNG stream (kept here so a trace allocates nothing), the buffer its paths
-// collect in until the merge, and the arena offset its worklist shard
-// starts at in the reference merge.
+// RNG stream (kept here so a trace allocates nothing), and the buffer the
+// worker's paths of the current batch collect in until the merge.
 type traceScratch struct {
 	p   Packet
 	rng engine.RNG
 	buf []int32
-	at  int32
 }
 
 // flowSolver is the network-owned solver state: the route-trace cache plus
@@ -220,9 +225,17 @@ type flowSolver struct {
 	flows      []flowFlow
 	perChipSeq []int
 	load       []float64
-	cap        []float64
-	ser        []float64 // per-element serialization cycles (queueing service time)
-	capSize    int32     // packet size cap/ser currently reflect (0 = stale)
+
+	// Capacities are derived from link widths: elemClass maps each element
+	// to its width class (an ejection port is a width-1 element),
+	// classWidth holds each class's width in flits/cycle, the element's
+	// capacity, and classSer, for packet size capSize, its serialization
+	// cycles (the queueing service time). capSize 0 means classSer is
+	// stale.
+	elemClass  []uint8
+	classWidth []int32
+	classSer   []float64
+	capSize    int32
 
 	// Flow-incidence transpose (CSR): for element el, elemFlow[elemOff[el]:
 	// elemOff[el+1]] lists the incident flow indices in flow order. shape
@@ -237,11 +250,13 @@ type flowSolver struct {
 	elemCurs [][]int32
 
 	// Pending-trace worklist, its locality order (positions in pending)
-	// with the counting-sort buckets that build it, and per-worker scratch.
+	// with the counting-sort buckets that build it, the batch of the order
+	// being traced with its results, and per-worker scratch.
 	pending   []int32
 	order     []int32
 	tiles     []int32
 	tileShift uint
+	batch     []int32
 	results   []traceResult
 	scratch   []traceScratch
 	traceNext atomic.Int64
@@ -313,8 +328,6 @@ func (n *Network) flowSolver() *flowSolver {
 		cache:      newTraceCache(),
 		perChipSeq: make([]int, len(n.ChipNodes)),
 		load:       make([]float64, elems),
-		cap:        make([]float64, elems),
-		ser:        make([]float64, elems),
 		wait:       make([]float64, elems),
 		elemOff:    make([]int32, elems+1),
 		elemStamp:  make([]int32, elems),
@@ -331,27 +344,26 @@ func (n *Network) flowSolver() *flowSolver {
 		ts := &fl.scratch[w]
 		for {
 			lo := int(fl.traceNext.Add(traceRun)) - traceRun
-			if lo >= len(fl.order) {
+			if lo >= len(fl.batch) {
 				break
 			}
-			for _, i := range fl.order[lo:min(lo+traceRun, len(fl.order))] {
-				src, dst := pairFromKey(fl.cache.entries[fl.pending[i]].key)
+			for k := lo; k < min(lo+traceRun, len(fl.batch)); k++ {
+				src, dst := pairFromKey(fl.cache.entries[fl.pending[fl.batch[k]]].key)
 				res := n.traceOne(ts, src, dst, fl.traceSize)
 				res.wrk = int32(w)
-				fl.results[i] = res
+				fl.results[k] = res
 			}
 		}
 	}
 	//sldf:hotpath
 	fl.mergeFn = func(w int) {
 		c := fl.cache
-		lo, hi := engine.ShardBounds(len(fl.pending), fl.workers, w)
-		off := fl.scratch[w].at
-		for i := lo; i < hi; i++ {
-			res := &fl.results[i]
-			c.entries[fl.pending[i]].set(off, res)
+		lo, hi := engine.ShardBounds(len(fl.batch), fl.workers, w)
+		for k := lo; k < hi; k++ {
+			res := &fl.results[k]
+			c.entries[fl.pending[fl.batch[k]]].set(res.at, res)
 			if res.ok {
-				off += int32(copy(c.path[off:], fl.scratch[res.wrk].buf[res.off:res.off+res.n]))
+				copy(c.span(res.at, res.n), fl.scratch[res.wrk].buf[res.off:res.off+res.n])
 			}
 		}
 	}
@@ -362,8 +374,7 @@ func (n *Network) flowSolver() *flowSolver {
 		clear(cur)
 		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
 		for _, f := range fl.flows[lo:hi] {
-			e := &c.entries[f.entry]
-			for _, el := range c.path[e.off : e.off+e.n] {
+			for _, el := range c.pathOf(&c.entries[f.entry]) {
 				cur[el]++
 			}
 		}
@@ -374,8 +385,7 @@ func (n *Network) flowSolver() *flowSolver {
 		cur := fl.elemCursor(w)
 		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
 		for fi := lo; fi < hi; fi++ {
-			e := &c.entries[fl.flows[fi].entry]
-			for _, el := range c.path[e.off : e.off+e.n] {
+			for _, el := range c.pathOf(&c.entries[fl.flows[fi].entry]) {
 				fl.elemFlow[cur[el]] = int32(fi)
 				cur[el]++
 			}
@@ -419,13 +429,14 @@ func (n *Network) flowSolver() *flowSolver {
 	fl.waitFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.wait), fl.workers, w)
 		for el := lo; el < hi; el++ {
-			rho := fl.load[el] / fl.cap[el]
+			c := fl.elemClass[el]
+			rho := fl.load[el] / float64(fl.classWidth[c])
 			if rho > flowRhoCap {
 				rho = flowRhoCap
 			}
 			wait := 0.0
 			if rho > 0 {
-				wait = rho / (2 * (1 - rho)) * fl.ser[el]
+				wait = rho / (2 * (1 - rho)) * fl.classSer[c]
 			}
 			fl.wait[el] = wait
 		}
@@ -436,7 +447,7 @@ func (n *Network) flowSolver() *flowSolver {
 		for i := lo; i < hi; i++ {
 			e := &fl.cache.entries[fl.flows[i].entry]
 			lat := float64(e.base)
-			for _, el := range fl.cache.path[e.off : e.off+e.n] {
+			for _, el := range fl.cache.pathOf(e) {
 				lat += fl.wait[el]
 			}
 			fl.lat[i] = lat
@@ -592,9 +603,10 @@ func spreadBits(x uint32) uint32 {
 	return x
 }
 
-// tracePending traces every reserved cache entry, fanning the independent
-// phantom traces across the solver pool in locality order, then merges the
-// results into the cache in worklist order — cache contents are identical
+// tracePending traces every reserved cache entry in batches of traceBatch
+// pairs of the locality order, fanning each batch's independent phantom
+// traces across the solver pool, then merges the batch into the cache in
+// batch order before the next batch starts — cache contents are identical
 // for any worker count. Under the reference state the merge runs on the
 // pool (mergeReference); under another fault state it is serial, and
 // fl.flows must hold the build's flows: flows reserved on a pair the state
@@ -604,32 +616,35 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		return
 	}
 	t0 := phaseStart(flowPhaseTrace)
-	if cap(fl.results) < len(fl.pending) {
-		fl.results = make([]traceResult, len(fl.pending))
-	}
-	fl.results = fl.results[:len(fl.pending)]
 	fl.orderPending()
-	reserve := (len(fl.pending)/fl.workers + 1) * flowPathHint
-	for w := range fl.workers {
-		fl.scratch[w].buf = slices.Grow(fl.scratch[w].buf[:0], reserve)
-	}
 	fl.traceSize = size
-	fl.traceNext.Store(0)
-	fl.run(fl.traceFn)
 	c := fl.cache
-	if c.state == 0 {
-		fl.mergeReference()
-	} else {
-		redirect := false
-		for i, ei := range fl.pending {
-			res := &fl.results[i]
-			if c.merge(ei, res, fl.scratch[res.wrk].buf[res.off:res.off+res.n]) {
+	redirect := false
+	for lo := 0; lo < len(fl.order); lo += traceBatch {
+		fl.batch = fl.order[lo:min(lo+traceBatch, len(fl.order))]
+		if cap(fl.results) < len(fl.batch) {
+			fl.results = make([]traceResult, len(fl.batch))
+		}
+		fl.results = fl.results[:len(fl.batch)]
+		reserve := (len(fl.batch)/fl.workers + 1) * flowPathHint
+		for w := range fl.workers {
+			fl.scratch[w].buf = slices.Grow(fl.scratch[w].buf[:0], reserve)
+		}
+		fl.traceNext.Store(0)
+		fl.run(fl.traceFn)
+		if c.state == 0 {
+			fl.mergeReference()
+			continue
+		}
+		for k, i := range fl.batch {
+			res := &fl.results[k]
+			if c.merge(fl.pending[i], res, fl.scratch[res.wrk].buf[res.off:res.off+res.n]) {
 				redirect = true
 			}
 		}
-		if redirect {
-			c.redirect(fl.flows)
-		}
+	}
+	if redirect {
+		c.redirect(fl.flows)
 	}
 	c.endBuild()
 	c.gen++
@@ -638,24 +653,16 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	phaseEnd(t0, &fl.stats.TraceWall)
 }
 
-// mergeReference stores the traced reference entries in worklist order:
-// each successful path lands at the end of the arena plus the prefix sum
-// of the successful paths before it. The arena grows once, and the paths
-// are copied and the entries filled on the pool. Each worker's shard
-// of the worklist starts at the arena offset the prefix sum gives it.
+// mergeReference stores the batch's traced reference entries in batch
+// order: one serial pass places each successful path in the arena, then
+// the paths are copied and the entries filled on the pool.
 func (fl *flowSolver) mergeReference() {
 	c := fl.cache
-	at := len(c.path)
-	for w := range fl.workers {
-		fl.scratch[w].at = int32(at)
-		lo, hi := engine.ShardBounds(len(fl.pending), fl.workers, w)
-		for i := lo; i < hi; i++ {
-			if fl.results[i].ok {
-				at += int(fl.results[i].n)
-			}
+	for k := range fl.results {
+		if res := &fl.results[k]; res.ok {
+			res.at = c.place(res.n)
 		}
 	}
-	c.path = slices.Grow(c.path, at-len(c.path))[:at]
 	fl.run(fl.mergeFn)
 }
 
@@ -777,22 +784,40 @@ func (fl *flowSolver) elemCursor(w int) []int32 {
 	return fl.elemCurs[w]
 }
 
-// setCapacities fills per-element capacities and service times: links carry
-// Width flits/cycle and serialize a packet in ceil(size/Width) cycles;
-// ejection ports carry one flit/cycle and serialize in size cycles.
-func (fl *flowSolver) setCapacities(n *Network, size int32) {
-	eb := len(n.Links)
-	for i := range n.Links {
-		l := &n.Links[i]
-		fl.cap[i] = float64(l.Width)
-		fl.ser[i] = float64((size + l.Width - 1) / l.Width)
+// maxWidthClasses bounds the distinct link widths elemClass can tell apart.
+const maxWidthClasses = 256
+
+// setCapacities fills the per-class service times for packet size: an
+// element of width W carries W flits/cycle and serializes a packet in
+// ceil(size/W) cycles. Ejection ports are width-1 elements: one flit/cycle,
+// size cycles. The first call classifies every element by width.
+func (fl *flowSolver) setCapacities(n *Network, size int32) error {
+	if fl.elemClass == nil {
+		widths := []int32{1} // class 0: ejection ports and width-1 links
+		class := make([]uint8, len(n.Links)+len(n.Routers))
+		for i := range n.Links {
+			c := slices.Index(widths, n.Links[i].Width)
+			if c < 0 {
+				if len(widths) == maxWidthClasses {
+					return fmt.Errorf("%w: more than %d distinct link widths", ErrFlowEngine, maxWidthClasses)
+				}
+				c = len(widths)
+				widths = append(widths, n.Links[i].Width)
+			}
+			class[i] = uint8(c)
+		}
+		fl.elemClass, fl.classWidth = class, widths
+		fl.classSer = make([]float64, len(widths))
 	}
-	for i := range n.Routers {
-		fl.cap[eb+i] = 1
-		fl.ser[eb+i] = float64(size)
+	for c, w := range fl.classWidth {
+		fl.classSer[c] = float64((size + w - 1) / w)
 	}
 	fl.capSize = size
+	return nil
 }
+
+// capOf returns element el's capacity in flits/cycle.
+func (fl *flowSolver) capOf(el int32) float64 { return float64(fl.classWidth[fl.elemClass[el]]) }
 
 // waterfill runs the monotone throttle fixpoint: every flow crossing an
 // over-capacity element is scaled by the worst capacity/load ratio along
@@ -852,7 +877,7 @@ func (fl *flowSolver) waterfillStart() {
 	}
 	fl.overElems = fl.overElems[:0]
 	for el := range fl.load {
-		if fl.load[el] > fl.cap[el] {
+		if fl.load[el] > fl.capOf(int32(el)) {
 			fl.overElems = append(fl.overElems, int32(el))
 		}
 	}
@@ -875,7 +900,7 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 	fl.cand = fl.cand[:0]
 	walk := 0 // path elements of the candidate flows
 	for _, el := range fl.overElems {
-		r := fl.cap[el] / fl.load[el]
+		r := fl.capOf(el) / fl.load[el]
 		for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
 			fi := fl.elemFlow[k]
 			if fl.flowStamp[fi] != fl.stamp {
@@ -900,8 +925,7 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 		fl.stamp++
 		fl.dirty = fl.dirty[:0]
 		for _, fi := range fl.cand {
-			e := &fl.cache.entries[fl.flows[fi].entry]
-			for _, el := range fl.cache.path[e.off : e.off+e.n] {
+			for _, el := range fl.cache.pathOf(&fl.cache.entries[fl.flows[fi].entry]) {
 				if fl.elemStamp[el] != fl.stamp {
 					fl.elemStamp[el] = fl.stamp
 					fl.dirty = append(fl.dirty, el)
@@ -914,7 +938,7 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 	// so filtering the old set is the full rescan.
 	w := 0
 	for _, el := range fl.overElems {
-		if fl.load[el] > fl.cap[el] {
+		if fl.load[el] > fl.capOf(el) {
 			fl.overElems[w] = el
 			w++
 		}
@@ -1048,7 +1072,9 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		fl.cache.size = size
 	}
 	if fl.capSize != size {
-		fl.setCapacities(n, size)
+		if err := fl.setCapacities(n, size); err != nil {
+			return err
+		}
 	}
 	fl.stats.Solves++
 
@@ -1146,7 +1172,9 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		fl.cache.size = packetSize
 	}
 	if fl.capSize != packetSize {
-		fl.setCapacities(n, packetSize)
+		if err := fl.setCapacities(n, packetSize); err != nil {
+			return 0, err
+		}
 	}
 	if n.preAllocate != nil {
 		n.preAllocate(n)
@@ -1184,7 +1212,7 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		if !e.ok {
 			continue
 		}
-		for _, el := range fl.cache.path[e.off : e.off+e.n] {
+		for _, el := range fl.cache.pathOf(e) {
 			fl.load[el] += f.rate
 		}
 		if e.base > maxBase {
@@ -1196,7 +1224,7 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		if l <= 0 {
 			continue
 		}
-		if s := l / fl.cap[i]; s > maxSer {
+		if s := l / fl.capOf(int32(i)); s > maxSer {
 			maxSer = s
 		}
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -232,7 +231,7 @@ type traceLayout struct {
 func layoutOf(net *Network) traceLayout {
 	fl := net.flow
 	return traceLayout{
-		entries: slices.Clone(fl.cache.entries), path: slices.Clone(fl.cache.path),
+		entries: slices.Clone(fl.cache.entries), path: slices.Concat(fl.cache.slabs...)[:fl.cache.pathEnd],
 		elemOff: slices.Clone(fl.elemOff), elemFlow: slices.Clone(fl.elemFlow),
 	}
 }
@@ -293,16 +292,17 @@ func TestTraceLayoutIndependentOfWorkers(t *testing.T) {
 
 // TestFlowColdSolveAllocsIndependentOfSize pins that a cold build grows
 // nothing by doubling: a fresh network's first solve allocates equally
-// often on an 8-node and a 64-node ring, because the cache index, entries
-// and path arena, the worklists and the trace buffers are each sized once.
-// Every chip sends to three destinations, so both rings' demand counts
-// exceed one 8-slot map group and both indexes take Go's full-size map
-// layout.
+// often on an 8-node and a 64-node ring, because the cache index and
+// entries, the worklists and the trace buffers are each sized once, and
+// both rings' paths fit the arena's first slab. Every chip sends to three
+// destinations, so both rings' demand counts exceed one 8-slot map group
+// and both indexes take Go's full-size map layout. The solves run under
+// testing.AllocsPerRun, one fresh network per run, so an allocation by
+// the runtime or another test during the window rounds away in the
+// per-run average.
 func TestFlowColdSolveAllocsIndependentOfSize(t *testing.T) {
-	coldAllocs := func(n int) uint64 {
-		net := buildRing(t, n)
-		defer net.Close()
-		net.SetEngine(EngineFlow)
+	const runs = 10
+	coldAllocs := func(n int) float64 {
 		var demands []FlowDemand
 		for i := 0; i < n; i++ {
 			for k := 1; k <= 3; k++ {
@@ -313,17 +313,64 @@ func TestFlowColdSolveAllocsIndependentOfSize(t *testing.T) {
 			Demands:    func() []FlowDemand { return demands },
 			PacketSize: 4, Warmup: 100, Measure: 200,
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if err := net.SolveFlow(opts); err != nil {
-			t.Fatal(err)
+		// AllocsPerRun calls the function once more to warm up.
+		nets := make([]*Network, runs+1)
+		for i := range nets {
+			nets[i] = buildRing(t, n)
+			defer nets[i].Close()
+			nets[i].SetEngine(EngineFlow)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			net := nets[next]
+			next++
+			if err := net.SolveFlow(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	small, large := coldAllocs(8), coldAllocs(64)
 	if small != large {
-		t.Fatalf("cold solve allocates %d times on an 8-node ring, %d on a 64-node ring; want equal", small, large)
+		t.Fatalf("cold solve allocates %v times on an 8-node ring, %v on a 64-node ring; want equal", small, large)
 	}
-	t.Logf("cold solve: %d allocations on either ring", small)
+	t.Logf("cold solve: %v allocations on either ring", small)
+}
+
+// TestFlowTraceScratchBounded pins that a cold solve's trace scratch holds
+// one batch, whatever the pair count: the results hold at most traceBatch
+// traces, and each worker's path buffer at most one batch of the longest
+// path (or the reservation hint, when paths are shorter). On the 256-node
+// ring the pairs span several batches and the arena outgrows that bound,
+// so scratch sized to the worklist would fail it.
+func TestFlowTraceScratchBounded(t *testing.T) {
+	for _, tc := range []struct{ nodes, dests, workers int }{{8, 3, 1}, {256, 64, 1}, {256, 64, 3}} {
+		net := buildRing(t, tc.nodes)
+		var demands []FlowDemand
+		for i := 0; i < tc.nodes; i++ {
+			for k := 1; k <= tc.dests; k++ {
+				demands = append(demands, FlowDemand{Src: int32(i), Dst: int32((i + k) % tc.nodes), Rate: 0.001})
+			}
+		}
+		solveFlowRing(t, net, demands, FlowOptions{Workers: tc.workers})
+		fl, c := net.flow, net.flow.cache
+		longest := int32(0)
+		for i := range c.entries {
+			longest = max(longest, c.entries[i].n)
+		}
+		batch := min(len(demands), traceBatch)
+		if cap(fl.results) > batch {
+			t.Errorf("%d-node ring: %d trace results retained, want at most %d", tc.nodes, cap(fl.results), batch)
+		}
+		bound := (batch + 1) * int(max(longest, flowPathHint))
+		for w := range tc.workers {
+			if got := cap(fl.scratch[w].buf); got > bound {
+				t.Errorf("%d-node ring, %d workers: worker %d retains %d path elements, want at most %d",
+					tc.nodes, tc.workers, w, got, bound)
+			}
+		}
+		if tc.nodes == 256 && int(c.pathEnd) <= bound {
+			t.Fatalf("arena of %d elements within the scratch bound %d; the ring does not span batches", c.pathEnd, bound)
+		}
+		net.Close()
+	}
 }

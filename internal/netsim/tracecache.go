@@ -6,9 +6,11 @@ import "slices"
 // destination node), owned by the network and kept across Reset so
 // build-once/measure-many campaigns pay for each route exactly once.
 //
-// Entries share one slice and one path arena. Every installed routing is
-// fault-state routing (SetRoute installs one that ignores the state; see
-// faultroute.go), so there is one model. The reference layer — the entries
+// Entries share one slice and one path arena. The arena is a list of
+// fixed-size slabs that are never moved or regrown: a path is written once,
+// into the slab it fits in whole, and a full slab is followed by a new one.
+// Every installed routing is fault-state routing (SetRoute installs one
+// that ignores the state; see faultroute.go), so there is one model. The reference layer — the entries
 // idx points at — holds the traces of the state the routing was installed
 // in: the churn base. Every other fault state the network enters gets a
 // layer that stores deltas only: overlay entries for the pairs it routes
@@ -23,9 +25,9 @@ import "slices"
 // every state layer is emptied, its overlay entries compacted away. Churn
 // batches and Reset invalidate nothing: they only switch layers.
 
-// traceEntry is one cached route: the traced path as an offset/length into
-// traceCache.path, the uncontended base latency, and the per-class hop
-// counts. ok=false entries cache route *failures* (refused pairs), so a
+// traceEntry is one cached route: the traced path as an arena offset and
+// length (read with traceCache.pathOf), the uncontended base latency, and
+// the per-class hop counts. ok=false entries cache route *failures* (refused pairs), so a
 // persistently unroutable pair is not re-traced every solve.
 type traceEntry struct {
 	key   uint64
@@ -61,12 +63,27 @@ func (l *traceLayer) verify(i int32) {
 	l.verified[w] |= 1 << uint(i&63)
 }
 
+// pathSlabBits sizes the path arena's slabs at 1<<pathSlabBits elements
+// (64 KiB). A slab must hold the longest path, flowMaxHops elements; the
+// unsigned constant below does not compile otherwise.
+const (
+	pathSlabBits = 14
+	pathSlabLen  = 1 << pathSlabBits
+	pathSlabMask = pathSlabLen - 1
+
+	_ uint = pathSlabLen - flowMaxHops
+)
+
 // traceCache owns the entries, their key index, the shared path arena and
 // the per-state layers.
 type traceCache struct {
 	idx     map[uint64]int32
 	entries []traceEntry
-	path    []int32
+	// slabs is the path arena; arena offset off is element off&pathSlabMask
+	// of slab off>>pathSlabBits. pathEnd is the offset the next path is
+	// placed at. Slabs outlive invalidation, which only rewinds pathEnd.
+	slabs   [][]int32
+	pathEnd int32
 	epoch   uint64
 	// gen increments whenever cached structure changes (fresh traces merged
 	// or every trace discarded); the solver folds it into its flow-shape hash so a
@@ -146,6 +163,30 @@ func (c *traceCache) lookup(key uint64) (ei int32, need, hit bool) {
 	return i, true, false
 }
 
+// span returns the n arena elements at offset off, which lie in one slab.
+func (c *traceCache) span(off, n int32) []int32 {
+	o := off & pathSlabMask
+	return c.slabs[off>>pathSlabBits][o : o+n]
+}
+
+// pathOf returns entry e's traced path.
+func (c *traceCache) pathOf(e *traceEntry) []int32 { return c.span(e.off, e.n) }
+
+// place reserves n arena elements for a path and returns their offset. A
+// path that would straddle a slab boundary starts the next slab instead,
+// which is allocated when the arena has not reached it before.
+func (c *traceCache) place(n int32) int32 {
+	off := c.pathEnd
+	if off&pathSlabMask+n > pathSlabLen {
+		off = off&^pathSlabMask + pathSlabLen
+	}
+	if int(off>>pathSlabBits) == len(c.slabs) {
+		c.slabs = append(c.slabs, make([]int32, pathSlabLen))
+	}
+	c.pathEnd = off + n
+	return off
+}
+
 // set fills e with finished trace res, its path at arena offset off (a
 // failed trace's path is never read).
 func (e *traceEntry) set(off int32, res *traceResult) {
@@ -163,23 +204,25 @@ func (e *traceEntry) set(off int32, res *traceResult) {
 // merge records trace res of reference entry ei for the current state,
 // which must not be the reference state (tracePending merges reference
 // traces on the pool). It marks the reference entry verified when the
-// traces agree, or appends an overlay entry, its path at the end of the
-// arena, and reports that flows reserved on ei must be redirected.
+// traces agree, or appends an overlay entry, its path placed in the arena,
+// and reports that flows reserved on ei must be redirected.
 func (c *traceCache) merge(ei int32, res *traceResult, path []int32) (redirect bool) {
 	l := &c.layers[c.state]
 	ref := &c.entries[ei]
 	if ref.epoch == c.epoch && ref.traced && ref.ok == res.ok &&
 		(!res.ok || ref.base == res.base && ref.hops == res.hops &&
-			slices.Equal(c.path[ref.off:ref.off+ref.n], path)) {
+			slices.Equal(c.pathOf(ref), path)) {
 		l.verify(ei)
 		return false
 	}
 	oi := int32(len(c.entries))
 	c.entries = append(c.entries, traceEntry{key: ref.key, epoch: c.epoch})
-	c.entries[oi].set(int32(len(c.path)), res)
+	off := int32(0)
 	if res.ok {
-		c.path = append(c.path, path...)
+		off = c.place(res.n)
+		copy(c.span(off, res.n), path)
 	}
+	c.entries[oi].set(off, res)
 	if l.over == nil {
 		l.over = make(map[uint64]int32)
 	}
@@ -235,7 +278,7 @@ func (c *traceCache) resetStates() {
 func (c *traceCache) invalidateAll() {
 	c.epoch++
 	c.gen++
-	c.path = c.path[:0]
+	c.pathEnd = 0
 	for i := range c.layers {
 		clear(c.layers[i].over)
 		clear(c.layers[i].verified)

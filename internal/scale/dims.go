@@ -261,12 +261,10 @@ func validationRun(sys *core.System, sp core.SimParams) (core.Result, error) {
 }
 
 // validateStats checks the structural health of a validation run: traffic
-// flowed, nothing deadlocked, and packet conservation held.
+// flowed and packet conservation held. A deadlock never reaches it: the
+// run that trips the progress watchdog fails with netsim.ErrDeadlock.
 func validateStats(res core.Result) error {
 	st := res.Stats
-	if st.WatchdogTrips > 0 {
-		return fmt.Errorf("progress watchdog tripped %d times", st.WatchdogTrips)
-	}
 	if st.DeliveredPkts == 0 {
 		return fmt.Errorf("no packets delivered")
 	}

@@ -1,22 +1,25 @@
 // Package scale finds the simulator's soft scaling ceilings.
 //
 // A scale run grows exactly one dimension — system size in chips, injected
-// fault fraction, or concurrent campaign jobs — step by step until either a
-// step fails validation (build error, routing failure, watchdog deadlock,
-// conservation violation) or a resource budget trips (per-step wall clock,
-// resident set size). Every step records its build/sim wall time and memory
-// footprint, so the output is a trajectory ending in a ceiling: the largest
-// value of the dimension the simulator handled within budget. Campaign CI
-// tracks these ceilings across revisions the same way it tracks benchmark
-// medians (see BENCH_*.json).
+// fault fraction, or concurrent campaign jobs — step by step until a step
+// fails validation (build error, routing failure, conservation violation),
+// its run trips the progress watchdog, or a resource budget trips (per-step
+// wall clock, resident set size). Every step records its build/sim wall
+// time and memory footprint, so the output is a trajectory ending in a
+// ceiling: the largest value of the dimension the simulator handled within
+// budget. Campaign CI tracks these ceilings across revisions the same way
+// it tracks benchmark medians (see BENCH_*.json).
 package scale
 
 import (
+	"errors"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
+
+	"sldf/internal/netsim"
 )
 
 // Sample records one step of a growth run.
@@ -77,6 +80,7 @@ type Dimension struct {
 // Trip reasons reported by Report.Tripped.
 const (
 	TripValidation = "validation"   // a step failed to build, run, or conserve packets
+	TripWatchdog   = "watchdog"     // a step's run tripped the progress watchdog (netsim.ErrDeadlock)
 	TripWall       = "step-wall"    // a step exceeded Budget.MaxStepWall
 	TripRSS        = "rss"          // resident set exceeded Budget.MaxRSS
 	TripSteps      = "max-steps"    // Budget.MaxSteps reached
@@ -131,6 +135,9 @@ func Run(d Dimension, b Budget, logf func(format string, args ...any)) Report {
 			rep.Samples = append(rep.Samples, s)
 			logf("%s %s: FAIL after %.0f ms: %v", d.Name, s.Label, s.BuildMS+s.SimMS, err)
 			rep.Tripped = TripValidation
+			if errors.Is(err, netsim.ErrDeadlock) {
+				rep.Tripped = TripWatchdog
+			}
 			return rep
 		}
 		rep.Samples = append(rep.Samples, s)

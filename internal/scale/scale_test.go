@@ -135,7 +135,8 @@ func TestJobsDimensionSmoke(t *testing.T) {
 // TestValidateJob checks the jobs dimension's executor: a healthy job
 // returns the point a direct measurement of its configuration gives, and a
 // job whose run deadlocks (a one-cycle watchdog trips on ordinary
-// queueing) fails with its index.
+// queueing) fails with its index. A scale run whose step executes that job
+// stops with TripWatchdog.
 func TestValidateJob(t *testing.T) {
 	cfg := baseConfig(core.MeshCGroup)
 	cfg.Seed = 1
@@ -172,6 +173,16 @@ func TestValidateJob(t *testing.T) {
 	if !reflect.DeepEqual(pts[0], want.Point) {
 		t.Fatalf("healthy job point %+v, want %+v", pts[0], want.Point)
 	}
+	rep := Run(Dimension{Name: "watchdog", Step: func(i int) (Step, bool) {
+		return Step{Label: "tripped", Value: 1, Run: func() (StepInfo, error) {
+			_, err := campaign.LocalBackend{}.Execute([]campaign.JobSpec{{Kind: validateJobKind, Payload: tripped}},
+				campaign.ExecOptions{Jobs: 1})
+			return StepInfo{}, err
+		}}, i == 0
+	}}, Budget{}, nil)
+	if rep.Tripped != TripWatchdog || len(rep.Samples) != 1 || !strings.Contains(rep.Samples[0].Err, "no progress") {
+		t.Fatalf("scale run over the deadlocking job: tripped %q, samples %+v; want %q", rep.Tripped, rep.Samples, TripWatchdog)
+	}
 }
 
 // TestValidateStats checks each health rule the jobs dimension's executor
@@ -182,7 +193,6 @@ func TestValidateStats(t *testing.T) {
 		want string
 	}{
 		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 5}, ""},
-		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 5, WatchdogTrips: 1}, "watchdog"},
 		{netsim.Stats{InjectedPkts: 5}, "no packets delivered"},
 		{netsim.Stats{InjectedPkts: 5, DeliveredPkts: 6}, "conservation"},
 	} {
