@@ -15,13 +15,16 @@
 //
 // With -json the full report is written as JSON (to a file, or stdout with
 // "-"); -min-ceiling turns the run into a CI gate that fails when the
-// ceiling regresses below the given value.
+// ceiling regresses below the given value. A step that leaves the process
+// above -max-rss-gb fails and is not the ceiling.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,44 +35,52 @@ import (
 )
 
 func main() {
+	cliflags.Exit("sldfscale", run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments, writing the report to
+// w and progress lines to errw. Split from main so tests can drive flag
+// parsing, the ladder and the ceiling gate.
+func run(args []string, w, errw io.Writer) error {
+	fs := flag.NewFlagSet("sldfscale", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		dim         = flag.String("dim", "chips", "growth dimension: chips | faults | jobs")
-		kind        = flag.String("kind", "sw-less", "system kind: sw-less | sw-based | switch | 2d-mesh (alias mesh)")
-		workers     = flag.Int("workers", 1, "simulation worker goroutines per system")
-		maxSteps    = flag.Int("max-steps", 0, "stop after this many steps (0 = unlimited)")
-		maxStepWall = flag.Duration("max-step-wall", 2*time.Minute, "stop after a step exceeding this wall time (0 = unlimited)")
-		maxRSSGB    = flag.Float64("max-rss-gb", 16, "stop once resident set exceeds this many GiB (0 = unlimited)")
-		minCeiling  = flag.Float64("min-ceiling", 0, "exit nonzero unless the ceiling value reaches this (0 = no gate)")
-		jsonOut     = flag.String("json", "", "write the report as JSON to this file (\"-\" = stdout)")
-		quiet       = flag.Bool("q", false, "suppress per-step progress lines")
-		engine      = cliflags.AddEngine(flag.CommandLine, cliflags.FlowPar)
+		dim         = fs.String("dim", "chips", "growth dimension: chips | faults | jobs")
+		kind        = fs.String("kind", "sw-less", "system kind: sw-less | sw-based | switch | 2d-mesh (alias mesh)")
+		workers     = fs.Int("workers", 1, "simulation worker goroutines per system")
+		maxSteps    = fs.Int("max-steps", 0, "stop after this many steps (0 = unlimited)")
+		maxStepWall = fs.Duration("max-step-wall", 2*time.Minute, "stop after a step exceeding this wall time (0 = unlimited)")
+		maxRSSGB    = fs.Float64("max-rss-gb", 16, "fail the step that leaves the resident set above this many GiB (0 = unlimited)")
+		minCeiling  = fs.Float64("min-ceiling", 0, "exit nonzero unless the ceiling value reaches this (0 = no gate)")
+		jsonOut     = fs.String("json", "", "write the report as JSON to this file (\"-\" = stdout)")
+		quiet       = fs.Bool("q", false, "suppress per-step progress lines")
+		engine      = cliflags.AddEngine(fs, cliflags.FlowPar)
 	)
-	flag.Parse()
+	if ok, err := cliflags.Parse(fs, args); !ok {
+		return err
+	}
 
 	k, err := core.ParseKind(*kind)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	eng, err := engine.Resolve()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var d scale.Dimension
 	switch *dim {
 	case "chips":
 		d = scale.ChipsDimension(k, *workers, eng.Kind, eng.FlowWorkers)
 	case "faults":
-		if eng.Kind != netsim.EngineActiveSet {
-			fatal(fmt.Errorf("-engine applies to -dim chips only"))
-		}
 		d = scale.FaultFractionDimension(k, *workers)
 	case "jobs":
-		if eng.Kind != netsim.EngineActiveSet {
-			fatal(fmt.Errorf("-engine applies to -dim chips only"))
-		}
 		d = scale.JobsDimension(k, *workers)
 	default:
-		fatal(fmt.Errorf("unknown -dim %q (want chips, faults, or jobs)", *dim))
+		return fmt.Errorf("unknown -dim %q (want chips, faults, or jobs)", *dim)
+	}
+	if *dim != "chips" && eng.Kind != netsim.EngineActiveSet {
+		return errors.New("-engine applies to -dim chips only")
 	}
 	budget := scale.Budget{
 		MaxStepWall: *maxStepWall,
@@ -77,7 +88,7 @@ func main() {
 		MaxSteps:    *maxSteps,
 	}
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(errw, format+"\n", args...)
 	}
 	if *quiet {
 		logf = nil
@@ -85,46 +96,43 @@ func main() {
 
 	rep := scale.Run(d, budget, logf)
 
-	if rep.Ceiling != nil {
-		fmt.Printf("%s: ceiling %s (value %g) — stopped by %s after %d steps\n",
-			rep.Dimension, rep.Ceiling.Label, rep.Ceiling.Value, rep.Tripped, len(rep.Samples))
-		fmt.Printf("  build %.0f ms, sim %.0f ms, heap %.1f MB, rss %.1f MB",
-			rep.Ceiling.BuildMS, rep.Ceiling.SimMS, rep.Ceiling.HeapMB, rep.Ceiling.RSSMB)
-		if rep.Ceiling.HeapPerChip > 0 {
-			fmt.Printf(", %.0f heap bytes/chip", rep.Ceiling.HeapPerChip)
+	if c := rep.Ceiling; c != nil {
+		fmt.Fprintf(w, "%s: ceiling %s (value %g) — stopped by %s after %d steps\n",
+			rep.Dimension, c.Label, c.Value, rep.Tripped, len(rep.Samples))
+		fmt.Fprintf(w, "  build %.0f ms, sim %.0f ms, heap %.1f MB, rss %.1f MB",
+			c.BuildMS, c.SimMS, c.HeapMB, c.RSSMB)
+		if c.HeapPerChip > 0 {
+			fmt.Fprintf(w, ", %.0f heap bytes/chip", c.HeapPerChip)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	} else {
-		fmt.Printf("%s: no step passed — stopped by %s\n", rep.Dimension, rep.Tripped)
+		fmt.Fprintf(w, "%s: no step passed — stopped by %s\n", rep.Dimension, rep.Tripped)
 	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
+			if _, err := w.Write(data); err != nil {
+				return err
+			}
 		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if *minCeiling > 0 {
-		if rep.Ceiling == nil || rep.Ceiling.Value < *minCeiling {
-			got := 0.0
-			if rep.Ceiling != nil {
-				got = rep.Ceiling.Value
-			}
-			fmt.Fprintf(os.Stderr, "sldfscale: ceiling gate failed: %g < %g\n", got, *minCeiling)
-			os.Exit(2)
+		got := 0.0
+		if rep.Ceiling != nil {
+			got = rep.Ceiling.Value
 		}
-		fmt.Printf("ceiling gate passed: %g >= %g\n", rep.Ceiling.Value, *minCeiling)
+		if got < *minCeiling {
+			return fmt.Errorf("ceiling gate failed: %g < %g", got, *minCeiling)
+		}
+		fmt.Fprintf(w, "ceiling gate passed: %g >= %g\n", got, *minCeiling)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sldfscale:", err)
-	os.Exit(1)
+	return nil
 }

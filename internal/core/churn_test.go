@@ -119,10 +119,10 @@ func TestEngineEquivalenceChurnParallel(t *testing.T) {
 	}
 }
 
-// TestChurnZeroEventTimelineMatchesStatic is the tentpole's compatibility
-// gate: an armed timeline with no events must simulate bitwise identically
-// to the corresponding static-fault build — the churn plumbing (per-step due
-// check, apply hooks, alive-chip table) may cost nothing behaviorally.
+// TestChurnZeroEventTimelineMatchesStatic is the churn compatibility gate:
+// an armed timeline with no events must simulate bitwise identically to the
+// corresponding static-fault build — the churn plumbing (per-step due
+// check, the network's alive-chip table) may cost nothing behaviorally.
 func TestChurnZeroEventTimelineMatchesStatic(t *testing.T) {
 	for _, kind := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference} {
 		t.Run(kind.String(), func(t *testing.T) {

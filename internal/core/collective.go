@@ -140,7 +140,7 @@ func CollectiveSchedules() []string {
 // uneven. When fewer than two participants survive there is nothing to
 // run and the error wraps collective.ErrPartitioned.
 func ScheduleFor(s *System, name string, volume int64) (collective.Schedule, error) {
-	alive := s.chipAlive()
+	alive := s.Net.ChipAlive
 	order := collective.FilterOrder(s.collectiveOrder(), alive)
 	if len(order) < 2 {
 		return collective.Schedule{}, fmt.Errorf("core: %s on %s: %d of %d chips alive: %w",
@@ -174,14 +174,6 @@ func ScheduleFor(s *System, name string, volume int64) (collective.Schedule, err
 		return collective.Schedule{}, fmt.Errorf("core: unknown collective schedule %q (want %v)",
 			name, CollectiveSchedules())
 	}
-}
-
-// chipAlive returns the liveness predicate, or nil on pristine builds.
-func (s *System) chipAlive() func(int32) bool {
-	if s.aliveChips == nil {
-		return nil
-	}
-	return func(c int32) bool { return s.aliveChips[c] }
 }
 
 // collectiveOrder is the system's natural ring embedding: the snake order

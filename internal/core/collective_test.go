@@ -232,14 +232,25 @@ func TestCollectiveFaultedReroutes(t *testing.T) {
 }
 
 // TestCollectivePartitioned: fewer than two alive participants must
-// surface collective.ErrPartitioned, not hang or measure nothing.
+// surface collective.ErrPartitioned, not hang or measure nothing. Chips
+// 1-3 of a four-terminal switch die through the armed timeline, so the
+// schedule reads the network's own liveness.
 func TestCollectivePartitioned(t *testing.T) {
-	sys, err := Build(Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1})
+	cfg := Config{Kind: SingleSwitch, Terminals: 4, Seed: 1, Workers: 1}
+	cfg.Churn = topology.FaultTimeline{Armed: true}
+	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	sys.aliveChips = []bool{true, false, false, false}
+	if _, err := ScheduleFor(sys, "ring", 64); err != nil {
+		t.Fatalf("all chips alive: %v", err)
+	}
+	for chip := int32(1); chip < 4; chip++ {
+		if err := sys.ApplyChipKill(chip); err != nil {
+			t.Fatal(err)
+		}
+	}
 	_, err = ScheduleFor(sys, "ring", 64)
 	if !errors.Is(err, collective.ErrPartitioned) {
 		t.Fatalf("got %v, want ErrPartitioned", err)

@@ -25,7 +25,7 @@ func measureFullTail(t *testing.T, sys *System, pat traffic.Pattern, rate float6
 	t.Helper()
 	sys.Net.SetEngine(sp.Engine)
 	var gen traffic.Rate
-	gen.Init(traffic.FilterDead(pat, sys.aliveChips), rate, sp.PacketSize, sys.NodesPerChip)
+	gen.Init(traffic.FilterDead(pat, sys.Net.AliveChips()), rate, sp.PacketSize, sys.NodesPerChip)
 	sys.Net.SetTraffic(&gen, sp.PacketSize, netsim.DstSameIndex)
 	if err := sys.Net.Run(sp.Warmup); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,22 @@ import (
 // run the cheap registry experiments end-to-end at quick scale and assert
 // the paper's qualitative results on the produced series.
 
-func TestFig10Runner(t *testing.T) {
-	res, err := RunExperimentByName("10", ScaleQuick, RunOptions{Jobs: 4})
+// runQuick runs the registered experiment name at quick scale.
+func runQuick(t *testing.T, name string) ExperimentResult {
+	t.Helper()
+	spec, ok := LookupExperiment(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	res, err := RunExperiment(spec, ScaleQuick, RunOptions{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestFig10Runner(t *testing.T) {
+	res := runQuick(t, "10")
 	figs := res.Figures
 	if len(figs) != 6 {
 		t.Fatalf("Fig10 produced %d sub-figures, want 6", len(figs))
@@ -47,10 +58,7 @@ func TestFig10Runner(t *testing.T) {
 }
 
 func TestFig14Runner(t *testing.T) {
-	res, err := RunExperimentByName("14", ScaleQuick, RunOptions{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "14")
 	figs := res.Figures
 	if len(figs) != 2 {
 		t.Fatalf("Fig14 produced %d figures", len(figs))

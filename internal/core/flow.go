@@ -19,7 +19,7 @@ import (
 // of the chip's offered rate. The pattern is re-wrapped against the current
 // alive set on every call, so churn segments re-filter dead chips.
 func (s *System) flowDemands(pat traffic.Pattern, rate float64) []netsim.FlowDemand {
-	fpat := traffic.FilterDead(pat, s.aliveChips)
+	fpat := traffic.FilterDead(pat, s.Net.AliveChips())
 	samples := netsim.FlowSampleCount(s.Chips)
 	per := rate / float64(samples)
 	// The demand buffer is retained on the System so steady-state sweep

@@ -161,16 +161,6 @@ func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (Experimen
 	return runPlanJobs(plan, opts)
 }
 
-// RunExperimentByName is RunExperiment after a registry lookup.
-func RunExperimentByName(name string, scale Scale, opts RunOptions) (ExperimentResult, error) {
-	spec, ok := LookupExperiment(name)
-	if !ok {
-		return ExperimentResult{}, fmt.Errorf("core: unknown experiment %q (registered: %v)",
-			name, ExperimentNames())
-	}
-	return RunExperiment(spec, scale, opts)
-}
-
 // applyEngineOverride rewrites every measurement of a resolved plan to run
 // under the given engine (RunOptions.Engine, the figure CLIs' -engine
 // flag). The default engine leaves the plan untouched, so registered specs

@@ -124,13 +124,6 @@ func TestRegistryEnergyAndResilienceStructure(t *testing.T) {
 	}
 }
 
-func TestRunExperimentByNameUnknown(t *testing.T) {
-	_, err := RunExperimentByName("99", ScaleQuick, RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRegisterExperimentValidation(t *testing.T) {
 	mustPanic := func(name string, spec ExperimentSpec) {
 		t.Helper()

@@ -22,14 +22,6 @@ type System struct {
 	Groups        int // W-groups (1 for single-switch / mesh systems)
 	ChipsPerGroup int
 
-	// aliveChips marks chips with a surviving terminal; nil when every
-	// chip is alive. MeasureLoad uses it to silence traffic aimed at dead
-	// chips on degraded builds. Churn-armed systems always allocate it (the
-	// wrapper draws identically when every chip is alive) and update it in
-	// place at every event batch, so patterns capturing the slice see deaths
-	// and repairs immediately.
-	aliveChips []bool
-
 	// churnDomain is the topology's fault domain (timeline victim
 	// sampling), set by faulted builds.
 	churnDomain topology.FaultDomain
@@ -83,12 +75,6 @@ func Build(cfg Config) (*System, error) {
 	sys.NodesPerChip = entry.nodesPerChip(cfg)
 	sys.Groups = entry.groups(cfg)
 	sys.ChipsPerGroup = sys.Chips / sys.Groups
-	if dead := sys.Net.DeadChips(); len(dead) > 0 {
-		sys.aliveChips = make([]bool, sys.Chips)
-		for c := int32(0); c < int32(sys.Chips); c++ {
-			sys.aliveChips[c] = sys.Net.ChipAlive(c)
-		}
-	}
 	if !cfg.Churn.Empty() {
 		if err := sys.armChurn(); err != nil {
 			sys.Net.Close()
@@ -112,31 +98,12 @@ func (sys *System) installFaultRouting(t kindTopo) error {
 }
 
 // armChurn resolves the configured timeline against the topology's fault
-// domain and installs it on the network, with an apply hook that refreshes
-// the chip-liveness table after every event batch (the network itself
-// switches routing and retires packets the new tables cannot carry).
+// domain and installs it on the network, which from then on switches
+// routing, updates chip liveness and retires packets the new tables cannot
+// carry at every event batch.
 func (sys *System) armChurn() error {
-	if sys.aliveChips == nil {
-		// Allocate up front even when every chip is alive: FilterDead draws
-		// identically through an all-alive table, and mid-run deaths then
-		// only flip bits in place — patterns and schedules capturing the
-		// slice never need re-wrapping.
-		sys.aliveChips = make([]bool, sys.Chips)
-		sys.refreshAliveChips()
-	}
 	events := sys.Cfg.Churn.Resolve(sys.churnDomain)
-	return sys.Net.ScheduleChurn(events, sys.Cfg.Churn.Policy, func(*netsim.Network) error {
-		sys.refreshAliveChips()
-		return nil
-	})
-}
-
-// refreshAliveChips re-reads chip liveness from the network in place,
-// preserving the slice identity that installed traffic filters captured.
-func (sys *System) refreshAliveChips() {
-	for c := range sys.aliveChips {
-		sys.aliveChips[c] = sys.Net.ChipAlive(int32(c))
-	}
+	return sys.Net.ScheduleChurn(events, sys.Cfg.Churn.Policy)
 }
 
 // ApplyChipKill immediately kills every surviving terminal router of the
@@ -165,10 +132,11 @@ func (s *System) ApplyChipKill(chip int32) error {
 // applyFaultSpec validates spec, resolves it against the topology's fault
 // domain and disables the drawn components, tolerating chips that lose
 // every terminal (they drop out of the workload; MeasureLoad filters
-// traffic aimed at them). closure, when non-nil, is the topology's
-// fault-closure hook: nodes the drawn faults cut off from the surviving
-// network (e.g. a core isolated inside its C-group mesh) are added to the
-// fault set, so a chip keeps only reachable terminals.
+// traffic aimed at them through the network's AliveChips). closure, when
+// non-nil, is the topology's fault-closure hook: nodes the drawn faults
+// cut off from the surviving network (e.g. a core isolated inside its
+// C-group mesh) are added to the fault set, so a chip keeps only reachable
+// terminals.
 func applyFaultSpec(net *netsim.Network, spec topology.FaultSpec, domain topology.FaultDomain,
 	closure func([]netsim.NodeID, []int32) []netsim.NodeID) error {
 	if err := spec.Validate(); err != nil {
@@ -178,8 +146,7 @@ func applyFaultSpec(net *netsim.Network, spec topology.FaultSpec, domain topolog
 	if closure != nil {
 		routers = append(routers, closure(routers, links)...)
 	}
-	_, err := net.ApplyFaults(routers, links)
-	return err
+	return net.ApplyFaults(routers, links)
 }
 
 // Close releases the system's worker pool.
@@ -190,15 +157,9 @@ func (s *System) Close() { s.Net.Close() }
 // construction can serve every load point of a series. A measurement on a
 // reset system is bitwise identical to one on a fresh Build of the same
 // configuration. On churn-armed systems the network restores its build-time
-// fault state, its routing and the event cursor; chip liveness is refreshed
-// here, so a reset mid-churn system equals a fresh build with the same
-// timeline.
-func (s *System) Reset() {
-	s.Net.Reset()
-	if s.Net.ChurnArmed() {
-		s.refreshAliveChips()
-	}
-}
+// fault state, chip liveness, routing and the event cursor, so a reset
+// mid-churn system equals a fresh build with the same timeline.
+func (s *System) Reset() { s.Net.Reset() }
 
 // Result is one measured load point with its raw statistics and the
 // Table II energy pricing of the observed hop mix.
@@ -235,7 +196,7 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 		// per churn segment.
 		return s.measureLoadFlow(pat, rate, sp)
 	}
-	pat = traffic.FilterDead(pat, s.aliveChips)
+	pat = traffic.FilterDead(pat, s.Net.AliveChips())
 	s.rateGen.Init(pat, rate, sp.PacketSize, s.NodesPerChip)
 	s.Net.SetTraffic(&s.rateGen, sp.PacketSize, netsim.DstSameIndex)
 	if err := s.Net.Run(sp.Warmup); err != nil {

@@ -271,43 +271,3 @@ func (f Figure) CSV() string {
 	}
 	return b.String()
 }
-
-// Table renders the figure as aligned text for terminal output.
-func (f Figure) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", f.Name, f.Title)
-	fmt.Fprintf(&b, "%-10s", "rate")
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%22s", s.Label)
-	}
-	b.WriteByte('\n')
-	maxLen := 0
-	for _, s := range f.Series {
-		if len(s.Points) > maxLen {
-			maxLen = len(s.Points)
-		}
-	}
-	for i := 0; i < maxLen; i++ {
-		rate := -1.0
-		for _, s := range f.Series {
-			if i < len(s.Points) {
-				rate = s.Points[i].Rate
-				break
-			}
-		}
-		fmt.Fprintf(&b, "%-10.3f", rate)
-		for _, s := range f.Series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, "%14.1f cycles", s.Points[i].Latency)
-			} else {
-				fmt.Fprintf(&b, "%22s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "  saturation(%s) ≈ %.2f flits/cycle/chip\n",
-			s.Label, s.Saturation(3))
-	}
-	return b.String()
-}

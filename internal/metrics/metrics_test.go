@@ -72,14 +72,6 @@ func TestCSVSparseSeries(t *testing.T) {
 	}
 }
 
-func TestTableRenders(t *testing.T) {
-	f := Figure{Name: "fig10a", Title: "intra-C-group uniform", Series: []Series{mkSeries()}}
-	out := f.Table()
-	if !strings.Contains(out, "fig10a") || !strings.Contains(out, "saturation") {
-		t.Fatalf("table output missing sections:\n%s", out)
-	}
-}
-
 func TestEnergyFigureCSV(t *testing.T) {
 	f := EnergyFigure{Name: "fig15a", Bars: []EnergyBar{
 		{Label: "sw-based", Intra: 0, Inter: 134.25},

@@ -29,8 +29,9 @@ func uniformGen(chips int, prob float64) Generator {
 func runLine(t *testing.T, kind EngineKind, toggle bool) Stats {
 	t.Helper()
 	spec := LinkSpec{Delay: 1, Width: 1, Class: HopShortReach, VCs: 1, BufFlits: 32}
-	net := buildLine(t, 8, spec, NetworkOptions{Seed: 42, Workers: 1, Engine: kind})
+	net := buildLine(t, 8, spec, NetworkOptions{Seed: 42, Workers: 1})
 	defer net.Close()
+	net.SetEngine(kind)
 	net.SetTraffic(uniformGen(8, 0.1), 4, DstSameIndex)
 	net.StartMeasurement()
 	if toggle {

@@ -226,12 +226,7 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		}
 	}
 
-	pool := opts.Pool
-	owned := false
-	if pool == nil {
-		pool = engine.NewPool(opts.Workers)
-		owned = true
-	}
+	pool := engine.NewPool(opts.Workers)
 	wd := opts.WatchdogCycles
 	if wd <= 0 {
 		wd = DefaultWatchdogCycles
@@ -241,12 +236,10 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		Links:         exact(b.links),
 		ChipNodes:     chips,
 		pool:          pool,
-		ownedPool:     owned,
 		shards:        max(pool.Workers(), 1),
 		seed:          opts.Seed,
 		packetSize:    4,
 		watchdogLimit: wd,
-		engineKind:    opts.Engine,
 	}
 	n.shard = make([]shardStats, n.shards)
 	// Materialize every router's ports from two network-wide slabs, carved

@@ -79,19 +79,17 @@ func SortTimedFaults(events []TimedFault) {
 }
 
 // churnState is the armed fault timeline of a network: the pending event
-// list and its cursor, the stranded-packet policy and the apply hook. The
-// component bookkeeping the events act on lives in the network's faultBook.
+// list and its cursor and the stranded-packet policy. The component
+// bookkeeping the events act on, chip liveness included, lives in the
+// network's faultBook.
 type churnState struct {
 	events []TimedFault
 	next   int // first unapplied event
 	policy DropPolicy
 
-	// onApply runs serially after every applied event batch, after the
-	// fault-state routing (if installed) has switched and sanitized. An
-	// error aborts the run: it is surfaced by the next Run/RunUntil/Drain
-	// call.
-	onApply func(*Network) error
-	err     error
+	// err is the first failure to enter a batch's fault-state routing. It
+	// aborts the run: the next Run/RunUntil/Drain call surfaces it.
+	err error
 
 	// appliedAny marks that some batch has been applied since the last
 	// Reset (ApplyFaults and SetFaultRouting refuse to run then).
@@ -116,7 +114,8 @@ func (n *Network) ChurnPending() int {
 	return len(n.churn.events) - n.churn.next
 }
 
-// ChurnErr returns the error (if any) raised by the churn apply hook.
+// ChurnErr returns the error (if any) raised while entering a churn
+// batch's fault-state routing.
 func (n *Network) ChurnErr() error {
 	if n.churn == nil {
 		return nil
@@ -126,17 +125,15 @@ func (n *Network) ChurnErr() error {
 
 // ScheduleChurn arms a fault timeline on a freshly built (or reset)
 // network. events are copied and canonically sorted; policy selects the
-// stranded-packet treatment; onApply (optional) runs after every applied
-// batch — the core layer uses it to refresh chip liveness. Fault-aware
-// routing follows the timeline on its own when installed with
-// SetFaultRouting.
+// stranded-packet treatment. Chip liveness (AliveChips) and fault-aware
+// routing installed with SetFaultRouting follow the timeline on their own.
 //
 // Must be called at cycle zero. Events act on the base state — the
 // pristine network plus every ApplyFaults set, whether applied before or
 // after arming — which repairs never undo and Reset restores. An empty
 // event list is valid and leaves simulation bitwise identical to an
 // unarmed network.
-func (n *Network) ScheduleChurn(events []TimedFault, policy DropPolicy, onApply func(*Network) error) error {
+func (n *Network) ScheduleChurn(events []TimedFault, policy DropPolicy) error {
 	if n.Cycle != 0 {
 		return fmt.Errorf("netsim: ScheduleChurn at cycle %d; arm timelines before the first Step", n.Cycle)
 	}
@@ -146,9 +143,8 @@ func (n *Network) ScheduleChurn(events []TimedFault, policy DropPolicy, onApply 
 		}
 	}
 	c := &churnState{
-		events:  append([]TimedFault(nil), events...),
-		policy:  policy,
-		onApply: onApply,
+		events: append([]TimedFault(nil), events...),
+		policy: policy,
 	}
 	SortTimedFaults(c.events)
 	n.book()
@@ -179,7 +175,7 @@ func (n *Network) checkFault(e TimedFault) error {
 // InjectChurn applies events immediately, at the current step boundary
 // (between Steps, or before the first). The timeline must be armed — a
 // zero-event ScheduleChurn is the way to enable pure programmatic churn.
-// The canonical sort is applied to the batch; the apply hook runs once.
+// The canonical sort is applied to the batch, which applies as one.
 func (n *Network) InjectChurn(events []TimedFault) error {
 	if n.churn == nil {
 		return errors.New("netsim: InjectChurn on a network with no armed timeline (ScheduleChurn first)")
@@ -216,8 +212,8 @@ func (n *Network) applyDueChurn() {
 // applyChurnBatch applies one batch of events, then rebuilds the derived
 // structures (chip tables, injector and drain lists, active sets), strands
 // packets per policy, enters the new fault state's routing (fault-state
-// routing, see SetFaultRouting) and runs the apply hook. Serial: called
-// only between engine phases.
+// routing, see SetFaultRouting). Serial: called only between engine
+// phases.
 func (n *Network) applyChurnBatch(batch []TimedFault) {
 	c, b := n.churn, n.faults
 	b.toggledRouters = b.toggledRouters[:0]
@@ -256,9 +252,6 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 	}
 	if n.faultRoute != nil && c.err == nil {
 		c.err = n.enterFaultState(true)
-	}
-	if c.onApply != nil && c.err == nil {
-		c.err = c.onApply(n)
 	}
 }
 
@@ -453,9 +446,11 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 
 // rebuildChipNodes refilters every chip's terminal table from the base
 // snapshot against the current Disabled flags, keeping Local indices in
-// sync with slice positions (DstSameIndex addressing).
+// sync with slice positions (DstSameIndex addressing) and the liveness
+// table current.
 func (n *Network) rebuildChipNodes() {
-	for chip, base := range n.faults.baseChipNodes {
+	b := n.faults
+	for chip, base := range b.baseChipNodes {
 		nodes := n.ChipNodes[chip][:0]
 		if nodes == nil && len(base) > 0 {
 			nodes = make([]NodeID, 0, len(base))
@@ -465,6 +460,7 @@ func (n *Network) rebuildChipNodes() {
 				nodes = append(nodes, id)
 			}
 		}
+		b.alive[chip] = len(nodes) > 0
 		if len(nodes) == 0 {
 			n.ChipNodes[chip] = nil
 			continue

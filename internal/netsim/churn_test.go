@@ -99,7 +99,7 @@ func TestChurnLinkDeathReroutesAndAccounts(t *testing.T) {
 				LinkFault(20, fwd.ID, false),
 				LinkFault(20, rev.ID, false),
 			}
-			if err := net.ScheduleChurn(events, DropInFlight, nil); err != nil {
+			if err := net.ScheduleChurn(events, DropInFlight); err != nil {
 				t.Fatal(err)
 			}
 			net.SetTraffic(streamTo(0, 2, 3, 60), 4, DstSameIndex)
@@ -143,7 +143,7 @@ func TestChurnRouterDeathAndRepair(t *testing.T) {
 		RouterFault(20, net.ChipNodes[3][0], false),
 		RouterFault(120, net.ChipNodes[3][0], true),
 	}
-	if err := net.ScheduleChurn(events, DropInFlight, nil); err != nil {
+	if err := net.ScheduleChurn(events, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
 	net.SetTraffic(streamTo(0, 3, 4, 200), 4, DstSameIndex)
@@ -182,7 +182,7 @@ func TestChurnRetrySourceRedelivers(t *testing.T) {
 	// Under RetrySource every stranded packet re-enters chip 0's injection
 	// queue and is re-routed counterclockwise, so nothing is lost.
 	events := []TimedFault{RouterFault(15, net.ChipNodes[1][0], false)}
-	if err := net.ScheduleChurn(events, RetrySource, nil); err != nil {
+	if err := net.ScheduleChurn(events, RetrySource); err != nil {
 		t.Fatal(err)
 	}
 	net.SetTraffic(streamTo(0, 2, 1, 15), 4, DstSameIndex)
@@ -256,7 +256,7 @@ func armChurnRing(t *testing.T, net *Network) {
 		LinkFault(90, rev.ID, true),
 		RouterFault(110, net.ChipNodes[1][0], true),
 	}
-	if err := net.ScheduleChurn(events, RetrySource, nil); err != nil {
+	if err := net.ScheduleChurn(events, RetrySource); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +286,7 @@ func TestChurnEmptyTimelineBitwise(t *testing.T) {
 			armedNet := buildChurnRing(t, 6, NetworkOptions{Seed: 7, Workers: 1})
 			defer armedNet.Close()
 			armedNet.SetEngine(kind)
-			if err := armedNet.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+			if err := armedNet.ScheduleChurn(nil, DropInFlight); err != nil {
 				t.Fatal(err)
 			}
 			gen := GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
@@ -339,7 +339,7 @@ func TestChurnResetMidTimelineRestoresBuildState(t *testing.T) {
 				RouterFault(110, net.ChipNodes[1][0], true),
 			}
 			total := len(events)
-			if err := net.ScheduleChurn(events, RetrySource, nil); err != nil {
+			if err := net.ScheduleChurn(events, RetrySource); err != nil {
 				t.Fatal(err)
 			}
 			gen := GeneratorFunc(func(now int64, src int32, node int, rng *engine.RNG) int32 {
@@ -396,13 +396,13 @@ func TestScheduleChurnValidation(t *testing.T) {
 	if err := net.InjectChurn([]TimedFault{RouterFault(0, 0, false)}); err == nil {
 		t.Fatal("InjectChurn on an unarmed network succeeded")
 	}
-	if err := net.ScheduleChurn([]TimedFault{RouterFault(0, 9999, false)}, DropInFlight, nil); err == nil {
+	if err := net.ScheduleChurn([]TimedFault{RouterFault(0, 9999, false)}, DropInFlight); err == nil {
 		t.Fatal("out-of-range router event accepted")
 	}
-	if err := net.ScheduleChurn([]TimedFault{LinkFault(-1, 0, false)}, DropInFlight, nil); err == nil {
+	if err := net.ScheduleChurn([]TimedFault{LinkFault(-1, 0, false)}, DropInFlight); err == nil {
 		t.Fatal("negative-cycle event accepted")
 	}
-	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+	if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
 	if !net.ChurnArmed() {
@@ -411,7 +411,7 @@ func TestScheduleChurnValidation(t *testing.T) {
 	if err := net.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.ScheduleChurn(nil, DropInFlight, nil); err == nil {
+	if err := net.ScheduleChurn(nil, DropInFlight); err == nil {
 		t.Fatal("mid-run ScheduleChurn accepted")
 	}
 }
@@ -419,7 +419,7 @@ func TestScheduleChurnValidation(t *testing.T) {
 func TestInjectChurnImmediateKill(t *testing.T) {
 	net := buildChurnRing(t, 6, NetworkOptions{Seed: 4, Workers: 1})
 	defer net.Close()
-	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+	if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
 	net.SetTraffic(streamTo(0, 2, 3, 40), 4, DstSameIndex)

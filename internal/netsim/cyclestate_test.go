@@ -39,7 +39,7 @@ func TestFlowOnlyNetworkHasNoCycleState(t *testing.T) {
 	defer net.Close()
 	net.SetEngine(EngineFlow)
 	checkNoCycleState(t, net)
-	if _, err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
+	if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
 		t.Fatal(err)
 	}
 	armChurnRing(t, net)
@@ -93,7 +93,7 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 func TestCycleStateFollowsBuildFaults(t *testing.T) {
 	// faultAndArm applies the build-time fault and arms the churn timeline.
 	faultAndArm := func(net *Network) {
-		if _, err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
+		if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
 			t.Fatal(err)
 		}
 		armChurnRing(t, net)

@@ -185,3 +185,14 @@ const (
 	WaterfillRounds = flowWaterfillIters
 	FlowRhoCap      = flowRhoCap
 )
+
+// SetFlowWorkers sets the flow solver's parallelism outside a solve, for
+// tests that drive solver phases directly.
+func (n *Network) SetFlowWorkers(w int) { n.setFlowWorkers(w) }
+
+// FlowWorkers reports the flow solver's parallelism and whether it holds a
+// worker pool.
+func (n *Network) FlowWorkers() (workers int, pooled bool) {
+	fl := n.flowSolver()
+	return fl.workers, fl.pool != nil
+}

@@ -139,7 +139,7 @@ func TestFaultStateRoutingOracle(t *testing.T) {
 			if err := net.SetFaultRouting(rig.build); err != nil {
 				t.Fatal(err)
 			}
-			if err := net.ScheduleChurn(rig.timeline(3), netsim.RetrySource, nil); err != nil {
+			if err := net.ScheduleChurn(rig.timeline(3), netsim.RetrySource); err != nil {
 				t.Fatal(err)
 			}
 			net.SetEngine(netsim.EngineFlow)

@@ -23,6 +23,12 @@ type faultBook struct {
 	baseLinkDisabled   []bool
 	baseChipNodes      [][]NodeID
 
+	// alive[c] reports whether chip c keeps a terminal router. Allocated
+	// with the book and updated in place by every rebuild of the chip
+	// tables, so a pattern filtered against it (traffic.FilterDead) sees
+	// deaths and repairs without re-wrapping.
+	alive []bool
+
 	// scratch collects packets stranded while a batch's events are being
 	// applied; they are disposed of (drop or retry) only after the chip
 	// tables reflect the whole batch, so a retry can never target a router
@@ -43,6 +49,10 @@ func (n *Network) book() *faultBook {
 		n.faults = &faultBook{
 			routerRefs: make([]int16, len(n.Routers)),
 			linkRefs:   make([]int16, len(n.Links)),
+			alive:      make([]bool, len(n.ChipNodes)),
+		}
+		for c := range n.faults.alive {
+			n.faults.alive[c] = n.ChipAlive(int32(c))
 		}
 		n.commitBase()
 	}
@@ -83,21 +93,21 @@ func (n *Network) commitBase() {
 // disabled link offers no bandwidth and is dropped from the drain lists. A
 // chip that keeps at least one alive terminal stays addressable, with its
 // remaining nodes re-indexed; a chip that loses every terminal is dropped
-// from the workload (its ChipNodes entry empties) and returned in
-// deadChips. Traffic generators must not target a dead chip — wrap
-// patterns with traffic.FilterDead (the core layer does this
-// automatically).
+// from the workload (its ChipNodes entry empties; see DeadChips and
+// AliveChips). Traffic generators must not target a dead chip — wrap
+// patterns with traffic.FilterDead over AliveChips (the core layer does
+// this automatically).
 //
 // ApplyFaults only severs connectivity — it does not reroute a function
 // installed with SetRoute. Install a fault-aware RouteFunc (see the routing
 // package) or packets will wait forever at dead links; routing installed
 // with SetFaultRouting is rebuilt for the new fault set.
-func (n *Network) ApplyFaults(routers []NodeID, links []int32) (deadChips []int32, err error) {
+func (n *Network) ApplyFaults(routers []NodeID, links []int32) error {
 	if n.Cycle != 0 {
-		return nil, fmt.Errorf("netsim: ApplyFaults after %d simulated cycles; faults are build-time only", n.Cycle)
+		return fmt.Errorf("netsim: ApplyFaults after %d simulated cycles; faults are build-time only", n.Cycle)
 	}
 	if n.churn != nil && n.churn.appliedAny {
-		return nil, errors.New("netsim: ApplyFaults on a network whose churn timeline has applied events; Reset first")
+		return errors.New("netsim: ApplyFaults on a network whose churn timeline has applied events; Reset first")
 	}
 	batch := make([]TimedFault, 0, len(routers)+len(links))
 	for _, id := range routers {
@@ -108,7 +118,7 @@ func (n *Network) ApplyFaults(routers []NodeID, links []int32) (deadChips []int3
 	}
 	for _, e := range batch {
 		if err := n.checkFault(e); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n.flowInvalidateAll()
@@ -121,18 +131,29 @@ func (n *Network) ApplyFaults(routers []NodeID, links []int32) (deadChips []int3
 	n.rebuildChipNodes()
 	n.rebuildShardLists()
 	n.commitBase()
-	deadChips = n.DeadChips()
 	// Installed fault-state routing is rebuilt for the new fault set, which
 	// becomes its base state.
 	if fr := n.faultRoute; fr != nil {
-		err = n.SetFaultRouting(fr.build)
+		return n.SetFaultRouting(fr.build)
 	}
-	return deadChips, err
+	return nil
 }
 
 // ChipAlive reports whether chip c still has a terminal router.
 func (n *Network) ChipAlive(c int32) bool {
 	return c >= 0 && int(c) < len(n.ChipNodes) && len(n.ChipNodes[c]) > 0
+}
+
+// AliveChips returns the chip liveness table: entry c is true while chip c
+// keeps a terminal router. The network owns the table and updates it in
+// place at every fault batch and Reset, so callers may hold it across a
+// run. It is nil on a network that was never faulted or armed with a churn
+// timeline, where every chip is alive.
+func (n *Network) AliveChips() []bool {
+	if n.faults == nil {
+		return nil
+	}
+	return n.faults.alive
 }
 
 // DeadChips lists the chips with no surviving terminal router.

@@ -45,8 +45,11 @@ func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 	}
 	// Router 1 is one of chip 0's two terminals: disabling it must take its
 	// two links (1→hub, hub→1) with it while chip 0 stays alive.
-	if dead, err := net.ApplyFaults([]NodeID{1}, nil); err != nil || len(dead) != 0 {
-		t.Fatalf("ApplyFaults = %v, %v; want no dead chips", dead, err)
+	if err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if dead := net.DeadChips(); len(dead) != 0 {
+		t.Fatalf("dead chips = %v, want none", dead)
 	}
 	if !net.Routers[1].Disabled {
 		t.Fatal("router 1 not disabled")
@@ -69,12 +72,17 @@ func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 func TestApplyFaultsDeadChip(t *testing.T) {
 	net := buildFaultRing(t, 4, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	dead, err := net.ApplyFaults([]NodeID{1}, nil)
-	if err != nil {
+	if net.AliveChips() != nil {
+		t.Fatal("pristine network has a liveness table")
+	}
+	if err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dead, []int32{1}) {
+	if dead := net.DeadChips(); !reflect.DeepEqual(dead, []int32{1}) {
 		t.Fatalf("dead chips = %v, want [1]", dead)
+	}
+	if alive := net.AliveChips(); !reflect.DeepEqual(alive, []bool{true, false, true, true}) {
+		t.Fatalf("AliveChips = %v, want chip 1 dead", alive)
 	}
 	if net.ChipAlive(1) || len(net.ChipNodes[1]) != 0 {
 		t.Fatalf("chip 1 still addressable: ChipNodes[1] = %v", net.ChipNodes[1])
@@ -86,13 +94,13 @@ func TestApplyFaultsDeadChip(t *testing.T) {
 func TestApplyFaultsValidation(t *testing.T) {
 	net := buildFaultRing(t, 4, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	if _, err := net.ApplyFaults([]NodeID{99}, nil); err == nil {
+	if err := net.ApplyFaults([]NodeID{99}, nil); err == nil {
 		t.Fatal("out-of-range router accepted")
 	}
-	if _, err := net.ApplyFaults(nil, []int32{-1}); err == nil {
+	if err := net.ApplyFaults(nil, []int32{-1}); err == nil {
 		t.Fatal("out-of-range link accepted")
 	}
-	if _, err := net.ApplyFaults([]NodeID{2}, []int32{-1}); err == nil {
+	if err := net.ApplyFaults([]NodeID{2}, []int32{-1}); err == nil {
 		t.Fatal("valid router with out-of-range link accepted")
 	}
 	if r, l := net.DisabledCounts(); r != 0 || l != 0 {
@@ -101,21 +109,21 @@ func TestApplyFaultsValidation(t *testing.T) {
 	if !reflect.DeepEqual(net.ChipNodes[2], []NodeID{2}) {
 		t.Fatalf("rejected fault set changed ChipNodes[2] to %v", net.ChipNodes[2])
 	}
-	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+	if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.InjectChurn([]TimedFault{RouterFault(0, 1, false)}); err != nil {
 		t.Fatal(err)
 	}
 	r0, l0 := net.DisabledCounts()
-	if _, err := net.ApplyFaults(nil, []int32{2}); err == nil {
+	if err := net.ApplyFaults(nil, []int32{2}); err == nil {
 		t.Fatal("ApplyFaults after an applied churn batch accepted")
 	}
 	if r, l := net.DisabledCounts(); r != r0 || l != l0 {
 		t.Fatalf("rejected ApplyFaults changed DisabledCounts from (%d, %d) to (%d, %d)", r0, l0, r, l)
 	}
 	net.Step()
-	if _, err := net.ApplyFaults(nil, nil); err == nil {
+	if err := net.ApplyFaults(nil, nil); err == nil {
 		t.Fatal("ApplyFaults after Step accepted")
 	}
 }
@@ -126,14 +134,13 @@ func TestApplyFaultsValidation(t *testing.T) {
 func TestApplyFaultsAfterScheduleChurnSurvivesReset(t *testing.T) {
 	net := buildChurnRing(t, 6, NetworkOptions{Seed: 1, Workers: 1})
 	defer net.Close()
-	if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+	if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
-	dead, err := net.ApplyFaults([]NodeID{net.ChipNodes[2][0]}, []int32{linkBetween(t, net, 4, 5).ID})
-	if err != nil {
+	if err := net.ApplyFaults([]NodeID{net.ChipNodes[2][0]}, []int32{linkBetween(t, net, 4, 5).ID}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dead, []int32{2}) {
+	if dead := net.DeadChips(); !reflect.DeepEqual(dead, []int32{2}) {
 		t.Fatalf("dead chips = %v, want [2]", dead)
 	}
 	routers, links := net.DisabledCounts()
@@ -191,8 +198,9 @@ func buildTwoNodeChip(t testing.TB, opts NetworkOptions) *Network {
 // to the chip lands on the surviving terminal under both engines.
 func TestDisabledTerminalLeavesChipAddressable(t *testing.T) {
 	for _, kind := range []EngineKind{EngineReference, EngineActiveSet} {
-		net := buildTwoNodeChip(t, NetworkOptions{Seed: 7, Workers: 1, Engine: kind})
-		if _, err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
+		net := buildTwoNodeChip(t, NetworkOptions{Seed: 7, Workers: 1})
+		net.SetEngine(kind)
+		if err := net.ApplyFaults([]NodeID{1}, nil); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if got := len(net.ChipNodes[0]); got != 1 || net.ChipNodes[0][0] != 0 {
@@ -254,9 +262,10 @@ func TestFaultedRunBothEngines(t *testing.T) {
 				return -1
 			})
 			measure := func(kind EngineKind, reset bool) Stats {
-				net := buildFaultRing(t, 8, NetworkOptions{Seed: 3, Workers: 1, Engine: kind})
+				net := buildFaultRing(t, 8, NetworkOptions{Seed: 3, Workers: 1})
 				defer net.Close()
-				if _, err := net.ApplyFaults(nil, []int32{5}); err != nil {
+				net.SetEngine(kind)
+				if err := net.ApplyFaults(nil, []int32{5}); err != nil {
 					t.Fatal(err)
 				}
 				run := func() Stats {

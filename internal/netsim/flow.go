@@ -102,8 +102,8 @@ type FlowOptions struct {
 	// StartMeasurement / Run(Measure) sequence.
 	Warmup, Measure int64
 
-	// Workers, when positive, sets the solver's parallelism (equivalent to
-	// SetFlowWorkers). Statistics are bit-identical for any worker count.
+	// Workers sets the solver's parallelism for this solve; <= 0 solves
+	// serially. Statistics are bit-identical for any worker count.
 	Workers int
 	// Cold discards the route-trace cache before solving, forcing a full
 	// re-trace. Results are identical with or without it; the knob exists
@@ -457,12 +457,12 @@ func (n *Network) flowSolver() *flowSolver {
 	return fl
 }
 
-// SetFlowWorkers sets the flow solver's parallelism (1 = serial; <=0 is
+// setFlowWorkers sets the flow solver's parallelism (1 = serial; <=0 is
 // clamped to 1). Worker count is a pure execution knob: statistics are
 // bit-identical for any setting. The solver owns its pool — campaigns run
 // the cycle engines' pool at Workers:1 and parallelize across points, so
 // the flow solver parallelizes within a point independently.
-func (n *Network) SetFlowWorkers(w int) {
+func (n *Network) setFlowWorkers(w int) {
 	fl := n.flowSolver()
 	if w <= 0 {
 		w = 1
@@ -1059,9 +1059,7 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 	horizon := opts.Warmup + opts.Measure
 
 	fl := n.flowSolver()
-	if opts.Workers > 0 {
-		n.SetFlowWorkers(opts.Workers)
-	}
+	n.setFlowWorkers(opts.Workers)
 	if opts.Cold {
 		n.flowInvalidateAll()
 	}

@@ -112,7 +112,7 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 		fwd := linkBetween(t, net, 1, 2)
 		rev := linkBetween(t, net, 2, 1)
 		events := []TimedFault{LinkFault(100, fwd.ID, false), LinkFault(100, rev.ID, false)}
-		if err := net.ScheduleChurn(events, DropInFlight, nil); err != nil {
+		if err := net.ScheduleChurn(events, DropInFlight); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestTraceLayoutIndependentOfWorkers(t *testing.T) {
 		net.Reset()
 		fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
 		if err := net.ScheduleChurn([]TimedFault{LinkFault(100, fwd.ID, false), LinkFault(100, rev.ID, false)},
-			DropInFlight, nil); err != nil {
+			DropInFlight); err != nil {
 			t.Fatal(err)
 		}
 		if err := net.SolveFlow(opts); err != nil {

@@ -3,6 +3,7 @@ package netsim_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -174,6 +175,37 @@ func buildFlowSLDF(t *testing.T) *netsim.Network {
 	r.Install(s.Net)
 	s.Net.SetEngine(netsim.EngineFlow)
 	return s.Net
+}
+
+// TestSolveFlowWorkersPerSolve checks that every solve applies its own
+// FlowOptions.Workers: on one network, a 3-worker solve followed by a
+// 0-worker solve runs the second serially, with identical statistics.
+func TestSolveFlowWorkersPerSolve(t *testing.T) {
+	net := buildFlowSLDF(t)
+	defer net.Close()
+	demands := sampledDemands(len(net.ChipNodes), 4, 0.5)
+	solve := func(workers int) netsim.Stats {
+		t.Helper()
+		net.Reset()
+		if err := net.SolveFlow(netsim.FlowOptions{
+			Demands:    func() []netsim.FlowDemand { return demands },
+			PacketSize: 4, Warmup: 100, Measure: 200, Workers: workers,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return net.Snapshot()
+	}
+	par := solve(3)
+	if w, pooled := net.FlowWorkers(); w != 3 || !pooled {
+		t.Fatalf("after a 3-worker solve: %d workers, pool %v", w, pooled)
+	}
+	ser := solve(0)
+	if w, pooled := net.FlowWorkers(); w != 1 || pooled {
+		t.Fatalf("after a 0-worker solve: %d workers, pool %v; want serial", w, pooled)
+	}
+	if !reflect.DeepEqual(par, ser) {
+		t.Fatalf("serial solve differs from the 3-worker solve:\n%+v\n%+v", ser, par)
+	}
 }
 
 // transposeOracle is the flow solver's flow-incidence transpose as it was

@@ -47,6 +47,4 @@ const (
 	// DstSameIndex delivers to the node with the same local index as the
 	// injecting node (cores are paired across chips).
 	DstSameIndex DstNodePolicy = iota
-	// DstRandom delivers to a uniformly random node of the destination chip.
-	DstRandom
 )

@@ -53,7 +53,6 @@ type Network struct {
 	gen        Generator
 	genBern    BernoulliGenerator // non-nil when gen supports the inlined coin flip
 	packetSize int32
-	dstPolicy  DstNodePolicy
 	seed       uint64
 
 	arena packetArena
@@ -61,10 +60,9 @@ type Network struct {
 	// utilScratch is the reusable top-k buffer returned by LinkUtilization.
 	utilScratch []LinkUtil
 
-	pool      *engine.Pool
-	ownedPool bool
-	shards    int
-	shard     []shardStats
+	pool   *engine.Pool
+	shards int
+	shard  []shardStats
 
 	// cyc is the state only the cycle engines read; nil on a flow-only
 	// network (see cycleState).
@@ -120,26 +118,19 @@ type NetworkOptions struct {
 	Seed uint64
 	// Workers is the number of parallel workers (0 = GOMAXPROCS).
 	Workers int
-	// Pool optionally supplies a shared executor; if nil a pool is created
-	// and owned by the network.
-	Pool *engine.Pool
 	// WatchdogCycles is the number of consecutive zero-progress cycles with
 	// in-flight packets after which Run returns ErrDeadlock and increments
 	// Stats.WatchdogTrips (0 selects DefaultWatchdogCycles).
 	WatchdogCycles int64
-	// Engine selects the cycle engine (default EngineActiveSet). Both
-	// engines produce bitwise-identical statistics; EngineReference is the
-	// full-scan cross-check. It can be changed later with SetEngine.
-	Engine EngineKind
 }
 
 // SetTraffic installs the traffic generator. packetSize is the packet length
-// in flits (paper Table IV default is 4).
-func (n *Network) SetTraffic(gen Generator, packetSize int32, policy DstNodePolicy) {
+// in flits (paper Table IV default is 4); policy names the receiving node of
+// the destination chip, and DstSameIndex is the only policy.
+func (n *Network) SetTraffic(gen Generator, packetSize int32, _ DstNodePolicy) {
 	n.gen = gen
 	n.genBern, _ = gen.(BernoulliGenerator)
 	n.packetSize = packetSize
-	n.dstPolicy = policy
 }
 
 // SetRoute installs a fixed routing function as fault-state routing (see
@@ -244,7 +235,6 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 		ss.refusedPkts++
 		return
 	}
-	nodeIdx := int(r.Local)
 	ref, p := n.allocPacket(shard)
 	ss.pktSeq++
 	p.ID = uint64(shard)<<48 | ss.pktSeq
@@ -252,7 +242,9 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 	p.SrcChip = r.Chip
 	p.DstChip = dst
 	p.SrcNode = r.ID
-	p.DstNode = n.destNode(dst, nodeIdx, &r.RNG)
+	// DstSameIndex: the destination chip's node paired with r by local index.
+	dstNodes := n.ChipNodes[dst]
+	p.DstNode = dstNodes[int(r.Local)%len(dstNodes)]
 	p.Size = n.packetSize
 	p.CreatedAt = now
 	ss.injectedPkts++
@@ -261,17 +253,6 @@ func (n *Network) admit(shard int, r *Router, dst int32, now int64, act *shardAc
 	}
 	if n.cyc.routers[r.ID].enqueue(int(r.InjIn), 0, ref, p.Size) && act != nil {
 		act.routers.Add(int(r.ID) - act.lo)
-	}
-}
-
-// destNode picks the receiving router on the destination chip.
-func (n *Network) destNode(dstChip int32, srcNodeIdx int, rng *engine.RNG) NodeID {
-	nodes := n.ChipNodes[dstChip]
-	switch n.dstPolicy {
-	case DstRandom:
-		return nodes[rng.Intn(len(nodes))]
-	default:
-		return nodes[srcNodeIdx%len(nodes)]
 	}
 }
 
@@ -538,12 +519,10 @@ func (n *Network) Snapshot() Stats {
 	return st
 }
 
-// Close releases the worker pool if the network owns it, along with the
-// flow solver's pool when one was created.
+// Close releases the network's worker pool, along with the flow solver's
+// pool when one was created.
 func (n *Network) Close() {
-	if n.ownedPool && n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 	if n.flow != nil && n.flow.pool != nil {
 		n.flow.pool.Close()
 		n.flow.pool = nil

@@ -144,7 +144,7 @@ func blockedHub(t *testing.T, kind EngineKind, churn bool) (*Network, *Router, *
 	net, hub := buildStar(t, 3, false, 1)
 	t.Cleanup(net.Close)
 	if churn {
-		if err := net.ScheduleChurn(nil, DropInFlight, nil); err != nil {
+		if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,8 +18,8 @@ var errDeadChip = errors.New("fault spec kills every terminal of a chip")
 func applySpec(t *testing.T, net *netsim.Network, spec topology.FaultSpec, d topology.FaultDomain) error {
 	t.Helper()
 	routers, links := spec.Resolve(d)
-	dead, err := net.ApplyFaults(routers, links)
-	if err == nil && len(dead) > 0 {
+	err := net.ApplyFaults(routers, links)
+	if err == nil && len(net.DeadChips()) > 0 {
 		err = errDeadChip
 	}
 	return err
@@ -155,7 +155,7 @@ func TestFaultedSLDFPartitionRejected(t *testing.T) {
 	for j := range cg.GlobalPorts {
 		ports = append(ports, cg.GlobalPorts[j].Node)
 	}
-	if _, err := s.Net.ApplyFaults(ports, nil); err != nil {
+	if err := s.Net.ApplyFaults(ports, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err = NewFaultSLDFRouter(s, BaselineVC, Minimal)
@@ -246,7 +246,7 @@ func TestFaultedMeshPartitionRejected(t *testing.T) {
 			cut = append(cut, l.ID)
 		}
 	}
-	if _, err := g.Net.ApplyFaults(nil, cut); err != nil {
+	if err := g.Net.ApplyFaults(nil, cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultMeshRouter(g); !errors.Is(err, ErrPartitioned) {
@@ -316,7 +316,7 @@ func TestFaultedDragonflyRestrictions(t *testing.T) {
 			cut = append(cut, l.ID)
 		}
 	}
-	if _, err := df.Net.ApplyFaults(nil, cut); err != nil {
+	if err := df.Net.ApplyFaults(nil, cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultDragonflyRoute(df, Minimal); !errors.Is(err, ErrPartitioned) {
@@ -335,7 +335,7 @@ func TestFaultedSingleSwitch(t *testing.T) {
 	if _, err := NewFaultSwitchRoute(s); err != nil {
 		t.Fatalf("pristine switch rejected: %v", err)
 	}
-	if _, err := s.Net.ApplyFaults(nil, []int32{0}); err != nil {
+	if err := s.Net.ApplyFaults(nil, []int32{0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFaultSwitchRoute(s); !errors.Is(err, ErrPartitioned) {

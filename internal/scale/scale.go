@@ -13,6 +13,7 @@ package scale
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -47,7 +48,8 @@ type Budget struct {
 	// MaxStepWall stops growth after a step whose build+sim wall time
 	// exceeds it (the step itself still counts toward the ceiling).
 	MaxStepWall time.Duration
-	// MaxRSS stops growth once the process resident set exceeds it.
+	// MaxRSS fails the step after which the process resident set exceeds
+	// it: that step is recorded but does not count toward the ceiling.
 	MaxRSS uint64
 	// MaxSteps bounds the number of steps attempted.
 	MaxSteps int
@@ -82,10 +84,13 @@ const (
 	TripValidation = "validation"   // a step failed to build, run, or conserve packets
 	TripWatchdog   = "watchdog"     // a step's run tripped the progress watchdog (netsim.ErrDeadlock)
 	TripWall       = "step-wall"    // a step exceeded Budget.MaxStepWall
-	TripRSS        = "rss"          // resident set exceeded Budget.MaxRSS
+	TripRSS        = "rss"          // a step left the resident set above Budget.MaxRSS
 	TripSteps      = "max-steps"    // Budget.MaxSteps reached
 	TripEnd        = "end-of-range" // the dimension ran out of steps
 )
+
+// errOverRSS fails a step that left the resident set above Budget.MaxRSS.
+var errOverRSS = errors.New("resident set over budget")
 
 // Report is the outcome of one growth run.
 type Report struct {
@@ -114,6 +119,10 @@ func Run(d Dimension, b Budget, logf func(format string, args ...any)) Report {
 		}
 		info, err := step.Run()
 		rss := rssBytes()
+		if err == nil && b.MaxRSS > 0 && rss > b.MaxRSS {
+			err = fmt.Errorf("%w: %.1f MB > %.1f MB", errOverRSS,
+				float64(rss)/(1<<20), float64(b.MaxRSS)/(1<<20))
+		}
 		s := Sample{
 			Label:   step.Label,
 			Value:   step.Value,
@@ -134,9 +143,13 @@ func Run(d Dimension, b Budget, logf func(format string, args ...any)) Report {
 			s.Err = err.Error()
 			rep.Samples = append(rep.Samples, s)
 			logf("%s %s: FAIL after %.0f ms: %v", d.Name, s.Label, s.BuildMS+s.SimMS, err)
-			rep.Tripped = TripValidation
-			if errors.Is(err, netsim.ErrDeadlock) {
+			switch {
+			case errors.Is(err, errOverRSS):
+				rep.Tripped = TripRSS
+			case errors.Is(err, netsim.ErrDeadlock):
 				rep.Tripped = TripWatchdog
+			default:
+				rep.Tripped = TripValidation
 			}
 			return rep
 		}
@@ -147,10 +160,6 @@ func Run(d Dimension, b Budget, logf func(format string, args ...any)) Report {
 		wall := info.BuildWall + info.SimWall
 		if b.MaxStepWall > 0 && wall > b.MaxStepWall {
 			rep.Tripped = TripWall
-			return rep
-		}
-		if b.MaxRSS > 0 && rss > b.MaxRSS {
-			rep.Tripped = TripRSS
 			return rep
 		}
 	}

@@ -85,6 +85,24 @@ func TestRunWallBudgetTrip(t *testing.T) {
 	}
 }
 
+// TestRunRSSBudgetTrip: a step that leaves the resident set over budget is
+// recorded as a failed sample and is not the ceiling.
+func TestRunRSSBudgetTrip(t *testing.T) {
+	if rssBytes() == 0 {
+		t.Skip("resident set size unavailable on this platform")
+	}
+	rep := Run(synthetic(10, -1, StepInfo{}), Budget{MaxRSS: 1}, nil)
+	if rep.Tripped != TripRSS {
+		t.Fatalf("tripped %q, want %q", rep.Tripped, TripRSS)
+	}
+	if len(rep.Samples) != 1 || rep.Ceiling != nil {
+		t.Fatalf("samples %+v ceiling %+v; want one over-budget sample and no ceiling", rep.Samples, rep.Ceiling)
+	}
+	if s := rep.Samples[0]; s.OK || !strings.Contains(s.Err, "resident set over budget") {
+		t.Fatalf("over-budget sample %+v", s)
+	}
+}
+
 func TestRunValueOverride(t *testing.T) {
 	rep := Run(synthetic(1, -1, StepInfo{Value: 42}), Budget{}, nil)
 	if rep.Ceiling == nil || rep.Ceiling.Value != 42 {
