@@ -305,16 +305,19 @@ func BenchmarkCampaignParallel(b *testing.B) {
 		Seed: 1, Workers: 1}
 	cfg.SLDF.G = 1
 	rates := core.RateGrid(0.2, 1.6, 0.2)
+	plan := func(rates []float64) core.ExperimentPlan {
+		return core.ExperimentPlan{Figures: []core.FigureSpec{{Name: "sweep", Series: []core.SeriesSpec{
+			{Cfg: cfg, Pattern: "uniform", Rates: rates, Sim: benchSim()}}}}}
+	}
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
 			var sat float64
 			for i := 0; i < b.N; i++ {
-				s, err := core.SweepOpts(cfg, "uniform", rates, benchSim(),
-					core.RunOptions{Jobs: jobs})
+				res, err := core.RunPlan(plan(rates), core.RunOptions{Jobs: jobs})
 				if err != nil {
 					b.Fatal(err)
 				}
-				sat = s.Saturation(3)
+				sat = res.Figures[0].Series[0].Saturation(3)
 			}
 			b.ReportMetric(sat, "saturation")
 			b.ReportMetric(float64(len(rates)), "points")
@@ -329,8 +332,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 	b.Run("lowest-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SweepOpts(cfg, "uniform", low, benchSim(),
-				core.RunOptions{}); err != nil {
+			if _, err := core.RunPlan(plan(low), core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

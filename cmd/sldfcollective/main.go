@@ -1,10 +1,10 @@
 // Command sldfcollective measures collective-communication makespans on
 // the evaluated systems: the paper Fig. 4 latency argument (ring vs 2D
 // row-column vs hierarchical AllReduce) run end to end, with every step
-// drained to its exact completion cycle. Jobs run through the campaign
-// pipeline, so they are content-addressed (resumable with -cache), fan out
-// locally with -jobs, and shard across sldfd worker daemons with -remote —
-// all byte-identical to a serial run.
+// drained to its exact completion cycle. The panel is one plan measured by
+// core.RunPlan in one fan-out, so its cases are content-addressed
+// (resumable with -cache), fan out locally with -jobs, and shard across
+// sldfd worker daemons with -remote — all byte-identical to a serial run.
 //
 //	sldfcollective -dim 4 -volume 4096
 //	sldfcollective -systems sw-less,2d-mesh -schedules ring,hierarchical
@@ -12,8 +12,9 @@
 //	sldfcollective -remote host1:8437,host2:8437
 //	sldfcollective -faults 0.05 -faultseed 3      # re-routed around faults
 //
-// -jobs, -cache and -remote apply per case; schedules re-route around the
-// chips a -faults spec kills.
+// -jobs, -cache and -remote apply to every case of the panel at once;
+// schedules re-route around the chips a -faults spec kills. A negative
+// -volume, -maxstep or -killstep is rejected.
 //
 // With -killchip the command switches to the churn panel: each case runs
 // the collective twice — undisturbed, and with the chip killed before step
@@ -88,13 +89,15 @@ func run(args []string, w, errw io.Writer) error {
 		return err
 	}
 
-	var spec core.CollectiveFigureSpec
-	spec.Name = "collective"
-	spec.Title = fmt.Sprintf("Collective makespans, %d flits/chip payload", *volume)
-	var churnSpec core.ChurnFigureSpec
-	churnSpec.Name = "collective-churn"
-	churnSpec.Title = fmt.Sprintf("Mid-collective chip %d death before step %d, %d flits/chip payload",
-		*killChip, *killStep, *volume)
+	var plan core.ExperimentPlan
+	if *killChip >= 0 {
+		plan.Churn = []core.ChurnFigureSpec{{Name: "collective-churn",
+			Title: fmt.Sprintf("Mid-collective chip %d death before step %d, %d flits/chip payload",
+				*killChip, *killStep, *volume)}}
+	} else {
+		plan.Collectives = []core.CollectiveFigureSpec{{Name: "collective",
+			Title: fmt.Sprintf("Collective makespans, %d flits/chip payload", *volume)}}
+	}
 	scheduleList := strings.Split(*schedules, ",")
 	for _, sch := range scheduleList {
 		if !slices.Contains(core.CollectiveSchedules(), sch) {
@@ -111,14 +114,14 @@ func run(args []string, w, errw io.Writer) error {
 		cfg.Churn = timeline
 		for _, sch := range scheduleList {
 			if *killChip >= 0 {
-				churnSpec.Cases = append(churnSpec.Cases, core.ChurnCaseSpec{
+				plan.Churn[0].Cases = append(plan.Churn[0].Cases, core.ChurnCaseSpec{
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
 					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
 					KillChip: int32(*killChip), KillStep: *killStep,
 					Engine: eng.Kind,
 				})
 			} else {
-				spec.Cases = append(spec.Cases, core.CollectiveCaseSpec{
+				plan.Collectives[0].Cases = append(plan.Collectives[0].Cases, core.CollectiveCaseSpec{
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
 					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
 					Engine: eng.Kind,
@@ -132,11 +135,14 @@ func run(args []string, w, errw io.Writer) error {
 		return err
 	}
 
+	res, err := core.RunPlan(plan, opts)
+	if err != nil {
+		return err
+	}
+
+	var csv string
 	if *killChip >= 0 {
-		fig, err := core.RunChurnFigure(churnSpec, opts)
-		if err != nil {
-			return err
-		}
+		fig := res.Churn[0]
 		fmt.Fprintf(w, "%s\n\n", fig.Title)
 		fmt.Fprintf(w, "%-10s %-16s %8s %12s %12s %12s %8s %8s\n",
 			"system", "schedule", "steps", "baseline", "cycles", "cost", "dropped", "retried")
@@ -145,28 +151,19 @@ func run(args []string, w, errw io.Writer) error {
 				r.System, r.Schedule, r.Steps, r.BaselineCycles, r.Cycles,
 				r.CostCycles, r.Dropped, r.Retried)
 		}
-		if err := writeCSV(w, *csvPath, fig.CSV()); err != nil {
-			return err
+		csv = fig.CSV()
+	} else {
+		fig := res.Collectives[0]
+		fmt.Fprintf(w, "%s\n\n", fig.Title)
+		fmt.Fprintf(w, "%-10s %-16s %8s %12s %10s %14s\n",
+			"system", "schedule", "steps", "cycles", "packets", "flits/cyc/chip")
+		for _, r := range fig.Rows {
+			fmt.Fprintf(w, "%-10s %-16s %8d %12d %10d %14.2f\n",
+				r.System, r.Schedule, r.Steps, r.Cycles, r.Packets, r.Efficiency)
 		}
-		if diskCache != nil {
-			fmt.Fprintln(errw, diskCache.StatsLine())
-		}
-		return nil
+		csv = fig.CSV()
 	}
-
-	fig, err := core.RunCollectiveFigure(spec, opts)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "%s\n\n", fig.Title)
-	fmt.Fprintf(w, "%-10s %-16s %8s %12s %10s %14s\n",
-		"system", "schedule", "steps", "cycles", "packets", "flits/cyc/chip")
-	for _, r := range fig.Rows {
-		fmt.Fprintf(w, "%-10s %-16s %8d %12d %10d %14.2f\n",
-			r.System, r.Schedule, r.Steps, r.Cycles, r.Packets, r.Efficiency)
-	}
-	if err := writeCSV(w, *csvPath, fig.CSV()); err != nil {
+	if err := writeCSV(w, *csvPath, csv); err != nil {
 		return err
 	}
 	if diskCache != nil {

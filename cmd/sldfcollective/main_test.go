@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sldf/internal/core"
 )
 
 func TestRunHelp(t *testing.T) {
@@ -36,6 +39,25 @@ func TestRunFlagErrors(t *testing.T) {
 		var buf strings.Builder
 		if err := run(args, &buf, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestRunRejectsBadCollectiveSpec: a negative payload, step bound or kill
+// step fails with ErrSimParams before any case runs, instead of printing a
+// 0-cycle row or killing before step 0.
+func TestRunRejectsBadCollectiveSpec(t *testing.T) {
+	for _, args := range [][]string{
+		{"-volume", "-5"},
+		{"-maxstep", "-1"},
+		{"-killchip", "1", "-killstep", "-4"},
+	} {
+		var out strings.Builder
+		if err := run(append([]string{"-systems", "switch", "-dim", "2"}, args...), &out, io.Discard); !errors.Is(err, core.ErrSimParams) {
+			t.Errorf("run(%v): err = %v, want ErrSimParams", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed a panel: %q", args, out.String())
 		}
 	}
 }

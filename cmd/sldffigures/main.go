@@ -14,7 +14,8 @@
 //
 // Every measurement of an experiment — latency points, Fig. 15 energy
 // bars, resilience fault draws, collective and churn cases — is one job of
-// a single fan-out, so -jobs, -cache and -remote apply to every figure.
+// a single core.RunPlan fan-out, so -jobs, -cache and -remote apply to
+// every figure.
 // -engine overrides the engine of every measurement, and -churn arms its
 // timeline on the resilience-figure networks only; the other figures carry
 // their own configurations.
@@ -88,7 +89,7 @@ func run(args []string, w, errw io.Writer) error {
 			continue
 		}
 		start := time.Now()
-		res, err := core.RunExperiment(spec, scale, opts)
+		res, err := core.RunPlan(spec.Plan(scale), opts)
 		if err != nil {
 			return fmt.Errorf("fig %s: %w", spec.Name, err)
 		}

@@ -181,7 +181,7 @@ func TestRunQuickFig14(t *testing.T) {
 
 // TestRunQuickChurnPanel checks that the churn registry panel reaches disk:
 // -quick -fig churn writes figchurn.csv byte-identical to the quick plan
-// run through core.RunChurnFigure, and summarizes one line per case.
+// run through core.RunPlan, and summarizes one line per case.
 func TestRunQuickChurnPanel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -203,12 +203,13 @@ func TestRunQuickChurnPanel(t *testing.T) {
 	if len(plan.Churn) != 1 {
 		t.Fatalf("quick churn plan has %d panels, want 1", len(plan.Churn))
 	}
-	want, err := core.RunChurnFigure(plan.Churn[0], core.RunOptions{})
+	res, err := core.RunPlan(plan, core.RunOptions{})
 	if err != nil {
-		t.Fatalf("RunChurnFigure: %v", err)
+		t.Fatalf("RunPlan: %v", err)
 	}
+	want := res.Churn[0]
 	if string(got) != want.CSV() {
-		t.Fatalf("figchurn.csv differs from RunChurnFigure:\ngot:\n%s\nwant:\n%s", got, want.CSV())
+		t.Fatalf("figchurn.csv differs from RunPlan:\ngot:\n%s\nwant:\n%s", got, want.CSV())
 	}
 	out := buf.String()
 	if !strings.Contains(out, "== figchurn") {

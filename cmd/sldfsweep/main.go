@@ -1,5 +1,9 @@
 // Command sldfsweep runs a latency-vs-injection-rate sweep over one or more
 // systems and emits CSV (one latency and throughput column per system).
+// The systems are the series of one figure measured by core.RunPlan in one
+// fan-out, configuration-major, so -jobs, -cache and -remote span every
+// system and the CSV is byte-identical for any -jobs. An empty rate grid
+// (-step <= 0 or -from > -to) is an error.
 //
 // Each -systems name is a kind with optional width, routing and VC-scheme
 // suffixes (see core.ParseSystem and the README's grammar table), e.g.
@@ -49,7 +53,6 @@ import (
 
 	"sldf/internal/cliflags"
 	"sldf/internal/core"
-	"sldf/internal/metrics"
 	"sldf/internal/profiling"
 )
 
@@ -85,33 +88,34 @@ func run(args []string, w, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	rates := core.RateGrid(*from, *to, *step)
+	if len(rates) == 0 {
+		return fmt.Errorf("empty rate grid: -from %g -to %g -step %g (want -step > 0 and -from <= -to)",
+			*from, *to, *step)
+	}
 	names := strings.Split(*systems, ",")
-	cfgs := make([]core.Config, len(names))
+	spec := core.FigureSpec{Name: "sweep", Title: pt.Pattern, Series: make([]core.SeriesSpec, len(names))}
 	for i, name := range names {
-		if cfgs[i], err = pt.Config(strings.TrimSpace(name)); err != nil {
+		cfg, err := pt.Config(strings.TrimSpace(name))
+		if err != nil {
 			return err
 		}
+		spec.Series[i] = core.SeriesSpec{Cfg: cfg, Pattern: pt.Pattern, Label: name, Rates: rates, Sim: pt.Sim}
 	}
-	rates := core.RateGrid(*from, *to, *step)
 	opts, diskCache, err := camp.Resolve(errw)
 	if err != nil {
 		return err
 	}
 
-	fig := metrics.Figure{Name: "sweep", Title: pt.Pattern}
-	for i, cfg := range cfgs {
-		name := names[i]
-		fmt.Fprintf(errw, "sweeping %s over %d rates...\n", name, len(rates))
-		t0 := time.Now()
-		s, err := core.SweepOpts(cfg, pt.Pattern, rates, pt.Sim, opts)
-		if err != nil {
-			return fmt.Errorf("sweep %s: %w", name, err)
-		}
-		fmt.Fprintf(errw, "sweep %s: %d rates in %v (incl. build)\n",
-			name, len(rates), time.Since(t0).Round(time.Millisecond))
-		s.Label = name
-		fig.Series = append(fig.Series, s)
+	fmt.Fprintf(errw, "sweeping %d systems over %d rates...\n", len(names), len(rates))
+	t0 := time.Now()
+	res, err := core.RunPlan(core.ExperimentPlan{Figures: []core.FigureSpec{spec}}, opts)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(errw, "swept %d systems × %d rates in %v (incl. build)\n",
+		len(names), len(rates), time.Since(t0).Round(time.Millisecond))
+	fig := res.Figures[0]
 	fmt.Fprint(w, fig.CSV())
 	for _, s := range fig.Series {
 		fmt.Fprintf(errw, "saturation(%s) ≈ %.2f flits/cycle/chip\n",

@@ -105,14 +105,40 @@ func TestRunRejectsUnimplementedVariants(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-no-such-flag"},
-		{"-mode", "valiant"},
-		{"-size", "radix99"},
-		{"-engine", "warp-drive"},
+	for _, tc := range []struct {
+		args []string
+		err  string // a substring the error must carry ("" = any error)
+	}{
+		{[]string{"-no-such-flag"}, ""},
+		{[]string{"-mode", "valiant"}, ""},
+		{[]string{"-size", "radix99"}, ""},
+		{[]string{"-engine", "warp-drive"}, ""},
+		// An empty rate grid is an error, not a header-only CSV.
+		{[]string{"-step", "0"}, "-from 0.1 -to 1 -step 0"},
+		{[]string{"-step", "-0.1"}, "-from 0.1 -to 1 -step -0.1"},
+		{[]string{"-from", "0.5", "-to", "0.2"}, "-from 0.5 -to 0.2 -step 0.1"},
 	} {
-		if err := run(args, io.Discard, io.Discard); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		var out strings.Builder
+		err := run(tc.args, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("run(%v): err = %v, want an error containing %q", tc.args, err, tc.err)
 		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote to the data stream: %q", tc.args, out.String())
+		}
+	}
+}
+
+// TestRunPartitionErrorNamesSystem: the systems share one fan-out, and a
+// system whose faults partition the network is still named in the error.
+func TestRunPartitionErrorNamesSystem(t *testing.T) {
+	var out, errOut strings.Builder
+	err := run([]string{"-systems", "sw-based,sw-less", "-groups", "1", "-faults", "0.6",
+		"-from", "0.2", "-to", "0.2", "-warmup", "50", "-measure", "100"}, &out, &errOut)
+	if err == nil || !strings.HasPrefix(err.Error(), "sweep (sw-less): ") || !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("err = %v, want a partition error naming sweep (sw-less)", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a failed sweep wrote CSV: %q", out.String())
 	}
 }

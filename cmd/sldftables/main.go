@@ -219,8 +219,8 @@ func seriesLabel(s core.SeriesSpec) string {
 }
 
 // saturationSummary measures saturation rates of the radix-16 systems
-// confined to one W-group under uniform and bit-reverse traffic, fanning
-// the sweep points out over the campaign pool.
+// confined to one W-group under uniform and bit-reverse traffic, one
+// figure per pattern, all measured in one RunPlan fan-out.
 func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
 	opts := core.RunOptions{Jobs: jobs}
 	if jobs <= 0 {
@@ -239,8 +239,21 @@ func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
 	swl.SLDF.G = 1
 	swl2 := swl
 	swl2.IntraWidth = 2
+	cfgs := []core.Config{swb, swl, swl2}
 	patterns := []string{"uniform", "bit-reverse"}
 	rates := core.RateGrid(0.2, 2.0, 0.2)
+	var plan core.ExperimentPlan
+	for _, p := range patterns {
+		fig := core.FigureSpec{Name: p}
+		for _, cfg := range cfgs {
+			fig.Series = append(fig.Series, core.SeriesSpec{Cfg: cfg, Pattern: p, Rates: rates, Sim: core.QuickSim()})
+		}
+		plan.Figures = append(plan.Figures, fig)
+	}
+	res, err := core.RunPlan(plan, opts)
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "SATURATION — single W-group, quick windows, latency-knee criterion")
 	fmt.Fprintf(w, "%-14s", "system")
@@ -248,14 +261,10 @@ func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
 		fmt.Fprintf(w, "%14s", p)
 	}
 	fmt.Fprintln(w)
-	for _, cfg := range []core.Config{swb, swl, swl2} {
+	for i, cfg := range cfgs {
 		fmt.Fprintf(w, "%-14s", cfg.Label())
-		for _, p := range patterns {
-			s, err := core.SweepOpts(cfg, p, rates, core.QuickSim(), opts)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", cfg.Label(), p, err)
-			}
-			fmt.Fprintf(w, "%14.2f", s.Saturation(3))
+		for _, fig := range res.Figures {
+			fmt.Fprintf(w, "%14.2f", fig.Series[i].Saturation(3))
 		}
 		fmt.Fprintln(w)
 	}

@@ -85,7 +85,9 @@ func TestPrintKeyMatchesSweepStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.SweepOpts(cfg, pt.Pattern, []float64{0.2}, pt.Sim, opts); err != nil {
+		plan := core.ExperimentPlan{Figures: []core.FigureSpec{{Name: "sweep", Series: []core.SeriesSpec{
+			{Cfg: cfg, Pattern: pt.Pattern, Rates: []float64{0.2}, Sim: pt.Sim}}}}}
+		if _, err := core.RunPlan(plan, opts); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := filepath.Glob(filepath.Join(dir, "*.json"))

@@ -96,18 +96,6 @@ func ChurnRowFromPoints(c ChurnCaseSpec, label string, base, kill metrics.Point)
 	return row
 }
 
-// RunChurnFigure measures every case of a churn panel through the Backend
-// seam: each case becomes two content-addressed jobs (baseline, disturbed)
-// executed by the local pool or a worker fleet, satisfied from the store
-// when present, and merged by case index — byte-identical however they run.
-func RunChurnFigure(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, error) {
-	res, err := runPlanJobs(ExperimentPlan{Churn: []ChurnFigureSpec{fs}}, opts)
-	if err != nil {
-		return metrics.ChurnFigure{Name: fs.Name, Title: fs.Title}, err
-	}
-	return res.Churn[0], nil
-}
-
 // churnPart lowers a churn panel to two jobs per case: the baseline, then
 // the disturbed run.
 func churnPart(fs ChurnFigureSpec) (planPart, error) {

@@ -288,16 +288,16 @@ func TestMeasureChurnCollectiveReuse(t *testing.T) {
 	}
 }
 
-// TestRunChurnFigure runs a two-case panel end to end through the backend
+// TestRunPlanChurnPanel runs a two-case panel end to end through the backend
 // seam and checks the decoded rows carry exact baseline/disturbed cycle
 // accounting.
-func TestRunChurnFigure(t *testing.T) {
+func TestRunPlanChurnPanel(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 4, NoCDim: 2, Seed: 5}
 	drop := cfg
 	drop.Churn = topology.FaultTimeline{Armed: true, Policy: netsim.DropInFlight}
 	retry := cfg
 	retry.Churn = topology.FaultTimeline{Armed: true, Policy: netsim.RetrySource}
-	fig, err := RunChurnFigure(ChurnFigureSpec{
+	fig, err := runChurn(ChurnFigureSpec{
 		Name: "figtest", Title: "test",
 		Cases: []ChurnCaseSpec{
 			{Cfg: drop, Label: "mesh-drop", Schedule: "ring", Volume: 128, KillChip: 1, KillStep: 2},
@@ -364,7 +364,7 @@ func TestGoldenChurn(t *testing.T) {
 		for i := range spec.Cases {
 			spec.Cases[i].Engine = kind
 		}
-		fig, err := RunChurnFigure(spec, RunOptions{})
+		fig, err := runChurn(spec, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

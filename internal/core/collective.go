@@ -74,6 +74,9 @@ func runCollectiveJob(w *campaign.Worker, payload json.RawMessage) (metrics.Poin
 	if err := json.Unmarshal(payload, &cs); err != nil {
 		return metrics.Point{}, fmt.Errorf("core: decode collective spec: %w", err)
 	}
+	if err := cs.check(); err != nil {
+		return metrics.Point{}, err
+	}
 	sys, err := workerSystem(w, cs.Cfg.cacheID(), cs.Cfg)
 	if err != nil {
 		return metrics.Point{}, err
@@ -100,6 +103,21 @@ func collectiveKey(cs CollectiveSpec) string {
 	return key
 }
 
+// check rejects a spec no engine can measure with ErrSimParams, the way
+// checkPoint rejects a load point: a negative volume or step bound, or a
+// kill before a negative step.
+func (cs CollectiveSpec) check() error {
+	switch {
+	case cs.Volume < 0:
+		return fmt.Errorf("%w: collective volume %d (want >= 0)", ErrSimParams, cs.Volume)
+	case cs.MaxStepCycles < 0:
+		return fmt.Errorf("%w: step bound %d cycles (want >= 0, 0 = default)", ErrSimParams, cs.MaxStepCycles)
+	case cs.Kill != nil && cs.Kill.Step < 0:
+		return fmt.Errorf("%w: kill before step %d (want >= 0)", ErrSimParams, cs.Kill.Step)
+	}
+	return nil
+}
+
 func (cs CollectiveSpec) packet() int32 {
 	if cs.PacketSize <= 0 {
 		return DefaultCollectivePacket
@@ -109,7 +127,11 @@ func (cs CollectiveSpec) packet() int32 {
 
 // CollectiveJob builds the declarative job spec for one collective
 // execution, shareable between the local pool, stores and worker daemons.
+// A spec MeasureCollective would reject fails here with ErrSimParams.
 func CollectiveJob(cs CollectiveSpec) (campaign.JobSpec, error) {
+	if err := cs.check(); err != nil {
+		return campaign.JobSpec{}, err
+	}
 	payload, err := json.Marshal(cs)
 	if err != nil {
 		return campaign.JobSpec{}, fmt.Errorf("core: encode collective spec: %w", err)
@@ -253,11 +275,14 @@ func gridShape(n int) (rows, cols int) {
 //	Aux        = [packets, pre-kill cycles, post-kill cycles,
 //	              dropped, retried, step 0 cycles, step 1 cycles, ...]
 //
-// A kill on a system without an armed churn timeline is an error. Cycle
-// and packet counts are integers carried exactly in float64, so the
-// encoding round-trips bit-identically through JSON stores and the wire
-// protocol.
+// A spec that fails check is rejected with ErrSimParams, and a kill on a
+// system without an armed churn timeline is an error. Cycle and packet
+// counts are integers carried exactly in float64, so the encoding
+// round-trips bit-identically through JSON stores and the wire protocol.
 func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
+	if err := cs.check(); err != nil {
+		return metrics.Point{}, err
+	}
 	if cs.Kill != nil && !s.Net.ChurnArmed() {
 		return metrics.Point{}, fmt.Errorf("core: chip kill on %s without an armed churn timeline (set Cfg.Churn.Armed)", s.Label)
 	}
@@ -282,7 +307,7 @@ func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 		return s.collectivePoint(cs, res), nil
 	}
 
-	k := min(max(cs.Kill.Step, 0), len(sch.Steps))
+	k := min(cs.Kill.Step, len(sch.Steps))
 	pre, err := run(sch, 0, k)
 	if err != nil {
 		return metrics.Point{}, fmt.Errorf("%s/%s pre-kill: %w", s.Label, cs.Schedule, err)
@@ -377,18 +402,6 @@ func (c CollectiveCaseSpec) Spec() CollectiveSpec {
 type CollectiveFigureSpec struct {
 	Name, Title string
 	Cases       []CollectiveCaseSpec
-}
-
-// RunCollectiveFigure measures every case of a collective panel through
-// the Backend seam: cases become content-addressed job specs executed by
-// the local pool or a worker fleet, satisfied from the store when present,
-// and merged by case index — byte-identical however they run.
-func RunCollectiveFigure(fs CollectiveFigureSpec, opts RunOptions) (metrics.CollectiveFigure, error) {
-	res, err := runPlanJobs(ExperimentPlan{Collectives: []CollectiveFigureSpec{fs}}, opts)
-	if err != nil {
-		return metrics.CollectiveFigure{Name: fs.Name, Title: fs.Title}, err
-	}
-	return res.Collectives[0], nil
 }
 
 // collectivePlanJob lowers one collective execution to a fan-out job.

@@ -83,7 +83,7 @@ func TestCollectiveSerialCachedRemoteByteIdentical(t *testing.T) {
 		}
 	}
 
-	serial, err := RunCollectiveFigure(spec, RunOptions{Jobs: 1})
+	serial, err := runCollectives(spec, RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestCollectiveSerialCachedRemoteByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filled, err := RunCollectiveFigure(spec, RunOptions{Jobs: 4, Store: cache})
+	filled, err := runCollectives(spec, RunOptions{Jobs: 4, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := filled.CSV(); got != want {
 		t.Fatalf("parallel cache-fill diverged:\n%s\nvs\n%s", got, want)
 	}
-	replay, err := RunCollectiveFigure(spec, RunOptions{Jobs: 1, Store: cache})
+	replay, err := runCollectives(spec, RunOptions{Jobs: 1, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCollectiveSerialCachedRemoteByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunCollectiveFigure(spec, RunOptions{Jobs: 4, Backend: backend})
+	dist, err := runCollectives(spec, RunOptions{Jobs: 4, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,4 +298,42 @@ func TestGoldenCollective(t *testing.T) {
 		got = append(got, e)
 	}
 	checkGolden(t, "golden_collective.json", got, *updateGolden)
+}
+
+// TestCollectiveRejectsBadSpecs: a negative volume, a negative step bound
+// or a kill before a negative step is rejected with ErrSimParams when the
+// job is lowered, by the executor a worker daemon runs (before it builds a
+// system), and by MeasureCollective, instead of measuring a 0-cycle row or
+// a clamped kill.
+func TestCollectiveRejectsBadSpecs(t *testing.T) {
+	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
+	cfg.Churn.Armed = true
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for name, cs := range map[string]CollectiveSpec{
+		"volume":  {Cfg: cfg, Schedule: "ring", Volume: -5},
+		"maxstep": {Cfg: cfg, Schedule: "ring", Volume: 32, MaxStepCycles: -1},
+		"kill":    {Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: -4}},
+	} {
+		if _, err := CollectiveJob(cs); !errors.Is(err, ErrSimParams) {
+			t.Errorf("%s: CollectiveJob err = %v, want ErrSimParams", name, err)
+		}
+		payload, err := json.Marshal(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w campaign.Worker
+		if _, err := runCollectiveJob(&w, payload); !errors.Is(err, ErrSimParams) {
+			t.Errorf("%s: executor err = %v, want ErrSimParams", name, err)
+		}
+		if _, built := w.Cached(cfg.cacheID()); built {
+			t.Errorf("%s: the executor built a system for a spec it rejects", name)
+		}
+		if _, err := sys.MeasureCollective(cs); !errors.Is(err, ErrSimParams) {
+			t.Errorf("%s: MeasureCollective err = %v, want ErrSimParams", name, err)
+		}
+	}
 }

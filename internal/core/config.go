@@ -118,9 +118,10 @@ type SimParams struct {
 	FlowCold bool //sldf:keyignore execution knob; cold and warm caches solve to identical bits
 }
 
-// ErrSimParams reports a load point no engine can measure: a negative
-// warmup or drain cap, an empty window, an empty packet, or an offered
-// rate that is negative or not finite.
+// ErrSimParams reports a load point or collective no engine can measure: a
+// negative warmup or drain cap, an empty window, an empty packet, an
+// offered rate that is negative or not finite, or a collective with a
+// negative volume, step bound or kill step.
 var ErrSimParams = errors.New("core: invalid simulation parameters")
 
 // checkPoint rejects the load point (rate, sp) with ErrSimParams unless

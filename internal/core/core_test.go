@@ -91,7 +91,7 @@ func TestMeasureLoadSane(t *testing.T) {
 
 func TestSweepMonotoneLoad(t *testing.T) {
 	cfg := Config{Kind: SingleSwitch, Terminals: 4, Seed: 4}
-	s, err := Sweep(cfg, "uniform", []float64{0.2, 0.6, 1.4}, tinySim())
+	s, err := runSeries(cfg, "uniform", []float64{0.2, 0.6, 1.4}, tinySim(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestSwitchlessBeatsSwitchIntraCGroup(t *testing.T) {
 	// The Fig. 10(a) headline at test scale: the mesh C-group accepts ≥2×
 	// the per-chip throughput of the single switch at high offered load.
 	sp := tinySim()
-	sw, err := Sweep(Config{Kind: SingleSwitch, Terminals: 4, Seed: 6},
-		"uniform", []float64{2.5}, sp)
+	sw, err := runSeries(Config{Kind: SingleSwitch, Terminals: 4, Seed: 6},
+		"uniform", []float64{2.5}, sp, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh, err := Sweep(Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 6},
-		"uniform", []float64{2.5}, sp)
+	mesh, err := runSeries(Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 6},
+		"uniform", []float64{2.5}, sp, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestValiantHelpsWorstCase(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 8}
 	sp := tinySim()
 	rate := []float64{0.2}
-	minS, err := Sweep(cfg, "worst-case", rate, sp)
+	minS, err := runSeries(cfg, "worst-case", rate, sp, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	val := cfg
 	val.Mode = routing.Valiant
-	valS, err := Sweep(val, "worst-case", rate, sp)
+	valS, err := runSeries(val, "worst-case", rate, sp, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

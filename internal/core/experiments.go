@@ -9,10 +9,10 @@ import (
 
 // This file declares the paper's evaluation as registry data: each figure
 // registers an ExperimentSpec whose plan enumerates configurations ×
-// patterns × rate grids (see registry.go for the spec types and the one
-// generic runner). The historical hand-written Fig10…Fig15 runner
-// functions are gone; their exact grids live on in these declarations, and
-// RunExperiment reproduces their output byte for byte.
+// patterns × rate grids (see registry.go for the spec types and fanout.go
+// for RunPlan, the one generic runner). The historical hand-written
+// Fig10…Fig15 runner functions are gone; their exact grids live on in these
+// declarations, and RunPlan reproduces their output byte for byte.
 
 // Scale selects experiment fidelity: ScaleQuick shrinks cycle counts, rate
 // grids and (for Fig. 12) the large system so the whole campaign runs on a

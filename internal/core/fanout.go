@@ -13,8 +13,7 @@ import (
 // points, energy bars, resilience fault draws, collective cases and churn
 // cases — into one job list, runs it in one backend call ordered by
 // configuration, and reduces the points back into the plan's figures.
-// RunExperiment, SweepOpts, RunCollectiveFigure and RunChurnFigure are all
-// this one fan-out.
+// RunPlan is this one fan-out; every CLI and figure runs through it.
 
 // planPart is one figure of a plan lowered to job groups, with the reducer
 // that assembles the groups' points into that figure of the result.
@@ -23,11 +22,17 @@ type planPart struct {
 	reduce func(res *ExperimentResult, pts [][]metrics.Point)
 }
 
-// runPlanJobs runs every figure of the plan as one fan-out (see
-// executeGroups) and assembles the results in plan order, latency figures
-// before resilience figures in Figures. Each series, panel or resilience
-// curve is one job group, named by its figure for error reports.
-func runPlanJobs(plan ExperimentPlan, opts RunOptions) (ExperimentResult, error) {
+// RunPlan measures every figure of the plan under the run options in one
+// fan-out through the Backend seam (see executeGroups): shardable across
+// workers, replayable from the store, ordered configuration-major so each
+// worker builds a configuration's system about once, and bitwise identical
+// however it executes. A non-default opts.Engine first rewrites every
+// measurement to that engine. Results come back in plan order, latency
+// figures before resilience figures in Figures. Each series, panel or
+// resilience curve is one job group, named for error reports by its figure
+// (a latency series or resilience curve also by its label).
+func RunPlan(plan ExperimentPlan, opts RunOptions) (ExperimentResult, error) {
+	applyEngineOverride(&plan, opts.Engine)
 	var (
 		res    ExperimentResult
 		parts  []planPart
@@ -70,29 +75,33 @@ func runPlanJobs(plan ExperimentPlan, opts RunOptions) (ExperimentResult, error)
 }
 
 // latencyPart lowers a latency figure to one group per series, a
-// load-point job per rate.
+// load-point job per rate, named "<figure> (<label>)".
 func latencyPart(fs FigureSpec) (planPart, error) {
+	labels := make([]string, len(fs.Series))
+	for i, ss := range fs.Series {
+		labels[i] = ss.Label
+		if labels[i] == "" {
+			labels[i] = ss.Cfg.Label()
+		}
+	}
 	p := planPart{reduce: func(res *ExperimentResult, pts [][]metrics.Point) {
 		fig := metrics.Figure{Name: fs.Name, Title: fs.Title, XLabel: fs.XLabel, YLabel: fs.YLabel}
-		for i, ss := range fs.Series {
-			label := ss.Label
-			if label == "" {
-				label = ss.Cfg.Label()
-			}
+		for i, label := range labels {
 			fig.Series = append(fig.Series, metrics.Series{Label: label, Points: pts[i]})
 		}
 		res.Figures = append(res.Figures, fig)
 	}}
-	for _, ss := range fs.Series {
-		jobs := make([]planJob, len(ss.Rates))
-		for i, rate := range ss.Rates {
+	for i, ss := range fs.Series {
+		g := jobGroup{name: fmt.Sprintf("%s (%s)", fs.Name, labels[i])}
+		g.jobs = make([]planJob, len(ss.Rates))
+		for j, rate := range ss.Rates {
 			job, err := pointPlanJob(sweepFamily, ss.Cfg, ss.Pattern, rate, ss.Sim)
 			if err != nil {
-				return p, named(fs.Name, err)
+				return p, named(g.name, err)
 			}
-			jobs[i] = job
+			g.jobs[j] = job
 		}
-		p.groups = append(p.groups, jobGroup{fs.Name, jobs})
+		p.groups = append(p.groups, g)
 	}
 	return p, nil
 }
@@ -106,7 +115,7 @@ type planJob struct {
 }
 
 // jobGroup is the jobs of one series or panel in plan order. name labels
-// its jobs' execution errors ("" for a bare sweep).
+// its jobs' errors.
 type jobGroup struct {
 	name string
 	jobs []planJob

@@ -14,6 +14,39 @@ import (
 	"sldf/internal/topology"
 )
 
+// seriesPlan is the plan of one latency series.
+func seriesPlan(cfg Config, pattern string, rates []float64, sp SimParams) ExperimentPlan {
+	return ExperimentPlan{Figures: []FigureSpec{{Name: "sweep",
+		Series: []SeriesSpec{{Cfg: cfg, Pattern: pattern, Rates: rates, Sim: sp}}}}}
+}
+
+// runSeries measures one latency series through RunPlan.
+func runSeries(cfg Config, pattern string, rates []float64, sp SimParams, opts RunOptions) (metrics.Series, error) {
+	res, err := RunPlan(seriesPlan(cfg, pattern, rates, sp), opts)
+	if err != nil {
+		return metrics.Series{}, err
+	}
+	return res.Figures[0].Series[0], nil
+}
+
+// runCollectives measures one collective panel through RunPlan.
+func runCollectives(fs CollectiveFigureSpec, opts RunOptions) (metrics.CollectiveFigure, error) {
+	res, err := RunPlan(ExperimentPlan{Collectives: []CollectiveFigureSpec{fs}}, opts)
+	if err != nil {
+		return metrics.CollectiveFigure{}, err
+	}
+	return res.Collectives[0], nil
+}
+
+// runChurn measures one churn panel through RunPlan.
+func runChurn(fs ChurnFigureSpec, opts RunOptions) (metrics.ChurnFigure, error) {
+	res, err := RunPlan(ExperimentPlan{Churn: []ChurnFigureSpec{fs}}, opts)
+	if err != nil {
+		return metrics.ChurnFigure{}, err
+	}
+	return res.Churn[0], nil
+}
+
 // recordingBackend runs specs on the local pool and records every Execute
 // call's specs.
 type recordingBackend struct {
@@ -158,7 +191,7 @@ func TestRunExperimentFansOutOnceConfigMajor(t *testing.T) {
 	for _, fs := range plan.Figures {
 		fig := metrics.Figure{Name: fs.Name, Title: fs.Title}
 		for _, ss := range fs.Series {
-			s, err := SweepOpts(ss.Cfg, ss.Pattern, ss.Rates, ss.Sim, RunOptions{})
+			s, err := runSeries(ss.Cfg, ss.Pattern, ss.Rates, ss.Sim, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,12 +213,12 @@ func TestRunExperimentFansOutOnceConfigMajor(t *testing.T) {
 		en.Bars[i] = EnergyBar{Label: bar.Label, Intra: e.IntraCGroup, Inter: e.InterCGroup}
 	}
 	sep.Energy = append(sep.Energy, en)
-	col, err := RunCollectiveFigure(plan.Collectives[0], RunOptions{})
+	col, err := runCollectives(plan.Collectives[0], RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sep.Collectives = append(sep.Collectives, col)
-	churn, err := RunChurnFigure(plan.Churn[0], RunOptions{})
+	churn, err := runChurn(plan.Churn[0], RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +237,7 @@ func TestRunExperimentErrorNamesFigure(t *testing.T) {
 	ok := FigureSpec{Name: "fok", Series: []SeriesSpec{
 		{Cfg: cfgA, Pattern: "uniform", Rates: []float64{0.1}, Sim: tinySim()}}}
 	for name, plan := range map[string]ExperimentPlan{
-		"fbad": {Figures: []FigureSpec{ok, {Name: "fbad", Series: []SeriesSpec{
+		"fbad (switch)": {Figures: []FigureSpec{ok, {Name: "fbad", Series: []SeriesSpec{
 			{Cfg: cfgB, Pattern: "no-such-pattern", Rates: []float64{0.1}, Sim: tinySim()}}}}},
 		"colbad": {Figures: []FigureSpec{ok}, Collectives: []CollectiveFigureSpec{{Name: "colbad",
 			Cases: []CollectiveCaseSpec{{Cfg: cfgB, Schedule: "no-such-schedule", Volume: 64}}}}},
@@ -293,5 +326,46 @@ func TestPointFamiliesKeyApart(t *testing.T) {
 			t.Fatalf("family %d: key %q kind %q sys %q payload %s", fam, spec.Key, spec.Kind, job.sys, spec.Payload)
 		}
 		seen[spec.Key], seen[spec.Kind] = true, true
+	}
+}
+
+// TestRunPlanAppliesEngine: RunPlan honours RunOptions.Engine on a plain
+// latency plan and on a collective plan, so every stored key carries the
+// engine's suffix and none replays a default-engine slot, and it leaves
+// the caller's plan as it was.
+func TestRunPlanAppliesEngine(t *testing.T) {
+	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
+	rates := []float64{0.2, 0.4}
+	cs := CollectiveCaseSpec{Cfg: cfg, Schedule: "ring", Volume: 32}
+	for _, engine := range []netsim.EngineKind{netsim.EngineReference, netsim.EngineFlow} {
+		store := campaign.NewMemoryLRU[metrics.Point](16)
+		opts := RunOptions{Store: store, Engine: engine}
+		plan := seriesPlan(cfg, "uniform", rates, tinySim())
+		if _, err := RunPlan(plan, opts); err != nil {
+			t.Fatalf("%s: latency plan: %v", engine, err)
+		}
+		if got := plan.Figures[0].Series[0].Sim.Engine; got != netsim.EngineActiveSet {
+			t.Fatalf("%s: RunPlan rewrote the caller's plan to %s", engine, got)
+		}
+		if _, err := runCollectives(CollectiveFigureSpec{Name: "c", Cases: []CollectiveCaseSpec{cs}}, opts); err != nil {
+			t.Fatalf("%s: collective plan: %v", engine, err)
+		}
+		sp := tinySim()
+		sp.Engine = engine
+		var want []string
+		for _, rate := range rates {
+			want = append(want, pointKey(cfg, "uniform", rate, sp))
+		}
+		engineCase := cs
+		engineCase.Engine = engine
+		want = append(want, collectiveKey(engineCase.Spec()))
+		if store.Len() != len(want) {
+			t.Fatalf("%s: store holds %d points, want %d", engine, store.Len(), len(want))
+		}
+		for _, key := range want {
+			if _, ok := store.Get(key); !ok || !strings.HasSuffix(key, "|engine="+engine.String()) {
+				t.Errorf("%s: key %q not stored under the engine's slot", engine, key)
+			}
+		}
 	}
 }

@@ -192,7 +192,7 @@ func TestRemoteServerRejectsUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server stopped serving after a bad job: %v", err)
 	}
-	local, err := Sweep(cfg, "uniform", []float64{0.5}, tinySim())
+	local, err := runSeries(cfg, "uniform", []float64{0.5}, tinySim(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

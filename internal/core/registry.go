@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sldf/internal/metrics"
 	"sldf/internal/netsim"
@@ -10,9 +11,10 @@ import (
 // This file is the experiment registry: every evaluation figure of the
 // paper is a data value — configurations × patterns × rate grid, plus a
 // reducer selecting what the measurements become (latency curves, energy
-// bars, resilience curves) — executed by one generic runner. Commands
-// enumerate the registry instead of switching over hand-written runner
-// functions, and a new experiment is a registration, not a code path.
+// bars, resilience curves) — executed by one generic runner, RunPlan.
+// Commands enumerate the registry instead of switching over hand-written
+// runner functions, and a new experiment is a registration, not a code
+// path.
 
 // SeriesSpec is one curve of a latency figure: a configuration swept over
 // a rate grid under a named traffic pattern.
@@ -147,51 +149,43 @@ type ExperimentResult struct {
 	Resilience []ResilienceDraws
 }
 
-// RunExperiment executes a registered experiment at the given scale: the
-// one generic runner behind every figure. Every measurement of the plan —
-// latency-series points, energy bars, resilience fault draws, collective
-// and churn cases — runs in one fan-out through the Backend seam
-// (shardable across workers, replayable from the store), ordered
-// configuration-major so each worker builds a configuration's system about
-// once. The produced figures are bitwise identical to the historical
-// hand-written runners.
+// RunExperiment runs a registered experiment's plan at the given scale
+// through RunPlan.
 func RunExperiment(spec ExperimentSpec, scale Scale, opts RunOptions) (ExperimentResult, error) {
-	plan := spec.Plan(scale)
-	applyEngineOverride(&plan, opts.Engine)
-	return runPlanJobs(plan, opts)
+	return RunPlan(spec.Plan(scale), opts)
 }
 
 // applyEngineOverride rewrites every measurement of a resolved plan to run
 // under the given engine (RunOptions.Engine, the figure CLIs' -engine
-// flag). The default engine leaves the plan untouched, so registered specs
+// flag). It rewrites copies of the plan's spec slices, so the caller's plan
+// keeps its engines. The default engine leaves the plan untouched, so specs
 // keep their own per-series engine choices unless the caller overrides.
 func applyEngineOverride(plan *ExperimentPlan, engine netsim.EngineKind) {
 	if engine == netsim.EngineActiveSet {
 		return
 	}
-	for i := range plan.Figures {
-		for j := range plan.Figures[i].Series {
-			plan.Figures[i].Series[j].Sim.Engine = engine
-		}
+	plan.Figures = rewritten(plan.Figures, func(fs *FigureSpec) {
+		fs.Series = rewritten(fs.Series, func(ss *SeriesSpec) { ss.Sim.Engine = engine })
+	})
+	plan.Energy = rewritten(plan.Energy, func(es *EnergyFigureSpec) {
+		es.Bars = rewritten(es.Bars, func(bar *EnergyBarSpec) { bar.Sim.Engine = engine })
+	})
+	plan.Resilience = rewritten(plan.Resilience, func(rs *ResilienceFigureSpec) { rs.Opts.Sim.Engine = engine })
+	plan.Collectives = rewritten(plan.Collectives, func(fs *CollectiveFigureSpec) {
+		fs.Cases = rewritten(fs.Cases, func(c *CollectiveCaseSpec) { c.Engine = engine })
+	})
+	plan.Churn = rewritten(plan.Churn, func(fs *ChurnFigureSpec) {
+		fs.Cases = rewritten(fs.Cases, func(c *ChurnCaseSpec) { c.Engine = engine })
+	})
+}
+
+// rewritten returns a copy of specs with set applied to every element.
+func rewritten[T any](specs []T, set func(*T)) []T {
+	out := slices.Clone(specs)
+	for i := range out {
+		set(&out[i])
 	}
-	for i := range plan.Energy {
-		for j := range plan.Energy[i].Bars {
-			plan.Energy[i].Bars[j].Sim.Engine = engine
-		}
-	}
-	for i := range plan.Resilience {
-		plan.Resilience[i].Opts.Sim.Engine = engine
-	}
-	for i := range plan.Collectives {
-		for j := range plan.Collectives[i].Cases {
-			plan.Collectives[i].Cases[j].Engine = engine
-		}
-	}
-	for i := range plan.Churn {
-		for j := range plan.Churn[i].Cases {
-			plan.Churn[i].Cases[j].Engine = engine
-		}
-	}
+	return out
 }
 
 // energyPart lowers an energy panel to one energy-family point job per bar.

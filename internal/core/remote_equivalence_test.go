@@ -36,7 +36,7 @@ func TestRemoteSweepBitwiseIdenticalToSerial(t *testing.T) {
 	cfg.SLDF.G = 1
 	rates := RateGrid(0.2, 1.4, 0.2)
 
-	serial, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
+	serial, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRemoteSweepBitwiseIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SweepOpts(cfg, "uniform", rates, tinySim(),
+	dist, err := runSeries(cfg, "uniform", rates, tinySim(),
 		RunOptions{Jobs: 4, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestRemoteSweepSurvivesWorkerLossMidRun(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 3, Workers: 1}
 	rates := RateGrid(0.3, 2.1, 0.3)
 
-	serial, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
+	serial, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRemoteSweepSurvivesWorkerLossMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := SweepOpts(cfg, "uniform", rates, tinySim(),
+		dist, err := runSeries(cfg, "uniform", rates, tinySim(),
 			RunOptions{Jobs: 4, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
@@ -125,14 +125,14 @@ func TestRemoteWorkerStoreServesReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Backend: backend})
+	cold, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.Hits() != 0 || store.Len() != len(rates) {
 		t.Fatalf("cold run: hits=%d len=%d", store.Hits(), store.Len())
 	}
-	warm, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Backend: backend})
+	warm, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

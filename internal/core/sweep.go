@@ -10,7 +10,7 @@ import (
 	"sldf/internal/topology"
 )
 
-// RunOptions configure how a sweep's load points are executed.
+// RunOptions configure how RunPlan executes a plan's measurements.
 type RunOptions struct {
 	// Jobs is the number of measurement points run (or dispatched)
 	// concurrently (<= 1 runs serially). Results are bitwise identical for
@@ -29,9 +29,9 @@ type RunOptions struct {
 	// bitwise identical whichever executes it.
 	Backend campaign.Backend
 	// Engine, when non-default, overrides the simulation engine of every
-	// measurement in a registry experiment plan (see RunExperiment) —
-	// the -engine flag of the figure CLIs. Cache keys already partition by
-	// engine, so overridden runs never replay another engine's points.
+	// measurement in the plan — the -engine flag of the figure CLIs. Cache
+	// keys already partition by engine, so overridden runs never replay
+	// another engine's points.
 	Engine netsim.EngineKind
 	// Churn, when non-empty, arms this in-run fault timeline on every
 	// network a resilience figure builds, degrading the fault grid with
@@ -113,26 +113,6 @@ func pointKey(cfg Config, patternKey string, rate float64, sp SimParams) string 
 		key += "|engine=" + sp.Engine.String()
 	}
 	return key
-}
-
-// Sweep measures a series of load points for a named traffic pattern,
-// running them serially without a cache. See SweepOpts.
-func Sweep(cfg Config, patternName string, rates []float64, sp SimParams) (metrics.Series, error) {
-	return SweepOpts(cfg, patternName, rates, sp, RunOptions{})
-}
-
-// SweepOpts measures a series of load points for a named traffic pattern
-// under the given execution options. Each point starts from an identical
-// just-built network state: a worker builds the system once and resets it
-// between its points, so the series equals the historical build-per-point
-// output for any worker count.
-func SweepOpts(cfg Config, patternName string, rates []float64, sp SimParams, opts RunOptions) (metrics.Series, error) {
-	res, err := runPlanJobs(ExperimentPlan{Figures: []FigureSpec{{Series: []SeriesSpec{
-		{Cfg: cfg, Pattern: patternName, Rates: rates, Sim: sp}}}}}, opts)
-	if err != nil {
-		return metrics.Series{Label: cfg.Label()}, err
-	}
-	return res.Figures[0].Series[0], nil
 }
 
 // execute runs job specs on the options' backend (the local pool when nil)

@@ -147,12 +147,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	cfg.SLDF.G = 1
 	rates := RateGrid(0.2, 1.2, 0.2)
 
-	serial, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
+	serial, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{3, 8} {
-		par, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: jobs})
+		par, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,14 +166,14 @@ func TestSweepScopedParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9, Workers: 1}
 	cfg.SLDF.G = 1
 	rates := RateGrid(0.3, 0.9, 0.3)
-	serial, err := SweepOpts(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 1})
+	serial, err := runSeries(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Label != "sw-less" {
 		t.Fatalf("label not derived from config: %q", serial.Label)
 	}
-	par, err := SweepOpts(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 3})
+	par, err := runSeries(cfg, "local-uniform-wgroup", rates, tinySim(), RunOptions{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +190,18 @@ func TestSweepCacheReplayEqualsColdRun(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5, Workers: 1}
 	rates := RateGrid(0.4, 2.0, 0.4)
 
-	plain, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{})
+	plain, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Store: cache})
+	cold, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Hits() != 0 || cache.Misses() == 0 {
 		t.Fatalf("cold run: hits=%d misses=%d", cache.Hits(), cache.Misses())
 	}
-	warm, err := SweepOpts(cfg, "uniform", rates, tinySim(), RunOptions{Store: cache, Jobs: 4})
+	warm, err := runSeries(cfg, "uniform", rates, tinySim(), RunOptions{Store: cache, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSweepCacheReplayEqualsColdRun(t *testing.T) {
 	// A different seed must not hit the same cache entries.
 	cfg2 := cfg
 	cfg2.Seed = 6
-	if _, err := SweepOpts(cfg2, "uniform", rates[:1], tinySim(), RunOptions{Store: cache}); err != nil {
+	if _, err := runSeries(cfg2, "uniform", rates[:1], tinySim(), RunOptions{Store: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if int(cache.Hits()) != len(rates) {
@@ -229,7 +229,7 @@ func TestSweepClosesPoolsOnErrorPaths(t *testing.T) {
 	cfg.SLDF.G = 1
 	// Unknown pattern: the error surfaces after the system (and its worker
 	// pool goroutines) was built on the worker.
-	if _, err := SweepOpts(cfg, "no-such-pattern", []float64{0.2, 0.4}, tinySim(),
+	if _, err := runSeries(cfg, "no-such-pattern", []float64{0.2, 0.4}, tinySim(),
 		RunOptions{Jobs: 2}); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}

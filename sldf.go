@@ -26,7 +26,6 @@ package sldf
 
 import (
 	"sldf/internal/analysis"
-	"sldf/internal/campaign"
 	"sldf/internal/core"
 	"sldf/internal/cost"
 	"sldf/internal/layout"
@@ -93,18 +92,6 @@ type (
 	DragonflyParams = topology.DragonflyParams
 	// EngineKind selects the cycle engine (see SimParams.Engine).
 	EngineKind = netsim.EngineKind
-	// RunOptions configure how a sweep's points execute (concurrent jobs,
-	// result store, execution backend).
-	RunOptions = core.RunOptions
-	// Cache is the on-disk tier of the point store.
-	Cache = campaign.Cache
-	// PointStore is the pluggable result-store seam: the disk Cache, an
-	// in-memory LRU, or a tiered combination (see NewTieredStore).
-	PointStore = campaign.PointStore
-	// Backend is the pluggable execution seam: jobs run on this process's
-	// worker pool or shard across sldfd worker daemons, with bitwise
-	// identical results.
-	Backend = campaign.Backend
 )
 
 // Live fault churn: a Config.Churn timeline kills and repairs components
@@ -155,28 +142,12 @@ func Build(cfg Config) (*System, error) { return core.Build(cfg) }
 // Sweep measures a named pattern over a list of injection rates, each point
 // starting from an identical just-built network state.
 func Sweep(cfg Config, pattern string, rates []float64, sp SimParams) (Series, error) {
-	return core.Sweep(cfg, pattern, rates, sp)
-}
-
-// SweepOpts is Sweep with execution options: opts.Jobs measures points
-// concurrently (results are bitwise identical for any value), opts.Store
-// lets a re-run skip points already measured, and opts.Backend selects
-// where points execute (local pool or remote worker daemons).
-func SweepOpts(cfg Config, pattern string, rates []float64, sp SimParams, opts RunOptions) (Series, error) {
-	return core.SweepOpts(cfg, pattern, rates, sp, opts)
-}
-
-// OpenCache opens (creating if needed) an on-disk point cache at dir.
-func OpenCache(dir string) (*Cache, error) { return campaign.OpenCache(dir) }
-
-// NewTieredStore fronts an on-disk cache with an in-memory LRU holding up
-// to mem points, so hot replays never touch the filesystem. cache may be
-// nil for a memory-only store.
-func NewTieredStore(mem int, cache *Cache) PointStore {
-	if cache == nil {
-		return campaign.NewMemoryLRU[metrics.Point](mem)
+	res, err := core.RunPlan(core.ExperimentPlan{Figures: []core.FigureSpec{{Name: "sweep",
+		Series: []core.SeriesSpec{{Cfg: cfg, Pattern: pattern, Rates: rates, Sim: sp}}}}}, core.RunOptions{})
+	if err != nil {
+		return Series{Label: cfg.Label()}, err
 	}
-	return campaign.NewTiered[metrics.Point](campaign.NewMemoryLRU[metrics.Point](mem), cache)
+	return res.Figures[0].Series[0], nil
 }
 
 // RateGrid returns the inclusive injection-rate grid lo, lo+step, ..., hi
