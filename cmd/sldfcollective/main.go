@@ -13,8 +13,9 @@
 //	sldfcollective -faults 0.05 -faultseed 3      # re-routed around faults
 //
 // -jobs, -cache and -remote apply to every case of the panel at once;
-// schedules re-route around the chips a -faults spec kills. A negative
-// -volume, -maxstep or -killstep is rejected.
+// schedules re-route around the chips a -faults spec kills. A -volume that
+// is not positive, a negative -maxstep or -killstep, and a -killstep past a
+// schedule's last step are rejected.
 //
 // With -killchip the command switches to the churn panel: each case runs
 // the collective twice — undisturbed, and with the chip killed before step

@@ -43,14 +43,17 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCollectiveSpec: a negative payload, step bound or kill
-// step fails with ErrSimParams before any case runs, instead of printing a
-// 0-cycle row or killing before step 0.
+// TestRunRejectsBadCollectiveSpec: a zero or negative payload, a negative
+// step bound or kill step, or a kill past the schedule's last step fails
+// with ErrSimParams instead of printing a panel: a 0-cycle row, a kill
+// before step 0, or a kill after the collective finished at no cost.
 func TestRunRejectsBadCollectiveSpec(t *testing.T) {
 	for _, args := range [][]string{
 		{"-volume", "-5"},
+		{"-volume", "0"},
 		{"-maxstep", "-1"},
 		{"-killchip", "1", "-killstep", "-4"},
+		{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "100"},
 	} {
 		var out strings.Builder
 		if err := run(append([]string{"-systems", "switch", "-dim", "2"}, args...), &out, io.Discard); !errors.Is(err, core.ErrSimParams) {

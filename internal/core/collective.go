@@ -104,12 +104,13 @@ func collectiveKey(cs CollectiveSpec) string {
 }
 
 // check rejects a spec no engine can measure with ErrSimParams, the way
-// checkPoint rejects a load point: a negative volume or step bound, or a
-// kill before a negative step.
+// checkPoint rejects a load point: a volume that is not positive, a
+// negative step bound, or a kill before a negative step. A kill past the
+// schedule's last step needs the schedule, so MeasureCollective rejects it.
 func (cs CollectiveSpec) check() error {
 	switch {
-	case cs.Volume < 0:
-		return fmt.Errorf("%w: collective volume %d (want >= 0)", ErrSimParams, cs.Volume)
+	case cs.Volume <= 0:
+		return fmt.Errorf("%w: collective volume %d (want > 0)", ErrSimParams, cs.Volume)
 	case cs.MaxStepCycles < 0:
 		return fmt.Errorf("%w: step bound %d cycles (want >= 0, 0 = default)", ErrSimParams, cs.MaxStepCycles)
 	case cs.Kill != nil && cs.Kill.Step < 0:
@@ -275,10 +276,11 @@ func gridShape(n int) (rows, cols int) {
 //	Aux        = [packets, pre-kill cycles, post-kill cycles,
 //	              dropped, retried, step 0 cycles, step 1 cycles, ...]
 //
-// A spec that fails check is rejected with ErrSimParams, and a kill on a
-// system without an armed churn timeline is an error. Cycle and packet
-// counts are integers carried exactly in float64, so the encoding
-// round-trips bit-identically through JSON stores and the wire protocol.
+// A spec that fails check, or whose kill comes after the schedule's last
+// step, is rejected with ErrSimParams, and a kill on a system without an
+// armed churn timeline is an error. Cycle and packet counts are integers
+// carried exactly in float64, so the encoding round-trips bit-identically
+// through JSON stores and the wire protocol.
 func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 	if err := cs.check(); err != nil {
 		return metrics.Point{}, err
@@ -307,7 +309,13 @@ func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 		return s.collectivePoint(cs, res), nil
 	}
 
-	k := min(cs.Kill.Step, len(sch.Steps))
+	// A death after the last step would find the collective finished and
+	// report no cost at all.
+	k := cs.Kill.Step
+	if k >= len(sch.Steps) {
+		return metrics.Point{}, fmt.Errorf("%w: kill before step %d of a %d-step %s schedule (want < %d)",
+			ErrSimParams, k, len(sch.Steps), cs.Schedule, len(sch.Steps))
+	}
 	pre, err := run(sch, 0, k)
 	if err != nil {
 		return metrics.Point{}, fmt.Errorf("%s/%s pre-kill: %w", s.Label, cs.Schedule, err)

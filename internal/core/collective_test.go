@@ -300,11 +300,11 @@ func TestGoldenCollective(t *testing.T) {
 	checkGolden(t, "golden_collective.json", got, *updateGolden)
 }
 
-// TestCollectiveRejectsBadSpecs: a negative volume, a negative step bound
-// or a kill before a negative step is rejected with ErrSimParams when the
-// job is lowered, by the executor a worker daemon runs (before it builds a
-// system), and by MeasureCollective, instead of measuring a 0-cycle row or
-// a clamped kill.
+// TestCollectiveRejectsBadSpecs: a zero or negative volume, a negative step
+// bound or a kill before a negative step is rejected with ErrSimParams when
+// the job is lowered, by the executor a worker daemon runs (before it
+// builds a system), and by MeasureCollective, instead of measuring a
+// 0-cycle row or a clamped kill.
 func TestCollectiveRejectsBadSpecs(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
 	cfg.Churn.Armed = true
@@ -315,6 +315,7 @@ func TestCollectiveRejectsBadSpecs(t *testing.T) {
 	defer sys.Close()
 	for name, cs := range map[string]CollectiveSpec{
 		"volume":  {Cfg: cfg, Schedule: "ring", Volume: -5},
+		"empty":   {Cfg: cfg, Schedule: "ring", Volume: 0},
 		"maxstep": {Cfg: cfg, Schedule: "ring", Volume: 32, MaxStepCycles: -1},
 		"kill":    {Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: -4}},
 	} {
@@ -335,5 +336,39 @@ func TestCollectiveRejectsBadSpecs(t *testing.T) {
 		if _, err := sys.MeasureCollective(cs); !errors.Is(err, ErrSimParams) {
 			t.Errorf("%s: MeasureCollective err = %v, want ErrSimParams", name, err)
 		}
+	}
+}
+
+// TestCollectiveRejectsKillPastEnd: a kill before a step the schedule does
+// not have would land after the collective finished and cost nothing, so
+// MeasureCollective rejects it with ErrSimParams; a kill before the last
+// step still measures.
+func TestCollectiveRejectsKillPastEnd(t *testing.T) {
+	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
+	cfg.Churn.Armed = true
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sch, err := ScheduleFor(sys, "ring", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := len(sch.Steps)
+	for _, step := range []int{steps, steps + 1, 100} {
+		cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: step}}
+		if _, err := sys.MeasureCollective(cs); !errors.Is(err, ErrSimParams) {
+			t.Errorf("kill before step %d of %d: err = %v, want ErrSimParams", step, steps, err)
+		}
+		sys.Reset()
+	}
+	cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: steps - 1}}
+	pt, err := sys.MeasureCollective(cs)
+	if err != nil {
+		t.Fatalf("kill before the last step %d: %v", steps-1, err)
+	}
+	if pt.Latency <= 0 || pt.Aux[1] <= 0 {
+		t.Errorf("kill before the last step measured no pre-kill steps: %+v", pt)
 	}
 }

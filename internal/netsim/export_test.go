@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -54,6 +55,63 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 	}
 	c.endBuild()
 	return len(own), nil
+}
+
+// CheckFlowReplays arms a check on every segment a later solve replays
+// from a solved-segment slot: right after the restore, demands() is served
+// and solved afresh for the same fault state, exactly as a rebuilt segment
+// is, and its flows (rate, throttle, cache entry), element loads and
+// refused rate must equal the restored ones bit for bit, without a trace.
+// The solver is then put back as the replay left it, so the solve goes on
+// unperturbed. report gets the outcome (nil on a match) once per replayed
+// segment; a nil demands disarms the check.
+func (n *Network) CheckFlowReplays(demands func() []FlowDemand, size int32, report func(error)) {
+	fl := n.flowSolver()
+	if demands == nil {
+		fl.onReplay = nil
+		return
+	}
+	fl.onReplay = func(refused float64) {
+		flows, load := slices.Clone(fl.flows), slices.Clone(fl.load)
+		off, inc := slices.Clone(fl.elemOff), slices.Clone(fl.elemFlow)
+		stats, shape := fl.stats, fl.shape
+		fresh := n.solveSegment(fl, demands(), size)
+		err := replayMismatch(fl, flows, load, refused, fresh, stats.Traces)
+		fl.flows = append(fl.flows[:0], flows...)
+		copy(fl.load, load)
+		copy(fl.elemOff, off)
+		fl.elemFlow = append(fl.elemFlow[:0], inc...)
+		fl.stats, fl.shape = stats, shape
+		report(err)
+	}
+}
+
+// replayMismatch compares a fresh solve, in fl, with the replayed flows,
+// loads and refused rate, bit for bit; traces is the trace count before the
+// fresh solve.
+func replayMismatch(fl *flowSolver, flows []flowFlow, load []float64, refused, fresh float64, traces int64) error {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if d := fl.stats.Traces - traces; d != 0 {
+		return fmt.Errorf("a fresh solve of the replayed state traced %d pairs", d)
+	}
+	if !same(refused, fresh) {
+		return fmt.Errorf("replayed refused rate %v, fresh %v", refused, fresh)
+	}
+	if len(flows) != len(fl.flows) {
+		return fmt.Errorf("replayed %d flows, fresh solve %d", len(flows), len(fl.flows))
+	}
+	for i, f := range flows {
+		g := fl.flows[i]
+		if !same(f.rate, g.rate) || !same(f.x, g.x) || f.entry != g.entry {
+			return fmt.Errorf("flow %d: replayed %+v, fresh %+v", i, f, g)
+		}
+	}
+	for el := range load {
+		if !same(load[el], fl.load[el]) {
+			return fmt.Errorf("element %d: replayed load %v, fresh %v", el, load[el], fl.load[el])
+		}
+	}
+	return nil
 }
 
 // FlowTraceEntries returns the route-trace cache's entry count, split into

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"sldf/internal/engine"
@@ -124,13 +125,21 @@ func (r faultRig) timeline(seed uint64) []netsim.TimedFault {
 // TestFaultStateRoutingOracle runs every system kind under EngineFlow with a
 // seeded timeline (a channel death and its repair back to the base state, a
 // router death and repair, the channel dying again), then replays it after
-// Reset. At every solved segment each served route must equal a fresh trace
-// under routing freshly built for that fault state. A revisited state must
-// trace nothing, the replay must trace nothing at all, the cache must hold
-// the base state's traces plus only the pairs each other state routes
-// differently, and the warm result must equal a forced-cold solve.
+// Reset. At every segment — rebuilt or replayed from a solved-segment slot —
+// each served route must equal a fresh trace under routing freshly built for
+// that fault state. Exactly the segments that return to the base state while
+// its solution is in a slot replay, and each replayed segment's flows and
+// loads must equal a fresh solve of its state bit for bit. A revisited state
+// must trace nothing, the replay must trace nothing at all, the cache must
+// hold the base state's traces plus only the pairs each other state routes
+// differently, and the warm result must equal a forced-cold solve and a
+// solve without the replay check.
 func TestFaultStateRoutingOracle(t *testing.T) {
 	const size = 4
+	// Segments 0, 2, 4 are the base state; 5 revisits segment 1's state.
+	// With two slots, 2 and 4 find the base state's solution; segment 3's
+	// new state evicts segment 1's, so 5 is rebuilt.
+	wantReplayed := []int{2, 4}
 	for name, mk := range faultRigs(t) {
 		t.Run(name, func(t *testing.T) {
 			rig := mk()
@@ -143,21 +152,28 @@ func TestFaultStateRoutingOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			net.SetEngine(netsim.EngineFlow)
+			// All-to-all at a rate that congests most rigs, so the
+			// replayed throttles are not all 1.
 			chips := int32(net.NumChips())
 			var all []netsim.FlowDemand
 			for s := int32(0); s < chips; s++ {
 				for d := int32(0); d < chips; d++ {
 					if s != d {
-						all = append(all, netsim.FlowDemand{Src: s, Dst: d, Rate: 0.01})
+						all = append(all, netsim.FlowDemand{Src: s, Dst: d, Rate: 0.05})
 					}
 				}
 			}
 
-			// traces[k] is the trace count after segment k's routes were
-			// served; differing[k] the pairs segment k's state owns.
-			var traces []int64
-			var differing []int
-			demands := func() []netsim.FlowDemand {
+			// segs records the current solve's segments in order: whether
+			// the segment was replayed, the trace count after its routes
+			// were served, and the pairs its state owns.
+			type segment struct {
+				replayed  bool
+				traces    int64
+				differing int
+			}
+			var segs []segment
+			serve := func(replayed bool) []netsim.FlowDemand {
 				live := all[:0:0]
 				for _, d := range all {
 					if net.ChipAlive(d.Src) && net.ChipAlive(d.Dst) {
@@ -166,21 +182,47 @@ func TestFaultStateRoutingOracle(t *testing.T) {
 				}
 				fresh, _, err := rig.build()
 				if err != nil {
-					t.Fatalf("segment %d: fresh routing: %v", len(traces), err)
+					t.Fatalf("segment %d: fresh routing: %v", len(segs), err)
 				}
 				own, err := net.CheckServedPaths(live, size, fresh)
 				if err != nil {
-					t.Fatalf("segment %d: %v", len(traces), err)
+					t.Fatalf("segment %d: %v", len(segs), err)
 				}
-				traces = append(traces, net.FlowSolverStats().Traces)
-				differing = append(differing, own)
+				segs = append(segs, segment{replayed, net.FlowSolverStats().Traces, own})
 				return live
 			}
+			demands := func() []netsim.FlowDemand { return serve(false) }
+			// A replayed segment calls no Demands; the check serves its
+			// demands (checking their routes) and solves them afresh.
+			check := func() []netsim.FlowDemand { return serve(true) }
+			net.CheckFlowReplays(check, size, func(err error) {
+				if err != nil {
+					t.Errorf("segment %d replay: %v", len(segs)-1, err)
+				}
+			})
 			solve := func(cold bool) netsim.Stats {
 				t.Helper()
+				segs = segs[:0]
+				before := net.FlowSolverStats()
 				if err := net.SolveFlow(netsim.FlowOptions{Demands: demands, PacketSize: size,
 					Warmup: 0, Measure: 600, Cold: cold}); err != nil {
 					t.Fatal(err)
+				}
+				var replayed []int
+				for k, s := range segs {
+					if s.replayed {
+						replayed = append(replayed, k)
+					}
+				}
+				if len(segs) != 6 || !slices.Equal(replayed, wantReplayed) {
+					t.Fatalf("%d segments, %v replayed; want 6, %v replayed", len(segs), replayed, wantReplayed)
+				}
+				after := net.FlowSolverStats()
+				if d := after.Segments - before.Segments; d != 6 {
+					t.Errorf("FlowStats.Segments grew by %d, want 6", d)
+				}
+				if d := after.Replays - before.Replays; d != int64(len(wantReplayed)) {
+					t.Errorf("FlowStats.Replays grew by %d, want %d", d, len(wantReplayed))
 				}
 				st := net.Snapshot()
 				net.Reset()
@@ -188,44 +230,39 @@ func TestFaultStateRoutingOracle(t *testing.T) {
 			}
 
 			first := solve(false)
-			if len(traces) != 6 {
-				t.Fatalf("%d segments solved, want 6", len(traces))
-			}
-			// Segments 0, 2, 4 are the base state; 5 revisits segment 1's.
 			for _, k := range []int{2, 4, 5} {
-				if d := traces[k] - traces[k-1]; d != 0 {
+				if d := segs[k].traces - segs[k-1].traces; d != 0 {
 					t.Errorf("segment %d revisits a fault state but traced %d pairs", k, d)
 				}
 			}
-			if traces[0] == 0 || traces[1] == traces[0] || traces[3] == traces[2] {
-				t.Errorf("a segment entering a new fault state traced nothing: %v", traces)
+			if segs[0].traces == 0 || segs[1].traces == segs[0].traces || segs[3].traces == segs[2].traces {
+				t.Errorf("a segment entering a new fault state traced nothing: %+v", segs)
 			}
-			if differing[0] != 0 || differing[2] != 0 || differing[4] != 0 {
-				t.Errorf("base-state segments served state-owned entries: %v", differing)
+			if segs[0].differing != 0 || segs[2].differing != 0 || segs[4].differing != 0 {
+				t.Errorf("base-state segments served state-owned entries: %+v", segs)
 			}
-			if differing[5] != differing[1] {
-				t.Errorf("revisited state owns %d pairs, first visit %d", differing[5], differing[1])
+			if segs[5].differing != segs[1].differing {
+				t.Errorf("revisited state owns %d pairs, first visit %d", segs[5].differing, segs[1].differing)
 			}
 			ref, over := net.FlowTraceEntries()
-			if want := differing[1] + differing[3]; over != want {
+			if want := segs[1].differing + segs[3].differing; over != want {
 				t.Errorf("cache holds %d state-owned entries, want the %d differing pairs", over, want)
 			}
 			// A dead terminal re-pairs its chip's flows, so a state may
 			// add pairs the base never routed: one reference slot each,
 			// and already counted among the state's own entries.
-			if int64(ref) < traces[0] || ref > int(traces[0])+over {
+			if int64(ref) < segs[0].traces || ref > int(segs[0].traces)+over {
 				t.Errorf("reference layer holds %d entries, want the base state's %d traces plus at most %d new pairs",
-					ref, traces[0], over)
+					ref, segs[0].traces, over)
 			}
-			if 2*differing[1] >= int(traces[0]) {
-				t.Errorf("dead-channel state owns %d of %d pairs: that is a copy, not a delta", differing[1], traces[0])
+			if 2*segs[1].differing >= int(segs[0].traces) {
+				t.Errorf("dead-channel state owns %d of %d pairs: that is a copy, not a delta", segs[1].differing, segs[0].traces)
 			}
 			if states, built := net.FaultStates(); states != 3 || built != 3 {
 				t.Errorf("%d fault states (%d built), want 3", states, built)
 			}
 
 			before := net.FlowSolverStats()
-			traces, differing = traces[:0], differing[:0]
 			replay := solve(false)
 			if d := net.FlowSolverStats().Traces - before.Traces; d != 0 {
 				t.Errorf("replay after Reset traced %d pairs, want 0", d)
@@ -238,6 +275,16 @@ func TestFaultStateRoutingOracle(t *testing.T) {
 			}
 			if cold := solve(true); !reflect.DeepEqual(first, cold) {
 				t.Fatalf("forced-cold solve diverged:\nwarm: %+v\ncold: %+v", first, cold)
+			}
+			// The check restores the solver as the replay left it, so a
+			// solve without it reports the same window.
+			net.CheckFlowReplays(nil, size, nil)
+			if err := net.SolveFlow(netsim.FlowOptions{Demands: demands, PacketSize: size,
+				Warmup: 0, Measure: 600}); err != nil {
+				t.Fatal(err)
+			}
+			if plain := net.Snapshot(); !reflect.DeepEqual(first, plain) {
+				t.Fatalf("solve without the replay check diverged:\nchecked: %+v\nplain:   %+v", first, plain)
 			}
 		})
 	}

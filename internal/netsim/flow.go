@@ -56,6 +56,12 @@ package netsim
 //   - Latency synthesis computes each element's queueing term once per
 //     segment, sums each flow's terms along its path on the pool, and folds
 //     the window statistics serially in flow order.
+//   - Within one solve a fault state's demands and traces are fixed and the
+//     fixpoint restarts from x = 1, so a churn segment that returns to a
+//     state an earlier segment solved would rebuild bit-identical flows and
+//     loads. A few solved-segment slots keep them (keyed by fault state and
+//     trace epoch, emptied at every solve), and such a segment restores them
+//     and only accumulates: no demands, lookups, transpose or waterfill.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
 // FlowOptions are pure execution controls.
@@ -90,9 +96,13 @@ type FlowVolume struct {
 
 // FlowOptions configures one SolveFlow measurement window.
 type FlowOptions struct {
-	// Demands returns the sampled traffic matrix. It is re-invoked after
-	// every applied churn segment so the caller can re-filter dead chips
-	// (deterministic sampling makes repeated calls identical otherwise).
+	// Demands returns the sampled traffic matrix. It is re-invoked for
+	// every churn segment the solve builds so the caller can re-filter dead
+	// chips (deterministic sampling makes repeated calls identical
+	// otherwise). A segment that returns to a fault state an earlier
+	// segment of the same solve already solved may replay that state's
+	// solved flows without calling it, so it must return the same demands
+	// for the same fault state within one solve.
 	Demands func() []FlowDemand
 	// PacketSize is the packet size in flits (latency includes the
 	// Size-cycle ejection serialization, exactly like the cycle engines).
@@ -118,9 +128,10 @@ type FlowOptions struct {
 // routing: a revisited fault state adds nothing to Traces.
 type FlowStats struct {
 	Solves            int64 // SolveFlow calls
-	Segments          int64 // churn segments solved (>= Solves)
+	Segments          int64 // measured churn segments, replayed ones included (>= Solves)
+	Replays           int64 // segments restored from a solved-segment slot instead of rebuilt
 	Traces            int64 // fresh route traces performed
-	CacheHits         int64 // flows served from the route-trace cache
+	CacheHits         int64 // flows served from the route-trace cache (replayed segments look up none)
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
 	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
@@ -172,6 +183,25 @@ type flowFlow struct {
 	rate  float64 // offered flits/cycle on this node-level flow
 	x     float64 // throttle after waterfilling (delivered = rate*x)
 	entry int32
+}
+
+// replaySlots is the number of solved segments a solve keeps for replay,
+// least recently used first out. Two cover the common churn shape, a
+// window that keeps returning to its base state between passing faults.
+const replaySlots = 2
+
+// replaySlot is one solved segment of the current solve, kept for a later
+// segment in the same fault state: its flows with their solved throttles,
+// the element loads and the refused rate. used is the solver's slot clock
+// at the last store or replay, 0 for an empty slot. The buffers are reused
+// across solves.
+type replaySlot struct {
+	state   int32
+	epoch   uint64
+	used    uint64
+	refused float64
+	flows   []flowFlow
+	load    []float64
 }
 
 // traceRun is the number of pending pairs a trace worker claims at once,
@@ -290,6 +320,13 @@ type flowSolver struct {
 
 	starts []int64
 	accum  flowAccum
+
+	// Solved-segment slots of the current solve (see replay), their LRU
+	// clock, and a test hook run after each replay with the restored
+	// refused rate (nil outside tests).
+	slots     [replaySlots]replaySlot
+	slotClock uint64
+	onReplay  func(refused float64)
 
 	stats FlowStats
 }
@@ -974,6 +1011,49 @@ func (fl *flowSolver) latencies() {
 	fl.run(fl.latFn)
 }
 
+// replay restores the current fault state's solved segment into fl.flows
+// and fl.load when a slot of this solve holds it, and returns its refused
+// rate. The transpose and its shape are left alone: they still describe the
+// flows they were built for, which the next rebuilt segment compares with.
+//
+//sldf:hotpath
+func (fl *flowSolver) replay() (refused float64, ok bool) {
+	c := fl.cache
+	for i := range fl.slots {
+		s := &fl.slots[i]
+		if s.used == 0 || s.state != c.state || s.epoch != c.epoch {
+			continue
+		}
+		fl.flows = fl.flows[:0]
+		fl.flows = append(fl.flows, s.flows...)
+		copy(fl.load, s.load)
+		fl.slotClock++
+		s.used = fl.slotClock
+		fl.stats.Replays++
+		return s.refused, true
+	}
+	return 0, false
+}
+
+// keep stores the segment just solved, under the current fault state, in
+// the least recently used slot.
+//
+//sldf:hotpath
+func (fl *flowSolver) keep(refused float64) {
+	s := &fl.slots[0]
+	for i := range fl.slots {
+		if fl.slots[i].used < s.used {
+			s = &fl.slots[i]
+		}
+	}
+	fl.slotClock++
+	s.state, s.epoch, s.used, s.refused = fl.cache.state, fl.cache.epoch, fl.slotClock, refused
+	s.flows = s.flows[:0]
+	s.flows = append(s.flows, fl.flows...)
+	s.load = s.load[:0]
+	s.load = append(s.load, fl.load...)
+}
+
 // flowAccum accumulates window statistics across churn segments in float
 // precision; the totals are rounded into the shard counters once.
 type flowAccum struct {
@@ -1040,14 +1120,37 @@ func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRa
 	}
 }
 
+// solveSegment serves demands for the current fault state and solves
+// them: flows with their throttles in fl.flows, element loads in fl.load.
+// It returns the refused rate.
+func (n *Network) solveSegment(fl *flowSolver, demands []FlowDemand, size int32) (refused float64) {
+	if n.preAllocate != nil {
+		n.preAllocate(n)
+	}
+	refused = n.flowBuildFlows(fl, demands, size)
+	shape := fl.flowShape()
+	if shape != fl.shape || len(fl.elemFlow) == 0 {
+		t := phaseStart(flowPhaseTranspose)
+		fl.buildTranspose()
+		phaseEnd(t, &fl.stats.TransposeWall)
+		fl.shape = shape
+	}
+	t := phaseStart(flowPhaseWaterfill)
+	fl.waterfill()
+	phaseEnd(t, &fl.stats.WaterfillWall)
+	return refused
+}
+
 // SolveFlow runs one analytical measurement window under EngineFlow. The
 // network must be freshly built or Reset; afterwards Snapshot,
 // LinkUtilization and the energy pricing read exactly as they would after
 // a cycle-engine run of the same window. Armed churn timelines are applied
 // at their event cycles: the window is segmented, each segment serves its
 // routes for the fault state the event batch entered — tracing only what
-// that state has not traced before — and re-solves, and the reported
-// statistics are the segment-length-weighted aggregate.
+// that state has not traced before — and re-solves, unless an earlier
+// segment of the window solved the same state and its solution is still in
+// a slot (see replay), and the reported statistics are the
+// segment-length-weighted aggregate.
 func (n *Network) SolveFlow(opts FlowOptions) error {
 	if n.engineKind != EngineFlow {
 		return fmt.Errorf("%w: SolveFlow on engine %v", ErrFlowEngine, n.engineKind)
@@ -1075,6 +1178,9 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		}
 	}
 	fl.stats.Solves++
+	for i := range fl.slots {
+		fl.slots[i].used = 0
+	}
 
 	// Segment the horizon at pending churn cycles (the cursor marks events
 	// already applied — a Reset rewinds it).
@@ -1108,21 +1214,17 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 			continue
 		}
 		fl.stats.Segments++
-		if n.preAllocate != nil {
-			n.preAllocate(n)
+		refused, replayed := fl.replay()
+		if !replayed {
+			refused = n.solveSegment(fl, opts.Demands(), size)
+			// Only a later segment of this solve can replay it.
+			if i+1 < len(fl.starts) {
+				fl.keep(refused)
+			}
+		} else if fl.onReplay != nil {
+			fl.onReplay(refused)
 		}
-		refused := n.flowBuildFlows(fl, opts.Demands(), size)
-		shape := fl.flowShape()
-		if shape != fl.shape || len(fl.elemFlow) == 0 {
-			t := phaseStart(flowPhaseTranspose)
-			fl.buildTranspose()
-			phaseEnd(t, &fl.stats.TransposeWall)
-			fl.shape = shape
-		}
-		t := phaseStart(flowPhaseWaterfill)
-		fl.waterfill()
-		phaseEnd(t, &fl.stats.WaterfillWall)
-		t = phaseStart(flowPhaseHist)
+		t := phaseStart(flowPhaseHist)
 		acc.accumulate(fl, n, size, refused, cyc)
 		phaseEnd(t, &fl.stats.HistWall)
 	}

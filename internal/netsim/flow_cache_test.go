@@ -185,16 +185,32 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 // TestFlowSolveSteadyStateAllocs pins the solver's zero-allocation contract:
 // once a build-once/solve-many loop has warmed the trace cache and the
 // retained buffers, a full SolveFlow + Reset cycle allocates nothing —
-// below the knee, and above it where every solve runs waterfill rounds.
+// below the knee, above it where every solve runs waterfill rounds, and
+// under churn that returns to the base state, where later segments replay
+// the base state's solution from a slot.
 func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		rate   float64
 		rounds bool
-	}{{"idle", 0.05, false}, {"throttled", 0.5, true}} {
+		churn  bool
+	}{{"idle", 0.05, false, false}, {"throttled", 0.5, true, false}, {"churn-replay", 0.5, true, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 8
-			net := buildRing(t, n)
+			var net *Network
+			if !tc.churn {
+				net = buildRing(t, n)
+			} else {
+				net = buildChurnRing(t, n, NetworkOptions{Seed: 1, Workers: 1})
+				// The 1↔2 channel dies at 150 and is back at 200.
+				fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
+				if err := net.ScheduleChurn([]TimedFault{
+					LinkFault(150, fwd.ID, false), LinkFault(150, rev.ID, false),
+					LinkFault(200, fwd.ID, true), LinkFault(200, rev.ID, true),
+				}, DropInFlight); err != nil {
+					t.Fatal(err)
+				}
+			}
 			defer net.Close()
 			net.SetEngine(EngineFlow)
 			demands := ringDemands(n, tc.rate)
@@ -213,6 +229,9 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 			}
 			if got := net.FlowSolverStats().WaterfillIters > 0; got != tc.rounds {
 				t.Fatalf("waterfill ran rounds: %v, want %v", got, tc.rounds)
+			}
+			if got := net.FlowSolverStats().Replays > 0; got != tc.churn {
+				t.Fatalf("segments replayed: %v, want %v", got, tc.churn)
 			}
 			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 				t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
