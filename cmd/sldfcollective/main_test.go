@@ -54,6 +54,7 @@ func TestRunRejectsBadCollectiveSpec(t *testing.T) {
 		{"-maxstep", "-1"},
 		{"-killchip", "1", "-killstep", "-4"},
 		{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "100"},
+		{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "5"},
 	} {
 		var out strings.Builder
 		if err := run(append([]string{"-systems", "switch", "-dim", "2"}, args...), &out, io.Discard); !errors.Is(err, core.ErrSimParams) {

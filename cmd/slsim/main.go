@@ -105,8 +105,8 @@ func run(args []string, w, errw io.Writer) error {
 		res.Energy.Total(), res.Energy.IntraCGroup, res.Energy.InterCGroup)
 	if *flowStats {
 		solver := sys.Net.FlowSolverStats()
-		fmt.Fprintf(w, "flow     : %d solves, %d segments (%d replays), %d traces, %d cache hits, %d full invalidations\n",
-			solver.Solves, solver.Segments, solver.Replays, solver.Traces, solver.CacheHits, solver.FullInvalidations)
+		fmt.Fprintf(w, "flow     : %d solves, %d segments (%d replays), %d traces, %d cache hits (%d flow-table reuses), %d full invalidations\n",
+			solver.Solves, solver.Segments, solver.Replays, solver.Traces, solver.CacheHits, solver.TableReuses, solver.FullInvalidations)
 		fmt.Fprintf(w, "flow     : %d waterfill rounds, %d transpose builds\n",
 			solver.WaterfillIters, solver.TransposeBuilds)
 		fmt.Fprintf(w, "flowwall : trace %v, transpose %v, waterfill %v, histogram %v\n",

@@ -276,8 +276,9 @@ func gridShape(n int) (rows, cols int) {
 //	Aux        = [packets, pre-kill cycles, post-kill cycles,
 //	              dropped, retried, step 0 cycles, step 1 cycles, ...]
 //
-// A spec that fails check, or whose kill comes after the schedule's last
-// step, is rejected with ErrSimParams, and a kill on a system without an
+// A spec that fails check, or whose kill comes after the last step of the
+// schedule or of the survivors' schedule, is rejected with ErrSimParams,
+// and a kill on a system without an
 // armed churn timeline is an error. Cycle and packet counts are integers
 // carried exactly in float64, so the encoding round-trips bit-identically
 // through JSON stores and the wire protocol.
@@ -326,12 +327,17 @@ func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 	// The survivors re-close the collective: resolve the schedule again over
 	// the degraded chip tables and run its remaining steps. Steps already
 	// executed count as done — the survivor schedule is entered at the same
-	// step index (clamped; it may be shorter).
+	// step index. It may be shorter: a kill at or past its end would run no
+	// post-kill step and report a makespan below the undisturbed one.
 	surv, err := ScheduleFor(s, cs.Schedule, cs.Volume)
 	if err != nil {
 		return metrics.Point{}, fmt.Errorf("%s/%s survivors: %w", s.Label, cs.Schedule, err)
 	}
-	post, err := run(surv, min(k, len(surv.Steps)), len(surv.Steps))
+	if k >= len(surv.Steps) {
+		return metrics.Point{}, fmt.Errorf("%w: kill before step %d of a %d-step %s schedule leaves the survivors a %d-step schedule with no step after it (want < %d)",
+			ErrSimParams, k, len(sch.Steps), cs.Schedule, len(surv.Steps), len(surv.Steps))
+	}
+	post, err := run(surv, k, len(surv.Steps))
 	if err != nil {
 		return metrics.Point{}, fmt.Errorf("%s/%s post-kill: %w", s.Label, cs.Schedule, err)
 	}

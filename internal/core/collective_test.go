@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sldf/internal/campaign"
@@ -340,9 +342,12 @@ func TestCollectiveRejectsBadSpecs(t *testing.T) {
 }
 
 // TestCollectiveRejectsKillPastEnd: a kill before a step the schedule does
-// not have would land after the collective finished and cost nothing, so
-// MeasureCollective rejects it with ErrSimParams; a kill before the last
-// step still measures.
+// not have would land after the collective finished and cost nothing, and a
+// kill before a step the survivors' shorter schedule does not have would
+// run no post-kill step and report a makespan below the undisturbed one, so
+// MeasureCollective rejects both with ErrSimParams, naming both schedule
+// lengths in the second case; a kill before the survivors' last step still
+// measures.
 func TestCollectiveRejectsKillPastEnd(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
 	cfg.Churn.Armed = true
@@ -356,6 +361,18 @@ func TestCollectiveRejectsKillPastEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := len(sch.Steps)
+	if err := sys.ApplyChipKill(1); err != nil {
+		t.Fatal(err)
+	}
+	surv, err := ScheduleFor(sys, "ring", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Reset()
+	survSteps := len(surv.Steps)
+	if survSteps >= steps {
+		t.Fatalf("survivor ring has %d steps, the full ring %d; want fewer", survSteps, steps)
+	}
 	for _, step := range []int{steps, steps + 1, 100} {
 		cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: step}}
 		if _, err := sys.MeasureCollective(cs); !errors.Is(err, ErrSimParams) {
@@ -363,12 +380,23 @@ func TestCollectiveRejectsKillPastEnd(t *testing.T) {
 		}
 		sys.Reset()
 	}
-	cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: steps - 1}}
+	for step := survSteps; step < steps; step++ {
+		cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: step}}
+		_, err := sys.MeasureCollective(cs)
+		if !errors.Is(err, ErrSimParams) {
+			t.Errorf("kill before step %d of %d, survivors %d: err = %v, want ErrSimParams", step, steps, survSteps, err)
+		} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%d-step", steps)) ||
+			!strings.Contains(msg, fmt.Sprintf("%d-step schedule with no step", survSteps)) {
+			t.Errorf("kill before step %d: error %q does not name both schedule lengths", step, msg)
+		}
+		sys.Reset()
+	}
+	cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: survSteps - 1}}
 	pt, err := sys.MeasureCollective(cs)
 	if err != nil {
-		t.Fatalf("kill before the last step %d: %v", steps-1, err)
+		t.Fatalf("kill before the survivors' last step %d: %v", survSteps-1, err)
 	}
-	if pt.Latency <= 0 || pt.Aux[1] <= 0 {
-		t.Errorf("kill before the last step measured no pre-kill steps: %+v", pt)
+	if pt.Latency <= 0 || pt.Aux[1] <= 0 || pt.Aux[2] <= 0 {
+		t.Errorf("kill before the survivors' last step measured no pre-kill or post-kill steps: %+v", pt)
 	}
 }

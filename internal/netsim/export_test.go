@@ -60,8 +60,9 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 // CheckFlowReplays arms a check on every segment a later solve replays
 // from a solved-segment slot: right after the restore, demands() is served
 // and solved afresh for the same fault state, exactly as a rebuilt segment
-// is, and its flows (rate, throttle, cache entry), element loads and
-// refused rate must equal the restored ones bit for bit, without a trace.
+// is, and its flows (rate, throttle, cache entry), element loads, per-flow
+// latencies and refused rate must equal the restored ones bit for bit,
+// without a trace.
 // The solver is then put back as the replay left it, so the solve goes on
 // unperturbed. report gets the outcome (nil on a match) once per replayed
 // segment; a nil demands disarms the check.
@@ -72,13 +73,15 @@ func (n *Network) CheckFlowReplays(demands func() []FlowDemand, size int32, repo
 		return
 	}
 	fl.onReplay = func(refused float64) {
-		flows, load := slices.Clone(fl.flows), slices.Clone(fl.load)
+		flows, load, lat := slices.Clone(fl.flows), slices.Clone(fl.load), slices.Clone(fl.lat)
 		off, inc := slices.Clone(fl.elemOff), slices.Clone(fl.elemFlow)
 		stats, shape := fl.stats, fl.shape
 		fresh := n.solveSegment(fl, demands(), size)
-		err := replayMismatch(fl, flows, load, refused, fresh, stats.Traces)
+		fl.latencies()
+		err := replayMismatch(fl, flows, load, lat, refused, fresh, stats.Traces)
 		fl.flows = append(fl.flows[:0], flows...)
 		copy(fl.load, load)
+		fl.lat = append(fl.lat[:0], lat...)
 		copy(fl.elemOff, off)
 		fl.elemFlow = append(fl.elemFlow[:0], inc...)
 		fl.stats, fl.shape = stats, shape
@@ -87,9 +90,9 @@ func (n *Network) CheckFlowReplays(demands func() []FlowDemand, size int32, repo
 }
 
 // replayMismatch compares a fresh solve, in fl, with the replayed flows,
-// loads and refused rate, bit for bit; traces is the trace count before the
-// fresh solve.
-func replayMismatch(fl *flowSolver, flows []flowFlow, load []float64, refused, fresh float64, traces int64) error {
+// loads, latencies and refused rate, bit for bit; traces is the trace count
+// before the fresh solve.
+func replayMismatch(fl *flowSolver, flows []flowFlow, load, lat []float64, refused, fresh float64, traces int64) error {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if d := fl.stats.Traces - traces; d != 0 {
 		return fmt.Errorf("a fresh solve of the replayed state traced %d pairs", d)
@@ -109,6 +112,14 @@ func replayMismatch(fl *flowSolver, flows []flowFlow, load []float64, refused, f
 	for el := range load {
 		if !same(load[el], fl.load[el]) {
 			return fmt.Errorf("element %d: replayed load %v, fresh %v", el, load[el], fl.load[el])
+		}
+	}
+	if len(lat) != len(fl.lat) {
+		return fmt.Errorf("replayed %d latencies, fresh solve %d", len(lat), len(fl.lat))
+	}
+	for i := range lat {
+		if !same(lat[i], fl.lat[i]) {
+			return fmt.Errorf("flow %d: replayed latency %v, fresh %v", i, lat[i], fl.lat[i])
 		}
 	}
 	return nil

@@ -128,8 +128,8 @@ func (r faultRig) timeline(seed uint64) []netsim.TimedFault {
 // Reset. At every segment — rebuilt or replayed from a solved-segment slot —
 // each served route must equal a fresh trace under routing freshly built for
 // that fault state. Exactly the segments that return to the base state while
-// its solution is in a slot replay, and each replayed segment's flows and
-// loads must equal a fresh solve of its state bit for bit. A revisited state
+// its solution is in a slot replay, and each replayed segment's flows,
+// loads and latencies must equal a fresh solve of its state bit for bit. A revisited state
 // must trace nothing, the replay must trace nothing at all, the cache must
 // hold the base state's traces plus only the pairs each other state routes
 // differently, and the warm result must equal a forced-cold solve and a

@@ -44,24 +44,37 @@ package netsim
 //     scratch holds one batch, whatever the pair count. Paths are written
 //     once, into slabs that never move. A cold build presizes the cache's
 //     index and entries.
+//   - A flow build keeps its flow table: the (source chip, destination
+//     chip) pair of every positive-rate demand, in demand order, with the
+//     cache entry each was served. The table is keyed by the trace cache's
+//     fault state, epoch and generation, so any trace, invalidation or
+//     state switch voids it. A later build whose demands repeat its pairs in
+//     order — every warm point of a rate sweep — takes the entries from the
+//     table with the new rates: no map lookup, no flow-shape rehash, and
+//     CacheHits counted exactly as the lookups would have counted them.
 //   - The waterfill load pass runs element-major over a flow-incidence
 //     transpose: each element's load is a fixed-order reduction over its
 //     incident flows, so partitioning elements (or flows, for the throttle
 //     pass) across workers cannot change a single bit of the result. The
 //     transpose itself is built on the pool, each element's incident flows
-//     in ascending flow order. A round reads each candidate flow's path at
-//     most once: worst ratios come from the over-capacity elements through
-//     the transpose, and when most flows throttle the round refreshes every
-//     load instead of walking paths for a dirty list.
+//     in ascending flow order. Every pass of a round runs on the pool: the
+//     candidate gather and throttle split by flow range, each worker
+//     binary-searching its range in each over-capacity element's incidence
+//     list, and the dirty-load refresh split by element range, each worker
+//     walking the candidate paths for its own elements. A round reads each
+//     candidate flow's path at most once per worker: worst ratios come from
+//     the over-capacity elements through the transpose, and when most flows
+//     throttle the round refreshes every load instead of walking paths.
 //   - Latency synthesis computes each element's queueing term once per
 //     segment, sums each flow's terms along its path on the pool, and folds
 //     the window statistics serially in flow order.
 //   - Within one solve a fault state's demands and traces are fixed and the
 //     fixpoint restarts from x = 1, so a churn segment that returns to a
-//     state an earlier segment solved would rebuild bit-identical flows and
-//     loads. A few solved-segment slots keep them (keyed by fault state and
-//     trace epoch, emptied at every solve), and such a segment restores them
-//     and only accumulates: no demands, lookups, transpose or waterfill.
+//     state an earlier segment solved would rebuild bit-identical flows,
+//     loads and latencies. A few solved-segment slots keep them (keyed by
+//     fault state and trace epoch, emptied at every solve), and such a
+//     segment restores them and only accumulates: no demands, lookups,
+//     transpose, waterfill or latency synthesis.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
 // FlowOptions are pure execution controls.
@@ -131,7 +144,8 @@ type FlowStats struct {
 	Segments          int64 // measured churn segments, replayed ones included (>= Solves)
 	Replays           int64 // segments restored from a solved-segment slot instead of rebuilt
 	Traces            int64 // fresh route traces performed
-	CacheHits         int64 // flows served from the route-trace cache (replayed segments look up none)
+	CacheHits         int64 // flows served from the route-trace cache; a reused flow table counts its flows as hits, replayed segments count none
+	TableReuses       int64 // flow builds served from the kept flow table without cache lookups
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
 	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
@@ -192,9 +206,9 @@ const replaySlots = 2
 
 // replaySlot is one solved segment of the current solve, kept for a later
 // segment in the same fault state: its flows with their solved throttles,
-// the element loads and the refused rate. used is the solver's slot clock
-// at the last store or replay, 0 for an empty slot. The buffers are reused
-// across solves.
+// the element loads, the per-flow latencies and the refused rate. used is
+// the solver's slot clock at the last store or replay, 0 for an empty slot.
+// The buffers are reused across solves.
 type replaySlot struct {
 	state   int32
 	epoch   uint64
@@ -202,7 +216,31 @@ type replaySlot struct {
 	refused float64
 	flows   []flowFlow
 	load    []float64
+	lat     []float64
 }
+
+// flowTable is what the last flow build served: the chip pair of every
+// positive-rate demand in demand order (flowPair), the cache entry each was
+// served (-1 for a demand refused before tracing), and the shape hash of
+// the flows the build left. It was built under the trace cache's state,
+// epoch and gen; while all three are unchanged the cache would serve every
+// pair the same entry again (see reuseTable). The zero table matches no
+// cache, whose epochs start at 1.
+type flowTable struct {
+	pairs      []uint64
+	entries    []int32
+	state      int32
+	epoch, gen uint64
+	shape      uint64
+}
+
+// flowPair packs a demand's chip pair into a flow-table key.
+func flowPair(d FlowDemand) uint64 { return uint64(uint32(d.Src))<<32 | uint64(uint32(d.Dst)) }
+
+// roundPart is one worker's share of a waterfill round's gather: its
+// candidates fill cand from the start of its flow range up to end, and
+// their paths hold walk elements.
+type roundPart struct{ end, walk int }
 
 // traceRun is the number of pending pairs a trace worker claims at once,
 // consecutive in the locality order.
@@ -255,6 +293,7 @@ type flowSolver struct {
 	flows      []flowFlow
 	perChipSeq []int
 	load       []float64
+	table      flowTable
 
 	// Capacities are derived from link widths: elemClass maps each element
 	// to its width class (an ejection port is a width-1 element),
@@ -298,13 +337,14 @@ type flowSolver struct {
 	// Waterfill active sets: the monotone scheme only ever lowers
 	// throttles, so loads only ever drop and the over-capacity element set
 	// only shrinks — each round touches the congested neighborhood, not
-	// the whole network. Stamps dedupe the per-round worklists; stamp
-	// values are never reused (see waterfillStart's wrap guard).
-	overElems []int32   // elements still loaded past capacity
-	cand      []int32   // flows crossing an over-capacity element this round
-	ratio     []float64 // per flow: worst capacity/load ratio this round
-	delivered []float64 // per flow: rate*x, the term every load reduction sums
-	dirty     []int32   // elements whose incident flows were rescaled
+	// the whole network. Stamps dedupe the per-round candidates and dirty
+	// elements; stamp values are never reused (see waterfillStart's wrap
+	// guard).
+	overElems []int32     // elements still loaded past capacity
+	cand      []int32     // per flow range: flows crossing an over-capacity element this round
+	parts     []roundPart // per worker: its share of cand
+	ratio     []float64   // per flow: worst capacity/load ratio this round
+	delivered []float64   // per flow: rate*x, the term every load reduction sums
 	flowStamp []int32
 	elemStamp []int32
 	stamp     int32
@@ -316,7 +356,7 @@ type flowSolver struct {
 
 	// Persistent phase closures, built once so solves allocate nothing.
 	traceFn, mergeFn, countFn, fillFn          func(int)
-	loadFn, scaleFn, loadListFn, waitFn, latFn func(int)
+	loadFn, gatherFn, refreshFn, waitFn, latFn func(int)
 
 	starts []int64
 	accum  flowAccum
@@ -371,6 +411,7 @@ func (n *Network) flowSolver() *flowSolver {
 		tiles:      make([]int32, 1<<(2*tileBits)+1),
 		tileShift:  uint(nodeBits - tileBits),
 		scratch:    make([]traceScratch, 1),
+		parts:      make([]roundPart, 1),
 		workers:    1,
 	}
 	if n.faultRoute != nil {
@@ -432,34 +473,70 @@ func (n *Network) flowSolver() *flowSolver {
 	fl.loadFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.load), fl.workers, w)
 		for el := lo; el < hi; el++ {
-			s := 0.0
-			for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
-				s += fl.delivered[fi]
-			}
-			fl.load[el] = s
+			fl.load[el] = fl.elemLoad(int32(el))
 		}
 	}
+	// gatherFn collects worker w's candidates, the flows of its flow range
+	// crossing an over-capacity element, min-folds each element's ratio into
+	// them and throttles them. Each element's incident flows are in
+	// ascending flow order, so the range is one binary search away, and the
+	// worker owns every flow it stamps, rescales or writes a ratio for.
+	//
 	//sldf:hotpath
-	fl.scaleFn = func(w int) {
-		lo, hi := engine.ShardBounds(len(fl.cand), fl.workers, w)
-		for _, fi := range fl.cand[lo:hi] {
+	fl.gatherFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		end, walk := lo, 0
+		for _, el := range fl.overElems {
+			r := fl.capOf(el) / fl.load[el]
+			inc := fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]]
+			if lo > 0 {
+				k, _ := slices.BinarySearch(inc, int32(lo))
+				inc = inc[k:]
+			}
+			for _, fi := range inc {
+				if int(fi) >= hi {
+					break
+				}
+				if fl.flowStamp[fi] != fl.stamp {
+					fl.flowStamp[fi] = fl.stamp
+					fl.cand[end] = fi
+					end++
+					fl.ratio[fi] = 1
+					walk += int(fl.cache.entries[fl.flows[fi].entry].n)
+				}
+				if r < fl.ratio[fi] {
+					fl.ratio[fi] = r
+				}
+			}
+		}
+		for _, fi := range fl.cand[lo:end] {
 			if s := fl.ratio[fi]; s < 1 {
 				f := &fl.flows[fi]
 				f.x *= s
 				fl.delivered[fi] = f.rate * f.x
 			}
 		}
+		fl.parts[w] = roundPart{end: end, walk: walk}
 	}
+	// refreshFn recomputes the loads of worker w's element range that share
+	// a flow with the round's candidates, walking every worker's candidate
+	// paths and skipping the elements of other ranges.
+	//
 	//sldf:hotpath
-	fl.loadListFn = func(w int) {
-		lo, hi := engine.ShardBounds(len(fl.dirty), fl.workers, w)
-		for i := lo; i < hi; i++ {
-			el := fl.dirty[i]
-			s := 0.0
-			for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
-				s += fl.delivered[fi]
+	fl.refreshFn = func(w int) {
+		c := fl.cache
+		elo, ehi := engine.ShardBounds(len(fl.load), fl.workers, w)
+		for v, p := range fl.parts[:fl.workers] {
+			lo, _ := engine.ShardBounds(len(fl.flows), fl.workers, v)
+			for _, fi := range fl.cand[lo:p.end] {
+				for _, el := range c.pathOf(&c.entries[fl.flows[fi].entry]) {
+					if int(el) < elo || int(el) >= ehi || fl.elemStamp[el] == fl.stamp {
+						continue
+					}
+					fl.elemStamp[el] = fl.stamp
+					fl.load[el] = fl.elemLoad(el)
+				}
 			}
-			fl.load[el] = s
 		}
 	}
 	//sldf:hotpath
@@ -517,6 +594,7 @@ func (n *Network) setFlowWorkers(w int) {
 	}
 	for len(fl.scratch) < w {
 		fl.scratch = append(fl.scratch, traceScratch{})
+		fl.parts = append(fl.parts, roundPart{})
 	}
 }
 
@@ -704,17 +782,87 @@ func (fl *flowSolver) mergeReference() {
 }
 
 // flowBuildFlows expands chip-level demands into node-level flows, serving
-// traced paths from the route cache and scheduling misses for tracing.
-// Demands on a chip are spread round-robin across its injection nodes
-// (matching DstSameIndex's node pairing); demands whose endpoints are dead
-// or whose route fails are returned as refused flits/cycle, accumulated in
-// demand order.
+// traced paths from the route cache and scheduling misses for tracing, or
+// taking them from the flow table when the demands repeat its pairs (see
+// reuseTable). Demands on a chip are spread round-robin across its
+// injection nodes (matching DstSameIndex's node pairing); demands whose
+// endpoints are dead or whose route fails are returned as refused
+// flits/cycle, accumulated in demand order. fl.table.shape is left as the
+// flows' shape.
 func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int32) (refusedRate float64) {
+	reused := fl.reuseTable(demands)
+	if !reused {
+		n.lookupFlows(fl, demands, size)
+	}
+	// Drop refused flows (dead endpoints, failed traces) in demand order.
+	w := 0
+	for i := range fl.flows {
+		f := fl.flows[i]
+		if f.entry < 0 || !fl.cache.entries[f.entry].ok {
+			refusedRate += f.rate
+			continue
+		}
+		fl.flows[w] = f
+		w++
+	}
+	fl.flows = fl.flows[:w]
+	if !reused {
+		fl.table.shape = fl.flowShape()
+	}
+	return refusedRate
+}
+
+// reuseTable fills fl.flows from the flow table when the trace cache has
+// not changed since the table was built — same fault state, epoch and
+// generation, so every pair would be served its kept entry again — and the
+// positive-rate demands repeat the table's pairs in order. Each flow with
+// an entry counts the cache hit its lookup would have been: outside a
+// build every entry of the current state is traced. It reports whether the
+// table was used; when not, fl.flows holds nothing meaningful.
+//
+//sldf:hotpath
+func (fl *flowSolver) reuseTable(demands []FlowDemand) bool {
+	t, c := &fl.table, fl.cache
+	if t.state != c.state || t.epoch != c.epoch || t.gen != c.gen {
+		return false
+	}
+	fl.flows = fl.flows[:0]
+	k := 0
+	var hits int64
+	for _, d := range demands {
+		if d.Rate <= 0 {
+			continue
+		}
+		if k == len(t.pairs) || t.pairs[k] != flowPair(d) {
+			return false
+		}
+		entry := t.entries[k]
+		if entry >= 0 {
+			hits++
+		}
+		fl.flows = append(fl.flows, flowFlow{rate: d.Rate, x: 1, entry: entry})
+		k++
+	}
+	if k != len(t.pairs) {
+		return false
+	}
+	fl.stats.CacheHits += hits
+	fl.stats.TableReuses++
+	return true
+}
+
+// lookupFlows serves demands from the route cache, tracing the pairs it
+// misses, and keeps the flow table for the next build: fl.flows ends with
+// one flow per positive-rate demand, refused ones included.
+func (n *Network) lookupFlows(fl *flowSolver, demands []FlowDemand, size int32) {
 	if len(fl.cache.entries) == 0 {
 		fl.cache.reserve(len(demands))
 	}
+	t := &fl.table
 	fl.flows = slices.Grow(fl.flows[:0], len(demands))
 	fl.pending = slices.Grow(fl.pending[:0], len(demands))
+	t.pairs = slices.Grow(t.pairs[:0], len(demands))
+	t.entries = slices.Grow(t.entries[:0], len(demands))
 	for i := range fl.perChipSeq {
 		fl.perChipSeq[i] = 0
 	}
@@ -722,6 +870,7 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 		if d.Rate <= 0 {
 			continue
 		}
+		t.pairs = append(t.pairs, flowPair(d))
 		entry := int32(-1)
 		if int(d.Src) < len(n.ChipNodes) && int(d.Dst) < len(n.ChipNodes) {
 			srcNodes := n.ChipNodes[d.Src]
@@ -741,19 +890,13 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 		fl.flows = append(fl.flows, flowFlow{rate: d.Rate, x: 1, entry: entry})
 	}
 	n.tracePending(fl, size)
-	// Drop refused flows (dead endpoints, failed traces) in demand order.
-	w := 0
+	// The entries as served, after any redirect to a state's own traces,
+	// under the cache as the traces left it.
 	for i := range fl.flows {
-		f := fl.flows[i]
-		if f.entry < 0 || !fl.cache.entries[f.entry].ok {
-			refusedRate += f.rate
-			continue
-		}
-		fl.flows[w] = f
-		w++
+		t.entries = append(t.entries, fl.flows[i].entry)
 	}
-	fl.flows = fl.flows[:w]
-	return refusedRate
+	c := fl.cache
+	t.state, t.epoch, t.gen = c.state, c.epoch, c.gen
 }
 
 // flowShape hashes the solve's flow structure: the element space, the
@@ -891,10 +1034,12 @@ func (fl *flowSolver) waterfill() {
 func (fl *flowSolver) waterfillStart() {
 	if cap(fl.flowStamp) < len(fl.flows) {
 		fl.flowStamp = make([]int32, len(fl.flows))   //sldf:alloc-ok one-time stamp-array growth; steady state reuses capacity
+		fl.cand = make([]int32, len(fl.flows))        //sldf:alloc-ok grown with flowStamp; steady state reuses capacity
 		fl.ratio = make([]float64, len(fl.flows))     //sldf:alloc-ok grown with flowStamp; steady state reuses capacity
 		fl.delivered = make([]float64, len(fl.flows)) //sldf:alloc-ok grown with flowStamp; steady state reuses capacity
 	}
 	fl.flowStamp = fl.flowStamp[:len(fl.flows)]
+	fl.cand = fl.cand[:len(fl.flows)]
 	fl.ratio = fl.ratio[:len(fl.flows)]
 	fl.delivered = fl.delivered[:len(fl.flows)]
 	for i := range fl.flows {
@@ -926,50 +1071,31 @@ func (fl *flowSolver) waterfillStart() {
 // round: a flow's worst ratio is then the minimum over the over-capacity
 // elements it crosses, found through the transpose without reading its path.
 // full reports whether the loads were refreshed by the whole-network pass
-// rather than the dirty-element list (see fullLoadPass).
+// rather than the dirty elements (see fullLoadPass).
+//
+// Both passes partition the work on the pool without changing a bit: the
+// candidates, exactly the flows crossing an over-capacity element (each has
+// a worst ratio < 1 and throttles), are gathered and throttled per flow
+// range (gatherFn), and since every flow scales by its own ratio the order
+// they are found in reaches no result. The dirty elements, those sharing a
+// flow with the throttled set, are refreshed per element range (refreshFn),
+// each with its full fixed-order reduction, so the refreshed loads equal a
+// whole-network load pass. At one worker both are single serial loops.
 //
 //sldf:hotpath
 func (fl *flowSolver) waterfillRound() (full bool) {
-	// Candidate flows: exactly those crossing an over-capacity element
-	// (every one of them has a worst ratio < 1 and will throttle). Each
-	// element's ratio is computed once and min-folded into its flows.
 	fl.stamp++
-	fl.cand = fl.cand[:0]
+	fl.run(fl.gatherFn)
 	walk := 0 // path elements of the candidate flows
-	for _, el := range fl.overElems {
-		r := fl.capOf(el) / fl.load[el]
-		for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-			fi := fl.elemFlow[k]
-			if fl.flowStamp[fi] != fl.stamp {
-				fl.flowStamp[fi] = fl.stamp
-				fl.cand = append(fl.cand, fi)
-				fl.ratio[fi] = 1
-				walk += int(fl.cache.entries[fl.flows[fi].entry].n)
-			}
-			if r < fl.ratio[fi] {
-				fl.ratio[fi] = r
-			}
-		}
+	for _, p := range fl.parts[:fl.workers] {
+		walk += p.walk
 	}
-	fl.run(fl.scaleFn)
 	full = fullLoadPass(walk, len(fl.elemFlow))
 	if full {
 		fl.run(fl.loadFn)
 	} else {
-		// Dirty elements: those sharing a flow with the throttled set; each
-		// recomputes its full fixed-order reduction, so the refreshed loads
-		// are bit-identical to a whole-network load pass.
 		fl.stamp++
-		fl.dirty = fl.dirty[:0]
-		for _, fi := range fl.cand {
-			for _, el := range fl.cache.pathOf(&fl.cache.entries[fl.flows[fi].entry]) {
-				if fl.elemStamp[el] != fl.stamp {
-					fl.elemStamp[el] = fl.stamp
-					fl.dirty = append(fl.dirty, el)
-				}
-			}
-		}
-		fl.run(fl.loadListFn)
+		fl.run(fl.refreshFn)
 	}
 	// Monotonicity: no element outside the set can have crossed capacity,
 	// so filtering the old set is the full rescan.
@@ -985,14 +1111,30 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 }
 
 // fullLoadPass reports whether a waterfill round refreshes loads with the
-// whole-network pass rather than the dirty-element list, given the path
+// whole-network pass rather than the dirty elements, given the path
 // elements of its candidate flows (walk) and the transpose's flow–element
-// incidences. The dirty list costs a serial, stamped walk of every
-// candidate path before its loads are summed; once that walk reaches a
-// quarter of all incidences, summing every element on the pool is cheaper.
-// Either way the loads come out bit-identical.
+// incidences. A dirty refresh walks every candidate path once per worker —
+// each worker skips the elements outside its range — and then sums the
+// dirty elements' incidences, split by element range; the full pass sums
+// every incidence, split the same way. The walk is the part more workers
+// do not shrink, so the full pass is taken once it reaches a quarter of all
+// incidences. The threshold ignores the worker count, so a round takes the
+// same branch for any worker count, and either way the loads come out
+// bit-identical.
 func fullLoadPass(walk, incidences int) bool {
 	return 4*walk >= incidences
+}
+
+// elemLoad is element el's load: the sum of its incident flows' delivered
+// rates, in ascending flow order.
+//
+//sldf:hotpath
+func (fl *flowSolver) elemLoad(el int32) float64 {
+	s := 0.0
+	for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
+		s += fl.delivered[fi]
+	}
+	return s
 }
 
 // latencies fills fl.lat with every flow's modeled end-to-end latency: the
@@ -1011,10 +1153,11 @@ func (fl *flowSolver) latencies() {
 	fl.run(fl.latFn)
 }
 
-// replay restores the current fault state's solved segment into fl.flows
-// and fl.load when a slot of this solve holds it, and returns its refused
-// rate. The transpose and its shape are left alone: they still describe the
-// flows they were built for, which the next rebuilt segment compares with.
+// replay restores the current fault state's solved segment into fl.flows,
+// fl.load and fl.lat when a slot of this solve holds it, and returns its
+// refused rate. The transpose and its shape are left alone: they still
+// describe the flows they were built for, which the next rebuilt segment
+// compares with.
 //
 //sldf:hotpath
 func (fl *flowSolver) replay() (refused float64, ok bool) {
@@ -1027,6 +1170,8 @@ func (fl *flowSolver) replay() (refused float64, ok bool) {
 		fl.flows = fl.flows[:0]
 		fl.flows = append(fl.flows, s.flows...)
 		copy(fl.load, s.load)
+		fl.lat = fl.lat[:0]
+		fl.lat = append(fl.lat, s.lat...)
 		fl.slotClock++
 		s.used = fl.slotClock
 		fl.stats.Replays++
@@ -1035,8 +1180,8 @@ func (fl *flowSolver) replay() (refused float64, ok bool) {
 	return 0, false
 }
 
-// keep stores the segment just solved, under the current fault state, in
-// the least recently used slot.
+// keep stores the segment just solved, with its latencies, under the
+// current fault state, in the least recently used slot.
 //
 //sldf:hotpath
 func (fl *flowSolver) keep(refused float64) {
@@ -1052,6 +1197,8 @@ func (fl *flowSolver) keep(refused float64) {
 	s.flows = append(s.flows, fl.flows...)
 	s.load = s.load[:0]
 	s.load = append(s.load, fl.load...)
+	s.lat = s.lat[:0]
+	s.lat = append(s.lat, fl.lat...)
 }
 
 // flowAccum accumulates window statistics across churn segments in float
@@ -1080,15 +1227,15 @@ func (a *flowAccum) reset(links int) {
 	a.hist = LatencyHist{}
 }
 
-// accumulate folds one solved segment of cyc cycles into the totals,
-// serially in flow order so every floating-point sum keeps its order.
-func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRate float64, cyc int64) {
+// accumulate folds one solved segment of cyc cycles, its latencies in
+// fl.lat, into the totals, serially in flow order so every floating-point
+// sum keeps its order.
+func (a *flowAccum) accumulate(fl *flowSolver, size int32, refusedRate float64, cyc int64) {
 	c := float64(cyc)
 	a.refusedPkts += refusedRate * c / float64(size)
 	for i := range a.linkFlits {
 		a.linkFlits[i] += fl.load[i] * c
 	}
-	fl.latencies()
 	for i := range fl.flows {
 		f := &fl.flows[i]
 		delivered := f.rate * f.x * c
@@ -1128,8 +1275,7 @@ func (n *Network) solveSegment(fl *flowSolver, demands []FlowDemand, size int32)
 		n.preAllocate(n)
 	}
 	refused = n.flowBuildFlows(fl, demands, size)
-	shape := fl.flowShape()
-	if shape != fl.shape || len(fl.elemFlow) == 0 {
+	if shape := fl.table.shape; shape != fl.shape || len(fl.elemFlow) == 0 {
 		t := phaseStart(flowPhaseTranspose)
 		fl.buildTranspose()
 		phaseEnd(t, &fl.stats.TransposeWall)
@@ -1217,16 +1363,19 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		refused, replayed := fl.replay()
 		if !replayed {
 			refused = n.solveSegment(fl, opts.Demands(), size)
-			// Only a later segment of this solve can replay it.
-			if i+1 < len(fl.starts) {
-				fl.keep(refused)
-			}
 		} else if fl.onReplay != nil {
 			fl.onReplay(refused)
 		}
 		t := phaseStart(flowPhaseHist)
-		acc.accumulate(fl, n, size, refused, cyc)
+		if !replayed {
+			fl.latencies()
+		}
+		acc.accumulate(fl, size, refused, cyc)
 		phaseEnd(t, &fl.stats.HistWall)
+		// Only a later segment of this solve can replay it.
+		if !replayed && i+1 < len(fl.starts) {
+			fl.keep(refused)
+		}
 	}
 
 	// Publish the synthesized window: counters into shard 0, per-link

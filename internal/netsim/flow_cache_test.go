@@ -185,16 +185,22 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 // TestFlowSolveSteadyStateAllocs pins the solver's zero-allocation contract:
 // once a build-once/solve-many loop has warmed the trace cache and the
 // retained buffers, a full SolveFlow + Reset cycle allocates nothing —
-// below the knee, above it where every solve runs waterfill rounds, and
-// under churn that returns to the base state, where later segments replay
-// the base state's solution from a slot.
+// below the knee, above it where every solve runs waterfill rounds, on a
+// sweep whose every point is a warm point at a new rate that reuses the
+// flow table, and under churn that returns to the base state, where later
+// segments replay the base state's solution from a slot.
 func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		rate   float64
+		rates  []float64
 		rounds bool
 		churn  bool
-	}{{"idle", 0.05, false, false}, {"throttled", 0.5, true, false}, {"churn-replay", 0.5, true, true}} {
+	}{
+		{"idle", []float64{0.05}, false, false},
+		{"throttled", []float64{0.5}, true, false},
+		{"sweep", []float64{0.05, 0.2, 0.5}, true, false},
+		{"churn-replay", []float64{0.5}, true, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 8
 			var net *Network
@@ -213,9 +219,13 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 			}
 			defer net.Close()
 			net.SetEngine(EngineFlow)
-			demands := ringDemands(n, tc.rate)
+			var sets [][]FlowDemand
+			for _, rate := range tc.rates {
+				sets = append(sets, ringDemands(n, rate))
+			}
+			point := 0
 			opts := FlowOptions{
-				Demands:    func() []FlowDemand { return demands },
+				Demands:    func() []FlowDemand { return sets[point%len(sets)] },
 				PacketSize: 4, Warmup: 100, Measure: 200,
 			}
 			cycle := func() {
@@ -223,6 +233,7 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				net.Reset()
+				point++
 			}
 			for i := 0; i < 3; i++ {
 				cycle()
@@ -233,8 +244,21 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 			if got := net.FlowSolverStats().Replays > 0; got != tc.churn {
 				t.Fatalf("segments replayed: %v, want %v", got, tc.churn)
 			}
+			// Without churn every solve after the first is a warm point
+			// that takes its flows from the flow table; under churn the
+			// window ends in another state than it starts in.
+			reused, want := net.FlowSolverStats().TableReuses, int64(point-1)
+			if tc.churn {
+				want = 0
+			}
+			if reused != want {
+				t.Fatalf("flow table reused %d times in %d solves, want %d", reused, point, want)
+			}
 			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 				t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
+			}
+			if d := net.FlowSolverStats().TableReuses - reused; !tc.churn && d != int64(point-3) {
+				t.Fatalf("flow table reused %d times in %d measured solves, want every one", d, point-3)
 			}
 		})
 	}
@@ -391,5 +415,144 @@ func TestFlowTraceScratchBounded(t *testing.T) {
 			t.Fatalf("arena of %d elements within the scratch bound %d; the ring does not span batches", c.pathEnd, bound)
 		}
 		net.Close()
+	}
+}
+
+// flowWindow is what a flow solve reports: the snapshot and the per-class
+// and hottest link utilization.
+type flowWindow struct {
+	Stats   Stats
+	ByClass [NumHopClasses]float64
+	Hottest []LinkUtil
+}
+
+// TestFlowTableReuseOracle pins the flow-table reuse: one network runs a
+// sequence of solves that each warm, void or re-key the kept flow table,
+// and every solve must equal the same solve on a freshly built network bit
+// for bit. A second network runs the sequence with its table voided before
+// every solve, so every build looks its pairs up; both must count the same
+// traces and cache hits at every step, and the table must be reused
+// exactly on the steps that repeat the previous build's pairs under an
+// unchanged cache. The demand set has duplicate pairs, a zero-rate demand
+// and a demand to a chip that does not exist, and the throttled rate runs
+// waterfill rounds on the reused flows.
+func TestFlowTableReuseOracle(t *testing.T) {
+	const n = 8
+	demandsAt := func(rate float64, last int32) []FlowDemand {
+		var d []FlowDemand
+		for i := int32(0); i < n; i++ {
+			d = append(d, FlowDemand{Src: i, Dst: (i + 3) % n, Rate: rate},
+				FlowDemand{Src: i, Dst: (i + 1) % n, Rate: rate / 2},
+				FlowDemand{Src: i, Dst: (i + 3) % n, Rate: rate})
+		}
+		return append(d, FlowDemand{Src: 1, Dst: 5, Rate: 0}, FlowDemand{Src: 2, Dst: n, Rate: rate},
+			FlowDemand{Src: 4, Dst: last, Rate: rate})
+	}
+	// B differs from A in its last pair only.
+	setA, setB := func(rate float64) []FlowDemand { return demandsAt(rate, 6) },
+		func(rate float64) []FlowDemand { return demandsAt(rate, 7) }
+
+	build := func() *Network {
+		net := buildChurnRing(t, n, NetworkOptions{Seed: 1, Workers: 1})
+		if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
+			t.Fatal(err)
+		}
+		net.SetEngine(EngineFlow)
+		return net
+	}
+	// kill takes the 1↔2 channel down now: a fault state other than the
+	// base, which reroutes the pairs crossing it.
+	kill := func(net *Network) {
+		fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
+		if err := net.InjectChurn([]TimedFault{LinkFault(0, fwd.ID, false), LinkFault(0, rev.ID, false)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve := func(net *Network, demands []FlowDemand, size int32, cold bool) flowWindow {
+		t.Helper()
+		if err := net.SolveFlow(FlowOptions{
+			Demands:    func() []FlowDemand { return demands },
+			PacketSize: size, Warmup: 100, Measure: 200, Cold: cold,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var w flowWindow
+		w.Stats = net.Snapshot()
+		w.ByClass, w.Hottest = net.LinkUtilization(4)
+		return w
+	}
+
+	type step struct {
+		name    string
+		before  func(net *Network) // applied to the network before the solve, fresh ones too
+		demands []FlowDemand
+		size    int32
+		cold    bool
+		reuse   bool
+	}
+	none := func(*Network) {}
+	setRoute := func(net *Network) { net.SetRoute(net.route) }
+	steps := []step{
+		{"A", none, setA(0.05), 4, false, false},
+		{"A at another rate", none, setA(0.4), 4, false, true},
+		{"B", none, setB(0.4), 4, false, false},
+		{"A after B", none, setA(0.05), 4, false, false},
+		{"A repeated", none, setA(0.4), 4, false, true},
+		{"A cold", none, setA(0.4), 4, true, false},
+		{"A after cold", none, setA(0.05), 4, false, true},
+		{"A at packet size 5", none, setA(0.4), 5, false, false},
+		{"A after the size change", none, setA(0.05), 5, false, true},
+		{"A in the churned state", kill, setA(0.4), 5, false, false},
+		{"A after Reset to the base", none, setA(0.4), 5, false, false},
+		{"A repeated in the base", none, setA(0.05), 5, false, true},
+		// The churned state again: its traces and the cache generation
+		// are unchanged, so only the fault state tells the table apart.
+		{"A in the churned state again", kill, setA(0.4), 5, false, false},
+		{"A after a second Reset", none, setA(0.4), 5, false, false},
+		{"A after SetRoute", setRoute, setA(0.4), 5, false, false},
+		{"A after SetRoute repeated", none, setA(0.05), 5, false, true},
+	}
+
+	// Every solve is followed by Reset, which leaves a churned state for
+	// the base.
+	net, lookups := build(), build()
+	defer net.Close()
+	defer lookups.Close()
+	for _, s := range steps {
+		s.before(net)
+		s.before(lookups)
+		before, lbefore := net.FlowSolverStats(), lookups.FlowSolverStats()
+		got := solve(net, s.demands, s.size, s.cold)
+		lookups.flowSolver().table.epoch = 0 // voids the table: every pair is looked up
+		lgot := solve(lookups, s.demands, s.size, s.cold)
+		after, lafter := net.FlowSolverStats(), lookups.FlowSolverStats()
+
+		fresh := build()
+		s.before(fresh)
+		want := solve(fresh, s.demands, s.size, s.cold)
+		fresh.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: differs from a fresh network:\ngot:  %+v\nwant: %+v", s.name, got, want)
+		}
+		if !reflect.DeepEqual(lgot, want) {
+			t.Fatalf("%s: lookup-only solve differs from a fresh network:\ngot:  %+v\nwant: %+v", s.name, lgot, want)
+		}
+		if got, want := after.Traces-before.Traces, lafter.Traces-lbefore.Traces; got != want {
+			t.Errorf("%s: %d traces, lookup-only run %d", s.name, got, want)
+		}
+		if got, want := after.CacheHits-before.CacheHits, lafter.CacheHits-lbefore.CacheHits; got != want {
+			t.Errorf("%s: %d cache hits, lookup-only run %d", s.name, got, want)
+		}
+		if d := after.TableReuses - before.TableReuses; (d == 1) != s.reuse || d > 1 {
+			t.Errorf("%s: flow table reused %d times, want reuse %v", s.name, d, s.reuse)
+		}
+		if d := lafter.TableReuses - lbefore.TableReuses; d != 0 {
+			t.Errorf("%s: voided flow table reused %d times", s.name, d)
+		}
+		if s.demands[0].Rate == 0.4 && after.WaterfillIters == before.WaterfillIters {
+			t.Errorf("%s: a throttled solve ran no waterfill rounds", s.name)
+		}
+		net.Reset()
+		lookups.Reset()
 	}
 }

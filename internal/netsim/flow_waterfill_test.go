@@ -177,13 +177,37 @@ func buildFlowSLDF(t *testing.T) *netsim.Network {
 	return s.Net
 }
 
+// probeRounds runs demands' waterfill round by round at the network's
+// flow worker count and returns, per round, whether it refreshed loads
+// with the whole-network pass.
+func probeRounds(net *netsim.Network, demands []netsim.FlowDemand, size int32) []bool {
+	p := net.PrepareFlowSegment(demands, size)
+	p.Start()
+	var full []bool
+	for len(p.OverElems()) > 0 && len(full) < netsim.WaterfillRounds {
+		full = append(full, p.Round())
+	}
+	return full
+}
+
 // TestSolveFlowWorkersPerSolve checks that every solve applies its own
 // FlowOptions.Workers: on one network, a 3-worker solve followed by a
-// 0-worker solve runs the second serially, with identical statistics.
+// 0-worker solve runs the second serially, and solves at 2 and 7 workers
+// follow, all with identical statistics. The point's waterfill refreshes
+// loads with the whole-network pass in one round and with the dirty
+// elements in another at every worker count, so the solves run both
+// round passes on the pool.
 func TestSolveFlowWorkersPerSolve(t *testing.T) {
 	net := buildFlowSLDF(t)
 	defer net.Close()
-	demands := sampledDemands(len(net.ChipNodes), 4, 0.5)
+	demands := sampledDemands(len(net.ChipNodes), 16, 0.5)
+	for _, workers := range []int{1, 2, 3, 7} {
+		net.SetFlowWorkers(workers)
+		rounds := probeRounds(net, demands, 4)
+		if !slices.Contains(rounds, true) || !slices.Contains(rounds, false) {
+			t.Fatalf("%d workers: rounds %v (true = whole-network load pass); want both passes", workers, rounds)
+		}
+	}
 	solve := func(workers int) netsim.Stats {
 		t.Helper()
 		net.Reset()
@@ -205,6 +229,11 @@ func TestSolveFlowWorkersPerSolve(t *testing.T) {
 	}
 	if !reflect.DeepEqual(par, ser) {
 		t.Fatalf("serial solve differs from the 3-worker solve:\n%+v\n%+v", ser, par)
+	}
+	for _, workers := range []int{2, 7} {
+		if got := solve(workers); !reflect.DeepEqual(got, ser) {
+			t.Fatalf("%d-worker solve differs from the serial solve:\n%+v\n%+v", workers, got, ser)
+		}
 	}
 }
 
@@ -261,13 +290,14 @@ func TestTransposeMatchesOracle(t *testing.T) {
 
 // TestWaterfillMatchesOracle checks the flow solver's waterfill and latency
 // synthesis against waterfillOracle on a small switch-less Dragonfly (nine
-// W-groups of 16 chips), round by round and bit for bit, at 1, 2 and 3
+// W-groups of 16 chips), round by round and bit for bit, at 1, 2, 3 and 7
 // workers: every flow's throttle, every element's load and every flow's
 // latency. At the start of every round the solver's over-capacity set must
 // be exactly the elements loaded past capacity, which is what lets it take
 // worst ratios from that set. The rates cover a point with no rounds and
 // points whose first round refreshes every load while later rounds refresh
-// a dirty list; the test fails if either branch goes unexercised.
+// the dirty elements; the test fails if either branch goes unexercised, or
+// if a worker count takes another branch than one worker in any round.
 func TestWaterfillMatchesOracle(t *testing.T) {
 	net := buildFlowSLDF(t)
 	defer net.Close()
@@ -276,7 +306,8 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 	var fullRounds, listRounds int
 	for _, rate := range []float64{0.05, 0.5, 1.0, 2.0} {
 		demands := sampledDemands(len(net.ChipNodes), 16, rate)
-		for workers := 1; workers <= 3; workers++ {
+		var serial []bool
+		for _, workers := range []int{1, 2, 3, 7} {
 			net.SetFlowWorkers(workers)
 			p := net.PrepareFlowSegment(demands, size)
 			o := newWaterfillOracle(p)
@@ -314,7 +345,12 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 				want[fi] = o.latency(fi)
 			}
 			checkBits(t, fmt.Sprintf("rate %.2f, %d workers: latency of flow", rate, workers), lat, want)
+			if workers > 1 && !slices.Equal(branches, serial) {
+				t.Fatalf("rate %.2f, %d workers: rounds %v, one worker %v (true = whole-network load pass)",
+					rate, workers, branches, serial)
+			}
 			if workers == 1 {
+				serial = branches
 				t.Logf("rate %.2f: %d flows, rounds %v (true = whole-network load pass)", rate, len(lat), branches)
 				for i, full := range branches {
 					switch {
