@@ -112,6 +112,9 @@ func (p PointFlags) Resolve() (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
+	if *p.groups < 0 {
+		return Point{}, fmt.Errorf("-groups %d: want 0 (the size's count) or a positive W-group count", *p.groups)
+	}
 	if *p.groups > 0 {
 		sldf.G, df.G = *p.groups, *p.groups
 	}

@@ -51,6 +51,7 @@ func TestResolveRejectsBadInput(t *testing.T) {
 		{"-engine", "active-set", "-flowpar", "2"},
 		{"-flowcold"},
 		{"-engine", "reference", "-flowcold"},
+		{"-groups", "-1"},
 	} {
 		if err := parse(t, args...).resolve(); err == nil {
 			t.Errorf("%v: resolved without error", args)

@@ -13,7 +13,7 @@ import (
 // entries rather than the reference layer.
 func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh RouteFunc) (differing int, err error) {
 	fl := n.flowSolver()
-	n.flowBuildFlows(fl, demands, size)
+	n.flowBuildFlows(fl, fl.record(), demands, size)
 	installed := n.route
 	n.route = fresh
 	defer func() { n.route = installed }()
@@ -58,25 +58,27 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 }
 
 // CheckFlowReplays arms a check on every segment a later solve replays
-// from a solved-segment slot: right after the restore, demands() is served
-// and solved afresh for the same fault state, exactly as a rebuilt segment
-// is, and its flows (rate, throttle, cache entry), element loads, per-flow
-// latencies and refused rate must equal the restored ones bit for bit,
-// without a trace.
+// from its fault state's record: right after the restore, demands() is
+// served from the route cache, the record's flow table voided, and solved
+// afresh for the same fault state, exactly as a rebuilt segment is, and its
+// flows (rate, throttle, cache entry), element loads, per-flow latencies and
+// refused rate must equal the restored ones bit for bit, without a trace.
 // The solver is then put back as the replay left it, so the solve goes on
-// unperturbed. report gets the outcome (nil on a match) once per replayed
-// segment; a nil demands disarms the check.
+// unperturbed: the lookups leave the record the table it held. report gets
+// the outcome (nil on a match) once per replayed segment; a nil demands
+// disarms the check.
 func (n *Network) CheckFlowReplays(demands func() []FlowDemand, size int32, report func(error)) {
 	fl := n.flowSolver()
 	if demands == nil {
 		fl.onReplay = nil
 		return
 	}
-	fl.onReplay = func(refused float64) {
+	fl.onReplay = func(rec *stateRecord, refused float64) {
 		flows, load, lat := slices.Clone(fl.flows), slices.Clone(fl.load), slices.Clone(fl.lat)
 		off, inc := slices.Clone(fl.elemOff), slices.Clone(fl.elemFlow)
-		stats, shape := fl.stats, fl.shape
-		fresh := n.solveSegment(fl, demands(), size)
+		stats, tposeOf := fl.stats, fl.tposeOf
+		rec.tabled = false
+		fresh := n.solveSegment(fl, rec, demands(), size)
 		fl.latencies()
 		err := replayMismatch(fl, flows, load, lat, refused, fresh, stats.Traces)
 		fl.flows = append(fl.flows[:0], flows...)
@@ -84,7 +86,7 @@ func (n *Network) CheckFlowReplays(demands func() []FlowDemand, size int32, repo
 		fl.lat = append(fl.lat[:0], lat...)
 		copy(fl.elemOff, off)
 		fl.elemFlow = append(fl.elemFlow[:0], inc...)
-		fl.stats, fl.shape = stats, shape
+		fl.stats, fl.tposeOf = stats, tposeOf
 		report(err)
 	}
 }
@@ -158,21 +160,16 @@ type FlowProbe struct{ fl *flowSolver }
 // its offered rate.
 func (n *Network) PrepareFlowSegment(demands []FlowDemand, size int32) FlowProbe {
 	fl := n.flowSolver()
-	if fl.cache.size != size {
-		n.flowInvalidateAll()
-		fl.cache.size = size
-	}
-	if fl.capSize != size {
-		if err := fl.setCapacities(n, size); err != nil {
-			panic(err)
-		}
+	if err := n.setFlowSize(fl, size); err != nil {
+		panic(err)
 	}
 	if n.preAllocate != nil {
 		n.preAllocate(n)
 	}
-	n.flowBuildFlows(fl, demands, size)
+	rec := fl.record()
+	n.flowBuildFlows(fl, rec, demands, size)
 	fl.buildTranspose()
-	fl.shape = fl.flowShape()
+	fl.tposeOf = rec
 	return FlowProbe{fl}
 }
 

@@ -44,14 +44,25 @@ package netsim
 //     scratch holds one batch, whatever the pair count. Paths are written
 //     once, into slabs that never move. A cold build presizes the cache's
 //     index and entries.
-//   - A flow build keeps its flow table: the (source chip, destination
-//     chip) pair of every positive-rate demand, in demand order, with the
-//     cache entry each was served. The table is keyed by the trace cache's
-//     fault state, epoch and generation, so any trace, invalidation or
-//     state switch voids it. A later build whose demands repeat its pairs in
-//     order — every warm point of a rate sweep — takes the entries from the
-//     table with the new rates: no map lookup, no flow-shape rehash, and
-//     CacheHits counted exactly as the lookups would have counted them.
+//   - The solver keeps one record for each of the two fault states it used
+//     last, keyed by the state and the trace epoch. A record holds the
+//     state's flow table: the (source chip, destination chip) pair of every
+//     positive-rate demand, in demand order, with the cache entry each was
+//     served. Within one epoch the cache serves a state's pair one
+//     unchanging entry, so the table lasts as long as the record: a later
+//     build in the state whose demands repeat its pairs in order — every
+//     warm point of a rate sweep, a churn state revisited — takes the
+//     entries from the table with the new rates: no map lookup, and
+//     CacheHits counted exactly as the lookups would have counted them. The
+//     flow-incidence transpose belongs to the record whose table it was
+//     built from and is rebuilt when that table is rebuilt, which an
+//     evicted record's is on its next use. Within one solve a state's demands and traces are fixed and
+//     the fixpoint restarts from x = 1, so a churn segment that returns to a
+//     state an earlier segment of the solve solved would rebuild
+//     bit-identical flows, loads and latencies: the record also keeps its
+//     table's last solved segment, which such a segment restores and only
+//     accumulates — no demands, lookups, transpose, waterfill or latency
+//     synthesis.
 //   - The waterfill load pass runs element-major over a flow-incidence
 //     transpose: each element's load is a fixed-order reduction over its
 //     incident flows, so partitioning elements (or flows, for the throttle
@@ -68,13 +79,6 @@ package netsim
 //   - Latency synthesis computes each element's queueing term once per
 //     segment, sums each flow's terms along its path on the pool, and folds
 //     the window statistics serially in flow order.
-//   - Within one solve a fault state's demands and traces are fixed and the
-//     fixpoint restarts from x = 1, so a churn segment that returns to a
-//     state an earlier segment solved would rebuild bit-identical flows,
-//     loads and latencies. A few solved-segment slots keep them (keyed by
-//     fault state and trace epoch, emptied at every solve), and such a
-//     segment restores them and only accumulates: no demands, lookups,
-//     transpose, waterfill or latency synthesis.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
 // FlowOptions are pure execution controls.
@@ -142,10 +146,10 @@ type FlowOptions struct {
 type FlowStats struct {
 	Solves            int64 // SolveFlow calls
 	Segments          int64 // measured churn segments, replayed ones included (>= Solves)
-	Replays           int64 // segments restored from a solved-segment slot instead of rebuilt
+	Replays           int64 // segments restored from their fault state's record instead of rebuilt
 	Traces            int64 // fresh route traces performed
 	CacheHits         int64 // flows served from the route-trace cache; a reused flow table counts its flows as hits, replayed segments count none
-	TableReuses       int64 // flow builds served from the kept flow table without cache lookups
+	TableReuses       int64 // flow builds served from their fault state's flow table without cache lookups
 	Evicted           int64 // always 0: churn never evicts traces (kept for the bench harness, which reads it)
 	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
@@ -199,39 +203,40 @@ type flowFlow struct {
 	entry int32
 }
 
-// replaySlots is the number of solved segments a solve keeps for replay,
+// stateRecords is the number of fault-state records the solver keeps,
 // least recently used first out. Two cover the common churn shape, a
 // window that keeps returning to its base state between passing faults.
-const replaySlots = 2
+const stateRecords = 2
 
-// replaySlot is one solved segment of the current solve, kept for a later
-// segment in the same fault state: its flows with their solved throttles,
-// the element loads, the per-flow latencies and the refused rate. used is
-// the solver's slot clock at the last store or replay, 0 for an empty slot.
-// The buffers are reused across solves.
-type replaySlot struct {
+// stateRecord is what the solver keeps of one fault state, keyed by the
+// trace cache's state and epoch; used is the solver's record clock at its
+// last use, 0 for a record never claimed. The zero record matches no cache,
+// whose epochs start at 1. The buffers are reused across claims.
+//
+// The flow table is what the state's last flow build served: the chip pair
+// of every positive-rate demand in demand order (flowPair) and the cache
+// entry each was served (-1 for a demand refused before tracing); tabled
+// reports that the record has one. Within one epoch the cache serves each
+// (state, pair) one unchanging entry, so the table stays valid as long as
+// the record (see reuseTable).
+//
+// The solved segment is the last segment solved from the table: its flows
+// with their solved throttles, the element loads, the per-flow latencies
+// and the refused rate. solve is the FlowStats.Solves count of the solve
+// that stored it; only a later segment of that solve replays it.
+type stateRecord struct {
 	state   int32
 	epoch   uint64
 	used    uint64
+	tabled  bool
+	pairs   []uint64
+	entries []int32
+
+	solve   int64
 	refused float64
 	flows   []flowFlow
 	load    []float64
 	lat     []float64
-}
-
-// flowTable is what the last flow build served: the chip pair of every
-// positive-rate demand in demand order (flowPair), the cache entry each was
-// served (-1 for a demand refused before tracing), and the shape hash of
-// the flows the build left. It was built under the trace cache's state,
-// epoch and gen; while all three are unchanged the cache would serve every
-// pair the same entry again (see reuseTable). The zero table matches no
-// cache, whose epochs start at 1.
-type flowTable struct {
-	pairs      []uint64
-	entries    []int32
-	state      int32
-	epoch, gen uint64
-	shape      uint64
 }
 
 // flowPair packs a demand's chip pair into a flow-table key.
@@ -293,26 +298,25 @@ type flowSolver struct {
 	flows      []flowFlow
 	perChipSeq []int
 	load       []float64
-	table      flowTable
 
-	// Capacities are derived from link widths: elemClass maps each element
-	// to its width class (an ejection port is a width-1 element),
-	// classWidth holds each class's width in flits/cycle, the element's
-	// capacity, and classSer, for packet size capSize, its serialization
-	// cycles (the queueing service time). capSize 0 means classSer is
-	// stale.
+	// size is the packet size the capacities and the cached traces are
+	// for, 0 before the first solve (see setFlowSize). Capacities are
+	// derived from link widths: elemClass maps each element to its width
+	// class (an ejection port is a width-1 element), classWidth holds each
+	// class's width in flits/cycle, the element's capacity, and classSer
+	// its serialization cycles at size (the queueing service time).
+	size       int32
 	elemClass  []uint8
 	classWidth []int32
 	classSer   []float64
-	capSize    int32
 
 	// Flow-incidence transpose (CSR): for element el, elemFlow[elemOff[el]:
-	// elemOff[el+1]] lists the incident flow indices in flow order. shape
-	// hashes the flow structure (and cache generation) the transpose was
-	// built for, so warm sweep points skip the rebuild.
+	// elemOff[el+1]] lists the incident flow indices in flow order. tposeOf
+	// is the record whose flow table it was built from (nil for none), so
+	// a segment served from the same table skips the rebuild.
 	elemOff  []int32
 	elemFlow []int32
-	shape    uint64
+	tposeOf  *stateRecord
 	// Per-worker transpose cursors for every worker but the last, which
 	// uses elemOff itself: (workers-1) x elements int32s, built on the
 	// first parallel transpose.
@@ -361,12 +365,12 @@ type flowSolver struct {
 	starts []int64
 	accum  flowAccum
 
-	// Solved-segment slots of the current solve (see replay), their LRU
-	// clock, and a test hook run after each replay with the restored
-	// refused rate (nil outside tests).
-	slots     [replaySlots]replaySlot
-	slotClock uint64
-	onReplay  func(refused float64)
+	// Fault-state records (see record), their LRU clock, and a test hook
+	// run after each replay with the replayed record and its refused rate
+	// (nil outside tests).
+	records  [stateRecords]stateRecord
+	clock    uint64
+	onReplay func(rec *stateRecord, refused float64)
 
 	stats FlowStats
 }
@@ -762,7 +766,6 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		c.redirect(fl.flows)
 	}
 	c.endBuild()
-	c.gen++
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
 	phaseEnd(t0, &fl.stats.TraceWall)
@@ -781,18 +784,17 @@ func (fl *flowSolver) mergeReference() {
 	fl.run(fl.mergeFn)
 }
 
-// flowBuildFlows expands chip-level demands into node-level flows, serving
-// traced paths from the route cache and scheduling misses for tracing, or
-// taking them from the flow table when the demands repeat its pairs (see
-// reuseTable). Demands on a chip are spread round-robin across its
-// injection nodes (matching DstSameIndex's node pairing); demands whose
-// endpoints are dead or whose route fails are returned as refused
-// flits/cycle, accumulated in demand order. fl.table.shape is left as the
-// flows' shape.
-func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int32) (refusedRate float64) {
-	reused := fl.reuseTable(demands)
-	if !reused {
-		n.lookupFlows(fl, demands, size)
+// flowBuildFlows expands chip-level demands into node-level flows for
+// record rec, the current fault state's: from its flow table when the
+// demands repeat the table's pairs (see reuseTable), otherwise from the
+// route cache, scheduling misses for tracing, into a new table. Demands on
+// a chip are spread round-robin across its injection nodes (matching
+// DstSameIndex's node pairing); demands whose endpoints are dead or whose
+// route fails are returned as refused flits/cycle, accumulated in demand
+// order.
+func (n *Network) flowBuildFlows(fl *flowSolver, rec *stateRecord, demands []FlowDemand, size int32) (refusedRate float64) {
+	if !fl.reuseTable(rec, demands) {
+		n.lookupFlows(fl, rec, demands, size)
 	}
 	// Drop refused flows (dead endpoints, failed traces) in demand order.
 	w := 0
@@ -806,24 +808,18 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 		w++
 	}
 	fl.flows = fl.flows[:w]
-	if !reused {
-		fl.table.shape = fl.flowShape()
-	}
 	return refusedRate
 }
 
-// reuseTable fills fl.flows from the flow table when the trace cache has
-// not changed since the table was built — same fault state, epoch and
-// generation, so every pair would be served its kept entry again — and the
-// positive-rate demands repeat the table's pairs in order. Each flow with
-// an entry counts the cache hit its lookup would have been: outside a
-// build every entry of the current state is traced. It reports whether the
-// table was used; when not, fl.flows holds nothing meaningful.
+// reuseTable fills fl.flows from rec's flow table when the positive-rate
+// demands repeat the table's pairs in order. Each flow with an entry counts
+// the cache hit its lookup would have been: outside a build every entry of
+// the current state is traced. It reports whether the table was used; when
+// not, fl.flows holds nothing meaningful.
 //
 //sldf:hotpath
-func (fl *flowSolver) reuseTable(demands []FlowDemand) bool {
-	t, c := &fl.table, fl.cache
-	if t.state != c.state || t.epoch != c.epoch || t.gen != c.gen {
+func (fl *flowSolver) reuseTable(rec *stateRecord, demands []FlowDemand) bool {
+	if !rec.tabled {
 		return false
 	}
 	fl.flows = fl.flows[:0]
@@ -833,17 +829,17 @@ func (fl *flowSolver) reuseTable(demands []FlowDemand) bool {
 		if d.Rate <= 0 {
 			continue
 		}
-		if k == len(t.pairs) || t.pairs[k] != flowPair(d) {
+		if k == len(rec.pairs) || rec.pairs[k] != flowPair(d) {
 			return false
 		}
-		entry := t.entries[k]
+		entry := rec.entries[k]
 		if entry >= 0 {
 			hits++
 		}
 		fl.flows = append(fl.flows, flowFlow{rate: d.Rate, x: 1, entry: entry})
 		k++
 	}
-	if k != len(t.pairs) {
+	if k != len(rec.pairs) {
 		return false
 	}
 	fl.stats.CacheHits += hits
@@ -852,17 +848,20 @@ func (fl *flowSolver) reuseTable(demands []FlowDemand) bool {
 }
 
 // lookupFlows serves demands from the route cache, tracing the pairs it
-// misses, and keeps the flow table for the next build: fl.flows ends with
-// one flow per positive-rate demand, refused ones included.
-func (n *Network) lookupFlows(fl *flowSolver, demands []FlowDemand, size int32) {
+// misses, and keeps them as rec's flow table: fl.flows ends with one flow
+// per positive-rate demand, refused ones included. A transpose built from
+// rec's previous table is dropped.
+func (n *Network) lookupFlows(fl *flowSolver, rec *stateRecord, demands []FlowDemand, size int32) {
 	if len(fl.cache.entries) == 0 {
 		fl.cache.reserve(len(demands))
 	}
-	t := &fl.table
+	if fl.tposeOf == rec {
+		fl.tposeOf = nil
+	}
 	fl.flows = slices.Grow(fl.flows[:0], len(demands))
 	fl.pending = slices.Grow(fl.pending[:0], len(demands))
-	t.pairs = slices.Grow(t.pairs[:0], len(demands))
-	t.entries = slices.Grow(t.entries[:0], len(demands))
+	rec.pairs = slices.Grow(rec.pairs[:0], len(demands))
+	rec.entries = slices.Grow(rec.entries[:0], len(demands))
 	for i := range fl.perChipSeq {
 		fl.perChipSeq[i] = 0
 	}
@@ -870,7 +869,7 @@ func (n *Network) lookupFlows(fl *flowSolver, demands []FlowDemand, size int32) 
 		if d.Rate <= 0 {
 			continue
 		}
-		t.pairs = append(t.pairs, flowPair(d))
+		rec.pairs = append(rec.pairs, flowPair(d))
 		entry := int32(-1)
 		if int(d.Src) < len(n.ChipNodes) && int(d.Dst) < len(n.ChipNodes) {
 			srcNodes := n.ChipNodes[d.Src]
@@ -890,33 +889,11 @@ func (n *Network) lookupFlows(fl *flowSolver, demands []FlowDemand, size int32) 
 		fl.flows = append(fl.flows, flowFlow{rate: d.Rate, x: 1, entry: entry})
 	}
 	n.tracePending(fl, size)
-	// The entries as served, after any redirect to a state's own traces,
-	// under the cache as the traces left it.
+	// The entries as served, after any redirect to a state's own traces.
 	for i := range fl.flows {
-		t.entries = append(t.entries, fl.flows[i].entry)
+		rec.entries = append(rec.entries, fl.flows[i].entry)
 	}
-	c := fl.cache
-	t.state, t.epoch, t.gen = c.state, c.epoch, c.gen
-}
-
-// flowShape hashes the solve's flow structure: the element space, the
-// cache generation (any re-trace or eviction changes it, so an unchanged
-// hash guarantees unchanged paths), the fault state the paths were served
-// for, and the per-flow cache entries. Equal shapes mean the incidence
-// transpose carries over from the previous solve. The state is hashed as
-// well, so a transpose is never carried across a fault-state switch even
-// when the generation and the entry indices match.
-func (fl *flowSolver) flowShape() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	h = (h ^ uint64(len(fl.load))) * prime64
-	h = (h ^ fl.cache.gen) * prime64
-	h = (h ^ uint64(uint32(fl.cache.state))) * prime64
-	h = (h ^ uint64(len(fl.flows))) * prime64
-	for i := range fl.flows {
-		h = (h ^ uint64(uint32(fl.flows[i].entry))) * prime64
-	}
-	return h
+	rec.tabled = true
 }
 
 // buildTranspose builds the element->flows CSR used by the waterfill load
@@ -992,7 +969,22 @@ func (fl *flowSolver) setCapacities(n *Network, size int32) error {
 	for c, w := range fl.classWidth {
 		fl.classSer[c] = float64((size + w - 1) / w)
 	}
-	fl.capSize = size
+	return nil
+}
+
+// setFlowSize readies the solver for packet size. A new size recomputes
+// the service times and discards every cached trace, whose base latencies
+// embed the ejection serialization; when the capacities cannot be set up,
+// nothing changes.
+func (n *Network) setFlowSize(fl *flowSolver, size int32) error {
+	if fl.size == size {
+		return nil
+	}
+	if err := fl.setCapacities(n, size); err != nil {
+		return err
+	}
+	n.flowInvalidateAll()
+	fl.size = size
 	return nil
 }
 
@@ -1153,52 +1145,61 @@ func (fl *flowSolver) latencies() {
 	fl.run(fl.latFn)
 }
 
-// replay restores the current fault state's solved segment into fl.flows,
-// fl.load and fl.lat when a slot of this solve holds it, and returns its
-// refused rate. The transpose and its shape are left alone: they still
-// describe the flows they were built for, which the next rebuilt segment
-// compares with.
+// record returns the record of the current fault state and trace epoch,
+// marked most recently used. When no record holds them, the least recently
+// used record is claimed for them, its table and segment dropped: its next
+// build looks its pairs up, which drops a transpose built from its table.
 //
 //sldf:hotpath
-func (fl *flowSolver) replay() (refused float64, ok bool) {
+func (fl *flowSolver) record() *stateRecord {
 	c := fl.cache
-	for i := range fl.slots {
-		s := &fl.slots[i]
-		if s.used == 0 || s.state != c.state || s.epoch != c.epoch {
-			continue
+	fl.clock++
+	lru := &fl.records[0]
+	for i := range fl.records {
+		r := &fl.records[i]
+		if r.state == c.state && r.epoch == c.epoch {
+			r.used = fl.clock
+			return r
 		}
-		fl.flows = fl.flows[:0]
-		fl.flows = append(fl.flows, s.flows...)
-		copy(fl.load, s.load)
-		fl.lat = fl.lat[:0]
-		fl.lat = append(fl.lat, s.lat...)
-		fl.slotClock++
-		s.used = fl.slotClock
-		fl.stats.Replays++
-		return s.refused, true
+		if r.used < lru.used {
+			lru = r
+		}
 	}
-	return 0, false
+	lru.state, lru.epoch, lru.used = c.state, c.epoch, fl.clock
+	lru.tabled, lru.solve = false, 0
+	return lru
 }
 
-// keep stores the segment just solved, with its latencies, under the
-// current fault state, in the least recently used slot.
+// replay restores rec's solved segment into fl.flows, fl.load and fl.lat
+// when the current solve stored it, and returns its refused rate. The
+// transpose is left alone: it still belongs to the table it was built from.
 //
 //sldf:hotpath
-func (fl *flowSolver) keep(refused float64) {
-	s := &fl.slots[0]
-	for i := range fl.slots {
-		if fl.slots[i].used < s.used {
-			s = &fl.slots[i]
-		}
+func (fl *flowSolver) replay(rec *stateRecord) (refused float64, ok bool) {
+	if rec.solve != fl.stats.Solves {
+		return 0, false
 	}
-	fl.slotClock++
-	s.state, s.epoch, s.used, s.refused = fl.cache.state, fl.cache.epoch, fl.slotClock, refused
-	s.flows = s.flows[:0]
-	s.flows = append(s.flows, fl.flows...)
-	s.load = s.load[:0]
-	s.load = append(s.load, fl.load...)
-	s.lat = s.lat[:0]
-	s.lat = append(s.lat, fl.lat...)
+	fl.flows = fl.flows[:0]
+	fl.flows = append(fl.flows, rec.flows...)
+	copy(fl.load, rec.load)
+	fl.lat = fl.lat[:0]
+	fl.lat = append(fl.lat, rec.lat...)
+	fl.stats.Replays++
+	return rec.refused, true
+}
+
+// keep stores the segment just solved, with its latencies, in rec, for a
+// later segment of the current solve.
+//
+//sldf:hotpath
+func (fl *flowSolver) keep(rec *stateRecord, refused float64) {
+	rec.solve, rec.refused = fl.stats.Solves, refused
+	rec.flows = rec.flows[:0]
+	rec.flows = append(rec.flows, fl.flows...)
+	rec.load = rec.load[:0]
+	rec.load = append(rec.load, fl.load...)
+	rec.lat = rec.lat[:0]
+	rec.lat = append(rec.lat, fl.lat...)
 }
 
 // flowAccum accumulates window statistics across churn segments in float
@@ -1267,19 +1268,19 @@ func (a *flowAccum) accumulate(fl *flowSolver, size int32, refusedRate float64, 
 	}
 }
 
-// solveSegment serves demands for the current fault state and solves
-// them: flows with their throttles in fl.flows, element loads in fl.load.
-// It returns the refused rate.
-func (n *Network) solveSegment(fl *flowSolver, demands []FlowDemand, size int32) (refused float64) {
+// solveSegment serves demands for the current fault state, whose record
+// is rec, and solves them: flows with their throttles in fl.flows, element
+// loads in fl.load. It returns the refused rate.
+func (n *Network) solveSegment(fl *flowSolver, rec *stateRecord, demands []FlowDemand, size int32) (refused float64) {
 	if n.preAllocate != nil {
 		n.preAllocate(n)
 	}
-	refused = n.flowBuildFlows(fl, demands, size)
-	if shape := fl.table.shape; shape != fl.shape || len(fl.elemFlow) == 0 {
+	refused = n.flowBuildFlows(fl, rec, demands, size)
+	if fl.tposeOf != rec {
 		t := phaseStart(flowPhaseTranspose)
 		fl.buildTranspose()
 		phaseEnd(t, &fl.stats.TransposeWall)
-		fl.shape = shape
+		fl.tposeOf = rec
 	}
 	t := phaseStart(flowPhaseWaterfill)
 	fl.waterfill()
@@ -1294,8 +1295,8 @@ func (n *Network) solveSegment(fl *flowSolver, demands []FlowDemand, size int32)
 // at their event cycles: the window is segmented, each segment serves its
 // routes for the fault state the event batch entered — tracing only what
 // that state has not traced before — and re-solves, unless an earlier
-// segment of the window solved the same state and its solution is still in
-// a slot (see replay), and the reported statistics are the
+// segment of the window solved the same state and its record still holds
+// the solution (see replay), and the reported statistics are the
 // segment-length-weighted aggregate.
 func (n *Network) SolveFlow(opts FlowOptions) error {
 	if n.engineKind != EngineFlow {
@@ -1312,21 +1313,10 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 	if opts.Cold {
 		n.flowInvalidateAll()
 	}
-	if fl.cache.size != size {
-		// Cached base latencies embed the ejection serialization, so a
-		// packet-size change discards the cache.
-		n.flowInvalidateAll()
-		fl.cache.size = size
-	}
-	if fl.capSize != size {
-		if err := fl.setCapacities(n, size); err != nil {
-			return err
-		}
+	if err := n.setFlowSize(fl, size); err != nil {
+		return err
 	}
 	fl.stats.Solves++
-	for i := range fl.slots {
-		fl.slots[i].used = 0
-	}
 
 	// Segment the horizon at pending churn cycles (the cursor marks events
 	// already applied — a Reset rewinds it).
@@ -1360,11 +1350,12 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 			continue
 		}
 		fl.stats.Segments++
-		refused, replayed := fl.replay()
+		rec := fl.record()
+		refused, replayed := fl.replay(rec)
 		if !replayed {
-			refused = n.solveSegment(fl, opts.Demands(), size)
+			refused = n.solveSegment(fl, rec, opts.Demands(), size)
 		} else if fl.onReplay != nil {
-			fl.onReplay(refused)
+			fl.onReplay(rec, refused)
 		}
 		t := phaseStart(flowPhaseHist)
 		if !replayed {
@@ -1374,7 +1365,7 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		phaseEnd(t, &fl.stats.HistWall)
 		// Only a later segment of this solve can replay it.
 		if !replayed && i+1 < len(fl.starts) {
-			fl.keep(refused)
+			fl.keep(rec, refused)
 		}
 	}
 
@@ -1416,14 +1407,8 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		return 0, fmt.Errorf("%w: PacketSize > 0 required", ErrFlowEngine)
 	}
 	fl := n.flowSolver()
-	if fl.cache.size != packetSize {
-		n.flowInvalidateAll()
-		fl.cache.size = packetSize
-	}
-	if fl.capSize != packetSize {
-		if err := fl.setCapacities(n, packetSize); err != nil {
-			return 0, err
-		}
+	if err := n.setFlowSize(fl, packetSize); err != nil {
+		return 0, err
 	}
 	if n.preAllocate != nil {
 		n.preAllocate(n)

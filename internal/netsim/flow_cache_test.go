@@ -188,7 +188,7 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 // below the knee, above it where every solve runs waterfill rounds, on a
 // sweep whose every point is a warm point at a new rate that reuses the
 // flow table, and under churn that returns to the base state, where later
-// segments replay the base state's solution from a slot.
+// segments replay the base state's solution from its record.
 func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -244,21 +244,23 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 			if got := net.FlowSolverStats().Replays > 0; got != tc.churn {
 				t.Fatalf("segments replayed: %v, want %v", got, tc.churn)
 			}
-			// Without churn every solve after the first is a warm point
-			// that takes its flows from the flow table; under churn the
-			// window ends in another state than it starts in.
-			reused, want := net.FlowSolverStats().TableReuses, int64(point-1)
+			// Every solve after the first is a warm point that takes its
+			// flows from the flow tables: without churn one, under churn
+			// the base state's and the churned state's, and the base
+			// state's return replays.
+			perSolve := int64(1)
 			if tc.churn {
-				want = 0
+				perSolve = 2
 			}
-			if reused != want {
-				t.Fatalf("flow table reused %d times in %d solves, want %d", reused, point, want)
+			reused := net.FlowSolverStats().TableReuses
+			if want := perSolve * int64(point-1); reused != want {
+				t.Fatalf("flow tables reused %d times in %d solves, want %d", reused, point, want)
 			}
 			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 				t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
 			}
-			if d := net.FlowSolverStats().TableReuses - reused; !tc.churn && d != int64(point-3) {
-				t.Fatalf("flow table reused %d times in %d measured solves, want every one", d, point-3)
+			if d, want := net.FlowSolverStats().TableReuses-reused, perSolve*int64(point-3); d != want {
+				t.Fatalf("flow tables reused %d times in %d measured solves, want %d", d, point-3, want)
 			}
 		})
 	}
@@ -427,15 +429,16 @@ type flowWindow struct {
 }
 
 // TestFlowTableReuseOracle pins the flow-table reuse: one network runs a
-// sequence of solves that each warm, void or re-key the kept flow table,
-// and every solve must equal the same solve on a freshly built network bit
-// for bit. A second network runs the sequence with its table voided before
-// every solve, so every build looks its pairs up; both must count the same
-// traces and cache hits at every step, and the table must be reused
-// exactly on the steps that repeat the previous build's pairs under an
-// unchanged cache. The demand set has duplicate pairs, a zero-rate demand
-// and a demand to a chip that does not exist, and the throttled rate runs
-// waterfill rounds on the reused flows.
+// sequence of solves that each warm, void, evict or switch the fault-state
+// records' flow tables, and every solve must equal the same solve on a
+// freshly built network bit for bit. A second network runs the sequence
+// with its tables voided before every solve, so every build looks its pairs
+// up; both must count the same traces and cache hits at every step, and a
+// table must be reused exactly on the steps that repeat the pairs its
+// state's record last built, within the trace epoch it was built in. The
+// demand set has duplicate pairs, a zero-rate demand and a demand to a chip
+// that does not exist, and the throttled rate runs waterfill rounds on the
+// reused flows.
 func TestFlowTableReuseOracle(t *testing.T) {
 	const n = 8
 	demandsAt := func(rate float64, last int32) []FlowDemand {
@@ -460,14 +463,17 @@ func TestFlowTableReuseOracle(t *testing.T) {
 		net.SetEngine(EngineFlow)
 		return net
 	}
-	// kill takes the 1↔2 channel down now: a fault state other than the
-	// base, which reroutes the pairs crossing it.
-	kill := func(net *Network) {
-		fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
-		if err := net.InjectChurn([]TimedFault{LinkFault(0, fwd.ID, false), LinkFault(0, rev.ID, false)}); err != nil {
-			t.Fatal(err)
+	// killAt(a, b) takes the a↔b channel down now: a fault state other
+	// than the base, which reroutes the pairs crossing it.
+	killAt := func(a, b NodeID) func(*Network) {
+		return func(net *Network) {
+			fwd, rev := linkBetween(t, net, a, b), linkBetween(t, net, b, a)
+			if err := net.InjectChurn([]TimedFault{LinkFault(0, fwd.ID, false), LinkFault(0, rev.ID, false)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	kill, kill56 := killAt(1, 2), killAt(5, 6)
 	solve := func(net *Network, demands []FlowDemand, size int32, cold bool) flowWindow {
 		t.Helper()
 		if err := net.SolveFlow(FlowOptions{
@@ -502,15 +508,25 @@ func TestFlowTableReuseOracle(t *testing.T) {
 		{"A after cold", none, setA(0.05), 4, false, true},
 		{"A at packet size 5", none, setA(0.4), 5, false, false},
 		{"A after the size change", none, setA(0.05), 5, false, true},
+		// Each of the two states keeps its own record, so switching
+		// between them reuses both tables.
 		{"A in the churned state", kill, setA(0.4), 5, false, false},
-		{"A after Reset to the base", none, setA(0.4), 5, false, false},
+		{"A after Reset to the base", none, setA(0.4), 5, false, true},
 		{"A repeated in the base", none, setA(0.05), 5, false, true},
-		// The churned state again: its traces and the cache generation
-		// are unchanged, so only the fault state tells the table apart.
-		{"A in the churned state again", kill, setA(0.4), 5, false, false},
-		{"A after a second Reset", none, setA(0.4), 5, false, false},
+		{"A in the churned state again", kill, setA(0.4), 5, false, true},
+		{"A after a second Reset", none, setA(0.4), 5, false, true},
 		{"A after SetRoute", setRoute, setA(0.4), 5, false, false},
 		{"A after SetRoute repeated", none, setA(0.05), 5, false, true},
+		// Two more states: the second claims the base's record, least
+		// recently used, so the base's return must look its pairs up.
+		{"A in the 5↔6 state", kill56, setA(0.4), 5, false, false},
+		{"A in the 1↔2 state, evicting the base", kill, setA(0.4), 5, false, false},
+		{"A back in the evicted base", none, setA(0.4), 5, false, false},
+		// The 5↔6 state's record was claimed back by the base: rates of 0
+		// serve no flow from a freshly claimed record, then from its
+		// empty table.
+		{"zero rates in the evicted 5↔6 state", kill56, setA(0), 5, false, false},
+		{"zero rates repeated", kill56, setA(0), 5, false, true},
 	}
 
 	// Every solve is followed by Reset, which leaves a churned state for
@@ -523,7 +539,9 @@ func TestFlowTableReuseOracle(t *testing.T) {
 		s.before(lookups)
 		before, lbefore := net.FlowSolverStats(), lookups.FlowSolverStats()
 		got := solve(net, s.demands, s.size, s.cold)
-		lookups.flowSolver().table.epoch = 0 // voids the table: every pair is looked up
+		for i := range lookups.flowSolver().records { // voids the tables: every pair is looked up
+			lookups.flow.records[i].tabled = false
+		}
 		lgot := solve(lookups, s.demands, s.size, s.cold)
 		after, lafter := net.FlowSolverStats(), lookups.FlowSolverStats()
 

@@ -85,14 +85,6 @@ type traceCache struct {
 	slabs   [][]int32
 	pathEnd int32
 	epoch   uint64
-	// gen increments whenever cached structure changes (fresh traces merged
-	// or every trace discarded); the solver folds it into its flow-shape hash so a
-	// stale path can never hide behind an unchanged flow list.
-	gen uint64
-	// size is the packet size the cached traces were computed with; base
-	// latencies embed the ejection serialization, so a size change discards
-	// everything.
-	size int32
 
 	// state is the fault state flows are served for: 0 is the reference
 	// layer, s > 0 reads layers[s] over it. overlays counts the overlay
@@ -277,7 +269,6 @@ func (c *traceCache) resetStates() {
 // emptied, and the overlay entries compacted out of the entry slice.
 func (c *traceCache) invalidateAll() {
 	c.epoch++
-	c.gen++
 	c.pathEnd = 0
 	for i := range c.layers {
 		clear(c.layers[i].over)
