@@ -13,9 +13,11 @@
 //	sldfcollective -faults 0.05 -faultseed 3      # re-routed around faults
 //
 // -jobs, -cache and -remote apply to every case of the panel at once;
-// schedules re-route around the chips a -faults spec kills. A -volume that
-// is not positive, a negative -maxstep or -killstep, and a -killstep past a
-// schedule's last step are rejected.
+// schedules re-route around the chips a -faults spec kills. -maxstep bounds
+// the cycle engines' steps; the flow engine solves each step outright. A
+// -volume that is not positive, a negative -maxstep or -killstep, a
+// -killstep past a schedule's last step, and a -killchip or -packet that
+// does not fit in int32 are rejected.
 //
 // With -killchip the command switches to the churn panel: each case runs
 // the collective twice — undisturbed, and with the chip killed before step
@@ -30,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -58,7 +61,7 @@ func run(args []string, w, errw io.Writer) error {
 	dim := fs.Int("dim", 4, "chip grid dimension for switch/2d-mesh (dim×dim chips)")
 	volume := fs.Int64("volume", 4096, "AllReduce payload per chip in flits")
 	packet := fs.Int("packet", core.DefaultCollectivePacket, "packet size in flits (used for injection AND the efficiency column)")
-	maxStep := fs.Int64("maxstep", 0, "cycle bound per dependent step (0 = the collective.RunSteps default, 1<<20)")
+	maxStep := fs.Int64("maxstep", 0, "cycle bound per dependent step on the cycle engines (0 = the collective.RunSteps default, 1<<20; the flow engine ignores it)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	faults := cliflags.AddFaults(fs)
 	churn := cliflags.AddChurn(fs)
@@ -75,6 +78,14 @@ func run(args []string, w, errw io.Writer) error {
 	}
 	if *packet < 1 {
 		return fmt.Errorf("-packet must be >= 1 (got %d)", *packet)
+	}
+	packetSize, err := int32Flag("packet", *packet)
+	if err != nil {
+		return err
+	}
+	kill, err := int32Flag("killchip", *killChip)
+	if err != nil {
+		return err
 	}
 
 	timeline, err := churn.Resolve()
@@ -117,14 +128,14 @@ func run(args []string, w, errw io.Writer) error {
 			if *killChip >= 0 {
 				plan.Churn[0].Cases = append(plan.Churn[0].Cases, core.ChurnCaseSpec{
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
-					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
-					KillChip: int32(*killChip), KillStep: *killStep,
+					PacketSize: packetSize, MaxStepCycles: *maxStep,
+					KillChip: kill, KillStep: *killStep,
 					Engine: eng.Kind,
 				})
 			} else {
 				plan.Collectives[0].Cases = append(plan.Collectives[0].Cases, core.CollectiveCaseSpec{
 					Cfg: cfg, Schedule: sch, Label: name, Volume: *volume,
-					PacketSize: int32(*packet), MaxStepCycles: *maxStep,
+					PacketSize: packetSize, MaxStepCycles: *maxStep,
 					Engine: eng.Kind,
 				})
 			}
@@ -171,6 +182,16 @@ func run(args []string, w, errw io.Writer) error {
 		fmt.Fprintln(errw, diskCache.StatsLine())
 	}
 	return nil
+}
+
+// int32Flag returns an int flag's value as the int32 the spec carries, or
+// an error naming the flag when the value does not fit: a silent wrap
+// would measure a different chip or packet size than the one asked for.
+func int32Flag(name string, v int) (int32, error) {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: -%s %d does not fit in int32", core.ErrSimParams, name, v)
+	}
+	return int32(v), nil
 }
 
 // writeCSV writes a rendered CSV panel to path ("-" = the report stream,

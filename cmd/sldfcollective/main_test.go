@@ -44,24 +44,63 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestRunRejectsBadCollectiveSpec: a zero or negative payload, a negative
-// step bound or kill step, or a kill past the schedule's last step fails
-// with ErrSimParams instead of printing a panel: a 0-cycle row, a kill
-// before step 0, or a kill after the collective finished at no cost.
+// step bound or kill step, a kill past the schedule's last step, or a
+// -killchip or -packet that does not fit in int32 fails with ErrSimParams
+// instead of printing a panel: a 0-cycle row, a kill before step 0, a kill
+// after the collective finished at no cost, or a wrapped chip or packet
+// size. An out-of-range flag is named in the error.
 func TestRunRejectsBadCollectiveSpec(t *testing.T) {
-	for _, args := range [][]string{
-		{"-volume", "-5"},
-		{"-volume", "0"},
-		{"-maxstep", "-1"},
-		{"-killchip", "1", "-killstep", "-4"},
-		{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "100"},
-		{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "5"},
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the error when set
+	}{
+		{args: []string{"-volume", "-5"}},
+		{args: []string{"-volume", "0"}},
+		{args: []string{"-maxstep", "-1"}},
+		{args: []string{"-killchip", "1", "-killstep", "-4"}},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "100"}},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-killchip", "1", "-killstep", "5"}},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-killchip", "4294967297", "-killstep", "2"}, flag: "-killchip"},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-killchip", "2147483648"}, flag: "-killchip"},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-packet", "4294967300"}, flag: "-packet"},
+		{args: []string{"-schedules", "ring", "-volume", "64", "-packet", "2147483648"}, flag: "-packet"},
 	} {
 		var out strings.Builder
-		if err := run(append([]string{"-systems", "switch", "-dim", "2"}, args...), &out, io.Discard); !errors.Is(err, core.ErrSimParams) {
-			t.Errorf("run(%v): err = %v, want ErrSimParams", args, err)
+		err := run(append([]string{"-systems", "switch", "-dim", "2"}, tc.args...), &out, io.Discard)
+		if !errors.Is(err, core.ErrSimParams) {
+			t.Errorf("run(%v): err = %v, want ErrSimParams", tc.args, err)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run(%v): error %q does not name %s", tc.args, err, tc.flag)
 		}
 		if out.Len() != 0 {
-			t.Errorf("run(%v) printed a panel: %q", args, out.String())
+			t.Errorf("run(%v) printed a panel: %q", tc.args, out.String())
+		}
+	}
+}
+
+// TestRunMatchesGolden pins the flow engine's collective panels: its
+// makespans are analytical, so every step cycle and packet count is a
+// fixed number that a change to the step runner must keep.
+func TestRunMatchesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"flow", []string{"-dim", "2", "-volume", "128", "-engine", "flow", "-csv", "-"}},
+		{"flow-killchip", []string{"-dim", "3", "-volume", "128",
+			"-schedules", "ring,2d,all-to-all,hierarchical", "-killchip", "1", "-killstep", "1",
+			"-engine", "flow", "-csv", "-"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := run(tc.args, &out, io.Discard); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%s: report differs from the golden:\n got:\n%s\nwant:\n%s", tc.golden, out.String(), want)
 		}
 	}
 }

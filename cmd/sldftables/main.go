@@ -7,6 +7,7 @@
 //	sldftables -table 3       # only Table III
 //	sldftables -fig 9         # only the layout report
 //	sldftables -sat           # simulated saturation-rate summary (quick scale)
+//	sldftables -sat -jobs 4 -cache .pts   # ... fanned out, cached (-remote shards it)
 //	sldftables -experiments   # the experiment registry with figure mappings
 package main
 
@@ -19,7 +20,6 @@ import (
 	"strings"
 
 	"sldf/internal/analysis"
-	"sldf/internal/campaign"
 	"sldf/internal/cliflags"
 	"sldf/internal/core"
 	"sldf/internal/cost"
@@ -38,10 +38,9 @@ func run(args []string, w, errw io.Writer) error {
 	fs.SetOutput(errw)
 	table := fs.String("table", "all", "which table: 1 | 2 | 3 | 4 | all")
 	figN := fs.Int("fig", 0, "also print a figure study (9 = layout)")
-	sat := fs.Bool("sat", false, "also print a simulated saturation-rate summary (single W-group, quick windows)")
+	sat := fs.Bool("sat", false, "also print a simulated saturation-rate summary (single W-group, quick windows; -jobs, -cache and -remote apply to it)")
 	experiments := fs.Bool("experiments", false, "also print the experiment registry (every registered spec with its figure mapping)")
-	jobs := fs.Int("jobs", 0, "sweep points measured concurrently for -sat (<= 0 means 16)")
-	cacheDir := fs.String("cache", "", "directory for the -sat on-disk point cache (empty = off)")
+	camp := cliflags.AddCampaign(fs)
 	if ok, err := cliflags.Parse(fs, args); !ok {
 		return err
 	}
@@ -129,7 +128,7 @@ func run(args []string, w, errw io.Writer) error {
 	}
 
 	if *sat {
-		if err := saturationSummary(w, errw, *jobs, *cacheDir); err != nil {
+		if err := saturationSummary(w, errw, camp); err != nil {
 			return err
 		}
 	}
@@ -220,18 +219,12 @@ func seriesLabel(s core.SeriesSpec) string {
 
 // saturationSummary measures saturation rates of the radix-16 systems
 // confined to one W-group under uniform and bit-reverse traffic, one
-// figure per pattern, all measured in one RunPlan fan-out.
-func saturationSummary(w, errw io.Writer, jobs int, cacheDir string) error {
-	opts := core.RunOptions{Jobs: jobs}
-	if jobs <= 0 {
-		opts.Jobs = 16
-	}
-	var diskCache *campaign.Cache
-	if cacheDir != "" {
-		var err error
-		if opts.Store, diskCache, err = campaign.OpenTiered(cacheDir, 1024); err != nil {
-			return err
-		}
+// figure per pattern, all measured in one RunPlan fan-out that -jobs,
+// -cache and -remote direct.
+func saturationSummary(w, errw io.Writer, camp cliflags.CampaignFlags) error {
+	opts, diskCache, err := camp.Resolve(errw)
+	if err != nil {
+		return err
 	}
 	swb := core.Config{Kind: core.SwitchDragonfly, DF: core.Radix16DF(), Seed: 1, Workers: 1}
 	swb.DF.G = 1

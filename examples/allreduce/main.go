@@ -10,8 +10,8 @@ import (
 	"os"
 
 	"sldf"
+	"sldf/internal/collective"
 	"sldf/internal/core"
-	"sldf/internal/netsim"
 	"sldf/internal/traffic"
 )
 
@@ -55,22 +55,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ring := traffic.Ring{N: int32(sys.Chips)}
-		vol := traffic.NewVolume(ring, volume, 4, sys.Chips, sys.NodesPerChip)
-		sys.Net.SetTraffic(vol, 4, netsim.DstSameIndex)
-		sys.Net.StartMeasurement()
-		// RunUntil drains to the exact completion cycle — no batch-size
+		step := collective.Schedule{Name: "ring-step", Steps: []collective.Step{
+			{Pattern: traffic.Ring{N: int32(sys.Chips)}, Flits: volume},
+		}}
+		// RunSteps drains to the exact completion cycle — no batch-size
 		// quantization in the reported makespan.
-		cycles, err := sys.Net.RunUntil(func(n *netsim.Network) bool {
-			return n.InFlight() == 0 && vol.Done()
-		}, 1_000_000)
+		res, err := collective.RunSteps(sys.Net, step, 4, 1_000_000, 0, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st := sys.Net.Snapshot()
 		fmt.Printf("  %-14s %6d cycles for %d packets (%.2f flits/cycle/chip effective)\n",
-			s.label, cycles, st.DeliveredPkts,
-			float64(st.DeliveredPkts*4)/float64(cycles)/float64(sys.Chips))
+			s.label, res.Cycles, res.Packets,
+			float64(res.Packets*4)/float64(res.Cycles)/float64(sys.Chips))
 		sys.Close()
 	}
 }

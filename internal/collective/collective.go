@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sldf/internal/engine"
 	"sldf/internal/netsim"
 	"sldf/internal/traffic"
 )
@@ -48,50 +49,35 @@ type Schedule struct {
 // `order`: 2(N−1) steps (reduce-scatter then all-gather), each moving
 // volume/N flits per chip to its ring successor.
 func RingAllReduce(order []int32, volume int64) Schedule {
-	n := int64(len(order))
-	if n < 2 {
-		return Schedule{Name: "ring-allreduce"}
-	}
-	chunk := (volume + n - 1) / n
-	steps := make([]Step, 0, 2*(n-1))
-	for i := int64(0); i < 2*(n-1); i++ {
-		steps = append(steps, Step{
-			Pattern:      traffic.NewRingOrder(order, false),
-			Flits:        chunk,
-			Participants: order,
-		})
-	}
-	return Schedule{Name: "ring-allreduce", Steps: steps}
+	return ringPasses("ring-allreduce", order, volume, 2)
 }
 
 // ReduceScatter returns the ring reduce-scatter half of the AllReduce:
 // N−1 steps, each moving volume/N flits per chip to its ring successor,
 // after which every chip holds one fully reduced shard.
 func ReduceScatter(order []int32, volume int64) Schedule {
-	return ringHalf("reduce-scatter", order, volume)
+	return ringPasses("reduce-scatter", order, volume, 1)
 }
 
 // AllGather returns the ring all-gather half: N−1 steps of volume/N flits
 // per chip, circulating every shard to every participant.
 func AllGather(order []int32, volume int64) Schedule {
-	return ringHalf("all-gather", order, volume)
+	return ringPasses("all-gather", order, volume, 1)
 }
 
-// ringHalf is the shared shape of reduce-scatter and all-gather: one ring
-// pass instead of the AllReduce's two.
-func ringHalf(name string, order []int32, volume int64) Schedule {
-	n := int64(len(order))
+// ringPasses is the shared shape of the ring schedules: passes trips
+// around the ring of N−1 steps each, every step moving volume/N flits per
+// chip to its ring successor.
+func ringPasses(name string, order []int32, volume int64, passes int) Schedule {
+	n := len(order)
 	if n < 2 {
 		return Schedule{Name: name}
 	}
-	chunk := (volume + n - 1) / n
-	steps := make([]Step, 0, n-1)
-	for i := int64(0); i < n-1; i++ {
-		steps = append(steps, Step{
-			Pattern:      traffic.NewRingOrder(order, false),
-			Flits:        chunk,
-			Participants: order,
-		})
+	chunk := (volume + int64(n) - 1) / int64(n)
+	ring := traffic.NewRingOrder(order, false)
+	steps := make([]Step, passes*(n-1))
+	for i := range steps {
+		steps[i] = Step{Pattern: ring, Flits: chunk, Participants: order}
 	}
 	return Schedule{Name: name, Steps: steps}
 }
@@ -317,58 +303,109 @@ func (s Schedule) TotalFlitsPerChip() int64 {
 type Result struct {
 	Cycles     int64   // total makespan
 	StepCycles []int64 // per-step makespan
-	Packets    int64   // packets delivered
+	Packets    int64   // packets delivered (cycle engines) or owed (flow engine)
 }
 
 // RunSteps executes the half-open step range [lo, hi) of the schedule on
-// the network: each step's volume is injected (as packetSize-flit packets)
-// and fully drained before the next step starts, modelling the data
-// dependency between collective steps. Each step runs to its exact
-// completion cycle via netsim.RunUntil — the barrier sits where the last
-// packet lands, not at the next multiple of some polling batch — so
-// StepCycles and Cycles are precise makespans. maxCyclesPerStep bounds each
-// step (0 = 1<<20). A whole schedule is the range [0, len(s.Steps)).
+// the network's engine: each step's volume (in packetSize-flit packets)
+// completes before the next step starts, modelling the data dependency
+// between collective steps. A whole schedule is the range
+// [0, len(s.Steps)).
+//
+// The cycle engines inject each step and drain it to its exact completion
+// cycle via netsim.RunUntil — the barrier sits where the last packet lands,
+// not at the next multiple of some polling batch — so StepCycles and
+// Cycles are precise makespans and Packets counts the delivered packets.
+// maxCyclesPerStep bounds each such step (0 = 1<<20); it applies to the
+// cycle engines only. The flow engine solves each step analytically with
+// netsim.FlowMakespan: every participant draws one destination from the
+// step's own RNG stream, in participant order, so repeated runs are
+// identical, and Packets counts the packets the steps owe.
 //
 // Per-chip volumes follow the network's surviving injector counts (a chip
-// that lost cores splits its volume across fewer nodes), and only the
-// step's Participants are charged, so schedules re-routed around dead
-// chips drain exactly. Counts are re-read from the network on every call,
-// which makes RunSteps the churn primitive too: run steps [0, k), kill a
-// component, recompute a survivor schedule, and run the rest of that.
+// that lost cores splits its volume across fewer nodes, see
+// traffic.PacketsPerNode), and only the step's Participants are charged,
+// so schedules re-routed around dead chips complete exactly. Counts are
+// re-read from the network on every call, which makes RunSteps the churn
+// primitive too: run steps [0, k), kill a component, recompute a survivor
+// schedule, and run the rest of that.
 func RunSteps(net *netsim.Network, s Schedule, packetSize int32, maxCyclesPerStep int64, lo, hi int) (Result, error) {
 	if maxCyclesPerStep <= 0 {
 		maxCyclesPerStep = 1 << 20
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.Steps) {
-		hi = len(s.Steps)
-	}
+	lo, hi = max(lo, 0), min(hi, len(s.Steps))
 	counts := make([]int, net.NumChips())
 	for c := range counts {
 		counts[c] = len(net.ChipNodes[c])
 	}
+	flow := net.Engine() == netsim.EngineFlow
 	var res Result
 	startDelivered := net.Snapshot().DeliveredPkts
+	// One volume buffer serves every flow step: FlowMakespan copies what it
+	// needs before returning.
+	var vols []netsim.FlowVolume
 	for i := lo; i < hi; i++ {
 		step := s.Steps[i]
-		vol := traffic.NewVolumePerChip(step.Pattern, step.Flits, packetSize, counts, step.Participants)
-		net.SetTraffic(vol, packetSize, netsim.DstSameIndex)
-		// InFlight first: it is O(shards), while Done scans the per-node
-		// volume table — with the conjunction this way the scan only runs on
-		// cycles where the network has actually drained.
-		ran, err := net.RunUntil(func(n *netsim.Network) bool {
-			return n.InFlight() == 0 && vol.Done()
-		}, maxCyclesPerStep)
+		var ran int64
+		var err error
+		if flow {
+			var pkts int64
+			vols, pkts = flowVolumes(vols[:0], step, i, counts, packetSize)
+			res.Packets += pkts
+			ran, err = net.FlowMakespan(vols, packetSize)
+		} else {
+			vol := traffic.NewVolumePerChip(step.Pattern, step.Flits, packetSize, counts, step.Participants)
+			net.SetTraffic(vol, packetSize, netsim.DstSameIndex)
+			// InFlight first: it is O(shards), while Done scans the per-node
+			// volume table — with the conjunction this way the scan only runs
+			// on cycles where the network has actually drained.
+			ran, err = net.RunUntil(func(n *netsim.Network) bool {
+				return n.InFlight() == 0 && vol.Done()
+			}, maxCyclesPerStep)
+		}
 		if err != nil {
 			return res, fmt.Errorf("collective %s step %d: %w", s.Name, i, err)
 		}
 		res.StepCycles = append(res.StepCycles, ran)
 		res.Cycles += ran
 	}
-	res.Packets = net.Snapshot().DeliveredPkts - startDelivered
+	if !flow {
+		res.Packets = net.Snapshot().DeliveredPkts - startDelivered
+	}
 	return res, nil
+}
+
+// flowVolumes appends step i's transfers to vols and returns them with the
+// step's packet count: each participant with a surviving injector sends
+// its chip's whole volume to one destination drawn from the step's RNG
+// stream. A nil participant list means every chip, in ID order.
+func flowVolumes(vols []netsim.FlowVolume, step Step, i int, counts []int, packetSize int32) ([]netsim.FlowVolume, int64) {
+	if step.Flits <= 0 {
+		return vols, 0
+	}
+	rng := engine.NewRNGStream(0x51EBF10A, uint64(i))
+	var pkts int64
+	send := func(src int32) {
+		if int(src) >= len(counts) || counts[src] == 0 {
+			return
+		}
+		dst := step.Pattern.Dest(src, &rng)
+		if dst < 0 {
+			return
+		}
+		chipPkts := traffic.PacketsPerNode(step.Flits, counts[src], packetSize) * int64(counts[src])
+		pkts += chipPkts
+		vols = append(vols, netsim.FlowVolume{Src: src, Dst: dst, Flits: chipPkts * int64(packetSize)})
+	}
+	if step.Participants == nil {
+		for c := range counts {
+			send(int32(c))
+		}
+	}
+	for _, src := range step.Participants {
+		send(src)
+	}
+	return vols, pkts
 }
 
 // FilterOrder returns order restricted to the chips alive reports true

@@ -325,21 +325,59 @@ func TestExactStepBarriers(t *testing.T) {
 }
 
 // TestRunPartialParticipants runs a schedule that involves only half the
-// chips: the step barrier must not wait on the silent ones.
+// chips on every engine: the step barrier must not wait on the silent ones,
+// and both the delivered (cycle) and the owed (flow) packet counts charge
+// only the participants.
 func TestRunPartialParticipants(t *testing.T) {
-	g := buildMesh(t, 2) // 4 chips
-	defer g.Net.Close()
-	sub := []int32{0, 3} // one snake-diagonal pair
-	s := RingAllReduce(sub, 64)
-	res, err := RunSteps(g.Net, s, 4, 1<<14, 0, len(s.Steps))
-	if err != nil {
-		t.Fatal(err)
+	for _, eng := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference, netsim.EngineFlow} {
+		g := buildMesh(t, 2) // 4 chips
+		defer g.Net.Close()
+		g.Net.SetEngine(eng)
+		sub := []int32{0, 3} // one snake-diagonal pair
+		s := RingAllReduce(sub, 64)
+		res, err := RunSteps(g.Net, s, 4, 1<<14, 0, len(s.Steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles <= 0 || len(res.StepCycles) != s.StepCount() {
+			t.Fatalf("%v: bad result %+v", eng, res)
+		}
+		// 2 participants × 2(N−1)=2 steps × ceil(32/(4 nodes × 4 flits)) pkts/node.
+		if res.Packets != 2*2*4*2 {
+			t.Fatalf("%v: packets %d, want %d", eng, res.Packets, 2*2*4*2)
+		}
 	}
-	if res.Cycles <= 0 || len(res.StepCycles) != s.StepCount() {
-		t.Fatalf("bad result %+v", res)
-	}
-	// 2 participants × 2(N−1)=2 steps × ceil(32/(4 nodes × 4 flits)) pkts/node.
-	if res.Packets != 2*2*4*2 {
-		t.Fatalf("packets %d, want %d", res.Packets, 2*2*4*2)
+}
+
+// TestRunStepsNilParticipants: a step without a participant list charges
+// every chip, on every engine, exactly as the same step listing all chips
+// in ID order does. The flow engine solves the step without stepping the
+// network clock; the cycle engines drain it by stepping.
+func TestRunStepsNilParticipants(t *testing.T) {
+	for _, eng := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineFlow} {
+		run := func(participants []int32) Result {
+			g := buildMesh(t, 2) // 4 chips of 4 nodes
+			defer g.Net.Close()
+			g.Net.SetEngine(eng)
+			s := Schedule{Name: "ring-step", Steps: []Step{
+				{Pattern: traffic.Ring{N: 4}, Flits: 256, Participants: participants},
+			}}
+			res, err := RunSteps(g.Net, s, 4, 1<<14, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stepped := g.Net.Cycle != 0; stepped == (eng == netsim.EngineFlow) {
+				t.Fatalf("%v: network clock at %d after a %d-cycle step", eng, g.Net.Cycle, res.Cycles)
+			}
+			return res
+		}
+		all, listed := run(nil), run([]int32{0, 1, 2, 3})
+		if all.Cycles <= 0 || all.Cycles != listed.Cycles || all.Packets != listed.Packets {
+			t.Fatalf("%v: nil participants ran %+v, every chip listed %+v", eng, all, listed)
+		}
+		// 4 chips × 4 nodes × ceil(256/(4 nodes × 4 flits)) packets.
+		if all.Packets != 4*4*16 {
+			t.Fatalf("%v: packets %d, want %d", eng, all.Packets, 4*4*16)
+		}
 	}
 }

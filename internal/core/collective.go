@@ -42,8 +42,9 @@ type CollectiveSpec struct {
 	Volume int64 `json:"volume"`
 	// PacketSize is the packet length in flits (0 = DefaultCollectivePacket).
 	PacketSize int32 `json:"packet,omitempty"`
-	// MaxStepCycles bounds each dependent step (0 = the collective.RunSteps
-	// default, 1<<20).
+	// MaxStepCycles bounds each dependent step on the cycle engines (0 = the
+	// collective.RunSteps default, 1<<20); the flow engine solves each step
+	// outright and ignores it.
 	MaxStepCycles int64 `json:"max_step_cycles,omitempty"`
 	// Engine selects the engine; the cycle engines measure identical
 	// makespans and the non-default engine gets its own cache slot (a
@@ -105,12 +106,15 @@ func collectiveKey(cs CollectiveSpec) string {
 
 // check rejects a spec no engine can measure with ErrSimParams, the way
 // checkPoint rejects a load point: a volume that is not positive, a
-// negative step bound, or a kill before a negative step. A kill past the
-// schedule's last step needs the schedule, so MeasureCollective rejects it.
+// negative packet size or step bound, or a kill before a negative step. A
+// kill past the schedule's last step needs the schedule, so
+// MeasureCollective rejects it.
 func (cs CollectiveSpec) check() error {
 	switch {
 	case cs.Volume <= 0:
 		return fmt.Errorf("%w: collective volume %d (want > 0)", ErrSimParams, cs.Volume)
+	case cs.PacketSize < 0:
+		return fmt.Errorf("%w: packet size %d flits (want >= 0, 0 = default)", ErrSimParams, cs.PacketSize)
 	case cs.MaxStepCycles < 0:
 		return fmt.Errorf("%w: step bound %d cycles (want >= 0, 0 = default)", ErrSimParams, cs.MaxStepCycles)
 	case cs.Kill != nil && cs.Kill.Step < 0:
@@ -120,7 +124,7 @@ func (cs CollectiveSpec) check() error {
 }
 
 func (cs CollectiveSpec) packet() int32 {
-	if cs.PacketSize <= 0 {
+	if cs.PacketSize == 0 {
 		return DefaultCollectivePacket
 	}
 	return cs.PacketSize
@@ -294,12 +298,8 @@ func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 	if err != nil {
 		return metrics.Point{}, err
 	}
-	// Step ranges run through the spec's engine: the cycle engines drain to
-	// exact barriers, the flow engine solves each step analytically.
+	// Step ranges run on the spec's engine, selected above.
 	run := func(sch collective.Schedule, lo, hi int) (collective.Result, error) {
-		if cs.Engine == netsim.EngineFlow {
-			return collective.RunStepsFlow(s.Net, sch, cs.packet(), lo, hi)
-		}
 		return collective.RunSteps(s.Net, sch, cs.packet(), cs.MaxStepCycles, lo, hi)
 	}
 	if cs.Kill == nil {

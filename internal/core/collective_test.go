@@ -302,11 +302,12 @@ func TestGoldenCollective(t *testing.T) {
 	checkGolden(t, "golden_collective.json", got, *updateGolden)
 }
 
-// TestCollectiveRejectsBadSpecs: a zero or negative volume, a negative step
-// bound or a kill before a negative step is rejected with ErrSimParams when
-// the job is lowered, by the executor a worker daemon runs (before it
-// builds a system), and by MeasureCollective, instead of measuring a
-// 0-cycle row or a clamped kill.
+// TestCollectiveRejectsBadSpecs: a zero or negative volume, a negative
+// packet size or step bound, or a kill before a negative step is rejected
+// with ErrSimParams when the job is lowered, by the executor a worker
+// daemon runs (before it builds a system), and by MeasureCollective,
+// instead of measuring a 0-cycle row, a default-size packet filed under
+// the default's key, or a clamped kill.
 func TestCollectiveRejectsBadSpecs(t *testing.T) {
 	cfg := Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 1, Workers: 1}
 	cfg.Churn.Armed = true
@@ -319,6 +320,7 @@ func TestCollectiveRejectsBadSpecs(t *testing.T) {
 		"volume":  {Cfg: cfg, Schedule: "ring", Volume: -5},
 		"empty":   {Cfg: cfg, Schedule: "ring", Volume: 0},
 		"maxstep": {Cfg: cfg, Schedule: "ring", Volume: 32, MaxStepCycles: -1},
+		"packet":  {Cfg: cfg, Schedule: "ring", Volume: 32, PacketSize: -4},
 		"kill":    {Cfg: cfg, Schedule: "ring", Volume: 32, Kill: &ChipKill{Chip: 1, Step: -4}},
 	} {
 		if _, err := CollectiveJob(cs); !errors.Is(err, ErrSimParams) {

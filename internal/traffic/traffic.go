@@ -448,13 +448,21 @@ func NewVolumePerChip(p Pattern, totalFlits int64, packetSize int32, counts []in
 		if !active[c] || counts[c] == 0 {
 			continue
 		}
-		perNode := (totalFlits + int64(counts[c])*int64(packetSize) - 1) /
-			(int64(counts[c]) * int64(packetSize))
+		perNode := PacketsPerNode(totalFlits, counts[c], packetSize)
 		for n := range v.remaining[c] {
 			v.remaining[c][n] = perNode
 		}
 	}
 	return v
+}
+
+// PacketsPerNode is the packet count each of a chip's nodes injects when
+// the chip splits flits across nodes injectors in packetSize-flit packets:
+// ceil(flits / (nodes·packetSize)). Both engines charge a collective step
+// by this rule.
+func PacketsPerNode(flits int64, nodes int, packetSize int32) int64 {
+	denom := int64(nodes) * int64(packetSize)
+	return (flits + denom - 1) / denom
 }
 
 // NextDest implements netsim.Generator.
