@@ -62,6 +62,9 @@ func run(args []string, errw io.Writer, ready func(addr string, stop context.Can
 		fmt.Fprintf(errw, "unexpected arguments: %v\n", fs.Args())
 		return cliflags.ErrUsage
 	}
+	if *jobs < 1 {
+		return fmt.Errorf("-jobs %d: want a positive count", *jobs)
+	}
 
 	// The store is tiered: memory LRU in front, disk behind when -cache is
 	// set. A memory-only daemon still serves replays within its lifetime.

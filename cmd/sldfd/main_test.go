@@ -21,14 +21,24 @@ func TestRunHelp(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors checks that bad flags fail before anything is served;
+// when flag is set, the error must name it.
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-no-such-flag"},
-		{"-jobs", "x"},
-		{"stray-positional"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{args: []string{"-no-such-flag"}},
+		{args: []string{"-jobs", "x"}},
+		{args: []string{"stray-positional"}},
+		{args: []string{"-listen", "127.0.0.1:0", "-jobs", "0"}, flag: "-jobs"},
+		{args: []string{"-listen", "127.0.0.1:0", "-jobs", "-4"}, flag: "-jobs"},
 	} {
-		if err := run(args, io.Discard, nil); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		err := run(tc.args, io.Discard, nil)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", tc.args)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run(%v): error %q does not name %s", tc.args, err, tc.flag)
 		}
 	}
 }

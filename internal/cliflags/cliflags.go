@@ -112,10 +112,12 @@ func (p PointFlags) Resolve() (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	if *p.groups < 0 {
+	switch {
+	case *p.groups < 0:
 		return Point{}, fmt.Errorf("-groups %d: want 0 (the size's count) or a positive W-group count", *p.groups)
-	}
-	if *p.groups > 0 {
+	case *p.workers < 0:
+		return Point{}, fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive worker count", *p.workers)
+	case *p.groups > 0:
 		sldf.G, df.G = *p.groups, *p.groups
 	}
 	sp := core.SimParams{Warmup: *p.warmup, Measure: *p.measure,
@@ -192,6 +194,9 @@ func (e EngineFlags) Resolve() (Engine, error) {
 	if err != nil {
 		return Engine{}, err
 	}
+	if *e.par < 0 {
+		return Engine{}, fmt.Errorf("-flowpar %d: want 0 (serial) or a positive worker count", *e.par)
+	}
 	if kind != netsim.EngineFlow && (*e.par != 0 || *e.cold) {
 		return Engine{}, errors.New("-flowpar and -flowcold apply to -engine flow only")
 	}
@@ -266,6 +271,9 @@ func AddCampaign(fs *flag.FlagSet) CampaignFlags {
 // and the disk cache (nil without -cache) whose stats line the command
 // prints at the end.
 func (c CampaignFlags) Resolve(errw io.Writer) (core.RunOptions, *campaign.Cache, error) {
+	if *c.jobs < 1 {
+		return core.RunOptions{}, nil, fmt.Errorf("-jobs %d: want a positive count", *c.jobs)
+	}
 	opts := core.RunOptions{Jobs: *c.jobs}
 	var disk *campaign.Cache
 	if *c.cache != "" {

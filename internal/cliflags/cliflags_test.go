@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sldf/internal/core"
@@ -40,21 +41,33 @@ func (g groups) resolve() error {
 	return err
 }
 
+// TestResolveRejectsBadInput checks that every bad value is an error; when
+// flag is set, the error must name it.
 func TestResolveRejectsBadInput(t *testing.T) {
-	for _, args := range [][]string{
-		{"-engine", "warp-drive"},
-		{"-churn", "bogus"},
-		{"-churn", "links=2.0"},
-		{"-size", "radix99"},
-		{"-faults", "2"},
-		{"-faultrouters", "-0.1"},
-		{"-engine", "active-set", "-flowpar", "2"},
-		{"-flowcold"},
-		{"-engine", "reference", "-flowcold"},
-		{"-groups", "-1"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{args: []string{"-engine", "warp-drive"}},
+		{args: []string{"-churn", "bogus"}},
+		{args: []string{"-churn", "links=2.0"}},
+		{args: []string{"-size", "radix99"}},
+		{args: []string{"-faults", "2"}},
+		{args: []string{"-faultrouters", "-0.1"}},
+		{args: []string{"-engine", "active-set", "-flowpar", "2"}},
+		{args: []string{"-flowcold"}},
+		{args: []string{"-engine", "reference", "-flowcold"}},
+		{args: []string{"-groups", "-1"}, flag: "-groups"},
+		{args: []string{"-workers", "-3"}, flag: "-workers"},
+		{args: []string{"-engine", "flow", "-flowpar", "-2"}, flag: "-flowpar"},
+		{args: []string{"-jobs", "0"}, flag: "-jobs"},
+		{args: []string{"-jobs", "-4"}, flag: "-jobs"},
 	} {
-		if err := parse(t, args...).resolve(); err == nil {
-			t.Errorf("%v: resolved without error", args)
+		err := parse(t, tc.args...).resolve()
+		if err == nil {
+			t.Errorf("%v: resolved without error", tc.args)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.flag)
 		}
 	}
 }

@@ -55,7 +55,7 @@ type kindTopo struct {
 	// install sets the pristine routing.
 	install func() error
 	// faultRoute builds fault-aware routing from the network's current
-	// Disabled state (a netsim.FaultRouteBuilder). sanitize is nil when a
+	// component liveness (a netsim.FaultRouteBuilder). sanitize is nil when a
 	// mid-run swap to the new tables leaves no in-flight packet to retire.
 	faultRoute func() (route netsim.RouteFunc, sanitize sanitizeFunc, err error)
 }

@@ -37,6 +37,10 @@ func (b *Bitset) Clear() {
 	}
 }
 
+// CopyFrom makes b hold exactly src's members; both sets must have the
+// same capacity.
+func (b *Bitset) CopyFrom(src *Bitset) { copy(b.words, src.words) }
+
 // Count returns the number of members.
 func (b *Bitset) Count() int {
 	c := 0

@@ -31,6 +31,12 @@ func TestBitsetBasics(t *testing.T) {
 		t.Fatalf("Remove(64) failed: has=%v count=%d", b.Has(64), b.Count())
 	}
 	b.Remove(64) // idempotent
+	c := NewBitset(130)
+	c.Add(5)
+	c.CopyFrom(&b)
+	if c.Has(5) || !c.Has(129) || c.Count() != 6 {
+		t.Fatalf("CopyFrom: has(5)=%v has(129)=%v count=%d", c.Has(5), c.Has(129), c.Count())
+	}
 	b.Clear()
 	if b.Count() != 0 {
 		t.Fatalf("Count after Clear = %d", b.Count())

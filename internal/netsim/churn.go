@@ -241,7 +241,7 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 		if !n.ChipAlive(p.DstChip) {
 			return false
 		}
-		if n.Routers[p.DstNode].Disabled {
+		if !n.RouterAlive(p.DstNode) {
 			p.DstNode = n.ChipNodes[p.DstChip][int(p.SrcNode)%len(n.ChipNodes[p.DstChip])]
 		}
 		return true
@@ -260,40 +260,47 @@ func (n *Network) applyChurnBatch(batch []TimedFault) {
 // build-time faults and churn batches.
 func (n *Network) killOne(e TimedFault) {
 	c := n.faults
-	if e.Router >= 0 {
-		c.routerRefs[e.Router]++
-		r := &n.Routers[e.Router]
-		if r.Disabled {
-			return // already down (base fault or earlier death)
-		}
-		r.Disabled = true
-		c.toggledRouters = append(c.toggledRouters, e.Router)
-		n.clearRouter(r)
-		for p := range r.In {
-			if l := r.In[p].Link; l != nil {
-				c.linkRefs[l.ID]++
-				n.killLink(l)
-			}
-		}
-		for p := range r.Out {
-			if l := r.Out[p].Link; l != nil {
-				c.linkRefs[l.ID]++
-				n.killLink(l)
-			}
-		}
+	if e.Router < 0 {
+		c.linkRefs[e.Link]++
+		n.killLink(&n.Links[e.Link])
 		return
 	}
-	c.linkRefs[e.Link]++
-	n.killLink(&n.Links[e.Link])
+	c.routerRefs[e.Router]++
+	if c.routerDown.Has(int(e.Router)) {
+		return // already down (base fault or earlier death)
+	}
+	c.routerDown.Add(int(e.Router))
+	c.toggledRouters = append(c.toggledRouters, e.Router)
+	r := &n.Routers[e.Router]
+	n.clearRouter(r)
+	eachLink(r, func(l *Link) {
+		c.linkRefs[l.ID]++
+		n.killLink(l)
+	})
+}
+
+// eachLink calls fn on every link into and then out of r, in port order.
+func eachLink(r *Router, fn func(*Link)) {
+	for p := range r.In {
+		if l := r.In[p].Link; l != nil {
+			fn(l)
+		}
+	}
+	for p := range r.Out {
+		if l := r.Out[p].Link; l != nil {
+			fn(l)
+		}
+	}
 }
 
 // killLink disables a link (idempotent) and drops its in-flight traffic.
 func (n *Network) killLink(l *Link) {
-	if l.Disabled {
+	b := n.faults
+	if b.linkDown.Has(int(l.ID)) {
 		return
 	}
-	l.Disabled = true
-	n.faults.toggledLinks = append(n.faults.toggledLinks, l.ID)
+	b.linkDown.Add(int(l.ID))
+	b.toggledLinks = append(b.toggledLinks, l.ID)
 	if n.cyc == nil {
 		return
 	}
@@ -303,7 +310,7 @@ func (n *Network) killLink(l *Link) {
 		if !ok {
 			break
 		}
-		n.faults.scratch = append(n.faults.scratch, strandedRef{ref, lc.dstShard})
+		b.scratch = append(b.scratch, strandedRef{ref, lc.dstShard})
 	}
 	lc.credit.clear()
 }
@@ -334,41 +341,30 @@ func (n *Network) clearRouter(r *Router) {
 // credit state.
 func (n *Network) repairOne(e TimedFault) {
 	c := n.faults
-	if e.Router >= 0 {
-		if c.routerRefs[e.Router] == 0 {
-			return // unmatched repair: no-op
-		}
-		c.routerRefs[e.Router]--
-		r := &n.Routers[e.Router]
-		if c.routerRefs[e.Router] > 0 || c.baseRouterDisabled[e.Router] {
-			return
-		}
-		r.Disabled = false
-		c.toggledRouters = append(c.toggledRouters, e.Router)
-		n.clearRouter(r) // queues are already empty; re-zeroes port state
-		for p := range r.In {
-			if l := r.In[p].Link; l != nil {
-				if c.linkRefs[l.ID] > 0 {
-					c.linkRefs[l.ID]--
-				}
-				n.maybeReviveLink(l)
-			}
-		}
-		for p := range r.Out {
-			if l := r.Out[p].Link; l != nil {
-				if c.linkRefs[l.ID] > 0 {
-					c.linkRefs[l.ID]--
-				}
-				n.maybeReviveLink(l)
-			}
+	if e.Router < 0 {
+		if c.linkRefs[e.Link] > 0 {
+			c.linkRefs[e.Link]--
+			n.maybeReviveLink(&n.Links[e.Link])
 		}
 		return
 	}
-	if c.linkRefs[e.Link] == 0 {
+	if c.routerRefs[e.Router] == 0 {
+		return // unmatched repair: no-op
+	}
+	c.routerRefs[e.Router]--
+	if c.routerRefs[e.Router] > 0 || c.baseRouterDown.Has(int(e.Router)) {
 		return
 	}
-	c.linkRefs[e.Link]--
-	n.maybeReviveLink(&n.Links[e.Link])
+	c.routerDown.Remove(int(e.Router))
+	c.toggledRouters = append(c.toggledRouters, e.Router)
+	r := &n.Routers[e.Router]
+	n.clearRouter(r) // queues are already empty; re-zeroes port state
+	eachLink(r, func(l *Link) {
+		if c.linkRefs[l.ID] > 0 {
+			c.linkRefs[l.ID]--
+		}
+		n.maybeReviveLink(l)
+	})
 }
 
 // maybeReviveLink re-enables l when nothing holds it down any more,
@@ -377,13 +373,12 @@ func (n *Network) repairOne(e TimedFault) {
 // their claim).
 func (n *Network) maybeReviveLink(l *Link) {
 	c := n.faults
-	if !l.Disabled || c.linkRefs[l.ID] > 0 || c.baseLinkDisabled[l.ID] {
+	id := int(l.ID)
+	if !c.linkDown.Has(id) || c.linkRefs[id] > 0 || c.baseLinkDown.Has(id) ||
+		c.routerDown.Has(int(l.Src)) || c.routerDown.Has(int(l.Dst)) {
 		return
 	}
-	if n.Routers[l.Src].Disabled || n.Routers[l.Dst].Disabled {
-		return
-	}
-	l.Disabled = false
+	c.linkDown.Remove(id)
 	c.toggledLinks = append(c.toggledLinks, l.ID)
 	cs := n.cyc
 	if cs == nil {
@@ -426,7 +421,7 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 		return false
 	}
 	src := &n.Routers[p.SrcNode]
-	if src.Disabled || src.InjIn < 0 {
+	if !n.RouterAlive(src.ID) || src.InjIn < 0 {
 		// The original terminal died: hand the retry to the chip's first
 		// surviving terminal (deterministic choice).
 		src = &n.Routers[n.ChipNodes[p.SrcChip][0]]
@@ -445,7 +440,7 @@ func (n *Network) retryAtSource(p *Packet, ref PacketRef) bool {
 }
 
 // rebuildChipNodes refilters every chip's terminal table from the base
-// snapshot against the current Disabled flags, keeping Local indices in
+// snapshot against current router liveness, keeping Local indices in
 // sync with slice positions (DstSameIndex addressing) and the liveness
 // table current.
 func (n *Network) rebuildChipNodes() {
@@ -456,7 +451,7 @@ func (n *Network) rebuildChipNodes() {
 			nodes = make([]NodeID, 0, len(base))
 		}
 		for _, id := range base {
-			if !n.Routers[id].Disabled {
+			if n.RouterAlive(id) {
 				nodes = append(nodes, id)
 			}
 		}
@@ -486,7 +481,7 @@ func (n *Network) unqueuePacket(rc *routerCycle, in, vc, k int, p *Packet) {
 		}
 		rc.active--
 	}
-	if l := ip.link; l != nil && !l.Disabled {
+	if l := ip.link; l != nil && n.LinkAlive(l.ID) {
 		l.credit.push(timedCredit{at: n.Cycle + int64(l.Delay), flits: p.Size, vc: uint8(vc)})
 	}
 }
@@ -550,7 +545,7 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	stranded := 0
 	for i := range n.Routers {
 		r := &n.Routers[i]
-		if r.Disabled {
+		if !n.RouterAlive(r.ID) {
 			continue
 		}
 		rc := &cs.routers[i]
@@ -580,7 +575,7 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	}
 	for i := range cs.links {
 		l := &cs.links[i]
-		if l.Disabled || l.data.n == 0 {
+		if !n.LinkAlive(l.ID) || l.data.n == 0 {
 			continue
 		}
 		dst := &n.Routers[l.Dst]
@@ -592,7 +587,7 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 }
 
 // rebuildShardLists reconstructs the per-shard injector walk and the
-// reference engine's drain lists from the current Disabled flags: routers
+// reference engine's drain lists from current component liveness: routers
 // ascending within each shard, links in index order. A no-op until
 // ensureCycleState has built the lists (which it fills through here).
 func (n *Network) rebuildShardLists() {
@@ -605,7 +600,7 @@ func (n *Network) rebuildShardLists() {
 		inj := cs.injectors[s][:0]
 		for id := lo; id < hi; id++ {
 			r := &n.Routers[id]
-			if r.InjIn >= 0 && r.Chip >= 0 && !r.Disabled {
+			if r.InjIn >= 0 && r.Chip >= 0 && n.RouterAlive(r.ID) {
 				inj = append(inj, r.ID)
 			}
 		}
@@ -617,7 +612,7 @@ func (n *Network) rebuildShardLists() {
 	}
 	for i := range cs.links {
 		l := &cs.links[i]
-		if l.Disabled {
+		if !n.LinkAlive(l.ID) {
 			continue
 		}
 		cs.dataLinks[l.dstShard] = append(cs.dataLinks[l.dstShard], l)
@@ -644,17 +639,17 @@ func (n *Network) resetChurn() {
 	b.toggledRouters = b.toggledRouters[:0]
 	b.toggledLinks = b.toggledLinks[:0]
 	for i := range n.Routers {
-		if r := &n.Routers[i]; r.Disabled != b.baseRouterDisabled[i] {
-			r.Disabled = b.baseRouterDisabled[i]
-			b.toggledRouters = append(b.toggledRouters, r.ID)
+		if b.routerDown.Has(i) != b.baseRouterDown.Has(i) {
+			b.toggledRouters = append(b.toggledRouters, NodeID(i))
 		}
 	}
 	for i := range n.Links {
-		if l := &n.Links[i]; l.Disabled != b.baseLinkDisabled[i] {
-			l.Disabled = b.baseLinkDisabled[i]
-			b.toggledLinks = append(b.toggledLinks, l.ID)
+		if b.linkDown.Has(i) != b.baseLinkDown.Has(i) {
+			b.toggledLinks = append(b.toggledLinks, int32(i))
 		}
 	}
+	b.routerDown.CopyFrom(&b.baseRouterDown)
+	b.linkDown.CopyFrom(&b.baseLinkDown)
 	clear(b.routerRefs)
 	clear(b.linkRefs)
 	n.rebuildChipNodes()

@@ -49,7 +49,7 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 			v := (u + 1) % n
 			r2 := &net.Routers[ids[u]]
 			o := portToward(r2, ids[v])
-			if net.Routers[ids[v]].Disabled || r2.Out[o].Link.Disabled {
+			if !net.RouterAlive(ids[v]) || !net.LinkAlive(r2.Out[o].Link.ID) {
 				dir = -1
 				break
 			}
@@ -430,7 +430,7 @@ func TestInjectChurnImmediateKill(t *testing.T) {
 	if err := net.InjectChurn([]TimedFault{RouterFault(net.Cycle, victim, false)}); err != nil {
 		t.Fatal(err)
 	}
-	if !net.Router(victim).Disabled {
+	if net.RouterAlive(victim) {
 		t.Fatal("InjectChurn did not kill the router")
 	}
 	if net.ChipAlive(2) {

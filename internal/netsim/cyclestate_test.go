@@ -170,7 +170,7 @@ func TestLeanTopologyLayout(t *testing.T) {
 		name      string
 		size, max uintptr
 	}{
-		{"Link", unsafe.Sizeof(Link{}), 48},
+		{"Link", unsafe.Sizeof(Link{}), 40},
 		{"InPort", unsafe.Sizeof(InPort{}), 8},
 		{"OutPort", unsafe.Sizeof(OutPort{}), 8},
 		{"Router", unsafe.Sizeof(Router{}), 120},

@@ -9,18 +9,19 @@ import (
 // components are alive, so every routed network keys both the routing and
 // the flow solver's route traces by that fault state — SetFaultRouting
 // installs a builder, SetRoute one that ignores the state. The fault state
-// is the set of components whose Disabled flag differs from the flags
-// at install time (core.Build installs at the churn base). The key is kept
-// incrementally from the components each churn batch actually toggles. A
-// churn batch or Reset that enters a state seen before reinstalls its
-// routing without calling the builder and serves its flows without
-// re-tracing; only a new state pays for a build and a full trace.
+// is the set of components whose liveness (RouterAlive, LinkAlive)
+// differs from that at install time (core.Build installs at the churn
+// base). The key is kept incrementally from the components each churn
+// batch actually toggles. A churn batch or Reset that enters a state seen
+// before reinstalls its routing without calling the builder and serves its
+// flows without re-tracing; only a new state pays for a build and a full
+// trace.
 
 // FaultRouteBuilder builds fault-aware routing for the network's current
-// component state (Disabled flags and chip tables): the route function and
-// the keep-predicate SanitizeInFlight applies to packets in flight when the
-// network switches to the routing mid-run (nil when every packet stays
-// routable). It must be a pure function of that state: the network calls it
+// component state (router and link liveness, chip tables): the route
+// function and the keep-predicate SanitizeInFlight applies to packets in
+// flight when the network switches to the routing mid-run (nil when every
+// packet stays routable). It must be a pure function of that state: the network calls it
 // once per distinct state and reuses the result whenever the state recurs.
 type FaultRouteBuilder func() (RouteFunc, func(*Router, *Packet) bool, error)
 

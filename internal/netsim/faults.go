@@ -3,25 +3,33 @@ package netsim
 import (
 	"errors"
 	"fmt"
+
+	"sldf/internal/engine"
 )
 
 // faultBook is the network's component-fault bookkeeping, shared by
 // build-time faults (ApplyFaults) and the churn timeline (ScheduleChurn,
 // InjectChurn): both kill components through killOne, so there is one
-// disable path and one rebuild of the derived tables. Created by the first
-// of those calls; nil on a network that was never faulted or armed.
+// disable path and one rebuild of the derived tables. It is the only store
+// of router and link liveness (read through RouterAlive and LinkAlive).
+// Created by the first of those calls; nil on a network that was never
+// faulted or armed, where every component is alive.
 type faultBook struct {
+	// routerDown/linkDown hold the components out of service now. Every
+	// kill and revive goes through killOne and maybeReviveLink, so a link
+	// is down whenever either endpoint router is.
+	routerDown, linkDown engine.Bitset
+
 	// routerRefs[id] counts unrepaired death events on router id; a link's
 	// count sums explicit link deaths plus one per dead endpoint router.
-	// Component disabled = base flag || refs > 0.
+	// Component down = down in the base || refs > 0.
 	routerRefs []int16
 	linkRefs   []int16
 
 	// The base state: build-time faults included, never repaired, and
 	// restored by Reset.
-	baseRouterDisabled []bool
-	baseLinkDisabled   []bool
-	baseChipNodes      [][]NodeID
+	baseRouterDown, baseLinkDown engine.Bitset
+	baseChipNodes                [][]NodeID
 
 	// alive[c] reports whether chip c keeps a terminal router. Allocated
 	// with the book and updated in place by every rebuild of the chip
@@ -47,9 +55,13 @@ type faultBook struct {
 func (n *Network) book() *faultBook {
 	if n.faults == nil {
 		n.faults = &faultBook{
-			routerRefs: make([]int16, len(n.Routers)),
-			linkRefs:   make([]int16, len(n.Links)),
-			alive:      make([]bool, len(n.ChipNodes)),
+			routerDown:     engine.NewBitset(len(n.Routers)),
+			linkDown:       engine.NewBitset(len(n.Links)),
+			routerRefs:     make([]int16, len(n.Routers)),
+			linkRefs:       make([]int16, len(n.Links)),
+			baseRouterDown: engine.NewBitset(len(n.Routers)),
+			baseLinkDown:   engine.NewBitset(len(n.Links)),
+			alive:          make([]bool, len(n.ChipNodes)),
 		}
 		for c := range n.faults.alive {
 			n.faults.alive[c] = n.ChipAlive(int32(c))
@@ -59,19 +71,13 @@ func (n *Network) book() *faultBook {
 	return n.faults
 }
 
-// commitBase makes the current component state the base: the Disabled
-// flags and chip tables are snapshotted and the reference counts zeroed,
-// so no repair revives what is down now and Reset returns here.
+// commitBase makes the current component state the base: the down sets
+// and chip tables are snapshotted and the reference counts zeroed, so no
+// repair revives what is down now and Reset returns here.
 func (n *Network) commitBase() {
 	b := n.faults
-	b.baseRouterDisabled = make([]bool, len(n.Routers))
-	for i := range n.Routers {
-		b.baseRouterDisabled[i] = n.Routers[i].Disabled
-	}
-	b.baseLinkDisabled = make([]bool, len(n.Links))
-	for i := range n.Links {
-		b.baseLinkDisabled[i] = n.Links[i].Disabled
-	}
+	b.baseRouterDown.CopyFrom(&b.routerDown)
+	b.baseLinkDown.CopyFrom(&b.linkDown)
 	b.baseChipNodes = make([][]NodeID, len(n.ChipNodes))
 	for i, nodes := range n.ChipNodes {
 		b.baseChipNodes[i] = append([]NodeID(nil), nodes...)
@@ -88,9 +94,10 @@ func (n *Network) commitBase() {
 // the resulting state becomes the base state that repairs never undo and
 // Reset restores.
 //
-// Disabled components are invisible to both cycle engines: a disabled
-// router is removed from the injector walk and never receives traffic; a
-// disabled link offers no bandwidth and is dropped from the drain lists. A
+// Failed components are invisible to both cycle engines: a dead router is
+// removed from the injector walk and never receives traffic; a dead link
+// offers no bandwidth and is dropped from the drain lists. RouterAlive and
+// LinkAlive report the state. A
 // chip that keeps at least one alive terminal stays addressable, with its
 // remaining nodes re-indexed; a chip that loses every terminal is dropped
 // from the workload (its ChipNodes entry empties; see DeadChips and
@@ -167,17 +174,22 @@ func (n *Network) DeadChips() []int32 {
 	return dead
 }
 
-// DisabledCounts returns the number of disabled routers and links.
+// RouterAlive reports whether router id is in service. It is true on a
+// network that was never faulted or armed.
+func (n *Network) RouterAlive(id NodeID) bool {
+	return n.faults == nil || !n.faults.routerDown.Has(int(id))
+}
+
+// LinkAlive reports whether link id is in service; a link whose endpoint
+// router is down is down too. It is true on a never-faulted network.
+func (n *Network) LinkAlive(id int32) bool {
+	return n.faults == nil || !n.faults.linkDown.Has(int(id))
+}
+
+// DisabledCounts returns the number of routers and links out of service.
 func (n *Network) DisabledCounts() (routers, links int) {
-	for i := range n.Routers {
-		if n.Routers[i].Disabled {
-			routers++
-		}
+	if n.faults == nil {
+		return 0, 0
 	}
-	for _, l := range n.Links {
-		if l.Disabled {
-			links++
-		}
-	}
-	return
+	return n.faults.routerDown.Count(), n.faults.linkDown.Count()
 }

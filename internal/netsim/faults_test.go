@@ -51,13 +51,13 @@ func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 	if dead := net.DeadChips(); len(dead) != 0 {
 		t.Fatalf("dead chips = %v, want none", dead)
 	}
-	if !net.Routers[1].Disabled {
+	if net.RouterAlive(1) {
 		t.Fatal("router 1 not disabled")
 	}
 	for _, l := range net.Links {
 		incident := l.Src == 1 || l.Dst == 1
-		if l.Disabled != incident {
-			t.Fatalf("link %d→%d disabled=%v, want %v", l.Src, l.Dst, l.Disabled, incident)
+		if disabled := !net.LinkAlive(l.ID); disabled != incident {
+			t.Fatalf("link %d→%d disabled=%v, want %v", l.Src, l.Dst, disabled, incident)
 		}
 	}
 	r, l := net.DisabledCounts()
@@ -283,7 +283,7 @@ func TestFaultedRunBothEngines(t *testing.T) {
 				st := run()
 				if reset {
 					net.Reset()
-					if !net.Links[5].Disabled {
+					if net.LinkAlive(5) {
 						t.Fatal("Reset cleared the fault")
 					}
 					st = run()

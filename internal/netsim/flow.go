@@ -669,7 +669,7 @@ func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32
 			res.ok = true
 			return res
 		}
-		if l.Disabled || n.Routers[l.Dst].Disabled {
+		if !n.LinkAlive(l.ID) { // a dead endpoint router takes the link down
 			break
 		}
 		p.VC = vc

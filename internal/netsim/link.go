@@ -137,11 +137,6 @@ type Link struct {
 	SrcPort int16
 	DstPort int16
 
-	// Disabled marks a failed channel (cut cable, dead SR-LR module). Set by
-	// build-time faults (Network.ApplyFaults) and churn events; a disabled
-	// link offers no bandwidth and is skipped by both cycle engines.
-	Disabled bool
-
 	// winFlits counts flits launched onto the link during the measurement
 	// window (written only by the source router's shard, or by the flow
 	// solver).

@@ -201,12 +201,6 @@ type Router struct {
 	ID   NodeID
 	Kind RouterKind
 
-	// Disabled marks a failed router (defective die). Set by build-time
-	// faults (Network.ApplyFaults) and churn events; a disabled router never
-	// injects, never receives traffic (fault-aware routing avoids it), and
-	// therefore never enters an engine's active set.
-	Disabled bool
-
 	// Ideal marks a non-blocking switch: allocation looks past blocked
 	// head-of-line packets (bounded lookahead) and the crossbar has input
 	// speedup, modelling the paper's "single ideal high-radix router".
@@ -480,7 +474,7 @@ func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, a
 				minWake = min(minWake, ip.busyUntil)
 				continue
 			}
-			if ol != nil && (op.credits[d.vc] < d.size || ol.Disabled) {
+			if ol != nil && (op.credits[d.vc] < d.size || !net.LinkAlive(ol.ID)) {
 				// No credits — or a dead output link: a disabled link offers
 				// no bandwidth, so the packet waits in place until a repair
 				// (or a route recompute after the next churn batch) unblocks
@@ -533,7 +527,7 @@ func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, a
 		if il == nil {
 			// Leaving the source queue: network latency starts here.
 			p.InjectedAt = now
-		} else if !il.Disabled {
+		} else if net.LinkAlive(il.ID) {
 			// Return credits upstream for the buffer space just freed. A
 			// dead feeding link gets no credit (its books are rebuilt on
 			// repair); on static networks a disabled link never delivers a

@@ -9,7 +9,7 @@ type LinkUtil struct {
 
 // LinkUtilization returns per-class aggregate utilization and the k most
 // loaded links, for bottleneck analysis (e.g. showing the C-group mesh
-// bisection saturating in Fig. 12 while global channels idle). Disabled
+// bisection saturating in Fig. 12 while global channels idle). Dead
 // links carry no flits and contribute no capacity: class utilization is
 // relative to the surviving links of the class.
 //
@@ -43,7 +43,7 @@ func (n *Network) LinkUtilization(k int) (byClass [NumHopClasses]float64, hottes
 	}
 	for i := range n.Links {
 		l := &n.Links[i]
-		if l.Disabled {
+		if !n.LinkAlive(l.ID) {
 			continue
 		}
 		capacity := float64(l.Width) * float64(window)

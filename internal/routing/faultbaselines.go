@@ -29,8 +29,8 @@ func NewFaultMeshRouter(g *topology.MeshCGroup) (*FaultMeshRouter, error) {
 	}
 	var ids []netsim.NodeID
 	for i := range g.Net.Routers {
-		if !g.Net.Routers[i].Disabled {
-			ids = append(ids, g.Net.Routers[i].ID)
+		if id := g.Net.Routers[i].ID; g.Net.RouterAlive(id) {
+			ids = append(ids, id)
 		}
 	}
 	rg, ok := buildRegion(g.Net, ids, local)
@@ -82,19 +82,17 @@ func (fm *FaultMeshRouter) Sanitize() func(r *netsim.Router, p *netsim.Packet) b
 // point of failure — so any disabled component that a chip depends on is a
 // partition. The returned routing function is the pristine one.
 func NewFaultSwitchRoute(s *topology.SingleSwitch) (netsim.RouteFunc, error) {
-	if s.Net.Router(s.Switch).Disabled {
+	if !s.Net.RouterAlive(s.Switch) {
 		return nil, &PartitionError{Where: "switch"}
 	}
 	for c, nic := range s.NICs {
 		if !s.Net.ChipAlive(int32(c)) {
 			continue // the chip dropped out of the workload entirely
 		}
-		if s.Net.Router(nic).Disabled {
-			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", c)}
-		}
+		// A dead NIC takes its uplink down with it.
 		up := s.Net.Router(nic).Out[s.UplinkPort[c]].Link
 		down := s.Net.Router(s.Switch).Out[s.DownPort[c]].Link
-		if up.Disabled || down.Disabled {
+		if !s.Net.LinkAlive(up.ID) || !s.Net.LinkAlive(down.ID) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", c)}
 		}
 	}
@@ -148,7 +146,7 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 	for w := int32(0); w < g; w++ {
 		for s := int32(0); s < a; s++ {
 			id := df.Switches[w][s]
-			if df.Net.Router(id).Disabled {
+			if !df.Net.RouterAlive(id) {
 				return nil, &PartitionError{Where: fmt.Sprintf("switch (%d,%d)", w, s)}
 			}
 			swIndex[id] = w*a + s
@@ -158,13 +156,11 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 		if !df.Net.ChipAlive(int32(chip)) {
 			continue // the chip dropped out of the workload entirely
 		}
-		if df.Net.Router(nic).Disabled {
-			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", chip)}
-		}
+		// A dead NIC takes its uplink down with it.
 		w, s, t := df.Params.ChipLocation(int32(chip))
 		up := df.Net.Router(nic).Out[df.NICUplink(int32(chip))].Link
 		down := df.Net.Router(df.Switches[w][s]).Out[df.TermPort(w, s, t)].Link
-		if up.Disabled || down.Disabled {
+		if !df.Net.LinkAlive(up.ID) || !df.Net.LinkAlive(down.ID) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", chip)}
 		}
 	}
@@ -182,7 +178,7 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 			r := df.Net.Router(df.Switches[w][s])
 			for o := range r.Out {
 				l := r.Out[o].Link
-				if l == nil || l.Disabled {
+				if l == nil || !df.Net.LinkAlive(l.ID) {
 					continue
 				}
 				v := swIndex[l.Dst]

@@ -53,16 +53,11 @@ func (e *DegradedVCError) Unwrap() error { return ErrDegradedVCs }
 func minProvisionedVCs(net *netsim.Network) uint8 {
 	min := uint8(255)
 	for _, l := range net.Links {
-		if !l.Disabled && l.VCs < min {
+		if net.LinkAlive(l.ID) && l.VCs < min {
 			min = l.VCs
 		}
 	}
 	return min
-}
-
-// aliveRouter reports whether id is in range and not disabled.
-func aliveRouter(net *netsim.Network, id netsim.NodeID) bool {
-	return id >= 0 && int(id) < len(net.Routers) && !net.Router(id).Disabled
 }
 
 // ---------------------------------------------------------------------------
@@ -158,17 +153,14 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 	}
 
 	// Per-C-group up*/down* regions over alive cores and usable ports. A
-	// port module is usable only when it and both its SR stubs to an alive
-	// attach core survive; an unusable port is treated as dead, taking its
-	// external channel with it.
+	// port module is usable only when both its SR stubs to the attach core
+	// survive (a dead module or core takes its stubs down); an unusable
+	// port is treated as dead, taking its external channel with it.
 	usable := make([]bool, len(s.Net.Routers))
 	portUsable := func(p *topology.PortInfo) bool {
-		if !aliveRouter(s.Net, p.Node) || !aliveRouter(s.Net, p.AttachCore) {
-			return false
-		}
 		up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
 		down := s.Net.Router(p.Node).Out[p.PortToCore].Link
-		return !up.Disabled && !down.Disabled
+		return s.Net.LinkAlive(up.ID) && s.Net.LinkAlive(down.ID)
 	}
 	// active[cg] marks C-groups with at least one alive core (every core
 	// is a terminal, so this is also "has an alive chip"). A coreless
@@ -183,7 +175,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 			var ids []netsim.NodeID
 			for y := range cg.Cores {
 				for x := range cg.Cores[y] {
-					if id := cg.Cores[y][x]; aliveRouter(s.Net, id) {
+					if id := cg.Cores[y][x]; s.Net.RouterAlive(id) {
 						ids = append(ids, id)
 					}
 				}
@@ -213,11 +205,10 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 			return
 		}
 		l := s.Net.Router(p.Node).Out[p.PortExt].Link
-		if l == nil || l.Disabled {
+		if l == nil || !s.Net.LinkAlive(l.ID) {
 			return
 		}
-		far := s.Net.Router(l.Dst)
-		if !usable[far.ID] {
+		if !usable[l.Dst] {
 			return
 		}
 		adj[from] = append(adj[from], cgEdge{to: p.PeerW*ab + p.PeerC, exit: p.Node})

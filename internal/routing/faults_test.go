@@ -50,11 +50,11 @@ func checkTraceAvoidsFaults(t *testing.T, net *netsim.Network, route netsim.Rout
 						}
 						for _, h := range hops {
 							l := net.Links[h[0]]
-							if l.Disabled {
+							if !net.LinkAlive(l.ID) {
 								t.Fatalf("chip %d→%d (aux %d): route crosses disabled link %d (%d→%d)",
 									srcChip, dstChip, a, l.ID, l.Src, l.Dst)
 							}
-							if net.Router(l.Src).Disabled || net.Router(l.Dst).Disabled {
+							if !net.RouterAlive(l.Src) || !net.RouterAlive(l.Dst) {
 								t.Fatalf("chip %d→%d (aux %d): route touches a disabled router via link %d",
 									srcChip, dstChip, a, l.ID)
 							}

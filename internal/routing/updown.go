@@ -62,7 +62,7 @@ func buildRegion(net *netsim.Network, ids []netsim.NodeID, local []int32) (*regi
 		r := net.Router(ids[u])
 		for o := range r.Out {
 			l := r.Out[o].Link
-			if l == nil || l.Disabled || !inRegion(l.Dst) {
+			if l == nil || !net.LinkAlive(l.ID) || !inRegion(l.Dst) {
 				continue
 			}
 			adj[u] = append(adj[u], regionEdge{to: local[l.Dst], port: int16(o)})

@@ -219,7 +219,7 @@ func componentClosure(net *netsim.Network, candidates []netsim.NodeID, deadR map
 		idx[id] = int32(i)
 	}
 	linkOK := func(l *netsim.Link) bool {
-		return l != nil && !l.Disabled && !deadL[l.ID] && !deadR[l.Src] && !deadR[l.Dst]
+		return l != nil && net.LinkAlive(l.ID) && !deadL[l.ID] && !deadR[l.Src] && !deadR[l.Dst]
 	}
 	adj := make([][]int32, len(candidates))
 	for i, id := range candidates {
@@ -300,7 +300,7 @@ func toSets(net *netsim.Network, routers []netsim.NodeID, links []int32) (map[ne
 func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.NodeID {
 	deadR, deadL := toSets(s.Net, routers, links)
 	alive := func(id netsim.NodeID) bool {
-		return !deadR[id] && !s.Net.Router(id).Disabled
+		return !deadR[id] && s.Net.RouterAlive(id)
 	}
 	var out []netsim.NodeID
 	g := s.Params.Groups()
@@ -321,7 +321,7 @@ func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.Nod
 				}
 				up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
 				down := s.Net.Router(p.Node).Out[p.PortToCore].Link
-				if up.Disabled || deadL[up.ID] || down.Disabled || deadL[down.ID] {
+				if !s.Net.LinkAlive(up.ID) || deadL[up.ID] || !s.Net.LinkAlive(down.ID) || deadL[down.ID] {
 					return
 				}
 				candidates = append(candidates, p.Node)
@@ -349,9 +349,8 @@ func (g *MeshCGroup) FaultClosure(routers []netsim.NodeID, links []int32) []nets
 	deadR, deadL := toSets(g.Net, routers, links)
 	var candidates []netsim.NodeID
 	for i := range g.Net.Routers {
-		r := &g.Net.Routers[i]
-		if !deadR[r.ID] && !r.Disabled {
-			candidates = append(candidates, r.ID)
+		if id := g.Net.Routers[i].ID; !deadR[id] && g.Net.RouterAlive(id) {
+			candidates = append(candidates, id)
 		}
 	}
 	return componentClosure(g.Net, candidates, deadR, deadL)
