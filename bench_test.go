@@ -377,7 +377,8 @@ func flowBenchSim() core.SimParams {
 // BenchmarkFlowSolve times one analytical load point on the full radix-16
 // system (1312 chips), cold (route-trace cache discarded every solve) vs
 // warm (traces reused across Reset — the build-once/measure-many sweep
-// configuration). The warm/cold ratio is the cache's per-point win.
+// configuration). The warm/cold ratio is the cache's per-point win. The
+// cold variant also reports the trace wall per traced hop.
 func BenchmarkFlowSolve(b *testing.B) {
 	cfg := core.Config{Kind: core.SwitchlessDragonfly, SLDF: core.Radix16SLDF(),
 		Seed: 1, Workers: 1}
@@ -398,6 +399,7 @@ func BenchmarkFlowSolve(b *testing.B) {
 				b.Fatal(err) // populate the cache (and retained buffers) once
 			}
 			sys.Reset()
+			before := sys.Net.FlowSolverStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.MeasureLoad(pat, 0.5, sp); err != nil {
@@ -407,6 +409,9 @@ func BenchmarkFlowSolve(b *testing.B) {
 			}
 			fs := sys.Net.FlowSolverStats()
 			b.ReportMetric(float64(fs.Traces)/float64(fs.Solves), "traces/solve")
+			if hops := fs.TraceHops - before.TraceHops; mode.cold && hops > 0 {
+				b.ReportMetric(float64(fs.TraceWall-before.TraceWall)/float64(hops), "ns/hop")
+			}
 		})
 	}
 }

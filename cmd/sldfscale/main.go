@@ -64,6 +64,9 @@ func run(args []string, w, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive worker count", *workers)
+	}
 	eng, err := engine.Resolve()
 	if err != nil {
 		return err

@@ -28,6 +28,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-kind", "warp"}, "warp"},
 		{[]string{"-dim", "faults", "-engine", "flow"}, "-engine applies to -dim chips only"},
 		{[]string{"-no-such-flag"}, "usage error"},
+		{[]string{"-kind", "switch", "-workers", "-3", "-max-steps", "1", "-q"}, "-workers -3"},
 	}
 	for _, tc := range cases {
 		var out strings.Builder

@@ -107,10 +107,14 @@ func run(args []string, w, errw io.Writer) error {
 		solver := sys.Net.FlowSolverStats()
 		fmt.Fprintf(w, "flow     : %d solves, %d segments (%d replays), %d traces, %d cache hits (%d flow-table reuses), %d full invalidations\n",
 			solver.Solves, solver.Segments, solver.Replays, solver.Traces, solver.CacheHits, solver.TableReuses, solver.FullInvalidations)
-		fmt.Fprintf(w, "flow     : %d waterfill rounds, %d transpose builds\n",
-			solver.WaterfillIters, solver.TransposeBuilds)
-		fmt.Fprintf(w, "flowwall : trace %v, transpose %v, waterfill %v, histogram %v\n",
-			solver.TraceWall.Round(time.Microsecond), solver.TransposeWall.Round(time.Microsecond),
+		fmt.Fprintf(w, "flow     : %d waterfill rounds, %d transpose builds, %d traced hops\n",
+			solver.WaterfillIters, solver.TransposeBuilds, solver.TraceHops)
+		nsPerHop := 0.0
+		if solver.TraceHops > 0 {
+			nsPerHop = float64(solver.TraceWall) / float64(solver.TraceHops)
+		}
+		fmt.Fprintf(w, "flowwall : trace %v (%.1f ns/hop), transpose %v, waterfill %v, histogram %v\n",
+			solver.TraceWall.Round(time.Microsecond), nsPerHop, solver.TransposeWall.Round(time.Microsecond),
 			solver.WaterfillWall.Round(time.Microsecond), solver.HistWall.Round(time.Microsecond))
 	}
 	return nil

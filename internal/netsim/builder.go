@@ -251,6 +251,9 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 	}
 	allIn := make([]InPort, totIn)
 	allOut := make([]OutPort, totOut)
+	for i := range allOut {
+		allOut[i] = OutPort{Link: -1, Dst: -1}
+	}
 	ii, oi := 0, 0
 	for i := range n.Routers {
 		r := &n.Routers[i]
@@ -265,7 +268,7 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 	// are wired onto it here.
 	for i := range n.Links {
 		l := &n.Links[i]
-		n.Routers[l.Src].Out[l.SrcPort].Link = l
+		n.Routers[l.Src].Out[l.SrcPort] = OutPort{Link: l.ID, Dst: l.Dst}
 		n.Routers[l.Dst].In[l.DstPort].Link = l
 	}
 	n.initPhases()

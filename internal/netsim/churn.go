@@ -273,22 +273,22 @@ func (n *Network) killOne(e TimedFault) {
 	c.toggledRouters = append(c.toggledRouters, e.Router)
 	r := &n.Routers[e.Router]
 	n.clearRouter(r)
-	eachLink(r, func(l *Link) {
+	n.eachLink(r, func(l *Link) {
 		c.linkRefs[l.ID]++
 		n.killLink(l)
 	})
 }
 
 // eachLink calls fn on every link into and then out of r, in port order.
-func eachLink(r *Router, fn func(*Link)) {
+func (n *Network) eachLink(r *Router, fn func(*Link)) {
 	for p := range r.In {
 		if l := r.In[p].Link; l != nil {
 			fn(l)
 		}
 	}
 	for p := range r.Out {
-		if l := r.Out[p].Link; l != nil {
-			fn(l)
+		if l := r.Out[p].Link; l >= 0 {
+			fn(&n.Links[l])
 		}
 	}
 }
@@ -359,7 +359,7 @@ func (n *Network) repairOne(e TimedFault) {
 	c.toggledRouters = append(c.toggledRouters, e.Router)
 	r := &n.Routers[e.Router]
 	n.clearRouter(r) // queues are already empty; re-zeroes port state
-	eachLink(r, func(l *Link) {
+	n.eachLink(r, func(l *Link) {
 		if c.linkRefs[l.ID] > 0 {
 			c.linkRefs[l.ID]--
 		}

@@ -32,7 +32,7 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 	}
 	portToward := func(r *Router, want NodeID) int {
 		for o := range r.Out {
-			if l := r.Out[o].Link; l != nil && l.Dst == want {
+			if op := r.Out[o]; op.Link >= 0 && op.Dst == want {
 				return o
 			}
 		}
@@ -49,7 +49,7 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 			v := (u + 1) % n
 			r2 := &net.Routers[ids[u]]
 			o := portToward(r2, ids[v])
-			if !net.RouterAlive(ids[v]) || !net.LinkAlive(r2.Out[o].Link.ID) {
+			if !net.RouterAlive(ids[v]) || !net.LinkAlive(r2.Out[o].Link) {
 				dir = -1
 				break
 			}
@@ -66,8 +66,8 @@ func linkBetween(t *testing.T, net *Network, src, dst NodeID) *Link {
 	t.Helper()
 	r := net.Router(src)
 	for o := range r.Out {
-		if l := r.Out[o].Link; l != nil && l.Dst == dst {
-			return l
+		if op := r.Out[o]; op.Link >= 0 && op.Dst == dst {
+			return &net.Links[op.Link]
 		}
 	}
 	t.Fatalf("no link %d→%d", src, dst)

@@ -190,8 +190,8 @@ func (n *Network) ensureCycleState() {
 			}
 		}
 		for o := range r.Out {
-			if l := r.Out[o].Link; l != nil {
-				ncred += int(l.VCs)
+			if l := r.Out[o].Link; l >= 0 {
+				ncred += int(n.Links[l].VCs)
 			}
 		}
 		vcs := make([]vcQueue, nvc)
@@ -216,10 +216,10 @@ func (n *Network) ensureCycleState() {
 			}
 		}
 		for o := range r.Out {
-			l := r.Out[o].Link
-			if l == nil {
+			if r.Out[o].Link < 0 {
 				continue
 			}
+			l := &n.Links[r.Out[o].Link]
 			op := &rc.out[o]
 			op.link = &cs.links[l.ID]
 			k := int(l.VCs)
@@ -295,11 +295,11 @@ func (cs *cycleState) reset() {
 // so every downstream buffer is free.
 func (n *Network) FreeCredits(id NodeID, out int, vc uint8) int32 {
 	l := n.Routers[id].Out[out].Link
-	if l == nil {
+	if l < 0 {
 		return 1 << 30
 	}
 	if n.cyc == nil {
-		return l.BufFlits
+		return n.Links[l].BufFlits
 	}
 	return n.cyc.routers[id].out[out].credits[vc]
 }

@@ -64,14 +64,14 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 		for i := range net.Routers {
 			r := &net.Routers[i]
 			for o := range r.Out {
-				op := &r.Out[o]
-				if op.Link == nil {
+				if r.Out[o].Link < 0 {
 					continue
 				}
-				for vc := uint8(0); vc < op.Link.VCs; vc++ {
-					if got := net.FreeCredits(r.ID, o, vc); got != op.Link.BufFlits {
+				l := &net.Links[r.Out[o].Link]
+				for vc := uint8(0); vc < l.VCs; vc++ {
+					if got := net.FreeCredits(r.ID, o, vc); got != l.BufFlits {
 						t.Fatalf("%s: router %d port %d vc %d has %d free credits, want %d",
-							when, i, o, vc, got, op.Link.BufFlits)
+							when, i, o, vc, got, l.BufFlits)
 					}
 				}
 			}
@@ -163,8 +163,9 @@ func pointerFree(t reflect.Type) bool {
 
 // TestLeanTopologyLayout pins the flow-mode footprint of the topology
 // structs: every cycle-engine field lives in the cycle records, so these
-// sizes only grow if one creeps back. Link must stay pointer-free, which
-// keeps the GC from scanning the link table.
+// sizes only grow if one creeps back. Link and OutPort must stay
+// pointer-free, which keeps the GC from scanning the link table and the
+// out-port slab, and keeps a route walk off the Link records.
 func TestLeanTopologyLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -181,6 +182,9 @@ func TestLeanTopologyLayout(t *testing.T) {
 	}
 	if !pointerFree(reflect.TypeOf(Link{})) {
 		t.Error("Link holds a pointer")
+	}
+	if !pointerFree(reflect.TypeOf(OutPort{})) {
+		t.Error("OutPort holds a pointer")
 	}
 	if pointerFree(reflect.TypeOf(InPort{})) {
 		t.Error("pointerFree misses InPort's link pointer")

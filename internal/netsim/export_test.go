@@ -213,16 +213,16 @@ func (p FlowProbe) Throttles() []float64 {
 // Capacities and ServiceTimes return the per-element capacities and
 // serialization cycles; Loads the current per-element loads.
 func (p FlowProbe) Capacities() []float64 {
-	out := make([]float64, len(p.fl.elemClass))
+	out := make([]float64, len(p.fl.elemKind))
 	for el := range out {
 		out[el] = p.fl.capOf(int32(el))
 	}
 	return out
 }
 func (p FlowProbe) ServiceTimes() []float64 {
-	out := make([]float64, len(p.fl.elemClass))
-	for el, c := range p.fl.elemClass {
-		out[el] = p.fl.classSer[c]
+	out := make([]float64, len(p.fl.elemKind))
+	for el, k := range p.fl.elemKind {
+		out[el] = p.fl.kinds[k].ser
 	}
 	return out
 }
@@ -261,4 +261,21 @@ func (n *Network) SetFlowWorkers(w int) { n.setFlowWorkers(w) }
 func (n *Network) FlowWorkers() (workers int, pooled bool) {
 	fl := n.flowSolver()
 	return fl.workers, fl.pool != nil
+}
+
+// FlowElemKinds readies the flow solver for packet size and returns what it
+// reads of every element through the element's kind: width, wire delay and
+// hop class, indexed like the solver's elements (links, then one ejection
+// element per router).
+func (n *Network) FlowElemKinds(size int32) (width, delay []int32, class []HopClass, err error) {
+	fl := n.flowSolver()
+	if err := n.setFlowSize(fl, size); err != nil {
+		return nil, nil, nil, err
+	}
+	for _, k := range fl.elemKind {
+		width = append(width, fl.kinds[k].width)
+		delay = append(delay, fl.kinds[k].delay)
+		class = append(class, fl.kinds[k].class)
+	}
+	return width, delay, class, nil
 }

@@ -154,6 +154,7 @@ type FlowStats struct {
 	FullInvalidations int64 // discards of every state's traces (SetRoute, SetFaultRouting, faults, size change, Cold)
 	WaterfillIters    int64 // waterfill rounds run
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
+	TraceHops         int64 // route steps traced: links crossed plus the ejection, failed traces' steps included
 
 	TraceWall     time.Duration // wall time ordering, tracing and merging route traces
 	TransposeWall time.Duration // wall time building the flow-incidence transpose
@@ -278,12 +279,26 @@ type traceResult struct {
 }
 
 // traceScratch is one trace worker's scratch: the phantom packet and its
-// RNG stream (kept here so a trace allocates nothing), and the buffer the
-// worker's paths of the current batch collect in until the merge.
+// RNG stream (kept here so a trace allocates nothing), the buffer the
+// worker's paths of the current batch collect in until the merge, and the
+// route steps the worker traced in the current build.
 type traceScratch struct {
-	p   Packet
-	rng engine.RNG
-	buf []int32
+	p    Packet
+	rng  engine.RNG
+	buf  []int32
+	hops int64
+}
+
+// flowKind is what the flow solver reads of an element: every element of
+// one kind has the same width in flits/cycle (its capacity), wire delay in
+// cycles and hop class. ser is the kind's serialization cycles at the
+// solver's packet size, the queueing service time. The ejection port's
+// kind has width 1, delay 0 and class HopEject; no link has delay 0.
+type flowKind struct {
+	width int32
+	delay int32
+	ser   float64
+	class HopClass
 }
 
 // flowSolver is the network-owned solver state: the route-trace cache plus
@@ -300,15 +315,12 @@ type flowSolver struct {
 	load       []float64
 
 	// size is the packet size the capacities and the cached traces are
-	// for, 0 before the first solve (see setFlowSize). Capacities are
-	// derived from link widths: elemClass maps each element to its width
-	// class (an ejection port is a width-1 element), classWidth holds each
-	// class's width in flits/cycle, the element's capacity, and classSer
-	// its serialization cycles at size (the queueing service time).
-	size       int32
-	elemClass  []uint8
-	classWidth []int32
-	classSer   []float64
+	// for, 0 before the first solve (see setFlowSize). elemKind maps each
+	// element to its kind in kinds (see flowKind); kind 0 is the ejection
+	// port's.
+	size     int32
+	elemKind []uint8
+	kinds    []flowKind
 
 	// Flow-incidence transpose (CSR): for element el, elemFlow[elemOff[el]:
 	// elemOff[el+1]] lists the incident flow indices in flow order. tposeOf
@@ -432,6 +444,7 @@ func (n *Network) flowSolver() *flowSolver {
 			for k := lo; k < min(lo+traceRun, len(fl.batch)); k++ {
 				src, dst := pairFromKey(fl.cache.entries[fl.pending[fl.batch[k]]].key)
 				res := n.traceOne(ts, src, dst, fl.traceSize)
+				ts.hops += int64(res.n)
 				res.wrk = int32(w)
 				fl.results[k] = res
 			}
@@ -547,14 +560,14 @@ func (n *Network) flowSolver() *flowSolver {
 	fl.waitFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.wait), fl.workers, w)
 		for el := lo; el < hi; el++ {
-			c := fl.elemClass[el]
-			rho := fl.load[el] / float64(fl.classWidth[c])
+			k := &fl.kinds[fl.elemKind[el]]
+			rho := fl.load[el] / float64(k.width)
 			if rho > flowRhoCap {
 				rho = flowRhoCap
 			}
 			wait := 0.0
 			if rho > 0 {
-				wait = rho / (2 * (1 - rho)) * fl.classSer[c]
+				wait = rho / (2 * (1 - rho)) * k.ser
 			}
 			fl.wait[el] = wait
 		}
@@ -639,7 +652,11 @@ func (fl *flowSolver) run(fn func(int)) {
 // of the network state — independent of trace order and safe to run
 // concurrently. res.ok is false when the route dead-ends, crosses a
 // disabled component, or exceeds flowMaxHops; the caller accounts such
-// flows as refused.
+// flows as refused. res.n counts the elements walked, a failed trace's
+// included.
+//
+// A hop reads the router it is at, the out-port (link ID and next router)
+// and the link's kind byte; it never loads the Link itself.
 func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32) traceResult {
 	ts.rng = engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
 	ts.p = Packet{
@@ -652,35 +669,37 @@ func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32
 	var res traceResult
 	res.off = int32(len(ts.buf))
 	ejBase := int32(len(n.Links))
+	kinds, elemKind := n.flow.kinds, n.flow.elemKind
 	r := &n.Routers[srcNode]
 	for hop := 0; hop < flowMaxHops; hop++ {
 		out, vc := n.route(n, r, p)
 		if out < 0 || out >= len(r.Out) {
 			break
 		}
-		l := r.Out[out].Link
-		if l == nil {
+		op := r.Out[out]
+		if op.Link < 0 {
 			// Ejection: the terminal serializes the whole packet at one
 			// flit per cycle, exactly like Router.allocate.
-			ts.buf = append(ts.buf, ejBase+int32(r.ID))
+			ts.buf = append(ts.buf, ejBase+r.ID)
 			res.n++
 			res.base += int64(size)
 			res.hops[HopEject]++
 			res.ok = true
 			return res
 		}
-		if !n.LinkAlive(l.ID) { // a dead endpoint router takes the link down
+		if !n.LinkAlive(op.Link) { // a dead endpoint router takes the link down
 			break
 		}
+		k := &kinds[elemKind[op.Link]]
 		p.VC = vc
-		p.Hops[l.Class]++
-		res.hops[l.Class]++
-		ts.buf = append(ts.buf, l.ID)
+		p.Hops[k.class]++
+		res.hops[k.class]++
+		ts.buf = append(ts.buf, op.Link)
 		res.n++
 		// Wire + the one-cycle handoff into the next router's input buffer
 		// (the cycle engines deliver at now + Delay + 1).
-		res.base += int64(l.Delay) + 1
-		r = &n.Routers[l.Dst]
+		res.base += int64(k.delay) + 1
+		r = &n.Routers[op.Dst]
 	}
 	ts.buf = ts.buf[:res.off]
 	return res
@@ -766,6 +785,10 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		c.redirect(fl.flows)
 	}
 	c.endBuild()
+	for w := range fl.workers {
+		fl.stats.TraceHops += fl.scratch[w].hops
+		fl.scratch[w].hops = 0
+	}
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
 	phaseEnd(t0, &fl.stats.TraceWall)
@@ -941,33 +964,39 @@ func (fl *flowSolver) elemCursor(w int) []int32 {
 	return fl.elemCurs[w]
 }
 
-// maxWidthClasses bounds the distinct link widths elemClass can tell apart.
-const maxWidthClasses = 256
+// maxElemKinds bounds the distinct element kinds elemKind can tell apart.
+const maxElemKinds = 256
 
-// setCapacities fills the per-class service times for packet size: an
+// setCapacities fills the per-kind service times for packet size: an
 // element of width W carries W flits/cycle and serializes a packet in
 // ceil(size/W) cycles. Ejection ports are width-1 elements: one flit/cycle,
-// size cycles. The first call classifies every element by width.
+// size cycles. The first call sorts every element into a kind by its
+// link's width, delay and hop class.
 func (fl *flowSolver) setCapacities(n *Network, size int32) error {
-	if fl.elemClass == nil {
-		widths := []int32{1} // class 0: ejection ports and width-1 links
-		class := make([]uint8, len(n.Links)+len(n.Routers))
+	if fl.elemKind == nil {
+		kinds := []flowKind{{width: 1, class: HopEject}} // kind 0: ejection ports
+		elemKind := make([]uint8, len(n.Links)+len(n.Routers))
+		last := 0
 		for i := range n.Links {
-			c := slices.Index(widths, n.Links[i].Width)
-			if c < 0 {
-				if len(widths) == maxWidthClasses {
-					return fmt.Errorf("%w: more than %d distinct link widths", ErrFlowEngine, maxWidthClasses)
+			l := &n.Links[i]
+			want := flowKind{width: l.Width, delay: l.Delay, class: l.Class}
+			if kinds[last] != want {
+				last = slices.Index(kinds, want)
+				if last < 0 {
+					if len(kinds) == maxElemKinds {
+						return fmt.Errorf("%w: more than %d distinct link kinds", ErrFlowEngine, maxElemKinds-1)
+					}
+					last = len(kinds)
+					kinds = append(kinds, want)
 				}
-				c = len(widths)
-				widths = append(widths, n.Links[i].Width)
 			}
-			class[i] = uint8(c)
+			elemKind[i] = uint8(last)
 		}
-		fl.elemClass, fl.classWidth = class, widths
-		fl.classSer = make([]float64, len(widths))
+		fl.elemKind, fl.kinds = elemKind, kinds
 	}
-	for c, w := range fl.classWidth {
-		fl.classSer[c] = float64((size + w - 1) / w)
+	for k := range fl.kinds {
+		w := fl.kinds[k].width
+		fl.kinds[k].ser = float64((size + w - 1) / w)
 	}
 	return nil
 }
@@ -989,7 +1018,7 @@ func (n *Network) setFlowSize(fl *flowSolver, size int32) error {
 }
 
 // capOf returns element el's capacity in flits/cycle.
-func (fl *flowSolver) capOf(el int32) float64 { return float64(fl.classWidth[fl.elemClass[el]]) }
+func (fl *flowSolver) capOf(el int32) float64 { return float64(fl.kinds[fl.elemKind[el]].width) }
 
 // waterfill runs the monotone throttle fixpoint: every flow crossing an
 // over-capacity element is scaled by the worst capacity/load ratio along

@@ -38,9 +38,10 @@ const DefaultWatchdogCycles = 10000
 // first needs them (cycleState).
 type Network struct {
 	Routers []Router
-	// Links holds the network's channels contiguously. Link pointers
-	// (InPort.Link, OutPort.Link, linkCycle) point into this slice and stay
-	// valid because it is never resized after Finalize.
+	// Links holds the network's channels contiguously, indexed by link ID:
+	// OutPort.Link is an index into it. The pointers InPort.Link and
+	// linkCycle hold point into it and stay valid because it is never
+	// resized after Finalize.
 	Links []Link
 
 	// ChipNodes[c] lists the injection-capable router IDs of chip c, in

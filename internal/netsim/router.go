@@ -180,16 +180,21 @@ func (v *vcQueue) invalidate() {
 	v.ahead = 0
 }
 
-// InPort is a router input port fed by Link. The injection pseudo-port has
-// a nil link. Its VC buffers live in the router's cycle record.
+// InPort is a router input port fed by Link, a pointer into
+// Network.Links. The injection pseudo-port has a nil link. Its VC buffers
+// live in the router's cycle record.
 type InPort struct {
 	Link *Link
 }
 
-// OutPort is a router output port feeding Link. The ejection pseudo-port
-// has a nil link. Its credit counters live in the router's cycle record.
+// OutPort is a router output port feeding link Link (an index into
+// Network.Links) towards router Dst, that link's destination. It holds no
+// pointer, so a route walk reads the next router from the port itself.
+// The ejection pseudo-port has Link -1 and Dst -1. Its credit counters
+// live in the router's cycle record.
 type OutPort struct {
-	Link *Link
+	Link int32
+	Dst  NodeID
 }
 
 // Router is a VC router: input-queued, credit flow control, output-first

@@ -41,10 +41,11 @@ func (sr *SLDFRouter) Install(net *netsim.Network) {
 			for c := 0; c < sr.s.Params.AB; c++ {
 				for j := 0; j < h; j++ {
 					pi := &sr.s.CGroups[w][c].GlobalPorts[j]
-					link := n.Router(pi.Node).Out[pi.PortExt].Link
-					if link == nil {
+					l := n.Router(pi.Node).Out[pi.PortExt].Link
+					if l < 0 {
 						continue
 					}
+					link := &n.Links[l]
 					// Occupancy = credits consumed across all VCs.
 					var used int32
 					for vc := uint8(0); vc < link.VCs; vc++ {

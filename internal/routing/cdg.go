@@ -101,21 +101,21 @@ func TracePath(net *netsim.Network, route netsim.RouteFunc, p *netsim.Packet, ma
 	var hops [][2]int64
 	for i := 0; i < maxHops; i++ {
 		out, vc := route(net, r, p)
-		if out == int(r.EjectOut) && r.Out[out].Link == nil {
+		if out == int(r.EjectOut) && r.Out[out].Link < 0 {
 			if r.ID != p.DstNode {
 				return nil, fmt.Errorf("routing: packet (%d→%d) ejected at router %d",
 					p.SrcNode, p.DstNode, r.ID)
 			}
 			return hops, nil
 		}
-		l := r.Out[out].Link
-		if l == nil {
+		op := r.Out[out]
+		if op.Link < 0 {
 			return nil, fmt.Errorf("routing: packet (%d→%d) sent to nil link at router %d",
 				p.SrcNode, p.DstNode, r.ID)
 		}
-		hops = append(hops, [2]int64{int64(l.ID), int64(vc)})
+		hops = append(hops, [2]int64{int64(op.Link), int64(vc)})
 		p.VC = vc
-		r = net.Router(l.Dst)
+		r = net.Router(op.Dst)
 	}
 	return nil, fmt.Errorf("routing: packet (%d→%d) exceeded %d hops",
 		p.SrcNode, p.DstNode, maxHops)

@@ -57,7 +57,7 @@ func DragonflyRoute(df *topology.Dragonfly, mode Mode) (netsim.RouteFunc, error)
 				}
 			}
 			up := df.NICUplink(p.SrcChip)
-			down := net.Router(r.Out[up].Link.Dst)
+			down := net.Router(r.Out[up].Dst)
 			return up, vcFor(net, p, down)
 		}
 
@@ -83,7 +83,7 @@ func DragonflyRoute(df *topology.Dragonfly, mode Mode) (netsim.RouteFunc, error)
 				out = df.LocalPort(w, s, so)
 			}
 		}
-		down := net.Router(r.Out[out].Link.Dst)
+		down := net.Router(r.Out[out].Dst)
 		return out, vcFor(net, p, down)
 	}, nil
 }

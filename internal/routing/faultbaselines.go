@@ -92,7 +92,7 @@ func NewFaultSwitchRoute(s *topology.SingleSwitch) (netsim.RouteFunc, error) {
 		// A dead NIC takes its uplink down with it.
 		up := s.Net.Router(nic).Out[s.UplinkPort[c]].Link
 		down := s.Net.Router(s.Switch).Out[s.DownPort[c]].Link
-		if !s.Net.LinkAlive(up.ID) || !s.Net.LinkAlive(down.ID) {
+		if !s.Net.LinkAlive(up) || !s.Net.LinkAlive(down) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", c)}
 		}
 	}
@@ -160,7 +160,7 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 		w, s, t := df.Params.ChipLocation(int32(chip))
 		up := df.Net.Router(nic).Out[df.NICUplink(int32(chip))].Link
 		down := df.Net.Router(df.Switches[w][s]).Out[df.TermPort(w, s, t)].Link
-		if !df.Net.LinkAlive(up.ID) || !df.Net.LinkAlive(down.ID) {
+		if !df.Net.LinkAlive(up) || !df.Net.LinkAlive(down) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", chip)}
 		}
 	}
@@ -176,12 +176,11 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 		for s := int32(0); s < a; s++ {
 			u := w*a + s
 			r := df.Net.Router(df.Switches[w][s])
-			for o := range r.Out {
-				l := r.Out[o].Link
-				if l == nil || !df.Net.LinkAlive(l.ID) {
+			for o, op := range r.Out {
+				if op.Link < 0 || !df.Net.LinkAlive(op.Link) {
 					continue
 				}
-				v := swIndex[l.Dst]
+				v := swIndex[op.Dst]
 				if v < 0 {
 					continue // terminal link
 				}

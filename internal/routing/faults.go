@@ -160,7 +160,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 	portUsable := func(p *topology.PortInfo) bool {
 		up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
 		down := s.Net.Router(p.Node).Out[p.PortToCore].Link
-		return s.Net.LinkAlive(up.ID) && s.Net.LinkAlive(down.ID)
+		return s.Net.LinkAlive(up) && s.Net.LinkAlive(down)
 	}
 	// active[cg] marks C-groups with at least one alive core (every core
 	// is a terminal, so this is also "has an alive chip"). A coreless
@@ -204,11 +204,8 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 		if !usable[p.Node] {
 			return
 		}
-		l := s.Net.Router(p.Node).Out[p.PortExt].Link
-		if l == nil || !s.Net.LinkAlive(l.ID) {
-			return
-		}
-		if !usable[l.Dst] {
+		op := s.Net.Router(p.Node).Out[p.PortExt]
+		if op.Link < 0 || !s.Net.LinkAlive(op.Link) || !usable[op.Dst] {
 			return
 		}
 		adj[from] = append(adj[from], cgEdge{to: p.PeerW*ab + p.PeerC, exit: p.Node})

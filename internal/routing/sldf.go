@@ -144,7 +144,7 @@ func (sr *SLDFRouter) routeAtPort(net *netsim.Network, r *netsim.Router, p *nets
 	if exit != nil && exit.Node == r.ID {
 		// This port owns the packet's outgoing channel: go external. The
 		// packet is buffered next at the remote port node.
-		remote := net.Router(r.Out[portOutExternal].Link.Dst)
+		remote := net.Router(r.Out[portOutExternal].Dst)
 		return portOutExternal, sr.vcAt(net, p, remote)
 	}
 	// The packet entered the C-group here: descend to the attach core.
@@ -214,7 +214,7 @@ func (sr *SLDFRouter) pickIntermediate(rng *engine.RNG, ws, wd int32) int32 {
 // meshStep picks the mesh direction toward (tx, ty) according to the
 // scheme's intra-C-group discipline for the packet's current leg.
 func (sr *SLDFRouter) meshStep(net *netsim.Network, r *netsim.Router, p *netsim.Packet, tx, ty int) int {
-	dp := sr.s.DirPort[r.ID]
+	dp := &sr.s.DirPort[r.ID]
 	x, y := int(r.X), int(r.Y)
 
 	if sr.scheme == ReducedVC {
@@ -225,7 +225,7 @@ func (sr *SLDFRouter) meshStep(net *netsim.Network, r *netsim.Router, p *netsim.
 			if y == 0 && x != tx {
 				return dirTo(dp, x, tx)
 			}
-			return dp[topology.DirNorth]
+			return int(dp[topology.DirNorth])
 		case legDstC, legIntExit:
 			// Entered on the top row via a local port — unless this is the
 			// source C-group of intra-W traffic handled below, or the
@@ -242,9 +242,9 @@ func (sr *SLDFRouter) meshStep(net *netsim.Network, r *netsim.Router, p *netsim.
 				return dirTo(dp, x, tx)
 			}
 			if ty < y {
-				return dp[topology.DirSouth]
+				return int(dp[topology.DirSouth])
 			}
-			return dp[topology.DirNorth]
+			return int(dp[topology.DirNorth])
 		}
 		// legSrcC / legSrcWMid: plain XY below.
 	}
@@ -254,15 +254,15 @@ func (sr *SLDFRouter) meshStep(net *netsim.Network, r *netsim.Router, p *netsim.
 		return dirTo(dp, x, tx)
 	}
 	if ty > y {
-		return dp[topology.DirNorth]
+		return int(dp[topology.DirNorth])
 	}
-	return dp[topology.DirSouth]
+	return int(dp[topology.DirSouth])
 }
 
 // dirTo returns the east or west port toward tx.
-func dirTo(dp []int, x, tx int) int {
+func dirTo(dp *[4]int32, x, tx int) int {
 	if tx > x {
-		return dp[topology.DirEast]
+		return int(dp[topology.DirEast])
 	}
-	return dp[topology.DirWest]
+	return int(dp[topology.DirWest])
 }

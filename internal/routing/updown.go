@@ -60,12 +60,11 @@ func buildRegion(net *netsim.Network, ids []netsim.NodeID, local []int32) (*regi
 	}
 	for u := int32(0); u < n; u++ {
 		r := net.Router(ids[u])
-		for o := range r.Out {
-			l := r.Out[o].Link
-			if l == nil || !net.LinkAlive(l.ID) || !inRegion(l.Dst) {
+		for o, op := range r.Out {
+			if op.Link < 0 || !net.LinkAlive(op.Link) || !inRegion(op.Dst) {
 				continue
 			}
-			adj[u] = append(adj[u], regionEdge{to: local[l.Dst], port: int16(o)})
+			adj[u] = append(adj[u], regionEdge{to: local[op.Dst], port: int16(o)})
 		}
 	}
 

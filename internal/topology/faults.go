@@ -218,18 +218,16 @@ func componentClosure(net *netsim.Network, candidates []netsim.NodeID, deadR map
 	for i, id := range candidates {
 		idx[id] = int32(i)
 	}
-	linkOK := func(l *netsim.Link) bool {
-		return l != nil && net.LinkAlive(l.ID) && !deadL[l.ID] && !deadR[l.Src] && !deadR[l.Dst]
-	}
 	adj := make([][]int32, len(candidates))
 	for i, id := range candidates {
-		r := net.Router(id)
-		for o := range r.Out {
-			l := r.Out[o].Link
-			if !linkOK(l) {
+		if deadR[id] {
+			continue
+		}
+		for _, op := range net.Router(id).Out {
+			if op.Link < 0 || !net.LinkAlive(op.Link) || deadL[op.Link] || deadR[op.Dst] {
 				continue
 			}
-			if j, ok := idx[l.Dst]; ok {
+			if j, ok := idx[op.Dst]; ok {
 				adj[i] = append(adj[i], j)
 				adj[j] = append(adj[j], int32(i))
 			}
@@ -321,7 +319,7 @@ func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.Nod
 				}
 				up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
 				down := s.Net.Router(p.Node).Out[p.PortToCore].Link
-				if !s.Net.LinkAlive(up.ID) || deadL[up.ID] || !s.Net.LinkAlive(down.ID) || deadL[down.ID] {
+				if !s.Net.LinkAlive(up) || deadL[up] || !s.Net.LinkAlive(down) || deadL[down] {
 					return
 				}
 				candidates = append(candidates, p.Node)

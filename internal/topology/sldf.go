@@ -118,8 +118,9 @@ type SLDF struct {
 	// CGroups[w][c] describes C-group c of W-group w.
 	CGroups [][]CGroupInfo
 	// DirPort[router][dir] is the mesh out-port of a core in direction dir
-	// (DirEast..DirSouth), -1 when absent or not a core.
-	DirPort [][]int
+	// (DirEast..DirSouth), -1 when absent or not a core: one fixed-width
+	// entry per router (see buildDirPorts).
+	DirPort [][4]int32
 }
 
 // ChipsPer returns chips per C-group (convenience).

@@ -77,9 +77,9 @@ type MeshCGroup struct {
 	NoCDim int // routers per chiplet side
 	// Nodes[y][x] is the router at mesh coordinate (x, y).
 	Nodes [][]netsim.NodeID
-	// Port indexes for mesh routing: port[dir] on router (x,y);
-	// dirs: 0=+X(E) 1=-X(W) 2=+Y(N) 3=-Y(S); -1 when absent.
-	DirPort [][]int
+	// DirPort[router][dir] is the mesh out-port of router (x,y) in
+	// direction dir (DirEast..DirSouth), -1 when absent.
+	DirPort [][4]int32
 }
 
 // Mesh directions.
@@ -162,49 +162,37 @@ func addMeshLinks(b *netsim.Builder, nodes [][]netsim.NodeID, noCDim int, classe
 
 // buildDirPorts maps every core's out-ports to mesh directions by
 // coordinates: DirPort[routerID][dir] is the out-port towards the
-// neighbour core of the same C-group in direction dir, or -1. The entries
-// are carved from one slab of four ints per core; other routers keep a nil
-// entry.
-func buildDirPorts(net *netsim.Network) [][]int {
-	cores := 0
-	for i := range net.Routers {
-		if net.Routers[i].Kind == netsim.KindCore {
-			cores++
-		}
-	}
-	dp := make([][]int, len(net.Routers))
-	slab := make([]int, 4*cores)
-	for i := range slab {
-		slab[i] = -1
-	}
+// neighbour core of the same C-group in direction dir, or -1. The table
+// holds one fixed-width entry per router, all -1 for routers that are not
+// cores, so a mesh hop reads it with a single load.
+func buildDirPorts(net *netsim.Network) [][4]int32 {
+	dp := make([][4]int32, len(net.Routers))
 	for id := range net.Routers {
+		ports := &dp[id]
+		*ports = [4]int32{-1, -1, -1, -1}
 		r := &net.Routers[id]
 		if r.Kind != netsim.KindCore {
 			continue
 		}
-		ports := slab[:4:4]
-		slab = slab[4:]
-		for o := range r.Out {
-			l := r.Out[o].Link
-			if l == nil {
+		for o, op := range r.Out {
+			if op.Link < 0 {
 				continue
 			}
-			d := net.Router(l.Dst)
+			d := net.Router(op.Dst)
 			if d.Kind != netsim.KindCore || d.CGroup != r.CGroup || d.WGroup != r.WGroup {
 				continue
 			}
 			switch {
 			case d.X == r.X+1 && d.Y == r.Y:
-				ports[DirEast] = o
+				ports[DirEast] = int32(o)
 			case d.X == r.X-1 && d.Y == r.Y:
-				ports[DirWest] = o
+				ports[DirWest] = int32(o)
 			case d.Y == r.Y+1 && d.X == r.X:
-				ports[DirNorth] = o
+				ports[DirNorth] = int32(o)
 			case d.Y == r.Y-1 && d.X == r.X:
-				ports[DirSouth] = o
+				ports[DirSouth] = int32(o)
 			}
 		}
-		dp[id] = ports
 	}
 	return dp
 }
@@ -217,16 +205,16 @@ func (g *MeshCGroup) RouteXY() netsim.RouteFunc {
 		if d.ID == r.ID {
 			return int(r.EjectOut), 0
 		}
-		dp := g.DirPort[r.ID]
+		dp := &g.DirPort[r.ID]
 		switch {
 		case d.X > r.X:
-			return dp[DirEast], 0
+			return int(dp[DirEast]), 0
 		case d.X < r.X:
-			return dp[DirWest], 0
+			return int(dp[DirWest]), 0
 		case d.Y > r.Y:
-			return dp[DirNorth], 0
+			return int(dp[DirNorth]), 0
 		default:
-			return dp[DirSouth], 0
+			return int(dp[DirSouth]), 0
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestMeshCGroupStructure(t *testing.T) {
 		r := &g.Net.Routers[i]
 		links := 0
 		for o := range r.Out {
-			if r.Out[o].Link != nil {
+			if r.Out[o].Link >= 0 {
 				links++
 			}
 		}
@@ -162,7 +162,7 @@ func TestDragonflyStructureRadix16(t *testing.T) {
 			r := df.Net.Router(df.Switches[w][s])
 			links := 0
 			for o := range r.Out {
-				if r.Out[o].Link != nil {
+				if r.Out[o].Link >= 0 {
 					links++
 				}
 			}
@@ -223,11 +223,11 @@ func TestDragonflyGlobalOwnerConsistent(t *testing.T) {
 			// The switch's k-th global port must lead to a switch in wd.
 			sw := df.Net.Router(df.Switches[w][s])
 			out := df.globalPort[w][s][k]
-			l := sw.Out[out].Link
-			if l == nil {
+			op := sw.Out[out]
+			if op.Link < 0 {
 				t.Fatalf("no link at global port (%d,%d,%d)", w, s, k)
 			}
-			if got := df.Net.Router(l.Dst).WGroup; got != int32(wd) {
+			if got := df.Net.Router(op.Dst).WGroup; got != int32(wd) {
 				t.Fatalf("global owner (%d→%d): port leads to group %d", w, wd, got)
 			}
 		}
@@ -320,7 +320,7 @@ func TestSLDFLocalWiring(t *testing.T) {
 					t.Fatalf("local port (%d,%d→%d) not wired", w, c1, c2)
 				}
 				r := s.Net.Router(pi.Node)
-				l := r.Out[pi.PortExt].Link
+				l := &s.Net.Links[r.Out[pi.PortExt].Link]
 				peer := s.Net.Router(l.Dst)
 				if peer.WGroup != int32(w) || peer.CGroup != int32(c2) {
 					t.Fatalf("local port (%d,%d→%d) reaches (%d,%d)",
@@ -354,7 +354,7 @@ func TestSLDFGlobalWiring(t *testing.T) {
 				t.Fatalf("global port (%d,%d,%d) not wired", w, c, j)
 			}
 			r := s.Net.Router(pi.Node)
-			peer := s.Net.Router(r.Out[pi.PortExt].Link.Dst)
+			peer := s.Net.Router(r.Out[pi.PortExt].Dst)
 			if peer.WGroup != int32(wd) {
 				t.Fatalf("channel %d→%d lands in W-group %d", w, wd, peer.WGroup)
 			}

@@ -107,12 +107,8 @@ func TestRectangularCGroup(t *testing.T) {
 	deg := func(id netsim.NodeID) int {
 		r := s.Net.Router(id)
 		n := 0
-		for o := range r.Out {
-			l := r.Out[o].Link
-			if l == nil {
-				continue
-			}
-			if s.Net.Router(l.Dst).Kind == netsim.KindCore {
+		for _, op := range r.Out {
+			if op.Link >= 0 && s.Net.Router(op.Dst).Kind == netsim.KindCore {
 				n++
 			}
 		}
@@ -146,7 +142,7 @@ func TestWGroupLocalDiameter(t *testing.T) {
 					continue
 				}
 				pi := s.CGroups[w][c1].LocalPorts[c2]
-				peer := s.Net.Router(s.Net.Router(pi.Node).Out[pi.PortExt].Link.Dst)
+				peer := s.Net.Router(s.Net.Router(pi.Node).Out[pi.PortExt].Dst)
 				reach[peer.CGroup] = true
 			}
 			if len(reach) != p.AB-1 {
