@@ -6,10 +6,11 @@ import (
 )
 
 // radix16FlowHeapPerChip is the ceiling on a full radix-16 SLDF build's
-// live heap per chip before any cycle engine runs: the measured 7,383 B
+// live heap per chip before any cycle engine runs: the measured 1,680 B
 // (Go 1.24, linux/amd64) plus 10%. A build that starts allocating cycle
-// state again, or retains builder garbage, crosses it.
-const radix16FlowHeapPerChip = 8100
+// state again, retains builder garbage, or gives Router back its port
+// slice headers and random stream (2,454 B) crosses it.
+const radix16FlowHeapPerChip = 1850
 
 // TestBuildAllocatesLean pins the lean build on the full radix-16
 // switch-less system: construction allocates little beyond what the system

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"sldf/internal/engine"
 )
 
 // The full experiment campaign is exercised by cmd/sldffigures; these tests
@@ -143,7 +145,7 @@ func TestRingPatternSnakeOnMesh(t *testing.T) {
 		t.Fatalf("pattern name %q", pat.Name())
 	}
 	// Walk the ring from chip 0: it must visit all 9 chips and return.
-	rng := sys.Net.Router(0).RNG
+	rng := engine.NewRNGStream(sys.Cfg.Seed, 0) // router 0's stream
 	cur := int32(0)
 	seen := map[int32]bool{0: true}
 	for i := 0; i < 9; i++ {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"sldf/internal/engine"
 )
@@ -20,19 +21,15 @@ type LinkSpec struct {
 // AddRouter/Connect and then Finalize. Builders are single-use.
 //
 // Construction is allocation-lean by design: links accumulate as values and
-// ports exist only as per-router counts until Finalize. A topology that
-// reserves its exact size with Grow has its router and link tables adopted
-// by the network as they are; Finalize carves both port arrays at exact size
-// from shared slabs. Append-growth overshoot never survives into the
+// ports exist only as per-router counts (Router.nIn/nOut) until Finalize. A
+// topology that reserves its exact size with Grow has its router and link
+// tables adopted by the network as they are; Finalize lays both port slabs
+// out at exact size. Append-growth overshoot never survives into the
 // network, and state only the cycle engines read is not built here at all.
 type Builder struct {
 	routers []Router
-	// nIn/nOut count ports per router; the InPort/OutPort structs themselves
-	// are materialized in Finalize from two network-wide slabs.
-	nIn   []int32
-	nOut  []int32
-	links []Link
-	err   error
+	links   []Link
+	err     error
 }
 
 // NewBuilder returns an empty network builder.
@@ -54,8 +51,6 @@ func (b *Builder) AddRouter(kind RouterKind) NodeID {
 		InjIn:    -1,
 		EjectOut: -1,
 	})
-	b.nIn = append(b.nIn, 0)
-	b.nOut = append(b.nOut, 0)
 	return id
 }
 
@@ -83,14 +78,17 @@ func (b *Builder) Connect(src, dst NodeID, spec LinkSpec) (outPort, inPort int) 
 		b.fail("link %d→%d: at most 8 VCs supported (got %d)", src, dst, spec.VCs)
 		return 0, 0
 	}
-	outPort = int(b.nOut[src])
-	b.nOut[src]++
-	inPort = int(b.nIn[dst])
-	b.nIn[dst]++
+	if b.routers[src].nOut == math.MaxInt16 || b.routers[dst].nIn == math.MaxInt16 {
+		b.fail("link %d→%d: more than %d ports on a router", src, dst, math.MaxInt16)
+		return 0, 0
+	}
+	outPort = int(b.routers[src].nOut)
+	b.routers[src].nOut++
+	inPort = int(b.routers[dst].nIn)
+	b.routers[dst].nIn++
 
-	// The ports themselves, their Link pointers and buffer storage are all
-	// materialized in Finalize, once the link table has its final address
-	// and the slab sizes are known.
+	// The ports themselves are laid out in Finalize, once the slab sizes
+	// are known.
 	b.links = append(b.links, Link{
 		ID:       int32(len(b.links)),
 		Src:      src,
@@ -125,10 +123,10 @@ func (b *Builder) AddTerminal(id NodeID, chip int32, nodeIdx int32) {
 	}
 	r.Chip = chip
 	r.Local = nodeIdx
-	r.InjIn = int16(b.nIn[id])
-	b.nIn[id]++
-	r.EjectOut = int16(b.nOut[id])
-	b.nOut[id]++
+	r.InjIn = r.nIn
+	r.nIn++
+	r.EjectOut = r.nOut
+	r.nOut++
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -147,8 +145,6 @@ func (b *Builder) Err() error { return b.err }
 // wrong count costs a copy, never correctness.
 func (b *Builder) Grow(routers, links int) {
 	b.routers = grow(b.routers, routers)
-	b.nIn = grow(b.nIn, routers)
-	b.nOut = grow(b.nOut, routers)
 	b.links = grow(b.links, links)
 }
 
@@ -242,38 +238,31 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 		watchdogLimit: wd,
 	}
 	n.shard = make([]shardStats, n.shards)
-	// Materialize every router's ports from two network-wide slabs, carved
-	// at exact size from the builder's per-router counts.
-	totIn, totOut := 0, 0
-	for i := range b.nIn {
-		totIn += int(b.nIn[i])
-		totOut += int(b.nOut[i])
-	}
-	allIn := make([]InPort, totIn)
-	allOut := make([]OutPort, totOut)
-	for i := range allOut {
-		allOut[i] = OutPort{Link: -1, Dst: -1}
-	}
-	ii, oi := 0, 0
+	// Lay every router's ports out in two network-wide slabs, router after
+	// router, at exact size from the per-router counts. Ports no link
+	// claims are the terminal pseudo-ports.
+	var totIn, totOut int32
 	for i := range n.Routers {
 		r := &n.Routers[i]
-		ki, ko := int(b.nIn[i]), int(b.nOut[i])
-		r.In = allIn[ii : ii+ki : ii+ki]
-		ii += ki
-		r.Out = allOut[oi : oi+ko : oi+ko]
-		oi += ko
-		r.RNG = engine.NewRNGStream(opts.Seed, uint64(i))
+		r.inOff, r.outOff = totIn, totOut
+		totIn += int32(r.nIn)
+		totOut += int32(r.nOut)
 	}
-	// n.Links never resizes after Finalize, so &n.Links[i] is stable; ports
-	// are wired onto it here.
+	n.inLinks = make([]int32, totIn)
+	n.outPorts = make([]OutPort, totOut)
+	for i := range n.inLinks {
+		n.inLinks[i] = -1
+	}
+	for i := range n.outPorts {
+		n.outPorts[i] = OutPort{Link: -1, Dst: -1}
+	}
 	for i := range n.Links {
 		l := &n.Links[i]
-		n.Routers[l.Src].Out[l.SrcPort] = OutPort{Link: l.ID, Dst: l.Dst}
-		n.Routers[l.Dst].In[l.DstPort].Link = l
+		n.outPorts[n.Routers[l.Src].outOff+int32(l.SrcPort)] = OutPort{Link: l.ID, Dst: l.Dst}
+		n.inLinks[n.Routers[l.Dst].inOff+int32(l.DstPort)] = l.ID
 	}
 	n.initPhases()
 	b.routers = nil
-	b.nIn, b.nOut = nil, nil
 	b.links = nil
 	return n, nil
 }

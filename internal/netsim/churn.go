@@ -281,14 +281,14 @@ func (n *Network) killOne(e TimedFault) {
 
 // eachLink calls fn on every link into and then out of r, in port order.
 func (n *Network) eachLink(r *Router, fn func(*Link)) {
-	for p := range r.In {
-		if l := r.In[p].Link; l != nil {
-			fn(l)
+	for _, l := range n.InLinks(r) {
+		if l >= 0 {
+			fn(&n.Links[l])
 		}
 	}
-	for p := range r.Out {
-		if l := r.Out[p].Link; l >= 0 {
-			fn(&n.Links[l])
+	for _, op := range n.OutPorts(r) {
+		if op.Link >= 0 {
+			fn(&n.Links[op.Link])
 		}
 	}
 }

@@ -31,8 +31,8 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 		t.Fatalf("Finalize: %v", err)
 	}
 	portToward := func(r *Router, want NodeID) int {
-		for o := range r.Out {
-			if op := r.Out[o]; op.Link >= 0 && op.Dst == want {
+		for o := range net.OutPorts(r) {
+			if op := net.OutPorts(r)[o]; op.Link >= 0 && op.Dst == want {
 				return o
 			}
 		}
@@ -49,7 +49,7 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 			v := (u + 1) % n
 			r2 := &net.Routers[ids[u]]
 			o := portToward(r2, ids[v])
-			if !net.RouterAlive(ids[v]) || !net.LinkAlive(r2.Out[o].Link) {
+			if !net.RouterAlive(ids[v]) || !net.LinkAlive(net.OutPorts(r2)[o].Link) {
 				dir = -1
 				break
 			}
@@ -65,8 +65,8 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 func linkBetween(t *testing.T, net *Network, src, dst NodeID) *Link {
 	t.Helper()
 	r := net.Router(src)
-	for o := range r.Out {
-		if op := r.Out[o]; op.Link >= 0 && op.Dst == dst {
+	for o := range net.OutPorts(r) {
+		if op := net.OutPorts(r)[o]; op.Link >= 0 && op.Dst == dst {
 			return &net.Links[op.Link]
 		}
 	}

@@ -12,7 +12,10 @@ import "sldf/internal/engine"
 //     pointers, occupancy masks, sleep and wake bookkeeping, request lists
 //     and an ideal switch's lookahead scratch;
 //   - links: one linkCycle per link, indexed by link ID — its packet and
-//     credit pipelines, its endpoint shards and its worklist membership;
+//     credit pipelines, window flit count, endpoint shards and worklist
+//     membership;
+//   - rng: one random stream per router, indexed by router ID, for
+//     injection and routing choices (see Packet.RouteRNG);
 //   - dataLinks/creditLinks: the reference engine's per-shard drain lists;
 //   - injectors: the per-shard injection walk;
 //   - active: the active-set engine's per-shard bitmaps, timing wheels and
@@ -25,6 +28,7 @@ import "sldf/internal/engine"
 type cycleState struct {
 	routers []routerCycle
 	links   []linkCycle
+	rng     []engine.RNG
 
 	// dataLinks[s] lists links whose destination router is in shard s;
 	// creditLinks[s] lists links whose source router is in shard s. The
@@ -112,12 +116,16 @@ type outPortCycle struct {
 // linkCycle is a link's cycle state. The data queue carries packets
 // src→dst; the credit queue carries buffer credits dst→src (both with the
 // link's delay). The embedded Link gives the cycle engines its topology
-// fields and window counter.
+// fields.
 type linkCycle struct {
 	*Link
 
 	data   packetFIFO
 	credit creditFIFO
+
+	// winFlits counts flits launched onto the link during the measurement
+	// window (written only by the source router's shard).
+	winFlits int64
 
 	// srcShard/dstShard are the shards owning the endpoint routers.
 	// The data queue is produced by srcShard (allocate) and consumed by
@@ -134,7 +142,9 @@ type linkCycle struct {
 }
 
 // ensureCycleState builds the cycle state (see cycleState) on the first
-// Step or SetEngine to a cycle engine.
+// Step or SetEngine to a cycle engine. Both run it serially, before any
+// parallel phase reads the state; the route functions' draws in
+// particular never create it.
 func (n *Network) ensureCycleState() {
 	if n.cyc != nil {
 		return
@@ -142,8 +152,10 @@ func (n *Network) ensureCycleState() {
 	cs := &cycleState{
 		routers: make([]routerCycle, len(n.Routers)),
 		links:   make([]linkCycle, len(n.Links)),
+		rng:     make([]engine.RNG, len(n.Routers)),
 	}
 	n.cyc = cs
+	cs.deriveStreams(n.seed)
 	for i := range n.Links {
 		l := &n.Links[i]
 		cs.links[i] = linkCycle{
@@ -159,55 +171,50 @@ func (n *Network) ensureCycleState() {
 	// window migrates to a private ring (vcQueue.grow); the injection
 	// pseudo-queue starts with no window at all since its depth is
 	// load-dependent and unbounded.
-	totIn, totOut := 0, 0
-	for i := range n.Routers {
-		totIn += len(n.Routers[i].In)
-		totOut += len(n.Routers[i].Out)
-	}
-	allIn := make([]inPortCycle, totIn)
-	allOut := make([]outPortCycle, totOut)
+	allIn := make([]inPortCycle, len(n.inLinks))
+	allOut := make([]outPortCycle, len(n.outPorts))
 	for i := range n.Routers {
 		r := &n.Routers[i]
 		rc := &cs.routers[i]
-		rc.in, allIn = allIn[:len(r.In):len(r.In)], allIn[len(r.In):]
-		rc.out, allOut = allOut[:len(r.Out):len(r.Out)], allOut[len(r.Out):]
+		inLinks, outPorts := n.InLinks(r), n.OutPorts(r)
+		rc.in, allIn = allIn[:len(inLinks):len(inLinks)], allIn[len(inLinks):]
+		rc.out, allOut = allOut[:len(outPorts):len(outPorts)], allOut[len(outPorts):]
 		// Routers beyond 64 ports fall back to full port scans; none of the
 		// evaluated systems comes close.
-		rc.wide = len(r.In) > 64 || len(r.Out) > 64
+		rc.wide = len(inLinks) > 64 || len(outPorts) > 64
 		if r.Ideal {
 			rc.ideal = &idealState{
-				granted:   make([]int64, len(r.In)<<3),
-				lookahead: make([]routeDecision, len(r.In)<<3*idealLookahead),
+				granted:   make([]int64, len(inLinks)<<3),
+				lookahead: make([]routeDecision, len(inLinks)<<3*idealLookahead),
 			}
 		}
 		nvc, netVCs, ncred := 0, 0, 0
-		for in := range r.In {
-			if l := r.In[in].Link; l != nil {
-				nvc += int(l.VCs)
-				netVCs += int(l.VCs)
+		for _, l := range inLinks {
+			if l >= 0 {
+				nvc += int(n.Links[l].VCs)
+				netVCs += int(n.Links[l].VCs)
 			} else {
 				nvc++ // injection pseudo-port: a single source queue
 			}
 		}
-		for o := range r.Out {
-			if l := r.Out[o].Link; l >= 0 {
-				ncred += int(n.Links[l].VCs)
+		for _, op := range outPorts {
+			if op.Link >= 0 {
+				ncred += int(n.Links[op.Link].VCs)
 			}
 		}
 		vcs := make([]vcQueue, nvc)
 		rings := make([]PacketRef, netVCs*vcRingWindow)
 		creds := make([]int32, ncred)
 		vi, ri, ci := 0, 0, 0
-		for in := range r.In {
+		for in, l := range inLinks {
 			ip := &rc.in[in]
-			l := r.In[in].Link
-			if l == nil {
+			if l < 0 {
 				ip.vcs = vcs[vi : vi+1 : vi+1]
 				vi++
 				continue
 			}
-			ip.link = &cs.links[l.ID]
-			k := int(l.VCs)
+			ip.link = &cs.links[l]
+			k := int(n.Links[l].VCs)
 			ip.vcs = vcs[vi : vi+k : vi+k]
 			vi += k
 			for v := range ip.vcs {
@@ -215,11 +222,11 @@ func (n *Network) ensureCycleState() {
 				ri += vcRingWindow
 			}
 		}
-		for o := range r.Out {
-			if r.Out[o].Link < 0 {
+		for o, port := range outPorts {
+			if port.Link < 0 {
 				continue
 			}
-			l := &n.Links[r.Out[o].Link]
+			l := &n.Links[port.Link]
 			op := &rc.out[o]
 			op.link = &cs.links[l.ID]
 			k := int(l.VCs)
@@ -263,10 +270,20 @@ func (n *Network) ensureCycleState() {
 	}
 }
 
-// reset empties every queue and pipeline, refills the credits and returns
-// every router's allocation state to idle; ring and list capacities are
-// kept so a reset network reaches its steady state without re-growing them.
-func (cs *cycleState) reset() {
+// deriveStreams gives every router its random stream, a pure function of
+// the seed and the router ID.
+func (cs *cycleState) deriveStreams(seed uint64) {
+	for i := range cs.rng {
+		cs.rng[i] = engine.NewRNGStream(seed, uint64(i))
+	}
+}
+
+// reset empties every queue and pipeline, refills the credits, re-derives
+// the random streams from the seed and returns every router's allocation
+// state to idle; ring and list capacities are kept so a reset network
+// reaches its steady state without re-growing them.
+func (cs *cycleState) reset(seed uint64) {
+	cs.deriveStreams(seed)
 	for i := range cs.routers {
 		rc := &cs.routers[i]
 		rc.idle()
@@ -281,6 +298,7 @@ func (cs *cycleState) reset() {
 		lc := &cs.links[i]
 		lc.data.clear()
 		lc.credit.clear()
+		lc.winFlits = 0
 		lc.dataActive = false
 		lc.creditActive = false
 	}
@@ -294,7 +312,7 @@ func (cs *cycleState) reset() {
 // Before a cycle engine has built the credit counters the network is idle,
 // so every downstream buffer is free.
 func (n *Network) FreeCredits(id NodeID, out int, vc uint8) int32 {
-	l := n.Routers[id].Out[out].Link
+	l := n.OutPorts(&n.Routers[id])[out].Link
 	if l < 0 {
 		return 1 << 30
 	}

@@ -63,11 +63,11 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 		t.Helper()
 		for i := range net.Routers {
 			r := &net.Routers[i]
-			for o := range r.Out {
-				if r.Out[o].Link < 0 {
+			for o := range net.OutPorts(r) {
+				if net.OutPorts(r)[o].Link < 0 {
 					continue
 				}
-				l := &net.Links[r.Out[o].Link]
+				l := &net.Links[net.OutPorts(r)[o].Link]
 				for vc := uint8(0); vc < l.VCs; vc++ {
 					if got := net.FreeCredits(r.ID, o, vc); got != l.BufFlits {
 						t.Fatalf("%s: router %d port %d vc %d has %d free credits, want %d",
@@ -162,32 +162,32 @@ func pointerFree(t reflect.Type) bool {
 }
 
 // TestLeanTopologyLayout pins the flow-mode footprint of the topology
-// structs: every cycle-engine field lives in the cycle records, so these
-// sizes only grow if one creeps back. Link and OutPort must stay
-// pointer-free, which keeps the GC from scanning the link table and the
-// out-port slab, and keeps a route walk off the Link records.
+// structs: every cycle-engine field, the router streams and the window
+// counters included, lives in the cycle records, and ports are windows of
+// network-wide slabs, so these sizes only grow if one creeps back. Link,
+// OutPort and Router must stay pointer-free, which keeps the GC from
+// scanning the router and link tables and the out-port slab, and keeps a
+// route walk off the Link records.
 func TestLeanTopologyLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"Link", unsafe.Sizeof(Link{}), 40},
-		{"InPort", unsafe.Sizeof(InPort{}), 8},
+		{"Link", unsafe.Sizeof(Link{}), 32},
 		{"OutPort", unsafe.Sizeof(OutPort{}), 8},
-		{"Router", unsafe.Sizeof(Router{}), 120},
+		{"Router", unsafe.Sizeof(Router{}), 48},
 	} {
 		if tc.size > tc.max {
 			t.Errorf("%s is %d bytes, want at most %d", tc.name, tc.size, tc.max)
 		}
 	}
-	if !pointerFree(reflect.TypeOf(Link{})) {
-		t.Error("Link holds a pointer")
+	for _, v := range []any{Link{}, OutPort{}, Router{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%s holds a pointer", typ.Name())
+		}
 	}
-	if !pointerFree(reflect.TypeOf(OutPort{})) {
-		t.Error("OutPort holds a pointer")
-	}
-	if pointerFree(reflect.TypeOf(InPort{})) {
-		t.Error("pointerFree misses InPort's link pointer")
+	if pointerFree(reflect.TypeOf(linkCycle{})) {
+		t.Error("pointerFree misses linkCycle's link pointer")
 	}
 }
 

@@ -69,7 +69,7 @@ func checkOutPorts(t *testing.T, net *netsim.Network) {
 	t.Helper()
 	for i := range net.Routers {
 		r := &net.Routers[i]
-		for o, op := range r.Out {
+		for o, op := range net.OutPorts(r) {
 			if eject := o == int(r.EjectOut); eject != (op.Link < 0) {
 				t.Fatalf("router %d port %d: link %d, ejection port %v", i, o, op.Link, eject)
 			}
@@ -87,7 +87,7 @@ func checkOutPorts(t *testing.T, net *netsim.Network) {
 	}
 	for i := range net.Links {
 		l := &net.Links[i]
-		if op := net.Routers[l.Src].Out[l.SrcPort]; op.Link != l.ID {
+		if op := net.OutPorts(&net.Routers[l.Src])[l.SrcPort]; op.Link != l.ID {
 			t.Fatalf("link %d leaves router %d port %d, which names link %d", l.ID, l.Src, l.SrcPort, op.Link)
 		}
 	}
@@ -178,7 +178,7 @@ func checkDirPorts(t *testing.T, net *netsim.Network, dp [][4]int32) {
 			want := int32(-1)
 			if r.Kind == netsim.KindCore {
 				if nb, ok := cores[place{r.WGroup, r.CGroup, r.X + step[0], r.Y + step[1]}]; ok {
-					for o, op := range r.Out {
+					for o, op := range net.OutPorts(r) {
 						if op.Link >= 0 && op.Dst == nb {
 							want = int32(o)
 						}

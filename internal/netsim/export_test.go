@@ -279,3 +279,7 @@ func (n *Network) FlowElemKinds(size int32) (width, delay []int32, class []HopCl
 	}
 	return width, delay, class, nil
 }
+
+// CycleStateBuilt reports whether the cycle engines' state, the router
+// random streams among it, exists.
+func (n *Network) CycleStateBuilt() bool { return n.cyc != nil }

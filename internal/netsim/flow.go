@@ -673,10 +673,11 @@ func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32
 	r := &n.Routers[srcNode]
 	for hop := 0; hop < flowMaxHops; hop++ {
 		out, vc := n.route(n, r, p)
-		if out < 0 || out >= len(r.Out) {
+		ports := n.OutPorts(r)
+		if out < 0 || out >= len(ports) {
 			break
 		}
-		op := r.Out[out]
+		op := ports[out]
 		if op.Link < 0 {
 			// Ejection: the terminal serializes the whole packet at one
 			// flit per cycle, exactly like Router.allocate.
@@ -1232,7 +1233,9 @@ func (fl *flowSolver) keep(rec *stateRecord, refused float64) {
 }
 
 // flowAccum accumulates window statistics across churn segments in float
-// precision; the totals are rounded into the shard counters once.
+// precision; the totals are rounded into the shard counters once. The
+// per-link sums stay here: Network.WindowFlits reads them, rounded, once a
+// solve has published them.
 type flowAccum struct {
 	deliveredFlits float64
 	refusedPkts    float64
@@ -1240,11 +1243,15 @@ type flowAccum struct {
 	hops           [NumHopClasses]float64
 	linkFlits      []float64
 	hist           LatencyHist
+	// published reports that a completed solve published the totals; a
+	// new solve or a Reset withdraws them.
+	published bool
 }
 
 // reset clears the accumulator for a new solve, retaining the per-link
 // buffer.
 func (a *flowAccum) reset(links int) {
+	a.published = false
 	if cap(a.linkFlits) < links {
 		a.linkFlits = make([]float64, links)
 	}
@@ -1398,8 +1405,8 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		}
 	}
 
-	// Publish the synthesized window: counters into shard 0, per-link
-	// flits, and the [0, Measure) bookkeeping Snapshot/LinkUtilization
+	// Publish the synthesized window: counters into shard 0, the per-link
+	// sums, and the [0, Measure) bookkeeping Snapshot/LinkUtilization
 	// expect. The flow model has no in-flight packets, so injected equals
 	// delivered and the drain tail is implicit.
 	deliveredPkts := int64(acc.deliveredFlits/float64(size) + 0.5)
@@ -1414,9 +1421,7 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 		ss.winHops[h] = int64(acc.hops[h] + 0.5)
 	}
 	ss.lat = acc.hist
-	for i := range n.Links {
-		n.Links[i].winFlits = int64(acc.linkFlits[i] + 0.5)
-	}
+	acc.published = true
 	n.measuring = false
 	n.measStart = 0
 	n.measEnd = opts.Measure

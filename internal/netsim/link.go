@@ -118,10 +118,11 @@ func (f *creditFIFO) popReady(now int64) (c timedCredit, ok bool) {
 }
 
 // Link is a unidirectional physical channel between two router ports. It
-// holds only what routing and the flow solver read; the packet and credit
-// pipelines the cycle engines run over it live in its linkCycle record
-// (see Network.ensureCycleState). Link holds no pointers, so the GC never
-// scans the link table.
+// holds only topology, what routing and the flow solver read: the packet
+// and credit pipelines the cycle engines run over it, and its window flit
+// count, live in its linkCycle record (see Network.ensureCycleState), and
+// the flow solver keeps its own per-link sums (see Network.WindowFlits).
+// Link holds no pointers, so the GC never scans the link table.
 type Link struct {
 	ID    int32
 	Src   NodeID // source router
@@ -136,15 +137,7 @@ type Link struct {
 	// SrcPort/DstPort are the port indices on the endpoint routers.
 	SrcPort int16
 	DstPort int16
-
-	// winFlits counts flits launched onto the link during the measurement
-	// window (written only by the source router's shard, or by the flow
-	// solver).
-	winFlits int64
 }
-
-// WindowFlits returns the flits carried during the measurement window.
-func (l *Link) WindowFlits() int64 { return l.winFlits }
 
 // serCycles returns the serialization time of size flits on this link.
 func (l *Link) serCycles(size int32) int64 {

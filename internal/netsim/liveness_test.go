@@ -130,8 +130,8 @@ func TestLivenessInvariantUnderChurn(t *testing.T) {
 							continue
 						}
 						r := net.Router(killed[rng.Intn(len(killed))])
-						if o := rng.Intn(len(r.Out)); r.Out[o].Link >= 0 {
-							ev = append(ev, netsim.LinkFault(0, r.Out[o].Link, true))
+						if o := rng.Intn(len(net.OutPorts(r))); net.OutPorts(r)[o].Link >= 0 {
+							ev = append(ev, netsim.LinkFault(0, net.OutPorts(r)[o].Link, true))
 							if !net.RouterAlive(r.ID) {
 								repairs++
 							}

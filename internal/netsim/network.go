@@ -30,19 +30,26 @@ const DefaultWatchdogCycles = 10000
 // Network is a complete simulated interconnection network.
 //
 // Hot state lives in flat, index-addressed storage: Routers and Links are
-// value slices (one allocation each, walked contiguously by the engines)
-// holding only what routing and the flow solver read; every live packet
-// resides in the network-owned arena and is referenced by PacketRef from VC
-// rings and link pipelines; the queues, credits and pipelines themselves
-// live in per-router and per-link cycle records built when a cycle engine
-// first needs them (cycleState).
+// pointer-free value slices (one allocation each, walked contiguously by
+// the engines) holding only topology, what routing and the flow solver
+// read, and every router's ports are a window of two network-wide slabs;
+// every live packet resides in the network-owned arena and is referenced
+// by PacketRef from VC rings and link pipelines; the queues, credits,
+// pipelines and random streams themselves live in per-router and per-link
+// cycle records built when a cycle engine first needs them (cycleState).
 type Network struct {
 	Routers []Router
 	// Links holds the network's channels contiguously, indexed by link ID:
-	// OutPort.Link is an index into it. The pointers InPort.Link and
-	// linkCycle hold point into it and stay valid because it is never
-	// resized after Finalize.
+	// OutPort.Link and the in-link slab hold indices into it. The pointers
+	// linkCycle and LinkUtil hold point into it and stay valid because it
+	// is never resized after Finalize.
 	Links []Link
+
+	// outPorts and inLinks hold every router's output ports and the link
+	// ID feeding each of its input ports (-1 on the injection pseudo-port),
+	// router after router; see OutPorts and InLinks.
+	outPorts []OutPort
+	inLinks  []int32
 
 	// ChipNodes[c] lists the injection-capable router IDs of chip c, in
 	// deterministic (ascending router ID) order.
@@ -151,6 +158,21 @@ func (n *Network) NumChips() int { return len(n.ChipNodes) }
 // Router returns the router with the given ID.
 func (n *Network) Router(id NodeID) *Router { return &n.Routers[id] }
 
+// OutPorts returns r's output ports, indexed by port number. The slice is
+// a window of the network-wide port slab: reading it allocates nothing.
+func (n *Network) OutPorts(r *Router) []OutPort {
+	lo, hi := r.outOff, r.outOff+int32(r.nOut)
+	return n.outPorts[lo:hi:hi]
+}
+
+// InLinks returns the ID of the link feeding each of r's input ports,
+// indexed by port number, with -1 on the injection pseudo-port. The slice
+// is a window of the network-wide in-link slab.
+func (n *Network) InLinks(r *Router) []int32 {
+	lo, hi := r.inOff, r.inOff+int32(r.nIn)
+	return n.inLinks[lo:hi:hi]
+}
+
 // StartMeasurement opens the measurement window at the current cycle.
 func (n *Network) StartMeasurement() {
 	n.measuring = true
@@ -200,6 +222,7 @@ func (n *Network) generate(shard int, now int64, act *shardActive) {
 	if n.gen == nil {
 		return
 	}
+	rngs := n.cyc.rng
 	if g := n.genBern; g != nil {
 		prob, thresh := g.InjectionRate()
 		if prob <= 0 {
@@ -207,11 +230,11 @@ func (n *Network) generate(shard int, now int64, act *shardActive) {
 		}
 		always := prob >= 1
 		for _, id := range n.cyc.injectors[shard] {
-			r := &n.Routers[id]
-			if !always && !r.RNG.Hit(thresh) {
+			r, rng := &n.Routers[id], &rngs[id]
+			if !always && !rng.Hit(thresh) {
 				continue
 			}
-			if dst := g.Dest(now, r.Chip, int(r.Local), &r.RNG); dst >= 0 {
+			if dst := g.Dest(now, r.Chip, int(r.Local), rng); dst >= 0 {
 				n.admit(shard, r, dst, now, act)
 			}
 		}
@@ -219,7 +242,7 @@ func (n *Network) generate(shard int, now int64, act *shardActive) {
 	}
 	for _, id := range n.cyc.injectors[shard] {
 		r := &n.Routers[id]
-		if dst := n.gen.NextDest(now, r.Chip, int(r.Local), &r.RNG); dst >= 0 {
+		if dst := n.gen.NextDest(now, r.Chip, int(r.Local), &rngs[id]); dst >= 0 {
 			n.admit(shard, r, dst, now, act)
 		}
 	}

@@ -94,7 +94,7 @@ type Packet struct {
 
 	// TraceRNG, when non-nil, replaces the visited routers' RNG streams for
 	// this packet's routing decisions. Cycle engines never set it — their
-	// packets draw from the per-router streams exactly as before. The flow
+	// packets draw from the per-router streams. The flow
 	// engine's phantom route traces set it to a stream derived from the
 	// (source node, destination node) pair, which makes every trace a pure
 	// function of the network state: independent of trace order, safe to run
@@ -104,13 +104,16 @@ type Packet struct {
 }
 
 // RouteRNG returns the stream a RouteFunc must draw from when making a
-// randomized decision for p at router r: the packet's trace stream when
-// set, otherwise the router's own stream.
-func (p *Packet) RouteRNG(r *Router) *engine.RNG {
+// randomized decision for p at router r of net: the packet's trace stream
+// when set, otherwise the router's own stream. The router streams live in
+// the cycle state, which the first Step or SetEngine to a cycle engine
+// builds before any parallel phase; a draw never creates them, so a packet
+// routed outside a cycle engine must carry a trace stream.
+func (p *Packet) RouteRNG(net *Network, r *Router) *engine.RNG {
 	if p.TraceRNG != nil {
 		return p.TraceRNG
 	}
-	return &r.RNG
+	return &net.cyc.rng[r.ID]
 }
 
 // TotalHops returns the number of network hops taken (excluding ejection).

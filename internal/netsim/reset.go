@@ -1,7 +1,5 @@
 package netsim
 
-import "sldf/internal/engine"
-
 // Reset restores the network to its just-finalized state: cycle zero, empty
 // router queues and link pipelines, full credit buffers, per-router RNG
 // streams re-derived from the seed, and all statistics cleared. The
@@ -12,14 +10,11 @@ import "sldf/internal/engine"
 // still in flight are discarded; per-shard free lists are kept so their
 // buffers are recycled.
 func (n *Network) Reset() {
-	for i := range n.Routers {
-		n.Routers[i].RNG = engine.NewRNGStream(n.seed, uint64(i))
-	}
-	for i := range n.Links {
-		n.Links[i].winFlits = 0
-	}
 	if n.cyc != nil {
-		n.cyc.reset()
+		n.cyc.reset(n.seed)
+	}
+	if n.flow != nil {
+		n.flow.accum.published = false
 	}
 	for s := range n.shard {
 		free := n.shard[s].free

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"math/bits"
-
-	"sldf/internal/engine"
-)
+import "math/bits"
 
 // RouterKind tags a router with its architectural role so routing functions
 // can dispatch without topology-specific router types.
@@ -180,18 +176,12 @@ func (v *vcQueue) invalidate() {
 	v.ahead = 0
 }
 
-// InPort is a router input port fed by Link, a pointer into
-// Network.Links. The injection pseudo-port has a nil link. Its VC buffers
-// live in the router's cycle record.
-type InPort struct {
-	Link *Link
-}
-
 // OutPort is a router output port feeding link Link (an index into
 // Network.Links) towards router Dst, that link's destination. It holds no
 // pointer, so a route walk reads the next router from the port itself.
 // The ejection pseudo-port has Link -1 and Dst -1. Its credit counters
-// live in the router's cycle record.
+// live in the router's cycle record. A router's ports are a window of one
+// network-wide slab (see Network.OutPorts).
 type OutPort struct {
 	Link int32
 	Dst  NodeID
@@ -199,9 +189,11 @@ type OutPort struct {
 
 // Router is a VC router: input-queued, credit flow control, output-first
 // round-robin separable allocation, one packet per output per serialization
-// window. The struct holds what routing and the flow solver read; queues,
-// credits and allocation state are the cycle engines' and live in its
-// routerCycle record.
+// window. The struct holds only topology, what routing and the flow solver
+// read, and no pointer: its ports are windows of two network-wide slabs
+// (Network.OutPorts, Network.InLinks), its random stream lives with the
+// cycle state (Packet.RouteRNG), and its queues, credits and allocation
+// state are the cycle engines' and live in its routerCycle record.
 type Router struct {
 	ID   NodeID
 	Kind RouterKind
@@ -228,14 +220,11 @@ type Router struct {
 	InjIn    int16
 	EjectOut int16
 
-	In  []InPort
-	Out []OutPort
-
-	// RNG is the router's random stream for injection and routing choices,
-	// re-derived from the seed by Reset. It stays here rather than in the
-	// cycle record because route functions reach it from the Router alone
-	// (Packet.RouteRNG).
-	RNG engine.RNG
+	// nIn/nOut count the router's input and output ports; inOff/outOff
+	// locate them in the network's in-link and out-port slabs. The Builder
+	// counts ports here and Finalize assigns the offsets.
+	nIn, nOut     int16
+	inOff, outOff int32
 }
 
 // idealState is an ideal switch's per-queue allocation scratch, indexed by

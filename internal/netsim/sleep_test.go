@@ -238,7 +238,7 @@ func TestDeadLinkBlockedRouterWakesOnRevival(t *testing.T) {
 	for _, kind := range cycleEngines {
 		t.Run(kind.String(), func(t *testing.T) {
 			net, r, rc := blockedHub(t, kind, true)
-			link := r.Out[1].Link
+			link := net.OutPorts(r)[1].Link
 			rc.out[1].credits[0] = net.Links[link].BufFlits
 			if err := net.InjectChurn([]TimedFault{LinkFault(net.Cycle, link, false)}); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package netsim
 
-// LinkUtil summarizes one link's load over the measurement window.
+// LinkUtil summarizes one link's load over the measurement window. Link
+// points into Network.Links.
 type LinkUtil struct {
 	Link        *Link
 	Flits       int64
@@ -11,7 +12,8 @@ type LinkUtil struct {
 // loaded links, for bottleneck analysis (e.g. showing the C-group mesh
 // bisection saturating in Fig. 12 while global channels idle). Dead
 // links carry no flits and contribute no capacity: class utilization is
-// relative to the surviving links of the class.
+// relative to the surviving links of the class. Each link's load is read
+// through WindowFlits, from whichever engine ran the window.
 //
 // The top-k list is kept by a single running-selection pass over the flat
 // link slice and returned in network-owned scratch, so a measurement loop
@@ -47,11 +49,12 @@ func (n *Network) LinkUtilization(k int) (byClass [NumHopClasses]float64, hottes
 			continue
 		}
 		capacity := float64(l.Width) * float64(window)
-		u := LinkUtil{Link: l, Flits: l.winFlits}
+		flits := n.WindowFlits(l.ID)
+		u := LinkUtil{Link: l, Flits: flits}
 		if capacity > 0 {
-			u.Utilization = float64(l.winFlits) / capacity
+			u.Utilization = float64(flits) / capacity
 		}
-		classFlits[l.Class] += float64(l.winFlits)
+		classFlits[l.Class] += float64(flits)
 		classCap[l.Class] += capacity
 		if len(top) < k {
 			top = append(top, u)
@@ -71,4 +74,21 @@ func (n *Network) LinkUtilization(k int) (byClass [NumHopClasses]float64, hottes
 	}
 	n.utilScratch = top
 	return byClass, top
+}
+
+// WindowFlits returns the flits link id carried during the measurement
+// window. The cycle engines count them in the link's cycle record; the flow
+// engine reads its last solve's per-link sum, rounded to whole flits. A
+// network no engine has run, or one just Reset, reads zero.
+func (n *Network) WindowFlits(id int32) int64 {
+	switch {
+	case n.engineKind == EngineFlow:
+		if n.flow == nil || !n.flow.accum.published {
+			return 0
+		}
+		return int64(n.flow.accum.linkFlits[id] + 0.5)
+	case n.cyc != nil:
+		return n.cyc.links[id].winFlits
+	}
+	return 0
 }

@@ -41,7 +41,7 @@ func (sr *SLDFRouter) Install(net *netsim.Network) {
 			for c := 0; c < sr.s.Params.AB; c++ {
 				for j := 0; j < h; j++ {
 					pi := &sr.s.CGroups[w][c].GlobalPorts[j]
-					l := n.Router(pi.Node).Out[pi.PortExt].Link
+					l := n.OutPorts(n.Router(pi.Node))[pi.PortExt].Link
 					if l < 0 {
 						continue
 					}

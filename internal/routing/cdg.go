@@ -101,14 +101,15 @@ func TracePath(net *netsim.Network, route netsim.RouteFunc, p *netsim.Packet, ma
 	var hops [][2]int64
 	for i := 0; i < maxHops; i++ {
 		out, vc := route(net, r, p)
-		if out == int(r.EjectOut) && r.Out[out].Link < 0 {
+		ports := net.OutPorts(r)
+		if out == int(r.EjectOut) && ports[out].Link < 0 {
 			if r.ID != p.DstNode {
 				return nil, fmt.Errorf("routing: packet (%d→%d) ejected at router %d",
 					p.SrcNode, p.DstNode, r.ID)
 			}
 			return hops, nil
 		}
-		op := r.Out[out]
+		op := ports[out]
 		if op.Link < 0 {
 			return nil, fmt.Errorf("routing: packet (%d→%d) sent to nil link at router %d",
 				p.SrcNode, p.DstNode, r.ID)

@@ -47,7 +47,7 @@ func DragonflyRoute(df *topology.Dragonfly, mode Mode) (netsim.RouteFunc, error)
 			}
 			// Valiant: pick the intermediate group once, at the source NIC.
 			if mode == Valiant && p.Aux < 0 && int(r.WGroup) != wd && g > 2 {
-				rng := p.RouteRNG(r)
+				rng := p.RouteRNG(net, r)
 				for {
 					aux := int32(rng.Intn(g))
 					if aux != r.WGroup && aux != int32(wd) {
@@ -57,7 +57,7 @@ func DragonflyRoute(df *topology.Dragonfly, mode Mode) (netsim.RouteFunc, error)
 				}
 			}
 			up := df.NICUplink(p.SrcChip)
-			down := net.Router(r.Out[up].Dst)
+			down := net.Router(net.OutPorts(r)[up].Dst)
 			return up, vcFor(net, p, down)
 		}
 
@@ -83,7 +83,7 @@ func DragonflyRoute(df *topology.Dragonfly, mode Mode) (netsim.RouteFunc, error)
 				out = df.LocalPort(w, s, so)
 			}
 		}
-		down := net.Router(r.Out[out].Dst)
+		down := net.Router(net.OutPorts(r)[out].Dst)
 		return out, vcFor(net, p, down)
 	}, nil
 }

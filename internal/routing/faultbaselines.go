@@ -90,8 +90,8 @@ func NewFaultSwitchRoute(s *topology.SingleSwitch) (netsim.RouteFunc, error) {
 			continue // the chip dropped out of the workload entirely
 		}
 		// A dead NIC takes its uplink down with it.
-		up := s.Net.Router(nic).Out[s.UplinkPort[c]].Link
-		down := s.Net.Router(s.Switch).Out[s.DownPort[c]].Link
+		up := s.Net.OutPorts(s.Net.Router(nic))[s.UplinkPort[c]].Link
+		down := s.Net.OutPorts(s.Net.Router(s.Switch))[s.DownPort[c]].Link
 		if !s.Net.LinkAlive(up) || !s.Net.LinkAlive(down) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", c)}
 		}
@@ -158,8 +158,8 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 		}
 		// A dead NIC takes its uplink down with it.
 		w, s, t := df.Params.ChipLocation(int32(chip))
-		up := df.Net.Router(nic).Out[df.NICUplink(int32(chip))].Link
-		down := df.Net.Router(df.Switches[w][s]).Out[df.TermPort(w, s, t)].Link
+		up := df.Net.OutPorts(df.Net.Router(nic))[df.NICUplink(int32(chip))].Link
+		down := df.Net.OutPorts(df.Net.Router(df.Switches[w][s]))[df.TermPort(w, s, t)].Link
 		if !df.Net.LinkAlive(up) || !df.Net.LinkAlive(down) {
 			return nil, &PartitionError{Where: fmt.Sprintf("chip %d terminal", chip)}
 		}
@@ -176,7 +176,7 @@ func NewFaultDragonflyRoute(df *topology.Dragonfly, mode Mode) (*FaultDragonflyR
 		for s := int32(0); s < a; s++ {
 			u := w*a + s
 			r := df.Net.Router(df.Switches[w][s])
-			for o, op := range r.Out {
+			for o, op := range df.Net.OutPorts(r) {
 				if op.Link < 0 || !df.Net.LinkAlive(op.Link) {
 					continue
 				}

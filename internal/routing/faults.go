@@ -158,8 +158,8 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 	// port is treated as dead, taking its external channel with it.
 	usable := make([]bool, len(s.Net.Routers))
 	portUsable := func(p *topology.PortInfo) bool {
-		up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
-		down := s.Net.Router(p.Node).Out[p.PortToCore].Link
+		up := s.Net.OutPorts(s.Net.Router(p.AttachCore))[p.CoreToPort].Link
+		down := s.Net.OutPorts(s.Net.Router(p.Node))[p.PortToCore].Link
 		return s.Net.LinkAlive(up) && s.Net.LinkAlive(down)
 	}
 	// active[cg] marks C-groups with at least one alive core (every core
@@ -204,7 +204,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 		if !usable[p.Node] {
 			return
 		}
-		op := s.Net.Router(p.Node).Out[p.PortExt]
+		op := s.Net.OutPorts(s.Net.Router(p.Node))[p.PortExt]
 		if op.Link < 0 || !s.Net.LinkAlive(op.Link) || !usable[op.Dst] {
 			return
 		}
@@ -485,7 +485,7 @@ func (fr *FaultSLDFRouter) Func() netsim.RouteFunc {
 			p.Aux = -1
 			if fr.mode == Valiant && fr.groups > 2 {
 				if d := net.Router(p.DstNode); d.WGroup != r.WGroup {
-					p.Aux = fr.pickValiant(p.RouteRNG(r), r.WGroup*fr.ab+r.CGroup, r.WGroup, d.WGroup)
+					p.Aux = fr.pickValiant(p.RouteRNG(net, r), r.WGroup*fr.ab+r.CGroup, r.WGroup, d.WGroup)
 				}
 			}
 		}

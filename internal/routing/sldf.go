@@ -144,7 +144,7 @@ func (sr *SLDFRouter) routeAtPort(net *netsim.Network, r *netsim.Router, p *nets
 	if exit != nil && exit.Node == r.ID {
 		// This port owns the packet's outgoing channel: go external. The
 		// packet is buffered next at the remote port node.
-		remote := net.Router(r.Out[portOutExternal].Dst)
+		remote := net.Router(net.OutPorts(r)[portOutExternal].Dst)
 		return portOutExternal, sr.vcAt(net, p, remote)
 	}
 	// The packet entered the C-group here: descend to the attach core.
@@ -159,9 +159,9 @@ func (sr *SLDFRouter) routeAtCore(net *netsim.Network, r *netsim.Router, p *nets
 		d := net.Router(p.DstNode)
 		if d.WGroup != r.WGroup {
 			if sr.mode == Adaptive {
-				p.Aux = sr.chooseAdaptive(p.RouteRNG(r), r.WGroup, d.WGroup)
+				p.Aux = sr.chooseAdaptive(p.RouteRNG(net, r), r.WGroup, d.WGroup)
 			} else {
-				p.Aux = sr.pickIntermediate(p.RouteRNG(r), r.WGroup, d.WGroup)
+				p.Aux = sr.pickIntermediate(p.RouteRNG(net, r), r.WGroup, d.WGroup)
 			}
 			p.Aux2 = 1 // decision made (possibly "no valid intermediate")
 		}

@@ -60,7 +60,7 @@ func buildRegion(net *netsim.Network, ids []netsim.NodeID, local []int32) (*regi
 	}
 	for u := int32(0); u < n; u++ {
 		r := net.Router(ids[u])
-		for o, op := range r.Out {
+		for o, op := range net.OutPorts(r) {
 			if op.Link < 0 || !net.LinkAlive(op.Link) || !inRegion(op.Dst) {
 				continue
 			}

@@ -223,7 +223,7 @@ func componentClosure(net *netsim.Network, candidates []netsim.NodeID, deadR map
 		if deadR[id] {
 			continue
 		}
-		for _, op := range net.Router(id).Out {
+		for _, op := range net.OutPorts(net.Router(id)) {
 			if op.Link < 0 || !net.LinkAlive(op.Link) || deadL[op.Link] || deadR[op.Dst] {
 				continue
 			}
@@ -317,8 +317,8 @@ func (s *SLDF) FaultClosure(routers []netsim.NodeID, links []int32) []netsim.Nod
 				if !alive(p.Node) || !alive(p.AttachCore) {
 					return
 				}
-				up := s.Net.Router(p.AttachCore).Out[p.CoreToPort].Link
-				down := s.Net.Router(p.Node).Out[p.PortToCore].Link
+				up := s.Net.OutPorts(s.Net.Router(p.AttachCore))[p.CoreToPort].Link
+				down := s.Net.OutPorts(s.Net.Router(p.Node))[p.PortToCore].Link
 				if !s.Net.LinkAlive(up) || deadL[up] || !s.Net.LinkAlive(down) || deadL[down] {
 					return
 				}

@@ -174,7 +174,7 @@ func buildDirPorts(net *netsim.Network) [][4]int32 {
 		if r.Kind != netsim.KindCore {
 			continue
 		}
-		for o, op := range r.Out {
+		for o, op := range net.OutPorts(r) {
 			if op.Link < 0 {
 				continue
 			}

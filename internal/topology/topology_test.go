@@ -23,8 +23,8 @@ func TestSingleSwitchStructure(t *testing.T) {
 		t.Fatalf("chips = %d, want 4", s.Net.NumChips())
 	}
 	sw := s.Net.Router(s.Switch)
-	if len(sw.In) != 4 || len(sw.Out) != 4 {
-		t.Fatalf("switch ports in=%d out=%d, want 4/4", len(sw.In), len(sw.Out))
+	if in, out := len(s.Net.InLinks(sw)), len(s.Net.OutPorts(sw)); in != 4 || out != 4 {
+		t.Fatalf("switch ports in=%d out=%d, want 4/4", in, out)
 	}
 	for c, nic := range s.NICs {
 		r := s.Net.Router(nic)
@@ -69,8 +69,8 @@ func TestMeshCGroupStructure(t *testing.T) {
 	for i := range g.Net.Routers {
 		r := &g.Net.Routers[i]
 		links := 0
-		for o := range r.Out {
-			if r.Out[o].Link >= 0 {
+		for _, op := range g.Net.OutPorts(r) {
+			if op.Link >= 0 {
 				links++
 			}
 		}
@@ -161,8 +161,8 @@ func TestDragonflyStructureRadix16(t *testing.T) {
 		for s := 0; s < 8; s++ {
 			r := df.Net.Router(df.Switches[w][s])
 			links := 0
-			for o := range r.Out {
-				if r.Out[o].Link >= 0 {
+			for _, op := range df.Net.OutPorts(r) {
+				if op.Link >= 0 {
 					links++
 				}
 			}
@@ -223,7 +223,7 @@ func TestDragonflyGlobalOwnerConsistent(t *testing.T) {
 			// The switch's k-th global port must lead to a switch in wd.
 			sw := df.Net.Router(df.Switches[w][s])
 			out := df.globalPort[w][s][k]
-			op := sw.Out[out]
+			op := df.Net.OutPorts(sw)[out]
 			if op.Link < 0 {
 				t.Fatalf("no link at global port (%d,%d,%d)", w, s, k)
 			}
@@ -292,8 +292,8 @@ func TestSLDFStructureSmall(t *testing.T) {
 			}
 			if r.Kind == netsim.KindPort {
 				// Exactly 2 links: attach + external.
-				if len(r.Out) != 2 || len(r.In) != 2 {
-					t.Fatalf("port node %d has %d/%d ports, want 2/2", i, len(r.In), len(r.Out))
+				if in, out := len(s.Net.InLinks(r)), len(s.Net.OutPorts(r)); out != 2 || in != 2 {
+					t.Fatalf("port node %d has %d/%d ports, want 2/2", i, in, out)
 				}
 			}
 		}
@@ -320,7 +320,7 @@ func TestSLDFLocalWiring(t *testing.T) {
 					t.Fatalf("local port (%d,%d→%d) not wired", w, c1, c2)
 				}
 				r := s.Net.Router(pi.Node)
-				l := &s.Net.Links[r.Out[pi.PortExt].Link]
+				l := &s.Net.Links[s.Net.OutPorts(r)[pi.PortExt].Link]
 				peer := s.Net.Router(l.Dst)
 				if peer.WGroup != int32(w) || peer.CGroup != int32(c2) {
 					t.Fatalf("local port (%d,%d→%d) reaches (%d,%d)",
@@ -354,7 +354,7 @@ func TestSLDFGlobalWiring(t *testing.T) {
 				t.Fatalf("global port (%d,%d,%d) not wired", w, c, j)
 			}
 			r := s.Net.Router(pi.Node)
-			peer := s.Net.Router(r.Out[pi.PortExt].Dst)
+			peer := s.Net.Router(s.Net.OutPorts(r)[pi.PortExt].Dst)
 			if peer.WGroup != int32(wd) {
 				t.Fatalf("channel %d→%d lands in W-group %d", w, wd, peer.WGroup)
 			}

@@ -107,7 +107,7 @@ func TestRectangularCGroup(t *testing.T) {
 	deg := func(id netsim.NodeID) int {
 		r := s.Net.Router(id)
 		n := 0
-		for _, op := range r.Out {
+		for _, op := range s.Net.OutPorts(r) {
 			if op.Link >= 0 && s.Net.Router(op.Dst).Kind == netsim.KindCore {
 				n++
 			}
@@ -142,7 +142,7 @@ func TestWGroupLocalDiameter(t *testing.T) {
 					continue
 				}
 				pi := s.CGroups[w][c1].LocalPorts[c2]
-				peer := s.Net.Router(s.Net.Router(pi.Node).Out[pi.PortExt].Dst)
+				peer := s.Net.Router(s.Net.OutPorts(s.Net.Router(pi.Node))[pi.PortExt].Dst)
 				reach[peer.CGroup] = true
 			}
 			if len(reach) != p.AB-1 {
