@@ -467,8 +467,9 @@ func benchStep(b *testing.B, cfg core.Config, kind netsim.EngineKind, rate float
 	defer sys.Close()
 	sys.Net.SetEngine(kind)
 	pat, _ := sys.PatternFor("uniform")
-	gen := traffic.NewRate(pat, rate, 4, sys.NodesPerChip)
-	sys.Net.SetTraffic(gen, 4, netsim.DstSameIndex)
+	var gen traffic.Rate
+	gen.Init(pat, rate, 4, sys.NodesPerChip)
+	sys.Net.SetTraffic(&gen, 4, netsim.DstSameIndex)
 	for i := 0; i < 2000; i++ { // reach steady state before timing
 		sys.Net.Step()
 	}
@@ -518,8 +519,9 @@ func BenchmarkKernelCycle(b *testing.B) {
 	}
 	defer sys.Close()
 	pat, _ := sys.PatternFor("uniform")
-	gen := traffic.NewRate(pat, 0.8, 4, sys.NodesPerChip)
-	sys.Net.SetTraffic(gen, 4, netsim.DstSameIndex)
+	var gen traffic.Rate
+	gen.Init(pat, 0.8, 4, sys.NodesPerChip)
+	sys.Net.SetTraffic(&gen, 4, netsim.DstSameIndex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Net.Step()

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,12 +60,12 @@ func run(args []string, w, errw io.Writer) error {
 			*fig, strings.Join(core.ExperimentNames(), ", "))
 	}
 
+	if *quick && *full {
+		return errors.New("-quick and -full ask for different scales: pass one")
+	}
 	scale := core.ScaleQuick
 	if *full || (!*quick && *fig != "all") {
 		scale = core.ScalePaper
-	}
-	if *quick {
-		scale = core.ScaleQuick
 	}
 	timeline, err := churn.Resolve()
 	if err != nil {

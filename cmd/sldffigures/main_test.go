@@ -57,6 +57,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-churn", "links=2.0"},   // fraction outside [0, 1]
 		{"-churn", "bogus"},       // not key=value
 		{"-engine", "warp-drive"}, // unknown engine
+		{"-quick", "-full"},       // two scales at once
 	}
 	for _, args := range cases {
 		var buf strings.Builder

@@ -67,6 +67,15 @@ func run(args []string, w, errw io.Writer) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive worker count", *workers)
 	}
+	if *maxSteps < 0 {
+		return fmt.Errorf("-max-steps %d: want 0 (unlimited) or a positive step count", *maxSteps)
+	}
+	if *maxStepWall < 0 {
+		return fmt.Errorf("-max-step-wall %v: want 0 (unlimited) or a positive duration", *maxStepWall)
+	}
+	if !(*maxRSSGB >= 0 && *maxRSSGB < 1<<34) {
+		return fmt.Errorf("-max-rss-gb %g: want 0 (unlimited) or a positive GiB count below 2^34", *maxRSSGB)
+	}
 	eng, err := engine.Resolve()
 	if err != nil {
 		return err

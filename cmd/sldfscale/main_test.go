@@ -29,6 +29,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-dim", "faults", "-engine", "flow"}, "-engine applies to -dim chips only"},
 		{[]string{"-no-such-flag"}, "usage error"},
 		{[]string{"-kind", "switch", "-workers", "-3", "-max-steps", "1", "-q"}, "-workers -3"},
+		{[]string{"-kind", "switch", "-max-steps", "-3", "-q"}, "-max-steps -3"},
+		{[]string{"-kind", "switch", "-max-steps", "2", "-max-step-wall", "-1s", "-q"}, "-max-step-wall -1s"},
+		{[]string{"-kind", "switch", "-max-steps", "2", "-max-rss-gb", "-1", "-q"}, "-max-rss-gb -1"},
+		{[]string{"-kind", "switch", "-max-steps", "2", "-max-rss-gb", "NaN", "-q"}, "-max-rss-gb NaN"},
 	}
 	for _, tc := range cases {
 		var out strings.Builder

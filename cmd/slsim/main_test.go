@@ -31,6 +31,11 @@ func TestRunMatchesGolden(t *testing.T) {
 		{"2d-mesh", []string{"-system", "2d-mesh"}},
 		{"sw-less-churn", []string{"-system", "sw-less", "-groups", "1",
 			"-churn", "links=0.02,seed=7,start=60,end=140,repair=30,policy=retry"}},
+		// Rings: the snake order on the mesh, the chip ID order on a
+		// switch-less W-group.
+		{"2d-mesh-ring-bidir", []string{"-system", "2d-mesh", "-pattern", "ring-bidir"}},
+		{"sw-less-ring-bidir", []string{"-system", "sw-less", "-groups", "1", "-pattern", "ring-bidir"}},
+		{"sw-less-ring", []string{"-system", "sw-less", "-groups", "1", "-pattern", "ring"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
 		if err != nil {

@@ -55,8 +55,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		order := make([]int32, sys.Chips)
+		for i := range order {
+			order[i] = int32(i)
+		}
 		step := collective.Schedule{Name: "ring-step", Steps: []collective.Step{
-			{Pattern: traffic.Ring{N: int32(sys.Chips)}, Flits: volume},
+			{Pattern: traffic.NewRing(order, false), Flits: volume},
 		}}
 		// RunSteps drains to the exact completion cycle — no batch-size
 		// quantization in the reported makespan.

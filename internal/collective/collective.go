@@ -74,7 +74,7 @@ func ringPasses(name string, order []int32, volume int64, passes int) Schedule {
 		return Schedule{Name: name}
 	}
 	chunk := (volume + int64(n) - 1) / int64(n)
-	ring := traffic.NewRingOrder(order, false)
+	ring := traffic.NewRing(order, false)
 	steps := make([]Step, passes*(n-1))
 	for i := range steps {
 		steps[i] = Step{Pattern: ring, Flits: chunk, Participants: order}
@@ -95,35 +95,17 @@ func AllToAll(order []int32, volume int64) Schedule {
 	chunk := (volume + int64(n) - 1) / int64(n)
 	steps := make([]Step, 0, n-1)
 	for k := 1; k < n; k++ {
-		perm := identityMap(order)
+		perm := traffic.IdentityMap(order)
 		for i, c := range order {
 			perm[c] = order[(i+k)%n]
 		}
 		steps = append(steps, Step{
-			Pattern:      traffic.Permutation{Map: perm, Desc: fmt.Sprintf("a2a-shift-%d", k)},
+			Pattern:      traffic.Permutation{Next: perm},
 			Flits:        chunk,
 			Participants: order,
 		})
 	}
 	return Schedule{Name: "all-to-all", Steps: steps}
-}
-
-// identityMap returns a self-mapped permutation table covering every chip
-// that appears in order (self-maps read as silence under
-// traffic.Permutation), so schedule permutations stay silent for
-// non-participants.
-func identityMap(order []int32) []int32 {
-	max := int32(0)
-	for _, c := range order {
-		if c > max {
-			max = c
-		}
-	}
-	m := make([]int32, max+1)
-	for i := range m {
-		m[i] = int32(i)
-	}
-	return m
 }
 
 // HierarchicalAllReduce returns the two-level schedule over equally sized
@@ -157,7 +139,7 @@ func HierarchicalAllReduce(groups [][]int32, volume int64) Schedule {
 	// Intra-group ring: reduce-scatter down to 1/m shards. All groups run
 	// their (disjoint) rings inside the same dependent steps.
 	intraChunk := (volume + int64(m) - 1) / int64(m)
-	intra := identityMap(all)
+	intra := traffic.IdentityMap(all)
 	for _, grp := range groups {
 		for i, c := range grp {
 			intra[c] = grp[(i+1)%m]
@@ -166,7 +148,7 @@ func HierarchicalAllReduce(groups [][]int32, volume int64) Schedule {
 	if m > 1 {
 		for k := 0; k < m-1; k++ {
 			steps = append(steps, Step{
-				Pattern:      traffic.Permutation{Map: intra, Desc: "hier-intra-ring"},
+				Pattern:      traffic.Permutation{Next: intra},
 				Flits:        intraChunk,
 				Participants: all,
 			})
@@ -178,7 +160,7 @@ func HierarchicalAllReduce(groups [][]int32, volume int64) Schedule {
 	// each step.
 	if g > 1 {
 		interChunk := (volume + int64(m)*int64(g) - 1) / (int64(m) * int64(g))
-		inter := identityMap(all)
+		inter := traffic.IdentityMap(all)
 		for gi, grp := range groups {
 			next := groups[(gi+1)%g]
 			for i, c := range grp {
@@ -187,7 +169,7 @@ func HierarchicalAllReduce(groups [][]int32, volume int64) Schedule {
 		}
 		for k := 0; k < 2*(g-1); k++ {
 			steps = append(steps, Step{
-				Pattern:      traffic.Permutation{Map: inter, Desc: "hier-inter-ring"},
+				Pattern:      traffic.Permutation{Next: inter},
 				Flits:        interChunk,
 				Participants: all,
 			})
@@ -198,7 +180,7 @@ func HierarchicalAllReduce(groups [][]int32, volume int64) Schedule {
 	if m > 1 {
 		for k := 0; k < m-1; k++ {
 			steps = append(steps, Step{
-				Pattern:      traffic.Permutation{Map: intra, Desc: "hier-intra-ring"},
+				Pattern:      traffic.Permutation{Next: intra},
 				Flits:        intraChunk,
 				Participants: all,
 			})
@@ -215,13 +197,10 @@ func BidirRingAllReduce(order []int32, volume int64) Schedule {
 		return Schedule{Name: "bidir-ring-allreduce"}
 	}
 	chunk := (volume/2 + n - 1) / n
-	steps := make([]Step, 0, n-1)
-	for i := int64(0); i < n-1; i++ {
-		steps = append(steps, Step{
-			Pattern:      traffic.NewRingOrder(order, true),
-			Flits:        2 * chunk, // both directions together
-			Participants: order,
-		})
+	ring := traffic.NewRing(order, true)
+	steps := make([]Step, n-1)
+	for i := range steps {
+		steps[i] = Step{Pattern: ring, Flits: 2 * chunk, Participants: order} // both directions together
 	}
 	return Schedule{Name: "bidir-ring-allreduce", Steps: steps}
 }
@@ -252,7 +231,7 @@ func TwoDAllReduceOrder(order []int32, rows, cols int, volume int64) Schedule {
 	// Step covers all rows because the patterns are disjoint.
 	if cols > 1 {
 		rowChunk := (volume + int64(cols) - 1) / int64(cols)
-		perm := identityMap(order)
+		perm := traffic.IdentityMap(order)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				perm[order[r*cols+c]] = order[r*cols+(c+1)%cols]
@@ -260,7 +239,7 @@ func TwoDAllReduceOrder(order []int32, rows, cols int, volume int64) Schedule {
 		}
 		for i := 0; i < 2*(cols-1); i++ {
 			steps = append(steps, Step{
-				Pattern:      traffic.Permutation{Map: perm, Desc: "row-ring"},
+				Pattern:      traffic.Permutation{Next: perm},
 				Flits:        rowChunk,
 				Participants: order,
 			})
@@ -270,7 +249,7 @@ func TwoDAllReduceOrder(order []int32, rows, cols int, volume int64) Schedule {
 	// the columns.
 	if rows > 1 {
 		colChunk := (volume + n - 1) / n
-		perm := identityMap(order)
+		perm := traffic.IdentityMap(order)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				perm[order[r*cols+c]] = order[((r+1)%rows)*cols+c]
@@ -278,7 +257,7 @@ func TwoDAllReduceOrder(order []int32, rows, cols int, volume int64) Schedule {
 		}
 		for i := 0; i < 2*(rows-1); i++ {
 			steps = append(steps, Step{
-				Pattern:      traffic.Permutation{Map: perm, Desc: "col-ring"},
+				Pattern:      traffic.Permutation{Next: perm},
 				Flits:        colChunk,
 				Participants: order,
 			})

@@ -360,7 +360,7 @@ func TestRunStepsNilParticipants(t *testing.T) {
 			defer g.Net.Close()
 			g.Net.SetEngine(eng)
 			s := Schedule{Name: "ring-step", Steps: []Step{
-				{Pattern: traffic.Ring{N: 4}, Flits: 256, Participants: participants},
+				{Pattern: traffic.NewRing([]int32{0, 1, 2, 3}, false), Flits: 256, Participants: participants},
 			}}
 			res, err := RunSteps(g.Net, s, 4, 1<<14, 0, 1)
 			if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"sldf/internal/engine"
@@ -140,9 +139,9 @@ func TestRingPatternSnakeOnMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	pat := sys.ringPattern(false)
-	if !strings.Contains(pat.Name(), "ring") {
-		t.Fatalf("pattern name %q", pat.Name())
+	pat, err := sys.PatternFor("ring")
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Walk the ring from chip 0: it must visit all 9 chips and return.
 	rng := engine.NewRNGStream(sys.Cfg.Seed, 0) // router 0's stream

@@ -261,22 +261,13 @@ func (s *System) PatternFor(name string) (traffic.Pattern, error) {
 		// ChipsPerGroup chip IDs) — Fig. 12(a)'s local-performance workload,
 		// named so the spec stays pure data.
 		return traffic.Uniform{N: int32(s.ChipsPerGroup)}, nil
-	case "ring":
-		return s.ringPattern(false), nil
-	case "ring-bidir":
-		return s.ringPattern(true), nil
+	case "ring", "ring-bidir":
+		// A ring over the chips in their collective order: on a mesh
+		// C-group the snake, so consecutive chips are physically adjacent,
+		// as a real collective library would schedule it; on other systems
+		// the chip ID order already walks C-groups consecutively.
+		return traffic.NewRing(s.collectiveOrder(), name == "ring-bidir"), nil
 	default:
 		return traffic.ByName(name, int32(s.Chips))
 	}
-}
-
-// ringPattern embeds a ring over the system's chips in their collective
-// order: on a mesh C-group the snake, so consecutive chips are physically
-// adjacent, as a real collective library would schedule it; on other
-// systems the chip ID order already walks C-groups consecutively.
-func (s *System) ringPattern(bidir bool) traffic.Pattern {
-	if kinds[s.Cfg.Kind].order != nil {
-		return traffic.NewRingOrder(s.collectiveOrder(), bidir)
-	}
-	return traffic.Ring{N: int32(s.Chips), Bidirectional: bidir}
 }

@@ -56,8 +56,9 @@ func adaptiveThroughput(t *testing.T, mode Mode, patName string, rate float64) f
 	case "worst-case":
 		pat = traffic.WorstCase{ChipsPerGroup: chipsPerGroup, Groups: int32(sys.Params.Groups())}
 	}
-	gen := traffic.NewRate(pat, rate, 4, len(sys.Net.ChipNodes[0]))
-	sys.Net.SetTraffic(gen, 4, netsim.DstSameIndex)
+	var gen traffic.Rate
+	gen.Init(pat, rate, 4, len(sys.Net.ChipNodes[0]))
+	sys.Net.SetTraffic(&gen, 4, netsim.DstSameIndex)
 	if err := sys.Net.Run(400); err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,7 @@ import (
 func TestRingOrderWalk(t *testing.T) {
 	r := rng()
 	order := []int32{5, 2, 8, 1}
-	ring := NewRingOrder(order, false)
-	if ring.Name() != "ring-ordered" {
-		t.Fatalf("name %q", ring.Name())
-	}
+	ring := NewRing(order, false)
 	if d := ring.Dest(5, r); d != 2 {
 		t.Fatalf("dest(5) = %d", d)
 	}
@@ -24,10 +21,7 @@ func TestRingOrderWalk(t *testing.T) {
 
 func TestRingOrderBidirectional(t *testing.T) {
 	r := rng()
-	ring := NewRingOrder([]int32{0, 1, 2, 3}, true)
-	if ring.Name() != "ring-ordered-bidir" {
-		t.Fatalf("name %q", ring.Name())
-	}
+	ring := NewRing([]int32{0, 1, 2, 3}, true)
 	succ, pred := 0, 0
 	for i := 0; i < 1000; i++ {
 		switch ring.Dest(1, r) {
@@ -46,10 +40,10 @@ func TestRingOrderBidirectional(t *testing.T) {
 
 func TestRingOrderDegenerate(t *testing.T) {
 	r := rng()
-	if d := NewRingOrder([]int32{7}, false).Dest(7, r); d != -1 {
+	if d := NewRing([]int32{7}, false).Dest(7, r); d != -1 {
 		t.Fatalf("singleton ring produced %d", d)
 	}
-	if d := NewRingOrder(nil, false).Dest(0, r); d != -1 {
+	if d := NewRing(nil, false).Dest(0, r); d != -1 {
 		t.Fatalf("empty ring produced %d", d)
 	}
 }
@@ -87,7 +81,8 @@ func TestHotspotSelfGroupTraffic(t *testing.T) {
 }
 
 func TestRateZero(t *testing.T) {
-	g := NewRate(Uniform{N: 8}, 0, 4, 4)
+	var g Rate
+	g.Init(Uniform{N: 8}, 0, 4, 4)
 	r := rng()
 	for i := 0; i < 1000; i++ {
 		if g.NextDest(int64(i), 0, 0, r) != -1 {
@@ -97,7 +92,7 @@ func TestRateZero(t *testing.T) {
 }
 
 func TestVolumePartialProgress(t *testing.T) {
-	v := NewVolume(Ring{N: 2}, 32, 4, 2, 1) // 8 packets per node
+	v := NewVolumePerChip(NewRing(seq(2), false), 32, 4, []int{1, 1}, nil) // 8 packets per node
 	r := rng()
 	for i := 0; i < 3; i++ {
 		v.NextDest(int64(i), 0, 0, r)
@@ -120,24 +115,6 @@ func TestLog2Floor(t *testing.T) {
 	for n, want := range cases {
 		if got := log2floor(n); got != want {
 			t.Fatalf("log2floor(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestPatternNames(t *testing.T) {
-	r := int32(64)
-	names := map[string]Pattern{
-		"uniform":       Uniform{N: r},
-		"bit-reverse":   BitReverse(r),
-		"bit-shuffle":   BitShuffle(r),
-		"bit-transpose": BitTranspose(r),
-		"hotspot":       Hotspot{ChipsPerGroup: 8, HotGroups: []int32{0}},
-		"worst-case":    WorstCase{ChipsPerGroup: 8, Groups: 8},
-		"ring":          Ring{N: r},
-	}
-	for want, p := range names {
-		if p.Name() != want {
-			t.Fatalf("pattern name %q, want %q", p.Name(), want)
 		}
 	}
 }

@@ -1,12 +1,16 @@
 // Package traffic implements the workloads of the paper's evaluation
 // (Sec. V-A3): unicast permutation patterns (uniform, bit-reverse,
 // bit-shuffle, bit-transpose), adversarial patterns (hotspot, worst-case),
-// and collective patterns (unidirectional/bidirectional ring AllReduce).
+// and collective patterns (unidirectional/bidirectional ring AllReduce and
+// the per-step permutations of the collective schedules).
 //
 // Patterns are defined at chip granularity: Dest maps a source chip to a
-// destination chip (or -1 for silence). The Rate generator turns a pattern
-// into a Bernoulli open-loop injection process at a configured rate in
-// flits/cycle/chip, matching how the paper sweeps injection rates.
+// destination chip (or -1 for silence). Every pattern whose support is
+// finite — a ring, a bidirectional ring, a schedule step — is one
+// table-driven Permutation; the others draw their destinations. The Rate
+// generator turns a pattern into a Bernoulli open-loop injection process at
+// a configured rate in flits/cycle/chip, matching how the paper sweeps
+// injection rates.
 package traffic
 
 import (
@@ -17,43 +21,33 @@ import (
 	"sldf/internal/netsim"
 )
 
-// Pattern maps a source chip to a destination chip. Implementations must be
-// safe for concurrent calls with distinct rng streams.
+// Pattern maps a source chip to a destination chip, or to -1 when src does
+// not transmit. Dest may draw from rng; implementations must be safe for
+// concurrent calls with distinct rng streams.
 type Pattern interface {
-	// Dest returns the destination chip for one packet from src, or -1 if
-	// src does not transmit under this pattern.
 	Dest(src int32, rng *engine.RNG) int32
-	// Name identifies the pattern in reports.
-	Name() string
 }
 
 // Uniform sends every packet to a uniformly random chip other than the
-// source, over chips [Base, Base+N).
+// source, over chips [0, N).
 type Uniform struct {
-	N    int32
-	Base int32
+	N int32
 }
 
 // Dest implements Pattern.
 //
 //sldf:hotpath
 func (u Uniform) Dest(src int32, rng *engine.RNG) int32 {
-	if u.N < 2 {
-		return -1
-	}
-	if src < u.Base || src >= u.Base+u.N {
+	if u.N < 2 || src < 0 || src >= u.N {
 		return -1
 	}
 	for {
-		d := u.Base + rng.Int31n(u.N)
+		d := rng.Int31n(u.N)
 		if d != src {
 			return d
 		}
 	}
 }
-
-// Name implements Pattern.
-func (u Uniform) Name() string { return "uniform" }
 
 // bitPermutation applies a permutation over the low B bits of the chip
 // index, where B = floor(log2(N)). Chips at index >= 2^B (when N is not a
@@ -64,10 +58,7 @@ type bitPermutation struct {
 	n    int32
 	bits int
 	perm func(v, b int) int
-	name string
 }
-
-func (p bitPermutation) Name() string { return p.name }
 
 //sldf:hotpath
 func (p bitPermutation) Dest(src int32, rng *engine.RNG) int32 {
@@ -84,7 +75,7 @@ func (p bitPermutation) Dest(src int32, rng *engine.RNG) int32 {
 // BitReverse returns the bit-reversal permutation pattern over n chips.
 func BitReverse(n int32) Pattern {
 	b := log2floor(n)
-	return bitPermutation{n: n, bits: b, name: "bit-reverse",
+	return bitPermutation{n: n, bits: b,
 		perm: func(v, b int) int {
 			return int(bits.Reverse32(uint32(v)) >> (32 - b))
 		}}
@@ -93,7 +84,7 @@ func BitReverse(n int32) Pattern {
 // BitShuffle returns the perfect-shuffle (rotate-left-1) pattern.
 func BitShuffle(n int32) Pattern {
 	b := log2floor(n)
-	return bitPermutation{n: n, bits: b, name: "bit-shuffle",
+	return bitPermutation{n: n, bits: b,
 		perm: func(v, b int) int {
 			hi := (v >> (b - 1)) & 1
 			return ((v << 1) | hi) & (1<<b - 1)
@@ -104,7 +95,7 @@ func BitShuffle(n int32) Pattern {
 func BitTranspose(n int32) Pattern {
 	b := log2floor(n)
 	h := b / 2
-	return bitPermutation{n: n, bits: b, name: "bit-transpose",
+	return bitPermutation{n: n, bits: b,
 		perm: func(v, b int) int {
 			lo := v & (1<<h - 1)
 			hi := v >> h
@@ -127,9 +118,6 @@ type Hotspot struct {
 	ChipsPerGroup int32
 	HotGroups     []int32
 }
-
-// Name implements Pattern.
-func (h Hotspot) Name() string { return "hotspot" }
 
 // Dest implements Pattern.
 //
@@ -177,9 +165,6 @@ type WorstCase struct {
 	Groups        int32
 }
 
-// Name implements Pattern.
-func (w WorstCase) Name() string { return "worst-case" }
-
 // Dest implements Pattern.
 //
 //sldf:hotpath
@@ -192,101 +177,65 @@ func (w WorstCase) Dest(src int32, rng *engine.RNG) int32 {
 	return tg*w.ChipsPerGroup + rng.Int31n(w.ChipsPerGroup)
 }
 
-// Ring sends to the successor chip on a logical ring over chips
-// [Base, Base+N) — the steady-state traffic of ring AllReduce. When
-// Bidirectional, each packet goes to the successor or predecessor with
-// equal probability (each direction carries half the volume).
-type Ring struct {
-	N             int32
-	Base          int32
-	Bidirectional bool
-}
-
-// Name implements Pattern.
-func (r Ring) Name() string {
-	if r.Bidirectional {
-		return "ring-bidir"
-	}
-	return "ring"
-}
-
-// Dest implements Pattern.
-//
-//sldf:hotpath
-func (r Ring) Dest(src int32, rng *engine.RNG) int32 {
-	if src < r.Base || src >= r.Base+r.N || r.N < 2 {
-		return -1
-	}
-	i := src - r.Base
-	if r.Bidirectional && rng.Bernoulli(0.5) {
-		return r.Base + (i-1+r.N)%r.N
-	}
-	return r.Base + (i+1)%r.N
-}
-
-// RingOrder is a ring over an explicit chip sequence (e.g. a snake order
-// that embeds the ring on physically adjacent chips of a mesh C-group, as
-// collective libraries do). Chips not in the sequence stay silent.
-type RingOrder struct {
-	Order         []int32
-	Bidirectional bool
-	pos           map[int32]int32
-}
-
-// NewRingOrder builds the ring and its position index.
-func NewRingOrder(order []int32, bidirectional bool) *RingOrder {
-	r := &RingOrder{Order: order, Bidirectional: bidirectional,
-		pos: make(map[int32]int32, len(order))}
-	for i, c := range order {
-		r.pos[c] = int32(i)
-	}
-	return r
-}
-
-// Name implements Pattern.
-func (r *RingOrder) Name() string {
-	if r.Bidirectional {
-		return "ring-ordered-bidir"
-	}
-	return "ring-ordered"
-}
-
-// Dest implements Pattern.
-//
-//sldf:hotpath
-func (r *RingOrder) Dest(src int32, rng *engine.RNG) int32 {
-	i, ok := r.pos[src]
-	if !ok || len(r.Order) < 2 {
-		return -1
-	}
-	n := int32(len(r.Order))
-	if r.Bidirectional && rng.Bernoulli(0.5) {
-		return r.Order[(i-1+n)%n]
-	}
-	return r.Order[(i+1)%n]
-}
-
-// Permutation wraps an arbitrary fixed chip permutation.
+// Permutation sends every packet of chip c to a fixed neighbour: Next[c],
+// or, when the predecessor table Prev is set, Prev[c] or Next[c] with equal
+// probability (each direction carries half the volume). It is the one
+// pattern of finite support: rings (NewRing), bidirectional rings and the
+// per-step permutations of the collective schedules. A chip mapped to
+// itself or past the end of Next stays silent and draws no randomness.
 type Permutation struct {
-	Map  []int32
-	Desc string
+	Next []int32
+	Prev []int32
 }
-
-// Name implements Pattern.
-func (p Permutation) Name() string { return p.Desc }
 
 // Dest implements Pattern.
 //
 //sldf:hotpath
 func (p Permutation) Dest(src int32, rng *engine.RNG) int32 {
-	if int(src) >= len(p.Map) {
+	if uint(src) >= uint(len(p.Next)) || p.Next[src] == src {
 		return -1
 	}
-	d := p.Map[src]
-	if d == src {
-		return -1
+	if p.Prev != nil && rng.Bernoulli(0.5) {
+		return p.Prev[src]
 	}
-	return d
+	return p.Next[src]
+}
+
+// NewRing returns the ring over the chip sequence order, each chip sending
+// to the one after it and the last to the first: the steady-state traffic
+// of ring AllReduce. The order is the embedding (a snake across a mesh
+// C-group keeps successors physically adjacent, as collective libraries
+// schedule it). Bidirectional adds the predecessor table. Chips outside
+// order, and the chip of a one-chip ring, stay silent. order must not
+// repeat a chip.
+func NewRing(order []int32, bidirectional bool) Permutation {
+	p := Permutation{Next: IdentityMap(order)}
+	if bidirectional {
+		p.Prev = make([]int32, len(p.Next))
+	}
+	n := len(order)
+	for i, c := range order {
+		p.Next[c] = order[(i+1)%n]
+		if p.Prev != nil {
+			p.Prev[c] = order[(i+n-1)%n]
+		}
+	}
+	return p
+}
+
+// IdentityMap returns a successor table covering every chip that appears
+// in order, each mapped to itself: silent under Permutation until the
+// caller fills in the chips that send.
+func IdentityMap(order []int32) []int32 {
+	n := int32(0)
+	for _, c := range order {
+		n = max(n, c+1)
+	}
+	m := make([]int32, n)
+	for i := range m {
+		m[i] = int32(i)
+	}
+	return m
 }
 
 // ByName constructs a standard pattern for n chips from its name.
@@ -308,7 +257,7 @@ func ByName(name string, n int32) (Pattern, error) {
 
 // filterDead drops packets aimed at dead chips.
 type filterDead struct {
-	Pattern
+	p     Pattern
 	alive []bool
 }
 
@@ -318,7 +267,7 @@ type filterDead struct {
 //
 //sldf:hotpath
 func (f filterDead) Dest(src int32, rng *engine.RNG) int32 {
-	d := f.Pattern.Dest(src, rng)
+	d := f.p.Dest(src, rng)
 	if d >= 0 && (int(d) >= len(f.alive) || !f.alive[d]) {
 		return -1
 	}
@@ -332,7 +281,7 @@ func FilterDead(p Pattern, alive []bool) Pattern {
 	if alive == nil {
 		return p
 	}
-	return filterDead{Pattern: p, alive: alive}
+	return filterDead{p: p, alive: alive}
 }
 
 // Rate is an open-loop Bernoulli injection process: every injection node of
@@ -348,15 +297,9 @@ type Rate struct {
 	thresh       uint64
 }
 
-// NewRate builds the generator; it precomputes the per-node probability.
-func NewRate(p Pattern, flitsPerChip float64, packetSize int32, nodesPerChip int) *Rate {
-	r := new(Rate)
-	r.Init(p, flitsPerChip, packetSize, nodesPerChip)
-	return r
-}
-
-// Init (re)configures r in place, letting a measurement loop reuse one Rate
-// value across load points instead of allocating a generator per point.
+// Init (re)configures r in place and precomputes the per-node probability,
+// letting a measurement loop reuse one Rate value across load points
+// instead of allocating a generator per point.
 func (r *Rate) Init(p Pattern, flitsPerChip float64, packetSize int32, nodesPerChip int) {
 	*r = Rate{
 		Pattern:      p,
@@ -411,15 +354,6 @@ type Volume struct {
 	remaining  [][]int64 // [chip][node] packets left
 }
 
-// NewVolume builds a volume generator for chips×nodes injection points.
-func NewVolume(p Pattern, totalFlits int64, packetSize int32, chips, nodesPerChip int) *Volume {
-	counts := make([]int, chips)
-	for c := range counts {
-		counts[c] = nodesPerChip
-	}
-	return NewVolumePerChip(p, totalFlits, packetSize, counts, nil)
-}
-
 // NewVolumePerChip builds a volume generator where chip c splits its
 // TotalFlits across counts[c] injection nodes — the shape of a degraded
 // network, where a chip that lost cores keeps fewer injectors but still
@@ -427,7 +361,7 @@ func NewVolume(p Pattern, totalFlits int64, packetSize int32, chips, nodesPerChi
 // dead die owes nothing). participants, when non-nil, restricts the volume
 // to the listed chips: everyone else starts exhausted, so Done() reflects
 // only the chips the schedule actually involves. A nil participants charges
-// every chip, matching NewVolume.
+// every chip.
 func NewVolumePerChip(p Pattern, totalFlits int64, packetSize int32, counts []int, participants []int32) *Volume {
 	v := &Volume{Pattern: p, PacketSize: packetSize}
 	v.remaining = make([][]int64, len(counts))

@@ -25,18 +25,13 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestUniformBase(t *testing.T) {
-	u := Uniform{N: 4, Base: 8}
-	r := rng()
-	if d := u.Dest(3, r); d != -1 {
-		t.Fatalf("out-of-scope src produced dest %d", d)
+// seq returns the chip sequence 0, 1, …, n−1.
+func seq(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
 	}
-	for i := 0; i < 200; i++ {
-		d := u.Dest(9, r)
-		if d < 8 || d >= 12 || d == 9 {
-			t.Fatalf("based uniform dest %d", d)
-		}
-	}
+	return s
 }
 
 func TestUniformCoverage(t *testing.T) {
@@ -68,13 +63,13 @@ func TestBitReverseIsInvolution(t *testing.T) {
 }
 
 func TestBitPermutationsArePermutations(t *testing.T) {
-	for _, mk := range []func(int32) Pattern{BitReverse, BitShuffle, BitTranspose} {
+	for i, mk := range []func(int32) Pattern{BitReverse, BitShuffle, BitTranspose} {
 		p := mk(32).(bitPermutation)
 		seen := map[int]bool{}
 		for v := 0; v < 32; v++ {
 			w := p.perm(v, p.bits)
 			if w < 0 || w >= 32 || seen[w] {
-				t.Fatalf("%s: perm(%d)=%d invalid or duplicate", p.name, v, w)
+				t.Fatalf("pattern %d: perm(%d)=%d invalid or duplicate", i, v, w)
 			}
 			seen[w] = true
 		}
@@ -84,13 +79,13 @@ func TestBitPermutationsArePermutations(t *testing.T) {
 func TestBitPatternsNonPowerOfTwo(t *testing.T) {
 	// 41 chips: the top chips (>= 32) fall back to uniform; all dests valid.
 	r := rng()
-	for _, mk := range []func(int32) Pattern{BitReverse, BitShuffle, BitTranspose} {
+	for k, mk := range []func(int32) Pattern{BitReverse, BitShuffle, BitTranspose} {
 		p := mk(41)
 		for src := int32(0); src < 41; src++ {
 			for i := 0; i < 20; i++ {
 				d := p.Dest(src, r)
 				if d < -1 || d >= 41 {
-					t.Fatalf("%s: dest %d out of range", p.Name(), d)
+					t.Fatalf("pattern %d: dest %d out of range", k, d)
 				}
 			}
 		}
@@ -160,7 +155,7 @@ func TestHotspotSingleChipGroupTerminates(t *testing.T) {
 
 func TestVolumePerChipParticipants(t *testing.T) {
 	counts := []int{2, 0, 1, 2} // chip 1 lost every injector
-	v := NewVolumePerChip(Ring{N: 4}, 64, 4, counts, []int32{0, 2})
+	v := NewVolumePerChip(NewRing(seq(4), false), 64, 4, counts, []int32{0, 2})
 	// Non-participants (3) and zero-count chips (1) start exhausted.
 	if d := v.NextDest(0, 3, 0, rng()); d != -1 {
 		t.Fatalf("non-participant injected to %d", d)
@@ -214,14 +209,14 @@ func TestWorstCaseNeighborGroup(t *testing.T) {
 }
 
 func TestRingNeighbors(t *testing.T) {
-	ring := Ring{N: 8}
+	ring := NewRing(seq(8), false)
 	r := rng()
 	for src := int32(0); src < 8; src++ {
 		if d := ring.Dest(src, r); d != (src+1)%8 {
 			t.Fatalf("ring dest(%d) = %d", src, d)
 		}
 	}
-	bi := Ring{N: 8, Bidirectional: true}
+	bi := NewRing(seq(8), true)
 	succ, pred := 0, 0
 	for i := 0; i < 2000; i++ {
 		d := bi.Dest(3, r)
@@ -240,7 +235,7 @@ func TestRingNeighbors(t *testing.T) {
 }
 
 func TestRingWithBase(t *testing.T) {
-	ring := Ring{N: 4, Base: 12}
+	ring := NewRing([]int32{12, 13, 14, 15}, false)
 	r := rng()
 	if d := ring.Dest(15, r); d != 12 {
 		t.Fatalf("ring wrap dest %d, want 12", d)
@@ -252,7 +247,8 @@ func TestRingWithBase(t *testing.T) {
 
 func TestRateExpectedLoad(t *testing.T) {
 	// rate 1.0 flits/cycle/chip, 4-flit packets, 4 nodes → p = 1/16 per node.
-	g := NewRate(Uniform{N: 16}, 1.0, 4, 4)
+	var g Rate
+	g.Init(Uniform{N: 16}, 1.0, 4, 4)
 	r := rng()
 	gen := 0
 	const cycles = 200000
@@ -280,7 +276,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestVolumeExhausts(t *testing.T) {
-	v := NewVolume(Ring{N: 4}, 64, 4, 4, 2) // 64 flits = 16 pkts = 8/node
+	v := NewVolumePerChip(NewRing(seq(4), false), 64, 4, []int{2, 2, 2, 2}, nil) // 64 flits = 16 pkts = 8/node
 	r := rng()
 	total := 0
 	for cyc := 0; cyc < 100; cyc++ {
@@ -301,7 +297,7 @@ func TestVolumeExhausts(t *testing.T) {
 }
 
 func TestPermutationPattern(t *testing.T) {
-	p := Permutation{Map: []int32{1, 0, 3, 2}, Desc: "swap"}
+	p := Permutation{Next: []int32{1, 0, 3, 2}}
 	r := rng()
 	if d := p.Dest(0, r); d != 1 {
 		t.Fatalf("perm dest %d", d)
