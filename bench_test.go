@@ -378,14 +378,17 @@ func flowBenchSim() core.SimParams {
 // system (1312 chips), cold (route-trace cache discarded every solve) vs
 // warm (traces reused across Reset — the build-once/measure-many sweep
 // configuration). The warm/cold ratio is the cache's per-point win. The
-// cold variant also reports the trace wall per traced hop.
+// cold variants also report the trace wall per traced hop; cold-par2 traces
+// on two solver workers, so a cost that only parallel workers pay (such as
+// two workers' state sharing a cache line) shows in its ns/hop.
 func BenchmarkFlowSolve(b *testing.B) {
 	cfg := core.Config{Kind: core.SwitchlessDragonfly, SLDF: core.Radix16SLDF(),
 		Seed: 1, Workers: 1}
 	for _, mode := range []struct {
-		name string
-		cold bool
-	}{{"cold", true}, {"warm", false}} {
+		name    string
+		cold    bool
+		workers int
+	}{{"cold", true, 1}, {"cold-par2", true, 2}, {"warm", false, 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys, err := core.Build(cfg)
 			if err != nil {
@@ -395,6 +398,7 @@ func BenchmarkFlowSolve(b *testing.B) {
 			pat, _ := sys.PatternFor("uniform")
 			sp := flowBenchSim()
 			sp.FlowCold = mode.cold
+			sp.FlowWorkers = mode.workers
 			if _, err := sys.MeasureLoad(pat, 0.5, sp); err != nil {
 				b.Fatal(err) // populate the cache (and retained buffers) once
 			}

@@ -106,9 +106,9 @@ func collectiveKey(cs CollectiveSpec) string {
 
 // check rejects a spec no engine can measure with ErrSimParams, the way
 // checkPoint rejects a load point: a volume that is not positive, a
-// negative packet size or step bound, or a kill before a negative step. A
-// kill past the schedule's last step needs the schedule, so
-// MeasureCollective rejects it.
+// negative packet size or step bound, a kill before a negative step, or a
+// routing mode the engine cannot model (checkEngine). A kill past the
+// schedule's last step needs the schedule, so MeasureCollective rejects it.
 func (cs CollectiveSpec) check() error {
 	switch {
 	case cs.Volume <= 0:
@@ -120,7 +120,7 @@ func (cs CollectiveSpec) check() error {
 	case cs.Kill != nil && cs.Kill.Step < 0:
 		return fmt.Errorf("%w: kill before step %d (want >= 0)", ErrSimParams, cs.Kill.Step)
 	}
-	return nil
+	return checkEngine(cs.Engine, cs.Cfg.Mode)
 }
 
 func (cs CollectiveSpec) packet() int32 {
@@ -289,6 +289,9 @@ func gridShape(n int) (rows, cols int) {
 func (s *System) MeasureCollective(cs CollectiveSpec) (metrics.Point, error) {
 	if err := cs.check(); err != nil {
 		return metrics.Point{}, err
+	}
+	if err := checkEngine(cs.Engine, s.Cfg.Mode); err != nil {
+		return metrics.Point{}, fmt.Errorf("%s: %w", s.Label, err)
 	}
 	if cs.Kill != nil && !s.Net.ChurnArmed() {
 		return metrics.Point{}, fmt.Errorf("core: chip kill on %s without an armed churn timeline (set Cfg.Churn.Armed)", s.Label)

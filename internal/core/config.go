@@ -121,7 +121,8 @@ type SimParams struct {
 // ErrSimParams reports a load point or collective no engine can measure: a
 // negative warmup or drain cap, an empty window, an empty packet, an
 // offered rate that is negative or not finite, or a collective with a
-// negative volume, step bound or kill step.
+// negative volume, step bound or kill step. It also reports a routing mode
+// the chosen engine cannot model (see checkEngine).
 var ErrSimParams = errors.New("core: invalid simulation parameters")
 
 // checkPoint rejects the load point (rate, sp) with ErrSimParams unless
@@ -136,6 +137,18 @@ func checkPoint(rate float64, sp SimParams) error {
 		return fmt.Errorf("%w: packet size %d (want > 0)", ErrSimParams, sp.PacketSize)
 	case rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0):
 		return fmt.Errorf("%w: rate %g (want a finite rate >= 0)", ErrSimParams, rate)
+	}
+	return nil
+}
+
+// checkEngine rejects with ErrSimParams a routing mode the engine cannot
+// model. UGAL (routing.Adaptive) chooses each packet's path from the
+// channel occupancy the cycle engines snapshot every cycle; the flow
+// engine traces one path per pair on a network that holds no packets, so
+// every choice would be the minimal path, reported under UGAL's name.
+func checkEngine(engine netsim.EngineKind, mode routing.Mode) error {
+	if engine == netsim.EngineFlow && mode == routing.Adaptive {
+		return fmt.Errorf("%w: the %v engine cannot model %v routing (use a cycle engine)", ErrSimParams, engine, mode)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"sldf/internal/campaign"
 	"sldf/internal/campaign/remote"
 	"sldf/internal/netsim"
+	"sldf/internal/routing"
 	"sldf/internal/topology"
 	"sldf/internal/traffic"
 )
@@ -176,6 +177,48 @@ func assertSameWindow(t *testing.T, where string, got, want Result, all bool) {
 			t.Errorf("%s: hottest[%d] = link %d %+v, full tail link %d %+v", where, i,
 				got.Hottest[i].Link.ID, got.Hottest[i], want.Hottest[i].Link.ID, want.Hottest[i])
 		}
+	}
+}
+
+// TestFlowRejectsAdaptive: the flow engine traces one path per pair on a
+// network that holds no packets, so UGAL's occupancy-driven choice would
+// always be the minimal path. A flow load point or collective on an
+// adaptive system is rejected with ErrSimParams, naming the engine and the
+// mode, by MeasureLoad, MeasureCollective and the job lowering, instead of
+// printing minimal routing under UGAL's name.
+func TestFlowRejectsAdaptive(t *testing.T) {
+	cfg := Config{Kind: SwitchlessDragonfly, Seed: 7, Mode: routing.Adaptive, Workers: 1,
+		SLDF: topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2}}
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pat, err := sys.PatternFor("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := SimParams{Warmup: 10, Measure: 20, PacketSize: 4, Engine: netsim.EngineFlow}
+	cs := CollectiveSpec{Cfg: cfg, Schedule: "ring", Volume: 32, Engine: netsim.EngineFlow}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrSimParams) || !strings.Contains(err.Error(), "flow") ||
+			!strings.Contains(err.Error(), "adaptive") {
+			t.Errorf("%s: err = %v, want ErrSimParams naming the flow engine and adaptive routing", what, err)
+		}
+	}
+	_, err = sys.MeasureLoad(pat, 0.3, sp)
+	check("MeasureLoad", err)
+	_, err = PointJob(cfg, "uniform", 0.3, sp)
+	check("PointJob", err)
+	_, err = sys.MeasureCollective(cs)
+	check("MeasureCollective", err)
+	_, err = CollectiveJob(cs)
+	check("CollectiveJob", err)
+
+	sp.Engine = netsim.EngineActiveSet
+	if _, err := sys.MeasureLoad(pat, 0.3, sp); err != nil {
+		t.Fatalf("cycle engine: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -325,7 +326,10 @@ func TestEngineEquivalenceAfterReset(t *testing.T) {
 // cycle state not yet built, churn segments applied and rewound — and then
 // measures with a cycle engine after Reset must be bitwise identical to a
 // fresh build measured with the same engine. Covers every system kind, both
-// cycle engines, a churn-armed system and the adaptive pre-allocate
+// cycle engines and a churn-armed system. The flow engine cannot model
+// adaptive routing, so the adaptive system's flow points must be rejected
+// with ErrSimParams naming the engine and the mode, and leave the network
+// measuring exactly as a fresh build — including the pre-allocate
 // snapshot, which reads credits the flow engine never allocates.
 func TestEngineEquivalenceAfterFlow(t *testing.T) {
 	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 5}
@@ -337,17 +341,18 @@ func TestEngineEquivalenceAfterFlow(t *testing.T) {
 	churned.Churn = churnWindow(0.04, 0.02, netsim.RetrySource)
 	adaptive := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9, Mode: routing.Adaptive}
 	cases := []struct {
-		name string
-		cfg  Config
-		rate float64
-		sp   SimParams
+		name    string
+		cfg     Config
+		rate    float64
+		sp      SimParams
+		flowErr bool // the flow points are rejected
 	}{
-		{"switch", Config{Kind: SingleSwitch, Terminals: 4, Seed: 5}, 0.8, tinySim()},
-		{"mesh", Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5}, 0.8, tinySim()},
-		{"sw-based", swb, 0.6, tinySim()},
-		{"sw-less", swl, 0.6, tinySim()},
-		{"sw-less-churn", churned, 0.6, tinySim()},
-		{"sw-less-adaptive", adaptive, 0.3, shortSim()},
+		{"switch", Config{Kind: SingleSwitch, Terminals: 4, Seed: 5}, 0.8, tinySim(), false},
+		{"mesh", Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5}, 0.8, tinySim(), false},
+		{"sw-based", swb, 0.6, tinySim(), false},
+		{"sw-less", swl, 0.6, tinySim(), false},
+		{"sw-less-churn", churned, 0.6, tinySim(), false},
+		{"sw-less-adaptive", adaptive, 0.3, shortSim(), true},
 	}
 	for _, tc := range cases {
 		for _, kind := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference} {
@@ -368,7 +373,12 @@ func TestEngineEquivalenceAfterFlow(t *testing.T) {
 				sp := tc.sp
 				sp.Engine = netsim.EngineFlow
 				for _, rate := range []float64{0.2, tc.rate} {
-					if _, err := sys.MeasureLoad(pat, rate, sp); err != nil {
+					_, err := sys.MeasureLoad(pat, rate, sp)
+					switch {
+					case tc.flowErr && (!errors.Is(err, ErrSimParams) ||
+						!strings.Contains(err.Error(), "flow") || !strings.Contains(err.Error(), "adaptive")):
+						t.Fatalf("flow point %.1f: err = %v, want ErrSimParams naming the flow engine and adaptive routing", rate, err)
+					case !tc.flowErr && err != nil:
 						t.Fatalf("flow point %.1f: %v", rate, err)
 					}
 					sys.Reset()

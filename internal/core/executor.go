@@ -114,6 +114,9 @@ func pointPlanJob(fam pointFamily, cfg Config, pattern string, rate float64, sp 
 	if err := checkPoint(rate, sp); err != nil {
 		return planJob{}, err
 	}
+	if err := checkEngine(sp.Engine, cfg.Mode); err != nil {
+		return planJob{}, err
+	}
 	payload, err := json.Marshal(PointSpec{Cfg: cfg, Pattern: pattern, Rate: rate, Sim: sp})
 	if err != nil {
 		return planJob{}, fmt.Errorf("core: encode point spec: %w", err)

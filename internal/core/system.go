@@ -190,6 +190,9 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 	if err := checkPoint(rate, sp); err != nil {
 		return Result{}, fmt.Errorf("%s: %w", s.Label, err)
 	}
+	if err := checkEngine(sp.Engine, s.Cfg.Mode); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", s.Label, err)
+	}
 	s.Net.SetEngine(sp.Engine)
 	if sp.Engine == netsim.EngineFlow {
 		// The analytical path samples (and dead-filters) the pattern itself,

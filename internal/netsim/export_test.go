@@ -20,7 +20,7 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 	c := fl.cache
 	seq := make([]int, len(n.ChipNodes))
 	own := map[uint64]bool{}
-	var ts traceScratch
+	var ts flowWorker
 	for _, d := range demands {
 		srcNodes, dstNodes := n.ChipNodes[d.Src], n.ChipNodes[d.Dst]
 		if d.Rate <= 0 || len(srcNodes) == 0 || len(dstNodes) == 0 {

@@ -13,11 +13,13 @@ package netsim
 //
 // The engine reuses the network exactly as built: routes are traced by
 // running the installed RouteFunc over a phantom packet hop by hop, so
-// fault-aware routing, adaptive pre-allocate hooks and churn rewiring all
-// apply without flow-specific code. Armed fault timelines are honored by
-// segmenting the measurement window at event cycles and re-solving per
-// segment (SolveFlow), which is what keeps churn campaigns working
-// unchanged under EngineFlow.
+// fault-aware routing and churn rewiring apply without flow-specific code.
+// The per-cycle pre-allocate hook is never run: a traced network holds no
+// packets, so an occupancy-driven (adaptive) routing has nothing to read,
+// and the core layer rejects it under this engine. Armed fault timelines
+// are honored by segmenting the measurement window at event cycles and
+// re-solving per segment (SolveFlow), which is what keeps churn campaigns
+// working unchanged under EngineFlow.
 //
 // The solve is amortized and parallel:
 //
@@ -91,6 +93,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sldf/internal/engine"
 	"sldf/internal/profiling"
@@ -278,15 +281,35 @@ type traceResult struct {
 	hops       [NumHopClasses]uint16
 }
 
-// traceScratch is one trace worker's scratch: the phantom packet and its
-// RNG stream (kept here so a trace allocates nothing), the buffer the
-// worker's paths of the current batch collect in until the merge, and the
-// route steps the worker traced in the current build.
-type traceScratch struct {
+// flowWorker is one solver worker's record: everything the worker writes
+// while the pool runs. The records sit side by side in flowSolver.worker,
+// and a traced hop writes the worker's path buffer and reads its phantom
+// packet, so two records sharing a cache line would invalidate each other's
+// line on every hop (false sharing). The pad keeps each record on cache
+// lines of its own: the record is a whole number of flowWorkerBlock-byte
+// blocks, and at least a block lies between two workers' state.
+type flowWorker struct {
+	workerState
+	_ [flowWorkerBlock + (flowWorkerBlock-unsafe.Sizeof(workerState{})%flowWorkerBlock)%flowWorkerBlock]byte
+}
+
+// flowWorkerBlock is the padding unit of a flowWorker: two 64-byte cache
+// lines, which the adjacent-line prefetcher fetches as a pair.
+const flowWorkerBlock = 128
+
+// workerState is a flowWorker's state. The trace scratch is the phantom
+// packet and its RNG stream (kept here so a trace allocates nothing), the
+// buffer the worker's paths of the current batch collect in until the
+// merge, and the route steps the worker traced in the current build. part
+// is the worker's share of a waterfill round's gather, and curs its
+// transpose cursors (see elemCursor).
+type workerState struct {
 	p    Packet
 	rng  engine.RNG
 	buf  []int32
 	hops int64
+	part roundPart
+	curs []int32
 }
 
 // flowKind is what the flow solver reads of an element: every element of
@@ -329,25 +352,22 @@ type flowSolver struct {
 	elemOff  []int32
 	elemFlow []int32
 	tposeOf  *stateRecord
-	// Per-worker transpose cursors for every worker but the last, which
-	// uses elemOff itself: (workers-1) x elements int32s, built on the
-	// first parallel transpose.
-	elemCurs [][]int32
 
 	// Pending-trace worklist, its locality order (positions in pending)
-	// with the counting-sort buckets that build it, the batch of the order
-	// being traced with its results, and per-worker scratch.
+	// with the counting-sort buckets that build it, and the batch of the
+	// order being traced with its results.
 	pending   []int32
 	order     []int32
 	tiles     []int32
 	tileShift uint
 	batch     []int32
 	results   []traceResult
-	scratch   []traceScratch
 	traceNext atomic.Int64
 	traceSize int32
 
+	// worker[w] is worker w's record for w < workers; the slice only grows.
 	workers int
+	worker  []flowWorker
 	pool    *engine.Pool
 
 	// Waterfill active sets: the monotone scheme only ever lowers
@@ -356,11 +376,10 @@ type flowSolver struct {
 	// the whole network. Stamps dedupe the per-round candidates and dirty
 	// elements; stamp values are never reused (see waterfillStart's wrap
 	// guard).
-	overElems []int32     // elements still loaded past capacity
-	cand      []int32     // per flow range: flows crossing an over-capacity element this round
-	parts     []roundPart // per worker: its share of cand
-	ratio     []float64   // per flow: worst capacity/load ratio this round
-	delivered []float64   // per flow: rate*x, the term every load reduction sums
+	overElems []int32   // elements still loaded past capacity
+	cand      []int32   // per flow range: flows crossing an over-capacity element this round
+	ratio     []float64 // per flow: worst capacity/load ratio this round
+	delivered []float64 // per flow: rate*x, the term every load reduction sums
 	flowStamp []int32
 	elemStamp []int32
 	stamp     int32
@@ -426,8 +445,7 @@ func (n *Network) flowSolver() *flowSolver {
 		elemStamp:  make([]int32, elems),
 		tiles:      make([]int32, 1<<(2*tileBits)+1),
 		tileShift:  uint(nodeBits - tileBits),
-		scratch:    make([]traceScratch, 1),
-		parts:      make([]roundPart, 1),
+		worker:     make([]flowWorker, 1),
 		workers:    1,
 	}
 	if n.faultRoute != nil {
@@ -435,7 +453,7 @@ func (n *Network) flowSolver() *flowSolver {
 	}
 	//sldf:hotpath
 	fl.traceFn = func(w int) {
-		ts := &fl.scratch[w]
+		ts := &fl.worker[w]
 		for {
 			lo := int(fl.traceNext.Add(traceRun)) - traceRun
 			if lo >= len(fl.batch) {
@@ -458,7 +476,7 @@ func (n *Network) flowSolver() *flowSolver {
 			res := &fl.results[k]
 			c.entries[fl.pending[fl.batch[k]]].set(res.at, res)
 			if res.ok {
-				copy(c.span(res.at, res.n), fl.scratch[res.wrk].buf[res.off:res.off+res.n])
+				copy(c.span(res.at, res.n), fl.worker[res.wrk].buf[res.off:res.off+res.n])
 			}
 		}
 	}
@@ -533,7 +551,7 @@ func (n *Network) flowSolver() *flowSolver {
 				fl.delivered[fi] = f.rate * f.x
 			}
 		}
-		fl.parts[w] = roundPart{end: end, walk: walk}
+		fl.worker[w].part = roundPart{end: end, walk: walk}
 	}
 	// refreshFn recomputes the loads of worker w's element range that share
 	// a flow with the round's candidates, walking every worker's candidate
@@ -543,9 +561,9 @@ func (n *Network) flowSolver() *flowSolver {
 	fl.refreshFn = func(w int) {
 		c := fl.cache
 		elo, ehi := engine.ShardBounds(len(fl.load), fl.workers, w)
-		for v, p := range fl.parts[:fl.workers] {
+		for v := range fl.workers {
 			lo, _ := engine.ShardBounds(len(fl.flows), fl.workers, v)
-			for _, fi := range fl.cand[lo:p.end] {
+			for _, fi := range fl.cand[lo:fl.worker[v].part.end] {
 				for _, el := range c.pathOf(&c.entries[fl.flows[fi].entry]) {
 					if int(el) < elo || int(el) >= ehi || fl.elemStamp[el] == fl.stamp {
 						continue
@@ -609,9 +627,8 @@ func (n *Network) setFlowWorkers(w int) {
 	if w > 1 {
 		fl.pool = engine.NewPool(w)
 	}
-	for len(fl.scratch) < w {
-		fl.scratch = append(fl.scratch, traceScratch{})
-		fl.parts = append(fl.parts, roundPart{})
+	for len(fl.worker) < w {
+		fl.worker = append(fl.worker, flowWorker{})
 	}
 }
 
@@ -657,7 +674,7 @@ func (fl *flowSolver) run(fn func(int)) {
 //
 // A hop reads the router it is at, the out-port (link ID and next router)
 // and the link's kind byte; it never loads the Link itself.
-func (n *Network) traceOne(ts *traceScratch, srcNode, dstNode NodeID, size int32) traceResult {
+func (n *Network) traceOne(ts *flowWorker, srcNode, dstNode NodeID, size int32) traceResult {
 	ts.rng = engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
 	ts.p = Packet{
 		SrcChip: n.Routers[srcNode].Chip, DstChip: n.Routers[dstNode].Chip,
@@ -767,7 +784,7 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		fl.results = fl.results[:len(fl.batch)]
 		reserve := (len(fl.batch)/fl.workers + 1) * flowPathHint
 		for w := range fl.workers {
-			fl.scratch[w].buf = slices.Grow(fl.scratch[w].buf[:0], reserve)
+			fl.worker[w].buf = slices.Grow(fl.worker[w].buf[:0], reserve)
 		}
 		fl.traceNext.Store(0)
 		fl.run(fl.traceFn)
@@ -777,7 +794,7 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		}
 		for k, i := range fl.batch {
 			res := &fl.results[k]
-			if c.merge(fl.pending[i], res, fl.scratch[res.wrk].buf[res.off:res.off+res.n]) {
+			if c.merge(fl.pending[i], res, fl.worker[res.wrk].buf[res.off:res.off+res.n]) {
 				redirect = true
 			}
 		}
@@ -787,8 +804,8 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 	}
 	c.endBuild()
 	for w := range fl.workers {
-		fl.stats.TraceHops += fl.scratch[w].hops
-		fl.scratch[w].hops = 0
+		fl.stats.TraceHops += fl.worker[w].hops
+		fl.worker[w].hops = 0
 	}
 	fl.stats.Traces += int64(len(fl.pending))
 	fl.pending = fl.pending[:0]
@@ -934,8 +951,10 @@ func (n *Network) lookupFlows(fl *flowSolver, rec *stateRecord, demands []FlowDe
 // into the starts.
 func (fl *flowSolver) buildTranspose() {
 	elems := len(fl.load)
-	for len(fl.elemCurs) < fl.workers-1 {
-		fl.elemCurs = append(fl.elemCurs, make([]int32, elems))
+	for w := range fl.workers - 1 {
+		if fl.worker[w].curs == nil {
+			fl.worker[w].curs = make([]int32, elems)
+		}
 	}
 	fl.run(fl.countFn)
 	at := int32(0)
@@ -957,12 +976,14 @@ func (fl *flowSolver) buildTranspose() {
 	fl.stats.TransposeBuilds++
 }
 
-// elemCursor returns worker w's transpose cursor array.
+// elemCursor returns worker w's transpose cursor array: its record's for
+// every worker but the last, which uses elemOff itself. A record's cursors
+// are allocated on the first transpose that gives it a cursor role.
 func (fl *flowSolver) elemCursor(w int) []int32 {
 	if w == fl.workers-1 {
 		return fl.elemOff[:len(fl.load)]
 	}
-	return fl.elemCurs[w]
+	return fl.worker[w].curs
 }
 
 // maxElemKinds bounds the distinct element kinds elemKind can tell apart.
@@ -1109,8 +1130,8 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 	fl.stamp++
 	fl.run(fl.gatherFn)
 	walk := 0 // path elements of the candidate flows
-	for _, p := range fl.parts[:fl.workers] {
-		walk += p.walk
+	for w := range fl.workers {
+		walk += fl.worker[w].part.walk
 	}
 	full = fullLoadPass(walk, len(fl.elemFlow))
 	if full {
@@ -1308,9 +1329,6 @@ func (a *flowAccum) accumulate(fl *flowSolver, size int32, refusedRate float64, 
 // is rec, and solves them: flows with their throttles in fl.flows, element
 // loads in fl.load. It returns the refused rate.
 func (n *Network) solveSegment(fl *flowSolver, rec *stateRecord, demands []FlowDemand, size int32) (refused float64) {
-	if n.preAllocate != nil {
-		n.preAllocate(n)
-	}
 	refused = n.flowBuildFlows(fl, rec, demands, size)
 	if fl.tposeOf != rec {
 		t := phaseStart(flowPhaseTranspose)
@@ -1443,9 +1461,6 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 	fl := n.flowSolver()
 	if err := n.setFlowSize(fl, packetSize); err != nil {
 		return 0, err
-	}
-	if n.preAllocate != nil {
-		n.preAllocate(n)
 	}
 	fl.flows = fl.flows[:0]
 	fl.pending = fl.pending[:0]

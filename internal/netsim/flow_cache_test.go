@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // ringDemands builds a fixed chip-level demand set on an n-chip ring.
@@ -408,7 +409,7 @@ func TestFlowTraceScratchBounded(t *testing.T) {
 		}
 		bound := (batch + 1) * int(max(longest, flowPathHint))
 		for w := range tc.workers {
-			if got := cap(fl.scratch[w].buf); got > bound {
+			if got := cap(fl.worker[w].buf); got > bound {
 				t.Errorf("%d-node ring, %d workers: worker %d retains %d path elements, want at most %d",
 					tc.nodes, tc.workers, w, got, bound)
 			}
@@ -417,6 +418,39 @@ func TestFlowTraceScratchBounded(t *testing.T) {
 			t.Fatalf("arena of %d elements within the scratch bound %d; the ring does not span batches", c.pathEnd, bound)
 		}
 		net.Close()
+	}
+}
+
+// TestFlowWorkerRecordsShareNoLines pins the layout that keeps the flow
+// solver's workers from false sharing: a worker record is a whole number
+// of flowWorkerBlock-byte blocks, and in a slice of records no field of
+// worker w lies within a block of a field of worker w+1, so no cache line,
+// nor the line pair the adjacent-line prefetcher fetches, holds state of
+// two workers whatever the slice's alignment.
+func TestFlowWorkerRecordsShareNoLines(t *testing.T) {
+	size := unsafe.Sizeof(flowWorker{})
+	if size%flowWorkerBlock != 0 {
+		t.Fatalf("flowWorker is %d bytes, not a multiple of %d", size, flowWorkerBlock)
+	}
+	typ := reflect.TypeFor[flowWorker]()
+	var fields []reflect.StructField
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Name != "_" {
+			fields = append(fields, f)
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("flowWorker has no named fields; the check is vacuous")
+	}
+	for _, f := range fields {
+		for _, g := range fields {
+			// f of worker w ends at f.Offset+f.Type.Size(); g of worker w+1
+			// starts at size+g.Offset.
+			if gap := size + g.Offset - (f.Offset + f.Type.Size()); gap < flowWorkerBlock {
+				t.Errorf("worker w's %s and worker w+1's %s are %d bytes apart, want at least %d",
+					f.Name, g.Name, gap, flowWorkerBlock)
+			}
+		}
 	}
 }
 

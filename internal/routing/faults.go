@@ -230,6 +230,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 		fr.exitCG[i] = -1
 		fr.distCG[i] = cgUnreached
 	}
+	bfs := newCGBFS(adj)
 	dist := make([]int32, numCG)
 	var eccPerW []int32
 	if valiant {
@@ -240,7 +241,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 		if !active[d] {
 			continue // no packet can target a coreless C-group
 		}
-		bfsCG(adj, []int32{d}, dist)
+		bfs.run([]int32{d}, dist)
 		for u := int32(0); u < numCG; u++ {
 			fr.exitCG[u*numCG+d] = -1
 			if u == d && active[u] {
@@ -304,7 +305,7 @@ func NewFaultSLDFRouter(s *topology.SLDF, scheme Scheme, mode Mode) (*FaultSLDFR
 			for c := int32(0); c < ab; c++ {
 				sources = append(sources, w*ab+c)
 			}
-			bfsCG(adj, sources, dist)
+			bfs.run(sources, dist)
 			for u := int32(0); u < numCG; u++ {
 				distToW[u*g+w] = dist[u]
 				if dist[u] == 0 || !active[u] {
@@ -401,38 +402,49 @@ func eachPort(cg *topology.CGroupInfo, c int, globals bool, f func(*topology.Por
 
 const cgUnreached = int32(1) << 30
 
-// bfsCG fills dist with hop counts to the nearest of the given destination
-// C-groups, walking the reversed... the C-group graph is built from
-// bidirectional channels whose directions fail together, plus per-direction
-// explicit faults; BFS therefore runs over reversed edges to honor
-// direction asymmetry.
-func bfsCG(adj [][]cgEdge, dsts []int32, dist []int32) {
-	// Build the reverse relation lazily per call: the graph is small and
-	// construction-time only.
-	radj := make([][]int32, len(adj))
+// cgBFS runs breadth-first searches toward destination C-groups over the
+// C-group graph's reversed edges. The graph is built from bidirectional
+// channels whose directions fail together, plus per-direction explicit
+// faults; BFS therefore runs over reversed edges to honor direction
+// asymmetry. The reversed edges and the queue are built once per router
+// build and shared by every search.
+type cgBFS struct {
+	radj  [][]int32
+	queue []int32
+}
+
+// newCGBFS reverses the C-group graph adj.
+func newCGBFS(adj [][]cgEdge) *cgBFS {
+	b := &cgBFS{radj: make([][]int32, len(adj)), queue: make([]int32, 0, len(adj))}
 	for u := range adj {
 		for _, e := range adj[u] {
-			radj[e.to] = append(radj[e.to], int32(u))
+			b.radj[e.to] = append(b.radj[e.to], int32(u))
 		}
 	}
+	return b
+}
+
+// run fills dist with hop counts to the nearest of the given destination
+// C-groups.
+func (b *cgBFS) run(dsts []int32, dist []int32) {
 	for i := range dist {
 		dist[i] = cgUnreached
 	}
-	queue := make([]int32, 0, len(adj))
+	queue := b.queue[:0]
 	for _, d := range dsts {
 		dist[d] = 0
 		queue = append(queue, d)
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range radj[v] {
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, u := range b.radj[v] {
 			if dist[u] == cgUnreached {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
 			}
 		}
 	}
+	b.queue = queue
 }
 
 // nextExit picks u's exit channel along a shortest path — the first edge
