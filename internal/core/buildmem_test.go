@@ -6,11 +6,12 @@ import (
 )
 
 // radix16FlowHeapPerChip is the ceiling on a full radix-16 SLDF build's
-// live heap per chip before any cycle engine runs: the measured 1,680 B
-// (Go 1.24, linux/amd64) plus 10%. A build that starts allocating cycle
-// state again, retains builder garbage, or gives Router back its port
-// slice headers and random stream (2,454 B) crosses it.
-const radix16FlowHeapPerChip = 1850
+// live heap per chip before any cycle engine runs: the measured 1,342–1,343
+// B (Go 1.24, linux/amd64) plus 5%. A build that starts allocating cycle
+// state again, retains builder garbage, gives Link back its own copy of its
+// spec (1,680 B) or gives Router back its port slice headers and random
+// stream (2,454 B) crosses it.
+const radix16FlowHeapPerChip = 1410
 
 // TestBuildAllocatesLean pins the lean build on the full radix-16
 // switch-less system: construction allocates little beyond what the system

@@ -175,7 +175,7 @@ func assertSameWindow(t *testing.T, where string, got, want Result, all bool) {
 	for i := range got.Hottest {
 		if got.Hottest[i] != want.Hottest[i] {
 			t.Errorf("%s: hottest[%d] = link %d %+v, full tail link %d %+v", where, i,
-				got.Hottest[i].Link.ID, got.Hottest[i], want.Hottest[i].Link.ID, want.Hottest[i])
+				got.Hottest[i].ID, got.Hottest[i], want.Hottest[i].ID, want.Hottest[i])
 		}
 	}
 }

@@ -30,9 +30,9 @@ func TestBuildFaultedProvisionsAndDisables(t *testing.T) {
 	if routers == 0 || links == 0 {
 		t.Fatalf("faulted build disabled %d routers, %d links; want both > 0", routers, links)
 	}
-	for _, l := range sys.Net.Links {
-		if l.VCs != FaultVCs {
-			t.Fatalf("faulted build provisions %d VCs on link %d, want %d", l.VCs, l.ID, FaultVCs)
+	for i := range sys.Net.Links {
+		if vcs := sys.Net.LinkSpec(int32(i)).VCs; vcs != FaultVCs {
+			t.Fatalf("faulted build provisions %d VCs on link %d, want %d", vcs, i, FaultVCs)
 		}
 	}
 }
@@ -49,9 +49,9 @@ func TestBuildEmptyFaultSpecIsPristine(t *testing.T) {
 	if r, l := sys.Net.DisabledCounts(); r != 0 || l != 0 {
 		t.Fatalf("empty fault spec disabled %d routers and %d links", r, l)
 	}
-	for _, l := range sys.Net.Links {
-		if l.VCs != routing.SLDFVCCount(routing.BaselineVC, routing.Minimal) {
-			t.Fatalf("empty fault spec changed VC provisioning to %d", l.VCs)
+	for i := range sys.Net.Links {
+		if vcs := sys.Net.LinkSpec(int32(i)).VCs; vcs != routing.SLDFVCCount(routing.BaselineVC, routing.Minimal) {
+			t.Fatalf("empty fault spec changed VC provisioning to %d", vcs)
 		}
 		break
 	}

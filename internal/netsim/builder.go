@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sldf/internal/engine"
 )
@@ -27,10 +28,17 @@ type LinkSpec struct {
 // out at exact size. Append-growth overshoot never survives into the
 // network, and state only the cycle engines read is not built here at all.
 type Builder struct {
-	routers []Router
-	links   []Link
-	err     error
+	routers  []Router
+	links    []Link
+	specs    []LinkSpec
+	lastSpec int
+	err      error
 }
+
+// maxLinkSpecs bounds the distinct LinkSpecs of one network: Link.Spec is a
+// byte, and the flow solver gives each spec an element kind of its own
+// beside the ejection port's (see flowSolver.setCapacities).
+const maxLinkSpecs = 255
 
 // NewBuilder returns an empty network builder.
 func NewBuilder() *Builder {
@@ -82,6 +90,21 @@ func (b *Builder) Connect(src, dst NodeID, spec LinkSpec) (outPort, inPort int) 
 		b.fail("link %d→%d: more than %d ports on a router", src, dst, math.MaxInt16)
 		return 0, 0
 	}
+	// Topologies connect runs of links of one spec, so the last spec used
+	// is tried before the table is searched.
+	si := b.lastSpec
+	if si >= len(b.specs) || b.specs[si] != spec {
+		si = slices.Index(b.specs, spec)
+	}
+	if si < 0 {
+		if len(b.specs) == maxLinkSpecs {
+			b.fail("link %d→%d: more than %d distinct link specs", src, dst, maxLinkSpecs)
+			return 0, 0
+		}
+		si = len(b.specs)
+		b.specs = append(b.specs, spec)
+	}
+	b.lastSpec = si
 	outPort = int(b.routers[src].nOut)
 	b.routers[src].nOut++
 	inPort = int(b.routers[dst].nIn)
@@ -90,16 +113,12 @@ func (b *Builder) Connect(src, dst NodeID, spec LinkSpec) (outPort, inPort int) 
 	// The ports themselves are laid out in Finalize, once the slab sizes
 	// are known.
 	b.links = append(b.links, Link{
-		ID:       int32(len(b.links)),
-		Src:      src,
-		Dst:      dst,
-		Delay:    spec.Delay,
-		Width:    spec.Width,
-		Class:    spec.Class,
-		VCs:      spec.VCs,
-		BufFlits: spec.BufFlits,
-		SrcPort:  int16(outPort),
-		DstPort:  int16(inPort),
+		Src:     src,
+		Dst:     dst,
+		SrcPort: int16(outPort),
+		DstPort: int16(inPort),
+		Spec:    uint8(si),
+		Class:   spec.Class,
 	})
 	return outPort, inPort
 }
@@ -230,6 +249,7 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 	n := &Network{
 		Routers:       exact(b.routers),
 		Links:         exact(b.links),
+		specs:         slices.Clip(b.specs),
 		ChipNodes:     chips,
 		pool:          pool,
 		shards:        max(pool.Workers(), 1),
@@ -258,11 +278,12 @@ func (b *Builder) Finalize(opts NetworkOptions) (*Network, error) {
 	}
 	for i := range n.Links {
 		l := &n.Links[i]
-		n.outPorts[n.Routers[l.Src].outOff+int32(l.SrcPort)] = OutPort{Link: l.ID, Dst: l.Dst}
-		n.inLinks[n.Routers[l.Dst].inOff+int32(l.DstPort)] = l.ID
+		n.outPorts[n.Routers[l.Src].outOff+int32(l.SrcPort)] = OutPort{Link: int32(i), Dst: l.Dst}
+		n.inLinks[n.Routers[l.Dst].inOff+int32(l.DstPort)] = int32(i)
 	}
 	n.initPhases()
 	b.routers = nil
 	b.links = nil
+	b.specs = nil
 	return n, nil
 }

@@ -262,7 +262,7 @@ func (n *Network) killOne(e TimedFault) {
 	c := n.faults
 	if e.Router < 0 {
 		c.linkRefs[e.Link]++
-		n.killLink(&n.Links[e.Link])
+		n.killLink(e.Link)
 		return
 	}
 	c.routerRefs[e.Router]++
@@ -273,38 +273,39 @@ func (n *Network) killOne(e TimedFault) {
 	c.toggledRouters = append(c.toggledRouters, e.Router)
 	r := &n.Routers[e.Router]
 	n.clearRouter(r)
-	n.eachLink(r, func(l *Link) {
-		c.linkRefs[l.ID]++
-		n.killLink(l)
+	n.eachLink(r, func(id int32) {
+		c.linkRefs[id]++
+		n.killLink(id)
 	})
 }
 
-// eachLink calls fn on every link into and then out of r, in port order.
-func (n *Network) eachLink(r *Router, fn func(*Link)) {
+// eachLink calls fn with the ID of every link into and then out of r, in
+// port order.
+func (n *Network) eachLink(r *Router, fn func(id int32)) {
 	for _, l := range n.InLinks(r) {
 		if l >= 0 {
-			fn(&n.Links[l])
+			fn(l)
 		}
 	}
 	for _, op := range n.OutPorts(r) {
 		if op.Link >= 0 {
-			fn(&n.Links[op.Link])
+			fn(op.Link)
 		}
 	}
 }
 
-// killLink disables a link (idempotent) and drops its in-flight traffic.
-func (n *Network) killLink(l *Link) {
+// killLink disables link id (idempotent) and drops its in-flight traffic.
+func (n *Network) killLink(id int32) {
 	b := n.faults
-	if b.linkDown.Has(int(l.ID)) {
+	if b.linkDown.Has(int(id)) {
 		return
 	}
-	b.linkDown.Add(int(l.ID))
-	b.toggledLinks = append(b.toggledLinks, l.ID)
+	b.linkDown.Add(int(id))
+	b.toggledLinks = append(b.toggledLinks, id)
 	if n.cyc == nil {
 		return
 	}
-	lc := &n.cyc.links[l.ID]
+	lc := &n.cyc.links[id]
 	for {
 		ref, ok := lc.data.popReady(1 << 62)
 		if !ok {
@@ -344,7 +345,7 @@ func (n *Network) repairOne(e TimedFault) {
 	if e.Router < 0 {
 		if c.linkRefs[e.Link] > 0 {
 			c.linkRefs[e.Link]--
-			n.maybeReviveLink(&n.Links[e.Link])
+			n.maybeReviveLink(e.Link)
 		}
 		return
 	}
@@ -359,32 +360,32 @@ func (n *Network) repairOne(e TimedFault) {
 	c.toggledRouters = append(c.toggledRouters, e.Router)
 	r := &n.Routers[e.Router]
 	n.clearRouter(r) // queues are already empty; re-zeroes port state
-	n.eachLink(r, func(l *Link) {
-		if c.linkRefs[l.ID] > 0 {
-			c.linkRefs[l.ID]--
+	n.eachLink(r, func(id int32) {
+		if c.linkRefs[id] > 0 {
+			c.linkRefs[id]--
 		}
-		n.maybeReviveLink(l)
+		n.maybeReviveLink(id)
 	})
 }
 
-// maybeReviveLink re-enables l when nothing holds it down any more,
+// maybeReviveLink re-enables link id when nothing holds it down any more,
 // restoring the upstream credit counters to the downstream buffer's actual
 // free space (packets parked in the downstream VCs across the outage keep
 // their claim).
-func (n *Network) maybeReviveLink(l *Link) {
+func (n *Network) maybeReviveLink(id int32) {
 	c := n.faults
-	id := int(l.ID)
-	if !c.linkDown.Has(id) || c.linkRefs[id] > 0 || c.baseLinkDown.Has(id) ||
+	l := &n.Links[id]
+	if !c.linkDown.Has(int(id)) || c.linkRefs[id] > 0 || c.baseLinkDown.Has(int(id)) ||
 		c.routerDown.Has(int(l.Src)) || c.routerDown.Has(int(l.Dst)) {
 		return
 	}
-	c.linkDown.Remove(id)
-	c.toggledLinks = append(c.toggledLinks, l.ID)
+	c.linkDown.Remove(int(id))
+	c.toggledLinks = append(c.toggledLinks, id)
 	cs := n.cyc
 	if cs == nil {
 		return
 	}
-	lc := &cs.links[l.ID]
+	lc := &cs.links[id]
 	lc.data.clear()
 	lc.credit.clear()
 	src := &cs.routers[l.Src]
@@ -395,7 +396,7 @@ func (n *Network) maybeReviveLink(l *Link) {
 		if vc < len(ip.vcs) {
 			occ = ip.vcs[vc].occ
 		}
-		op.credits[vc] = l.BufFlits - occ
+		op.credits[vc] = lc.bufFlits - occ
 	}
 	src.nextAlloc = 0
 }
@@ -481,8 +482,8 @@ func (n *Network) unqueuePacket(rc *routerCycle, in, vc, k int, p *Packet) {
 		}
 		rc.active--
 	}
-	if l := ip.link; l != nil && n.LinkAlive(l.ID) {
-		l.credit.push(timedCredit{at: n.Cycle + int64(l.Delay), flits: p.Size, vc: uint8(vc)})
+	if l := ip.link; l != nil && n.LinkAlive(l.id) {
+		l.credit.push(timedCredit{at: n.Cycle + int64(l.delay), flits: p.Size, vc: uint8(vc)})
 	}
 }
 
@@ -503,7 +504,7 @@ func (n *Network) filterLinkPackets(l *linkCycle, keep func(*Packet) bool) {
 			w++
 			continue
 		}
-		l.credit.push(timedCredit{at: n.Cycle + int64(l.Delay), flits: p.Size, vc: p.VC})
+		l.credit.push(timedCredit{at: n.Cycle + int64(l.delay), flits: p.Size, vc: p.VC})
 		n.strandPacket(tp.ref, p, int(l.dstShard))
 	}
 	f.n = w
@@ -575,7 +576,7 @@ func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	}
 	for i := range cs.links {
 		l := &cs.links[i]
-		if !n.LinkAlive(l.ID) || l.data.n == 0 {
+		if !n.LinkAlive(l.id) || l.data.n == 0 {
 			continue
 		}
 		dst := &n.Routers[l.Dst]
@@ -612,7 +613,7 @@ func (n *Network) rebuildShardLists() {
 	}
 	for i := range cs.links {
 		l := &cs.links[i]
-		if !n.LinkAlive(l.ID) {
+		if !n.LinkAlive(l.id) {
 			continue
 		}
 		cs.dataLinks[l.dstShard] = append(cs.dataLinks[l.dstShard], l)

@@ -61,17 +61,17 @@ func buildChurnRing(t testing.TB, n int, opts NetworkOptions) *Network {
 	return net
 }
 
-// linkBetween finds the directed link src→dst.
-func linkBetween(t *testing.T, net *Network, src, dst NodeID) *Link {
+// linkBetween finds the ID of the directed link src→dst.
+func linkBetween(t *testing.T, net *Network, src, dst NodeID) int32 {
 	t.Helper()
 	r := net.Router(src)
 	for o := range net.OutPorts(r) {
 		if op := net.OutPorts(r)[o]; op.Link >= 0 && op.Dst == dst {
-			return &net.Links[op.Link]
+			return op.Link
 		}
 	}
 	t.Fatalf("no link %d→%d", src, dst)
-	return nil
+	return -1
 }
 
 // streamTo emits one packet src→dst every period cycles until stop.
@@ -96,8 +96,8 @@ func TestChurnLinkDeathReroutesAndAccounts(t *testing.T) {
 			fwd := linkBetween(t, net, 1, 2)
 			rev := linkBetween(t, net, 2, 1)
 			events := []TimedFault{
-				LinkFault(20, fwd.ID, false),
-				LinkFault(20, rev.ID, false),
+				LinkFault(20, fwd, false),
+				LinkFault(20, rev, false),
 			}
 			if err := net.ScheduleChurn(events, DropInFlight); err != nil {
 				t.Fatal(err)
@@ -249,11 +249,11 @@ func armChurnRing(t *testing.T, net *Network) {
 	fwd := linkBetween(t, net, 4, 5)
 	rev := linkBetween(t, net, 5, 4)
 	events := []TimedFault{
-		LinkFault(25, fwd.ID, false),
-		LinkFault(25, rev.ID, false),
+		LinkFault(25, fwd, false),
+		LinkFault(25, rev, false),
 		RouterFault(40, net.ChipNodes[1][0], false),
-		LinkFault(90, fwd.ID, true),
-		LinkFault(90, rev.ID, true),
+		LinkFault(90, fwd, true),
+		LinkFault(90, rev, true),
 		RouterFault(110, net.ChipNodes[1][0], true),
 	}
 	if err := net.ScheduleChurn(events, RetrySource); err != nil {
@@ -331,11 +331,11 @@ func TestChurnResetMidTimelineRestoresBuildState(t *testing.T) {
 			fwd := linkBetween(t, net, 4, 5)
 			rev := linkBetween(t, net, 5, 4)
 			events := []TimedFault{
-				LinkFault(25, fwd.ID, false),
-				LinkFault(25, rev.ID, false),
+				LinkFault(25, fwd, false),
+				LinkFault(25, rev, false),
 				RouterFault(40, net.ChipNodes[1][0], false),
-				LinkFault(90, fwd.ID, true),
-				LinkFault(90, rev.ID, true),
+				LinkFault(90, fwd, true),
+				LinkFault(90, rev, true),
 				RouterFault(110, net.ChipNodes[1][0], true),
 			}
 			total := len(events)

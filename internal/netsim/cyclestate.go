@@ -115,13 +115,19 @@ type outPortCycle struct {
 
 // linkCycle is a link's cycle state. The data queue carries packets
 // src→dst; the credit queue carries buffer credits dst→src (both with the
-// link's delay). The embedded Link gives the cycle engines its topology
-// fields.
+// link's delay). The embedded Link gives the cycle engines its endpoints;
+// the spec fields a grant or a credit reads, and the link's ID, are copied
+// in, so they cost no load of the shared spec table.
 type linkCycle struct {
 	*Link
 
 	data   packetFIFO
 	credit creditFIFO
+
+	id       int32
+	delay    int32 // cycles of wire latency
+	width    int32 // flits per cycle
+	bufFlits int32 // downstream buffer depth per VC
 
 	// winFlits counts flits launched onto the link during the measurement
 	// window (written only by the source router's shard).
@@ -133,6 +139,7 @@ type linkCycle struct {
 	// consumed by srcShard.
 	srcShard int32
 	dstShard int32
+	class    HopClass
 	// dataActive/creditActive report membership in the consumer shard's
 	// active-link worklist. Each flag is set by the producer shard during
 	// the allocate phase and cleared by the consumer shard during the drain
@@ -158,8 +165,14 @@ func (n *Network) ensureCycleState() {
 	cs.deriveStreams(n.seed)
 	for i := range n.Links {
 		l := &n.Links[i]
+		spec := &n.specs[l.Spec]
 		cs.links[i] = linkCycle{
 			Link:     l,
+			id:       int32(i),
+			delay:    spec.Delay,
+			width:    spec.Width,
+			bufFlits: spec.BufFlits,
+			class:    spec.Class,
 			srcShard: int32(n.shardOfRouter(l.Src)),
 			dstShard: int32(n.shardOfRouter(l.Dst)),
 		}
@@ -191,15 +204,15 @@ func (n *Network) ensureCycleState() {
 		nvc, netVCs, ncred := 0, 0, 0
 		for _, l := range inLinks {
 			if l >= 0 {
-				nvc += int(n.Links[l].VCs)
-				netVCs += int(n.Links[l].VCs)
+				nvc += int(n.LinkSpec(l).VCs)
+				netVCs += int(n.LinkSpec(l).VCs)
 			} else {
 				nvc++ // injection pseudo-port: a single source queue
 			}
 		}
 		for _, op := range outPorts {
 			if op.Link >= 0 {
-				ncred += int(n.Links[op.Link].VCs)
+				ncred += int(n.LinkSpec(op.Link).VCs)
 			}
 		}
 		vcs := make([]vcQueue, nvc)
@@ -214,7 +227,7 @@ func (n *Network) ensureCycleState() {
 				continue
 			}
 			ip.link = &cs.links[l]
-			k := int(n.Links[l].VCs)
+			k := int(n.LinkSpec(l).VCs)
 			ip.vcs = vcs[vi : vi+k : vi+k]
 			vi += k
 			for v := range ip.vcs {
@@ -226,14 +239,13 @@ func (n *Network) ensureCycleState() {
 			if port.Link < 0 {
 				continue
 			}
-			l := &n.Links[port.Link]
 			op := &rc.out[o]
-			op.link = &cs.links[l.ID]
-			k := int(l.VCs)
+			op.link = &cs.links[port.Link]
+			k := int(n.LinkSpec(port.Link).VCs)
 			op.credits = creds[ci : ci+k : ci+k]
 			ci += k
 			for v := range op.credits {
-				op.credits[v] = l.BufFlits
+				op.credits[v] = op.link.bufFlits
 			}
 		}
 	}
@@ -246,8 +258,8 @@ func (n *Network) ensureCycleState() {
 	// slot being drained); the 64-slot floor gives sleeping routers room to
 	// park typical serialization waits.
 	maxDelay := int32(0)
-	for i := range n.Links {
-		maxDelay = max(maxDelay, n.Links[i].Delay)
+	for i := range n.specs {
+		maxDelay = max(maxDelay, n.specs[i].Delay)
 	}
 	wheelSize := 64
 	for wheelSize < int(maxDelay)+2 {
@@ -290,7 +302,7 @@ func (cs *cycleState) reset(seed uint64) {
 		for o := range rc.out {
 			op := &rc.out[o]
 			for vc := range op.credits {
-				op.credits[vc] = op.link.BufFlits
+				op.credits[vc] = op.link.bufFlits
 			}
 		}
 	}
@@ -317,7 +329,7 @@ func (n *Network) FreeCredits(id NodeID, out int, vc uint8) int32 {
 		return 1 << 30
 	}
 	if n.cyc == nil {
-		return n.Links[l].BufFlits
+		return n.LinkSpec(l).BufFlits
 	}
 	return n.cyc.routers[id].out[out].credits[vc]
 }

@@ -39,7 +39,7 @@ func TestFlowOnlyNetworkHasNoCycleState(t *testing.T) {
 	defer net.Close()
 	net.SetEngine(EngineFlow)
 	checkNoCycleState(t, net)
-	if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
+	if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	armChurnRing(t, net)
@@ -67,11 +67,11 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 				if net.OutPorts(r)[o].Link < 0 {
 					continue
 				}
-				l := &net.Links[net.OutPorts(r)[o].Link]
-				for vc := uint8(0); vc < l.VCs; vc++ {
-					if got := net.FreeCredits(r.ID, o, vc); got != l.BufFlits {
+				spec := net.LinkSpec(net.OutPorts(r)[o].Link)
+				for vc := uint8(0); vc < spec.VCs; vc++ {
+					if got := net.FreeCredits(r.ID, o, vc); got != spec.BufFlits {
 						t.Fatalf("%s: router %d port %d vc %d has %d free credits, want %d",
-							when, i, o, vc, got, l.BufFlits)
+							when, i, o, vc, got, spec.BufFlits)
 					}
 				}
 			}
@@ -93,7 +93,7 @@ func TestFreeCreditsBeforeFirstUse(t *testing.T) {
 func TestCycleStateFollowsBuildFaults(t *testing.T) {
 	// faultAndArm applies the build-time fault and arms the churn timeline.
 	faultAndArm := func(net *Network) {
-		if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3).ID}); err != nil {
+		if err := net.ApplyFaults(nil, []int32{linkBetween(t, net, 2, 3)}); err != nil {
 			t.Fatal(err)
 		}
 		armChurnRing(t, net)
@@ -162,20 +162,22 @@ func pointerFree(t reflect.Type) bool {
 }
 
 // TestLeanTopologyLayout pins the flow-mode footprint of the topology
-// structs: every cycle-engine field, the router streams and the window
-// counters included, lives in the cycle records, and ports are windows of
-// network-wide slabs, so these sizes only grow if one creeps back. Link,
-// OutPort and Router must stay pointer-free, which keeps the GC from
-// scanning the router and link tables and the out-port slab, and keeps a
-// route walk off the Link records.
+// structs and the flow solver's trace entry: every cycle-engine field, the
+// router streams and the window counters included, lives in the cycle
+// records, ports are windows of network-wide slabs, and links share their
+// spec, so these sizes only grow if one creeps back. Link, OutPort and
+// Router must stay pointer-free, which keeps the GC from scanning the
+// router and link tables and the out-port slab, and keeps a route walk off
+// the Link records.
 func TestLeanTopologyLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"Link", unsafe.Sizeof(Link{}), 32},
+		{"Link", unsafe.Sizeof(Link{}), 16},
 		{"OutPort", unsafe.Sizeof(OutPort{}), 8},
 		{"Router", unsafe.Sizeof(Router{}), 48},
+		{"traceEntry", unsafe.Sizeof(traceEntry{}), 40},
 	} {
 		if tc.size > tc.max {
 			t.Errorf("%s is %d bytes, want at most %d", tc.name, tc.size, tc.max)

@@ -80,15 +80,15 @@ func checkOutPorts(t *testing.T, net *netsim.Network) {
 				continue
 			}
 			l := &net.Links[op.Link]
-			if l.ID != op.Link || l.Src != r.ID || int(l.SrcPort) != o || l.Dst != op.Dst {
-				t.Fatalf("router %d port %d = %+v, but link %d runs %d:%d -> %d", i, o, op, l.ID, l.Src, l.SrcPort, l.Dst)
+			if l.Src != r.ID || int(l.SrcPort) != o || l.Dst != op.Dst {
+				t.Fatalf("router %d port %d = %+v, but link %d runs %d:%d -> %d", i, o, op, op.Link, l.Src, l.SrcPort, l.Dst)
 			}
 		}
 	}
 	for i := range net.Links {
 		l := &net.Links[i]
-		if op := net.OutPorts(&net.Routers[l.Src])[l.SrcPort]; op.Link != l.ID {
-			t.Fatalf("link %d leaves router %d port %d, which names link %d", l.ID, l.Src, l.SrcPort, op.Link)
+		if op := net.OutPorts(&net.Routers[l.Src])[l.SrcPort]; op.Link != int32(i) {
+			t.Fatalf("link %d leaves router %d port %d, which names link %d", i, l.Src, l.SrcPort, op.Link)
 		}
 	}
 }
@@ -103,10 +103,10 @@ func checkFlowKinds(t *testing.T, net *netsim.Network) {
 		t.Fatalf("%d flow elements, want %d", len(width), want)
 	}
 	for i := range net.Links {
-		l := &net.Links[i]
-		if width[i] != l.Width || delay[i] != l.Delay || class[i] != l.Class {
-			t.Fatalf("link %d: kind gives width %d delay %d class %v, link has %d %d %v",
-				i, width[i], delay[i], class[i], l.Width, l.Delay, l.Class)
+		l := net.LinkSpec(int32(i))
+		if width[i] != l.Width || delay[i] != l.Delay || class[i] != l.Class || net.Links[i].Class != l.Class {
+			t.Fatalf("link %d: kind gives width %d delay %d class %v, link has %d %d %v (class %v)",
+				i, width[i], delay[i], class[i], l.Width, l.Delay, l.Class, net.Links[i].Class)
 		}
 	}
 	for el := len(net.Links); el < len(width); el++ {

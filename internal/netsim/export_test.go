@@ -34,7 +34,7 @@ func (n *Network) CheckServedPaths(demands []FlowDemand, size int32, fresh Route
 		if need || !hit {
 			return 0, fmt.Errorf("pair %d->%d not served from the cache after the build", src, dst)
 		}
-		if ei != c.idx[key] {
+		if _, ref := c.find(key); ei != ref {
 			own[key] = true
 		}
 		e := c.entries[ei]
@@ -196,7 +196,7 @@ func (p FlowProbe) Rates() []float64 {
 func (p FlowProbe) Bases() []int64 {
 	out := make([]int64, len(p.fl.flows))
 	for i := range p.fl.flows {
-		out[i] = p.fl.cache.entries[p.fl.flows[i].entry].base
+		out[i] = int64(p.fl.cache.entries[p.fl.flows[i].entry].base)
 	}
 	return out
 }
@@ -278,6 +278,34 @@ func (n *Network) FlowElemKinds(size int32) (width, delay []int32, class []HopCl
 		class = append(class, fl.kinds[k].class)
 	}
 	return width, delay, class, nil
+}
+
+// AgeTraceEpoch renumbers the trace cache's current epoch to e, on every
+// entry and fault-state record valid in it too, then sets the epoch
+// counter to next without touching them: a cache that traced in epoch e
+// and then invalidated until its counter read next, reading nothing in
+// between.
+func (n *Network) AgeTraceEpoch(e, next uint32) {
+	fl := n.flowSolver()
+	c := fl.cache
+	for i := range c.entries {
+		if c.entries[i].epoch == c.epoch {
+			c.entries[i].epoch = e
+		}
+	}
+	for i := range fl.records {
+		if fl.records[i].epoch == c.epoch {
+			fl.records[i].epoch = e
+		}
+	}
+	c.epoch = next
+}
+
+// ForceLoadPass sends every later waterfill round down the whole-network
+// load pass (pass > 0) or the dirty-element refresh (pass < 0); 0 restores
+// the solver's own choice.
+func (n *Network) ForceLoadPass(pass int) {
+	n.flowSolver().passHook = int8(max(-1, min(pass, 1)))
 }
 
 // CycleStateBuilt reports whether the cycle engines' state, the router

@@ -54,9 +54,9 @@ func TestApplyFaultsDisablesIncidentLinks(t *testing.T) {
 	if net.RouterAlive(1) {
 		t.Fatal("router 1 not disabled")
 	}
-	for _, l := range net.Links {
+	for i, l := range net.Links {
 		incident := l.Src == 1 || l.Dst == 1
-		if disabled := !net.LinkAlive(l.ID); disabled != incident {
+		if disabled := !net.LinkAlive(int32(i)); disabled != incident {
 			t.Fatalf("link %d→%d disabled=%v, want %v", l.Src, l.Dst, disabled, incident)
 		}
 	}
@@ -137,7 +137,7 @@ func TestApplyFaultsAfterScheduleChurnSurvivesReset(t *testing.T) {
 	if err := net.ScheduleChurn(nil, DropInFlight); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.ApplyFaults([]NodeID{net.ChipNodes[2][0]}, []int32{linkBetween(t, net, 4, 5).ID}); err != nil {
+	if err := net.ApplyFaults([]NodeID{net.ChipNodes[2][0]}, []int32{linkBetween(t, net, 4, 5)}); err != nil {
 		t.Fatal(err)
 	}
 	if dead := net.DeadChips(); !reflect.DeepEqual(dead, []int32{2}) {

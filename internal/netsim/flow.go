@@ -73,11 +73,14 @@ package netsim
 //     in ascending flow order. Every pass of a round runs on the pool: the
 //     candidate gather and throttle split by flow range, each worker
 //     binary-searching its range in each over-capacity element's incidence
-//     list, and the dirty-load refresh split by element range, each worker
-//     walking the candidate paths for its own elements. A round reads each
-//     candidate flow's path at most once per worker: worst ratios come from
-//     the over-capacity elements through the transpose, and when most flows
-//     throttle the round refreshes every load instead of walking paths.
+//     list; the dirty marks split the same way, each worker setting the
+//     elements of its own candidates' paths in a bitset of its own; and the
+//     dirty-load refresh split by 64-element words, each worker merging the
+//     bitsets' words of its range and refreshing the marked loads in
+//     element order. A round reads each candidate flow's path at most once:
+//     worst ratios come from the over-capacity elements through the
+//     transpose, and when the throttled paths are long enough the round
+//     refreshes every load instead of walking them (fullLoadPass).
 //   - Latency synthesis computes each element's queueing term once per
 //     segment, sums each flow's terms along its path on the pool, and folds
 //     the window statistics serially in flow order.
@@ -230,7 +233,7 @@ const stateRecords = 2
 // that stored it; only a later segment of that solve replays it.
 type stateRecord struct {
 	state   int32
-	epoch   uint64
+	epoch   uint32
 	used    uint64
 	tabled  bool
 	pairs   []uint64
@@ -274,7 +277,7 @@ const flowPathHint = 32
 // tracing worker's scratch buffer until the deterministic merge copies it
 // to arena offset at.
 type traceResult struct {
-	base       int64
+	base       int32
 	off, n, at int32
 	wrk        int32
 	ok         bool
@@ -301,15 +304,17 @@ const flowWorkerBlock = 128
 // packet and its RNG stream (kept here so a trace allocates nothing), the
 // buffer the worker's paths of the current batch collect in until the
 // merge, and the route steps the worker traced in the current build. part
-// is the worker's share of a waterfill round's gather, and curs its
+// is the worker's share of a waterfill round's gather, marks its dirty
+// marks (a bitset over elements, empty between rounds), and curs its
 // transpose cursors (see elemCursor).
 type workerState struct {
-	p    Packet
-	rng  engine.RNG
-	buf  []int32
-	hops int64
-	part roundPart
-	curs []int32
+	p     Packet
+	rng   engine.RNG
+	buf   []int32
+	hops  int64
+	part  roundPart
+	marks []uint64
+	curs  []int32
 }
 
 // flowKind is what the flow solver reads of an element: every element of
@@ -373,16 +378,18 @@ type flowSolver struct {
 	// Waterfill active sets: the monotone scheme only ever lowers
 	// throttles, so loads only ever drop and the over-capacity element set
 	// only shrinks — each round touches the congested neighborhood, not
-	// the whole network. Stamps dedupe the per-round candidates and dirty
-	// elements; stamp values are never reused (see waterfillStart's wrap
-	// guard).
+	// the whole network. Stamps dedupe the per-round candidates; stamp
+	// values are never reused (see waterfillStart's wrap guard). The dirty
+	// elements are the workers' marks. passHook, a test hook, sends every
+	// round down the whole-network load pass (> 0) or the dirty refresh
+	// (< 0) instead of fullLoadPass's choice.
 	overElems []int32   // elements still loaded past capacity
 	cand      []int32   // per flow range: flows crossing an over-capacity element this round
 	ratio     []float64 // per flow: worst capacity/load ratio this round
 	delivered []float64 // per flow: rate*x, the term every load reduction sums
 	flowStamp []int32
-	elemStamp []int32
 	stamp     int32
+	passHook  int8
 
 	// Latency synthesis: per-element M/D/1 waiting terms and per-flow
 	// latencies of the solved segment.
@@ -390,8 +397,8 @@ type flowSolver struct {
 	lat  []float64
 
 	// Persistent phase closures, built once so solves allocate nothing.
-	traceFn, mergeFn, countFn, fillFn          func(int)
-	loadFn, gatherFn, refreshFn, waitFn, latFn func(int)
+	traceFn, mergeFn, countFn, fillFn                  func(int)
+	loadFn, gatherFn, markFn, refreshFn, waitFn, latFn func(int)
 
 	starts []int64
 	accum  flowAccum
@@ -442,7 +449,6 @@ func (n *Network) flowSolver() *flowSolver {
 		load:       make([]float64, elems),
 		wait:       make([]float64, elems),
 		elemOff:    make([]int32, elems+1),
-		elemStamp:  make([]int32, elems),
 		tiles:      make([]int32, 1<<(2*tileBits)+1),
 		tileShift:  uint(nodeBits - tileBits),
 		worker:     make([]flowWorker, 1),
@@ -553,24 +559,38 @@ func (n *Network) flowSolver() *flowSolver {
 		}
 		fl.worker[w].part = roundPart{end: end, walk: walk}
 	}
-	// refreshFn recomputes the loads of worker w's element range that share
-	// a flow with the round's candidates, walking every worker's candidate
-	// paths and skipping the elements of other ranges.
+	// markFn marks the elements on worker w's candidate paths, the ones the
+	// round's throttles reach, in the worker's own bitset.
+	//
+	//sldf:hotpath
+	fl.markFn = func(w int) {
+		c := fl.cache
+		marks := fl.worker[w].marks
+		lo, _ := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for _, fi := range fl.cand[lo:fl.worker[w].part.end] {
+			for _, el := range c.pathOf(&c.entries[fl.flows[fi].entry]) {
+				marks[el>>6] |= 1 << uint(el&63)
+			}
+		}
+	}
+	// refreshFn recomputes the marked loads of worker w's range of 64-element
+	// words in ascending element order, merging and clearing every worker's
+	// marks of each word.
 	//
 	//sldf:hotpath
 	fl.refreshFn = func(w int) {
-		c := fl.cache
-		elo, ehi := engine.ShardBounds(len(fl.load), fl.workers, w)
-		for v := range fl.workers {
-			lo, _ := engine.ShardBounds(len(fl.flows), fl.workers, v)
-			for _, fi := range fl.cand[lo:fl.worker[v].part.end] {
-				for _, el := range c.pathOf(&c.entries[fl.flows[fi].entry]) {
-					if int(el) < elo || int(el) >= ehi || fl.elemStamp[el] == fl.stamp {
-						continue
-					}
-					fl.elemStamp[el] = fl.stamp
-					fl.load[el] = fl.elemLoad(el)
+		lo, hi := engine.ShardBounds(len(fl.worker[0].marks), fl.workers, w)
+		for wi := lo; wi < hi; wi++ {
+			m := uint64(0)
+			for v := range fl.workers {
+				if b := fl.worker[v].marks[wi]; b != 0 {
+					m |= b
+					fl.worker[v].marks[wi] = 0
 				}
+			}
+			for ; m != 0; m &= m - 1 {
+				el := int32(wi<<6 | bits.TrailingZeros64(m))
+				fl.load[el] = fl.elemLoad(el)
 			}
 		}
 	}
@@ -647,7 +667,12 @@ func (n *Network) flowInvalidateAll() {
 	if n.flow == nil {
 		return
 	}
-	n.flow.cache.invalidateAll()
+	if n.flow.cache.invalidateAll() {
+		// The restarted epochs must not meet a record of an old one.
+		for i := range n.flow.records {
+			n.flow.records[i].epoch = 0
+		}
+	}
 	n.flow.stats.FullInvalidations++
 }
 
@@ -700,7 +725,7 @@ func (n *Network) traceOne(ts *flowWorker, srcNode, dstNode NodeID, size int32) 
 			// flit per cycle, exactly like Router.allocate.
 			ts.buf = append(ts.buf, ejBase+r.ID)
 			res.n++
-			res.base += int64(size)
+			res.base += size
 			res.hops[HopEject]++
 			res.ok = true
 			return res
@@ -716,7 +741,7 @@ func (n *Network) traceOne(ts *flowWorker, srcNode, dstNode NodeID, size int32) 
 		res.n++
 		// Wire + the one-cycle handoff into the next router's input buffer
 		// (the cycle engines deliver at now + Delay + 1).
-		res.base += int64(k.delay) + 1
+		res.base += k.delay + 1
 		r = &n.Routers[op.Dst]
 	}
 	ts.buf = ts.buf[:res.off]
@@ -986,35 +1011,34 @@ func (fl *flowSolver) elemCursor(w int) []int32 {
 	return fl.worker[w].curs
 }
 
-// maxElemKinds bounds the distinct element kinds elemKind can tell apart.
-const maxElemKinds = 256
-
 // setCapacities fills the per-kind service times for packet size: an
 // element of width W carries W flits/cycle and serializes a packet in
 // ceil(size/W) cycles. Ejection ports are width-1 elements: one flit/cycle,
-// size cycles. The first call sorts every element into a kind by its
-// link's width, delay and hop class.
+// size cycles. The first call gives every link spec of the network the kind
+// after it (kind 0 is the ejection port's) and each link its spec's kind.
+// A trace's base latency is an int32, so a size at which the longest trace
+// — flowMaxHops hops of the slowest link, then the ejection — would
+// overflow it is refused.
 func (fl *flowSolver) setCapacities(n *Network, size int32) error {
 	if fl.elemKind == nil {
-		kinds := []flowKind{{width: 1, class: HopEject}} // kind 0: ejection ports
+		kinds := make([]flowKind, 1, len(n.specs)+1)
+		kinds[0] = flowKind{width: 1, class: HopEject}
+		for _, sp := range n.specs {
+			kinds = append(kinds, flowKind{width: sp.Width, delay: sp.Delay, class: sp.Class})
+		}
 		elemKind := make([]uint8, len(n.Links)+len(n.Routers))
-		last := 0
 		for i := range n.Links {
-			l := &n.Links[i]
-			want := flowKind{width: l.Width, delay: l.Delay, class: l.Class}
-			if kinds[last] != want {
-				last = slices.Index(kinds, want)
-				if last < 0 {
-					if len(kinds) == maxElemKinds {
-						return fmt.Errorf("%w: more than %d distinct link kinds", ErrFlowEngine, maxElemKinds-1)
-					}
-					last = len(kinds)
-					kinds = append(kinds, want)
-				}
-			}
-			elemKind[i] = uint8(last)
+			elemKind[i] = n.Links[i].Spec + 1
 		}
 		fl.elemKind, fl.kinds = elemKind, kinds
+	}
+	maxDelay := int64(0)
+	for _, k := range fl.kinds {
+		maxDelay = max(maxDelay, int64(k.delay))
+	}
+	if flowMaxHops*(maxDelay+1)+int64(size) > math.MaxInt32 {
+		return fmt.Errorf("%w: %d hops of %d-cycle links and a %d-flit ejection overflow a trace's base latency",
+			ErrFlowEngine, flowMaxHops, maxDelay, size)
 	}
 	for k := range fl.kinds {
 		w := fl.kinds[k].width
@@ -1057,7 +1081,7 @@ func (fl *flowSolver) capOf(el int32) float64 { return float64(fl.kinds[fl.elemK
 // value. A round reads each candidate flow's path at most once: worst
 // ratios come from the over-capacity elements through the transpose, and
 // loads are refreshed either for the elements on throttled paths or, when
-// most flows throttle, for every element (fullLoadPass). All passes
+// those paths are long enough, for every element (fullLoadPass). All passes
 // partition work across the solver pool; neither partitioning affects the
 // result bits.
 //
@@ -1091,13 +1115,14 @@ func (fl *flowSolver) waterfillStart() {
 	fl.run(fl.loadFn)
 	if fl.stamp > 1<<30 {
 		// Stamp values are never reused, so a (practically unreachable)
-		// wraparound clears the dedupe arrays instead of risking collision.
+		// wraparound clears the dedupe array instead of risking collision.
 		fl.stamp = 0
-		for i := range fl.flowStamp {
-			fl.flowStamp[i] = 0
-		}
-		for i := range fl.elemStamp {
-			fl.elemStamp[i] = 0
+		clear(fl.flowStamp)
+	}
+	words := (len(fl.load) + 63) / 64
+	for w := range fl.workers {
+		if len(fl.worker[w].marks) != words {
+			fl.worker[w].marks = make([]uint64, words) //sldf:alloc-ok once per worker record; steady state reuses it
 		}
 	}
 	fl.overElems = fl.overElems[:0]
@@ -1116,14 +1141,15 @@ func (fl *flowSolver) waterfillStart() {
 // full reports whether the loads were refreshed by the whole-network pass
 // rather than the dirty elements (see fullLoadPass).
 //
-// Both passes partition the work on the pool without changing a bit: the
+// Every pass partitions the work on the pool without changing a bit: the
 // candidates, exactly the flows crossing an over-capacity element (each has
 // a worst ratio < 1 and throttles), are gathered and throttled per flow
 // range (gatherFn), and since every flow scales by its own ratio the order
 // they are found in reaches no result. The dirty elements, those sharing a
-// flow with the throttled set, are refreshed per element range (refreshFn),
-// each with its full fixed-order reduction, so the refreshed loads equal a
-// whole-network load pass. At one worker both are single serial loops.
+// flow with the throttled set, are marked per flow range (markFn) and
+// refreshed per range of bitset words (refreshFn), each with its full
+// fixed-order reduction, so the refreshed loads equal a whole-network load
+// pass. At one worker every pass is a single serial loop.
 //
 //sldf:hotpath
 func (fl *flowSolver) waterfillRound() (full bool) {
@@ -1134,10 +1160,13 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 		walk += fl.worker[w].part.walk
 	}
 	full = fullLoadPass(walk, len(fl.elemFlow))
+	if fl.passHook != 0 {
+		full = fl.passHook > 0
+	}
 	if full {
 		fl.run(fl.loadFn)
 	} else {
-		fl.stamp++
+		fl.run(fl.markFn)
 		fl.run(fl.refreshFn)
 	}
 	// Monotonicity: no element outside the set can have crossed capacity,
@@ -1156,16 +1185,19 @@ func (fl *flowSolver) waterfillRound() (full bool) {
 // fullLoadPass reports whether a waterfill round refreshes loads with the
 // whole-network pass rather than the dirty elements, given the path
 // elements of its candidate flows (walk) and the transpose's flow–element
-// incidences. A dirty refresh walks every candidate path once per worker —
-// each worker skips the elements outside its range — and then sums the
-// dirty elements' incidences, split by element range; the full pass sums
-// every incidence, split the same way. The walk is the part more workers
-// do not shrink, so the full pass is taken once it reaches a quarter of all
-// incidences. The threshold ignores the worker count, so a round takes the
-// same branch for any worker count, and either way the loads come out
-// bit-identical.
+// incidences. A dirty refresh marks every candidate path's elements, split
+// by flow range, then sums the marked elements' incidences in element
+// order, split by bitset words; the full pass sums every incidence, split
+// by element range. Both shrink with more workers, so the threshold ignores
+// the worker count, a round takes the same branch for any worker count,
+// and either way the loads come out bit-identical. The dirty cost grows
+// with the walk and the full pass's does not: on the radix-32 system at two
+// workers (2-vCPU guest), rounds walking 4%, 11%, 24% and 81% of the
+// incidences took 4.0–4.7, 6.7–9.3, 11–26 and 18–25 ms dirty against
+// 6–11 ms for every full pass, so the full pass is taken once the walk
+// reaches an eighth of all incidences.
 func fullLoadPass(walk, incidences int) bool {
-	return 4*walk >= incidences
+	return 8*walk >= incidences
 }
 
 // elemLoad is element el's load: the sum of its incident flows' delivered
@@ -1498,9 +1530,7 @@ func (n *Network) FlowMakespan(vols []FlowVolume, packetSize int32) (int64, erro
 		for _, el := range fl.cache.pathOf(e) {
 			fl.load[el] += f.rate
 		}
-		if e.base > maxBase {
-			maxBase = e.base
-		}
+		maxBase = max(maxBase, int64(e.base))
 	}
 	var maxSer float64
 	for i, l := range fl.load {

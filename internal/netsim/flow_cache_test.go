@@ -112,7 +112,7 @@ func TestFlowChurnSelectiveInvalidation(t *testing.T) {
 	arm := func(net *Network) {
 		fwd := linkBetween(t, net, 1, 2)
 		rev := linkBetween(t, net, 2, 1)
-		events := []TimedFault{LinkFault(100, fwd.ID, false), LinkFault(100, rev.ID, false)}
+		events := []TimedFault{LinkFault(100, fwd, false), LinkFault(100, rev, false)}
 		if err := net.ScheduleChurn(events, DropInFlight); err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +212,8 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 				// The 1↔2 channel dies at 150 and is back at 200.
 				fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
 				if err := net.ScheduleChurn([]TimedFault{
-					LinkFault(150, fwd.ID, false), LinkFault(150, rev.ID, false),
-					LinkFault(200, fwd.ID, true), LinkFault(200, rev.ID, true),
+					LinkFault(150, fwd, false), LinkFault(150, rev, false),
+					LinkFault(200, fwd, true), LinkFault(200, rev, true),
 				}, DropInFlight); err != nil {
 					t.Fatal(err)
 				}
@@ -310,7 +310,7 @@ func TestTraceLayoutIndependentOfWorkers(t *testing.T) {
 		ref = append(ref, layoutOf(net))
 		net.Reset()
 		fwd, rev := linkBetween(t, net, 1, 2), linkBetween(t, net, 2, 1)
-		if err := net.ScheduleChurn([]TimedFault{LinkFault(100, fwd.ID, false), LinkFault(100, rev.ID, false)},
+		if err := net.ScheduleChurn([]TimedFault{LinkFault(100, fwd, false), LinkFault(100, rev, false)},
 			DropInFlight); err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +502,7 @@ func TestFlowTableReuseOracle(t *testing.T) {
 	killAt := func(a, b NodeID) func(*Network) {
 		return func(net *Network) {
 			fwd, rev := linkBetween(t, net, a, b), linkBetween(t, net, b, a)
-			if err := net.InjectChurn([]TimedFault{LinkFault(0, fwd.ID, false), LinkFault(0, rev.ID, false)}); err != nil {
+			if err := net.InjectChurn([]TimedFault{LinkFault(0, fwd, false), LinkFault(0, rev, false)}); err != nil {
 				t.Fatal(err)
 			}
 		}

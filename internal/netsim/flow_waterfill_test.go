@@ -368,3 +368,72 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 			fullRounds, listRounds)
 	}
 }
+
+// buildFlowRadix16 builds a radix-16 switch-less Dragonfly with minimal
+// routing on the flow engine: the full system (41 W-groups, 1,312 chips)
+// when groups is 0, else that many W-groups.
+func buildFlowRadix16(t *testing.T, groups int) *netsim.Network {
+	t.Helper()
+	s, err := topology.BuildSLDF(topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 8, H: 5, G: groups},
+		topology.DefaultLinkClasses(routing.SLDFVCCount(routing.BaselineVC, routing.Minimal), 1),
+		netsim.NetworkOptions{Seed: 9, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := routing.NewSLDFRouter(s, routing.BaselineVC, routing.Minimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Install(s.Net)
+	s.Net.SetEngine(netsim.EngineFlow)
+	return s.Net
+}
+
+// TestWaterfillLoadPassesAgree forces every waterfill round down the
+// whole-network load pass, then down the dirty-element refresh, at 1, 2
+// and 5 workers, on the full radix-16 system and on one of its W-groups
+// past the knee: every run must end with the throttles and loads of the
+// solver's own choice of passes, bit for bit, after the same rounds.
+func TestWaterfillLoadPassesAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		groups  int
+		rate    float64
+		samples int
+	}{
+		{"radix16", 0, 0.6, 4},
+		{"radix16-1group", 1, 0.9, 16},
+	} {
+		net := buildFlowRadix16(t, tc.groups)
+		demands := sampledDemands(len(net.ChipNodes), tc.samples, tc.rate)
+		run := func(pass, workers int) (x, load []float64, rounds int) {
+			net.ForceLoadPass(pass)
+			net.SetFlowWorkers(workers)
+			p := net.PrepareFlowSegment(demands, 4)
+			p.Start()
+			for len(p.OverElems()) > 0 && rounds < netsim.WaterfillRounds {
+				p.Round()
+				rounds++
+			}
+			return p.Throttles(), p.Loads(), rounds
+		}
+		x, load, rounds := run(0, 1)
+		if rounds < 2 {
+			t.Fatalf("%s: %d waterfill rounds, want a point past the knee", tc.name, rounds)
+		}
+		t.Logf("%s: %d flows, %d rounds", tc.name, len(x), rounds)
+		for _, pass := range []int{1, -1} {
+			for _, workers := range []int{1, 2, 5} {
+				at := fmt.Sprintf("%s, pass %+d, %d workers:", tc.name, pass, workers)
+				gx, gload, grounds := run(pass, workers)
+				if grounds != rounds {
+					t.Fatalf("%s %d rounds, the solver's own passes %d", at, grounds, rounds)
+				}
+				checkBits(t, at+" throttle of flow", gx, x)
+				checkBits(t, at+" load of element", gload, load)
+			}
+		}
+		net.ForceLoadPass(0)
+		net.Close()
+	}
+}

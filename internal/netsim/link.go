@@ -72,6 +72,11 @@ func (f *packetFIFO) clear() {
 	f.head, f.n = 0, 0
 }
 
+// serCycles returns the serialization time of size flits on this link.
+func (l *linkCycle) serCycles(size int32) int64 {
+	return int64((size + l.width - 1) / l.width)
+}
+
 // creditFIFO is the same ring-buffer structure for credit messages.
 type creditFIFO struct {
 	buf  []timedCredit
@@ -122,24 +127,18 @@ func (f *creditFIFO) popReady(now int64) (c timedCredit, ok bool) {
 // and credit pipelines the cycle engines run over it, and its window flit
 // count, live in its linkCycle record (see Network.ensureCycleState), and
 // the flow solver keeps its own per-link sums (see Network.WindowFlits).
-// Link holds no pointers, so the GC never scans the link table.
+// A link's ID is its index in Network.Links. Its physical and flow-control
+// properties are one of the network's few distinct LinkSpecs, which links
+// share: Spec indexes the network's spec table (see Network.LinkSpec).
+// Class repeats the spec's hop class, the one property read per link
+// outside the engines. Link holds no pointers, so the GC never scans the
+// link table.
 type Link struct {
-	ID    int32
-	Src   NodeID // source router
-	Dst   NodeID // destination router
-	Delay int32  // cycles of wire latency
-	Width int32  // flits per cycle (bandwidth)
-	Class HopClass
-	VCs   uint8 // virtual channels on the downstream input port
-	// BufFlits is the downstream buffer depth per VC; Reset restores the
-	// upstream credit counters to this value.
-	BufFlits int32
+	Src NodeID // source router
+	Dst NodeID // destination router
 	// SrcPort/DstPort are the port indices on the endpoint routers.
 	SrcPort int16
 	DstPort int16
-}
-
-// serCycles returns the serialization time of size flits on this link.
-func (l *Link) serCycles(size int32) int64 {
-	return int64((size + l.Width - 1) / l.Width)
+	Spec    uint8
+	Class   HopClass
 }

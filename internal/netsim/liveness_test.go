@@ -42,7 +42,7 @@ func checkLiveness(t *testing.T, net *netsim.Network, when string) liveness {
 			deadL++
 		}
 		if lv.links[i] && (!lv.routers[l.Src] || !lv.routers[l.Dst]) {
-			t.Fatalf("%s: link %d (%d→%d) alive with a dead endpoint router", when, l.ID, l.Src, l.Dst)
+			t.Fatalf("%s: link %d (%d→%d) alive with a dead endpoint router", when, i, l.Src, l.Dst)
 		}
 	}
 	if r, l := net.DisabledCounts(); r != deadR || l != deadL {

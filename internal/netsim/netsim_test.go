@@ -397,6 +397,22 @@ func TestBuilderValidation(t *testing.T) {
 	if b.Err() == nil {
 		t.Fatal("double terminal must be rejected")
 	}
+
+	// Links share one table of at most 255 distinct specs.
+	b = NewBuilder()
+	x = b.AddRouter(KindCore)
+	y = b.AddRouter(KindCore)
+	for d := int32(1); d <= maxLinkSpecs; d++ {
+		b.Connect(x, y, LinkSpec{Delay: d, Width: 1, VCs: 1, BufFlits: 8})
+		b.Connect(y, x, LinkSpec{Delay: d, Width: 1, VCs: 1, BufFlits: 8})
+	}
+	if b.Err() != nil {
+		t.Fatalf("%d distinct link specs rejected: %v", maxLinkSpecs, b.Err())
+	}
+	b.Connect(x, y, LinkSpec{Delay: maxLinkSpecs + 1, Width: 1, VCs: 1, BufFlits: 8})
+	if b.Err() == nil {
+		t.Fatalf("link spec %d must be rejected", maxLinkSpecs+1)
+	}
 }
 
 func TestChipNodeOrdering(t *testing.T) {

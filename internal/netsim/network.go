@@ -44,6 +44,9 @@ type Network struct {
 	// linkCycle and LinkUtil hold point into it and stay valid because it
 	// is never resized after Finalize.
 	Links []Link
+	// specs is the table Link.Spec indexes: each distinct LinkSpec the
+	// builder connected a link with, in first-use order.
+	specs []LinkSpec
 
 	// outPorts and inLinks hold every router's output ports and the link
 	// ID feeding each of its input ports (-1 on the injection pseudo-port),
@@ -157,6 +160,9 @@ func (n *Network) NumChips() int { return len(n.ChipNodes) }
 
 // Router returns the router with the given ID.
 func (n *Network) Router(id NodeID) *Router { return &n.Routers[id] }
+
+// LinkSpec returns the physical and flow-control properties of link id.
+func (n *Network) LinkSpec(id int32) LinkSpec { return n.specs[n.Links[id].Spec] }
 
 // OutPorts returns r's output ports, indexed by port number. The slice is
 // a window of the network-wide port slab: reading it allocates nothing.

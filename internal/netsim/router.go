@@ -468,7 +468,7 @@ func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, a
 				minWake = min(minWake, ip.busyUntil)
 				continue
 			}
-			if ol != nil && (op.credits[d.vc] < d.size || !net.LinkAlive(ol.ID)) {
+			if ol != nil && (op.credits[d.vc] < d.size || !net.LinkAlive(ol.id)) {
 				// No credits — or a dead output link: a disabled link offers
 				// no bandwidth, so the packet waits in place until a repair
 				// (or a route recompute after the next churn batch) unblocks
@@ -521,13 +521,13 @@ func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, a
 		if il == nil {
 			// Leaving the source queue: network latency starts here.
 			p.InjectedAt = now
-		} else if net.LinkAlive(il.ID) {
+		} else if net.LinkAlive(il.id) {
 			// Return credits upstream for the buffer space just freed. A
 			// dead feeding link gets no credit (its books are rebuilt on
 			// repair); on static networks a disabled link never delivers a
 			// packet, so the guard never fires.
 			il.credit.push(timedCredit{
-				at:    now + int64(il.Delay),
+				at:    now + int64(il.delay),
 				flits: p.Size,
 				vc:    uint8(vc),
 			})
@@ -559,13 +559,13 @@ func (rc *routerCycle) allocate(net *Network, r *Router, now int64, shard int, a
 
 		op.credits[gd.vc] -= p.Size
 		p.VC = gd.vc
-		p.Hops[ol.Class]++
+		p.Hops[ol.class]++
 		if net.inWindow(now) {
 			ol.winFlits += int64(p.Size)
 		}
 		// Virtual cut-through: head available downstream after wire delay
 		// plus one cycle of flit time.
-		ol.data.push(ref, now+int64(ol.Delay)+1)
+		ol.data.push(ref, now+int64(ol.delay)+1)
 		if act != nil {
 			act.stageDataLink(ol)
 		}

@@ -239,7 +239,7 @@ func TestDeadLinkBlockedRouterWakesOnRevival(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			net, r, rc := blockedHub(t, kind, true)
 			link := net.OutPorts(r)[1].Link
-			rc.out[1].credits[0] = net.Links[link].BufFlits
+			rc.out[1].credits[0] = net.LinkSpec(link).BufFlits
 			if err := net.InjectChurn([]TimedFault{LinkFault(net.Cycle, link, false)}); err != nil {
 				t.Fatal(err)
 			}

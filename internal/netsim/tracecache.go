@@ -10,12 +10,12 @@ import "slices"
 // fixed-size slabs that are never moved or regrown: a path is written once,
 // into the slab it fits in whole, and a full slab is followed by a new one.
 // Every installed routing is fault-state routing (SetRoute installs one
-// that ignores the state; see faultroute.go), so there is one model. The reference layer — the entries
-// idx points at — holds the traces of the state the routing was installed
-// in: the churn base. Every other fault state the network enters gets a
-// layer that stores deltas only: overlay entries for the pairs it routes
-// differently from the reference entry, and a bitset of the reference
-// entries it verified as identical. A state traces each pair once; a
+// that ignores the state; see faultroute.go), so there is one model. The
+// reference layer — the entries the key index points at — holds the traces
+// of the state the routing was installed in: the churn base. Every other
+// fault state the network enters gets a layer that stores deltas only:
+// overlay entries for the pairs it routes differently from the reference
+// entry, and a bitset of the reference entries it verified as identical. A state traces each pair once; a
 // revisited state re-traces nothing.
 //
 // Validity is epoch-versioned. Full invalidation (SetRoute,
@@ -24,6 +24,11 @@ import "slices"
 // place — the key index is kept, so a re-trace reuses the entry slot — and
 // every state layer is emptied, its overlay entries compacted away. Churn
 // batches and Reset invalidate nothing: they only switch layers.
+//
+// The key index is an open-addressing hash table of reference entry
+// indices, probed linearly from the key's multiplicative hash and compared
+// through the entries' own keys: 4 bytes a slot, its size a power of two
+// kept at most 3/4 full.
 
 // traceEntry is one cached route: the traced path as an arena offset and
 // length (read with traceCache.pathOf), the uncontended base latency, and
@@ -31,16 +36,18 @@ import "slices"
 // persistently unroutable pair is not re-traced every solve.
 type traceEntry struct {
 	key   uint64
-	epoch uint64 // reference entries: valid iff == traceCache.epoch
+	epoch uint32 // reference entries: valid iff == traceCache.epoch
 	off   int32
 	n     int32
 	// resv marks a reference entry whose trace is pending under a
 	// non-reference state in the current flow build (== traceCache.resvGen).
-	resv   uint32
+	resv uint32
+	// base is the uncontended latency in cycles; setCapacities refuses a
+	// network whose longest trace would overflow it.
+	base   int32
+	hops   [NumHopClasses]uint16
 	traced bool // reserved entries await tracing within the current build
 	ok     bool
-	base   int64
-	hops   [NumHopClasses]uint16
 }
 
 // traceLayer is one non-reference fault state's delta over the reference
@@ -77,14 +84,17 @@ const (
 // traceCache owns the entries, their key index, the shared path arena and
 // the per-state layers.
 type traceCache struct {
-	idx     map[uint64]int32
+	// slots is the key index: a slot holds a reference entry's index plus
+	// one, 0 when empty. Keys hash to slot key*indexHashMul>>shift.
+	slots   []int32
+	shift   uint8
 	entries []traceEntry
 	// slabs is the path arena; arena offset off is element off&pathSlabMask
 	// of slab off>>pathSlabBits. pathEnd is the offset the next path is
 	// placed at. Slabs outlive invalidation, which only rewinds pathEnd.
 	slabs   [][]int32
 	pathEnd int32
-	epoch   uint64
+	epoch   uint32
 
 	// state is the fault state flows are served for: 0 is the reference
 	// layer, s > 0 reads layers[s] over it. overlays counts the overlay
@@ -107,14 +117,64 @@ func pairFromKey(key uint64) (src, dst NodeID) {
 }
 
 func newTraceCache() *traceCache {
-	return &traceCache{idx: make(map[uint64]int32), epoch: 1, resvGen: 1}
+	c := &traceCache{epoch: 1, resvGen: 1}
+	c.sizeIndex(0)
+	return c
 }
 
 // reserve presizes an empty cache's index and entries for n pairs, so a
 // cold build inserts without growing them.
 func (c *traceCache) reserve(n int) {
-	c.idx = make(map[uint64]int32, n)
+	c.sizeIndex(n)
 	c.entries = make([]traceEntry, 0, n)
+}
+
+// indexHashMul is the multiplicative hash of the key index (2^64 over the
+// golden ratio): the slot's bits are the top bits of the product.
+const indexHashMul = 0x9E3779B97F4A7C15
+
+// sizeIndex replaces the key index with an empty one for n keys: the
+// smallest power of two of at least 8 slots that n fill at most 3/4.
+func (c *traceCache) sizeIndex(n int) {
+	b := 3
+	for 3<<b < 4*n {
+		b++
+	}
+	c.slots = make([]int32, 1<<b)
+	c.shift = uint8(64 - b)
+}
+
+// find returns the index slot of key and the reference entry it holds, or
+// the empty slot key would take and -1.
+func (c *traceCache) find(key uint64) (slot int, ei int32) {
+	mask := len(c.slots) - 1
+	for s := int(key * indexHashMul >> c.shift); ; s = (s + 1) & mask {
+		ei := c.slots[s] - 1
+		if ei < 0 || c.entries[ei].key == key {
+			return s, ei
+		}
+	}
+}
+
+// index enters new reference entry ei into the key index, first doubling
+// the index when its key would fill it past 3/4.
+func (c *traceCache) index(ei int32) {
+	if refs := len(c.entries) - c.overlays; 4*refs > 3*len(c.slots) {
+		old := c.slots
+		c.sizeIndex(refs)
+		for _, v := range old {
+			if v > 0 {
+				c.enter(v - 1)
+			}
+		}
+	}
+	c.enter(ei)
+}
+
+// enter puts entry ei in the empty slot its key probes to.
+func (c *traceCache) enter(ei int32) {
+	s, _ := c.find(c.entries[ei].key)
+	c.slots[s] = ei + 1
 }
 
 // lookup returns the entry serving key under the current state. need
@@ -126,11 +186,11 @@ func (c *traceCache) reserve(n int) {
 // index; the merge in tracePending then either verifies the reference entry
 // or redirects the flows to a fresh overlay entry.
 func (c *traceCache) lookup(key uint64) (ei int32, need, hit bool) {
-	i, ok := c.idx[key]
-	if !ok {
+	_, i := c.find(key)
+	if i < 0 {
 		i = int32(len(c.entries))
 		c.entries = append(c.entries, traceEntry{key: key})
-		c.idx[key] = i
+		c.index(i)
 	}
 	e := &c.entries[i]
 	if c.state == 0 {
@@ -266,29 +326,41 @@ func (c *traceCache) resetStates() {
 
 // invalidateAll discards every cached trace: the reference layer in O(1)
 // (stale entries never read their dangling offsets), every state layer
-// emptied, and the overlay entries compacted out of the entry slice.
-func (c *traceCache) invalidateAll() {
+// emptied, and the overlay entries compacted out of the entry slice. When
+// the epoch wraps, every entry's epoch is reset so none can match the
+// restarted count; wrapped reports it, for the holders of epochs outside
+// the cache.
+func (c *traceCache) invalidateAll() (wrapped bool) {
 	c.epoch++
+	if c.epoch == 0 {
+		for i := range c.entries {
+			c.entries[i].epoch = 0
+		}
+		c.epoch, wrapped = 1, true
+	}
 	c.pathEnd = 0
 	for i := range c.layers {
 		clear(c.layers[i].over)
 		clear(c.layers[i].verified)
 	}
 	if c.overlays == 0 {
-		return
+		return wrapped
 	}
-	// A reference entry precedes every overlay entry of its key, so
-	// compaction keeps idx pointing at the right (moved) slot.
+	// A reference entry precedes every overlay entry of its key, and is the
+	// entry the key index finds, so compaction moves each one down and
+	// repoints its slot in the same pass.
 	w := int32(0)
 	for i := range c.entries {
 		e := c.entries[i]
-		if c.idx[e.key] != int32(i) {
+		s, ref := c.find(e.key)
+		if ref != int32(i) {
 			continue
 		}
 		c.entries[w] = e
-		c.idx[e.key] = w
+		c.slots[s] = w + 1
 		w++
 	}
 	c.entries = c.entries[:w]
 	c.overlays = 0
+	return wrapped
 }

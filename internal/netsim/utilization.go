@@ -1,9 +1,10 @@
 package netsim
 
 // LinkUtil summarizes one link's load over the measurement window. Link
-// points into Network.Links.
+// points into Network.Links, at index ID.
 type LinkUtil struct {
 	Link        *Link
+	ID          int32
 	Flits       int64
 	Utilization float64 // flits / (width × window cycles), 1.0 = saturated
 }
@@ -41,16 +42,16 @@ func (n *Network) LinkUtilization(k int) (byClass [NumHopClasses]float64, hottes
 		if a.Utilization != b.Utilization {
 			return a.Utilization > b.Utilization
 		}
-		return a.Link.ID < b.Link.ID
+		return a.ID < b.ID
 	}
 	for i := range n.Links {
-		l := &n.Links[i]
-		if !n.LinkAlive(l.ID) {
+		l, id := &n.Links[i], int32(i)
+		if !n.LinkAlive(id) {
 			continue
 		}
-		capacity := float64(l.Width) * float64(window)
-		flits := n.WindowFlits(l.ID)
-		u := LinkUtil{Link: l, Flits: flits}
+		capacity := float64(n.specs[l.Spec].Width) * float64(window)
+		flits := n.WindowFlits(id)
+		u := LinkUtil{Link: l, ID: id, Flits: flits}
 		if capacity > 0 {
 			u.Utilization = float64(flits) / capacity
 		}

@@ -45,11 +45,11 @@ func (sr *SLDFRouter) Install(net *netsim.Network) {
 					if l < 0 {
 						continue
 					}
-					link := &n.Links[l]
+					spec := n.LinkSpec(l)
 					// Occupancy = credits consumed across all VCs.
 					var used int32
-					for vc := uint8(0); vc < link.VCs; vc++ {
-						used += link.BufFlits - n.FreeCredits(pi.Node, pi.PortExt, vc)
+					for vc := uint8(0); vc < spec.VCs; vc++ {
+						used += spec.BufFlits - n.FreeCredits(pi.Node, pi.PortExt, vc)
 					}
 					sr.occ.occ[w][c*h+j] = used
 				}

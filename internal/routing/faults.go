@@ -52,9 +52,9 @@ func (e *DegradedVCError) Unwrap() error { return ErrDegradedVCs }
 // minProvisionedVCs returns the smallest VC count across alive links.
 func minProvisionedVCs(net *netsim.Network) uint8 {
 	min := uint8(255)
-	for _, l := range net.Links {
-		if net.LinkAlive(l.ID) && l.VCs < min {
-			min = l.VCs
+	for i := range net.Links {
+		if id := int32(i); net.LinkAlive(id) && net.LinkSpec(id).VCs < min {
+			min = net.LinkSpec(id).VCs
 		}
 	}
 	return min

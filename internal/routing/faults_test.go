@@ -49,14 +49,15 @@ func checkTraceAvoidsFaults(t *testing.T, net *netsim.Network, route netsim.Rout
 							t.Fatalf("chip %d→%d (aux %d): %v", srcChip, dstChip, a, err)
 						}
 						for _, h := range hops {
-							l := net.Links[h[0]]
-							if !net.LinkAlive(l.ID) {
+							id := int32(h[0])
+							l := net.Links[id]
+							if !net.LinkAlive(id) {
 								t.Fatalf("chip %d→%d (aux %d): route crosses disabled link %d (%d→%d)",
-									srcChip, dstChip, a, l.ID, l.Src, l.Dst)
+									srcChip, dstChip, a, id, l.Src, l.Dst)
 							}
 							if !net.RouterAlive(l.Src) || !net.RouterAlive(l.Dst) {
 								t.Fatalf("chip %d→%d (aux %d): route touches a disabled router via link %d",
-									srcChip, dstChip, a, l.ID)
+									srcChip, dstChip, a, id)
 							}
 						}
 					}
@@ -240,10 +241,10 @@ func TestFaultedMeshPartitionRejected(t *testing.T) {
 	}
 	defer g.Net.Close()
 	var cut []int32
-	for _, l := range g.Net.Links {
+	for i, l := range g.Net.Links {
 		src, dst := g.Net.Router(l.Src), g.Net.Router(l.Dst)
 		if (src.X == 1 && dst.X == 2) || (src.X == 2 && dst.X == 1) {
-			cut = append(cut, l.ID)
+			cut = append(cut, int32(i))
 		}
 	}
 	if err := g.Net.ApplyFaults(nil, cut); err != nil {
@@ -309,11 +310,11 @@ func TestFaultedDragonflyRestrictions(t *testing.T) {
 	// netsim check but the switch graph partitions.
 	var cut []int32
 	sw := df.Switches[0][0]
-	for _, l := range df.Net.Links {
+	for i, l := range df.Net.Links {
 		if (l.Src == sw || l.Dst == sw) &&
 			df.Net.Router(l.Src).Kind == netsim.KindSwitch &&
 			df.Net.Router(l.Dst).Kind == netsim.KindSwitch {
-			cut = append(cut, l.ID)
+			cut = append(cut, int32(i))
 		}
 	}
 	if err := df.Net.ApplyFaults(nil, cut); err != nil {

@@ -121,7 +121,7 @@ func channelPairs(net *netsim.Network, keep func(l *netsim.Link) bool) [][2]int3
 	for i := range net.Links {
 		l := &net.Links[i]
 		if keep == nil || keep(l) {
-			reverse[ends{l.Src, l.Dst}] = l.ID
+			reverse[ends{l.Src, l.Dst}] = int32(i)
 		}
 	}
 	var out [][2]int32
@@ -131,7 +131,7 @@ func channelPairs(net *netsim.Network, keep func(l *netsim.Link) bool) [][2]int3
 			continue
 		}
 		if rev, ok := reverse[ends{l.Dst, l.Src}]; ok {
-			out = append(out, [2]int32{l.ID, rev})
+			out = append(out, [2]int32{int32(i), rev})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
