@@ -44,7 +44,6 @@ func TestParseSystem(t *testing.T) {
 		{"sw-less-mis", core.SwitchlessDragonfly, routing.Valiant, 0},
 		{"sw-less-2B-mis", core.SwitchlessDragonfly, routing.Valiant, 2},
 		{"sw-less-mis-lower", core.SwitchlessDragonfly, routing.ValiantLower, 0},
-		{"sw-less-ugal", core.SwitchlessDragonfly, routing.Adaptive, 0},
 		{"switch", core.SingleSwitch, routing.Minimal, 0},
 		{"mesh", core.MeshCGroup, routing.Minimal, 0},
 	}
@@ -63,7 +62,7 @@ func TestParseSystem(t *testing.T) {
 
 func TestParseSystemRejectsUnknown(t *testing.T) {
 	pt := defaultPoint(t)
-	for _, bad := range []string{"nope", "sw-less-9B", "sw-based-x"} {
+	for _, bad := range []string{"nope", "sw-less-9B", "sw-based-x", "sw-less-ugal"} {
 		if _, err := pt.Config(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
@@ -75,7 +74,7 @@ func TestRunHelp(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errOut); err != nil {
 		t.Fatalf("-h must succeed, got %v", err)
 	}
-	if !strings.Contains(errOut.String(), "sw-less[-2B|-4B][-mis|-mis-lower|-ugal][-rvc]") {
+	if !strings.Contains(errOut.String(), "sw-less[-2B|-4B][-mis|-mis-lower][-rvc]") {
 		t.Errorf("-systems help does not print the system grammar:\n%s", errOut.String())
 	}
 	if out.Len() != 0 {
@@ -87,10 +86,10 @@ func TestRunHelp(t *testing.T) {
 // the variant fails before any sweep runs, naming the kind and the suffix.
 func TestRunRejectsUnimplementedVariants(t *testing.T) {
 	for _, tc := range []struct{ systems, err string }{
-		{"sw-based-ugal", "sw-based does not implement -ugal"},
+		{"sw-based-rvc", "sw-based does not implement -rvc"},
 		{"sw-less,sw-based-mis-lower", "sw-based does not implement -mis-lower"},
 		{"mesh-mis", "2d-mesh does not implement -mis"},
-		{"switch-ugal", "switch does not implement -ugal"},
+		{"switch-mis", "switch does not implement -mis"},
 		{"warp", "unknown system"},
 	} {
 		var out, errOut strings.Builder
@@ -126,6 +125,23 @@ func TestRunFlagErrors(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run(%v) wrote to the data stream: %q", tc.args, out.String())
 		}
+	}
+}
+
+// TestRunUndeliveredPointPastKnee pins a point whose window delivers none
+// of its own packets (rate 16 on one W-group): its latency cell reads inf,
+// not 0, and the saturation estimate stops below it.
+func TestRunUndeliveredPointPastKnee(t *testing.T) {
+	var out, errOut strings.Builder
+	if err := run([]string{"-systems", "sw-less", "-groups", "1", "-from", "8", "-to", "16", "-step", "8",
+		"-warmup", "100", "-measure", "200"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\n16.0000,inf,1.2463\n") {
+		t.Errorf("the rate-16 row does not read latency inf:\n%s", out.String())
+	}
+	if !strings.Contains(errOut.String(), "saturation(sw-less) ≈ 8.00 ") {
+		t.Errorf("saturation counts the undelivered point below the knee:\n%s", errOut.String())
 	}
 }
 

@@ -89,8 +89,12 @@ func run(args []string, w, errw io.Writer) error {
 	}
 	st := res.Stats
 	fmt.Fprintf(w, "pattern  : %s @ %.3f flits/cycle/chip\n", pt.Pattern, *rate)
-	fmt.Fprintf(w, "latency  : mean %.1f  p50 %.0f  p99 %.0f cycles (network-only mean %.1f)\n",
-		res.Point.Latency, res.Point.P50, res.Point.P99, st.MeanNetLatency())
+	if res.Point.Undelivered {
+		fmt.Fprintf(w, "latency  : unbounded, no packet created in the window was delivered (past saturation)\n")
+	} else {
+		fmt.Fprintf(w, "latency  : mean %.1f  p50 %.0f  p99 %.0f cycles (network-only mean %.1f)\n",
+			res.Point.Latency, res.Point.P50, res.Point.P99, st.MeanNetLatency())
+	}
 	fmt.Fprintf(w, "accepted : %.4f flits/cycle/chip\n", res.Point.Throughput)
 	fmt.Fprintf(w, "packets  : injected %d, delivered %d, in-flight %d (drain tail %d of %d cycles)\n",
 		st.InjectedPkts, st.DeliveredPkts, st.InFlightPkts, res.DrainCycles, sp.ExtraDrain)

@@ -51,6 +51,21 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestRunUndeliveredPoint pins a point whose window delivers none of its
+// own packets: the report says the latency is unbounded instead of
+// printing a mean of 0.
+func TestRunUndeliveredPoint(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-system", "sw-less", "-groups", "1", "-rate", "16",
+		"-warmup", "100", "-measure", "200"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "latency  : unbounded, no packet created in the window was delivered") ||
+		strings.Contains(out.String(), "mean 0.0") {
+		t.Errorf("report prints a latency for an undelivered window:\n%s", out.String())
+	}
+}
+
 // TestPrintKeyMatchesSweepStore checks that -printkey names the key a sweep
 // stores for the same point: the sweep resolves the same flags through the
 // same point group, measures the one rate into a disk cache, and the cache
@@ -133,7 +148,8 @@ func TestRunFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-mode", "valiant"}, "usage error"},
 		{[]string{"-width", "2"}, "usage error"},
-		{[]string{"-system", "switch-ugal"}, "switch does not implement -ugal"},
+		{[]string{"-system", "switch-mis"}, "switch does not implement -mis"},
+		{[]string{"-system", "sw-less-ugal"}, "unknown system"},
 		{[]string{"-system", "warp"}, "unknown system"},
 		{[]string{"-system", "mesh", "-measure", "0"}, "invalid simulation parameters"},
 		{[]string{"-system", "mesh", "-rate", "nan"}, "invalid simulation parameters"},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -114,17 +113,15 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceRoutingModes covers the routing algorithms with
-// per-packet state and the adaptive pre-allocate congestion snapshot, where
-// skipping a router the reference engine would visit (or vice versa) would
-// desynchronize per-router RNG streams immediately.
+// per-packet state, where skipping a router the reference engine would
+// visit (or vice versa) would desynchronize per-router RNG streams
+// immediately.
 func TestEngineEquivalenceRoutingModes(t *testing.T) {
 	base := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9}
 	valiant := base
 	valiant.Mode = routing.Valiant
 	lower := base
 	lower.Mode = routing.ValiantLower
-	adaptive := base
-	adaptive.Mode = routing.Adaptive
 	reduced := base
 	reduced.Scheme = routing.ReducedVC
 	cases := []struct {
@@ -136,7 +133,6 @@ func TestEngineEquivalenceRoutingModes(t *testing.T) {
 		{"minimal", base, "worst-case", 0.1},
 		{"valiant", valiant, "worst-case", 0.1},
 		{"valiant-lower", lower, "worst-case", 0.1},
-		{"adaptive", adaptive, "uniform", 0.3},
 		{"reduced-vc", reduced, "uniform", 0.3},
 	}
 	for _, tc := range cases {
@@ -326,11 +322,7 @@ func TestEngineEquivalenceAfterReset(t *testing.T) {
 // cycle state not yet built, churn segments applied and rewound — and then
 // measures with a cycle engine after Reset must be bitwise identical to a
 // fresh build measured with the same engine. Covers every system kind, both
-// cycle engines and a churn-armed system. The flow engine cannot model
-// adaptive routing, so the adaptive system's flow points must be rejected
-// with ErrSimParams naming the engine and the mode, and leave the network
-// measuring exactly as a fresh build — including the pre-allocate
-// snapshot, which reads credits the flow engine never allocates.
+// cycle engines and a churn-armed system.
 func TestEngineEquivalenceAfterFlow(t *testing.T) {
 	swb := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 5}
 	swb.DF.G = 1
@@ -339,25 +331,21 @@ func TestEngineEquivalenceAfterFlow(t *testing.T) {
 	churned := swl
 	churned.Seed = 11
 	churned.Churn = churnWindow(0.04, 0.02, netsim.RetrySource)
-	adaptive := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 9, Mode: routing.Adaptive}
 	cases := []struct {
-		name    string
-		cfg     Config
-		rate    float64
-		sp      SimParams
-		flowErr bool // the flow points are rejected
+		name string
+		cfg  Config
+		rate float64
 	}{
-		{"switch", Config{Kind: SingleSwitch, Terminals: 4, Seed: 5}, 0.8, tinySim(), false},
-		{"mesh", Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5}, 0.8, tinySim(), false},
-		{"sw-based", swb, 0.6, tinySim(), false},
-		{"sw-less", swl, 0.6, tinySim(), false},
-		{"sw-less-churn", churned, 0.6, tinySim(), false},
-		{"sw-less-adaptive", adaptive, 0.3, shortSim(), true},
+		{"switch", Config{Kind: SingleSwitch, Terminals: 4, Seed: 5}, 0.8},
+		{"mesh", Config{Kind: MeshCGroup, ChipletDim: 2, NoCDim: 2, Seed: 5}, 0.8},
+		{"sw-based", swb, 0.6},
+		{"sw-less", swl, 0.6},
+		{"sw-less-churn", churned, 0.6},
 	}
 	for _, tc := range cases {
 		for _, kind := range []netsim.EngineKind{netsim.EngineActiveSet, netsim.EngineReference} {
 			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
-				fresh := measureEngineSim(t, tc.cfg, "uniform", tc.rate, kind, tc.sp)
+				fresh := measureEngineSim(t, tc.cfg, "uniform", tc.rate, kind, tinySim())
 				if fresh.Stats.DeliveredPkts == 0 {
 					t.Fatal("no traffic delivered; the comparison is vacuous")
 				}
@@ -370,15 +358,10 @@ func TestEngineEquivalenceAfterFlow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sp := tc.sp
+				sp := tinySim()
 				sp.Engine = netsim.EngineFlow
 				for _, rate := range []float64{0.2, tc.rate} {
-					_, err := sys.MeasureLoad(pat, rate, sp)
-					switch {
-					case tc.flowErr && (!errors.Is(err, ErrSimParams) ||
-						!strings.Contains(err.Error(), "flow") || !strings.Contains(err.Error(), "adaptive")):
-						t.Fatalf("flow point %.1f: err = %v, want ErrSimParams naming the flow engine and adaptive routing", rate, err)
-					case !tc.flowErr && err != nil:
+					if _, err := sys.MeasureLoad(pat, rate, sp); err != nil {
 						t.Fatalf("flow point %.1f: %v", rate, err)
 					}
 					sys.Reset()

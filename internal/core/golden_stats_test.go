@@ -134,7 +134,8 @@ func saturatedGoldenCases() []struct {
 	swb.DF.G = 1
 	swl := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7}
 	swl.SLDF.G = 1
-	adaptive := Config{Kind: SwitchlessDragonfly, Seed: 7, Mode: routing.Adaptive,
+	// mis is the only case with more than one W-group (AB 4, H 2: nine).
+	mis := Config{Kind: SwitchlessDragonfly, Seed: 7, Mode: routing.Valiant,
 		SLDF: topology.SLDFParams{NoCDim: 2, ChipCols: 2, ChipRows: 2, AB: 4, H: 2}}
 	retry := swl
 	retry.Churn = churnWindow(0.04, 0.02, netsim.RetrySource)
@@ -148,7 +149,7 @@ func saturatedGoldenCases() []struct {
 	}{
 		{"sw-based", swb},
 		{"sw-less", swl},
-		{"sw-less-adaptive", adaptive},
+		{"sw-less-mis", mis},
 		{"sw-less-churn-retry", retry},
 		{"sw-less-churn-drop", drop},
 		{"mesh-churn", meshChurned},

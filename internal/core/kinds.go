@@ -102,7 +102,7 @@ var kinds = [...]kindEntry{
 	},
 	SwitchlessDragonfly: {
 		name:     "sw-less",
-		variants: []string{"-2B", "-4B", "-mis", "-mis-lower", "-ugal", "-rvc"},
+		variants: []string{"-2B", "-4B", "-mis", "-mis-lower", "-rvc"},
 		vcs: func(c Config, faulted bool) uint8 {
 			if faulted {
 				return FaultVCs
@@ -262,7 +262,7 @@ func ParseKind(name string) (SystemKind, error) {
 // the baseline VC scheme) has no suffix.
 var (
 	widthSuffixes  = []string{2: "-2B", 4: "-4B"}
-	modeSuffixes   = []string{routing.Valiant: "-mis", routing.ValiantLower: "-mis-lower", routing.Adaptive: "-ugal"}
+	modeSuffixes   = []string{routing.Valiant: "-mis", routing.ValiantLower: "-mis-lower"}
 	schemeSuffixes = []string{routing.ReducedVC: "-rvc"}
 )
 

@@ -51,7 +51,7 @@ func TestParseSystem(t *testing.T) {
 	valid := 0
 	for k := range kinds {
 		for _, width := range []int32{0, 1, 2, 4} {
-			for _, mode := range []routing.Mode{routing.Minimal, routing.Valiant, routing.ValiantLower, routing.Adaptive} {
+			for _, mode := range []routing.Mode{routing.Minimal, routing.Valiant, routing.ValiantLower} {
 				for _, scheme := range []routing.Scheme{routing.BaselineVC, routing.ReducedVC} {
 					c := Config{Kind: SystemKind(k), IntraWidth: width, Mode: mode, Scheme: scheme}
 					if c.validate() != nil {
@@ -66,10 +66,10 @@ func TestParseSystem(t *testing.T) {
 			}
 		}
 	}
-	// sw-based: 1B×{minimal, mis}×2 widths; sw-less: 4 widths × 4 modes ×
+	// sw-based: 1B×{minimal, mis}×2 widths; sw-less: 4 widths × 3 modes ×
 	// 2 schemes; switch and 2d-mesh: the default at width 0 and 1.
-	if valid != 4+32+2+2 {
-		t.Errorf("%d valid configurations, want 40", valid)
+	if valid != 4+24+2+2 {
+		t.Errorf("%d valid configurations, want 32", valid)
 	}
 
 	for _, tc := range []struct {
@@ -83,7 +83,6 @@ func TestParseSystem(t *testing.T) {
 		{"sw-less-2B-mis", Config{Kind: SwitchlessDragonfly, IntraWidth: 2, Mode: routing.Valiant}},
 		{"sw-less-mis-lower", Config{Kind: SwitchlessDragonfly, Mode: routing.ValiantLower}},
 		{"sw-less-mis-lower-rvc", Config{Kind: SwitchlessDragonfly, Mode: routing.ValiantLower, Scheme: routing.ReducedVC}},
-		{"sw-less-ugal", Config{Kind: SwitchlessDragonfly, Mode: routing.Adaptive}},
 		{"sw-less-2B-mis-rvc", Config{Kind: SwitchlessDragonfly, IntraWidth: 2, Mode: routing.Valiant, Scheme: routing.ReducedVC}},
 		{"switch", Config{Kind: SingleSwitch}},
 		{"mesh", Config{Kind: MeshCGroup}},
@@ -95,13 +94,14 @@ func TestParseSystem(t *testing.T) {
 	}
 
 	for _, tc := range []struct{ name, err string }{
-		{"sw-based-ugal", "sw-based does not implement -ugal"},
+		{"sw-based-ugal", "unknown system"},
 		{"sw-based-mis-lower", "sw-based does not implement -mis-lower"},
 		{"sw-based-rvc", "sw-based does not implement -rvc"},
 		{"sw-based-2B", "sw-based does not implement -2B"},
 		{"mesh-mis", "2d-mesh does not implement -mis"},
 		{"mesh-2B", "2d-mesh does not implement -2B"},
-		{"switch-ugal", "switch does not implement -ugal"},
+		{"switch-ugal", "unknown system"},
+		{"sw-less-ugal", "unknown system"},
 		{"nope", "unknown system"},
 		{"", "unknown system"},
 		{"sw-less-9B", "unknown system"},
@@ -111,6 +111,24 @@ func TestParseSystem(t *testing.T) {
 	} {
 		if _, err := ParseSystem(tc.name); err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("ParseSystem(%q) error = %v, want one containing %q", tc.name, err, tc.err)
+		}
+	}
+
+	// A mode or scheme value outside the grammar (mode 3 is what an old
+	// UGAL point-store entry holds) is named by its value.
+	for _, tc := range []struct {
+		cfg Config
+		err string
+	}{
+		{Config{Kind: SwitchlessDragonfly, Mode: 3}, "sw-less does not implement mode(3) routing"},
+		{Config{Kind: SwitchlessDragonfly, Mode: 7}, "sw-less does not implement mode(7) routing"},
+		{Config{Kind: SwitchDragonfly, Mode: 3}, "sw-based does not implement mode(3) routing"},
+		{Config{Kind: SingleSwitch, Mode: 7}, "switch does not implement mode(7) routing"},
+		{Config{Kind: SwitchlessDragonfly, Scheme: 2}, "sw-less does not implement the scheme(2) VC scheme"},
+		{Config{Kind: SwitchDragonfly, Scheme: 5}, "sw-based does not implement the scheme(5) VC scheme"},
+	} {
+		if _, err := Build(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("Build(%+v) error = %v, want one containing %q", tc.cfg, err, tc.err)
 		}
 	}
 }

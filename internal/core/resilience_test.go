@@ -63,10 +63,6 @@ func TestBuildFaultedRejectsUnsupportedModes(t *testing.T) {
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("reduced-VC faulted build accepted")
 	}
-	cfg = faultedTinyCfg(routing.Adaptive)
-	if _, err := Build(cfg); err == nil {
-		t.Fatal("adaptive faulted build accepted")
-	}
 	dfc := Config{Kind: SwitchDragonfly, DF: Radix16DF(), Seed: 1, Mode: routing.Valiant}
 	dfc.Faults = topology.FaultSpec{Seed: 1, LinkFraction: 0.05}
 	if _, err := Build(dfc); err == nil {

@@ -67,7 +67,6 @@ func TestConfigLabelMatchesBuild(t *testing.T) {
 		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), IntraWidth: 2},
 		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Mode: routing.Valiant},
 		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Mode: routing.ValiantLower},
-		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Mode: routing.Adaptive},
 		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Scheme: routing.ReducedVC},
 		{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), IntraWidth: 4, Mode: routing.Valiant},
 	}

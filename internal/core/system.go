@@ -190,9 +190,6 @@ func (s *System) MeasureLoad(pat traffic.Pattern, rate float64, sp SimParams) (R
 	if err := checkPoint(rate, sp); err != nil {
 		return Result{}, fmt.Errorf("%s: %w", s.Label, err)
 	}
-	if err := checkEngine(sp.Engine, s.Cfg.Mode); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", s.Label, err)
-	}
 	s.Net.SetEngine(sp.Engine)
 	if sp.Engine == netsim.EngineFlow {
 		// The analytical path samples (and dead-filters) the pattern itself,
@@ -236,6 +233,9 @@ func (s *System) result(rate float64) Result {
 			Dropped:    st.DroppedPkts,
 			Retried:    st.RetriedPkts,
 			Refused:    st.RefusedPkts,
+			// Traffic crossed the window, yet none of its own packets
+			// arrived: the latency knee lies below this rate.
+			Undelivered: st.WindowPkts == 0 && st.WindowFlits > 0,
 		},
 		Stats:       st,
 		Energy:      energy.FromStats(st, energy.TableII()),

@@ -34,6 +34,14 @@ type Point struct {
 	Retried int64 `json:",omitempty"` // stranded and re-injected at the source
 	Refused int64 `json:",omitempty"` // refused at injection (destination dead)
 
+	// Undelivered marks a point whose window carried traffic but delivered
+	// none of the packets created in it: offered load so far past the knee
+	// that the window's packets outlast the drain tail. Its latency is
+	// unbounded, not measured, so Latency, P50 and P99 read 0 and mean
+	// nothing. Omitted from JSON when false, keeping every other point's
+	// cache entry byte-identical.
+	Undelivered bool `json:",omitempty"`
+
 	// Aux carries experiment-family-specific extras through the store and
 	// the coordinator/worker protocol (collective jobs record delivered
 	// packets and per-step makespans here; int64 cycle counts are exact in
@@ -53,7 +61,8 @@ type Series struct {
 // rate whose mean latency stays below latencyFactor × the zero-load
 // (first-point) latency. A pure latency-knee criterion is used because
 // accepted throughput is normalized per chip while permutation patterns may
-// leave self-mapped chips silent. It returns 0 for an empty series.
+// leave self-mapped chips silent. An Undelivered point is past the knee.
+// It returns 0 for an empty series.
 func (s Series) Saturation(latencyFactor float64) float64 {
 	if len(s.Points) == 0 {
 		return 0
@@ -64,7 +73,7 @@ func (s Series) Saturation(latencyFactor float64) float64 {
 	}
 	sat := 0.0
 	for _, p := range s.Points {
-		if p.Latency <= latencyFactor*zero && p.Rate > sat {
+		if !p.Undelivered && p.Latency <= latencyFactor*zero && p.Rate > sat {
 			sat = p.Rate
 		}
 	}
@@ -220,8 +229,9 @@ func (f Figure) hasChurn() bool {
 }
 
 // CSV renders the figure as rate-indexed CSV with one latency and one
-// throughput column per series; figures measured under churn additionally
-// carry per-series dropped/retried/refused packet columns.
+// throughput column per series; an Undelivered point's latency cell reads
+// inf. Figures measured under churn additionally carry per-series
+// dropped/retried/refused packet columns.
 func (f Figure) CSV() string {
 	churn := f.hasChurn()
 	var b strings.Builder
@@ -252,7 +262,11 @@ func (f Figure) CSV() string {
 			found := false
 			for _, p := range s.Points {
 				if p.Rate == r {
-					fmt.Fprintf(&b, ",%.3f,%.4f", p.Latency, p.Throughput)
+					if p.Undelivered {
+						fmt.Fprintf(&b, ",inf,%.4f", p.Throughput)
+					} else {
+						fmt.Fprintf(&b, ",%.3f,%.4f", p.Latency, p.Throughput)
+					}
 					if churn {
 						fmt.Fprintf(&b, ",%d,%d,%d", p.Dropped, p.Retried, p.Refused)
 					}

@@ -535,9 +535,8 @@ func (n *Network) SanitizeInFlight(keep func(r *Router, p *Packet) bool) int {
 // decisions are invalidated: the component set changed under them. A
 // router still holding packets turns stale and re-routes them at its next
 // pass; one that moved a packet in the previous cycle, or waits on credits
-// or a dead link, has that pass this cycle. Route functions may read
-// dynamic state on their first call, so when the re-route happens is part
-// of the result.
+// or a dead link, has that pass this cycle. A re-route may draw from the
+// router's RNG stream, so when it happens is part of the result.
 func (n *Network) strandInFlight(keep func(r *Router, p *Packet) bool) int {
 	cs := n.cyc
 	if cs == nil {

@@ -21,8 +21,8 @@ import "sldf/internal/engine"
 //   - active: the active-set engine's per-shard bitmaps, timing wheels and
 //     staging lists.
 //
-// The code that may run first — Reset, fault application, churn batches,
-// FreeCredits — treats a nil cycleState as an idle network. The state is
+// The code that may run first — Reset, fault application, churn batches —
+// treats a nil cycleState as an idle network. The state is
 // derived from the current fault set, so it equals what Finalize followed
 // by the same faults and churn batches would have left on an idle network.
 type cycleState struct {
@@ -317,19 +317,4 @@ func (cs *cycleState) reset(seed uint64) {
 	for s := range cs.active {
 		cs.active[s].clear()
 	}
-}
-
-// FreeCredits returns the credits available on downstream VC vc of router
-// id's output port out; the ejection pseudo-port has no credit limit.
-// Before a cycle engine has built the credit counters the network is idle,
-// so every downstream buffer is free.
-func (n *Network) FreeCredits(id NodeID, out int, vc uint8) int32 {
-	l := n.OutPorts(&n.Routers[id])[out].Link
-	if l < 0 {
-		return 1 << 30
-	}
-	if n.cyc == nil {
-		return n.LinkSpec(l).BufFlits
-	}
-	return n.cyc.routers[id].out[out].credits[vc]
 }

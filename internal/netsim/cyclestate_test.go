@@ -33,7 +33,8 @@ func checkNoCycleState(t *testing.T, net *Network) {
 
 // TestFlowOnlyNetworkHasNoCycleState pins the lean flow build: build-time
 // faults, flow solves across churn segments and Resets never allocate
-// state that only the cycle engines read.
+// state that only the cycle engines read, and switching to a cycle engine
+// allocates it.
 func TestFlowOnlyNetworkHasNoCycleState(t *testing.T) {
 	net := buildChurnRing(t, 6, NetworkOptions{Seed: 7, Workers: 2})
 	defer net.Close()
@@ -50,39 +51,10 @@ func TestFlowOnlyNetworkHasNoCycleState(t *testing.T) {
 		t.Fatalf("%d flow segments solved, want the timeline's five per solve", fs.Segments)
 	}
 	checkNoCycleState(t, net)
-}
-
-// TestFreeCreditsBeforeFirstUse checks that a network whose credit counters
-// do not exist yet reports what an idle network has: every downstream
-// buffer free. Adaptive routing's pre-allocate snapshot reads this under
-// the flow engine.
-func TestFreeCreditsBeforeFirstUse(t *testing.T) {
-	net := buildChurnRing(t, 4, NetworkOptions{Seed: 1, Workers: 1})
-	defer net.Close()
-	check := func(when string) {
-		t.Helper()
-		for i := range net.Routers {
-			r := &net.Routers[i]
-			for o := range net.OutPorts(r) {
-				if net.OutPorts(r)[o].Link < 0 {
-					continue
-				}
-				spec := net.LinkSpec(net.OutPorts(r)[o].Link)
-				for vc := uint8(0); vc < spec.VCs; vc++ {
-					if got := net.FreeCredits(r.ID, o, vc); got != spec.BufFlits {
-						t.Fatalf("%s: router %d port %d vc %d has %d free credits, want %d",
-							when, i, o, vc, got, spec.BufFlits)
-					}
-				}
-			}
-		}
-	}
-	check("before first use")
 	net.SetEngine(EngineReference)
 	if net.cyc == nil {
 		t.Fatal("SetEngine to a cycle engine did not allocate the cycle state")
 	}
-	check("after allocation")
 }
 
 // TestCycleStateFollowsBuildFaults checks that cycle state built late —

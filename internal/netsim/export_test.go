@@ -163,9 +163,6 @@ func (n *Network) PrepareFlowSegment(demands []FlowDemand, size int32) FlowProbe
 	if err := n.setFlowSize(fl, size); err != nil {
 		panic(err)
 	}
-	if n.preAllocate != nil {
-		n.preAllocate(n)
-	}
 	rec := fl.record()
 	n.flowBuildFlows(fl, rec, demands, size)
 	fl.buildTranspose()

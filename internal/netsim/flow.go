@@ -14,9 +14,8 @@ package netsim
 // The engine reuses the network exactly as built: routes are traced by
 // running the installed RouteFunc over a phantom packet hop by hop, so
 // fault-aware routing and churn rewiring apply without flow-specific code.
-// The per-cycle pre-allocate hook is never run: a traced network holds no
-// packets, so an occupancy-driven (adaptive) routing has nothing to read,
-// and the core layer rejects it under this engine. Armed fault timelines
+// A traced network holds no packets, which is sound because a route never
+// reads occupancy (see RouteFunc). Armed fault timelines
 // are honored by segmenting the measurement window at event cycles and
 // re-solving per segment (SolveFlow), which is what keeps churn campaigns
 // working unchanged under EngineFlow.

@@ -10,11 +10,13 @@ import (
 // RouteFunc computes the output port and next virtual channel for packet p
 // at router r. The cycle engines call it once per (packet, router): when p
 // reaches the head of an input VC or, on an ideal switch, when p enters the
-// lookahead window behind the head. The decision is cached until p departs,
-// so a RouteFunc may consult dynamic state (credits, queue depths, a
-// pre-allocate congestion snapshot) to make adaptive choices, but only that
-// first call reads it. A churn batch discards every cached decision and
-// re-routes queued packets with the new fault state's function.
+// lookahead window behind the head. The decision is cached until p departs.
+// A route must be a function of the router, the packet, the RNG stream it
+// draws from (Packet.RouteRNG) and the fault state, never of queue or
+// credit occupancy: the flow engine traces each pair once on an empty
+// network and reuses the trace from its cache. A churn batch discards
+// every cached decision and re-routes queued packets with the new fault
+// state's function.
 type RouteFunc func(net *Network, r *Router, p *Packet) (out int, vc uint8)
 
 // ErrDeadlock is returned by Run when the network stops making progress
@@ -95,11 +97,6 @@ type Network struct {
 	watchdogLimit int64
 	watchdogTrips int64 // times the progress watchdog fired since reset
 
-	// preAllocate, when set, runs single-threaded between the drain and
-	// allocate phases of every cycle. Adaptive routing uses it to snapshot
-	// congestion state that route functions may then read without races.
-	preAllocate func(*Network)
-
 	// churn is the armed fault timeline (nil on static networks — the nil
 	// check is Step's only churn cost, preserving bitwise identity with
 	// pre-churn builds).
@@ -118,9 +115,6 @@ type Network struct {
 	// Reset so build-once/measure-many sweeps re-trace nothing.
 	flow *flowSolver
 }
-
-// SetPreAllocate installs the per-cycle serial hook (may be nil).
-func (n *Network) SetPreAllocate(f func(*Network)) { n.preAllocate = f }
 
 // NetworkOptions configure simulation execution.
 type NetworkOptions struct {
@@ -372,9 +366,9 @@ func (n *Network) initPhases() {
 }
 
 // Step advances the simulation by one cycle: a drain phase delivering link
-// traffic, an optional serial hook, and an allocate phase moving packets.
-// The active-set engine runs both phases over per-shard worklists; the
-// reference engine walks every link and router.
+// traffic and an allocate phase moving packets. The active-set engine runs
+// both phases over per-shard worklists; the reference engine walks every
+// link and router.
 //
 //sldf:hotpath
 func (n *Network) Step() {
@@ -389,9 +383,6 @@ func (n *Network) Step() {
 		drain, alloc = n.drainRefFn, n.allocRefFn
 	}
 	n.pool.Run(n.shards, drain)
-	if n.preAllocate != nil {
-		n.preAllocate(n)
-	}
 	n.pool.Run(n.shards, alloc)
 	var moved int64
 	for s := range n.shard {

@@ -3,12 +3,12 @@ package netsim
 // Reset restores the network to its just-finalized state: cycle zero, empty
 // router queues and link pipelines, full credit buffers, per-router RNG
 // streams re-derived from the seed, and all statistics cleared. The
-// installed routing function, pre-allocate hook and worker pool are kept,
-// while the traffic generator is removed (as after Finalize). A reset
-// network behaves bitwise identically to a freshly built one, which lets a
-// sweep reuse one construction for every load point of a series. Packets
-// still in flight are discarded; per-shard free lists are kept so their
-// buffers are recycled.
+// installed routing function and worker pool are kept, while the traffic
+// generator is removed (as after Finalize). A reset network behaves
+// bitwise identically to a freshly built one, which lets a sweep reuse one
+// construction for every load point of a series. Packets still in flight
+// are discarded; per-shard free lists are kept so their buffers are
+// recycled.
 func (n *Network) Reset() {
 	if n.cyc != nil {
 		n.cyc.reset(n.seed)

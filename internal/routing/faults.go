@@ -86,7 +86,7 @@ type cgEdge struct {
 //
 // Supported modes: Minimal and Valiant (an inter-W-group packet first
 // routes to a uniformly random intermediate W-group). The reduced-VC
-// scheme and the Adaptive/ValiantLower modes rely on geometric invariants
+// scheme and the ValiantLower mode rely on geometric invariants
 // that faults break, and are rejected.
 //
 // Construction fails with PartitionError when the surviving network

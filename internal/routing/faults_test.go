@@ -182,7 +182,7 @@ func TestFaultedSLDFModeRestrictions(t *testing.T) {
 	if _, err := NewFaultSLDFRouter(s, ReducedVC, Minimal); err == nil {
 		t.Fatal("reduced-VC scheme accepted under faults")
 	}
-	for _, mode := range []Mode{ValiantLower, Adaptive} {
+	for _, mode := range []Mode{ValiantLower, 3} { // 3: an unknown mode
 		if _, err := NewFaultSLDFRouter(s, BaselineVC, mode); err == nil {
 			t.Fatalf("mode %s accepted under faults", mode)
 		}

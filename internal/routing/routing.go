@@ -39,13 +39,6 @@ const (
 	// with the ReducedVC scheme; packets without a valid lower intermediate
 	// fall back to minimal routing.
 	ValiantLower
-	// Adaptive is UGAL-style source-adaptive routing: each inter-W-group
-	// packet compares the occupancy of its direct global channel against a
-	// random candidate's (weighted by hop count) and takes the minimal path
-	// unless the non-minimal one is clearly less congested. Needs the
-	// Valiant VC budget; channel occupancies are snapshotted once per cycle
-	// through the network's pre-allocate hook.
-	Adaptive
 )
 
 // String names the mode.
@@ -55,10 +48,10 @@ func (m Mode) String() string {
 		return "valiant"
 	case ValiantLower:
 		return "valiant-lower"
-	case Adaptive:
-		return "adaptive"
+	case Minimal:
+		return "minimal"
 	}
-	return "minimal"
+	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
 // Scheme selects the virtual-channel discipline for the switch-less
@@ -77,10 +70,13 @@ const (
 
 // String names the scheme.
 func (s Scheme) String() string {
-	if s == ReducedVC {
+	switch s {
+	case BaselineVC:
+		return "baseline"
+	case ReducedVC:
 		return "reduced"
 	}
-	return "baseline"
+	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
 
 // SLDFVCCount returns the number of virtual channels the scheme/mode pair
@@ -97,9 +93,7 @@ func SLDFVCCount(s Scheme, m Mode) uint8 {
 		// The lower-index restriction merges the intermediate W-group onto
 		// the destination VC: non-minimal routing at the minimal VC count.
 		return 3
-	case s == BaselineVC && m == Adaptive:
-		return 6 // adaptive packets may take either min or Valiant paths
-	default: // ReducedVC with Valiant or Adaptive
+	default: // ReducedVC with Valiant
 		return 4
 	}
 }
@@ -135,16 +129,14 @@ func vcMapFor(s Scheme, m Mode) [6]uint8 {
 		// Intermediate and destination W-groups share VC-2 (Fig. 7's
 		// restricted-misroute case).
 		return [6]uint8{0, 1, 2, 2, 2, 2}
-	case s == BaselineVC && m == Adaptive:
-		return [6]uint8{0, 1, 2, 3, 4, 5}
-	default: // ReducedVC with Valiant/Adaptive: paper Fig. 7 numbering —
+	default: // ReducedVC with Valiant: paper Fig. 7 numbering —
 		// VC-3 at the intermediate W-group, VC-2 at the destination.
 		return [6]uint8{0, 1, 3, 3, 2, 2}
 	}
 }
 
 func validateMode(m Mode) error {
-	if m != Minimal && m != Valiant && m != ValiantLower && m != Adaptive {
+	if m != Minimal && m != Valiant && m != ValiantLower {
 		return fmt.Errorf("routing: unknown mode %d", m)
 	}
 	return nil

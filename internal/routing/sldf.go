@@ -23,9 +23,6 @@ type SLDFRouter struct {
 	mode   Mode
 	vcMap  [6]uint8
 	groups int
-	// occ is the adaptive mode's per-cycle global-channel occupancy
-	// snapshot (nil otherwise); see adaptive.go.
-	occ *channelOccupancy
 }
 
 // NewSLDFRouter builds the routing function for the given scheme and mode.
@@ -129,6 +126,9 @@ func (sr *SLDFRouter) exitPort(net *netsim.Network, p *netsim.Packet, w, c int32
 	return &sr.s.CGroups[w][c].LocalPorts[cb]
 }
 
+// Install sets the routing function on the network.
+func (sr *SLDFRouter) Install(net *netsim.Network) { net.SetRoute(sr.Func()) }
+
 // Func returns the netsim routing function.
 func (sr *SLDFRouter) Func() netsim.RouteFunc {
 	return func(net *netsim.Network, r *netsim.Router, p *netsim.Packet) (int, uint8) {
@@ -158,11 +158,7 @@ func (sr *SLDFRouter) routeAtCore(net *netsim.Network, r *netsim.Router, p *nets
 	if p.Aux < 0 && p.Aux2 < 0 && sr.mode != Minimal && sr.groups > 2 {
 		d := net.Router(p.DstNode)
 		if d.WGroup != r.WGroup {
-			if sr.mode == Adaptive {
-				p.Aux = sr.chooseAdaptive(p.RouteRNG(net, r), r.WGroup, d.WGroup)
-			} else {
-				p.Aux = sr.pickIntermediate(p.RouteRNG(net, r), r.WGroup, d.WGroup)
-			}
+			p.Aux = sr.pickIntermediate(p.RouteRNG(net, r), r.WGroup, d.WGroup)
 			p.Aux2 = 1 // decision made (possibly "no valid intermediate")
 		}
 	}
